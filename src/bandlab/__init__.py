@@ -37,7 +37,6 @@ from .spectral import (
 )
 from .deterministic import (
     LoopSignature,
-    Propagator,
     KLoopCalculator,
     theta_entrywise,
     theta,
@@ -54,14 +53,13 @@ from .deterministic import (
 from .montecarlo import (
     SampleConfig,
     GreenFunction,
-    EstimatorReport,
     stream_for,
     sample_H,
     flow_increment,
     green,
     ward_gate_residual,
     g_loop,
-    local_law_residuals,
+    law_scale,
     eigen_stats,
     diffusion_predictions,
     run_ensemble,

@@ -2,7 +2,9 @@
 
 Config files are INI ("key = value" under sections); unknown sections or
 keys are hard errors. Exit codes: 0 all requested checks pass, 1 a check
-failed (the report names the breaching cell), 2 config/schema error.
+failed (the report names the breaching cell) or no Monte Carlo replica
+completed, 2 config/schema error. Each command returns its report; ``main``
+writes it as ``<command>.json``.
 """
 
 from __future__ import annotations
@@ -21,11 +23,20 @@ from . import spectral as spec
 from .lattice import BlockLattice
 from .reporting import digest, write_csv, write_json, write_plot_data
 
-__all__ = ["main", "parse_config", "build_profile", "ConfigError"]
+__all__ = ["main", "parse_config", "build_profile", "ConfigError",
+           "AllReplicasFailed"]
 
 
 class ConfigError(Exception):
     """Schema violation in a config file or CLI arguments."""
+
+
+class AllReplicasFailed(Exception):
+    """No replica of a Monte Carlo command completed; carries its report."""
+
+    def __init__(self, report):
+        super().__init__(f"all {report['replicas']} replicas failed")
+        self.report = report
 
 
 def _parse_bool(text):
@@ -231,7 +242,6 @@ def cmd_validate(cfg, outdir):
               and report.interaction_ok)
     rep = _base_report(cfg, "validate", profile)
     rep.update({"validation": report.to_dict(), "pass": bool(passed)})
-    write_json(os.path.join(outdir, "validate.json"), rep)
     lines = [f"profile: {profile.builder}  d={model['d']} W={model['W']} "
              f"n={model['n']}"]
     for key, val in report.to_dict().items():
@@ -240,7 +250,7 @@ def cmd_validate(cfg, outdir):
     with open(os.path.join(outdir, "validate.txt"), "w",
               encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-    return 0 if passed else 1, rep
+    return rep
 
 
 def _flow_m(cfg):
@@ -266,12 +276,11 @@ def cmd_theta(cfg, outdir):
         St = t * S
         ell = spec.ell_t(lam, t, lat.n)
         for pair in ((1, -1), (1, 1)):
-            p = det.theta(lat, St, pair, mE, t=t,
-                          profile_tag=profile.builder)
-            decay = det.theta_decay_report(lat, p, ell)
-            fd = det.finite_difference_report(lat, p, lam, t) \
+            th = det.theta(lat, St, pair, mE)
+            decay = det.theta_decay_report(lat, th, ell)
+            fd = det.finite_difference_report(lat, th, lam, t) \
                 if pair == (1, -1) else None
-            inv = det.propagator_invariants(lat, St, pair, mE)
+            inv = det.propagator_invariants(lat, th)
             name = f"{'pm' if pair == (1, -1) else 'pp'}_t{t:g}"
             if "csv" in fmts:
                 write_csv(os.path.join(outdir, f"theta_decay_{name}.csv"),
@@ -303,8 +312,7 @@ def cmd_theta(cfg, outdir):
             results.append(entry)
     rep = _base_report(cfg, "theta", profile)
     rep.update({"lambda": lam, "results": results, "pass": bool(passed)})
-    write_json(os.path.join(outdir, "theta.json"), rep)
-    return 0 if passed else 1, rep
+    return rep
 
 
 def cmd_kloop(cfg, outdir):
@@ -372,8 +380,7 @@ def cmd_kloop(cfg, outdir):
         "rows": [list(r) for r in rows],
         "pass": bool(passed),
     })
-    write_json(os.path.join(outdir, "kloop.json"), rep)
-    return 0 if passed else 1, rep
+    return rep
 
 
 def cmd_flow(cfg, outdir):
@@ -398,14 +405,26 @@ def cmd_flow(cfg, outdir):
         "eta_ratio_deviation": ratio_dev,
         "pass": bool(passed),
     })
-    write_json(os.path.join(outdir, "flow.json"), rep)
-    return 0 if passed else 1, rep
+    return rep
 
 
-def _mc_config(cfg):
-    return mc.SampleConfig(master_seed=cfg["mc"]["master_seed"],
-                           replicas=cfg["mc"]["replicas"],
-                           parallelism=cfg["mc"]["parallelism"])
+def _run_ensemble(cfg, rep, fn, reducers):
+    """Run the command's replicas and add their counts to ``rep``.
+
+    Raises AllReplicasFailed with ``rep`` marked failing when no replica
+    completed, since there is then no estimate to check.
+    """
+    config = mc.SampleConfig(master_seed=cfg["mc"]["master_seed"],
+                             replicas=cfg["mc"]["replicas"],
+                             parallelism=cfg["mc"]["parallelism"])
+    result = mc.run_ensemble(config, fn, reducers)
+    rep.update({"replicas": result.replicas, "completed": result.completed,
+                "failures": result.failures,
+                "master_seed": config.master_seed})
+    if not result.completed:
+        rep["pass"] = False
+        raise AllReplicasFailed(rep)
+    return result
 
 
 def cmd_locallaw(cfg, outdir):
@@ -417,42 +436,37 @@ def cmd_locallaw(cfg, outdir):
     m = spec.stieltjes_m(z)
     lam = math.sqrt(prof.interaction_strength(profile))
     ell = spec.ell_of_eta(lam, sp["eta"], lat.n)
-    scale = 1.0 / (lat.block_volume * ell**lat.d * sp["eta"])
+    scale = 1.0 / mc.law_scale(lat, lam, sp["eta"])
     tol = cfg["checks"]["locallaw_tol"] * cfg["checks"]["tolerance_scale"]
 
+    rep = _base_report(cfg, "locallaw", profile)
+    rep.update({
+        "z": {"re": z.real, "im": z.imag},
+        "m": {"re": m.real, "im": m.imag},
+        "lambda": lam, "ell": ell, "scale": scale, "tolerance": tol,
+    })
     fn, reducers = mc.locallaw_replica_fn(lat, S, z,
                                           ward_tol=cfg["checks"]["ward_gate"])
-    result = mc.run_ensemble(_mc_config(cfg), fn, reducers)
+    result = _run_ensemble(cfg, rep, fn, reducers)
     block_mean = result.mean("block_residual")
     block_stderr = result.stderr("block_residual")
     entry_mean_max = float(result.mean("entry_sq").max())
     block_max = float(block_mean.max())
-    ward_max = float(result.max("ward_residual"))
     ward_violations = int(result.max("ward_violation"))
 
     normalized_block = block_max / scale
     normalized_entry = entry_mean_max / scale
     passed = (normalized_block <= tol and normalized_entry <= tol
               and ward_violations == 0 and not result.failures)
-
-    rep = _base_report(cfg, "locallaw", profile)
     rep.update({
-        "z": {"re": z.real, "im": z.imag},
-        "m": {"re": m.real, "im": m.imag},
-        "lambda": lam, "ell": ell, "scale": scale,
-        "replicas": result.replicas, "completed": result.completed,
-        "failures": result.failures,
-        "master_seed": cfg["mc"]["master_seed"],
         "block_residual_max_mean": block_max,
         "block_residual_normalized": normalized_block,
         "entry_sq_max_mean": entry_mean_max,
         "entry_sq_normalized": normalized_entry,
-        "ward_residual_max": ward_max,
+        "ward_residual_max": float(result.max("ward_residual")),
         "ward_violations": ward_violations,
-        "tolerance": tol,
         "pass": bool(passed),
     })
-    write_json(os.path.join(outdir, "locallaw.json"), rep)
     fmts = _formats(cfg)
     rows = [(a, block_mean[a], block_stderr[a], block_mean[a] / scale)
             for a in range(lat.block_count)]
@@ -464,7 +478,7 @@ def cmd_locallaw(cfg, outdir):
                         ["block", "mean_residual", "stderr"],
                         [(r[0], r[1], r[2]) for r in rows],
                         script_title="local law block residuals")
-    return 0 if passed else 1, rep
+    return rep
 
 
 def cmd_deloc(cfg, outdir):
@@ -476,28 +490,25 @@ def cmd_deloc(cfg, outdir):
     estar = spec.eta_star(lat.W, math.sqrt(lam2), lat.N, lat.d)
     threshold = (math.log(lat.N) ** cfg["checks"]["deloc_log_power"]) \
         * estar * cfg["checks"]["tolerance_scale"]
-
-    fn, reducers = mc.deloc_replica_fn(lat, S, (-window, window))
-    result = mc.run_ensemble(_mc_config(cfg), fn, reducers)
-    sup_max = float(result.max("sup_norm_sq"))
     vacuous = not math.isfinite(threshold) or threshold >= 1.0
-    passed = (not vacuous) and sup_max <= threshold and not result.failures
 
     rep = _base_report(cfg, "deloc", profile)
     rep.update({
         "window": window,
         "eta_star": estar if math.isfinite(estar) else "inf",
         "threshold": threshold if math.isfinite(threshold) else "inf",
+        "vacuous_bound": bool(vacuous),
+    })
+    fn, reducers = mc.deloc_replica_fn(lat, S, (-window, window))
+    result = _run_ensemble(cfg, rep, fn, reducers)
+    sup_max = float(result.max("sup_norm_sq"))
+    passed = (not vacuous) and sup_max <= threshold and not result.failures
+    rep.update({
         "sup_norm_sq_max": sup_max,
         "mean_window_count": float(result.mean("window_count")),
-        "replicas": result.replicas, "completed": result.completed,
-        "failures": result.failures,
-        "master_seed": cfg["mc"]["master_seed"],
-        "vacuous_bound": bool(vacuous),
         "pass": bool(passed),
     })
-    write_json(os.path.join(outdir, "deloc.json"), rep)
-    return 0 if passed else 1, rep
+    return rep
 
 
 def cmd_diffusion(cfg, outdir):
@@ -508,50 +519,53 @@ def cmd_diffusion(cfg, outdir):
     z = complex(sp["E"], sp["eta"])
     sig_mult = cfg["checks"]["diffusion_sigma"]
     rel = cfg["checks"]["diffusion_rel"] * cfg["checks"]["tolerance_scale"]
-
-    dp = mc.diffusion_profile(lat, S, z, _mc_config(cfg),
-                              ward_tol=cfg["checks"]["ward_gate"])
-    mean_abs2, se_abs2 = dp.abs2.mean, dp.abs2.stderr
-    mean_gg, se_gg = dp.gg.mean, dp.gg.stderr
-
+    lam = math.sqrt(prof.interaction_strength(profile))
+    scale = mc.law_scale(lat, lam, abs(z.imag)) ** (-2.0)
     mcount = lat.block_count
+
+    rep = _base_report(cfg, "diffusion", profile)
+    rep.update({
+        "z": {"re": z.real, "im": z.imag},
+        "cells": mcount * mcount,
+        "normalization_scale": scale,
+    })
+    pred_abs2, pred_gg = mc.diffusion_predictions(lat, S, z)
+    fn, reducers = mc.diffusion_replica_fn(lat, S, z,
+                                           ward_tol=cfg["checks"]["ward_gate"])
+    result = _run_ensemble(cfg, rep, fn, reducers)
+    mean_abs2, se_abs2 = result.mean("abs2").real, result.stderr("abs2")
+    mean_gg, se_gg = result.mean("gg"), result.stderr("gg")
+    ward_violations = int(result.max("ward_violation"))
+
     breaches = []
     rows = []
     for a in range(mcount):
         for b in range(mcount):
-            dev1 = abs(mean_abs2[a, b] - dp.pred_abs2[a, b])
-            tol1 = max(sig_mult * se_abs2[a, b], rel * abs(dp.pred_abs2[a, b]))
-            dev2 = abs(mean_gg[a, b] - dp.pred_gg[a, b])
-            tol2 = max(sig_mult * se_gg[a, b], rel * abs(dp.pred_gg[a, b]))
+            dev1 = abs(mean_abs2[a, b] - pred_abs2[a, b])
+            tol1 = max(sig_mult * se_abs2[a, b], rel * abs(pred_abs2[a, b]))
+            dev2 = abs(mean_gg[a, b] - pred_gg[a, b])
+            tol2 = max(sig_mult * se_gg[a, b], rel * abs(pred_gg[a, b]))
             ok = dev1 <= tol1 and dev2 <= tol2
             if not ok:
                 breaches.append({"a": a, "b": b,
                                  "dev_abs2": float(dev1), "tol_abs2": float(tol1),
                                  "dev_gg": float(dev2), "tol_gg": float(tol2)})
             rows.append((a, b, mean_abs2[a, b], se_abs2[a, b],
-                         dp.pred_abs2[a, b], dev1, tol1,
+                         pred_abs2[a, b], dev1, tol1,
                          mean_gg[a, b].real, mean_gg[a, b].imag,
-                         se_gg[a, b], dp.pred_gg[a, b].real,
-                         dp.pred_gg[a, b].imag,
+                         se_gg[a, b], pred_gg[a, b].real,
+                         pred_gg[a, b].imag,
                          dev2, tol2, "pass" if ok else "FAIL"))
-    passed = not breaches and dp.ward_violations == 0 and not dp.failures
-
-    rep = _base_report(cfg, "diffusion", profile)
+    passed = not breaches and ward_violations == 0 and not result.failures
     rep.update({
-        "z": {"re": z.real, "im": z.imag},
-        "replicas": cfg["mc"]["replicas"], "completed": dp.abs2.replicas,
-        "failures": dp.failures,
-        "master_seed": cfg["mc"]["master_seed"],
-        "ward_residual_max": dp.ward_residual_max,
-        "ward_violations": dp.ward_violations,
-        "cells": mcount * mcount,
-        "normalization_scale": dp.scale,
-        "max_normalized_abs2": float(dp.normalized_abs2.max()),
-        "max_normalized_gg": float(dp.normalized_gg.max()),
+        "ward_residual_max": float(result.max("ward_residual")),
+        "ward_violations": ward_violations,
+        "max_normalized_abs2": float((np.abs(mean_abs2 - pred_abs2)
+                                      / scale).max()),
+        "max_normalized_gg": float((np.abs(mean_gg - pred_gg) / scale).max()),
         "breaches": breaches,
         "pass": bool(passed),
     })
-    write_json(os.path.join(outdir, "diffusion.json"), rep)
     fmts = _formats(cfg)
     if "csv" in fmts:
         write_csv(os.path.join(outdir, "diffusion_pairs.csv"),
@@ -561,11 +575,11 @@ def cmd_diffusion(cfg, outdir):
                    "tol_gg", "status"], rows)
     if "gnuplot" in fmts:
         diag = [(lat.block_distance(0, b), mean_abs2[0, b],
-                 dp.pred_abs2[0, b]) for b in range(mcount)]
+                 pred_abs2[0, b]) for b in range(mcount)]
         write_plot_data(os.path.join(outdir, "diffusion_profile.dat"),
                         ["block_distance", "mc_mean", "prediction"],
                         sorted(diag), script_title="quantum diffusion profile")
-    return 0 if passed else 1, rep
+    return rep
 
 
 def cmd_que(cfg, outdir):
@@ -583,25 +597,20 @@ def cmd_que(cfg, outdir):
     c = cfg["checks"]["que_c"]
     threshold = lat.W ** (lat.d - c) / lat.N
 
+    rep = _base_report(cfg, "que", profile)
+    rep.update({"window": list(window), "eta0": eta0, "c": c,
+                "threshold": threshold})
     fn, reducers = mc.que_replica_fn(lat, S, window)
-    result = mc.run_ensemble(_mc_config(cfg), fn, reducers)
+    result = _run_ensemble(cfg, rep, fn, reducers)
     dev_sq_max = float(result.max("overlap_dev_sq"))
     passed = dev_sq_max <= threshold * cfg["checks"]["tolerance_scale"] \
         and not result.failures
-
-    rep = _base_report(cfg, "que", profile)
     rep.update({
-        "window": list(window), "eta0": eta0, "c": c,
-        "threshold": threshold,
         "overlap_dev_sq_max": dev_sq_max,
         "mean_window_count": float(result.mean("window_count")),
-        "replicas": result.replicas, "completed": result.completed,
-        "failures": result.failures,
-        "master_seed": cfg["mc"]["master_seed"],
         "pass": bool(passed),
     })
-    write_json(os.path.join(outdir, "que.json"), rep)
-    return 0 if passed else 1, rep
+    return rep
 
 
 def cmd_report(cfg, outdir):
@@ -620,11 +629,9 @@ def cmd_report(cfg, outdir):
             entries.append({"file": name, "command": data.get("command"),
                             "pass": data["pass"]})
             passed = passed and bool(data["pass"])
-    rep = {"command": "report", "entries": entries, "pass": bool(passed)}
-    write_json(os.path.join(outdir, "report.json"), rep)
     for e in entries:
         print(f"{e['file']}: {'PASS' if e['pass'] else 'FAIL'}")
-    return (0 if passed else 1), rep
+    return {"command": "report", "entries": entries, "pass": bool(passed)}
 
 
 _COMMANDS = {
@@ -681,7 +688,10 @@ def main(argv=None) -> int:
         outdir = cfg["output"]["directory"]
         if args.command != "report":
             os.makedirs(outdir, exist_ok=True)
-        code, rep = _COMMANDS[args.command](cfg, outdir)
+        rep = _COMMANDS[args.command](cfg, outdir)
+    except AllReplicasFailed as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        rep = exc.report
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -691,6 +701,8 @@ def main(argv=None) -> int:
     except (prof.ProfileError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    write_json(os.path.join(outdir, f"{args.command}.json"), rep)
+    code = 0 if rep["pass"] else 1
     if args.command != "report":
         status = "PASS" if code == 0 else "FAIL"
         print(f"{args.command}: {status}")

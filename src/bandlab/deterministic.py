@@ -21,7 +21,6 @@ from .profiles import mean_field_matrix
 
 __all__ = [
     "LoopSignature",
-    "Propagator",
     "PropagatorError",
     "parse_charges",
     "charge_m",
@@ -112,37 +111,24 @@ def theta_entrywise(S: np.ndarray, m1: complex, m2: complex,
     return X
 
 
-@dataclass
-class Propagator:
-    """Block propagator Theta for one charge pair, with optional entrywise."""
-
-    sigma_pair: tuple[int, int]
-    matrix: np.ndarray
-    t: float | None = None
-    profile_tag: str = ""
-    entrywise: np.ndarray | None = None
-
-
-def theta(lattice: BlockLattice, S: np.ndarray, sigma_pair, m: complex,
-          t: float | None = None, profile_tag: str = "",
-          keep_entrywise: bool = False) -> Propagator:
+def theta(lattice: BlockLattice, S: np.ndarray, sigma_pair,
+          m: complex) -> np.ndarray:
     """Block propagator: projection of the entrywise propagator for S."""
     pair = parse_charges(sigma_pair)
     if len(pair) != 2:
         raise ValueError("sigma_pair must have length 2")
     ew = theta_entrywise(S, charge_m(m, pair[0]), charge_m(m, pair[1]))
-    return Propagator(sigma_pair=pair, matrix=project_matrix(lattice, ew),
-                      t=t, profile_tag=profile_tag,
-                      entrywise=ew if keep_entrywise else None)
+    return project_matrix(lattice, ew)
 
 
-def propagator_invariants(lattice: BlockLattice, S: np.ndarray, sigma_pair,
-                          m: complex) -> dict:
-    """Max deviations for transposition, translation, and parity symmetry."""
-    pair = parse_charges(sigma_pair)
-    th = theta(lattice, S, pair, m).matrix
-    th_swapped = theta(lattice, S, pair[::-1], m).matrix
-    transposition = float(np.abs(th.T - th_swapped).max())
+def propagator_invariants(lattice: BlockLattice, th: np.ndarray) -> dict:
+    """Max deviations for transposition, translation, and parity symmetry.
+
+    Theta(s, s') and Theta(s', s) solve the same system, because
+    m(s) m(s') is the same float in either order, so the transposition
+    deviation of Theta(s, s') is max |Theta^T - Theta|.
+    """
+    transposition = float(np.abs(th.T - th).max())
 
     mcount = lattice.block_count
     translation = 0.0
@@ -400,10 +386,8 @@ def evolution_kernel_apply(lattice: BlockLattice, s: float, t: float,
     eye = np.eye(lattice.block_count)
     for i in range(order):
         pair = (charges[i], charges[(i + 1) % order])
-        th = thetas[pair]
-        th = th.matrix if isinstance(th, Propagator) else th
         mats.append(eye + (t - s) * charge_m(m, pair[0])
-                    * charge_m(m, pair[1]) * th)
+                    * charge_m(m, pair[1]) * thetas[pair])
     if order == 2:
         return mats[0] @ A @ mats[1].T
     return np.einsum("ai,bj,ck,ijk->abc", mats[0], mats[1], mats[2], A,
@@ -483,7 +467,7 @@ class DecayReport:
                    float(p))
 
 
-def theta_decay_report(lattice: BlockLattice, prop: Propagator,
+def theta_decay_report(lattice: BlockLattice, th: np.ndarray,
                        ell: float) -> DecayReport:
     """Decay curve Theta(0, [x]) vs |[x]| with a log-linear tail fit.
 
@@ -491,7 +475,6 @@ def theta_decay_report(lattice: BlockLattice, prop: Propagator,
     floor 1e-14 relative to the central value; the monotonicity flag covers
     distances beyond max(ell, 3). The fitted decay length is -1/slope.
     """
-    th = prop.matrix
     dists = lattice.block_distance_matrix[0]
     rs = np.unique(dists)
     vals = np.array([th[0, dists == r].mean() for r in rs])
@@ -523,7 +506,7 @@ class FiniteDifferenceReport:
     second_samples: int
 
 
-def finite_difference_report(lattice: BlockLattice, prop: Propagator,
+def finite_difference_report(lattice: BlockLattice, th: np.ndarray,
                              lam: float, t: float,
                              max_pairs: int = 4096,
                              seed: int = 7) -> FiniteDifferenceReport:
@@ -533,7 +516,7 @@ def finite_difference_report(lattice: BlockLattice, prop: Propagator,
     first:  |Th(0,x) - Th(0,y)| (l^2+1-t)(<x>^{d-1}+<y>^{d-1}) / |x-y|
     second: |Th(0,x+y) + Th(0,x-y) - 2 Th(0,x)| (l^2+1-t) <x>^d / |y|^2
     """
-    th = prop.matrix[0]
+    th = th[0]
     m = lattice.block_count
     denom = lam**2 + 1.0 - t
     pairs = list(itertools.combinations(range(m), 2))

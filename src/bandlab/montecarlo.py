@@ -24,9 +24,6 @@ __all__ = [
     "SampleConfig",
     "GreenFunction",
     "GreenSolveError",
-    "EstimatorReport",
-    "DiffusionProfileReport",
-    "diffusion_profile",
     "stream_for",
     "sample_H",
     "flow_increment",
@@ -34,7 +31,7 @@ __all__ = [
     "ward_gate_residual",
     "g_loop",
     "block_traces",
-    "local_law_residuals",
+    "law_scale",
     "eigen_stats",
     "EigenStats",
     "diffusion_predictions",
@@ -175,20 +172,11 @@ def block_traces(lattice: BlockLattice, G: np.ndarray) -> np.ndarray:
         / lattice.block_volume
 
 
-def local_law_residuals(gf: GreenFunction, m: complex, lattice: BlockLattice,
-                        lam: float, ell: float) -> dict:
-    """Single-sample local-law residuals, normalized by (W^d ell^d eta)^-1."""
-    eta = gf.z.imag
-    scale = 1.0 / (lattice.block_volume * ell**lattice.d * eta)
-    bt = np.abs(block_traces(lattice, gf.G) - m)
-    entry = np.abs(gf.G - m * np.eye(lattice.N)) ** 2
-    return {
-        "block_residual_max": float(bt.max()),
-        "entry_sq_max": float(entry.max()),
-        "block_residual_max_normalized": float(bt.max() / scale),
-        "entry_sq_max_normalized": float(entry.max() / scale),
-        "scale": scale,
-    }
+def law_scale(lattice: BlockLattice, lam: float, eta: float) -> float:
+    """W^d ell^d eta: the local law's residual scale is its inverse, and
+    the diffusion profile's fluctuation scale its inverse square."""
+    ell = ell_of_eta(lam, eta, lattice.n)
+    return lattice.block_volume * ell**lattice.d * eta
 
 
 @dataclass
@@ -241,58 +229,6 @@ def diffusion_predictions(lattice: BlockLattice, S: np.ndarray, z: complex):
     pred_abs2 = (abs(m) ** 2) * project_matrix(lattice, ew_pm).real / wd
     pred_gg = (m**2) * project_matrix(lattice, ew_pp) / wd
     return pred_abs2, pred_gg
-
-
-@dataclass
-class DiffusionProfileReport:
-    """Per-block-pair diffusion measurement against its prediction."""
-
-    abs2: "EstimatorReport"
-    gg: "EstimatorReport"
-    pred_abs2: np.ndarray
-    pred_gg: np.ndarray
-    scale: float
-    normalized_abs2: np.ndarray
-    normalized_gg: np.ndarray
-    ward_residual_max: float
-    ward_violations: int
-    failures: list
-
-
-def diffusion_profile(lattice: BlockLattice, S: np.ndarray, z: complex,
-                      config: SampleConfig, ward_tol: float = 1e-10
-                      ) -> DiffusionProfileReport:
-    """Monte Carlo block-pair averages of |G_xy|^2 and G_xy G_yx with
-    stderr, next to the deterministic predictions.
-
-    Residual matrices are normalized by (W^d ell^d eta)^-2, the predicted
-    fluctuation scale of the diffusion approximation.
-    """
-    z = complex(z)
-    pred_abs2, pred_gg = diffusion_predictions(lattice, S, z)
-    fn, reducers = diffusion_replica_fn(lattice, S, z, ward_tol=ward_tol)
-    result = run_ensemble(config, fn, reducers)
-    se = mean_field_matrix(lattice)
-    lam2 = float(S[se == 0].sum()) / lattice.N
-    ell = ell_of_eta(np.sqrt(lam2), abs(z.imag), lattice.n)
-    scale = (lattice.block_volume * ell**lattice.d * abs(z.imag)) ** (-2.0)
-    mean_abs2 = result.mean("abs2").real
-    mean_gg = result.mean("gg")
-    abs2 = EstimatorReport(observable="block_pair_abs2", mean=mean_abs2,
-                           stderr=result.stderr("abs2"),
-                           replicas=result.completed,
-                           master_seed=config.master_seed)
-    gg = EstimatorReport(observable="block_pair_gg", mean=mean_gg,
-                         stderr=result.stderr("gg"),
-                         replicas=result.completed,
-                         master_seed=config.master_seed)
-    return DiffusionProfileReport(
-        abs2=abs2, gg=gg, pred_abs2=pred_abs2, pred_gg=pred_gg, scale=scale,
-        normalized_abs2=np.abs(mean_abs2 - pred_abs2) / scale,
-        normalized_gg=np.abs(mean_gg - pred_gg) / scale,
-        ward_residual_max=float(result.max("ward_residual")),
-        ward_violations=int(result.max("ward_violation")),
-        failures=result.failures)
 
 
 # ---- ensemble driver ----------------------------------------------------------------
@@ -380,36 +316,6 @@ def run_ensemble(config: SampleConfig, replica_fn, reducers: dict | None = None,
                     sumsq[key] = sumsq[key] + np.abs(val) ** 2
     return EnsembleResult(replicas=config.replicas, sums=sums, sumsq=sumsq,
                           maxima=maxima, failures=failures)
-
-
-@dataclass
-class EstimatorReport:
-    """Aggregated Monte Carlo estimate of one observable family."""
-
-    observable: str
-    mean: np.ndarray
-    stderr: np.ndarray
-    replicas: int
-    master_seed: int
-    config_digest: str = ""
-    notes: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        mean = np.asarray(self.mean)
-        payload = {
-            "observable": self.observable,
-            "replicas": self.replicas,
-            "master_seed": self.master_seed,
-            "config_digest": self.config_digest,
-            "stderr": np.asarray(self.stderr).tolist(),
-            "notes": self.notes,
-        }
-        if np.iscomplexobj(mean):
-            payload["mean_re"] = mean.real.tolist()
-            payload["mean_im"] = mean.imag.tolist()
-        else:
-            payload["mean"] = mean.tolist()
-        return payload
 
 
 # ---- replica closures for the statistical experiments ----------------------------------

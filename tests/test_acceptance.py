@@ -10,22 +10,18 @@ import time
 import numpy as np
 import pytest
 
-from bandlab import (BlockLattice, KLoopCalculator, SampleConfig,
-                     build_translation_invariant, ell_of_eta, ell_t,
-                     eta_star, evolution_kernel_apply, flow_point,
+from bandlab import (BlockLattice, KLoopCalculator,
+                     build_translation_invariant, ell_t,
+                     evolution_kernel_apply, flow_point,
                      interaction_strength, kloop_flow_derivative_residual,
                      mean_field_matrix, mean_field_profile,
-                     random_walk_representation, run_ensemble,
-                     select_parameters, stieltjes_m, theta,
-                     theta_decay_report, validate, ward_residual)
+                     random_walk_representation, select_parameters,
+                     stieltjes_m, theta, theta_decay_report, validate,
+                     ward_residual)
 from bandlab.cli import main as cli_main
-from bandlab.montecarlo import (deloc_replica_fn, diffusion_replica_fn,
-                                locallaw_replica_fn)
-from bandlab.montecarlo import diffusion_predictions
 from bandlab.profiles import KERNELS
 
 MASTER_SEED = 20260809
-SHARED = {}
 
 
 def report(num, desc, ok, detail=""):
@@ -39,12 +35,6 @@ def report(num, desc, ok, detail=""):
 @pytest.fixture(scope="module")
 def band_5_5():
     lat = BlockLattice(d=1, W=5, n=5)
-    return lat, build_translation_invariant(lat, KERNELS["uniform"], 1)
-
-
-@pytest.fixture(scope="module")
-def band_33_15():
-    lat = BlockLattice(d=1, W=33, n=15)
     return lat, build_translation_invariant(lat, KERNELS["uniform"], 1)
 
 
@@ -217,111 +207,25 @@ def test_c10_theta_decay():
            ok, "; ".join(details))
 
 
-def test_c11_local_law(band_33_15):
-    lat, prof = band_33_15
-    t0 = time.perf_counter()
-    S = prof.assemble()
-    z = 0.0 + 0.1j
-    lam = np.sqrt(interaction_strength(prof))
-    ell = ell_of_eta(lam, z.imag, lat.n)
-    scale = 1.0 / (lat.W * ell * z.imag)
-    fn, reducers = locallaw_replica_fn(lat, S, z)
-    res = run_ensemble(SampleConfig(master_seed=MASTER_SEED, replicas=50,
-                                    parallelism=4), fn, reducers)
-    block_norm = float(res.mean("block_residual").max()) / scale
-    entry_norm = float(res.mean("entry_sq").max()) / scale
-    elapsed = time.perf_counter() - t0
-    SHARED["c11_ward_violations"] = int(res.max("ward_violation"))
-    SHARED["c11_ward_max"] = float(res.max("ward_residual"))
-    ok = block_norm <= 5.0 and entry_norm <= 5.0 and not res.failures \
-        and elapsed < 300
-    report(11, "local law: normalized block and entry residuals <= 5",
-           ok, f"block {block_norm:.2f}, entry {entry_norm:.2f}, "
-               f"{elapsed:.0f}s")
-
-
-def test_c12_delocalization(band_33_15):
-    lat, prof = band_33_15
-    t0 = time.perf_counter()
-    S = prof.assemble()
-    lam = np.sqrt(interaction_strength(prof))
-    threshold = np.log(lat.N) ** 3 * eta_star(lat.W, lam, lat.N, 1)
-    fn, reducers = deloc_replica_fn(lat, S, (-1.5, 1.5))
-    res = run_ensemble(SampleConfig(master_seed=MASTER_SEED, replicas=20,
-                                    parallelism=4), fn, reducers)
-    sup_max = float(res.max("sup_norm_sq"))
-
-    lat1 = BlockLattice(d=1, W=1, n=495)
-    fn1, red1 = deloc_replica_fn(lat1, mean_field_profile(lat1).assemble(),
-                                 (-1.5, 1.5))
-    res1 = run_ensemble(SampleConfig(master_seed=MASTER_SEED, replicas=3,
-                                     parallelism=1), fn1, red1)
-    control = float(res1.max("sup_norm_sq"))
-    elapsed = time.perf_counter() - t0
-    ok = sup_max <= threshold and control >= 0.5 and elapsed < 300
-    report(12, "delocalization: sup-norms <= (log N)^3 eta_*, W=1 inversion",
-           ok, f"max {sup_max:.4f} <= {threshold:.4f}, control {control:.2f}, "
-               f"{elapsed:.0f}s")
-
-
-def test_c13_quantum_diffusion(band_33_15):
-    lat, prof = band_33_15
-    t0 = time.perf_counter()
-    S = prof.assemble()
-    z = 0.0 + 0.2j
-    pred_abs2, pred_gg = diffusion_predictions(lat, S, z)
-    fn, reducers = diffusion_replica_fn(lat, S, z)
-    res = run_ensemble(SampleConfig(master_seed=MASTER_SEED, replicas=200,
-                                    parallelism=4), fn, reducers)
-    mean_abs2 = res.mean("abs2").real
-    se_abs2 = res.stderr("abs2")
-    mean_gg = res.mean("gg")
-    se_gg = res.stderr("gg")
-    breaches = 0
-    worst = 0.0
-    for a in range(lat.n):
-        for b in range(lat.n):
-            d1 = abs(mean_abs2[a, b] - pred_abs2[a, b])
-            t1 = max(3 * se_abs2[a, b], 0.1 * abs(pred_abs2[a, b]))
-            d2 = abs(mean_gg[a, b] - pred_gg[a, b])
-            t2 = max(3 * se_gg[a, b], 0.1 * abs(pred_gg[a, b]))
-            worst = max(worst, d1 / t1, d2 / t2)
-            breaches += int(d1 > t1) + int(d2 > t2)
-    elapsed = time.perf_counter() - t0
-    SHARED["c13_ward_violations"] = int(res.max("ward_violation"))
-    SHARED["c13_ward_max"] = float(res.max("ward_residual"))
-    ok = breaches == 0 and not res.failures and elapsed < 900
-    report(13, "quantum diffusion: every block pair within max(3se, 10%)",
-           ok, f"breaches {breaches}/450, worst ratio {worst:.3f}, "
-               f"{elapsed:.0f}s")
-
-
-def test_c14_ward_gate():
-    if "c11_ward_violations" not in SHARED or \
-            "c13_ward_violations" not in SHARED:
-        pytest.skip("criteria 11 and 13 must run first")
-    violations = SHARED["c11_ward_violations"] + SHARED["c13_ward_violations"]
-    worst = max(SHARED["c11_ward_max"], SHARED["c13_ward_max"])
-    report(14, "per-sample Ward gate: zero violations at 1e-10",
-           violations == 0, f"worst per-sample residual {worst:.2e}")
-
-
-_C11_CONFIG = """\
+# Criteria 11-15 run the CLI commands on the README lattice (d=1, W=33,
+# n=15) and check the canonical reports they write, so each experiment's
+# observable, scale and tolerance are defined once, in bandlab.cli.
+_CONFIG = """\
 [model]
-type = translation_invariant
+type = {type}
 d = 1
-W = 33
-n = 15
+W = {W}
+n = {n}
 kernel = uniform
 cutoff = 1
 
 [spectral]
 E = 0.0
-eta = 0.1
+eta = {eta}
 
 [mc]
-replicas = 50
-master_seed = 20260809
+replicas = {replicas}
+master_seed = {seed}
 parallelism = {parallelism}
 
 [output]
@@ -329,20 +233,89 @@ directory = {outdir}
 """
 
 
-def test_c15_determinism(tmp_path):
+def run_command(workdir, command, type="translation_invariant", W=33, n=15,
+                eta=0.1, replicas=50, parallelism=4):
+    """Run one CLI command; return its exit code, report bytes and seconds."""
+    workdir.mkdir(parents=True, exist_ok=True)
+    cfg = workdir / "config.ini"
+    cfg.write_text(_CONFIG.format(type=type, W=W, n=n, eta=eta,
+                                  replicas=replicas, seed=MASTER_SEED,
+                                  parallelism=parallelism,
+                                  outdir=workdir / "out"))
     t0 = time.perf_counter()
-    outputs = []
-    for par in (1, 8):
-        outdir = tmp_path / f"par{par}"
-        cfg = tmp_path / f"c{par}.ini"
-        cfg.write_text(_C11_CONFIG.format(parallelism=par, outdir=outdir))
-        code = cli_main(["locallaw", "--config", str(cfg)])
-        assert code == 0
-        outputs.append((outdir / "locallaw.json").read_bytes())
+    code = cli_main([command, "--config", str(cfg)])
+    elapsed = time.perf_counter() - t0
+    return code, (workdir / "out" / f"{command}.json").read_bytes(), elapsed
+
+
+@pytest.fixture(scope="module")
+def locallaw_runs(tmp_path_factory):
+    """Local-law runs at parallelism 1 and 8, for criteria 11, 14 and 15."""
+    root = tmp_path_factory.mktemp("locallaw")
+    return {par: run_command(root / f"par{par}", "locallaw", parallelism=par)
+            for par in (1, 8)}
+
+
+@pytest.fixture(scope="module")
+def diffusion_run(tmp_path_factory):
+    """The quantum-diffusion experiment (criteria 13 and 14)."""
+    _, raw, elapsed = run_command(tmp_path_factory.mktemp("diffusion"),
+                                  "diffusion", eta=0.2, replicas=200)
+    return json.loads(raw), elapsed
+
+
+def test_c11_local_law(locallaw_runs):
+    rep = json.loads(locallaw_runs[1][1])
+    elapsed = max(t for _, _, t in locallaw_runs.values())
+    block_norm = rep["block_residual_normalized"]
+    entry_norm = rep["entry_sq_normalized"]
+    tol = rep["tolerance"]
+    ok = block_norm <= tol and entry_norm <= tol and not rep["failures"] \
+        and elapsed < 300
+    report(11, "local law: normalized block and entry residuals <= 5",
+           ok, f"block {block_norm:.2f}, entry {entry_norm:.2f}, "
+               f"tolerance {tol:g}, {elapsed:.0f}s")
+
+
+def test_c12_delocalization(tmp_path):
+    t0 = time.perf_counter()
+    _, raw, _ = run_command(tmp_path / "band", "deloc", replicas=20)
+    rep = json.loads(raw)
+    # W=1 is diagonal: its eigenvectors are localized, the bound inverts
+    _, raw, _ = run_command(tmp_path / "control", "deloc", type="mean_field",
+                            W=1, n=495, replicas=3, parallelism=1)
+    control = json.loads(raw)["sup_norm_sq_max"]
+    elapsed = time.perf_counter() - t0
+    sup_max, threshold = rep["sup_norm_sq_max"], rep["threshold"]
+    ok = sup_max <= threshold and control >= 0.5 and elapsed < 300
+    report(12, "delocalization: sup-norms <= (log N)^3 eta_*, W=1 inversion",
+           ok, f"max {sup_max:.4f} <= {threshold:.4f}, control {control:.2f}, "
+               f"{elapsed:.0f}s")
+
+
+def test_c13_quantum_diffusion(diffusion_run):
+    rep, elapsed = diffusion_run
+    ok = not rep["breaches"] and not rep["failures"] and elapsed < 900
+    report(13, "quantum diffusion: every block pair within max(3se, 10%)",
+           ok, f"breaching cells {len(rep['breaches'])}/{rep['cells']}, "
+               f"{elapsed:.0f}s")
+
+
+def test_c14_ward_gate(locallaw_runs, diffusion_run):
+    reports = [json.loads(locallaw_runs[1][1]), diffusion_run[0]]
+    violations = sum(r["ward_violations"] for r in reports)
+    worst = max(r["ward_residual_max"] for r in reports)
+    report(14, "per-sample Ward gate: zero violations at 1e-10",
+           violations == 0, f"worst per-sample residual {worst:.2e}")
+
+
+def test_c15_determinism(locallaw_runs):
+    codes = [code for code, _, _ in locallaw_runs.values()]
+    outputs = [raw for _, raw, _ in locallaw_runs.values()]
     identical = outputs[0] == outputs[1]
     # byte-identical also means semantically identical
     parsed = json.loads(outputs[0])
-    elapsed = time.perf_counter() - t0
+    elapsed = sum(t for _, _, t in locallaw_runs.values())
     report(15, "determinism: parallelism 1 vs 8 give byte-identical JSON",
-           identical and parsed["pass"],
+           codes == [0, 0] and identical and parsed["pass"],
            f"{len(outputs[0])} bytes, {elapsed:.0f}s")

@@ -132,6 +132,23 @@ class TestDeterministicCommands:
         for entry in rep["results"]:
             assert entry["invariants"]["transposition"] < 1e-12
 
+    def test_theta_solves_each_propagator_once(self, tmp_path, monkeypatch):
+        import bandlab.deterministic as det
+
+        solves = []
+        original = det.theta_entrywise
+
+        def counting(*args, **kwargs):
+            solves.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(det, "theta_entrywise", counting)
+        cfg = write_config(tmp_path / "c.ini",
+                           spectral={"t_values": "0.5,0.9"})
+        assert main(["theta", "--config", cfg]) == 0
+        # per flow time, one LU solve for Theta(+,-) and one for Theta(+,+)
+        assert len(solves) == 2 * 2
+
     def test_kloop(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini")
         assert main(["kloop", "--config", cfg]) == 0
@@ -209,6 +226,24 @@ class TestMonteCarloCommands:
         assert code in (0, 1)
         rep = read_json(str(tmp_path / "out"), "que.json")
         assert "overlap_dev_sq_max" in rep
+
+    @pytest.mark.parametrize("command", ["locallaw", "diffusion", "deloc",
+                                         "que"])
+    def test_all_replicas_failed_exits_1(self, command, tmp_path,
+                                         monkeypatch):
+        import bandlab.montecarlo as mc
+
+        def failing(S, rng):
+            raise RuntimeError("injected sampling failure")
+
+        monkeypatch.setattr(mc, "sample_H", failing)
+        cfg = write_config(tmp_path / "c.ini", mc={"replicas": 2})
+        assert main([command, "--config", cfg]) == 1
+        rep = read_json(str(tmp_path / "out"), f"{command}.json")
+        assert rep["command"] == command
+        assert rep["replicas"] == 2 and rep["completed"] == 0
+        assert [r for r, _ in rep["failures"]] == [0, 1]
+        assert rep["pass"] is False
 
     def test_report_aggregates(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini")

@@ -6,7 +6,7 @@ import pytest
 from bandlab import (BlockLattice, LoopSignature, SampleConfig,
                      build_translation_invariant, diffusion_predictions,
                      eigen_stats, flow_increment, g_loop, green,
-                     local_law_residuals, mean_field_matrix,
+                     law_scale, mean_field_matrix,
                      mean_field_profile, run_ensemble, sample_H,
                      stieltjes_m, stream_for, ward_gate_residual)
 from bandlab.montecarlo import (block_traces, deloc_replica_fn,
@@ -229,13 +229,14 @@ class TestSampleObservables:
             assert bt[a] == pytest.approx(direct)
 
     def test_local_law_zero_matrix(self, band_small):
-        lat, S = band_small
+        # S = 0 samples H = 0, so G = -1/z exactly
+        lat, _ = band_small
         z = 0.1 + 0.4j
         m = stieltjes_m(z)
-        gf = green(np.zeros((lat.N, lat.N)), z)
-        rep = local_law_residuals(gf, m, lat, 0.7, 2.0)
-        assert rep["block_residual_max"] == pytest.approx(abs(-1 / z - m))
-        assert rep["entry_sq_max"] == pytest.approx(abs(-1 / z - m) ** 2)
+        fn, _ = locallaw_replica_fn(lat, np.zeros((lat.N, lat.N)), z)
+        out = fn(0, stream_for(0, 0))
+        assert out["block_residual"].max() == pytest.approx(abs(-1 / z - m))
+        assert out["entry_sq"].max() == pytest.approx(abs(-1 / z - m) ** 2)
 
     def test_eigen_stats_normalization(self, band_small):
         lat, S = band_small
@@ -369,6 +370,19 @@ class TestRunEnsemble:
         res = run_ensemble(SampleConfig(master_seed=10, replicas=2), fn, red)
         assert res.max("overlap_dev_sq") >= 0
 
+    def test_diffusion_mean_tracks_prediction(self, band_small):
+        lat, S = band_small
+        pred_abs2, _ = diffusion_predictions(lat, S, 0.5j)
+        fn, red = diffusion_replica_fn(lat, S, 0.5j)
+        res = run_ensemble(SampleConfig(master_seed=3, replicas=20), fn, red)
+        assert res.failures == []
+        assert res.max("ward_violation") == 0
+        mean_abs2 = res.mean("abs2").real
+        assert mean_abs2.shape == res.stderr("gg").shape == (5, 5)
+        # the MC mean tracks the prediction at this eta within a few percent
+        relative = np.abs(mean_abs2 - pred_abs2) / pred_abs2.max()
+        assert relative.max() < 0.1
+
     def test_diffusion_replica_shapes(self, band_small):
         lat, S = band_small
         fn, red = diffusion_replica_fn(lat, S, 0.5j)
@@ -402,22 +416,6 @@ class TestAdjointConsistency:
         assert np.abs(g2.G - g1.G.conj().T).max() < 1e-11
 
 
-class TestDiffusionProfileReport:
-    def test_report_fields(self, band_small):
-        from bandlab.montecarlo import diffusion_profile
-        lat, S = band_small
-        rep = diffusion_profile(lat, S, 0.5j,
-                                SampleConfig(master_seed=3, replicas=20))
-        assert rep.abs2.mean.shape == (5, 5)
-        assert rep.gg.stderr.shape == (5, 5)
-        assert rep.ward_violations == 0
-        assert rep.failures == []
-        assert rep.scale > 0
-        # the MC mean tracks the prediction at this eta within a few percent
-        relative = np.abs(rep.abs2.mean - rep.pred_abs2) / rep.pred_abs2.max()
-        assert relative.max() < 0.1
-
-
 class TestTwoDimensional:
     def test_estimators_on_2d_lattice(self):
         lat = BlockLattice(d=2, W=3, n=3)
@@ -449,11 +447,11 @@ class TestTwoDimensional:
 
 class TestLocalLawScaling:
     def test_doubling_eta_keeps_normalized_residual_order_one(self):
-        # the predicted scale 1/(W ell eta) absorbs the eta dependence
+        # the predicted scale 1/(W^d ell^d eta) absorbs the eta dependence
         lat = BlockLattice(d=1, W=15, n=9)
         prof = build_translation_invariant(lat, KERNELS["uniform"], 1)
         S = prof.assemble()
-        from bandlab import interaction_strength, ell_of_eta
+        from bandlab import interaction_strength
         lam = np.sqrt(interaction_strength(prof))
         normalized = {}
         for eta in (0.2, 0.4):
@@ -461,7 +459,7 @@ class TestLocalLawScaling:
             fn, red = locallaw_replica_fn(lat, S, z)
             res = run_ensemble(SampleConfig(master_seed=77, replicas=30,
                                             parallelism=2), fn, red)
-            scale = 1.0 / (lat.W * ell_of_eta(lam, eta, lat.n) * eta)
+            scale = 1.0 / law_scale(lat, lam, eta)
             normalized[eta] = float(res.mean("entry_sq").max()) / scale
         # both sit at order one; the ratio stays within a factor ~2
         for v in normalized.values():
