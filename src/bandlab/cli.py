@@ -49,7 +49,10 @@ def _parse_bool(text):
 
 
 def _parse_floats(text):
-    return tuple(float(v) for v in str(text).split(",") if v.strip())
+    values = tuple(float(v) for v in str(text).split(",") if v.strip())
+    if not values:
+        raise ValueError("expected at least one number")
+    return values
 
 
 _SCHEMA = {
@@ -264,7 +267,6 @@ def _flow_m(cfg):
 def cmd_theta(cfg, outdir):
     profile = build_profile(cfg)
     lat = profile.lattice
-    S = profile.assemble()
     lam = math.sqrt(prof.interaction_strength(profile))
     mE = _flow_m(cfg)
     factor = cfg["checks"]["decay_factor"] * cfg["checks"]["tolerance_scale"]
@@ -273,10 +275,9 @@ def cmd_theta(cfg, outdir):
     passed = True
     fmts = _formats(cfg)
     for t in cfg["spectral"]["t_values"]:
-        St = t * S
         ell = spec.ell_t(lam, t, lat.n)
         for pair in ((1, -1), (1, 1)):
-            th = det.theta(lat, St, pair, mE)
+            th = det.theta(profile, t, pair, mE)
             decay = det.theta_decay_report(lat, th, ell)
             fd = det.finite_difference_report(lat, th, lam, t) \
                 if pair == (1, -1) else None
@@ -529,7 +530,7 @@ def cmd_diffusion(cfg, outdir):
         "cells": mcount * mcount,
         "normalization_scale": scale,
     })
-    pred_abs2, pred_gg = mc.diffusion_predictions(lat, S, z)
+    pred_abs2, pred_gg = mc.diffusion_predictions(profile, z)
     fn, reducers = mc.diffusion_replica_fn(lat, S, z,
                                            ward_tol=cfg["checks"]["ward_gate"])
     result = _run_ensemble(cfg, rep, fn, reducers)
@@ -603,11 +604,17 @@ def cmd_que(cfg, outdir):
     fn, reducers = mc.que_replica_fn(lat, S, window)
     result = _run_ensemble(cfg, rep, fn, reducers)
     dev_sq_max = float(result.max("overlap_dev_sq"))
-    passed = dev_sq_max <= threshold * cfg["checks"]["tolerance_scale"] \
+    # with no eigenvalue in any replica's window there is nothing to bound
+    empty = int(result.sums["window_empty"])
+    vacuous = empty == result.completed
+    passed = (not vacuous) \
+        and dev_sq_max <= threshold * cfg["checks"]["tolerance_scale"] \
         and not result.failures
     rep.update({
         "overlap_dev_sq_max": dev_sq_max,
         "mean_window_count": float(result.mean("window_count")),
+        "empty_windows": empty,
+        "vacuous_bound": bool(vacuous),
         "pass": bool(passed),
     })
     return rep

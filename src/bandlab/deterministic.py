@@ -1,10 +1,11 @@
 """Deterministic limit theory: Theta-propagators, primitive loops, kernels.
 
 Charges are represented as +1 / -1 integers; for a reference value m in the
-upper half plane, m(+1) = m and m(-1) = conj(m). All operations take the
-(already t-dependent) assembled variance matrix S, so the same code serves
-the characteristic flow (|m| = 1, row sums t) and the original spectral
-parameter (|m| < 1, row sums 1).
+upper half plane, m(+1) = m and m(-1) = conj(m). The block propagator
+:func:`theta` works from a profile's blocks and a flow time t; the loop
+calculators take the (already t-dependent) assembled variance matrix S. The
+same code serves the characteristic flow (|m| = 1, row sums t) and the
+original spectral parameter (|m| < 1, row sums 1).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .lattice import BlockLattice, project_matrix, project_tensor
-from .profiles import mean_field_matrix
+from .profiles import VarianceProfile, mean_field_matrix
 
 __all__ = [
     "LoopSignature",
@@ -111,14 +112,59 @@ def theta_entrywise(S: np.ndarray, m1: complex, m2: complex,
     return X
 
 
-def theta(lattice: BlockLattice, S: np.ndarray, sigma_pair,
+def theta(profile: VarianceProfile, t: float, sigma_pair,
           m: complex) -> np.ndarray:
-    """Block propagator: projection of the entrywise propagator for S."""
+    """Block propagator P((1 - m(s) m(s') t S)^(-1)) by block Fourier transform.
+
+    The profile is block-translation-invariant, so the entrywise propagator
+    X is block-circulant and splits into one W^d x W^d system per block
+    momentum p: the symbol sum_x e^(-2 pi i p.x/n) t S_x goes through the
+    residual-checked solve of :func:`theta_entrywise`, so a singular or
+    ill-conditioned momentum raises PropagatorError. The column sums v_b
+    of the block row X_(0, b) transform back from 1^T X(p), and
+    Theta(0, b) = v_b . 1 / W^d. Equal to
+    ``project_matrix(lattice, theta_entrywise(t * S, m(s), m(s')))``.
+    """
     pair = parse_charges(sigma_pair)
     if len(pair) != 2:
         raise ValueError("sigma_pair must have length 2")
-    ew = theta_entrywise(S, charge_m(m, pair[0]), charge_m(m, pair[1]))
-    return project_matrix(lattice, ew)
+    lat = profile.lattice
+    wd = lat.block_volume
+    shape = (lat.n,) * lat.d
+    axes = tuple(range(lat.d))
+    blocks = np.zeros((lat.block_count, wd, wd))
+    for off, blk in profile.blocks.items():
+        blocks[off] = t * blk
+    symbol = np.fft.fftn(blocks.reshape(shape + (wd, wd)),
+                         axes=axes).reshape(-1, wd, wd)
+    m1, m2 = charge_m(m, pair[0]), charge_m(m, pair[1])
+    inverses = np.array([theta_entrywise(s, m1, m2) for s in symbol])
+
+    def solve(rhs):
+        """Rows v_b of sum_k v_k (delta_kb - m1 m2 t S_(b-k)) = rhs_b."""
+        hat = np.fft.fftn(rhs.reshape(shape + (wd,)), axes=axes)
+        vhat = hat.reshape(-1, 1, wd) @ inverses
+        return np.fft.ifftn(vhat.reshape(shape + (wd,)),
+                            axes=axes).reshape(-1, wd)
+
+    rhs = np.zeros((lat.block_count, wd))
+    rhs[0] = 1.0
+    v = solve(rhs)
+    # The inverse transform is accurate to rounding of max|v| only, so tail
+    # entries many orders below it carry large relative errors. One
+    # refinement step against the residual taken in real space, where every
+    # term near a tail entry is as small as it is, makes each entry accurate
+    # relative to itself, as the dense LU's are.
+    shift = lat.block_offset_matrix
+    resid = rhs - v + (m1 * m2) * sum(v[shift[off]] @ blocks[off]
+                                      for off in profile.blocks)
+    v = v + solve(resid)
+    row0 = v.sum(axis=1) / wd
+    if np.imag(m1 * m2) == 0:
+        # real blocks and a real coupling pair p with -p conjugately, so
+        # Theta is real and its imaginary part here is rounding
+        row0 = row0.real.astype(complex)
+    return row0[lat.block_offset_matrix]
 
 
 def propagator_invariants(lattice: BlockLattice, th: np.ndarray) -> dict:

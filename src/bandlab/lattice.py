@@ -180,6 +180,18 @@ class BlockLattice:
         block = one_d[:, None, :, None] + one_d[None, :, None, :]
         return block.reshape(self.block_count, self.block_count)
 
+    @cached_property
+    def block_offset_matrix(self) -> np.ndarray:
+        """(block_count, block_count) array of flattened offsets [b] - [a].
+
+        A block-translation-invariant block matrix with row 0 ``r`` is
+        ``r[block_offset_matrix]``.
+        """
+        shape = (self.n,) * self.d
+        coords = np.indices(shape).reshape(self.d, -1)
+        diff = (coords[:, None, :] - coords[:, :, None]) % self.n
+        return np.ravel_multi_index(tuple(diff), shape)
+
 
 def _blocked_shape(lattice: BlockLattice, arity: int) -> tuple:
     """Reshape target exposing (block, offset) factors of every tensor axis."""

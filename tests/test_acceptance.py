@@ -12,7 +12,7 @@ import pytest
 
 from bandlab import (BlockLattice, KLoopCalculator,
                      build_translation_invariant, ell_t,
-                     evolution_kernel_apply, flow_point,
+                     evolution_kernel_apply, family_member, flow_point,
                      interaction_strength, kloop_flow_derivative_residual,
                      mean_field_matrix, mean_field_profile,
                      random_walk_representation, select_parameters,
@@ -164,8 +164,6 @@ def test_c08_random_walk_representation():
 def test_c09_evolution_kernel_contraction():
     lat = BlockLattice(d=1, W=5, n=15)
     prof = build_translation_invariant(lat, KERNELS["uniform"], 1)
-    S = prof.assemble()
-    se = mean_field_matrix(lat)
     params = select_parameters(0.0 + 0.3j, 0.2)
     mE = params.m_target
     t_i, t_f = params.t_i, params.t_f
@@ -174,8 +172,9 @@ def test_c09_evolution_kernel_contraction():
     rng = np.random.default_rng(MASTER_SEED + 2)
     worst = 0.0
     for s, t in pairs:
-        St = t_f * S + (t - t_f) * se
-        thetas = {p: theta(lat, St, p, mE)
+        # t_f S + (t - t_f) S_E, the member of the t-family at s = t
+        St = family_member(prof, t_f, t, t)
+        thetas = {p: theta(St, 1.0, p, mE)
                   for p in [(1, 1), (1, -1), (-1, 1), (-1, -1)]}
         bound = ((1 - s) / (1 - t)) ** 2
         for _ in range(100):
@@ -191,14 +190,13 @@ def test_c10_theta_decay():
     lat = BlockLattice(d=1, W=5, n=25)
     prof = build_translation_invariant(lat, KERNELS["uniform"], 1)
     lam = np.sqrt(interaction_strength(prof))
-    S = prof.assemble()
     m = stieltjes_m(0.0)
     ok = True
     details = []
     for t in (0.3, 0.9):
         ell = ell_t(lam, t, lat.n)
-        pm = theta_decay_report(lat, theta(lat, t * S, (1, -1), m), ell)
-        pp = theta_decay_report(lat, theta(lat, t * S, (1, 1), m), ell)
+        pm = theta_decay_report(lat, theta(prof, t, (1, -1), m), ell)
+        pp = theta_decay_report(lat, theta(prof, t, (1, 1), m), ell)
         ok = ok and 0 < pm.decay_length <= 3 * ell and pm.monotone_ok
         ok = ok and pp.decay_length <= 3.0
         details.append(f"t={t}: xi_pm={pm.decay_length:.2f} vs ell={ell:.2f},"

@@ -1,9 +1,14 @@
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from bandlab.cli import ConfigError, build_profile, main, parse_config
+from bandlab.cli import _COMMANDS as _CLI_COMMANDS
+from bandlab.cli import (_SCHEMA, ConfigError, build_profile, main,
+                         parse_config)
 
 
 def write_config(path, **overrides):
@@ -135,19 +140,37 @@ class TestDeterministicCommands:
     def test_theta_solves_each_propagator_once(self, tmp_path, monkeypatch):
         import bandlab.deterministic as det
 
-        solves = []
-        original = det.theta_entrywise
+        thetas, solve_shapes = [], []
+        theta, solve = det.theta, det.theta_entrywise
 
-        def counting(*args, **kwargs):
-            solves.append(args)
-            return original(*args, **kwargs)
+        def counting_theta(*args, **kwargs):
+            thetas.append(args)
+            return theta(*args, **kwargs)
 
-        monkeypatch.setattr(det, "theta_entrywise", counting)
+        def sized_solve(S, *args, **kwargs):
+            solve_shapes.append(S.shape)
+            return solve(S, *args, **kwargs)
+
+        monkeypatch.setattr(det, "theta", counting_theta)
+        monkeypatch.setattr(det, "theta_entrywise", sized_solve)
         cfg = write_config(tmp_path / "c.ini",
                            spectral={"t_values": "0.5,0.9"})
         assert main(["theta", "--config", cfg]) == 0
-        # per flow time, one LU solve for Theta(+,-) and one for Theta(+,+)
-        assert len(solves) == 2 * 2
+        # per flow time, one block propagator for Theta(+,-) and one for
+        # Theta(+,+)
+        assert len(thetas) == 2 * 2
+        # each propagator is n = 5 solves of one block momentum, W^d x W^d
+        assert solve_shapes == [(5, 5)] * (2 * 2 * 5)
+
+    def test_theta_never_assembles_the_profile(self, tmp_path, monkeypatch):
+        from bandlab.profiles import VarianceProfile
+
+        def refuse(self):
+            raise AssertionError("theta assembled the N x N profile")
+
+        monkeypatch.setattr(VarianceProfile, "assemble", refuse)
+        cfg = write_config(tmp_path / "c.ini", spectral={"t_values": "0.5"})
+        assert main(["theta", "--config", cfg]) == 0
 
     def test_kloop(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini")
@@ -226,6 +249,18 @@ class TestMonteCarloCommands:
         assert code in (0, 1)
         rep = read_json(str(tmp_path / "out"), "que.json")
         assert "overlap_dev_sq_max" in rep
+        assert 0 <= rep["empty_windows"] <= rep["completed"]
+
+    def test_que_all_windows_empty_is_vacuous(self, tmp_path):
+        # a window of half-width W^-30 eta0 holds no eigenvalue
+        cfg = write_config(tmp_path / "c.ini", mc={"replicas": 3},
+                           checks={"que_epsilon": 30})
+        assert main(["que", "--config", cfg]) == 1
+        rep = read_json(str(tmp_path / "out"), "que.json")
+        assert rep["vacuous_bound"] is True
+        assert rep["empty_windows"] == rep["completed"] == 3
+        assert rep["mean_window_count"] == 0.0
+        assert rep["pass"] is False
 
     @pytest.mark.parametrize("command", ["locallaw", "diffusion", "deloc",
                                          "que"])
@@ -258,3 +293,102 @@ class TestMonteCarloCommands:
         cfg = write_config(tmp_path / "c.ini", model={"type": "mean_field"})
         main(["validate", "--config", cfg])
         assert main(["report", "--out", str(tmp_path / "out")]) == 1
+
+
+# ---- exit-code contract fuzz -------------------------------------------------
+
+_COMMANDS = tuple(sorted(_CLI_COMMANDS))
+_NAMES = st.text(alphabet="abcdefghijklmnopqrstuvwxyz_", min_size=1,
+                 max_size=8)
+# keys whose value must parse as a number, a boolean or a number list
+_TYPED_KEYS = tuple((sec, key) for sec, keys in _SCHEMA.items()
+                    for key, (parser, _) in keys.items() if parser is not str)
+
+
+def _ini(sections):
+    lines = []
+    for sec, kv in sections.items():
+        lines.append(f"[{sec}]")
+        lines += [f"{k} = {v}" for k, v in kv.items()]
+    return "\n".join(lines) + "\n"
+
+
+def _run(text, command):
+    """Exit code of ``command`` on config ``text``, and its report if any."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.ini")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out = os.path.join(tmp, "out")
+        code = main([command, "--config", path, "--out", out])
+        if not os.path.exists(os.path.join(out, f"{command}.json")):
+            return code, None
+        return code, read_json(out, f"{command}.json")
+
+
+def _valid_model():
+    d1 = st.fixed_dictionaries({"d": st.just(1),
+                                "W": st.sampled_from([1, 3, 5]),
+                                "n": st.sampled_from([3, 4, 5])})
+    d2 = st.fixed_dictionaries({"d": st.just(2),
+                                "W": st.sampled_from([1, 3]),
+                                "n": st.just(3)})
+    return st.tuples(st.sampled_from(["translation_invariant",
+                                      "wegner_orbital", "block_flat",
+                                      "mean_field"]),
+                     st.one_of(d1, d2)).map(
+        lambda kv: {"type": kv[0], **kv[1], "neighbor_weight": 0.1})
+
+
+def _base():
+    return {"model": {"type": "translation_invariant", "W": 3, "n": 5},
+            "mc": {"replicas": 2, "parallelism": 1}}
+
+
+@st.composite
+def _malformed(draw):
+    """Tiny config text with exactly one schema violation."""
+    sections = _base()
+    kind = draw(st.sampled_from(["section", "key", "value", "size", "d",
+                                 "type", "header"]))
+    if kind == "section":
+        sections[draw(_NAMES.filter(lambda s: s not in _SCHEMA))] = {"a": 1}
+    elif kind == "key":
+        sec = draw(st.sampled_from(sorted(_SCHEMA)))
+        key = draw(_NAMES.filter(lambda k: k not in _SCHEMA[sec]))
+        sections.setdefault(sec, {})[key] = 1
+    elif kind == "value":
+        sec, key = draw(st.sampled_from(_TYPED_KEYS))
+        sections.setdefault(sec, {})[key] = draw(
+            st.sampled_from(["", "x", "1..5", "0x1g", "one,two"]))
+    elif kind == "size":
+        sections["model"][draw(st.sampled_from(["W", "n"]))] = draw(
+            st.integers(-3, 0))
+    elif kind == "d":
+        sections["model"]["d"] = draw(
+            st.integers(-2, 6).filter(lambda d: d not in (1, 2)))
+    elif kind == "type":
+        del sections["model"]["type"]
+    else:
+        return _ini(sections).split("\n", 1)[1]
+    return _ini(sections)
+
+
+class TestExitCodeContract:
+    @settings(max_examples=40, deadline=None)
+    @given(text=_malformed(), command=st.sampled_from(_COMMANDS))
+    # an empty flow-time list made kloop raise IndexError
+    @example(text=_ini({**_base(), "spectral": {"t_values": ""}}),
+             command="kloop")
+    def test_malformed_config_exits_2(self, text, command):
+        assert _run(text, command) == (2, None)
+
+    @settings(max_examples=30, deadline=None)
+    @given(model=_valid_model(),
+           command=st.sampled_from(_COMMANDS).filter(lambda c: c != "report"))
+    def test_tiny_valid_config_exits_0_or_1(self, model, command):
+        sections = _base()
+        sections["model"] = model
+        code, rep = _run(_ini(sections), command)
+        assert code in (0, 1)
+        assert rep["pass"] is (code == 0)

@@ -3,14 +3,17 @@ import pytest
 
 from bandlab import (BlockLattice, KLoopCalculator, LoopSignature,
                      build_translation_invariant, cut_signature,
+                     diffusion_predictions, project_matrix,
                      evolution_kernel_apply, interaction_strength, k_loop,
                      khat_loop, kloop_flow_derivative_residual,
-                     mean_field_matrix,
+                     mean_field_matrix, mean_field_profile,
                      random_walk_representation, stieltjes_m, theta,
                      theta_decay_report, theta_entrywise, ward_residual,
                      finite_difference_report)
-from bandlab.deterministic import (PropagatorError, loop_size_guard,
-                                   parse_charges, propagator_invariants)
+from bandlab.cli import build_profile
+from bandlab.deterministic import (PropagatorError, charge_m,
+                                   loop_size_guard, parse_charges,
+                                   propagator_invariants)
 from bandlab.profiles import KERNELS
 from bandlab.spectral import ell_t
 
@@ -95,18 +98,17 @@ class TestTheta:
     def test_mean_field_block_diagonal(self):
         lat = BlockLattice(d=1, W=4, n=3)
         m = stieltjes_m(0.1 + 0.7j)
-        th = theta(lat, mean_field_matrix(lat), (1, -1), m)
+        th = theta(mean_field_profile(lat), 1.0, (1, -1), m)
         expected = np.eye(3) / (1 - abs(m) ** 2)
         assert np.abs(th - expected).max() < 1e-12
 
     def test_transposition_swap(self, band55):
         lat, prof = band55
-        St = 0.7 * prof.assemble()
-        a = theta(lat, St, (1, 1), M_FLOW)
-        b = theta(lat, St, (1, 1), M_FLOW)
+        a = theta(prof, 0.7, (1, 1), M_FLOW)
+        b = theta(prof, 0.7, (1, 1), M_FLOW)
         assert np.array_equal(a, b)
-        pm = theta(lat, St, (1, -1), M_FLOW)
-        assert np.array_equal(pm, theta(lat, St, (-1, 1), M_FLOW))
+        pm = theta(prof, 0.7, (1, -1), M_FLOW)
+        assert np.array_equal(pm, theta(prof, 0.7, (-1, 1), M_FLOW))
         inv = propagator_invariants(lat, pm)
         assert inv["transposition"] < 1e-12
         assert inv["translation"] < 1e-12
@@ -114,10 +116,65 @@ class TestTheta:
 
     def test_same_charge_fast_decay(self, band55):
         lat, prof = band55
-        St = 0.9 * prof.assemble()
-        row = np.abs(theta(lat, St, (1, 1), M_FLOW)[0])
+        row = np.abs(theta(prof, 0.9, (1, 1), M_FLOW)[0])
         assert row[2] < row[1] < row[0]
         assert row[2] < 5e-2 * row[0]
+
+
+def dense_theta(profile, t, pair, m):
+    """Oracle: block projection of the dense N x N residual-checked solve."""
+    return project_matrix(profile.lattice, theta_entrywise(
+        t * profile.assemble(), charge_m(m, pair[0]), charge_m(m, pair[1])))
+
+
+@pytest.fixture(scope="module", params=[
+    (kind, d) for kind in ("translation_invariant", "wegner_orbital",
+                           "block_flat", "mean_field") for d in (1, 2)],
+    ids=lambda p: f"{p[0]}-d{p[1]}")
+def model_profile(request):
+    """A small profile of every [model] type, built as the CLI builds it."""
+    kind, d = request.param
+    W, n, cutoff = (5, 7, 1) if d == 1 else (3, 5, 2)
+    return build_profile({"model": {
+        "type": kind, "d": d, "W": W, "n": n, "kernel": "uniform",
+        "cutoff": cutoff, "neighbor_weight": 0.1, "wegner_alpha": 0.05,
+        "wegner_gamma": 0.5}})
+
+
+def assert_entrywise_close(fast, dense):
+    """Every entry within 1e-12 of itself; exact zeros of the dense
+    solve (mean-field off-diagonal blocks) within 1e-28 of the largest."""
+    scale = np.abs(dense).max()
+    assert (np.abs(fast - dense)
+            <= 1e-12 * np.abs(dense) + 1e-28 * scale).all()
+
+
+class TestThetaBlockFourier:
+    """The per-momentum propagator against the dense N x N oracle."""
+
+    @pytest.mark.parametrize("t", [0.3, 0.9])
+    @pytest.mark.parametrize("pair", [(1, -1), (1, 1)])
+    def test_matches_dense(self, model_profile, pair, t):
+        assert_entrywise_close(theta(model_profile, t, pair, M_FLOW),
+                               dense_theta(model_profile, t, pair, M_FLOW))
+
+    def test_diffusion_predictions_match_dense(self, model_profile):
+        z = 0.2 + 0.4j
+        m = stieltjes_m(z)
+        assert abs(m) < 1
+        wd = model_profile.lattice.block_volume
+        pred_abs2, pred_gg = diffusion_predictions(model_profile, z)
+        assert_entrywise_close(pred_abs2, abs(m) ** 2 * dense_theta(
+            model_profile, 1.0, (1, -1), m).real / wd)
+        assert_entrywise_close(pred_gg, m**2 * dense_theta(
+            model_profile, 1.0, (1, 1), m) / wd)
+
+    def test_singular_on_both_paths(self, model_profile):
+        # t = 1, (+,-), |m| = 1: the zero momentum of 1 - S is singular
+        with pytest.raises(PropagatorError):
+            theta(model_profile, 1.0, (1, -1), M_FLOW)
+        with pytest.raises(PropagatorError):
+            dense_theta(model_profile, 1.0, (1, -1), M_FLOW)
 
 
 class TestKhatLoop:
@@ -358,10 +415,9 @@ def kernel_setup():
     lat = BlockLattice(d=1, W=5, n=5)
     prof = build_translation_invariant(lat, KERNELS["uniform"], 1)
     t = 0.8
-    St = t * prof.assemble()
     thetas = {}
     for pair in [(1, 1), (1, -1), (-1, 1), (-1, -1)]:
-        thetas[pair] = theta(lat, St, pair, M_FLOW)
+        thetas[pair] = theta(prof, t, pair, M_FLOW)
     return lat, thetas, t
 
 
@@ -458,7 +514,7 @@ class TestDecayReport:
     def test_mean_field_no_tail(self):
         lat = BlockLattice(d=1, W=3, n=7)
         m = stieltjes_m(0.4 + 0.5j)
-        p = theta(lat, mean_field_matrix(lat), (1, -1), m)
+        p = theta(mean_field_profile(lat), 1.0, (1, -1), m)
         rep = theta_decay_report(lat, p, ell=1.0)
         assert rep.decay_length == 0.0
 
@@ -467,9 +523,8 @@ class TestDecayReport:
         lat = BlockLattice(d=1, W=5, n=25)
         prof = build_translation_invariant(lat, KERNELS["uniform"], 1)
         lam = np.sqrt(interaction_strength(prof))
-        St = t * prof.assemble()
         ell = ell_t(lam, t, lat.n)
-        p = theta(lat, St, (1, -1), M_FLOW)
+        p = theta(prof, t, (1, -1), M_FLOW)
         rep = theta_decay_report(lat, p, ell)
         assert rep.monotone_ok
         assert 0 < rep.decay_length <= 3 * ell
@@ -477,14 +532,13 @@ class TestDecayReport:
     def test_same_charge_order_one(self):
         lat = BlockLattice(d=1, W=5, n=25)
         prof = build_translation_invariant(lat, KERNELS["uniform"], 1)
-        St = 0.9 * prof.assemble()
-        p = theta(lat, St, (1, 1), M_FLOW)
+        p = theta(prof, 0.9, (1, 1), M_FLOW)
         rep = theta_decay_report(lat, p, ell=1.0)
         assert rep.decay_length <= 3.0
 
     def test_csv_rows_shape(self, band55):
         lat, prof = band55
-        p = theta(lat, 0.5 * prof.assemble(), (1, -1), M_FLOW)
+        p = theta(prof, 0.5, (1, -1), M_FLOW)
         rows = list(theta_decay_report(lat, p, 1.0).to_csv_rows())
         assert len(rows) == len(np.unique(lat.block_distance_matrix[0]))
         assert all(len(r) == 5 for r in rows)
@@ -494,9 +548,7 @@ class TestFiniteDifference:
     def test_parity_pairs_vanish(self):
         lat = BlockLattice(d=1, W=5, n=15)
         prof = build_translation_invariant(lat, KERNELS["uniform"], 1)
-        t = 0.5
-        St = t * prof.assemble()
-        th = theta(lat, St, (1, -1), M_FLOW)[0]
+        th = theta(prof, 0.5, (1, -1), M_FLOW)[0]
         # [y] = -[x]: first difference is zero by parity
         for x in range(1, lat.n // 2):
             assert abs(th[x] - th[(-x) % lat.n]) < 1e-13
@@ -506,7 +558,7 @@ class TestFiniteDifference:
         prof = build_translation_invariant(lat, KERNELS["uniform"], 1)
         t = 0.5
         lam = np.sqrt(interaction_strength(prof))
-        p = theta(lat, t * prof.assemble(), (1, -1), M_FLOW)
+        p = theta(prof, t, (1, -1), M_FLOW)
         rep = finite_difference_report(lat, p, lam, t)
         assert np.isfinite(rep.max_first_ratio)
         assert np.isfinite(rep.max_second_ratio)

@@ -17,10 +17,14 @@ from bandlab.profiles import KERNELS, block_flat_profile
 
 
 @pytest.fixture(scope="module")
-def band_small():
+def band_profile():
     lat = BlockLattice(d=1, W=5, n=5)
-    prof = build_translation_invariant(lat, KERNELS["uniform"], 1)
-    return lat, prof.assemble()
+    return build_translation_invariant(lat, KERNELS["uniform"], 1)
+
+
+@pytest.fixture(scope="module")
+def band_small(band_profile):
+    return band_profile.lattice, band_profile.assemble()
 
 
 class TestStreams:
@@ -278,10 +282,9 @@ class TestDiffusionPredictions:
         # flat blocks: prediction reduces to the n x n block-level inverse
         lat = BlockLattice(d=1, W=4, n=6)
         prof = block_flat_profile(lat, 0.2)
-        S = prof.assemble()
         z = 0.1 + 0.3j
         m = stieltjes_m(z)
-        pred_abs2, pred_gg = diffusion_predictions(lat, S, z)
+        pred_abs2, pred_gg = diffusion_predictions(prof, z)
         B = np.zeros((6, 6))
         for a in range(6):
             B[a, a] = 0.6
@@ -294,13 +297,13 @@ class TestDiffusionPredictions:
         oracle2 = c2 * np.linalg.inv(np.eye(6) - c2 * B) / lat.W
         assert np.abs(pred_gg - oracle2).max() < 1e-12
 
-    def test_prediction_is_k2_tensor(self, band_small):
+    def test_prediction_is_k2_tensor(self, band_profile, band_small):
         # the block prediction coincides with the order-2 primitive loop
         from bandlab import KLoopCalculator
         lat, S = band_small
         z = 0.2 + 0.4j
         m = stieltjes_m(z)
-        pred_abs2, pred_gg = diffusion_predictions(lat, S, z)
+        pred_abs2, pred_gg = diffusion_predictions(band_profile, z)
         calc = KLoopCalculator(lat, S, m)
         k2 = calc.k_tensor((1, -1), via="theta")
         assert np.abs(pred_abs2 - k2.real).max() < 1e-13
@@ -370,9 +373,9 @@ class TestRunEnsemble:
         res = run_ensemble(SampleConfig(master_seed=10, replicas=2), fn, red)
         assert res.max("overlap_dev_sq") >= 0
 
-    def test_diffusion_mean_tracks_prediction(self, band_small):
+    def test_diffusion_mean_tracks_prediction(self, band_profile, band_small):
         lat, S = band_small
-        pred_abs2, _ = diffusion_predictions(lat, S, 0.5j)
+        pred_abs2, _ = diffusion_predictions(band_profile, 0.5j)
         fn, red = diffusion_replica_fn(lat, S, 0.5j)
         res = run_ensemble(SampleConfig(master_seed=3, replicas=20), fn, red)
         assert res.failures == []
@@ -432,7 +435,7 @@ class TestTwoDimensional:
             assert bt[a] == pytest.approx(direct)
         stats = eigen_stats(H, (-1.5, 1.5), lat)
         assert np.abs(stats.block_overlaps.sum(axis=1) - 1).max() < 1e-10
-        pred_abs2, pred_gg = diffusion_predictions(lat, S, 0.1 + 0.4j)
+        pred_abs2, pred_gg = diffusion_predictions(prof, 0.1 + 0.4j)
         assert pred_abs2.shape == (9, 9)
         # per-pair block sums against a direct double loop
         from bandlab.montecarlo import diffusion_replica_fn
