@@ -158,7 +158,8 @@ def _check_required(cfg):
         raise ConfigError("[mc] replicas must be >= 1")
     if cfg["mc"]["parallelism"] is None:
         env = os.environ.get("BANDLAB_THREADS", "").strip()
-        cfg["mc"]["parallelism"] = int(env) if env else 1
+        cfg["mc"]["parallelism"] = int(env) if env \
+            else len(os.sched_getaffinity(0))
     if cfg["mc"]["parallelism"] < 1:
         raise ConfigError("[mc] parallelism must be >= 1")
 

@@ -161,24 +161,17 @@ class BlockLattice:
     @cached_property
     def site_distance_matrix(self) -> np.ndarray:
         """(N, N) array of periodic L^1 site distances."""
-        r = np.arange(self.L)
-        diff = np.abs(r[:, None] - r[None, :])
-        one_d = np.minimum(diff, self.L - diff)
-        if self.d == 1:
-            return one_d
-        block = one_d[:, None, :, None] + one_d[None, :, None, :]
-        return block.reshape(self.N, self.N)
+        return _torus_distances(self.L, self.L, self.d)
+
+    def block0_site_distances(self) -> np.ndarray:
+        """(W^d, N) rows of :attr:`site_distance_matrix` for the sites of
+        block 0, in ``block_sites(0)`` order, without forming the rest."""
+        return _torus_distances(self.W, self.L, self.d)
 
     @cached_property
     def block_distance_matrix(self) -> np.ndarray:
         """(block_count, block_count) array of periodic block distances."""
-        r = np.arange(self.n)
-        diff = np.abs(r[:, None] - r[None, :])
-        one_d = np.minimum(diff, self.n - diff)
-        if self.d == 1:
-            return one_d
-        block = one_d[:, None, :, None] + one_d[None, :, None, :]
-        return block.reshape(self.block_count, self.block_count)
+        return _torus_distances(self.n, self.n, self.d)
 
     @cached_property
     def block_offset_matrix(self) -> np.ndarray:
@@ -191,6 +184,17 @@ class BlockLattice:
         coords = np.indices(shape).reshape(self.d, -1)
         diff = (coords[:, None, :] - coords[:, :, None]) % self.n
         return np.ravel_multi_index(tuple(diff), shape)
+
+
+def _torus_distances(rows: int, side: int, d: int) -> np.ndarray:
+    """Periodic L^1 distances on Z_side^d from the points with every
+    coordinate in [0, rows) to all points, both flattened row-major."""
+    diff = np.abs(np.arange(rows)[:, None] - np.arange(side)[None, :])
+    one_d = np.minimum(diff, side - diff)
+    if d == 1:
+        return one_d
+    return (one_d[:, None, :, None] + one_d[None, :, None, :]) \
+        .reshape(rows**2, side**2)
 
 
 def _blocked_shape(lattice: BlockLattice, arity: int) -> tuple:

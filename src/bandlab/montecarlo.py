@@ -3,15 +3,22 @@
 Replica r of a run keyed by ``master_seed`` always draws from the Philox
 stream spawned at (master_seed, r), so any replica can be reproduced
 bit-exactly regardless of parallelism or execution order. Ensemble merges
-happen in replica-index order, making aggregated reports byte-identical
-across worker counts.
+happen in replica-index order, and replica work runs on single-threaded
+BLAS, making aggregated reports byte-identical across worker counts and
+core counts.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import struct
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 
@@ -264,58 +271,109 @@ class EnsembleResult:
         return self.maxima[key]
 
 
+@cache
+def _openblas_threads():
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS, read
+    through ctypes from the loaded library, or None when there is none."""
+    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(glob.glob(str(libdir / "lib*openblas*.so*"))):
+        lib = ctypes.CDLL(path)
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is None or set_ is None:
+                    continue
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextmanager
+def _single_threaded_blas():
+    """Run the body on one OpenBLAS thread; restore the count afterwards.
+
+    Replica threads are the unit of parallelism, and a BLAS call's rounding
+    depends on its thread count, so pinning it keeps every replica's bits
+    independent of the worker count and of the machine's cores. Without a
+    bundled OpenBLAS the body runs unpinned.
+    """
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+def _in_order(one, replicas: int, parallelism: int):
+    """Yield (r, one(r)) in replica-index order.
+
+    With workers, at most 2 * parallelism replicas are submitted and not
+    yet consumed: replica r + 2 * parallelism is submitted only after the
+    caller has taken replica r, so memory stays O(parallelism).
+    """
+    if parallelism == 1:
+        for r in range(replicas):
+            yield r, one(r)
+        return
+    window = 2 * parallelism
+    with ThreadPoolExecutor(max_workers=parallelism) as pool:
+        pending = deque(pool.submit(one, r)
+                        for r in range(min(window, replicas)))
+        for r in range(replicas):
+            yield r, pending.popleft().result()
+            if r + window < replicas:
+                pending.append(pool.submit(one, r + window))
+
+
 def run_ensemble(config: SampleConfig, replica_fn, reducers: dict | None = None,
                  stream=None) -> EnsembleResult:
     """Run ``replica_fn(replica_index, rng) -> dict`` over all replicas.
 
     Values are merged per key: 'mean' keys accumulate sums and squared
     magnitudes; 'max' keys keep the running elementwise maximum. Merging
-    follows replica-index order, so results do not depend on parallelism.
+    follows replica-index order as results arrive, and BLAS runs on one
+    thread for the whole call, so results do not depend on parallelism.
     Failed replicas are recorded and excluded; ``stream`` (optional callable)
     receives (replica_index, result) for raw-observable logging.
     """
     reducers = reducers or {}
 
     def one(r):
-        return replica_fn(r, stream_for(config.master_seed, r))
-
-    results = []
-    if config.parallelism > 1:
-        with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-            futures = [pool.submit(one, r) for r in range(config.replicas)]
-            for r, fut in enumerate(futures):
-                try:
-                    results.append((r, fut.result()))
-                except Exception as exc:
-                    results.append((r, exc))
-    else:
-        for r in range(config.replicas):
-            try:
-                results.append((r, one(r)))
-            except Exception as exc:
-                results.append((r, exc))
+        try:
+            return replica_fn(r, stream_for(config.master_seed, r))
+        except Exception as exc:
+            return exc
 
     sums, sumsq, maxima = {}, {}, {}
     failures = []
-    for r, res in results:
-        if isinstance(res, Exception):
-            failures.append((r, f"{type(res).__name__}: {res}"))
-            continue
-        if stream is not None:
-            stream(r, res)
-        for key, val in res.items():
-            val = np.asarray(val)
-            if reducers.get(key, "mean") == "max":
-                maxima[key] = val if key not in maxima \
-                    else np.maximum(maxima[key], val)
-            else:
-                if key not in sums:
-                    sums[key] = val.astype(complex if np.iscomplexobj(val)
-                                           else float)
-                    sumsq[key] = np.abs(val.astype(complex)) ** 2
+    with _single_threaded_blas():
+        for r, res in _in_order(one, config.replicas, config.parallelism):
+            if isinstance(res, Exception):
+                failures.append((r, f"{type(res).__name__}: {res}"))
+                continue
+            if stream is not None:
+                stream(r, res)
+            for key, val in res.items():
+                val = np.asarray(val)
+                if reducers.get(key, "mean") == "max":
+                    maxima[key] = val if key not in maxima \
+                        else np.maximum(maxima[key], val)
                 else:
-                    sums[key] = sums[key] + val
-                    sumsq[key] = sumsq[key] + np.abs(val) ** 2
+                    if key not in sums:
+                        sums[key] = val.astype(complex if np.iscomplexobj(val)
+                                               else float)
+                        sumsq[key] = np.abs(val.astype(complex)) ** 2
+                    else:
+                        sums[key] = sums[key] + val
+                        sumsq[key] = sumsq[key] + np.abs(val) ** 2
     return EnsembleResult(replicas=config.replicas, sums=sums, sumsq=sumsq,
                           maxima=maxima, failures=failures)
 

@@ -152,22 +152,22 @@ def build_translation_invariant(lattice: BlockLattice, kernel, cutoff: int,
             f"cutoff*W = {cutoff * lattice.W} overlaps its own periodic image "
             f"(needs < L/2 = {lattice.L / 2})")
     reach = cutoff * lattice.W
-    dist = lattice.site_distance_matrix
-    weights = np.zeros_like(dist, dtype=float)
+    # full translation invariance makes the rows of block 0 the whole profile
+    dist = lattice.block0_site_distances()
     mask = dist <= reach
-    vals = {r: float(kernel(r)) for r in np.unique(dist[mask])}
-    if any(v < 0 for v in vals.values()):
+    radii, which = np.unique(dist[mask], return_inverse=True)
+    vals = np.array([float(kernel(r)) for r in radii])
+    if (vals < 0).any():
         raise ProfileError("kernel must be nonnegative")
-    for r, v in vals.items():
-        weights[(dist == r) & mask] = v
+    weights = np.zeros(dist.shape)
+    weights[mask] = vals[which]
     row = weights[0].sum()
     if row <= 0:
         raise ProfileError("kernel produces a zero row")
     weights /= row
     blocks = {}
-    rows0 = lattice.block_sites(0)
     for off in range(lattice.block_count):
-        blk = weights[np.ix_(rows0, lattice.block_sites(off))]
+        blk = weights[:, lattice.block_sites(off)]
         if blk.any():
             blocks[off] = blk
     prof = VarianceProfile(lattice, blocks, builder="translation_invariant",

@@ -73,6 +73,13 @@ class TestConfigParsing:
         cfg = parse_config(str(p))
         assert cfg["mc"]["parallelism"] == 6
 
+    def test_threads_default_is_usable_cores(self, tmp_path, monkeypatch):
+        p = tmp_path / "c.ini"
+        p.write_text("[model]\ntype = mean_field\nW = 3\nn = 3\n")
+        monkeypatch.delenv("BANDLAB_THREADS", raising=False)
+        cfg = parse_config(str(p))
+        assert cfg["mc"]["parallelism"] == len(os.sched_getaffinity(0))
+
     def test_build_profile_types(self, tmp_path):
         for kind in ("translation_invariant", "mean_field", "block_flat",
                      "wegner_orbital"):
@@ -279,6 +286,54 @@ class TestMonteCarloCommands:
         assert rep["replicas"] == 2 and rep["completed"] == 0
         assert [r for r, _ in rep["failures"]] == [0, 1]
         assert rep["pass"] is False
+
+    @pytest.fixture
+    def blas_threads(self):
+        """(get, set) of numpy's OpenBLAS thread count, restored after."""
+        import bandlab.montecarlo as mc
+
+        threads = mc._openblas_threads()
+        if threads is None:
+            pytest.skip("numpy has no bundled OpenBLAS")
+        get, set_ = threads
+        before = get()
+        yield get, set_
+        set_(before)
+
+    @pytest.mark.parametrize("command", ["locallaw", "deloc"])
+    def test_reports_ignore_ambient_blas_threads(self, command, tmp_path,
+                                                 blas_threads):
+        get, set_ = blas_threads
+        reports = []
+        for threads in (2, 1):
+            out = tmp_path / f"blas{threads}"
+            cfg = write_config(tmp_path / f"blas{threads}.ini",
+                               model={"W": 15, "n": 15},
+                               mc={"replicas": 4, "parallelism": 2},
+                               output={"directory": str(out)})
+            set_(threads)
+            assert main([command, "--config", cfg]) in (0, 1)
+            assert get() == threads
+            reports.append((out / f"{command}.json").read_bytes())
+        assert reports[0] == reports[1]
+
+    def test_blas_threads_pinned_and_restored_when_replicas_fail(
+            self, tmp_path, monkeypatch, blas_threads):
+        import bandlab.montecarlo as mc
+
+        get, set_ = blas_threads
+        inside = []
+
+        def failing(S, rng):
+            inside.append(get())
+            raise RuntimeError("injected sampling failure")
+
+        monkeypatch.setattr(mc, "sample_H", failing)
+        cfg = write_config(tmp_path / "c.ini", mc={"replicas": 2})
+        set_(2)
+        assert main(["locallaw", "--config", cfg]) == 1
+        assert inside == [1, 1]
+        assert get() == 2
 
     def test_report_aggregates(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini")

@@ -111,7 +111,6 @@ class TestTheta:
         assert np.array_equal(pm, theta(prof, 0.7, (-1, 1), M_FLOW))
         inv = propagator_invariants(lat, pm)
         assert inv["transposition"] < 1e-12
-        assert inv["translation"] < 1e-12
         assert inv["parity"] < 1e-12
 
     def test_same_charge_fast_decay(self, band55):

@@ -99,6 +99,14 @@ class TestDistances:
                 for y in range(lat.N):
                     assert D[x, y] == lat.periodic_distance(x, y)
 
+    def test_block0_rows_match_scalar(self):
+        for lat in (BlockLattice(d=1, W=3, n=4), BlockLattice(d=2, W=3, n=3)):
+            D = lat.block0_site_distances()
+            assert D.shape == (lat.block_volume, lat.N)
+            for i, x in enumerate(lat.block_sites(0)):
+                for y in range(lat.N):
+                    assert D[i, y] == lat.periodic_distance(x, y)
+
     def test_brackets(self):
         lat = BlockLattice(d=1, W=5, n=3)
         assert lat.site_bracket(0, 2) == 2 + 5

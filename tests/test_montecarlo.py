@@ -1,4 +1,6 @@
 import io
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -334,6 +336,49 @@ class TestRunEnsemble:
             assert np.array_equal(res1.sumsq[key], res4.sumsq[key])
         for key in res1.maxima:
             assert np.array_equal(res1.maxima[key], res4.maxima[key])
+
+    @staticmethod
+    def _record(failing=()):
+        """A replica_fn and stream that log starts and merges; later
+        replicas of each window finish first, so a merge that waited for
+        the whole ensemble or merged out of order would show."""
+        lock = threading.Lock()
+        log = {"started": 0, "merged": [], "outstanding": []}
+
+        def fn(r, rng):
+            with lock:
+                log["started"] += 1
+                log["outstanding"].append(log["started"]
+                                          - len(log["merged"]))
+            time.sleep(0.002 * (3 - r % 4))
+            if r in failing:
+                raise RuntimeError(f"injected failure {r}")
+            return {"x": float(r)}
+
+        def stream(r, res):
+            with lock:
+                log["merged"].append(r)
+
+        return fn, stream, log
+
+    @pytest.mark.parametrize("par", [2, 8])
+    def test_merge_is_bounded_and_in_order(self, par):
+        fn, stream, log = self._record()
+        res = run_ensemble(SampleConfig(master_seed=1, replicas=24,
+                                        parallelism=par), fn, stream=stream)
+        assert log["started"] == 24
+        assert max(log["outstanding"]) <= 2 * par
+        assert log["merged"] == list(range(24))
+        assert res.completed == 24 and res.mean("x") == 11.5
+
+    def test_failures_merge_in_index_order(self):
+        fn, stream, log = self._record(failing={13, 2, 21})
+        res = run_ensemble(SampleConfig(master_seed=1, replicas=24,
+                                        parallelism=2), fn, stream=stream)
+        assert [r for r, _ in res.failures] == [2, 13, 21]
+        assert res.failures[0][1] == "RuntimeError: injected failure 2"
+        assert log["merged"] == [r for r in range(24)
+                                 if r not in (2, 13, 21)]
 
     def test_stderr_scaling(self):
         def fn(r, rng):

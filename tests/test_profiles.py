@@ -35,6 +35,31 @@ class TestBuilders:
         expected = np.where(D <= 5, 1.0 / 11.0, 0.0)
         assert np.abs(S - expected).max() < 1e-15
 
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    @pytest.mark.parametrize("d,W,n,cutoff", [(1, 5, 5, 1), (1, 4, 7, 2),
+                                              (2, 3, 5, 2), (2, 4, 9, 3)])
+    def test_entries_match_kernel_of_distance(self, kernel, d, W, n, cutoff):
+        # oracle: the kernel on the full N x N periodic distance matrix,
+        # cut at cutoff*W and divided by the common row sum
+        lat = BlockLattice(d=d, W=W, n=n)
+        prof = build_translation_invariant(lat, KERNELS[kernel], cutoff)
+        D = lat.site_distance_matrix
+        weights = np.where(D <= cutoff * W,
+                           np.vectorize(KERNELS[kernel], otypes=[float])(D),
+                           0.0)
+        expected = weights / weights[0].sum()
+        assert np.abs(prof.assemble() - expected).max() \
+            <= 1e-15 * expected.max()
+        assert set(prof.blocks) == {
+            b for b in range(lat.block_count)
+            if (D[np.ix_(lat.block_sites(0), lat.block_sites(b))]
+                <= cutoff * W).any()}
+
+    def test_negative_kernel_rejected(self):
+        lat = BlockLattice(d=1, W=3, n=5)
+        with pytest.raises(ProfileError, match="nonnegative"):
+            build_translation_invariant(lat, lambda r: 1.0 - r, 1)
+
     def test_rows_and_symmetry(self, band55):
         S = band55.assemble()
         assert np.abs(S.sum(axis=1) - 1).max() < 1e-12
