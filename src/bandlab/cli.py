@@ -91,7 +91,6 @@ _SCHEMA = {
         "diffusion_rel": (float, 0.1),
         "decay_factor": (float, 3.0),
         "same_charge_decay": (float, 3.0),
-        "contraction_factor": (float, 10.0),
         "ward_tol": (float, 1e-9),
         "kloop_dt": (float, 1e-3),
         "kloop_tol": (float, 1e-4),
@@ -240,8 +239,7 @@ def cmd_validate(cfg, outdir):
     report = prof.validate(profile, eps_inter=cfg["checks"]["eps_inter"],
                            p_samples=cfg["checks"]["p_samples"],
                            check_parity=check_parity)
-    passed = (report.doubly_stochastic and report.symmetric
-              and report.fullness > 0
+    passed = (report.doubly_stochastic and report.fullness > 0
               and (report.parity_ok or not check_parity)
               and report.interaction_ok)
     rep = _base_report(cfg, "validate", profile)
@@ -339,11 +337,12 @@ def cmd_kloop(cfg, outdir):
         rows.append(("ward", "".join("+" if c > 0 else "-" for c in charges),
                      res, ward_tol, "pass" if ok else "FAIL"))
 
-    # K^(2): recursion path against the theta path
+    # K^(2): the loop recursion against the block-Fourier propagator
     ktheta_dev = 0.0
     for pair in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        dev = float(np.abs(calc.k_tensor(pair, via="recursion")
-                           - calc.k_tensor(pair, via="theta")).max())
+        mm = det.charge_m(mE, pair[0]) * det.charge_m(mE, pair[1])
+        closed = mm * det.theta(profile, t, pair, mE) / lat.block_volume
+        dev = float(np.abs(calc.k_tensor(pair) - closed).max())
         ktheta_dev = max(ktheta_dev, dev)
     ok = ktheta_dev < 1e-12
     passed = passed and ok

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .lattice import BlockLattice, project_matrix, project_tensor
-from .profiles import VarianceProfile, mean_field_matrix
+from .lattice import BlockLattice, project_tensor
+from .profiles import VarianceProfile, decompose_core, mean_field_matrix
 
 __all__ = [
     "LoopSignature",
@@ -258,26 +258,12 @@ class KLoopCalculator:
             out += m1 * E.reshape(out.shape)
         return out
 
-    def k_tensor(self, charges, via: str = "auto") -> np.ndarray:
-        """Block primitive loop tensor (projected/averaged Khat).
+    def k_tensor(self, charges) -> np.ndarray:
+        """Block primitive loop tensor: the block average of Khat.
 
-        For order 2, ``via='theta'`` uses the closed form
-        W^-d m(s) m(s') Theta; ``via='recursion'`` averages the entrywise
-        recursion; ``'auto'`` prefers the fast theta path.
+        For order 2 this is W^-d m(s) m(s') Theta, which ``bandlab kloop``
+        checks against the block-Fourier :func:`theta`.
         """
-        charges = parse_charges(charges)
-        order = len(charges)
-        if via == "auto":
-            via = "theta" if order == 2 else "recursion"
-        if via == "theta":
-            if order != 2:
-                raise ValueError("theta path exists only for order 2")
-            m1 = charge_m(self.m, charges[0])
-            m2 = charge_m(self.m, charges[1])
-            block = project_matrix(self.lattice, self.resolvent(m1 * m2))
-            return m1 * m2 * block / self.lattice.block_volume
-        if via != "recursion":
-            raise ValueError(f"unknown path {via!r}")
         return project_tensor(self.lattice, self.khat_tensor(charges))
 
 
@@ -290,11 +276,11 @@ def khat_loop(lattice: BlockLattice, S: np.ndarray, m: complex,
 
 
 def k_loop(lattice: BlockLattice, S: np.ndarray, m: complex,
-           sig: LoopSignature, via: str = "auto", **caps) -> complex:
+           sig: LoopSignature, **caps) -> complex:
     """Block primitive loop value at the signature's block tuple."""
     calc = KLoopCalculator(lattice, S, m, **caps)
     blocks = tuple(lattice.block_index(a) for a in sig.indices)
-    return complex(calc.k_tensor(sig.charges, via=via)[blocks])
+    return complex(calc.k_tensor(sig.charges)[blocks])
 
 
 # ---- loop operations -------------------------------------------------------------
@@ -342,10 +328,10 @@ def ward_residual(lattice: BlockLattice, S: np.ndarray, m: complex,
         raise ValueError("Ward identity requires sigma_1 = -sigma_n")
     if calc is None:
         calc = KLoopCalculator(lattice, S, m, **caps)
-    lhs = calc.k_tensor(charges, via="recursion").sum(axis=-1)
+    lhs = calc.k_tensor(charges).sum(axis=-1)
     mid = charges[1:-1]
-    plus = calc.k_tensor((1,) + mid, via="recursion")
-    minus = calc.k_tensor((-1,) + mid, via="recursion")
+    plus = calc.k_tensor((1,) + mid)
+    minus = calc.k_tensor((-1,) + mid)
     rhs = (plus - minus) / (2j * lattice.block_volume * eta_t)
     scale = max(np.abs(lhs).max(), np.abs(rhs).max())
     if indices is not None:
@@ -372,8 +358,8 @@ def _hierarchy_rhs(calc: KLoopCalculator, charges: tuple[int, ...]
     for k, l in itertools.combinations(range(1, order + 1), 2):
         left = cut_signature("L", base, k, l, "z")
         right = cut_signature("R", base, k, l, "z")
-        tl = calc.k_tensor(left.charges, via="recursion")
-        tr = calc.k_tensor(right.charges, via="recursion")
+        tl = calc.k_tensor(left.charges)
+        tr = calc.k_tensor(right.charges)
         expr = (f"{''.join(left.indices)},{''.join(right.indices)}"
                 f"->{''.join(labels)}")
         term = np.einsum(expr, tl, tr, optimize=True)
@@ -394,8 +380,7 @@ def kloop_flow_derivative_residual(lattice: BlockLattice, S_t: np.ndarray,
     se = mean_field_matrix(lattice)
     plus = KLoopCalculator(lattice, S_t + dt * se, m, **caps)
     minus = KLoopCalculator(lattice, S_t - dt * se, m, **caps)
-    lhs = (plus.k_tensor(charges, via="recursion")
-           - minus.k_tensor(charges, via="recursion")) / (2 * dt)
+    lhs = (plus.k_tensor(charges) - minus.k_tensor(charges)) / (2 * dt)
     center = KLoopCalculator(lattice, S_t, m, **caps)
     rhs = _hierarchy_rhs(center, charges)
     scale = max(float(np.abs(rhs).max()), float(np.abs(lhs).max()), 1e-300)
@@ -443,35 +428,24 @@ class RandomWalkRep:
     theta: np.ndarray
 
 
-def random_walk_representation(lattice: BlockLattice, S_t: np.ndarray,
+def random_walk_representation(profile_t: VarianceProfile,
                                c_ker: float) -> RandomWalkRep:
     """Random-walk form of the (+,-) flow propagator Theta = P((1-S_t)^-1).
 
-    Splits S_t = S_ker + c_ker*S_E, builds the stochastic block kernel
-    K = (1-t+c_ker) P((1-S_ker)^-1) and the effective time
-    t_hat = c_ker/(1-t+c_ker), and reports the max-norm residual of
-    Theta = t_hat K (1 - t_hat K)^{-1} / c_ker.
+    Splits S_t = S_ker + c_ker*S_E with :func:`decompose_core`, builds the
+    stochastic block kernel K = (1-t+c_ker) P((1-S_ker)^-1) and the
+    effective time t_hat = c_ker/(1-t+c_ker), and reports the max-norm
+    residual of Theta = t_hat K (1 - t_hat K)^{-1} / c_ker. Both block
+    propagators come from :func:`theta` at unit coupling.
     """
-    rows = S_t.sum(axis=1)
-    t = float(rows.mean())
-    if np.abs(rows - t).max() > 1e-10:
+    rows = sum(blk.sum(axis=1) for blk in profile_t.blocks.values())
+    if np.abs(rows - rows.mean()).max() > 1e-10:
         raise ValueError("S_t must have constant row sums")
-    se = mean_field_matrix(lattice)
-    s_ker = S_t - c_ker * se
-    if s_ker.min() < -1e-14:
-        admissible = float(S_t[se > 0].min() * lattice.block_volume)
-        raise ValueError(
-            f"c_ker={c_ker} produces negative entries; "
-            f"maximal admissible value is {admissible}")
-    np.clip(s_ker, 0.0, None, out=s_ker)
-    N = lattice.N
-    eye = np.eye(N)
-    inv_ker = np.linalg.solve(eye - s_ker, eye)
-    deficit = 1.0 - t + c_ker
-    K = deficit * project_matrix(lattice, inv_ker)
+    ker, deficit = decompose_core(profile_t, c_ker)
+    K = deficit * theta(ker, 1.0, (1, 1), 1.0).real
     t_hat = c_ker / deficit
-    th = project_matrix(lattice, np.linalg.solve(eye - S_t, eye))
-    mb = lattice.block_count
+    th = theta(profile_t, 1.0, (1, 1), 1.0).real
+    mb = profile_t.lattice.block_count
     recon = (t_hat / c_ker) * K @ np.linalg.solve(np.eye(mb) - t_hat * K,
                                                   np.eye(mb))
     residual = float(np.abs(th - recon).max() / np.abs(th).max())
@@ -544,6 +518,12 @@ class FiniteDifferenceReport:
     second_samples: int
 
 
+def _modulus(z: np.ndarray) -> np.ndarray:
+    """Elementwise |z| rounded as the scalar abs() rounds it (np.abs on a
+    complex array may take a vectorized path that differs in the last bit)."""
+    return np.hypot(z.real, z.imag)
+
+
 def finite_difference_report(lattice: BlockLattice, th: np.ndarray,
                              lam: float, t: float,
                              max_pairs: int = 4096,
@@ -557,33 +537,27 @@ def finite_difference_report(lattice: BlockLattice, th: np.ndarray,
     th = th[0]
     m = lattice.block_count
     denom = lam**2 + 1.0 - t
-    pairs = list(itertools.combinations(range(m), 2))
-    if len(pairs) > max_pairs:
+    dist = lattice.block_distance_matrix
+    bracket = dist[0] + 1
+    # every unordered block pair, or a seeded subsample of max_pairs of them
+    x, y = np.triu_indices(m, 1)
+    if x.size > max_pairs:
         rng = np.random.default_rng(seed)
-        pairs = [pairs[i] for i in
-                 rng.choice(len(pairs), size=max_pairs, replace=False)]
-    r1 = 0.0
-    for x, y in pairs:
-        dist = lattice.block_distance(x, y)
-        bx = lattice.block_bracket(0, x) ** (lattice.d - 1)
-        by = lattice.block_bracket(0, y) ** (lattice.d - 1)
-        r1 = max(r1, abs(th[x] - th[y]) * denom * (bx + by) / dist)
-    r2 = 0.0
-    count2 = 0
-    for x in range(m):
-        for y in range(1, m):
-            xp = lattice.block_shift(x, y)
-            xm = lattice.block_shift(x, lattice.block_negate(y))
-            dy = lattice.block_distance(0, y)
-            val = abs(th[xp] + th[xm] - 2 * th[x])
-            r2 = max(r2, val * denom * lattice.block_bracket(0, x)
-                     ** lattice.d / dy**2)
-            count2 += 1
-            if count2 >= max_pairs:
-                break
-        if count2 >= max_pairs:
-            break
+        pick = rng.choice(x.size, size=max_pairs, replace=False)
+        x, y = x[pick], y[pick]
+    edge = bracket ** (lattice.d - 1)
+    r1 = (_modulus(th[x] - th[y]) * denom * (edge[x] + edge[y])
+          / dist[x, y]).max(initial=0.0)
+    first = x.size
+    # the first max_pairs cells (x, [y] != 0) in row-major order
+    count2 = min(max_pairs, m * (m - 1))
+    x, y = np.divmod(np.arange(count2), max(m - 1, 1))
+    y += 1
+    shift = lattice.block_offset_matrix      # shift[a, b] = [b] - [a]
+    plus, minus = shift[shift[y, 0], x], shift[y, x]
+    r2 = (_modulus(th[plus] + th[minus] - 2 * th[x]) * denom * bracket[x]
+          ** lattice.d / dist[0, y] ** 2).max(initial=0.0)
     return FiniteDifferenceReport(max_first_ratio=float(r1),
                                   max_second_ratio=float(r2),
-                                  first_samples=len(pairs),
+                                  first_samples=first,
                                   second_samples=count2)

@@ -187,6 +187,18 @@ class TestDeterministicCommands:
         assert len(ward_rows) == 6
         assert all(r[2] < 1e-9 for r in ward_rows)
 
+    def test_kloop_checks_k2_against_theta(self, tmp_path, monkeypatch):
+        # a propagator off by 1e-9 relative must fail the K^(2) check alone
+        from bandlab import deterministic as det
+        theta = det.theta
+        monkeypatch.setattr(det, "theta",
+                            lambda *a: theta(*a) * (1 + 1e-9))
+        cfg = write_config(tmp_path / "c.ini")
+        assert main(["kloop", "--config", cfg]) == 1
+        rep = read_json(str(tmp_path / "out"), "kloop.json")
+        failed = [r[0] for r in rep["rows"] if r[4] == "FAIL"]
+        assert failed == ["k2_theta_consistency"]
+
     def test_csv_float_precision(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini", spectral={"t_values": "0.5"})
         main(["theta", "--config", cfg])
@@ -195,6 +207,40 @@ class TestDeterministicCommands:
         # 17 significant digits on at least one value
         assert any(len(tok.split(".")[-1].rstrip("0")) >= 14
                    for tok in text.split(",") if "." in tok)
+
+
+class _Reads(dict):
+    """A config section that records which keys are read."""
+
+    def __init__(self, section, seen):
+        super().__init__(section)
+        self.seen = seen
+
+    def __getitem__(self, key):
+        self.seen.add(key)
+        return super().__getitem__(key)
+
+
+def test_every_schema_key_is_read(tmp_path, monkeypatch):
+    import bandlab.cli as cli
+    seen = {sec: set() for sec in _SCHEMA}
+    parse = cli.parse_config
+
+    def recording_parse(path):
+        return {sec: _Reads(keys, seen[sec])
+                for sec, keys in parse(path).items()}
+
+    monkeypatch.setattr(cli, "parse_config", recording_parse)
+    runs = [("translation_invariant", c) for c in _CLI_COMMANDS
+            if c != "report"]
+    runs += [(kind, "validate") for kind in ("wegner_orbital", "block_flat")]
+    for i, (kind, command) in enumerate(runs):
+        cfg = write_config(tmp_path / f"c{i}.ini", model={"type": kind},
+                           mc={"replicas": 2})
+        assert main([command, "--config", cfg]) in (0, 1)
+    unread = {(sec, key) for sec, keys in _SCHEMA.items() for key in keys
+              if key not in seen[sec]}
+    assert not unread
 
 
 class TestMonteCarloCommands:

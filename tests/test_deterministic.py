@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -252,8 +254,9 @@ class TestKLoop:
         St = 0.7 * prof.assemble()
         calc = KLoopCalculator(lat, St, M_FLOW)
         for pair in [(1, 1), (1, -1), (-1, 1), (-1, -1)]:
-            a = calc.k_tensor(pair, via="theta")
-            b = calc.k_tensor(pair, via="recursion")
+            mm = charge_m(M_FLOW, pair[0]) * charge_m(M_FLOW, pair[1])
+            a = mm * theta(prof, 0.7, pair, M_FLOW) / lat.block_volume
+            b = calc.k_tensor(pair)
             assert np.abs(a - b).max() < 1e-12
 
     def test_order_one_constant(self, band55):
@@ -266,7 +269,7 @@ class TestKLoop:
         lat, prof = band55
         St = 0.7 * prof.assemble()
         calc = KLoopCalculator(lat, St, M_FLOW)
-        T = calc.k_tensor((1, 1, -1), via="recursion")
+        T = calc.k_tensor((1, 1, -1))
         for shift in (1, 3):
             for a in range(lat.n):
                 for b in range(lat.n):
@@ -279,8 +282,7 @@ class TestKLoop:
     def test_parity_symmetry(self, band55):
         lat, prof = band55
         St = 0.7 * prof.assemble()
-        T = KLoopCalculator(lat, St, M_FLOW).k_tensor((1, -1, -1),
-                                                      via="recursion")
+        T = KLoopCalculator(lat, St, M_FLOW).k_tensor((1, -1, -1))
         n = lat.n
         for a in range(n):
             for b2 in range(n):
@@ -483,8 +485,7 @@ class TestRandomWalkRep:
         # S_t = t S_E with c_ker = t: S_ker = 0, K = identity on blocks
         lat = BlockLattice(d=1, W=4, n=3)
         t = 0.6
-        St = t * mean_field_matrix(lat)
-        rep = random_walk_representation(lat, St, t)
+        rep = random_walk_representation(mean_field_profile(lat).scaled(t), t)
         assert np.abs(rep.K - np.eye(3)).max() < 1e-12
         assert rep.t_hat == pytest.approx(t)
         assert rep.residual < 1e-8
@@ -493,20 +494,47 @@ class TestRandomWalkRep:
     @pytest.mark.parametrize("t", [0.5, 0.9])
     def test_banded_identity(self, band55, t):
         lat, prof = band55
-        St = t * prof.assemble()
-        c_ker = 0.5 * lat.W * St[:lat.W, :lat.W].min()
-        rep = random_walk_representation(lat, St, c_ker)
+        St = prof.scaled(t)
+        c_ker = 0.5 * lat.W * St.block_at(0).min()
+        rep = random_walk_representation(St, c_ker)
         assert rep.residual < 1e-8
         assert np.abs(rep.K.sum(axis=1) - 1).max() < 1e-10
         assert rep.K.min() >= 0
         assert rep.row_deficit == pytest.approx(1 - t + c_ker)
 
     def test_cker_too_large(self, band55):
-        lat, prof = band55
-        St = 0.5 * prof.assemble()
+        _, prof = band55
         with pytest.raises(ValueError) as err:
-            random_walk_representation(lat, St, 0.49)
+            random_walk_representation(prof.scaled(0.5), 0.49)
         assert "admissible" in str(err.value)
+
+    def test_matches_dense(self, model_profile):
+        # oracle: the dense N x N inverses the representation is built from
+        lat = model_profile.lattice
+        St = model_profile.scaled(0.7)
+        c_ker = 0.5 * lat.block_volume * St.block_at(0).min()
+        rep = random_walk_representation(St, c_ker)
+        S = St.assemble()
+        eye = np.eye(lat.N)
+        se = mean_field_matrix(lat)
+        deficit = 1.0 - S.sum(axis=1).mean() + c_ker
+        assert rep.row_deficit == pytest.approx(deficit, rel=1e-14)
+        assert_entrywise_close(rep.theta, project_matrix(
+            lat, np.linalg.inv(eye - S)))
+        assert_entrywise_close(rep.K, deficit * project_matrix(
+            lat, np.linalg.inv(eye - (S - c_ker * se))))
+        assert rep.residual < 1e-12
+
+    def test_never_assembles_the_profile(self, band55, monkeypatch):
+        from bandlab.profiles import VarianceProfile
+
+        def refuse(self):
+            raise AssertionError("assembled the N x N profile")
+
+        _, prof = band55
+        monkeypatch.setattr(VarianceProfile, "assemble", refuse)
+        assert random_walk_representation(prof.scaled(0.5), 0.2).residual \
+            < 1e-12
 
 
 class TestDecayReport:
@@ -566,6 +594,59 @@ class TestFiniteDifference:
         assert rep.max_second_ratio < 50
 
 
+def loop_finite_differences(lattice, th, lam, t, max_pairs=4096, seed=7):
+    """Oracle: the finite-difference ratios as plain Python loops."""
+    th = th[0]
+    m = lattice.block_count
+    denom = lam**2 + 1.0 - t
+    pairs = list(itertools.combinations(range(m), 2))
+    if len(pairs) > max_pairs:
+        rng = np.random.default_rng(seed)
+        pairs = [pairs[i] for i in
+                 rng.choice(len(pairs), size=max_pairs, replace=False)]
+    r1 = 0.0
+    for x, y in pairs:
+        dist = lattice.block_distance(x, y)
+        bx = lattice.block_bracket(0, x) ** (lattice.d - 1)
+        by = lattice.block_bracket(0, y) ** (lattice.d - 1)
+        r1 = max(r1, abs(th[x] - th[y]) * denom * (bx + by) / dist)
+    r2 = 0.0
+    count2 = 0
+    for x in range(m):
+        for y in range(1, m):
+            xp = lattice.block_shift(x, y)
+            xm = lattice.block_shift(x, lattice.block_negate(y))
+            dy = lattice.block_distance(0, y)
+            val = abs(th[xp] + th[xm] - 2 * th[x])
+            r2 = max(r2, val * denom * lattice.block_bracket(0, x)
+                     ** lattice.d / dy**2)
+            count2 += 1
+            if count2 >= max_pairs:
+                break
+        if count2 >= max_pairs:
+            break
+    return r1, r2, len(pairs), count2
+
+
+class TestFiniteDifferenceVectorized:
+    """The array form is bit-identical to the loop form it replaced."""
+
+    @pytest.mark.parametrize("d, W, n, cutoff", [(1, 5, 15, 1),
+                                                  (2, 3, 11, 2)])
+    @pytest.mark.parametrize("pair", [(1, -1), (1, 1)])
+    @pytest.mark.parametrize("max_pairs", [4096, 50])
+    def test_bit_identical_to_loops(self, d, W, n, cutoff, pair, max_pairs):
+        # d=2, n=11: 7260 pairs and 14520 cells, so both caps apply
+        lat = BlockLattice(d=d, W=W, n=n)
+        prof = build_translation_invariant(lat, KERNELS["uniform"], cutoff)
+        lam = np.sqrt(interaction_strength(prof))
+        th = theta(prof, 0.5, pair, M_FLOW)
+        rep = finite_difference_report(lat, th, lam, 0.5, max_pairs)
+        assert (rep.max_first_ratio, rep.max_second_ratio,
+                rep.first_samples, rep.second_samples) == \
+            loop_finite_differences(lat, th, lam, 0.5, max_pairs)
+
+
 @pytest.fixture(scope="module")
 def k3_setup():
     lat = BlockLattice(d=1, W=5, n=25)
@@ -583,7 +664,7 @@ class TestKLoopBoundDiagnostics:
         # loops separated far beyond ell_t (safety factor 5) drop below
         # 1e-8 of the central value
         lat, calc, t, lam = k3_setup
-        T = calc.k_tensor((1, 1, -1), via="recursion")
+        T = calc.k_tensor((1, 1, -1))
         center = abs(T[0, 0, 0])
         ell = ell_t(lam, t, lat.n)
         far = int(np.ceil(5 * ell))
@@ -601,9 +682,9 @@ class TestKLoopBoundDiagnostics:
         lat, calc, t, lam = k3_setup
         ell = ell_t(lam, t, lat.n)
         unit = lat.W * ell**lat.d * (1 - t)
-        k2 = np.abs(calc.k_tensor((1, -1), via="theta")).max()
+        k2 = np.abs(calc.k_tensor((1, -1))).max()
         assert k2 * unit < 10
-        k3 = np.abs(calc.k_tensor((1, 1, -1), via="recursion")).max()
+        k3 = np.abs(calc.k_tensor((1, 1, -1))).max()
         assert k3 * unit**2 < 10
 
     def test_improved_bound_off_diagonal(self, k3_setup):
@@ -613,6 +694,6 @@ class TestKLoopBoundDiagnostics:
         unit = lat.W * ell**lat.d * (1 - t)
         eta_t = (1 - t) * M_FLOW.imag
         gain = lam**2 / (lam**2 + eta_t)
-        T = calc.k_tensor((1, -1), via="theta")
+        T = calc.k_tensor((1, -1))
         off = np.abs(T - np.diag(np.diagonal(T))).max()
         assert off * unit < 10 * gain

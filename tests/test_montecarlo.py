@@ -307,9 +307,9 @@ class TestDiffusionPredictions:
         m = stieltjes_m(z)
         pred_abs2, pred_gg = diffusion_predictions(band_profile, z)
         calc = KLoopCalculator(lat, S, m)
-        k2 = calc.k_tensor((1, -1), via="theta")
+        k2 = calc.k_tensor((1, -1))
         assert np.abs(pred_abs2 - k2.real).max() < 1e-13
-        k2pp = calc.k_tensor((1, 1), via="theta")
+        k2pp = calc.k_tensor((1, 1))
         assert np.abs(pred_gg - k2pp).max() < 1e-13
 
 
@@ -527,7 +527,7 @@ class TestLoopConvergence:
         S = prof.assemble()
         z = 0.0 + 0.5j
         m = stieltjes_m(z)
-        K3 = KLoopCalculator(lat, S, m).k_tensor((1, -1, 1), via="recursion")
+        K3 = KLoopCalculator(lat, S, m).k_tensor((1, -1, 1))
         triples = [(0, 0, 0), (0, 1, 2), (0, 2, 4), (1, 1, 3)]
         reps = 1200
         acc = {tr: 0j for tr in triples}

@@ -7,6 +7,7 @@ from bandlab import (BlockLattice, VarianceProfile, block_flat_profile,
                      interaction_strength, mean_field_matrix,
                      mean_field_profile, profile_from_text, profile_to_text,
                      validate)
+from bandlab.cli import build_profile
 from bandlab.profiles import KERNELS, ProfileError
 
 
@@ -203,6 +204,36 @@ class TestValidate:
         prof = build_translation_invariant(lat, KERNELS["gaussian"], 2)
         rep = validate(prof)
         assert rep.parity_ok
+
+
+@pytest.mark.parametrize("kind", ["translation_invariant", "wegner_orbital",
+                                  "block_flat", "mean_field"])
+@pytest.mark.parametrize("d", [1, 2])
+class TestValidateFromBlocks:
+    @staticmethod
+    def profile(kind, d):
+        W, n, cutoff = (5, 7, 1) if d == 1 else (3, 5, 2)
+        return build_profile({"model": {
+            "type": kind, "d": d, "W": W, "n": n, "kernel": "uniform",
+            "cutoff": cutoff, "neighbor_weight": 0.1, "wegner_alpha": 0.05,
+            "wegner_gamma": 0.5}})
+
+    def test_flatness_matches_dense(self, kind, d):
+        # oracle: largest entry and reach read off the assembled N x N matrix
+        prof = self.profile(kind, d)
+        lat = prof.lattice
+        S = prof.assemble()
+        reach = lat.site_distance_matrix[S > 0].max() / lat.W
+        assert validate(prof).flatness == max(S.max() * lat.block_volume,
+                                              reach)
+
+    def test_never_assembles_the_profile(self, kind, d, monkeypatch):
+        def refuse(self):
+            raise AssertionError("validate assembled the N x N profile")
+
+        prof = self.profile(kind, d)
+        monkeypatch.setattr(VarianceProfile, "assemble", refuse)
+        assert validate(prof).doubly_stochastic
 
 
 class TestFlow:
