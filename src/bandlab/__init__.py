@@ -15,7 +15,6 @@ from .profiles import (
     build_wegner_orbital,
     block_flat_profile,
     mean_field_profile,
-    mean_field_matrix,
     validate,
     interaction_strength,
     flow_profile,
@@ -25,7 +24,6 @@ from .profiles import (
     profile_from_text,
 )
 from .spectral import (
-    SpectralPoint,
     FlowParams,
     stieltjes_m,
     m_t,
@@ -40,8 +38,6 @@ from .deterministic import (
     KLoopCalculator,
     theta_entrywise,
     theta,
-    khat_loop,
-    k_loop,
     cut_signature,
     ward_residual,
     kloop_flow_derivative_residual,
@@ -55,10 +51,8 @@ from .montecarlo import (
     GreenFunction,
     stream_for,
     sample_H,
-    flow_increment,
     green,
     ward_gate_residual,
-    g_loop,
     law_scale,
     eigen_stats,
     diffusion_predictions,

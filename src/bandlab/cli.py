@@ -3,8 +3,8 @@
 Config files are INI ("key = value" under sections); unknown sections or
 keys are hard errors. Exit codes: 0 all requested checks pass, 1 a check
 failed (the report names the breaching cell) or no Monte Carlo replica
-completed, 2 config/schema error. Each command returns its report; ``main``
-writes it as ``<command>.json``.
+completed, 2 config/schema error or an output path that cannot be written.
+Each command returns its report; ``main`` writes it as ``<command>.json``.
 """
 
 from __future__ import annotations
@@ -280,7 +280,6 @@ def cmd_theta(cfg, outdir):
             decay = det.theta_decay_report(lat, th, ell)
             fd = det.finite_difference_report(lat, th, lam, t) \
                 if pair == (1, -1) else None
-            inv = det.propagator_invariants(lat, th)
             name = f"{'pm' if pair == (1, -1) else 'pp'}_t{t:g}"
             if "csv" in fmts:
                 write_csv(os.path.join(outdir, f"theta_decay_{name}.csv"),
@@ -297,7 +296,6 @@ def cmd_theta(cfg, outdir):
                 "decay_length": decay.decay_length,
                 "fit_slope": decay.fit_slope,
                 "monotone_ok": decay.monotone_ok,
-                "invariants": inv,
             }
             if pair == (1, -1):
                 ok = decay.decay_length <= factor * ell
@@ -331,7 +329,7 @@ def cmd_kloop(cfg, outdir):
     # Ward identities for every admissible signature of orders 2 and 3
     for charges in [(1, -1), (-1, 1),
                     (1, 1, -1), (1, -1, -1), (-1, -1, 1), (-1, 1, 1)]:
-        res = det.ward_residual(lat, St, mE, eta_t, charges, calc=calc)
+        res = det.ward_residual(calc, eta_t, charges)
         ok = res < ward_tol
         passed = passed and ok
         rows.append(("ward", "".join("+" if c > 0 else "-" for c in charges),
@@ -500,11 +498,14 @@ def cmd_deloc(cfg, outdir):
         "threshold": threshold if math.isfinite(threshold) else "inf",
         "vacuous_bound": bool(vacuous),
     })
-    fn, reducers = mc.deloc_replica_fn(lat, S, (-window, window))
+    fn, reducers = mc.deloc_replica_fn(S, (-window, window))
     result = _run_ensemble(cfg, rep, fn, reducers)
     sup_max = float(result.max("sup_norm_sq"))
+    # with no eigenvalue in any replica's window there is nothing to bound
+    vacuous = vacuous or not result.sums["window_count"]
     passed = (not vacuous) and sup_max <= threshold and not result.failures
     rep.update({
+        "vacuous_bound": bool(vacuous),
         "sup_norm_sq_max": sup_max,
         "mean_window_count": float(result.mean("window_count")),
         "pass": bool(passed),
@@ -632,7 +633,7 @@ def cmd_report(cfg, outdir):
             continue
         with open(os.path.join(outdir, name), encoding="utf-8") as fh:
             data = _json.load(fh)
-        if "pass" in data:
+        if isinstance(data, dict) and "pass" in data:
             entries.append({"file": name, "command": data.get("command"),
                             "pass": data["pass"]})
             passed = passed and bool(data["pass"])
@@ -695,10 +696,12 @@ def main(argv=None) -> int:
         outdir = cfg["output"]["directory"]
         if args.command != "report":
             os.makedirs(outdir, exist_ok=True)
-        rep = _COMMANDS[args.command](cfg, outdir)
-    except AllReplicasFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        rep = exc.report
+        try:
+            rep = _COMMANDS[args.command](cfg, outdir)
+        except AllReplicasFailed as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            rep = exc.report
+        write_json(os.path.join(outdir, f"{args.command}.json"), rep)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -708,7 +711,9 @@ def main(argv=None) -> int:
     except (prof.ProfileError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    write_json(os.path.join(outdir, f"{args.command}.json"), rep)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     code = 0 if rep["pass"] else 1
     if args.command != "report":
         status = "PASS" if code == 0 else "FAIL"

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .lattice import BlockLattice, project_tensor
-from .profiles import VarianceProfile, decompose_core, mean_field_matrix
+from .profiles import VarianceProfile, decompose_core, mean_field_profile
 
 __all__ = [
     "LoopSignature",
@@ -27,10 +27,7 @@ __all__ = [
     "charge_m",
     "theta_entrywise",
     "theta",
-    "propagator_invariants",
     "KLoopCalculator",
-    "khat_loop",
-    "k_loop",
     "cut_signature",
     "ward_residual",
     "kloop_flow_derivative_residual",
@@ -43,6 +40,7 @@ __all__ = [
     "FiniteDifferenceReport",
 ]
 
+_RESIDUAL_TOL = 1e-10
 _CHARGE_NAMES = {"+": 1, "-": -1, 1: 1, -1: -1, "+1": 1, "-1": -1}
 
 
@@ -87,8 +85,7 @@ class LoopSignature:
 
 # ---- Theta propagators --------------------------------------------------------
 
-def theta_entrywise(S: np.ndarray, m1: complex, m2: complex,
-                    residual_tol: float = 1e-10) -> np.ndarray:
+def theta_entrywise(S: np.ndarray, m1: complex, m2: complex) -> np.ndarray:
     """Entrywise propagator (1 - m1*m2*S)^(-1), residual-checked LU solve."""
     N = S.shape[0]
     A = np.eye(N, dtype=complex) - (m1 * m2) * S
@@ -105,7 +102,7 @@ def theta_entrywise(S: np.ndarray, m1: complex, m2: complex,
     resid = np.abs(A @ X - np.eye(N)).max()
     # relative residual per the solve contract; the absolute cap catches
     # (near-)singular systems where backward stability hides the blow-up
-    if resid > residual_tol * scale or resid > 1e-6:
+    if resid > _RESIDUAL_TOL * scale or resid > 1e-6:
         raise PropagatorError(
             f"singular or ill-conditioned propagator: residual {resid:.3e} "
             f"(max entry {scale:.3e})")
@@ -165,21 +162,6 @@ def theta(profile: VarianceProfile, t: float, sigma_pair,
         # Theta is real and its imaginary part here is rounding
         row0 = row0.real.astype(complex)
     return row0[lat.block_offset_matrix]
-
-
-def propagator_invariants(lattice: BlockLattice, th: np.ndarray) -> dict:
-    """Max deviations for transposition and parity symmetry.
-
-    Theta(s, s') and Theta(s', s) solve the same system, because
-    m(s) m(s') is the same float in either order, so the transposition
-    deviation of Theta(s, s') is max |Theta^T - Theta|. Translation
-    invariance is not reported: :func:`theta` expands Theta from its block
-    row 0, so it holds by construction.
-    """
-    transposition = float(np.abs(th.T - th).max())
-    parity = float(max(abs(th[0, x] - th[0, lattice.block_negate(x)])
-                       for x in range(lattice.block_count)))
-    return {"transposition": transposition, "parity": parity}
 
 
 # ---- primitive loops ------------------------------------------------------------
@@ -267,22 +249,6 @@ class KLoopCalculator:
         return project_tensor(self.lattice, self.khat_tensor(charges))
 
 
-def khat_loop(lattice: BlockLattice, S: np.ndarray, m: complex,
-              sig: LoopSignature, **caps) -> complex:
-    """Entrywise primitive loop value at the signature's site tuple."""
-    calc = KLoopCalculator(lattice, S, m, **caps)
-    sites = tuple(lattice.site_index(x) for x in sig.indices)
-    return complex(calc.khat_tensor(sig.charges)[sites])
-
-
-def k_loop(lattice: BlockLattice, S: np.ndarray, m: complex,
-           sig: LoopSignature, **caps) -> complex:
-    """Block primitive loop value at the signature's block tuple."""
-    calc = KLoopCalculator(lattice, S, m, **caps)
-    blocks = tuple(lattice.block_index(a) for a in sig.indices)
-    return complex(calc.k_tensor(sig.charges)[blocks])
-
-
 # ---- loop operations -------------------------------------------------------------
 
 def cut_signature(kind: str, sig: LoopSignature, k: int, l: int,
@@ -309,16 +275,14 @@ def cut_signature(kind: str, sig: LoopSignature, k: int, l: int,
 
 # ---- Ward identity ----------------------------------------------------------------
 
-def ward_residual(lattice: BlockLattice, S: np.ndarray, m: complex,
-                  eta_t: float, charges, indices=None, calc=None,
-                  **caps) -> float:
+def ward_residual(calc: KLoopCalculator, eta_t: float, charges) -> float:
     """Relative Ward-identity residual at the last block index.
 
     Compares sum_{[a_n]} K^(n) against the difference of the two order-(n-1)
-    loops with the first charge replaced by +/-, divided by 2i W^d eta_t.
-    Requires sigma_1 = -sigma_n. With ``indices`` (a prefix tuple of n-1
-    blocks) returns the residual at that cell, otherwise the max over cells.
-    A shared ``calc`` (KLoopCalculator) reuses loop tensors across calls.
+    loops with the first charge replaced by +/-, divided by 2i W^d eta_t,
+    and returns the max over the cells of the n-1 remaining blocks. Requires
+    sigma_1 = -sigma_n. The loops come from ``calc``, so calls that share it
+    share its loop tensors.
     """
     charges = parse_charges(charges)
     order = len(charges)
@@ -326,17 +290,12 @@ def ward_residual(lattice: BlockLattice, S: np.ndarray, m: complex,
         raise ValueError("Ward identity needs order >= 2")
     if charges[0] != -charges[-1]:
         raise ValueError("Ward identity requires sigma_1 = -sigma_n")
-    if calc is None:
-        calc = KLoopCalculator(lattice, S, m, **caps)
     lhs = calc.k_tensor(charges).sum(axis=-1)
     mid = charges[1:-1]
     plus = calc.k_tensor((1,) + mid)
     minus = calc.k_tensor((-1,) + mid)
-    rhs = (plus - minus) / (2j * lattice.block_volume * eta_t)
+    rhs = (plus - minus) / (2j * calc.lattice.block_volume * eta_t)
     scale = max(np.abs(lhs).max(), np.abs(rhs).max())
-    if indices is not None:
-        cell = tuple(lattice.block_index(a) for a in indices)
-        return float(abs(lhs[cell] - rhs[cell]) / scale)
     return float(np.abs(lhs - rhs).max() / scale)
 
 
@@ -368,8 +327,7 @@ def _hierarchy_rhs(calc: KLoopCalculator, charges: tuple[int, ...]
 
 
 def kloop_flow_derivative_residual(lattice: BlockLattice, S_t: np.ndarray,
-                                   m: complex, charges, dt: float,
-                                   **caps) -> float:
+                                   m: complex, charges, dt: float) -> float:
     """Central-difference check of the primitive-loop evolution equation.
 
     dK/dt along S_t -> S_t + dt*S_E is compared with the quadratic
@@ -377,11 +335,11 @@ def kloop_flow_derivative_residual(lattice: BlockLattice, S_t: np.ndarray,
     Expected O(dt^2) for smooth profiles.
     """
     charges = parse_charges(charges)
-    se = mean_field_matrix(lattice)
-    plus = KLoopCalculator(lattice, S_t + dt * se, m, **caps)
-    minus = KLoopCalculator(lattice, S_t - dt * se, m, **caps)
+    se = mean_field_profile(lattice).assemble()
+    plus = KLoopCalculator(lattice, S_t + dt * se, m)
+    minus = KLoopCalculator(lattice, S_t - dt * se, m)
     lhs = (plus.k_tensor(charges) - minus.k_tensor(charges)) / (2 * dt)
-    center = KLoopCalculator(lattice, S_t, m, **caps)
+    center = KLoopCalculator(lattice, S_t, m)
     rhs = _hierarchy_rhs(center, charges)
     scale = max(float(np.abs(rhs).max()), float(np.abs(lhs).max()), 1e-300)
     return float(np.abs(lhs - rhs).max() / scale)
@@ -438,7 +396,7 @@ def random_walk_representation(profile_t: VarianceProfile,
     residual of Theta = t_hat K (1 - t_hat K)^{-1} / c_ker. Both block
     propagators come from :func:`theta` at unit coupling.
     """
-    rows = sum(blk.sum(axis=1) for blk in profile_t.blocks.values())
+    rows = profile_t.row_sums
     if np.abs(rows - rows.mean()).max() > 1e-10:
         raise ValueError("S_t must have constant row sums")
     ker, deficit = decompose_core(profile_t, c_ker)

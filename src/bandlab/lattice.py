@@ -81,9 +81,6 @@ class BlockLattice:
 
     # ---- site/block addressing -------------------------------------------
 
-    def site_index(self, x) -> int:
-        return _flatten(_as_coords(x, self.d, self.L), self.L)
-
     def site_coords(self, x) -> tuple:
         return _as_coords(x, self.d, self.L)
 
@@ -92,22 +89,6 @@ class BlockLattice:
 
     def block_coords(self, a) -> tuple:
         return _as_coords(a, self.d, self.n)
-
-    def site_to_block(self, x) -> int:
-        """Flattened index of the block [x] containing site x."""
-        c = self.site_coords(x)
-        return _flatten(tuple(v // self.W for v in c), self.n)
-
-    def site_offset(self, x) -> int:
-        """Flattened offset {x} of site x inside its block, in [0, W^d)."""
-        c = self.site_coords(x)
-        return _flatten(tuple(v % self.W for v in c), self.W)
-
-    def block_and_offset_to_site(self, a, o) -> int:
-        """Inverse of (site_to_block, site_offset)."""
-        ac = _as_coords(a, self.d, self.n)
-        oc = _as_coords(o, self.d, self.W)
-        return _flatten(tuple(b * self.W + r for b, r in zip(ac, oc)), self.L)
 
     def block_sites(self, a) -> np.ndarray:
         """Sorted array of the W^d site indices belonging to block a."""
@@ -149,10 +130,6 @@ class BlockLattice:
         bc = self.block_coords(b)
         return sum(min((u - v) % self.n, (v - u) % self.n)
                    for u, v in zip(ac, bc))
-
-    def site_bracket(self, x, y) -> int:
-        """<x - y> = ||x - y||_L + W."""
-        return self.periodic_distance(x, y) + self.W
 
     def block_bracket(self, a, b) -> int:
         """<[a] - [b]> = ||[a] - [b]||_n + 1."""

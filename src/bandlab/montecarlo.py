@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import ctypes
 import glob
-import struct
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -25,8 +24,8 @@ import numpy as np
 from .lattice import BlockLattice, project_matrix
 # theta_entrywise is not called here; the benchmark's tracer test checks
 # that it wraps this module's binding of it (bench/test_bench.py)
-from .deterministic import LoopSignature, theta, theta_entrywise  # noqa: F401
-from .profiles import VarianceProfile, mean_field_matrix
+from .deterministic import theta, theta_entrywise  # noqa: F401
+from .profiles import VarianceProfile
 from .spectral import ell_of_eta, stieltjes_m
 
 __all__ = [
@@ -35,10 +34,8 @@ __all__ = [
     "GreenSolveError",
     "stream_for",
     "sample_H",
-    "flow_increment",
     "green",
     "ward_gate_residual",
-    "g_loop",
     "block_traces",
     "law_scale",
     "eigen_stats",
@@ -50,9 +47,10 @@ __all__ = [
     "diffusion_replica_fn",
     "deloc_replica_fn",
     "que_replica_fn",
-    "write_observation",
-    "read_observations",
 ]
+
+
+_RESIDUAL_TOL = 1e-10
 
 
 class GreenSolveError(RuntimeError):
@@ -100,21 +98,6 @@ def sample_H(S: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return H
 
 
-def flow_increment(H0: np.ndarray, lattice: BlockLattice, t0: float, t: float,
-                   rng: np.random.Generator) -> np.ndarray:
-    """One-shot Gaussian increment of the mean-field matrix flow.
-
-    H_t = H_0 + Delta with E|Delta_xy|^2 = (t - t0) (S_E)_xy; the increment
-    is sampled exactly (the flow is Gaussian, no time stepping).
-    """
-    if t < t0:
-        raise ValueError(f"flow requires t >= t0, got {t} < {t0}")
-    if t == t0:
-        return H0.copy()
-    delta = sample_H((t - t0) * mean_field_matrix(lattice), rng)
-    return H0 + delta
-
-
 # ---- Green's function -----------------------------------------------------------
 
 @dataclass
@@ -124,8 +107,7 @@ class GreenFunction:
     residual: float
 
 
-def green(H: np.ndarray, z: complex, residual_tol: float = 1e-10
-          ) -> GreenFunction:
+def green(H: np.ndarray, z: complex) -> GreenFunction:
     """Resolvent (H - z)^{-1} by dense solve with a max-norm residual check."""
     z = complex(z)
     if z.imag == 0:
@@ -134,9 +116,9 @@ def green(H: np.ndarray, z: complex, residual_tol: float = 1e-10
     A = H - z * np.eye(N)
     G = np.linalg.solve(A, np.eye(N, dtype=complex))
     resid = float(np.abs(A @ G - np.eye(N)).max() / max(1.0, np.abs(G).max()))
-    if resid > residual_tol:
+    if resid > _RESIDUAL_TOL:
         raise GreenSolveError(f"resolvent residual {resid:.3e} above "
-                              f"{residual_tol:.1e}")
+                              f"{_RESIDUAL_TOL:.1e}")
     return GreenFunction(z=z, G=G, residual=resid)
 
 
@@ -148,26 +130,6 @@ def ward_gate_residual(gf: GreenFunction) -> float:
     lhs = (np.abs(gf.G) ** 2).sum(axis=1)
     rhs = np.diagonal(gf.G).imag / gf.z.imag
     return float(np.abs(lhs - rhs).max() / max(1.0, lhs.max()))
-
-
-def _g_sigma(gf: GreenFunction, sigma: int) -> np.ndarray:
-    return gf.G if sigma > 0 else gf.G.conj().T
-
-
-def g_loop(gf: GreenFunction, lattice: BlockLattice, sig: LoopSignature
-           ) -> complex:
-    """G-loop: trace of the alternating product of G(sigma_i) E_[a_i]."""
-    order = sig.order
-    if order > 4:
-        raise ValueError("G-loops are supported up to order 4")
-    blocks = [lattice.block_sites(lattice.block_index(a))
-              for a in sig.indices]
-    mats = [_g_sigma(gf, s) for s in sig.charges]
-    # tr(G1 P1 G2 P2 ...) accumulated through the block slices
-    acc = mats[0][np.ix_(blocks[-1], blocks[0])]
-    for i in range(1, order):
-        acc = acc @ mats[i][np.ix_(blocks[i - 1], blocks[i])]
-    return complex(np.trace(acc) / lattice.block_volume**order)
 
 
 # ---- per-sample observables -------------------------------------------------------
@@ -190,39 +152,25 @@ def law_scale(lattice: BlockLattice, lam: float, eta: float) -> float:
 
 @dataclass
 class EigenStats:
-    eigenvalues: np.ndarray
     window: tuple[float, float]
-    window_indices: np.ndarray
     sup_norms: np.ndarray          # ||u_k||_inf^2 for windowed vectors
-    block_overlaps: np.ndarray     # (windowed, block_count)
-    vectors: np.ndarray | None = None
+    vectors: np.ndarray            # (N, windowed) eigenvectors in the window
 
     def cross_overlap(self, lattice: BlockLattice, block) -> np.ndarray:
         """QUE overlap matrix sum_{x in [a]} conj(u_i) u_j for the window."""
-        if self.vectors is None:
-            raise ValueError("eigen_stats was called without keep_vectors")
-        sites = lattice.block_sites(lattice.block_index(block))
-        U = self.vectors[sites][:, self.window_indices]
+        U = self.vectors[lattice.block_sites(lattice.block_index(block))]
         return U.conj().T @ U
 
 
-def eigen_stats(H: np.ndarray, window: tuple[float, float],
-                lattice: BlockLattice, keep_vectors: bool = False
-                ) -> EigenStats:
-    """Full eigendecomposition with window sup-norms and block overlaps."""
+def eigen_stats(H: np.ndarray, window: tuple[float, float]) -> EigenStats:
+    """Full eigendecomposition; keeps the eigenvectors inside the window
+    and their sup-norms."""
     evals, evecs = np.linalg.eigh(H)
     lo, hi = window
-    idx = np.nonzero((evals >= lo) & (evals <= hi))[0]
-    probs = np.abs(evecs[:, idx]) ** 2
-    sup = probs.max(axis=0) if idx.size else np.zeros(0)
-    shape = (lattice.n, lattice.W) * lattice.d + (idx.size,)
-    axes = tuple(2 * i + 1 for i in range(lattice.d))
-    overlaps = probs.reshape(shape).sum(axis=axes) \
-        .reshape(lattice.block_count, idx.size).T
-    return EigenStats(eigenvalues=evals, window=(float(lo), float(hi)),
-                      window_indices=idx, sup_norms=sup,
-                      block_overlaps=overlaps,
-                      vectors=evecs if keep_vectors else None)
+    vectors = evecs[:, (evals >= lo) & (evals <= hi)]
+    return EigenStats(window=(float(lo), float(hi)),
+                      sup_norms=(np.abs(vectors) ** 2).max(axis=0),
+                      vectors=vectors)
 
 
 def diffusion_predictions(profile: VarianceProfile, z: complex):
@@ -341,8 +289,9 @@ def run_ensemble(config: SampleConfig, replica_fn, reducers: dict | None = None,
     magnitudes; 'max' keys keep the running elementwise maximum. Merging
     follows replica-index order as results arrive, and BLAS runs on one
     thread for the whole call, so results do not depend on parallelism.
-    Failed replicas are recorded and excluded; ``stream`` (optional callable)
-    receives (replica_index, result) for raw-observable logging.
+    Failed replicas are recorded and excluded. ``stream`` (optional
+    callable) is called as ``stream(replica_index, result)`` for every
+    completed replica, in merge order, before its values are merged.
     """
     reducers = reducers or {}
 
@@ -423,17 +372,16 @@ def diffusion_replica_fn(lattice: BlockLattice, S: np.ndarray, z: complex,
                 "ward_violation": "max"}
 
 
-def deloc_replica_fn(lattice: BlockLattice, S: np.ndarray,
-                     window: tuple[float, float]):
+def deloc_replica_fn(S: np.ndarray, window: tuple[float, float]):
     """Delocalization observables: windowed eigenvector sup-norms."""
 
     def fn(replica, rng):
         H = sample_H(S, rng)
-        stats = eigen_stats(H, window, lattice)
+        stats = eigen_stats(H, window)
         sup = float(stats.sup_norms.max()) if stats.sup_norms.size else 0.0
         return {
             "sup_norm_sq": sup,
-            "window_count": float(stats.window_indices.size),
+            "window_count": float(stats.sup_norms.size),
         }
 
     return fn, {"sup_norm_sq": "max", "window_count": "mean"}
@@ -447,8 +395,8 @@ def que_replica_fn(lattice: BlockLattice, S: np.ndarray,
 
     def fn(replica, rng):
         H = sample_H(S, rng)
-        stats = eigen_stats(H, window, lattice, keep_vectors=True)
-        k = stats.window_indices.size
+        stats = eigen_stats(H, window)
+        k = stats.sup_norms.size
         dev = 0.0
         if k:
             target = wd / N * np.eye(k)
@@ -460,27 +408,3 @@ def que_replica_fn(lattice: BlockLattice, S: np.ndarray,
 
     return fn, {"overlap_dev_sq": "max", "window_count": "mean",
                 "window_empty": "mean"}
-
-
-# ---- raw observable stream --------------------------------------------------------------
-
-_RECORD_HEADER = struct.Struct("<QII")
-
-
-def write_observation(fh, replica: int, obs_id: int,
-                      values: np.ndarray) -> None:
-    """Append one record: replica index, observable id, float64 payload."""
-    data = np.atleast_1d(np.asarray(values, dtype="<f8")).ravel()
-    fh.write(_RECORD_HEADER.pack(replica, obs_id, data.size))
-    fh.write(data.tobytes())
-
-
-def read_observations(fh):
-    """Yield (replica, obs_id, values) records written by write_observation."""
-    while True:
-        head = fh.read(_RECORD_HEADER.size)
-        if not head:
-            return
-        replica, obs_id, count = _RECORD_HEADER.unpack(head)
-        payload = fh.read(8 * count)
-        yield replica, obs_id, np.frombuffer(payload, dtype="<f8").copy()

@@ -10,6 +10,7 @@ from __future__ import annotations
 import base64
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +29,6 @@ __all__ = [
     "flow_profile",
     "family_member",
     "decompose_core",
-    "mean_field_matrix",
     "profile_to_text",
     "profile_from_text",
     "KERNELS",
@@ -99,14 +99,21 @@ class VarianceProfile:
             self._assembled = S
         return self._assembled
 
+    @cached_property
+    def row_sums(self) -> np.ndarray:
+        """Row sums of S over one block's W^d rows (every block has the
+        same); read-only."""
+        rows = np.asarray(sum(blk.sum(axis=1) for blk in self.blocks.values()))
+        rows.setflags(write=False)
+        return rows
+
     @property
     def row_sum(self) -> float:
         """Common row sum (total variance per row); rows are constant."""
-        return float(sum(blk.sum(axis=1) for blk in self.blocks.values()).max())
+        return float(self.row_sums.max())
 
     def row_sum_deviation(self) -> float:
-        sums = sum(blk.sum(axis=1) for blk in self.blocks.values())
-        return float(np.abs(np.asarray(sums) - 1.0).max())
+        return float(np.abs(self.row_sums - 1.0).max())
 
     def scaled(self, factor: float, builder: str | None = None) -> "VarianceProfile":
         return VarianceProfile(
@@ -115,11 +122,6 @@ class VarianceProfile:
             builder=builder or self.builder,
             builder_params=dict(self.builder_params),
         )
-
-
-def mean_field_matrix(lattice: BlockLattice) -> np.ndarray:
-    """Assembled S_E: block diagonal, every entry of a diagonal block W^-d."""
-    return mean_field_profile(lattice).assemble()
 
 
 # ---- builders ---------------------------------------------------------------

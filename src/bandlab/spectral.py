@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "SpectralPoint",
     "FlowParams",
     "stieltjes_m",
     "m_t",
@@ -21,28 +20,6 @@ __all__ = [
 _IDENTITY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class SpectralPoint:
-    """Spectral parameter z = E + i*eta with eta > 0 (or boundary eta = 0)."""
-
-    E: float
-    eta: float
-
-    def __post_init__(self):
-        if self.eta < 0:
-            raise ValueError("eta must be nonnegative")
-
-    @property
-    def z(self) -> complex:
-        return complex(self.E, self.eta)
-
-
-def _as_complex(z) -> complex:
-    if isinstance(z, SpectralPoint):
-        return z.z
-    return complex(z)
-
-
 def m_t(z, t: float) -> complex:
     """Unique root of 1 + z*m + t*m^2 = 0 with Im m > 0.
 
@@ -50,7 +27,7 @@ def m_t(z, t: float) -> complex:
     selection (both candidate roots are tested; the one in the upper half
     plane is returned), which is immune to square-root cut placement.
     """
-    z = _as_complex(z)
+    z = complex(z)
     if t <= 0:
         if t == 0:
             return -1.0 / z
@@ -77,7 +54,7 @@ def stieltjes_m(z) -> complex:
     Accepts Im z > 0, or a real bulk energy |E| < 2 (boundary value from
     above, where |m| = 1 exactly).
     """
-    z = _as_complex(z)
+    z = complex(z)
     if z.imag > 0:
         return m_t(z, 1.0)
     if z.imag < 0:
@@ -137,7 +114,7 @@ def select_parameters(z, epsilon0: float, kappa: float = 0.05) -> FlowParams:
     t_f = Im m(z) / (Im m(z) + eta), t_i = (1 - epsilon0) t_f, and
     E_target = sqrt(t_f) E - (1 - t_f)/sqrt(t_f) * Re m(z).
     """
-    zc = _as_complex(z)
+    zc = complex(z)
     E, eta = zc.real, zc.imag
     if eta <= 0:
         raise ValueError("select_parameters needs Im z > 0")

@@ -14,7 +14,7 @@ from bandlab import (BlockLattice, KLoopCalculator,
                      build_translation_invariant, ell_t,
                      evolution_kernel_apply, family_member, flow_point,
                      interaction_strength, kloop_flow_derivative_residual,
-                     mean_field_matrix, mean_field_profile,
+                     mean_field_profile,
                      random_walk_representation, select_parameters,
                      stieltjes_m, theta, theta_decay_report, validate,
                      ward_residual)
@@ -126,7 +126,7 @@ def test_c06_ward_identity(band_5_5):
         calc = KLoopCalculator(lat, St, m)
         for charges in [(1, -1), (-1, 1), (1, 1, -1), (1, -1, -1),
                         (-1, -1, 1), (-1, 1, 1)]:
-            r = ward_residual(lat, St, m, eta_t, charges, calc=calc)
+            r = ward_residual(calc, eta_t, charges)
             worst = max(worst, r)
     elapsed = time.perf_counter() - t0
     report(6, "Ward identity residual < 1e-9 for n=2,3 at d=1 and d=2",
@@ -138,7 +138,7 @@ def test_c07_kloop_flow_equation():
     lat = BlockLattice(d=1, W=3, n=3)
     prof = build_translation_invariant(lat, KERNELS["uniform"], 1)
     t_f, t = 0.8, 0.6
-    St = t_f * prof.assemble() + (t - t_f) * mean_field_matrix(lat)
+    St = t_f * prof.assemble() + (t - t_f) * mean_field_profile(lat).assemble()
     m = stieltjes_m(0.3)
     r1 = kloop_flow_derivative_residual(lat, St, m, (1, -1), 1e-3)
     r2 = kloop_flow_derivative_residual(lat, St, m, (1, -1), 5e-4)

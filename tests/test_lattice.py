@@ -17,19 +17,27 @@ def brute_periodic_distance(xc, yc, L):
     return best
 
 
+def assert_blocks_partition_sites(lat):
+    """block_sites maps (block, offset) one-to-one onto the sites."""
+    sites = np.concatenate([lat.block_sites(a)
+                            for a in range(lat.block_count)])
+    assert np.array_equal(np.sort(sites), np.arange(lat.N))
+
+
 class TestAddressing:
     def test_site_to_block_origin(self):
         lat = BlockLattice(d=1, W=5, n=3)
-        assert lat.site_to_block(0) == 0
+        assert 0 in lat.block_sites(0)
 
     def test_site_to_block_interior(self):
         lat = BlockLattice(d=1, W=5, n=3)
-        assert lat.site_to_block(7) == 1
+        assert 7 in lat.block_sites(1)
+        assert 7 not in lat.block_sites(0)
 
     def test_site_to_block_2d(self):
         # brute force over the W-grid partition of Z_9^2
         lat = BlockLattice(d=2, W=3, n=3)
-        x = lat.site_index((4, 8))
+        x = 4 * lat.L + 8
         expected = None
         for b0, b1 in itertools.product(range(3), repeat=2):
             rows = range(3 * b0, 3 * b0 + 3)
@@ -37,21 +45,20 @@ class TestAddressing:
             if 4 in rows and 8 in cols:
                 expected = b0 * 3 + b1
         assert expected == 5
-        assert lat.site_to_block(x) == expected
+        assert [a for a in range(lat.block_count)
+                if x in lat.block_sites(a)] == [expected]
 
     def test_out_of_range(self):
         lat = BlockLattice(d=1, W=5, n=3)
         with pytest.raises(ValueError):
-            lat.site_to_block(15)
+            lat.site_coords(15)
+        with pytest.raises(ValueError):
+            lat.block_sites(3)
 
     @pytest.mark.parametrize("d,W,n", [(1, 5, 3), (2, 3, 3), (2, 2, 5),
                                        (1, 7, 14)])
     def test_site_block_offset_roundtrip(self, d, W, n):
-        lat = BlockLattice(d=d, W=W, n=n)
-        for x in range(lat.N):
-            b = lat.site_to_block(x)
-            o = lat.site_offset(x)
-            assert lat.block_and_offset_to_site(b, o) == x
+        assert_blocks_partition_sites(BlockLattice(d=d, W=W, n=n))
 
     def test_invalid_dimension(self):
         with pytest.raises(ValueError):
@@ -109,7 +116,6 @@ class TestDistances:
 
     def test_brackets(self):
         lat = BlockLattice(d=1, W=5, n=3)
-        assert lat.site_bracket(0, 2) == 2 + 5
         assert lat.block_bracket(0, 1) == 2
 
 
@@ -200,6 +206,4 @@ class TestLargeRoundTrip:
         for lat in (BlockLattice(d=1, W=100, n=100),
                     BlockLattice(d=2, W=10, n=10)):
             assert lat.N == 10**4
-            for x in range(lat.N):
-                assert lat.block_and_offset_to_site(
-                    lat.site_to_block(x), lat.site_offset(x)) == x
+            assert_blocks_partition_sites(lat)

@@ -1,20 +1,17 @@
-import io
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from bandlab import (BlockLattice, LoopSignature, SampleConfig,
+from bandlab import (BlockLattice, SampleConfig,
                      build_translation_invariant, diffusion_predictions,
-                     eigen_stats, flow_increment, g_loop, green,
-                     law_scale, mean_field_matrix,
-                     mean_field_profile, run_ensemble, sample_H,
-                     stieltjes_m, stream_for, ward_gate_residual)
+                     eigen_stats, green, law_scale, mean_field_profile,
+                     run_ensemble, sample_H, stieltjes_m, stream_for,
+                     ward_gate_residual)
 from bandlab.montecarlo import (block_traces, deloc_replica_fn,
                                 diffusion_replica_fn, locallaw_replica_fn,
-                                que_replica_fn, read_observations,
-                                write_observation)
+                                que_replica_fn)
 from bandlab.profiles import KERNELS, block_flat_profile
 
 
@@ -93,60 +90,6 @@ class TestSampleH:
                                         / np.sqrt(reps))
 
 
-class TestFlowIncrement:
-    def test_t0_identity(self, band_small):
-        lat, S = band_small
-        H = sample_H(S, stream_for(0, 0))
-        out = flow_increment(H, lat, 0.3, 0.3, stream_for(0, 1))
-        assert np.array_equal(out, H)
-
-    def test_cross_block_increments_vanish(self, band_small):
-        lat, S = band_small
-        H0 = np.zeros((lat.N, lat.N), dtype=complex)
-        out = flow_increment(H0, lat, 0.2, 0.7, stream_for(5, 0))
-        se = mean_field_matrix(lat)
-        assert np.all(out[se == 0] == 0)
-
-    def test_within_block_variance(self, band_small):
-        lat, S = band_small
-        reps, dt = 3000, 0.5
-        acc = 0.0
-        H0 = np.zeros((lat.N, lat.N), dtype=complex)
-        for r in range(reps):
-            delta = flow_increment(H0, lat, 0.0, dt, stream_for(17, r))
-            acc += abs(delta[0, 1]) ** 2
-        expected = dt / lat.W
-        assert acc / reps == pytest.approx(expected,
-                                           abs=5 * expected / np.sqrt(reps))
-
-    def test_flow_matches_direct_sampling_in_distribution(self):
-        # variance profile of H_ti + increment equals S_tf = t_f * S_RBM
-        lat = BlockLattice(d=1, W=3, n=3)
-        prof = build_translation_invariant(lat, KERNELS["uniform"], 1)
-        S = prof.assemble()
-        se = mean_field_matrix(lat)
-        t_i, t_f = 0.7, 0.9
-        S_ti = t_f * S + (t_i - t_f) * se
-        assert S_ti.min() >= 0
-        reps = 3000
-        acc_flow = np.zeros_like(S)
-        acc_direct = np.zeros_like(S)
-        for r in range(reps):
-            h = sample_H(S_ti, stream_for(31, r))
-            h = flow_increment(h, lat, t_i, t_f, stream_for(32, r))
-            acc_flow += np.abs(h) ** 2
-            acc_direct += np.abs(sample_H(t_f * S, stream_for(33, r))) ** 2
-        diff = np.abs(acc_flow - acc_direct) / reps
-        sigma = 5 * (t_f * S + 0.02) / np.sqrt(reps)
-        assert (diff < sigma).all()
-
-    def test_rejects_backwards(self, band_small):
-        lat, S = band_small
-        with pytest.raises(ValueError):
-            flow_increment(np.zeros((lat.N, lat.N)), lat, 0.5, 0.4,
-                           stream_for(0, 0))
-
-
 class TestGreen:
     def test_zero_matrix(self):
         z = 0.3 + 0.5j
@@ -183,48 +126,6 @@ class TestGreen:
             assert ward_gate_residual(gf) < 1e-10
 
 
-class TestGLoop:
-    def test_order_one_unwound(self, band_small):
-        lat, S = band_small
-        gf = green(sample_H(S, stream_for(4, 0)), 0.3j)
-        sig = LoopSignature(charges=(1,), indices=(2,))
-        direct = gf.G[lat.block_sites(2), lat.block_sites(2)].sum() / lat.W
-        assert g_loop(gf, lat, sig) == pytest.approx(direct)
-
-    def test_order_two_degenerate_whole_lattice(self):
-        lat = BlockLattice(d=1, W=6, n=1)
-        prof = mean_field_profile(lat)
-        gf = green(sample_H(prof.assemble(), stream_for(6, 0)), 0.4j)
-        sig = LoopSignature(charges=(1, -1), indices=(0, 0))
-        expected = (np.abs(gf.G) ** 2).sum() / lat.W**2
-        assert g_loop(gf, lat, sig) == pytest.approx(expected)
-
-    def test_against_naive_matrix_product(self):
-        lat = BlockLattice(d=1, W=4, n=8)
-        prof = build_translation_invariant(lat, KERNELS["uniform"], 1)
-        gf = green(sample_H(prof.assemble(), stream_for(8, 0)), 0.1 + 0.3j)
-        for charges, blocks in [((1, -1), (1, 5)), ((1, 1, -1), (0, 3, 6)),
-                                ((1, -1, 1, -1), (7, 2, 4, 1))]:
-            sig = LoopSignature(charges=charges, indices=blocks)
-            # oracle: assemble the full alternating product
-            prod = np.eye(lat.N, dtype=complex)
-            for s, a in zip(charges, blocks):
-                G = gf.G if s > 0 else gf.G.conj().T
-                E = np.zeros((lat.N, lat.N))
-                sites = lat.block_sites(a)
-                E[sites, sites] = 1.0 / lat.W
-                prod = prod @ G @ E
-            assert g_loop(gf, lat, sig) == pytest.approx(np.trace(prod),
-                                                         abs=1e-12)
-
-    def test_arity_cap(self, band_small):
-        lat, S = band_small
-        gf = green(sample_H(S, stream_for(4, 1)), 0.3j)
-        sig = LoopSignature(charges=(1,) * 5, indices=(0,) * 5)
-        with pytest.raises(ValueError):
-            g_loop(gf, lat, sig)
-
-
 class TestSampleObservables:
     def test_block_traces_oracle(self, band_small):
         lat, S = band_small
@@ -247,9 +148,10 @@ class TestSampleObservables:
     def test_eigen_stats_normalization(self, band_small):
         lat, S = band_small
         H = sample_H(S, stream_for(13, 0))
-        stats = eigen_stats(H, (-2.5, 2.5), lat)
-        # block masses of each eigenvector sum to 1
-        sums = stats.block_overlaps.sum(axis=1)
+        stats = eigen_stats(H, (-2.5, 2.5))
+        # every eigenvector is in the window, and each is a unit vector
+        assert stats.vectors.shape == (lat.N, lat.N)
+        sums = (np.abs(stats.vectors) ** 2).sum(axis=0)
         assert np.abs(sums - 1).max() < 1e-10
         assert stats.sup_norms.max() <= 1.0
 
@@ -258,23 +160,30 @@ class TestSampleObservables:
         S = mean_field_profile(lat).assemble()
         assert np.array_equal(S, np.eye(30))
         H = sample_H(S, stream_for(14, 0))
-        stats = eigen_stats(H, (-1.5, 1.5), lat)
-        assert stats.window_indices.size > 0
+        stats = eigen_stats(H, (-1.5, 1.5))
+        assert stats.sup_norms.size > 0
         assert stats.sup_norms.min() == pytest.approx(1.0)
 
     def test_eigen_window_filter(self, band_small):
         lat, S = band_small
         H = sample_H(S, stream_for(15, 0))
-        stats = eigen_stats(H, (-0.5, 0.5), lat)
-        inside = stats.eigenvalues[stats.window_indices]
+        stats = eigen_stats(H, (-0.5, 0.5))
+        # the kept vectors are eigenvectors with eigenvalues in the window
+        inside = np.einsum("xk,xy,yk->k", stats.vectors.conj(), H,
+                           stats.vectors).real
         assert np.all((inside >= -0.5) & (inside <= 0.5))
+        assert np.abs(H @ stats.vectors
+                      - stats.vectors * inside).max() < 1e-10
+        evals = np.linalg.eigvalsh(H)
+        assert stats.vectors.shape[1] == ((evals >= -0.5)
+                                          & (evals <= 0.5)).sum()
 
     def test_cross_overlap_identity_sum(self, band_small):
         # summing the QUE overlap matrices over all blocks gives I
         lat, S = band_small
         H = sample_H(S, stream_for(16, 0))
-        stats = eigen_stats(H, (-1.0, 1.0), lat, keep_vectors=True)
-        k = stats.window_indices.size
+        stats = eigen_stats(H, (-1.0, 1.0))
+        k = stats.sup_norms.size
         total = sum(stats.cross_overlap(lat, a) for a in range(lat.n))
         assert np.abs(total - np.eye(k)).max() < 1e-10
 
@@ -411,7 +320,7 @@ class TestRunEnsemble:
 
     def test_deloc_and_que_replicas_run(self, band_small):
         lat, S = band_small
-        fn, red = deloc_replica_fn(lat, S, (-1.5, 1.5))
+        fn, red = deloc_replica_fn(S, (-1.5, 1.5))
         res = run_ensemble(SampleConfig(master_seed=10, replicas=2), fn, red)
         assert 0 < res.max("sup_norm_sq") <= 1
         fn, red = que_replica_fn(lat, S, (-0.2, 0.2))
@@ -440,19 +349,6 @@ class TestRunEnsemble:
         assert out["ward_violation"] == 0.0
 
 
-class TestObservableStream:
-    def test_round_trip(self):
-        buf = io.BytesIO()
-        write_observation(buf, 3, 1, np.array([1.5, -2.25]))
-        write_observation(buf, 4, 2, np.array([0.125]))
-        buf.seek(0)
-        records = list(read_observations(buf))
-        assert records[0][0] == 3 and records[0][1] == 1
-        assert np.array_equal(records[0][2], [1.5, -2.25])
-        assert records[1][0] == 4
-        assert np.array_equal(records[1][2], [0.125])
-
-
 class TestAdjointConsistency:
     def test_green_conjugate_z(self, band_small):
         # G(conj z) equals the adjoint of G(z) for Hermitian H
@@ -478,8 +374,9 @@ class TestTwoDimensional:
         for a in (0, 4, 8):
             direct = np.diagonal(gf.G)[lat.block_sites(a)].sum() / 9
             assert bt[a] == pytest.approx(direct)
-        stats = eigen_stats(H, (-1.5, 1.5), lat)
-        assert np.abs(stats.block_overlaps.sum(axis=1) - 1).max() < 1e-10
+        stats = eigen_stats(H, (-1.5, 1.5))
+        total = sum(stats.cross_overlap(lat, a) for a in range(lat.block_count))
+        assert np.abs(total - np.eye(stats.sup_norms.size)).max() < 1e-10
         pred_abs2, pred_gg = diffusion_predictions(prof, 0.1 + 0.4j)
         assert pred_abs2.shape == (9, 9)
         # per-pair block sums against a direct double loop
@@ -534,9 +431,14 @@ class TestLoopConvergence:
         acc2 = {tr: 0.0 for tr in triples}
         for r in range(reps):
             gf = green(sample_H(S, stream_for(314, r)), z)
+            mats = (gf.G, gf.G.conj().T, gf.G)
             for tr in triples:
-                v = g_loop(gf, lat,
-                           LoopSignature(charges=(1, -1, 1), indices=tr))
+                # W^-3 tr(G E_a G^* E_b G E_c) through the block slices
+                blocks = [lat.block_sites(a) for a in tr]
+                prod = mats[0][np.ix_(blocks[-1], blocks[0])]
+                for i in (1, 2):
+                    prod = prod @ mats[i][np.ix_(blocks[i - 1], blocks[i])]
+                v = complex(np.trace(prod) / lat.block_volume**3)
                 acc[tr] += v
                 acc2[tr] += abs(v) ** 2
         for tr in triples:

@@ -4,8 +4,8 @@ import pytest
 from bandlab import (BlockLattice, VarianceProfile, block_flat_profile,
                      build_translation_invariant, build_wegner_orbital,
                      decompose_core, family_member, flow_profile,
-                     interaction_strength, mean_field_matrix,
-                     mean_field_profile, profile_from_text, profile_to_text,
+                     interaction_strength, mean_field_profile,
+                     profile_from_text, profile_to_text,
                      validate)
 from bandlab.cli import build_profile
 from bandlab.profiles import KERNELS, ProfileError
@@ -95,7 +95,8 @@ class TestBuilders:
         wd = lat.block_volume
         V = np.full((wd, wd), 1.0 / wd)
         prof = build_wegner_orbital(lat, V, {})
-        assert np.abs(prof.assemble() - mean_field_matrix(lat)).max() < 1e-15
+        se = mean_field_profile(lat).assemble()
+        assert np.abs(prof.assemble() - se).max() < 1e-15
 
     def test_wegner_lambda2_brute_force(self):
         lat = BlockLattice(d=1, W=4, n=5)
@@ -245,13 +246,14 @@ class TestFlow:
         lat = BlockLattice(d=1, W=3, n=4)
         half = mean_field_profile(lat).scaled(0.5)
         out = flow_profile(half, 0.0, 0.5)
-        assert np.abs(out.assemble() - mean_field_matrix(lat)).max() < 1e-15
+        se = mean_field_profile(lat).assemble()
+        assert np.abs(out.assemble() - se).max() < 1e-15
 
     def test_flow_entrywise_oracle(self, band55):
         t0, t = 0.2, 0.55
         out = flow_profile(band55, t0, t)
-        expected = band55.assemble() + (t - t0) * mean_field_matrix(
-            band55.lattice)
+        expected = band55.assemble() + (t - t0) * mean_field_profile(
+            band55.lattice).assemble()
         assert np.abs(out.assemble() - expected).max() < 1e-15
         assert out.row_sum == pytest.approx(1 + (t - t0))
 
@@ -288,7 +290,7 @@ class TestFlow:
         se = mean_field_profile(lat)
         member = family_member(se, 0.9, 0.5, 0.7)
         assert np.abs(member.assemble()
-                      - 0.5 * mean_field_matrix(lat)).max() < 1e-15
+                      - 0.5 * se.assemble()).max() < 1e-15
 
     def test_family_ordering_errors(self, band55):
         with pytest.raises(ValueError):

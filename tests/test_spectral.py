@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bandlab import (FlowParams,SpectralPoint, ell_of_eta, ell_t, eta_star,
+from bandlab import (FlowParams, ell_of_eta, ell_t, eta_star,
                      flow_point, m_t, select_parameters, stieltjes_m)
 
 
@@ -37,10 +37,6 @@ class TestStieltjes:
             stieltjes_m(2.0)
         with pytest.raises(ValueError):
             stieltjes_m(-2.5)
-
-    def test_spectral_point_input(self):
-        assert stieltjes_m(SpectralPoint(E=0.0, eta=1.0)) == \
-            pytest.approx(stieltjes_m(1j))
 
     @settings(max_examples=80, deadline=None)
     @given(st.floats(-2.5, 2.5), st.floats(1e-4, 5.0))
