@@ -13,6 +13,7 @@ from .profiles import (
     ValidationReport,
     build_translation_invariant,
     build_wegner_orbital,
+    wegner_orbital_profile,
     block_flat_profile,
     mean_field_profile,
     validate,

@@ -10,6 +10,7 @@ Each command returns its report; ``main`` writes it as ``<command>.json``.
 from __future__ import annotations
 
 import argparse
+import configparser
 import math
 import os
 import sys
@@ -40,12 +41,11 @@ class AllReplicasFailed(Exception):
 
 
 def _parse_bool(text):
-    t = str(text).strip().lower()
-    if t in ("1", "true", "yes", "on"):
-        return True
-    if t in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[
+            str(text).strip().lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
 
 
 def _parse_floats(text):
@@ -110,8 +110,6 @@ _MODEL_TYPES = ("translation_invariant", "wegner_orbital", "block_flat",
 
 def parse_config(path: str) -> dict:
     """Parse and schema-validate an INI config; unknown keys are errors."""
-    import configparser
-
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     cp.optionxform = str  # keys are case-sensitive (W vs w)
     try:
@@ -185,28 +183,8 @@ def build_profile(cfg) -> prof.VarianceProfile:
                                                 name=model["kernel"])
     if kind == "block_flat":
         return prof.block_flat_profile(lat, model["neighbor_weight"])
-    # wegner_orbital: non-flat potential block with parity-symmetric ripple
-    W, d = lat.W, lat.d
-    wd = lat.block_volume
-    gamma = model["wegner_gamma"]
-    axes = np.arange(W)
-    ripple = np.ones((wd, wd))
-    for ax in range(d):
-        o1 = axes.reshape([-1 if i == ax else 1 for i in range(d)])
-        flat1 = np.broadcast_to(o1, (W,) * d).ravel()
-        s = flat1[:, None] + flat1[None, :]
-        ripple = ripple * (1.0 + gamma * np.cos(np.pi * (s - W + 1) / W))
-    alpha = model["wegner_alpha"]
-    base = (1.0 - 2 * d * alpha) / wd
-    V = base * ripple
-    flat = np.full((wd, wd), alpha / wd)
-    A = {}
-    for ax in range(d):
-        for sign in (1, -1):
-            coord = [0] * d
-            coord[ax] = sign % lat.n
-            A[lat.block_index(tuple(coord))] = flat
-    return prof.build_wegner_orbital(lat, V, A)
+    return prof.wegner_orbital_profile(lat, model["wegner_alpha"],
+                                       model["wegner_gamma"])
 
 
 def _formats(cfg):
@@ -708,7 +686,7 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"refusing oversized computation: {exc}", file=sys.stderr)
         return 2
-    except (prof.ProfileError, ValueError) as exc:
+    except (prof.ProfileError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

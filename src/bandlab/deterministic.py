@@ -11,11 +11,9 @@ original spectral parameter (|m| < 1, row sums 1).
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .lattice import BlockLattice, project_tensor
 from .profiles import VarianceProfile, decompose_core, mean_field_profile
@@ -86,15 +84,12 @@ class LoopSignature:
 # ---- Theta propagators --------------------------------------------------------
 
 def theta_entrywise(S: np.ndarray, m1: complex, m2: complex) -> np.ndarray:
-    """Entrywise propagator (1 - m1*m2*S)^(-1), residual-checked LU solve."""
+    """Entrywise propagator (1 - m1*m2*S)^(-1) by a residual-checked solve."""
     N = S.shape[0]
     A = np.eye(N, dtype=complex) - (m1 * m2) * S
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            lu = lu_factor(A)
-            X = lu_solve(lu, np.eye(N, dtype=complex))
-    except Exception as exc:  # singular factorization
+        X = np.linalg.solve(A, np.eye(N, dtype=complex))
+    except np.linalg.LinAlgError as exc:  # exactly singular
         raise PropagatorError(f"resolvent factor is singular: {exc}") from exc
     if not np.isfinite(X).all():
         raise PropagatorError("resolvent factor is singular")
@@ -186,7 +181,7 @@ class KLoopCalculator:
     """Entrywise and block primitive loops for one (S, m) context.
 
     Lower-order tensors are memoized by charge vector; the resolvent factor
-    of the recursion is factorized once per distinct m(s)m(s') value and
+    of the recursion is inverted once per distinct m(s)m(s') value and
     shared across all terms.
     """
 
@@ -421,7 +416,6 @@ class DecayReport:
     decay_length: float
     fit_start: float
     monotone_ok: bool
-    noise_floor: float
 
     def fit_prediction(self) -> np.ndarray:
         if self.fit_slope == 0.0:
@@ -464,8 +458,7 @@ def theta_decay_report(lattice: BlockLattice, th: np.ndarray,
         if seq.size > 1 else True
     return DecayReport(distances=rs.astype(float), values=vals,
                        fit_slope=float(slope), decay_length=decay_length,
-                       fit_start=float(fit_start), monotone_ok=monotone_ok,
-                       noise_floor=floor)
+                       fit_start=float(fit_start), monotone_ok=monotone_ok)
 
 
 @dataclass

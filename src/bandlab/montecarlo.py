@@ -5,7 +5,8 @@ stream spawned at (master_seed, r), so any replica can be reproduced
 bit-exactly regardless of parallelism or execution order. Ensemble merges
 happen in replica-index order, and replica work runs on single-threaded
 BLAS, making aggregated reports byte-identical across worker counts and
-core counts.
+core counts. numpy's bundled OpenBLAS is the only BLAS and LAPACK bandlab
+calls, so pinning its thread count covers every solve and eigh.
 """
 
 from __future__ import annotations
@@ -152,7 +153,6 @@ def law_scale(lattice: BlockLattice, lam: float, eta: float) -> float:
 
 @dataclass
 class EigenStats:
-    window: tuple[float, float]
     sup_norms: np.ndarray          # ||u_k||_inf^2 for windowed vectors
     vectors: np.ndarray            # (N, windowed) eigenvectors in the window
 
@@ -168,8 +168,7 @@ def eigen_stats(H: np.ndarray, window: tuple[float, float]) -> EigenStats:
     evals, evecs = np.linalg.eigh(H)
     lo, hi = window
     vectors = evecs[:, (evals >= lo) & (evals <= hi)]
-    return EigenStats(window=(float(lo), float(hi)),
-                      sup_norms=(np.abs(vectors) ** 2).max(axis=0),
+    return EigenStats(sup_norms=(np.abs(vectors) ** 2).max(axis=0),
                       vectors=vectors)
 
 
@@ -244,8 +243,9 @@ def _single_threaded_blas():
 
     Replica threads are the unit of parallelism, and a BLAS call's rounding
     depends on its thread count, so pinning it keeps every replica's bits
-    independent of the worker count and of the machine's cores. Without a
-    bundled OpenBLAS the body runs unpinned.
+    independent of the worker count and of the machine's cores. numpy's
+    OpenBLAS is the only BLAS bandlab calls, so the pin covers all of them.
+    Without a bundled OpenBLAS the body runs unpinned.
     """
     threads = _openblas_threads()
     if threads is None:

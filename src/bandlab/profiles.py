@@ -22,6 +22,7 @@ __all__ = [
     "ProfileError",
     "build_translation_invariant",
     "build_wegner_orbital",
+    "wegner_orbital_profile",
     "block_flat_profile",
     "mean_field_profile",
     "validate",
@@ -234,6 +235,37 @@ def build_wegner_orbital(lattice: BlockLattice, V: np.ndarray,
     return prof
 
 
+def _neighbor_blocks(lattice: BlockLattice, blk: np.ndarray
+                     ) -> dict[int, np.ndarray]:
+    """``blk`` at each nearest-neighbor block offset +-e_i, axis by axis."""
+    out = {}
+    for axis in range(lattice.d):
+        for sign in (1, -1):
+            coord = [0] * lattice.d
+            coord[axis] = sign % lattice.n
+            out[lattice.block_index(tuple(coord))] = blk
+    return out
+
+
+def wegner_orbital_profile(lattice: BlockLattice, alpha: float,
+                           gamma: float) -> VarianceProfile:
+    """Wegner orbital model with a non-flat, parity-symmetric potential block.
+
+    Each offset +-e_i carries a flat block of per-row mass ``alpha``; the
+    diagonal block is flat mass 1 - 2d*alpha times the ripple
+    prod_i (1 + gamma cos(pi (x_i + y_i - W + 1) / W)).
+    """
+    W, d = lattice.W, lattice.d
+    wd = lattice.block_volume
+    ripple = np.ones((wd, wd))
+    for x in np.indices((W,) * d).reshape(d, wd):
+        s = x[:, None] + x[None, :]
+        ripple = ripple * (1.0 + gamma * np.cos(np.pi * (s - W + 1) / W))
+    V = (1.0 - 2 * d * alpha) / wd * ripple
+    A = _neighbor_blocks(lattice, np.full((wd, wd), alpha / wd))
+    return build_wegner_orbital(lattice, V, A)
+
+
 def block_flat_profile(lattice: BlockLattice, neighbor_weight: float
                        ) -> VarianceProfile:
     """Flat-block baseline: constant blocks on offsets 0 and +-e_i.
@@ -249,14 +281,8 @@ def block_flat_profile(lattice: BlockLattice, neighbor_weight: float
         raise ProfileError("neighbor weight must satisfy 0 <= 2d*w < 1")
     w0 = 1.0 - 2 * lattice.d * w1
     flat = np.full((wd, wd), 1.0 / wd)
-    offsets = {}
-    for axis in range(lattice.d):
-        for sign in (1, -1):
-            coord = [0] * lattice.d
-            coord[axis] = sign % lattice.n
-            offsets[lattice.block_index(tuple(coord))] = w1 * flat
-    A = offsets
-    return build_wegner_orbital(lattice, w0 * flat, A)
+    return build_wegner_orbital(lattice, w0 * flat,
+                                _neighbor_blocks(lattice, w1 * flat))
 
 
 # ---- scalar diagnostics ------------------------------------------------------

@@ -1,6 +1,9 @@
 import json
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -135,6 +138,48 @@ class TestExitCodes:
     def test_replicas_override_validation(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini")
         assert main(["locallaw", "--config", cfg, "--replicas", "0"]) == 2
+
+    @pytest.mark.parametrize("kind", ["translation_invariant",
+                                      "wegner_orbital", "block_flat"])
+    def test_arithmetic_overflow_exit_2(self, kind, tmp_path, capsys):
+        # eta = 1e-300 overflows the diffusion scale (W^d ell^d eta)^-2
+        cfg = write_config(tmp_path / "c.ini",
+                           model={"type": kind, "W": 3, "n": 8},
+                           spectral={"eta": 1e-300})
+        assert main(["diffusion", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("text,value", [
+        ("1", True), ("yes", True), (" TRUE ", True), ("On", True),
+        ("0", False), ("no", False), ("False", False), ("off ", False)])
+    def test_boolean_spellings(self, text, value, tmp_path):
+        cfg = write_config(tmp_path / "c.ini", checks={"parity": text})
+        assert parse_config(cfg)["checks"]["parity"] is value
+
+    def test_bad_boolean_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.ini", checks={"parity": "maybe"})
+        assert main(["validate", "--config", cfg]) == 2
+        assert "not a boolean: 'maybe'" in capsys.readouterr().err
+
+
+def test_commands_run_on_numpy_alone(tmp_path):
+    """theta, kloop and diffusion never import scipy."""
+    cfg = write_config(tmp_path / "c.ini", model={"W": 3, "n": 5},
+                       mc={"replicas": 2})
+    script = ("import sys\n"
+              "from bandlab.cli import main\n"
+              "codes = [main([c, '--config', sys.argv[1]])\n"
+              "         for c in ('theta', 'kloop', 'diffusion')]\n"
+              "print(codes, 'scipy' in sys.modules)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    run = subprocess.run([sys.executable, "-c", script, cfg], env=env,
+                         capture_output=True, text=True, check=True)
+    codes, scipy_loaded = run.stdout.strip().splitlines()[-1].rsplit(" ", 1)
+    assert all(c in (0, 1) for c in json.loads(codes))
+    assert scipy_loaded == "False"
 
 
 class TestDeterministicCommands:

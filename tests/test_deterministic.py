@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -92,6 +93,14 @@ class TestThetaEntrywise:
         # m(s)m(s') = 1 with row sums 1 makes 1 - S exactly singular
         with pytest.raises(PropagatorError):
             theta_entrywise(prof.assemble(), 1.0, 1.0)
+
+    def test_exactly_singular_raises_without_warning(self):
+        # 1 - S with S = I is the zero matrix: the solve itself fails, and
+        # the failure is a PropagatorError, not a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PropagatorError, match="singular"):
+                theta_entrywise(np.eye(4), 1.0, 1.0)
 
 
 class TestTheta:
