@@ -49,6 +49,8 @@ from .deterministic import (
 )
 from .montecarlo import (
     SampleConfig,
+    Band,
+    build_band,
     GreenFunction,
     stream_for,
     sample_H,

@@ -151,6 +151,13 @@ def _check_required(cfg):
             raise ConfigError(f"[model] {key} must be >= 1")
     if model["d"] not in (1, 2):
         raise ConfigError("[model] d must be 1 or 2")
+    if model["type"] == "block_flat" and \
+            not 0 <= model["neighbor_weight"] < 1 / (2 * model["d"]):
+        raise ConfigError(
+            f"[model] neighbor_weight = {model['neighbor_weight']:g} must "
+            f"lie in [0, 1/(2d)) = [0, {1 / (2 * model['d']):g}) at "
+            f"d = {model['d']}: the 2d neighbor blocks leave the diagonal "
+            f"block the mass 1 - 2d*neighbor_weight")
     if cfg["mc"]["replicas"] < 1:
         raise ConfigError("[mc] replicas must be >= 1")
     if cfg["mc"]["parallelism"] is None:
@@ -397,7 +404,8 @@ def _run_ensemble(cfg, rep, fn, reducers):
     result = mc.run_ensemble(config, fn, reducers)
     rep.update({"replicas": result.replicas, "completed": result.completed,
                 "failures": result.failures,
-                "master_seed": config.master_seed})
+                "master_seed": config.master_seed,
+                "stream_version": mc.STREAM_VERSION})
     if not result.completed:
         rep["pass"] = False
         raise AllReplicasFailed(rep)
@@ -407,7 +415,7 @@ def _run_ensemble(cfg, rep, fn, reducers):
 def cmd_locallaw(cfg, outdir):
     profile = build_profile(cfg)
     lat = profile.lattice
-    S = profile.assemble()
+    band = mc.build_band(profile)
     sp = cfg["spectral"]
     z = complex(sp["E"], sp["eta"])
     m = spec.stieltjes_m(z)
@@ -422,7 +430,7 @@ def cmd_locallaw(cfg, outdir):
         "m": {"re": m.real, "im": m.imag},
         "lambda": lam, "ell": ell, "scale": scale, "tolerance": tol,
     })
-    fn, reducers = mc.locallaw_replica_fn(lat, S, z,
+    fn, reducers = mc.locallaw_replica_fn(band, z,
                                           ward_tol=cfg["checks"]["ward_gate"])
     result = _run_ensemble(cfg, rep, fn, reducers)
     block_mean = result.mean("block_residual")
@@ -461,7 +469,7 @@ def cmd_locallaw(cfg, outdir):
 def cmd_deloc(cfg, outdir):
     profile = build_profile(cfg)
     lat = profile.lattice
-    S = profile.assemble()
+    band = mc.build_band(profile)
     lam2 = prof.interaction_strength(profile)
     window = cfg["checks"]["deloc_window"]
     estar = spec.eta_star(lat.W, math.sqrt(lam2), lat.N, lat.d)
@@ -476,7 +484,7 @@ def cmd_deloc(cfg, outdir):
         "threshold": threshold if math.isfinite(threshold) else "inf",
         "vacuous_bound": bool(vacuous),
     })
-    fn, reducers = mc.deloc_replica_fn(S, (-window, window))
+    fn, reducers = mc.deloc_replica_fn(band, (-window, window))
     result = _run_ensemble(cfg, rep, fn, reducers)
     sup_max = float(result.max("sup_norm_sq"))
     # with no eigenvalue in any replica's window there is nothing to bound
@@ -494,7 +502,7 @@ def cmd_deloc(cfg, outdir):
 def cmd_diffusion(cfg, outdir):
     profile = build_profile(cfg)
     lat = profile.lattice
-    S = profile.assemble()
+    band = mc.build_band(profile)
     sp = cfg["spectral"]
     z = complex(sp["E"], sp["eta"])
     sig_mult = cfg["checks"]["diffusion_sigma"]
@@ -510,7 +518,7 @@ def cmd_diffusion(cfg, outdir):
         "normalization_scale": scale,
     })
     pred_abs2, pred_gg = mc.diffusion_predictions(profile, z)
-    fn, reducers = mc.diffusion_replica_fn(lat, S, z,
+    fn, reducers = mc.diffusion_replica_fn(band, z,
                                            ward_tol=cfg["checks"]["ward_gate"])
     result = _run_ensemble(cfg, rep, fn, reducers)
     mean_abs2, se_abs2 = result.mean("abs2").real, result.stderr("abs2")
@@ -565,7 +573,7 @@ def cmd_diffusion(cfg, outdir):
 def cmd_que(cfg, outdir):
     profile = build_profile(cfg)
     lat = profile.lattice
-    S = profile.assemble()
+    band = mc.build_band(profile)
     sp = cfg["spectral"]
     lam = math.sqrt(prof.interaction_strength(profile))
     if lat.d == 1:
@@ -580,7 +588,7 @@ def cmd_que(cfg, outdir):
     rep = _base_report(cfg, "que", profile)
     rep.update({"window": list(window), "eta0": eta0, "c": c,
                 "threshold": threshold})
-    fn, reducers = mc.que_replica_fn(lat, S, window)
+    fn, reducers = mc.que_replica_fn(band, window)
     result = _run_ensemble(cfg, rep, fn, reducers)
     dev_sq_max = float(result.max("overlap_dev_sq"))
     # with no eigenvalue in any replica's window there is nothing to bound

@@ -7,6 +7,11 @@ happen in replica-index order, and replica work runs on single-threaded
 BLAS, making aggregated reports byte-identical across worker counts and
 core counts. numpy's bundled OpenBLAS is the only BLAS and LAPACK bandlab
 calls, so pinning its thread count covers every solve and eigh.
+
+A replica never forms the N x N profile: each command builds one
+:class:`Band` from the profile's blocks, and replicas sample H on its
+support and solve for the resolvent layer by layer around its ring. The
+order of the draws is versioned by ``STREAM_VERSION``.
 """
 
 from __future__ import annotations
@@ -30,7 +35,10 @@ from .profiles import VarianceProfile
 from .spectral import ell_of_eta, stieltjes_m
 
 __all__ = [
+    "STREAM_VERSION",
     "SampleConfig",
+    "Band",
+    "build_band",
     "GreenFunction",
     "GreenSolveError",
     "stream_for",
@@ -52,6 +60,11 @@ __all__ = [
 
 
 _RESIDUAL_TOL = 1e-10
+
+# Version of the order in which replicas draw from their Philox streams;
+# reports carry it, and a change of the draw order bumps it. Version 2
+# draws normals on the band's support only.
+STREAM_VERSION = 2
 
 
 class GreenSolveError(RuntimeError):
@@ -79,23 +92,86 @@ def stream_for(master_seed: int, replica: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+# ---- the band: what a replica needs of the profile ------------------------------
+
+@dataclass(frozen=True)
+class Band:
+    """The sparsity of a block random band matrix, read off a profile's blocks.
+
+    Built once per command by :func:`build_band`; every replica shares it.
+
+    - ``rows``, ``cols``, ``sd``: the strictly upper-triangular support of
+      S in row-major order and the standard deviations sqrt(S_xy / 2) of
+      the real and imaginary parts there; ``diag_sd`` is sqrt(S_xx).
+    - ``cuts``: site boundaries 0 = c_0 < ... < c_p = N of the layers,
+      contiguous runs of block rows along the first block coordinate. Each
+      layer spans at least the profile's reach along that coordinate, so
+      H couples a layer only to itself and its two ring neighbours.
+    - ``plan``: the residual plan, (n^d, k) blocks [a] + x for each of the
+      k nonzero block offsets x of the profile.
+    - ``block_sites``: (n^d, W^d) site indices of every block.
+    """
+
+    lattice: BlockLattice
+    rows: np.ndarray
+    cols: np.ndarray
+    sd: np.ndarray
+    diag_sd: np.ndarray
+    cuts: tuple
+    plan: np.ndarray
+    block_sites: np.ndarray
+
+
+def build_band(profile: VarianceProfile) -> Band:
+    """The :class:`Band` of ``profile``, from its blocks; nothing N x N."""
+    lat = profile.lattice
+    offsets = sorted(profile.blocks)
+    sites = np.array([lat.block_sites(a) for a in range(lat.block_count)])
+    plan = np.array([[lat.block_shift(a, off) for off in offsets]
+                     for a in range(lat.block_count)], dtype=int)
+    # seeded with empty arrays: an empty profile (S = 0) has no support
+    empty = np.zeros(0, dtype=int)
+    rows, cols, var = [empty], [empty], [empty.astype(float)]
+    for k, off in enumerate(offsets):
+        blk = profile.blocks[off]
+        i, j = np.nonzero(blk)
+        x, y = sites[:, i].ravel(), sites[plan[:, k]][:, j].ravel()
+        upper = x < y
+        rows.append(x[upper])
+        cols.append(y[upper])
+        var.append(np.tile(blk[i, j], lat.block_count)[upper])
+    rows, cols, var = (np.concatenate(v) for v in (rows, cols, var))
+    order = np.argsort(rows * lat.N + cols)
+    diag_sd = np.zeros(lat.N)
+    diag_sd[sites] = np.sqrt(np.diagonal(profile.block_at(0)))
+    reach = max((abs(lat.centered_block_coords(off)[0]) for off in offsets),
+                default=0)
+    layers = np.array_split(np.arange(lat.n), lat.n // max(reach, 1))
+    per_row = lat.N // lat.n
+    cuts = tuple(int(first) * per_row for first, *_ in layers) + (lat.N,)
+    return Band(lattice=lat, rows=rows[order], cols=cols[order],
+                sd=np.sqrt(var[order] / 2.0), diag_sd=diag_sd, cuts=cuts,
+                plan=plan, block_sites=sites)
+
+
 # ---- sampling -----------------------------------------------------------------
 
-def sample_H(S: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def sample_H(band: Band, rng: np.random.Generator) -> np.ndarray:
     """Hermitian Gaussian matrix with E|H_xy|^2 = S_xy and E H_xy^2 = 0.
 
     Off-diagonal entries are complex with independent real/imaginary parts
-    of variance S_xy/2; the diagonal is real N(0, S_xx). Entries with
-    S_xy = 0 are exactly zero.
+    of variance S_xy/2; the diagonal is real N(0, S_xx). Normals are drawn
+    only on the band's support (real parts, imaginary parts, then the
+    diagonal: 2 |support| + N of them), so entries with S_xy = 0 are
+    exactly zero.
     """
-    N = S.shape[0]
-    X = rng.standard_normal((N, N))
-    Y = rng.standard_normal((N, N))
-    diag = rng.standard_normal(N)
-    M = (X + 1j * Y) * np.sqrt(S / 2.0)
-    H = np.triu(M, 1)
-    H = H + H.conj().T
-    np.fill_diagonal(H, diag * np.sqrt(np.diagonal(S)))
+    N, k = band.lattice.N, band.rows.size
+    normals = rng.standard_normal(2 * k + N)
+    vals = (normals[:k] + 1j * normals[k:2 * k]) * band.sd
+    H = np.zeros((N, N), dtype=complex)
+    H[band.rows, band.cols] = vals
+    H[band.cols, band.rows] = vals.conj()
+    H[np.diag_indices(N)] = normals[2 * k:] * band.diag_sd
     return H
 
 
@@ -108,19 +184,95 @@ class GreenFunction:
     residual: float
 
 
-def green(H: np.ndarray, z: complex) -> GreenFunction:
-    """Resolvent (H - z)^{-1} by dense solve with a max-norm residual check."""
+def green(band: Band, H: np.ndarray, z: complex) -> GreenFunction:
+    """Resolvent (H - z)^{-1} by block elimination around the ring of layers.
+
+    ``H`` must vanish off the band, as :func:`sample_H` draws it. Layers
+    0..p-2 are eliminated in order with pivoted solves of one layer each;
+    layer p-1 closes the ring, so the fill of the wrap-around couplings
+    stays in its column (F) and row (E). Eliminated right-hand sides of
+    layer k are zero beyond the columns of layers 0..k and are not
+    carried. Back substitution is then products only. With one layer this
+    is the dense solve. The residual max|(H - z)G - I| / max(1, max|G|) is
+    taken from the band's blocks; above the tolerance, or NaN, it raises
+    GreenSolveError.
+    """
     z = complex(z)
     if z.imag == 0:
         raise ValueError("green requires Im z != 0")
-    N = H.shape[0]
-    A = H - z * np.eye(N)
-    G = np.linalg.solve(A, np.eye(N, dtype=complex))
-    resid = float(np.abs(A @ G - np.eye(N)).max() / max(1.0, np.abs(G).max()))
-    if resid > _RESIDUAL_TOL:
+    cuts = band.cuts
+    layer = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    last = len(layer) - 1
+
+    def A(i, j):
+        """Block (i, j) of H - z."""
+        blk = H[layer[i], layer[j]]
+        return blk - z * np.eye(blk.shape[0]) if i == j else blk
+
+    N = cuts[-1]
+    # the last layer's right-hand side: I in its own columns
+    rhs_last = np.zeros((cuts[-1] - cuts[-2], N), dtype=complex)
+    rhs_last[:, cuts[-2]:] = np.eye(cuts[-1] - cuts[-2])
+    D = A(last, last)
+    if last:
+        # layer 0's pivot P, its fill column F (to the last layer), the
+        # last layer's fill row E (to layer 0) and layer 0's right-hand side
+        P, F, E = A(0, 0), A(0, last), A(last, 0)
+        R = np.eye(cuts[1], dtype=complex)
+    steps = []
+    for k in range(last):
+        # width of layer k + 1, unless that is the last layer, which F holds
+        w_next = cuts[k + 2] - cuts[k + 1] if k + 1 < last else 0
+        U = A(k, k + 1) if w_next else np.zeros((cuts[k + 1] - cuts[k], 0))
+        sol = np.linalg.solve(P, np.hstack([U, F, R]))
+        Y, Z, Rk = np.split(sol, [w_next, sol.shape[1] - R.shape[1]], axis=1)
+        D = D - E @ Z
+        rhs_last[:, :cuts[k + 1]] -= E @ Rk
+        steps.append((Y, Z, Rk))
+        if not w_next:
+            continue
+        low = A(k + 1, k)
+        P = A(k + 1, k + 1) - low @ Y
+        F, E = -(low @ Z), -(E @ Y)
+        if k + 2 == last:
+            F, E = F + A(k + 1, last), E + A(last, k + 1)
+        R = np.zeros((w_next, cuts[k + 2]), dtype=complex)
+        R[:, :cuts[k + 1]] = -(low @ Rk)
+        R[:, cuts[k + 1]:] = np.eye(w_next)
+    G = np.empty((N, N), dtype=complex)
+    G[layer[last]] = np.linalg.solve(D, rhs_last)
+    for k in reversed(range(last)):
+        Y, Z, Rk = steps[k]
+        row = -(Z @ G[layer[last]])
+        if Y.size:
+            row -= Y @ G[layer[k + 1]]
+        row[:, :cuts[k + 1]] += Rk
+        G[layer[k]] = row
+    resid = _band_residual(band, H, G, z)
+    if not resid <= _RESIDUAL_TOL:
         raise GreenSolveError(f"resolvent residual {resid:.3e} above "
                               f"{_RESIDUAL_TOL:.1e}")
     return GreenFunction(z=z, G=G, residual=resid)
+
+
+def _band_residual(band: Band, H: np.ndarray, G: np.ndarray,
+                   z: complex) -> float:
+    """max|(H - z)G - I| / max(1, max|G|), with H read only on the blocks
+    of the residual plan: one W^d x kW^d @ kW^d x N product per block [a]
+    for the k nonzero block offsets, so no N x N temporary is formed.
+
+    The block maxima are gathered in an array, whose max keeps a NaN.
+    """
+    sites = band.block_sites
+    diag = np.arange(sites.shape[1])
+    worst = np.empty(len(sites))
+    for a, rows in enumerate(sites):
+        cols = sites[band.plan[a]].ravel()
+        R = H[np.ix_(rows, cols)] @ G[cols]
+        R -= z * G[rows]
+        R[diag, rows] -= 1.0
+        worst[a] = np.abs(R).max()
+    return float(worst.max() / max(1.0, np.abs(G).max()))
 
 
 def ward_gate_residual(gf: GreenFunction) -> float:
@@ -329,35 +481,35 @@ def run_ensemble(config: SampleConfig, replica_fn, reducers: dict | None = None,
 
 # ---- replica closures for the statistical experiments ----------------------------------
 
-def locallaw_replica_fn(lattice: BlockLattice, S: np.ndarray, z: complex,
-                        ward_tol: float = 1e-10):
+def locallaw_replica_fn(band: Band, z: complex, ward_tol: float = 1e-10):
     """Local-law observables: per-block trace residuals and entrywise law."""
+    lattice = band.lattice
     m = stieltjes_m(z)
     eye = np.eye(lattice.N)
 
     def fn(replica, rng):
-        H = sample_H(S, rng)
-        gf = green(H, z)
+        H = sample_H(band, rng)
+        gf = green(band, H, z)
         ward = ward_gate_residual(gf)
         return {
             "block_residual": np.abs(block_traces(lattice, gf.G) - m),
             "entry_sq": np.abs(gf.G - m * eye) ** 2,
             "ward_residual": ward,
-            "ward_violation": float(ward > ward_tol),
+            "ward_violation": float(not ward <= ward_tol),
         }
 
     return fn, {"block_residual": "mean", "entry_sq": "mean",
                 "ward_residual": "max", "ward_violation": "max"}
 
 
-def diffusion_replica_fn(lattice: BlockLattice, S: np.ndarray, z: complex,
-                         ward_tol: float = 1e-10):
+def diffusion_replica_fn(band: Band, z: complex, ward_tol: float = 1e-10):
     """Quantum-diffusion observables: block-pair averages of |G|^2, G G."""
+    lattice = band.lattice
     wd = lattice.block_volume
 
     def fn(replica, rng):
-        H = sample_H(S, rng)
-        gf = green(H, z)
+        H = sample_H(band, rng)
+        gf = green(band, H, z)
         ward = ward_gate_residual(gf)
         abs2 = project_matrix(lattice, np.abs(gf.G) ** 2) / wd
         gg = project_matrix(lattice, gf.G * gf.G.T) / wd
@@ -365,18 +517,18 @@ def diffusion_replica_fn(lattice: BlockLattice, S: np.ndarray, z: complex,
             "abs2": abs2,
             "gg": gg,
             "ward_residual": ward,
-            "ward_violation": float(ward > ward_tol),
+            "ward_violation": float(not ward <= ward_tol),
         }
 
     return fn, {"abs2": "mean", "gg": "mean", "ward_residual": "max",
                 "ward_violation": "max"}
 
 
-def deloc_replica_fn(S: np.ndarray, window: tuple[float, float]):
+def deloc_replica_fn(band: Band, window: tuple[float, float]):
     """Delocalization observables: windowed eigenvector sup-norms."""
 
     def fn(replica, rng):
-        H = sample_H(S, rng)
+        H = sample_H(band, rng)
         stats = eigen_stats(H, window)
         sup = float(stats.sup_norms.max()) if stats.sup_norms.size else 0.0
         return {
@@ -387,14 +539,14 @@ def deloc_replica_fn(S: np.ndarray, window: tuple[float, float]):
     return fn, {"sup_norm_sq": "max", "window_count": "mean"}
 
 
-def que_replica_fn(lattice: BlockLattice, S: np.ndarray,
-                   window: tuple[float, float]):
+def que_replica_fn(band: Band, window: tuple[float, float]):
     """QUE observables: worst block-mass overlap deviation in the window."""
+    lattice = band.lattice
     wd = lattice.block_volume
     N = lattice.N
 
     def fn(replica, rng):
-        H = sample_H(S, rng)
+        H = sample_H(band, rng)
         stats = eigen_stats(H, window)
         k = stats.sup_norms.size
         dev = 0.0

@@ -278,7 +278,9 @@ def block_flat_profile(lattice: BlockLattice, neighbor_weight: float
     wd = lattice.block_volume
     w1 = float(neighbor_weight)
     if not 0 <= w1 * 2 * lattice.d < 1:
-        raise ProfileError("neighbor weight must satisfy 0 <= 2d*w < 1")
+        raise ProfileError(f"neighbor weight {w1:g} must lie in "
+                           f"[0, 1/(2d)) = [0, {1 / (2 * lattice.d):g}) "
+                           f"at d = {lattice.d}")
     w0 = 1.0 - 2 * lattice.d * w1
     flat = np.full((wd, wd), 1.0 / wd)
     return build_wegner_orbital(lattice, w0 * flat,

@@ -156,6 +156,21 @@ class TestExitCodes:
         cfg = write_config(tmp_path / "c.ini", checks={"parity": text})
         assert parse_config(cfg)["checks"]["parity"] is value
 
+    def test_block_flat_default_weight_at_d2_names_the_key(self, tmp_path,
+                                                              capsys):
+        # the default neighbor_weight = 0.25 is the d = 2 limit 1/(2d)
+        cfg = write_config(tmp_path / "c.ini",
+                           model={"type": "block_flat", "d": 2, "W": 3,
+                                  "n": 5})
+        assert main(["validate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "[model] neighbor_weight = 0.25" in err
+        assert "1/(2d)) = [0, 0.25)" in err and "d = 2" in err
+        cfg = write_config(tmp_path / "ok.ini",
+                           model={"type": "block_flat", "d": 2, "W": 3,
+                                  "n": 5, "neighbor_weight": 0.1})
+        assert main(["validate", "--config", cfg]) in (0, 1)
+
     def test_bad_boolean_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.ini", checks={"parity": "maybe"})
         assert main(["validate", "--config", cfg]) == 2
@@ -333,6 +348,59 @@ class TestMonteCarloCommands:
         assert rep2["master_seed"] == 7
         assert rep1["block_residual_max_mean"] != \
             rep2["block_residual_max_mean"]
+
+    @pytest.mark.parametrize("command", ["locallaw", "diffusion", "deloc",
+                                         "que"])
+    def test_stream_version_and_parallelism_byte_identity(self, command,
+                                                          tmp_path):
+        import bandlab.montecarlo as mc
+
+        reports = []
+        for par in (1, 8):
+            out = tmp_path / f"par{par}"
+            cfg = write_config(tmp_path / f"par{par}.ini",
+                               mc={"replicas": 9, "parallelism": par},
+                               output={"directory": str(out)})
+            assert main([command, "--config", cfg]) in (0, 1)
+            reports.append((out / f"{command}.json").read_bytes())
+        assert reports[0] == reports[1]
+        rep = json.loads(reports[0])
+        assert rep["stream_version"] == mc.STREAM_VERSION == 2
+
+    def test_no_replica_solves_an_n_by_n_system(self, tmp_path,
+                                                monkeypatch):
+        import numpy as np
+
+        shapes, solve = [], np.linalg.solve
+
+        def sized_solve(A, B):
+            shapes.append(A.shape)
+            return solve(A, B)
+
+        monkeypatch.setattr(np.linalg, "solve", sized_solve)
+        cfg = write_config(tmp_path / "c.ini", model={"W": 33, "n": 15},
+                           spectral={"eta": 0.2}, mc={"replicas": 1})
+        assert main(["locallaw", "--config", cfg]) in (0, 1)
+        assert read_json(str(tmp_path / "out"), "locallaw.json")[
+            "completed"] == 1
+        # the README lattice (N = 495) is a ring of 15 layers of one block
+        # row each: every solve is one layer, 33 x 33
+        assert shapes and set(shapes) == {(33, 33)}
+
+    @pytest.mark.parametrize("command", ["locallaw", "diffusion", "deloc",
+                                         "que"])
+    def test_never_assembles_the_profile(self, command, tmp_path,
+                                         monkeypatch):
+        from bandlab.profiles import VarianceProfile
+
+        def refuse(self):
+            raise AssertionError(f"{command} assembled the N x N profile")
+
+        monkeypatch.setattr(VarianceProfile, "assemble", refuse)
+        cfg = write_config(tmp_path / "c.ini", mc={"replicas": 2})
+        assert main([command, "--config", cfg]) in (0, 1)
+        rep = read_json(str(tmp_path / "out"), f"{command}.json")
+        assert rep["completed"] == 2
 
     def test_diffusion_small(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini", mc={"replicas": 100})

@@ -4,15 +4,16 @@ import time
 import numpy as np
 import pytest
 
+import bandlab.montecarlo as mc
 from bandlab import (BlockLattice, SampleConfig,
                      build_translation_invariant, diffusion_predictions,
                      eigen_stats, green, law_scale, mean_field_profile,
                      run_ensemble, sample_H, stieltjes_m, stream_for,
                      ward_gate_residual)
-from bandlab.montecarlo import (block_traces, deloc_replica_fn,
-                                diffusion_replica_fn, locallaw_replica_fn,
-                                que_replica_fn)
-from bandlab.profiles import KERNELS, block_flat_profile
+from bandlab.montecarlo import (GreenSolveError, block_traces, build_band,
+                                deloc_replica_fn, diffusion_replica_fn,
+                                locallaw_replica_fn, que_replica_fn)
+from bandlab.profiles import KERNELS, VarianceProfile, block_flat_profile
 
 
 @pytest.fixture(scope="module")
@@ -23,65 +24,84 @@ def band_profile():
 
 @pytest.fixture(scope="module")
 def band_small(band_profile):
-    return band_profile.lattice, band_profile.assemble()
+    return band_profile.lattice, build_band(band_profile)
+
+
+def dense_band(N):
+    """The band of one N-site block: every entry in the support, one layer."""
+    return build_band(mean_field_profile(BlockLattice(d=1, W=N, n=1)))
 
 
 class TestStreams:
     def test_replica_reproducible(self, band_small):
-        lat, S = band_small
-        h1 = sample_H(S, stream_for(123, 7))
-        h2 = sample_H(S, stream_for(123, 7))
+        lat, band = band_small
+        h1 = sample_H(band, stream_for(123, 7))
+        h2 = sample_H(band, stream_for(123, 7))
         assert np.array_equal(h1, h2)
 
     def test_replicas_differ(self, band_small):
-        lat, S = band_small
-        h1 = sample_H(S, stream_for(123, 0))
-        h2 = sample_H(S, stream_for(123, 1))
+        lat, band = band_small
+        h1 = sample_H(band, stream_for(123, 0))
+        h2 = sample_H(band, stream_for(123, 1))
         assert not np.array_equal(h1, h2)
 
     def test_seed_changes_draws(self, band_small):
-        lat, S = band_small
-        h1 = sample_H(S, stream_for(1, 0))
-        h2 = sample_H(S, stream_for(2, 0))
+        lat, band = band_small
+        h1 = sample_H(band, stream_for(1, 0))
+        h2 = sample_H(band, stream_for(2, 0))
         assert not np.array_equal(h1, h2)
 
 
 class TestSampleH:
     def test_hermitian_exact(self, band_small):
-        lat, S = band_small
-        H = sample_H(S, stream_for(0, 0))
+        lat, band = band_small
+        H = sample_H(band, stream_for(0, 0))
         assert np.array_equal(H, H.conj().T)
         assert np.all(np.diagonal(H).imag == 0)
 
-    def test_exact_zeros_outside_band(self, band_small):
-        lat, S = band_small
-        H = sample_H(S, stream_for(0, 1))
+    def test_exact_zeros_outside_band(self, band_profile, band_small):
+        lat, band = band_small
+        S = band_profile.assemble()
+        H = sample_H(band, stream_for(0, 1))
         assert np.all(H[S == 0] == 0)
+        # the band's support is the strictly upper nonzeros of S, row-major,
+        # and every entry on it is drawn
+        assert np.array_equal(np.stack([band.rows, band.cols]),
+                              np.stack(np.nonzero(np.triu(S, 1))))
+        assert np.all(H[S > 0] != 0)
 
-    def test_second_moments(self, band_small):
+    def test_second_moments(self, band_profile, band_small):
         # E|H_xy|^2 = S_xy and E H_xy^2 = 0 within 5 stderr over 4000 draws
-        lat, S = band_small
+        lat, band = band_small
+        S = band_profile.assemble()
         reps = 4000
         acc = np.zeros_like(S)
         acc2 = np.zeros_like(S, dtype=complex)
         for r in range(reps):
-            H = sample_H(S, stream_for(99, r))
+            H = sample_H(band, stream_for(99, r))
             acc += np.abs(H) ** 2
             acc2 += H * H
         mean = acc / reps
         # |H|^2 has variance ~ S^2 per draw (exponential-type tails)
         tol = 5 * np.maximum(S, 1e-3) / np.sqrt(reps)
         assert np.abs(mean - S).max() < tol.max()
+        # entry by entry: |H_xy|^2 / S_xy is Exp(1) off the diagonal
+        # (variance 1) and chi^2_1 on it (variance 2); zero off the support
+        sigma = S * np.where(np.eye(lat.N, dtype=bool), np.sqrt(2), 1.0) \
+            / np.sqrt(reps)
+        assert np.all(np.abs(mean - S) <= 5 * sigma)
         off = ~np.eye(lat.N, dtype=bool)
         assert np.abs(acc2 / reps)[off].max() < 5 * S.max() / np.sqrt(reps) * 3
 
-    def test_two_point_correlation_matches_profile(self, band_small):
-        lat, S = band_small
+    def test_two_point_correlation_matches_profile(self, band_profile,
+                                                   band_small):
+        lat, band = band_small
+        S = band_profile.assemble()
         reps = 2000
         picks = [(0, 3), (2, 7), (10, 10), (0, 24)]
         acc = {p: 0.0 for p in picks}
         for r in range(reps):
-            H = sample_H(S, stream_for(7, r))
+            H = sample_H(band, stream_for(7, r))
             for p in picks:
                 acc[p] += abs(H[p]) ** 2
         for p in picks:
@@ -93,43 +113,44 @@ class TestSampleH:
 class TestGreen:
     def test_zero_matrix(self):
         z = 0.3 + 0.5j
-        gf = green(np.zeros((8, 8)), z)
+        gf = green(dense_band(8), np.zeros((8, 8)), z)
         assert np.abs(gf.G + np.eye(8) / z).max() < 1e-14
 
     def test_imaginary_sign(self, band_small):
-        lat, S = band_small
-        H = sample_H(S, stream_for(3, 0))
-        gf = green(H, 0.1 + 0.2j)
+        lat, band = band_small
+        H = sample_H(band, stream_for(3, 0))
+        gf = green(band, H, 0.1 + 0.2j)
         assert np.trace(gf.G).imag > 0
-        gf2 = green(H, 0.1 - 0.2j)
+        gf2 = green(band, H, 0.1 - 0.2j)
         assert np.trace(gf2.G).imag < 0
 
     def test_eigen_cross_check(self):
         # solve path against an independent eigendecomposition path
         lat = BlockLattice(d=1, W=4, n=8)
         prof = build_translation_invariant(lat, KERNELS["uniform"], 1)
-        H = sample_H(prof.assemble(), stream_for(11, 0))
+        band = build_band(prof)
+        H = sample_H(band, stream_for(11, 0))
         z = -0.2 + 0.15j
-        gf = green(H, z)
+        gf = green(band, H, z)
         evals, evecs = np.linalg.eigh(H)
         G2 = (evecs / (evals - z)) @ evecs.conj().T
         assert np.abs(gf.G - G2).max() < 1e-9
 
     def test_real_z_rejected(self):
         with pytest.raises(ValueError):
-            green(np.zeros((4, 4)), 0.5)
+            green(dense_band(4), np.zeros((4, 4)), 0.5)
 
     def test_ward_gate(self, band_small):
-        lat, S = band_small
+        lat, band = band_small
         for r in range(5):
-            gf = green(sample_H(S, stream_for(21, r)), 0.2j)
+            gf = green(band, sample_H(band, stream_for(21, r)), 0.2j)
             assert ward_gate_residual(gf) < 1e-10
 
 
 class TestSampleObservables:
     def test_block_traces_oracle(self, band_small):
-        lat, S = band_small
-        gf = green(sample_H(S, stream_for(9, 0)), 0.5j)
+        lat, band = band_small
+        gf = green(band, sample_H(band, stream_for(9, 0)), 0.5j)
         bt = block_traces(lat, gf.G)
         for a in range(lat.n):
             direct = np.diagonal(gf.G)[lat.block_sites(a)].sum() / lat.W
@@ -140,14 +161,14 @@ class TestSampleObservables:
         lat, _ = band_small
         z = 0.1 + 0.4j
         m = stieltjes_m(z)
-        fn, _ = locallaw_replica_fn(lat, np.zeros((lat.N, lat.N)), z)
+        fn, _ = locallaw_replica_fn(build_band(VarianceProfile(lat, {})), z)
         out = fn(0, stream_for(0, 0))
         assert out["block_residual"].max() == pytest.approx(abs(-1 / z - m))
         assert out["entry_sq"].max() == pytest.approx(abs(-1 / z - m) ** 2)
 
     def test_eigen_stats_normalization(self, band_small):
-        lat, S = band_small
-        H = sample_H(S, stream_for(13, 0))
+        lat, band = band_small
+        H = sample_H(band, stream_for(13, 0))
         stats = eigen_stats(H, (-2.5, 2.5))
         # every eigenvector is in the window, and each is a unit vector
         assert stats.vectors.shape == (lat.N, lat.N)
@@ -157,16 +178,16 @@ class TestSampleObservables:
 
     def test_eigen_stats_diagonal_localized(self):
         lat = BlockLattice(d=1, W=1, n=30)
-        S = mean_field_profile(lat).assemble()
-        assert np.array_equal(S, np.eye(30))
-        H = sample_H(S, stream_for(14, 0))
+        prof = mean_field_profile(lat)
+        assert np.array_equal(prof.assemble(), np.eye(30))
+        H = sample_H(build_band(prof), stream_for(14, 0))
         stats = eigen_stats(H, (-1.5, 1.5))
         assert stats.sup_norms.size > 0
         assert stats.sup_norms.min() == pytest.approx(1.0)
 
     def test_eigen_window_filter(self, band_small):
-        lat, S = band_small
-        H = sample_H(S, stream_for(15, 0))
+        lat, band = band_small
+        H = sample_H(band, stream_for(15, 0))
         stats = eigen_stats(H, (-0.5, 0.5))
         # the kept vectors are eigenvectors with eigenvalues in the window
         inside = np.einsum("xk,xy,yk->k", stats.vectors.conj(), H,
@@ -180,8 +201,8 @@ class TestSampleObservables:
 
     def test_cross_overlap_identity_sum(self, band_small):
         # summing the QUE overlap matrices over all blocks gives I
-        lat, S = band_small
-        H = sample_H(S, stream_for(16, 0))
+        lat, band = band_small
+        H = sample_H(band, stream_for(16, 0))
         stats = eigen_stats(H, (-1.0, 1.0))
         k = stats.sup_norms.size
         total = sum(stats.cross_overlap(lat, a) for a in range(lat.n))
@@ -211,11 +232,11 @@ class TestDiffusionPredictions:
     def test_prediction_is_k2_tensor(self, band_profile, band_small):
         # the block prediction coincides with the order-2 primitive loop
         from bandlab import KLoopCalculator
-        lat, S = band_small
+        lat = band_profile.lattice
         z = 0.2 + 0.4j
         m = stieltjes_m(z)
         pred_abs2, pred_gg = diffusion_predictions(band_profile, z)
-        calc = KLoopCalculator(lat, S, m)
+        calc = KLoopCalculator(lat, band_profile.assemble(), m)
         k2 = calc.k_tensor((1, -1))
         assert np.abs(pred_abs2 - k2.real).max() < 1e-13
         k2pp = calc.k_tensor((1, 1))
@@ -234,8 +255,8 @@ class TestRunEnsemble:
         assert res.mean("y") == 3.0
 
     def test_parallel_merge_identical(self, band_small):
-        lat, S = band_small
-        fn, reducers = locallaw_replica_fn(lat, S, 0.3j)
+        lat, band = band_small
+        fn, reducers = locallaw_replica_fn(band, 0.3j)
         res1 = run_ensemble(SampleConfig(master_seed=2, replicas=6,
                                          parallelism=1), fn, reducers)
         res4 = run_ensemble(SampleConfig(master_seed=2, replicas=6,
@@ -319,18 +340,18 @@ class TestRunEnsemble:
         assert res.max("m") == 4.0
 
     def test_deloc_and_que_replicas_run(self, band_small):
-        lat, S = band_small
-        fn, red = deloc_replica_fn(S, (-1.5, 1.5))
+        lat, band = band_small
+        fn, red = deloc_replica_fn(band, (-1.5, 1.5))
         res = run_ensemble(SampleConfig(master_seed=10, replicas=2), fn, red)
         assert 0 < res.max("sup_norm_sq") <= 1
-        fn, red = que_replica_fn(lat, S, (-0.2, 0.2))
+        fn, red = que_replica_fn(band, (-0.2, 0.2))
         res = run_ensemble(SampleConfig(master_seed=10, replicas=2), fn, red)
         assert res.max("overlap_dev_sq") >= 0
 
     def test_diffusion_mean_tracks_prediction(self, band_profile, band_small):
-        lat, S = band_small
+        lat, band = band_small
         pred_abs2, _ = diffusion_predictions(band_profile, 0.5j)
-        fn, red = diffusion_replica_fn(lat, S, 0.5j)
+        fn, red = diffusion_replica_fn(band, 0.5j)
         res = run_ensemble(SampleConfig(master_seed=3, replicas=20), fn, red)
         assert res.failures == []
         assert res.max("ward_violation") == 0
@@ -341,8 +362,8 @@ class TestRunEnsemble:
         assert relative.max() < 0.1
 
     def test_diffusion_replica_shapes(self, band_small):
-        lat, S = band_small
-        fn, red = diffusion_replica_fn(lat, S, 0.5j)
+        lat, band = band_small
+        fn, red = diffusion_replica_fn(band, 0.5j)
         out = fn(0, stream_for(1, 0))
         assert out["abs2"].shape == (5, 5)
         assert out["gg"].shape == (5, 5)
@@ -352,11 +373,11 @@ class TestRunEnsemble:
 class TestAdjointConsistency:
     def test_green_conjugate_z(self, band_small):
         # G(conj z) equals the adjoint of G(z) for Hermitian H
-        lat, S = band_small
-        H = sample_H(S, stream_for(41, 0))
+        lat, band = band_small
+        H = sample_H(band, stream_for(41, 0))
         z = 0.4 + 0.3j
-        g1 = green(H, z)
-        g2 = green(H, np.conj(z))
+        g1 = green(band, H, z)
+        g2 = green(band, H, np.conj(z))
         assert np.abs(g2.G - g1.G.conj().T).max() < 1e-11
 
 
@@ -364,10 +385,10 @@ class TestTwoDimensional:
     def test_estimators_on_2d_lattice(self):
         lat = BlockLattice(d=2, W=3, n=3)
         prof = build_translation_invariant(lat, KERNELS["uniform"], 1)
-        S = prof.assemble()
-        H = sample_H(S, stream_for(55, 0))
+        band = build_band(prof)
+        H = sample_H(band, stream_for(55, 0))
         assert np.array_equal(H, H.conj().T)
-        gf = green(H, 0.1 + 0.4j)
+        gf = green(band, H, 0.1 + 0.4j)
         assert ward_gate_residual(gf) < 1e-10
         bt = block_traces(lat, gf.G)
         assert bt.shape == (9,)
@@ -381,7 +402,7 @@ class TestTwoDimensional:
         assert pred_abs2.shape == (9, 9)
         # per-pair block sums against a direct double loop
         from bandlab.montecarlo import diffusion_replica_fn
-        fn, red = diffusion_replica_fn(lat, S, 0.1 + 0.4j)
+        fn, red = diffusion_replica_fn(band, 0.1 + 0.4j)
         out = fn(0, stream_for(55, 0))
         a, b = 2, 7
         direct = sum(abs(gf.G[x, y]) ** 2
@@ -395,13 +416,13 @@ class TestLocalLawScaling:
         # the predicted scale 1/(W^d ell^d eta) absorbs the eta dependence
         lat = BlockLattice(d=1, W=15, n=9)
         prof = build_translation_invariant(lat, KERNELS["uniform"], 1)
-        S = prof.assemble()
+        band = build_band(prof)
         from bandlab import interaction_strength
         lam = np.sqrt(interaction_strength(prof))
         normalized = {}
         for eta in (0.2, 0.4):
             z = complex(0.0, eta)
-            fn, red = locallaw_replica_fn(lat, S, z)
+            fn, red = locallaw_replica_fn(band, z)
             res = run_ensemble(SampleConfig(master_seed=77, replicas=30,
                                             parallelism=2), fn, red)
             scale = 1.0 / law_scale(lat, lam, eta)
@@ -421,16 +442,16 @@ class TestLoopConvergence:
         from bandlab import KLoopCalculator
         lat = BlockLattice(d=1, W=9, n=5)
         prof = build_translation_invariant(lat, KERNELS["uniform"], 1)
-        S = prof.assemble()
+        band = build_band(prof)
         z = 0.0 + 0.5j
         m = stieltjes_m(z)
-        K3 = KLoopCalculator(lat, S, m).k_tensor((1, -1, 1))
+        K3 = KLoopCalculator(lat, prof.assemble(), m).k_tensor((1, -1, 1))
         triples = [(0, 0, 0), (0, 1, 2), (0, 2, 4), (1, 1, 3)]
         reps = 1200
         acc = {tr: 0j for tr in triples}
         acc2 = {tr: 0.0 for tr in triples}
         for r in range(reps):
-            gf = green(sample_H(S, stream_for(314, r)), z)
+            gf = green(band, sample_H(band, stream_for(314, r)), z)
             mats = (gf.G, gf.G.conj().T, gf.G)
             for tr in triples:
                 # W^-3 tr(G E_a G^* E_b G E_c) through the block slices
@@ -446,3 +467,97 @@ class TestLoopConvergence:
             se = np.sqrt((acc2[tr] / reps - abs(mean) ** 2) / reps)
             tol = 5 * se + 0.02 * abs(K3[tr]) + 1e-7
             assert abs(mean - K3[tr]) <= tol, (tr, abs(mean - K3[tr]), tol)
+
+
+def _dense_green(H, z):
+    """The dense oracle of ``green``: one N x N LU against N columns."""
+    N = H.shape[0]
+    return np.linalg.solve(H - z * np.eye(N), np.eye(N, dtype=complex))
+
+
+def _dense_residual(H, G, z):
+    """The dense oracle of the block residual."""
+    N = H.shape[0]
+    A = H - z * np.eye(N)
+    return float(np.abs(A @ G - np.eye(N)).max() / max(1.0, np.abs(G).max()))
+
+
+def _philox_words(rng):
+    """64-bit Philox outputs consumed so far: 4 * counter + buffer position
+    differs from the draw count by a constant."""
+    state = rng.bit_generator.state
+    counter = sum(int(v) << (64 * i)
+                  for i, v in enumerate(state["state"]["counter"]))
+    return 4 * counter + int(state["buffer_pos"])
+
+
+# (d, W, n, cutoff) of a uniform profile, or None for the one-block
+# lattice of dense_band(6), and the layer cuts the band takes for them
+_RING_LATTICES = {
+    "d1-readme": ((1, 33, 15, 1), tuple(range(0, 496, 33))),
+    "d1-reach2-uneven": ((1, 4, 7, 2), (0, 12, 20, 28)),
+    "d1-ring-of-3": ((1, 5, 3, 1), (0, 5, 10, 15)),
+    "d2-W3-n3": ((2, 3, 3, 1), (0, 27, 54, 81)),
+    "d2-W3-n5": ((2, 3, 5, 2), (0, 135, 225)),
+    "d2-W3-n5-five-layers": ((2, 3, 5, 1), (0, 45, 90, 135, 180, 225)),
+    "one-layer": (None, (0, 6)),
+}
+
+
+class TestBandHotPath:
+    @pytest.mark.parametrize("name", sorted(_RING_LATTICES))
+    def test_ring_green_matches_dense_solve(self, name):
+        model, cuts = _RING_LATTICES[name]
+        if model is None:
+            band = dense_band(6)
+        else:
+            d, W, n, cutoff = model
+            band = build_band(build_translation_invariant(
+                BlockLattice(d=d, W=W, n=n), KERNELS["uniform"], cutoff))
+        assert band.cuts == cuts
+        for r, z in enumerate((0.1 + 0.2j, -0.7 + 0.05j)):
+            H = sample_H(band, stream_for(8, r))
+            gf = green(band, H, z)
+            assert np.abs(gf.G - _dense_green(H, z)).max() < 1e-12
+            assert abs(gf.residual - _dense_residual(H, gf.G, z)) < 1e-14
+
+    def test_block_residual_sees_every_entry(self, band_small):
+        # a wrong entry anywhere in G shows in the block residual as in the
+        # dense one
+        lat, band = band_small
+        H = sample_H(band, stream_for(8, 0))
+        G = green(band, H, 0.2j).G
+        for x, y in ((0, 0), (3, 21), (24, 7)):
+            bad = G.copy()
+            bad[x, y] += 1e-6
+            res = mc._band_residual(band, H, bad, 0.2j)
+            assert res > 1e-7
+            assert abs(res - _dense_residual(H, bad, 0.2j)) < 1e-14
+
+    def test_nan_H_raises(self, band_small):
+        lat, band = band_small
+        with pytest.raises(GreenSolveError):
+            green(band, np.full((lat.N, lat.N), np.nan + 0j), 0.2j)
+
+    @pytest.mark.parametrize("factory", [locallaw_replica_fn,
+                                         diffusion_replica_fn])
+    def test_nan_ward_residual_is_a_violation(self, factory, band_small,
+                                              monkeypatch):
+        lat, band = band_small
+        monkeypatch.setattr(mc, "ward_gate_residual", lambda gf: np.nan)
+        fn, _ = factory(band, 0.5j)
+        assert fn(0, stream_for(1, 0))["ward_violation"] == 1.0
+
+    def test_readme_config_draws_only_the_support(self):
+        lat = BlockLattice(d=1, W=33, n=15)
+        band = build_band(build_translation_invariant(
+            lat, KERNELS["uniform"], 1))
+        rng = stream_for(20260809, 0)
+        start = _philox_words(rng)
+        sample_H(band, rng)
+        words = _philox_words(rng) - start
+        # 67 sites within distance 33 of each site: 495 * 66 / 2 pairs
+        assert band.rows.size == 16335
+        assert words <= 1.05 * (2 * band.rows.size + lat.N)
+        # the dense sampler drew 2 N^2 + N
+        assert words < (2 * lat.N ** 2 + lat.N) / 10
