@@ -321,21 +321,22 @@ def _hierarchy_rhs(calc: KLoopCalculator, charges: tuple[int, ...]
     return calc.lattice.block_volume * out
 
 
-def kloop_flow_derivative_residual(lattice: BlockLattice, S_t: np.ndarray,
-                                   m: complex, charges, dt: float) -> float:
+def kloop_flow_derivative_residual(calc: KLoopCalculator, charges,
+                                   dt: float) -> float:
     """Central-difference check of the primitive-loop evolution equation.
 
-    dK/dt along S_t -> S_t + dt*S_E is compared with the quadratic
-    cut-and-glue hierarchy term; returns max|lhs - rhs| / max|rhs|.
-    Expected O(dt^2) for smooth profiles.
+    dK/dt along S_t -> S_t + dt*S_E, with (S_t, m) the context of ``calc``,
+    is compared with the quadratic cut-and-glue hierarchy term taken from
+    ``calc``; returns max|lhs - rhs| / max|rhs|. Expected O(dt^2) for
+    smooth profiles.
     """
     charges = parse_charges(charges)
-    se = mean_field_profile(lattice).assemble()
-    plus = KLoopCalculator(lattice, S_t + dt * se, m)
-    minus = KLoopCalculator(lattice, S_t - dt * se, m)
+    lat = calc.lattice
+    se = mean_field_profile(lat).assemble()
+    plus = KLoopCalculator(lat, calc.S + dt * se, calc.m)
+    minus = KLoopCalculator(lat, calc.S - dt * se, calc.m)
     lhs = (plus.k_tensor(charges) - minus.k_tensor(charges)) / (2 * dt)
-    center = KLoopCalculator(lattice, S_t, m)
-    rhs = _hierarchy_rhs(center, charges)
+    rhs = _hierarchy_rhs(calc, charges)
     scale = max(float(np.abs(rhs).max()), float(np.abs(lhs).max()), 1e-300)
     return float(np.abs(lhs - rhs).max() / scale)
 

@@ -75,7 +75,6 @@ class VarianceProfile:
                 raise ProfileError(
                     f"transpose symmetry violated between offsets {off} and {neg}")
         self._assembled = None
-        self._lambda2 = None
 
     # ---- assembly ----------------------------------------------------------
 
@@ -290,12 +289,9 @@ def block_flat_profile(lattice: BlockLattice, neighbor_weight: float
 # ---- scalar diagnostics ------------------------------------------------------
 
 def interaction_strength(profile: VarianceProfile) -> float:
-    """lambda^2: average mass of the off-diagonal blocks (cached)."""
-    if profile._lambda2 is None:
-        wd = profile.lattice.block_volume
-        total = sum(blk.sum() for off, blk in profile.blocks.items() if off != 0)
-        profile._lambda2 = float(total) / wd
-    return profile._lambda2
+    """lambda^2: average row mass of the off-diagonal blocks."""
+    total = sum(blk.sum() for off, blk in profile.blocks.items() if off != 0)
+    return float(total) / profile.lattice.block_volume
 
 
 # ---- validation --------------------------------------------------------------
@@ -313,25 +309,8 @@ class ValidationReport:
     interaction_ok: bool
     interaction_threshold: float
     irreducibility_ratio: float
-    isotropy_range: tuple[float, float]
-    generating_set_note: str = "not checked"
-
-    def to_dict(self) -> dict:
-        return {
-            "doubly_stochastic": self.doubly_stochastic,
-            "row_sum_deviation": self.row_sum_deviation,
-            "fullness": self.fullness,
-            "flatness": self.flatness,
-            "parity_checked": self.parity_checked,
-            "parity_ok": self.parity_ok,
-            "parity_violation": self.parity_violation,
-            "lambda2": self.lambda2,
-            "interaction_ok": self.interaction_ok,
-            "interaction_threshold": self.interaction_threshold,
-            "irreducibility_ratio": self.irreducibility_ratio,
-            "isotropy_range": list(self.isotropy_range),
-            "generating_set": self.generating_set_note,
-        }
+    isotropy_range: list[float]    # [min, max]
+    generating_set: str = "not checked"
 
 
 def _block_step_distribution(profile: VarianceProfile):
@@ -396,10 +375,7 @@ def validate(profile: VarianceProfile, eps_inter: float = 0.1,
     irre = np.inf
     if lam2 > 0:
         grid = np.linspace(-np.pi, np.pi, p_samples, endpoint=False)
-        if lat.d == 1:
-            ps = grid[:, None]
-        else:
-            ps = np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2)
+        ps = np.stack(np.meshgrid(*[grid] * lat.d), axis=-1).reshape(-1, lat.d)
         ps = ps[np.abs(ps).sum(axis=1) > 1e-9]
         phase = ps @ steps.T
         one_minus_phi = ((1 - np.cos(phase)) * probs[None, :]).sum(axis=1)
@@ -408,9 +384,9 @@ def validate(profile: VarianceProfile, eps_inter: float = 0.1,
     if lam2 > 0:
         sigma = np.einsum("k,ki,kj->ij", probs, steps, steps)
         evals = np.linalg.eigvalsh(sigma) / lam2
-        iso = (float(evals.min()), float(evals.max()))
+        iso = [float(evals.min()), float(evals.max())]
     else:
-        iso = (0.0, 0.0)
+        iso = [0.0, 0.0]
 
     return ValidationReport(
         doubly_stochastic=bool(dev <= _ROWSUM_TOL),
@@ -430,17 +406,20 @@ def validate(profile: VarianceProfile, eps_inter: float = 0.1,
 
 # ---- flow ---------------------------------------------------------------------
 
+def _affine_blocks(profile: VarianceProfile, a: float, b: float) -> dict:
+    """Blocks of a * S + b * S_E; the diagonal block is always a new array."""
+    wd = profile.lattice.block_volume
+    blocks = {off: a * blk for off, blk in profile.blocks.items()}
+    blocks[0] = blocks.get(0, np.zeros((wd, wd))) + b / wd
+    return blocks
+
+
 def flow_profile(s0: VarianceProfile, t0: float, t: float) -> VarianceProfile:
     """S_t = S_{t0} + (t - t0) S_E. Row sums grow by (t - t0)."""
     if t < t0:
         raise ValueError(f"flow requires t >= t0, got t={t} < t0={t0}")
-    lat = s0.lattice
-    wd = lat.block_volume
-    blocks = {off: blk.copy() for off, blk in s0.blocks.items()}
-    diag = blocks.get(0, np.zeros((wd, wd))).copy()
-    diag += (t - t0) / wd
-    blocks[0] = diag
-    return VarianceProfile(lat, blocks, builder=s0.builder + "+flow",
+    return VarianceProfile(s0.lattice, _affine_blocks(s0, 1.0, t - t0),
+                           builder=s0.builder + "+flow",
                            builder_params={**s0.builder_params,
                                            "t0": t0, "t": t})
 
@@ -454,15 +433,9 @@ def family_member(s_rbm: VarianceProfile, t_f: float, t: float, s: float
     """
     if not t <= s <= t_f:
         raise ValueError(f"need t <= s <= t_f, got t={t}, s={s}, t_f={t_f}")
-    lat = s_rbm.lattice
-    wd = lat.block_volume
-    a = t * t_f / s
-    b = t * (1 - t_f / s)
-    blocks = {off: a * blk for off, blk in s_rbm.blocks.items()}
-    diag = blocks.get(0, np.zeros((wd, wd))).copy()
-    diag += b / wd
-    blocks[0] = diag
-    return VarianceProfile(lat, blocks, builder=s_rbm.builder + "+family",
+    blocks = _affine_blocks(s_rbm, t * t_f / s, t * (1 - t_f / s))
+    return VarianceProfile(s_rbm.lattice, blocks,
+                           builder=s_rbm.builder + "+family",
                            builder_params={**s_rbm.builder_params,
                                            "t_f": t_f, "t": t, "s": s})
 
@@ -473,21 +446,15 @@ def decompose_core(s_t: VarianceProfile, c_ker: float):
     Returns (S_ker profile, row_deficit) where row_deficit = 1 - rowsum(S_t)
     + c_ker is the killing rate of the random-walk representation.
     """
-    lat = s_t.lattice
-    wd = lat.block_volume
-    admissible = float(s_t.block_at(0).min() * wd)
+    admissible = float(s_t.block_at(0).min() * s_t.lattice.block_volume)
     if c_ker > admissible + 1e-15:
         raise ProfileError(
             f"c_ker={c_ker} too large; maximal admissible value is {admissible}")
-    blocks = {off: blk.copy() for off, blk in s_t.blocks.items()}
-    diag = blocks.get(0, np.zeros((wd, wd))).copy()
-    diag -= c_ker / wd
-    np.clip(diag, 0.0, None, out=diag)
-    blocks[0] = diag
-    ker = VarianceProfile(lat, blocks, builder=s_t.builder + "+core",
+    blocks = _affine_blocks(s_t, 1.0, -c_ker)
+    np.clip(blocks[0], 0.0, None, out=blocks[0])
+    ker = VarianceProfile(s_t.lattice, blocks, builder=s_t.builder + "+core",
                           builder_params={"c_ker": c_ker})
-    deficit = 1.0 - s_t.row_sum + c_ker
-    return ker, deficit
+    return ker, 1.0 - s_t.row_sum + c_ker
 
 
 # ---- serialization -------------------------------------------------------------

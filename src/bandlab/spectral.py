@@ -96,9 +96,6 @@ class FlowParams:
         """m(E_target), the boundary value transported along the flow."""
         return stieltjes_m(self.E_target)
 
-    def eta_t(self, t: float) -> float:
-        return (1.0 - t) * self.m_target.imag
-
     def identity_residuals(self) -> tuple[float, float]:
         mz = self.m_source
         mE = self.m_target

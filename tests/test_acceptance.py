@@ -140,8 +140,9 @@ def test_c07_kloop_flow_equation():
     t_f, t = 0.8, 0.6
     St = t_f * prof.assemble() + (t - t_f) * mean_field_profile(lat).assemble()
     m = stieltjes_m(0.3)
-    r1 = kloop_flow_derivative_residual(lat, St, m, (1, -1), 1e-3)
-    r2 = kloop_flow_derivative_residual(lat, St, m, (1, -1), 5e-4)
+    calc = KLoopCalculator(lat, St, m)
+    r1 = kloop_flow_derivative_residual(calc, (1, -1), 1e-3)
+    r2 = kloop_flow_derivative_residual(calc, (1, -1), 5e-4)
     ok = r1 < 1e-4 and r2 <= r1 / 3
     report(7, "K-loop flow equation: dt=1e-3 residual < 1e-4, halving gains 3x",
            ok, f"r(dt)={r1:.2e}, r(dt/2)={r2:.2e}, ratio {r1 / r2:.2f}")

@@ -233,7 +233,9 @@ class TestDeterministicCommands:
         monkeypatch.setattr(det, "theta_entrywise", sized_solve)
         cfg = write_config(tmp_path / "c.ini",
                            spectral={"t_values": "0.5,0.9"})
-        assert main(["theta", "--config", cfg]) == 0
+        # at W = 5, n = 5 no (+,-) tail has two points to fit, so the
+        # verdict fails; the solve counts do not depend on it
+        assert main(["theta", "--config", cfg]) == 1
         # per flow time, one block propagator for Theta(+,-) and one for
         # Theta(+,+)
         assert len(thetas) == 2 * 2
@@ -248,7 +250,19 @@ class TestDeterministicCommands:
 
         monkeypatch.setattr(VarianceProfile, "assemble", refuse)
         cfg = write_config(tmp_path / "c.ini", spectral={"t_values": "0.5"})
-        assert main(["theta", "--config", cfg]) == 0
+        # exit 1, not a traceback: the (+,-) tail fit is empty at W=5, n=5
+        assert main(["theta", "--config", cfg]) == 1
+
+    def test_theta_fails_without_a_tail_fit(self, tmp_path):
+        # at W = 3, n = 3 every tail fit is empty (decay length 0), which
+        # bounds nothing
+        cfg = write_config(tmp_path / "c.ini", model={"W": 3, "n": 3})
+        assert main(["theta", "--config", cfg]) == 1
+        rep = read_json(str(tmp_path / "out"), "theta.json")
+        pm = [r for r in rep["results"] if r["pair"] == [1, -1]]
+        assert pm and all(r["decay_length"] == 0.0 and not r["pass"]
+                          for r in pm)
+        assert rep["pass"] is False
 
     def test_kloop(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini")
@@ -257,6 +271,24 @@ class TestDeterministicCommands:
         ward_rows = [r for r in rep["rows"] if r[0] == "ward"]
         assert len(ward_rows) == 6
         assert all(r[2] < 1e-9 for r in ward_rows)
+
+    def test_kloop_builds_each_loop_calculator_once(self, tmp_path,
+                                                    monkeypatch):
+        # the centre calculator serves the Ward, K^(2), shift and both
+        # flow checks; only the two flow-shifted calculators per step add
+        # N x N solves
+        import bandlab.deterministic as det
+
+        solve, sizes = det.theta_entrywise, []
+
+        def sized_solve(S, *args, **kwargs):
+            sizes.append(S.shape[0])
+            return solve(S, *args, **kwargs)
+
+        monkeypatch.setattr(det, "theta_entrywise", sized_solve)
+        cfg = write_config(tmp_path / "c.ini", model={"W": 7, "n": 8})
+        assert main(["kloop", "--config", cfg]) == 0
+        assert sizes.count(56) == 6
 
     def test_kloop_checks_k2_against_theta(self, tmp_path, monkeypatch):
         # a propagator off by 1e-9 relative must fail the K^(2) check alone
@@ -324,6 +356,18 @@ class TestMonteCarloCommands:
         assert rep["pass"] is True
         assert os.path.exists(os.path.join(str(tmp_path / "out"),
                                            "locallaw_blocks.csv"))
+
+    @pytest.mark.parametrize("command", ["locallaw", "diffusion"])
+    def test_nan_ward_residual_is_a_violation(self, command, tmp_path,
+                                              monkeypatch):
+        import bandlab.montecarlo as mc
+
+        monkeypatch.setattr(mc, "ward_gate_residual", lambda gf: float("nan"))
+        cfg = write_config(tmp_path / "c.ini")
+        assert main([command, "--config", cfg]) == 1
+        rep = read_json(str(tmp_path / "out"), f"{command}.json")
+        assert rep["ward_violations"] == 1
+        assert rep["pass"] is False
 
     def test_locallaw_determinism_across_parallelism(self, tmp_path):
         out1 = tmp_path / "o1"

@@ -386,37 +386,40 @@ class TestCutSignature:
 
 @pytest.fixture(scope="module")
 def setup33():
+    """The loop calculator at (S_t, m) on the W=3, n=3 lattice."""
     lat = BlockLattice(d=1, W=3, n=3)
     prof = build_translation_invariant(lat, KERNELS["uniform"], 1)
     t_f, t = 0.8, 0.6
     se = mean_field_profile(lat).assemble()
     St = t_f * prof.assemble() + (t - t_f) * se
     assert St.min() >= 0
-    return lat, St
+    return KLoopCalculator(lat, St, M_FLOW)
 
 
 class TestFlowDerivative:
 
     def test_order_two_residual(self, setup33):
-        lat, St = setup33
-        r = kloop_flow_derivative_residual(lat, St, M_FLOW, (1, -1), 1e-3)
-        assert r < 1e-4
+        assert kloop_flow_derivative_residual(setup33, (1, -1), 1e-3) < 1e-4
 
     def test_second_order_in_dt(self, setup33):
-        lat, St = setup33
-        r1 = kloop_flow_derivative_residual(lat, St, M_FLOW, (1, -1), 1e-3)
-        r2 = kloop_flow_derivative_residual(lat, St, M_FLOW, (1, -1), 5e-4)
+        r1 = kloop_flow_derivative_residual(setup33, (1, -1), 1e-3)
+        r2 = kloop_flow_derivative_residual(setup33, (1, -1), 5e-4)
         assert r2 < r1 / 3
 
     def test_order_three(self, setup33):
-        lat, St = setup33
-        r = kloop_flow_derivative_residual(lat, St, M_FLOW, (1, 1, -1), 1e-3)
-        assert r < 1e-4
+        assert kloop_flow_derivative_residual(setup33, (1, 1, -1), 1e-3) < 1e-4
 
     def test_order_one_vanishes(self, setup33):
-        lat, St = setup33
-        r = kloop_flow_derivative_residual(lat, St, M_FLOW, (1,), 1e-3)
-        assert r == 0.0
+        assert kloop_flow_derivative_residual(setup33, (1,), 1e-3) == 0.0
+
+    def test_shared_calculator_gives_the_fresh_residual(self, setup33):
+        # the centre loops come from the caller's calculator, whose memoized
+        # tensors are the ones a fresh calculator would compute
+        setup33.k_tensor((1, 1, -1))
+        fresh = KLoopCalculator(setup33.lattice, setup33.S, setup33.m)
+        for charges in ((1, -1), (1, 1, -1)):
+            assert kloop_flow_derivative_residual(setup33, charges, 1e-3) \
+                == kloop_flow_derivative_residual(fresh, charges, 1e-3)
 
 
 @pytest.fixture(scope="module")
