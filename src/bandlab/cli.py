@@ -283,16 +283,16 @@ def cmd_theta(cfg, outdir):
                 "fit_slope": decay.fit_slope,
                 "monotone_ok": decay.monotone_ok,
             }
+            # an empty tail fit (decay length 0) bounds nothing
             if pair == (1, -1):
-                # an empty tail fit (decay length 0) or a rising tail
-                # bounds nothing
+                # nor does a rising tail
                 ok = (0 < decay.decay_length <= factor * ell
                       and decay.monotone_ok)
                 entry["bound"] = factor * ell
                 entry["fd_max_first_ratio"] = fd.max_first_ratio
                 entry["fd_max_second_ratio"] = fd.max_second_ratio
             else:
-                ok = decay.decay_length <= same_cap
+                ok = 0 < decay.decay_length <= same_cap
                 entry["bound"] = same_cap
             entry["pass"] = bool(ok)
             passed = passed and ok
@@ -384,8 +384,9 @@ def cmd_flow(cfg, outdir):
     return rep
 
 
-def _run_ensemble(cfg, rep, fn, reducers):
-    """Run the command's replicas and add their counts to ``rep``.
+def _run_ensemble(cfg, rep, fn, reducers, stream=None):
+    """Run the command's replicas and add their counts to ``rep``;
+    ``stream`` is passed on to run_ensemble.
 
     Raises AllReplicasFailed with ``rep`` marked failing when no replica
     completed, since there is then no estimate to check.
@@ -393,7 +394,7 @@ def _run_ensemble(cfg, rep, fn, reducers):
     config = mc.SampleConfig(master_seed=cfg["mc"]["master_seed"],
                              replicas=cfg["mc"]["replicas"],
                              parallelism=cfg["mc"]["parallelism"])
-    result = mc.run_ensemble(config, fn, reducers)
+    result = mc.run_ensemble(config, fn, reducers, stream)
     rep.update({"replicas": result.replicas, "completed": result.completed,
                 "failures": result.failures,
                 "master_seed": config.master_seed,
@@ -404,10 +405,18 @@ def _run_ensemble(cfg, rep, fn, reducers):
     return result
 
 
-def _ward_violations(cfg, result) -> int:
-    """1 when some replica's Ward residual is above the gate or NaN: the
-    merged max keeps a NaN, so the gate is applied once, to the max."""
-    return int(not result.max("ward_residual") <= cfg["checks"]["ward_gate"])
+def _ward_counter(cfg):
+    """(stream, violating): a run_ensemble stream hook that appends to the
+    list ``violating`` every replica whose Ward residual is above the gate
+    or NaN."""
+    gate = cfg["checks"]["ward_gate"]
+    violating = []
+
+    def stream(replica, result):
+        if not result["ward_residual"] <= gate:
+            violating.append(replica)
+
+    return stream, violating
 
 
 def cmd_locallaw(cfg, outdir):
@@ -429,12 +438,13 @@ def cmd_locallaw(cfg, outdir):
         "lambda": lam, "ell": ell, "scale": scale, "tolerance": tol,
     })
     fn, reducers = mc.locallaw_replica_fn(band, z)
-    result = _run_ensemble(cfg, rep, fn, reducers)
+    stream, violating = _ward_counter(cfg)
+    result = _run_ensemble(cfg, rep, fn, reducers, stream)
     block_mean = result.mean("block_residual")
     block_stderr = result.stderr("block_residual")
     entry_mean_max = float(result.mean("entry_sq").max())
     block_max = float(block_mean.max())
-    ward_violations = _ward_violations(cfg, result)
+    ward_violations = len(violating)
 
     normalized_block = block_max / scale
     normalized_entry = entry_mean_max / scale
@@ -516,10 +526,11 @@ def cmd_diffusion(cfg, outdir):
     })
     pred_abs2, pred_gg = mc.diffusion_predictions(profile, z)
     fn, reducers = mc.diffusion_replica_fn(band, z)
-    result = _run_ensemble(cfg, rep, fn, reducers)
+    stream, violating = _ward_counter(cfg)
+    result = _run_ensemble(cfg, rep, fn, reducers, stream)
     mean_abs2, se_abs2 = result.mean("abs2").real, result.stderr("abs2")
     mean_gg, se_gg = result.mean("gg"), result.stderr("gg")
-    ward_violations = _ward_violations(cfg, result)
+    ward_violations = len(violating)
 
     breaches = []
     rows = []

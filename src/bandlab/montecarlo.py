@@ -6,24 +6,31 @@ bit-exactly regardless of parallelism or execution order. Ensemble merges
 happen in replica-index order, and replica work runs on single-threaded
 BLAS, making aggregated reports byte-identical across worker counts and
 core counts. numpy's bundled OpenBLAS is the only BLAS and LAPACK bandlab
-calls, so pinning its thread count covers every solve and eigh.
+calls, so pinning its thread count covers every solve and eigensolve.
 
 A replica never forms the N x N profile: each command builds one
 :class:`Band` from the profile's blocks, and replicas sample H on its
 support and solve for the resolvent layer by layer around its ring. The
 order of the draws is versioned by ``STREAM_VERSION``.
+
+The windowed eigenpairs of ``deloc`` and ``que`` come from LAPACK zheevr
+(Dhillon-Parlett MRRR for the whole spectrum, bisection and inverse
+iteration for a window by value), called through ctypes in that same
+OpenBLAS; a numpy build without it falls back to ``np.linalg.eigh``.
 """
 
 from __future__ import annotations
 
 import ctypes
 import glob
+import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +48,7 @@ __all__ = [
     "build_band",
     "GreenFunction",
     "GreenSolveError",
+    "EigenSolveError",
     "stream_for",
     "sample_H",
     "green",
@@ -69,6 +77,11 @@ STREAM_VERSION = 2
 
 class GreenSolveError(RuntimeError):
     """Raised when a resolvent solve misses the residual target."""
+
+
+class EigenSolveError(RuntimeError):
+    """Raised when an eigensolve has a non-finite input, fails in LAPACK or
+    misses the residual target."""
 
 
 @dataclass(frozen=True)
@@ -285,6 +298,83 @@ def ward_gate_residual(gf: GreenFunction) -> float:
     return float(np.abs(lhs - rhs).max() / max(1.0, lhs.max()))
 
 
+# ---- numpy's OpenBLAS ------------------------------------------------------------
+
+class _OpenBLAS(NamedTuple):
+    """The entry points bandlab calls in numpy's bundled OpenBLAS."""
+
+    get_threads: object
+    set_threads: object
+    zheevr: object        # LAPACKE_zheevr, or None when the build lacks it
+    lapack_int: type      # ctypes.c_int64 for the ILP64 ("64_") build
+
+
+@cache
+def _openblas() -> _OpenBLAS | None:
+    """numpy's bundled OpenBLAS, read through ctypes from the loaded library,
+    or None when there is none. The thread getter and setter and LAPACKE
+    come from one handle, named with the library's symbol prefix and
+    suffix; the suffix "64_" marks 64-bit LAPACK integers."""
+    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(glob.glob(str(libdir / "lib*openblas*.so*"))):
+        lib = ctypes.CDLL(path)
+        for prefix in ("scipy_", ""):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}",
+                              None)
+                set_ = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}",
+                               None)
+                if get is None or set_ is None:
+                    continue
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                lapack_int = ctypes.c_int64 if suffix == "64_" \
+                    else ctypes.c_int32
+                zheevr = getattr(lib, f"{prefix}LAPACKE_zheevr{suffix}", None)
+                if zheevr is not None:
+                    ptr, dbl, char = ctypes.c_void_p, ctypes.c_double, \
+                        ctypes.c_char
+                    # (layout, jobz, range, uplo, n, a, lda, vl, vu, il, iu,
+                    #  abstol, m, w, z, ldz, isuppz)
+                    zheevr.argtypes = [ctypes.c_int, char, char, char,
+                                       lapack_int, ptr, lapack_int, dbl, dbl,
+                                       lapack_int, lapack_int, dbl,
+                                       ctypes.POINTER(lapack_int), ptr, ptr,
+                                       lapack_int, ptr]
+                    zheevr.restype = lapack_int
+                return _OpenBLAS(get, set_, zheevr, lapack_int)
+    return None
+
+
+_COL_MAJOR = 102                   # LAPACK_COL_MAJOR
+
+
+def _zheevr(lib: _OpenBLAS, H: np.ndarray, window):
+    """(eigenvalues, eigenvectors) of Hermitian H from LAPACKE_zheevr:
+    every pair by MRRR when ``window`` is None, else the pairs with
+    eigenvalues in (lo, hi] by bisection and inverse iteration.
+
+    LAPACK overwrites its input, so it gets a Fortran-ordered copy of H; a
+    row-major call would make LAPACKE transpose N x N copies. Columns of the
+    eigenvector array past the count found are never written.
+    """
+    N = H.shape[0]
+    if H.shape != (N, N):
+        raise ValueError(f"H must be square, not of shape {H.shape}")
+    a = np.array(H, dtype=complex, order="F")
+    w = np.empty(N)
+    z = np.empty((N, N), dtype=complex, order="F")
+    isuppz = np.empty(2 * N, dtype=lib.lapack_int)
+    found = lib.lapack_int(0)
+    kind, (vl, vu) = (b"A", (0.0, 0.0)) if window is None else (b"V", window)
+    info = lib.zheevr(_COL_MAJOR, b"V", kind, b"L", N, a.ctypes.data, N,
+                      vl, vu, 0, 0, 0.0, ctypes.byref(found), w.ctypes.data,
+                      z.ctypes.data, N, isuppz.ctypes.data)
+    if info:
+        raise EigenSolveError(f"LAPACKE_zheevr failed with info {info}")
+    return w[:found.value], z[:, :found.value]
+
+
 # ---- per-sample observables -------------------------------------------------------
 
 def block_traces(lattice: BlockLattice, G: np.ndarray) -> np.ndarray:
@@ -309,12 +399,39 @@ class EigenStats:
     vectors: np.ndarray            # (N, windowed) eigenvectors in the window
 
 
-def eigen_stats(H: np.ndarray, window: tuple[float, float]) -> EigenStats:
-    """Full eigendecomposition; keeps the eigenvectors inside the window
-    and their sup-norms."""
-    evals, evecs = np.linalg.eigh(H)
+def eigen_stats(H: np.ndarray, window: tuple[float, float], *,
+                full_spectrum: bool = False) -> EigenStats:
+    """The eigenvectors of H with eigenvalues in ``window`` (closed) and
+    their sup-norms.
+
+    The pairs come from LAPACK zheevr in numpy's bundled OpenBLAS, which
+    computes only the window's pairs; with ``full_spectrum`` it computes
+    every pair by MRRR and the window is kept afterwards, which is faster
+    when the window holds most of the spectrum. Without that routine the
+    full ``np.linalg.eigh`` serves instead.
+
+    Raises EigenSolveError when H is not finite, when LAPACK reports a
+    failure, or when the windowed pairs (V, L) fail the probe
+    max|H(Vc) - V(Lc)| / max(1, ||H||_F) <= tolerance for c = (1, ..., 1).
+    """
+    norm = math.sqrt(np.vdot(H, H).real)
+    if not math.isfinite(norm):
+        raise EigenSolveError("H is not finite")
     lo, hi = window
-    vectors = evecs[:, (evals >= lo) & (evals <= hi)]
+    lib = _openblas()
+    if lib is None or lib.zheevr is None:
+        evals, evecs = np.linalg.eigh(H)
+    else:
+        # LAPACK takes a window by value only when lo < hi
+        by_value = not full_spectrum and lo < hi
+        evals, evecs = _zheevr(lib, H, window if by_value else None)
+    keep = (evals >= lo) & (evals <= hi)
+    evals, vectors = evals[keep], evecs[:, keep]
+    resid = float(np.abs(H @ vectors.sum(axis=1) - vectors @ evals).max()
+                  / max(1.0, norm))
+    if not resid <= _RESIDUAL_TOL:
+        raise EigenSolveError(f"eigenpair residual {resid:.3e} above "
+                              f"{_RESIDUAL_TOL:.1e}")
     return EigenStats(sup_norms=(np.abs(vectors) ** 2).max(axis=0),
                       vectors=vectors)
 
@@ -365,25 +482,6 @@ class EnsembleResult:
         return self.maxima[key]
 
 
-@cache
-def _openblas_threads():
-    """(get, set) thread-count functions of numpy's bundled OpenBLAS, read
-    through ctypes from the loaded library, or None when there is none."""
-    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(glob.glob(str(libdir / "lib*openblas*.so*"))):
-        lib = ctypes.CDLL(path)
-        for prefix in ("scipy_openblas", "openblas"):
-            for suffix in ("64_", ""):
-                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-                set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-                if get is None or set_ is None:
-                    continue
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
-    return None
-
-
 @contextmanager
 def _single_threaded_blas():
     """Run the body on one OpenBLAS thread; restore the count afterwards.
@@ -394,17 +492,16 @@ def _single_threaded_blas():
     OpenBLAS is the only BLAS bandlab calls, so the pin covers all of them.
     Without a bundled OpenBLAS the body runs unpinned.
     """
-    threads = _openblas_threads()
-    if threads is None:
+    lib = _openblas()
+    if lib is None:
         yield
         return
-    get, set_ = threads
-    before = get()
-    set_(1)
+    before = lib.get_threads()
+    lib.set_threads(1)
     try:
         yield
     finally:
-        set_(before)
+        lib.set_threads(before)
 
 
 def _in_order(one, replicas: int, parallelism: int):
@@ -515,7 +612,9 @@ def deloc_replica_fn(band: Band, window: tuple[float, float]):
 
     def fn(replica, rng):
         H = sample_H(band, rng)
-        stats = eigen_stats(H, window)
+        # the window holds most of the spectrum: MRRR for all pairs is
+        # faster than bisection and inverse iteration for the window's
+        stats = eigen_stats(H, window, full_spectrum=True)
         sup = float(stats.sup_norms.max()) if stats.sup_norms.size else 0.0
         return {
             "sup_norm_sq": sup,

@@ -178,13 +178,14 @@ class TestExitCodes:
 
 
 def test_commands_run_on_numpy_alone(tmp_path):
-    """theta, kloop and diffusion never import scipy."""
+    """theta, kloop, diffusion, deloc and que never import scipy."""
     cfg = write_config(tmp_path / "c.ini", model={"W": 3, "n": 5},
                        mc={"replicas": 2})
     script = ("import sys\n"
               "from bandlab.cli import main\n"
               "codes = [main([c, '--config', sys.argv[1]])\n"
-              "         for c in ('theta', 'kloop', 'diffusion')]\n"
+              "         for c in ('theta', 'kloop', 'diffusion', 'deloc',\n"
+              "                   'que')]\n"
               "print(codes, 'scipy' in sys.modules)\n")
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
@@ -254,14 +255,15 @@ class TestDeterministicCommands:
         assert main(["theta", "--config", cfg]) == 1
 
     def test_theta_fails_without_a_tail_fit(self, tmp_path):
-        # at W = 3, n = 3 every tail fit is empty (decay length 0), which
-        # bounds nothing
+        # at W = 3, n = 3 every tail fit, (+,-) and (+,+), is empty (decay
+        # length 0), which bounds nothing
         cfg = write_config(tmp_path / "c.ini", model={"W": 3, "n": 3})
         assert main(["theta", "--config", cfg]) == 1
         rep = read_json(str(tmp_path / "out"), "theta.json")
-        pm = [r for r in rep["results"] if r["pair"] == [1, -1]]
-        assert pm and all(r["decay_length"] == 0.0 and not r["pass"]
-                          for r in pm)
+        for pair in ([1, -1], [1, 1]):
+            rows = [r for r in rep["results"] if r["pair"] == pair]
+            assert rows and all(r["decay_length"] == 0.0 and not r["pass"]
+                                for r in rows)
         assert rep["pass"] is False
 
     def test_kloop(self, tmp_path):
@@ -360,13 +362,18 @@ class TestMonteCarloCommands:
     @pytest.mark.parametrize("command", ["locallaw", "diffusion"])
     def test_nan_ward_residual_is_a_violation(self, command, tmp_path,
                                               monkeypatch):
+        # ward_violations counts replicas: of five, one has a NaN residual
+        # and two are above the gate
         import bandlab.montecarlo as mc
 
-        monkeypatch.setattr(mc, "ward_gate_residual", lambda gf: float("nan"))
-        cfg = write_config(tmp_path / "c.ini")
+        residuals = iter([1e-16, float("nan"), 1e-3, 1e-16, 1.0])
+        monkeypatch.setattr(mc, "ward_gate_residual",
+                            lambda gf: next(residuals))
+        cfg = write_config(tmp_path / "c.ini", mc={"replicas": 5})
         assert main([command, "--config", cfg]) == 1
         rep = read_json(str(tmp_path / "out"), f"{command}.json")
-        assert rep["ward_violations"] == 1
+        assert rep["completed"] == 5
+        assert rep["ward_violations"] == 3
         assert rep["pass"] is False
 
     def test_locallaw_determinism_across_parallelism(self, tmp_path):
@@ -430,6 +437,27 @@ class TestMonteCarloCommands:
         # the README lattice (N = 495) is a ring of 15 layers of one block
         # row each: every solve is one layer, 33 x 33
         assert shapes and set(shapes) == {(33, 33)}
+
+    @pytest.mark.parametrize("command", ["deloc", "que"])
+    def test_no_replica_calls_eigh(self, command, tmp_path, monkeypatch):
+        # the eigenpairs come from zheevr in numpy's OpenBLAS
+        import numpy as np
+
+        import bandlab.montecarlo as mc
+
+        lib = mc._openblas()
+        if lib is None or lib.zheevr is None:
+            pytest.skip("numpy's OpenBLAS has no LAPACKE_zheevr")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{command} called np.linalg.eigh")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        cfg = write_config(tmp_path / "c.ini", model={"W": 33, "n": 15},
+                           spectral={"eta": 0.2}, mc={"replicas": 2})
+        assert main([command, "--config", cfg]) in (0, 1)
+        rep = read_json(str(tmp_path / "out"), f"{command}.json")
+        assert rep["completed"] == 2 and rep["failures"] == []
 
     @pytest.mark.parametrize("command", ["locallaw", "diffusion", "deloc",
                                          "que"])
@@ -519,10 +547,10 @@ class TestMonteCarloCommands:
         """(get, set) of numpy's OpenBLAS thread count, restored after."""
         import bandlab.montecarlo as mc
 
-        threads = mc._openblas_threads()
-        if threads is None:
+        lib = mc._openblas()
+        if lib is None:
             pytest.skip("numpy has no bundled OpenBLAS")
-        get, set_ = threads
+        get, set_ = lib.get_threads, lib.set_threads
         before = get()
         yield get, set_
         set_(before)

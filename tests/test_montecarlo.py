@@ -597,3 +597,169 @@ class TestBandHotPath:
         assert words <= 1.05 * (2 * band.rows.size + lat.N)
         # the dense sampler drew 2 N^2 + N
         assert words < (2 * lat.N ** 2 + lat.N) / 10
+
+
+def _readme_profile():
+    lat = BlockLattice(d=1, W=33, n=15)
+    return build_translation_invariant(lat, KERNELS["uniform"], 1)
+
+
+def _que_window(profile, epsilon):
+    """que's window E = 0 +- W^-epsilon eta0 at d = 1, as the command
+    sets it."""
+    from bandlab import interaction_strength
+
+    lat = profile.lattice
+    eta0 = lat.W * np.sqrt(interaction_strength(profile)) / lat.N ** 1.5
+    half = lat.W ** (-epsilon) * eta0
+    return (-half, half)
+
+
+def _que_deviations(band, vectors):
+    """|sum_{x in [a]} conj(u_i) u_j - share delta_ij| of every block; they
+    do not depend on the eigenvectors' phases."""
+    lat = band.lattice
+    U = vectors[band.block_sites]
+    share = lat.block_volume / lat.N
+    return np.abs(U.conj().transpose(0, 2, 1) @ U
+                  - share * np.eye(vectors.shape[1]))
+
+
+def _assert_matches_eigh(band, H, window, full_spectrum):
+    """eigen_stats against the full np.linalg.eigh on a closed window:
+    equal counts, sup-norms and que deviations to 1e-12."""
+    evals, evecs = np.linalg.eigh(H)
+    ref = evecs[:, (evals >= window[0]) & (evals <= window[1])]
+    stats = eigen_stats(H, window, full_spectrum=full_spectrum)
+    assert stats.vectors.shape == ref.shape
+    assert stats.sup_norms.shape == (ref.shape[1],)
+    assert np.abs(stats.sup_norms
+                  - (np.abs(ref) ** 2).max(axis=0)).max(initial=0) < 1e-12
+    assert np.abs(_que_deviations(band, stats.vectors)
+                  - _que_deviations(band, ref)).max(initial=0) < 1e-12
+    return ref.shape[1]
+
+
+needs_zheevr = pytest.mark.skipif(
+    mc._openblas() is None or mc._openblas().zheevr is None,
+    reason="numpy's OpenBLAS has no LAPACKE_zheevr")
+
+
+class TestEigenSolver:
+    """eigen_stats' LAPACK zheevr path against np.linalg.eigh, its oracle."""
+
+    @pytest.mark.parametrize("seed", [20260809, 1, 2])
+    def test_readme_config_windows(self, seed):
+        profile = _readme_profile()
+        band = build_band(profile)
+        H = sample_H(band, stream_for(seed, 0))
+        # deloc's window holds most of the spectrum, que's about one
+        # eigenvalue; que_epsilon = -1 widens it to about 22
+        assert _assert_matches_eigh(band, H, (-1.5, 1.5), True) > 400
+        _assert_matches_eigh(band, H, _que_window(profile, 0.1), False)
+        assert _assert_matches_eigh(band, H, _que_window(profile, -1.0),
+                                    False) > 10
+
+    @pytest.mark.parametrize("full_spectrum", [True, False])
+    def test_empty_and_whole_windows(self, band_small, full_spectrum):
+        lat, band = band_small
+        H = sample_H(band, stream_for(17, 0))
+        assert _assert_matches_eigh(band, H, (5.0, 6.0), full_spectrum) == 0
+        # a window of one point (lo = hi) is empty, not a LAPACK error
+        assert _assert_matches_eigh(band, H, (0.3, 0.3), full_spectrum) == 0
+        assert _assert_matches_eigh(band, H, (-10.0, 10.0),
+                                    full_spectrum) == lat.N
+
+    @pytest.mark.parametrize("profile", ["d2", "wegner_orbital"])
+    @pytest.mark.parametrize("full_spectrum", [True, False])
+    def test_other_profiles(self, profile, full_spectrum):
+        from bandlab import wegner_orbital_profile
+
+        lat = BlockLattice(d=2, W=3, n=5)
+        if profile == "d2":
+            prof = build_translation_invariant(lat, KERNELS["uniform"], 1)
+        else:
+            prof = wegner_orbital_profile(lat, 0.05, 0.5)
+        band = build_band(prof)
+        for r in range(2):
+            H = sample_H(band, stream_for(23, r))
+            for window in ((-1.5, 1.5), (-0.3, 0.3)):
+                assert _assert_matches_eigh(band, H, window,
+                                            full_spectrum) > 0
+
+    @pytest.mark.parametrize("lookup", ["none", "no_zheevr"])
+    def test_falls_back_to_eigh(self, band_small, monkeypatch, lookup):
+        lat, band = band_small
+        H = sample_H(band, stream_for(18, 0))
+        lib = mc._openblas()
+        if lookup == "none":
+            monkeypatch.setattr(mc, "_openblas", lambda: None)
+        elif lib is None:
+            pytest.skip("numpy has no bundled OpenBLAS")
+        else:
+            monkeypatch.setattr(mc, "_openblas",
+                                lambda: lib._replace(zheevr=None))
+        calls, eigh = [], np.linalg.eigh
+
+        def counted(A):
+            calls.append(A.shape)
+            return eigh(A)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        evals, evecs = eigh(H)
+        ref = evecs[:, (evals >= -1.0) & (evals <= 1.0)]
+        for full_spectrum in (True, False):
+            stats = eigen_stats(H, (-1.0, 1.0), full_spectrum=full_spectrum)
+            assert np.array_equal(stats.vectors, ref)
+        assert calls == [(lat.N, lat.N)] * 2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("factory", [deloc_replica_fn, que_replica_fn])
+    def test_nan_entry_fails_the_replica(self, band_small, monkeypatch,
+                                         factory, bad):
+        # without the gate a non-finite H can give NaN eigenvalues, an
+        # empty window and a vacuous replica instead of a failed one
+        lat, band = band_small
+        draw = mc.sample_H
+
+        def poisoned(band, rng):
+            H = draw(band, rng)
+            H[3, 7] = bad
+            return H
+
+        monkeypatch.setattr(mc, "sample_H", poisoned)
+        res = run_ensemble(SampleConfig(master_seed=4, replicas=2),
+                           *factory(band, (-10.0, 10.0)))
+        assert res.completed == 0
+        assert [r for r, _ in res.failures] == [0, 1]
+        assert all(msg == "EigenSolveError: H is not finite"
+                   for _, msg in res.failures)
+
+    @needs_zheevr
+    def test_lapack_failure_raises(self, band_small):
+        # LAPACKE's own NaN check answers with info = -6
+        lat, band = band_small
+        H = sample_H(band, stream_for(20, 0))
+        H[1, 1] = np.nan
+        with pytest.raises(mc.EigenSolveError, match="info -6"):
+            mc._zheevr(mc._openblas(), H, None)
+
+    @needs_zheevr
+    @pytest.mark.parametrize("full_spectrum", [True, False])
+    def test_corrupted_eigenvector_trips_the_probe(self, band_small,
+                                                   monkeypatch,
+                                                   full_spectrum):
+        lat, band = band_small
+        H = sample_H(band, stream_for(21, 0))
+        eigen_stats(H, (-1.5, 1.5), full_spectrum=full_spectrum)
+        solve = mc._zheevr
+
+        def corrupted(lib, H, window):
+            evals, evecs = solve(lib, H, window)
+            evecs = evecs.copy()
+            evecs[5, evecs.shape[1] // 2] += 1e-6
+            return evals, evecs
+
+        monkeypatch.setattr(mc, "_zheevr", corrupted)
+        with pytest.raises(mc.EigenSolveError, match="eigenpair residual"):
+            eigen_stats(H, (-1.5, 1.5), full_spectrum=full_spectrum)
