@@ -3,9 +3,10 @@
 Charges are represented as +1 / -1 integers; for a reference value m in the
 upper half plane, m(+1) = m and m(-1) = conj(m). The block propagator
 :func:`theta` works from a profile's blocks and a flow time t; the loop
-calculators take the (already t-dependent) assembled variance matrix S. The
-same code serves the characteristic flow (|m| = 1, row sums t) and the
-original spectral parameter (|m| < 1, row sums 1).
+calculator takes the blocks of the (already t-dependent) variance matrix
+t S. Both solve one W^d x W^d system per block momentum; nothing N x N is
+factorized. The same code serves the characteristic flow (|m| = 1, row
+sums t) and the original spectral parameter (|m| < 1, row sums 1).
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import BlockLattice, project_tensor
-from .profiles import VarianceProfile, decompose_core, mean_field_profile
+from .lattice import BlockLattice
+from .profiles import VarianceProfile, _affine_blocks, decompose_core
 
 __all__ = [
     "LoopSignature",
@@ -104,17 +105,34 @@ def theta_entrywise(S: np.ndarray, m1: complex, m2: complex) -> np.ndarray:
     return X
 
 
+def _momentum_inverses(lattice: BlockLattice, blocks: dict, t: float,
+                       m1: complex, m2: complex):
+    """The blocks t*S_x as an (n^d, W^d, W^d) array, and the inverses of
+    1 - m1 m2 t S(p) for each block momentum p, in ``np.fft.fftn`` order.
+
+    The symbol S(p) = sum_x e^(-2 pi i p.x/n) S_x goes through the
+    residual-checked solve of :func:`theta_entrywise`, so a singular or
+    ill-conditioned momentum raises PropagatorError.
+    """
+    wd = lattice.block_volume
+    shape = (lattice.n,) * lattice.d
+    dense = np.zeros((lattice.block_count, wd, wd))
+    for off, blk in blocks.items():
+        dense[off] = t * blk
+    symbol = np.fft.fftn(dense.reshape(shape + (wd, wd)),
+                         axes=tuple(range(lattice.d))).reshape(-1, wd, wd)
+    return dense, np.array([theta_entrywise(s, m1, m2) for s in symbol])
+
+
 def theta(profile: VarianceProfile, t: float, sigma_pair,
           m: complex) -> np.ndarray:
     """Block propagator P((1 - m(s) m(s') t S)^(-1)) by block Fourier transform.
 
     The profile is block-translation-invariant, so the entrywise propagator
     X is block-circulant and splits into one W^d x W^d system per block
-    momentum p: the symbol sum_x e^(-2 pi i p.x/n) t S_x goes through the
-    residual-checked solve of :func:`theta_entrywise`, so a singular or
-    ill-conditioned momentum raises PropagatorError. The column sums v_b
-    of the block row X_(0, b) transform back from 1^T X(p), and
-    Theta(0, b) = v_b . 1 / W^d. Equal to
+    momentum (:func:`_momentum_inverses`). The column sums v_b of the block
+    row X_(0, b) transform back from 1^T X(p), and Theta(0, b) = v_b . 1 /
+    W^d. Equal to
     ``project_matrix(lattice, theta_entrywise(t * S, m(s), m(s')))``.
     """
     pair = parse_charges(sigma_pair)
@@ -124,13 +142,8 @@ def theta(profile: VarianceProfile, t: float, sigma_pair,
     wd = lat.block_volume
     shape = (lat.n,) * lat.d
     axes = tuple(range(lat.d))
-    blocks = np.zeros((lat.block_count, wd, wd))
-    for off, blk in profile.blocks.items():
-        blocks[off] = t * blk
-    symbol = np.fft.fftn(blocks.reshape(shape + (wd, wd)),
-                         axes=axes).reshape(-1, wd, wd)
     m1, m2 = charge_m(m, pair[0]), charge_m(m, pair[1])
-    inverses = np.array([theta_entrywise(s, m1, m2) for s in symbol])
+    blocks, inverses = _momentum_inverses(lat, profile.blocks, t, m1, m2)
 
     def solve(rhs):
         """Rows v_b of sum_k v_k (delta_kb - m1 m2 t S_(b-k)) = rhs_b."""
@@ -162,86 +175,208 @@ def theta(profile: VarianceProfile, t: float, sigma_pair,
 # ---- primitive loops ------------------------------------------------------------
 
 def loop_size_guard(lattice: BlockLattice, order: int,
-                    site_cap: float = 1e7, max_bytes: int = 1 << 30) -> None:
-    """Refuse brute-force loop tensors that exceed the configured caps."""
-    if order >= 3:
-        if lattice.L ** (order + 1) > site_cap:
-            raise MemoryError(
-                f"L^(order+1) = {lattice.L ** (order + 1):.3g} exceeds the "
-                f"size cap {site_cap:.3g}")
-    tensor_bytes = 16 * lattice.N**order
+                    max_bytes: int = 1 << 30) -> None:
+    """Refuse a loop tensor of this order whose first-site-pinned form,
+    16 W^d N^(order-1) bytes, exceeds ``max_bytes``."""
+    tensor_bytes = 16 * lattice.block_volume * lattice.N ** (order - 1)
     if tensor_bytes > max_bytes:
         raise MemoryError(
             f"loop tensor would need {tensor_bytes:.3g} bytes "
             f"(cap {max_bytes:.3g})")
 
 
+def _index_grid(lattice: BlockLattice, arity: int, pin_last: bool) -> tuple:
+    """Index arrays into the block axes 2..arity of a first-site-pinned
+    tensor, broadcast over the blocks (a_1, a_2, ...) of the unpinned one.
+
+    Block axis k of the pinned tensor holds a_k - a_1 =
+    ``block_offset_matrix[a_1, a_k]``. With ``pin_last``, a_arity = 0 and
+    the grid runs over (a_1, ..., a_(arity-1)).
+    """
+    shift = lattice.block_offset_matrix
+    m = lattice.block_count
+    free = arity - 1 if pin_last else arity
+    out = []
+    for k in range(1, arity):
+        shape = [1] * free
+        shape[0] = m
+        if pin_last and k == arity - 1:
+            out.append(shift[:, 0].reshape(shape))
+        else:
+            shape[k] = m
+            out.append(shift.reshape(shape))
+    return tuple(out)
+
+
 @dataclass
 class KLoopCalculator:
-    """Entrywise and block primitive loops for one (S, m) context.
+    """Entrywise and block primitive loops for one (t S, m) context.
 
-    Lower-order tensors are memoized by charge vector; the resolvent factor
-    of the recursion is inverted once per distinct m(s)m(s') value and
-    shared across all terms.
+    ``blocks`` maps a block offset to the W^d x W^d block of t S, as in
+    :attr:`VarianceProfile.blocks`; entries may be negative. Khat^(k) is
+    invariant under a common block shift of its k sites, so it is stored
+    with its first site in block 0: shape (W^d, N, ..., N). Every site axis
+    lists the sites block by block (``lattice.block_sites(0)``, then
+    ``block_sites(1)``, ...), which at d = 1 is the site order itself.
+
+    The resolvent factor of the recursion is built once per distinct
+    m(s)m(s') value from the per-momentum inverses that :func:`theta` uses.
+    Tensors the recursion reads are memoized by charge vector; a block
+    tensor of order >= 3 keeps only its block average unless its entrywise
+    tensor was asked for.
     """
 
     lattice: BlockLattice
-    S: np.ndarray
+    blocks: dict
     m: complex
-    site_cap: float = 1e7
-    max_bytes: int = 1 << 30
     _khat: dict = field(default_factory=dict, repr=False)
+    _averages: dict = field(default_factory=dict, repr=False)
     _resolvents: dict = field(default_factory=dict, repr=False)
 
     def resolvent(self, c: complex) -> np.ndarray:
+        """R = (1 - c t S)^(-1) as an N x N matrix in block-major site order.
+
+        Its block row 0 is the inverse transform of the per-momentum
+        inverses; the block-circulant rest is that row moved along
+        ``block_offset_matrix``. The residual max|(1 - c t S) R - I| of block
+        row 0 is taken in real space from the blocks; above the solve
+        tolerance, or NaN, it raises PropagatorError.
+        """
         key = complex(c)
         if key not in self._resolvents:
-            self._resolvents[key] = theta_entrywise(self.S, key, 1.0)
+            lat = self.lattice
+            wd, N = lat.block_volume, lat.N
+            dense, inverses = _momentum_inverses(lat, self.blocks, 1.0, key,
+                                                 1.0)
+            row = np.fft.ifftn(
+                inverses.reshape((lat.n,) * lat.d + (wd, wd)),
+                axes=tuple(range(lat.d))).reshape(-1, wd, wd)
+            shift = lat.block_offset_matrix
+            # block row 0 of (1 - c S) R - I: R_b - c sum_x S_x R_(b-x)
+            resid = row - key * sum(dense[off] @ row[shift[off]]
+                                    for off in self.blocks)
+            resid[0] -= np.eye(wd)
+            err, scale = np.abs(resid).max(), np.abs(row).max()
+            if not (err <= _RESIDUAL_TOL * scale and err <= 1e-6):
+                raise PropagatorError(
+                    f"block resolvent residual {err:.3e} "
+                    f"(max entry {scale:.3e})")
+            R = row[shift].transpose(0, 2, 1, 3).reshape(N, N)
+            R.setflags(write=False)
+            self._resolvents[key] = R
         return self._resolvents[key]
 
     def khat_tensor(self, charges) -> np.ndarray:
-        """Entrywise primitive loop tensor, axes = the loop's site indices."""
+        """Entrywise primitive loop with its first site in block 0."""
         charges = parse_charges(charges)
-        if charges in self._khat:
-            return self._khat[charges]
-        order = len(charges)
-        N = self.S.shape[0]
-        loop_size_guard(self.lattice, order, self.site_cap, self.max_bytes)
-        if order == 1:
-            out = np.full(N, charge_m(self.m, charges[0]), dtype=complex)
-        else:
+        if charges not in self._khat:
             out = self._recurse(charges)
-        out.setflags(write=False)
-        self._khat[charges] = out
-        return out
+            out.setflags(write=False)
+            self._khat[charges] = out
+        return self._khat[charges]
+
+    def khat_last_pinned(self, charges) -> np.ndarray:
+        """Entrywise primitive loop with its last site in block 0 instead:
+        shape (N, ..., N, W^d), by a block roll of :meth:`khat_tensor`."""
+        return self._roll(self.khat_tensor(charges), pin_last=True)
+
+    def _roll(self, pinned: np.ndarray, pin_last: bool) -> np.ndarray:
+        """The full tensor (order >= 2), or the one with its last site in
+        block 0, from the first-site-pinned one."""
+        lat = self.lattice
+        m, wd = lat.block_count, lat.block_volume
+        arity = pinned.ndim
+        view = pinned.reshape((wd,) + (m, wd) * (arity - 1))
+        # block axes first, then the site offsets (i_1, ..., i_arity); the
+        # grid's axes (a_1, ...) take the block axes' place
+        view = view.transpose(tuple(range(1, 2 * arity - 1, 2))
+                              + tuple(range(0, 2 * arity - 1, 2)))
+        out = view[_index_grid(lat, arity, pin_last)]
+        free = out.ndim - arity
+        axes = [ax for k in range(free) for ax in (k, free + k)]
+        axes += [out.ndim - 1] if pin_last else []
+        shape = (lat.N,) * free + ((wd,) if pin_last else ())
+        return out.transpose(axes).reshape(shape)
+
+    def _apply_s(self, T: np.ndarray) -> np.ndarray:
+        """sum_y T[..., y] (t S)[x, y] from the blocks: S_xy = blocks[[y] -
+        [x]], so block a of the result collects T's block a + offset."""
+        lat = self.lattice
+        wd = lat.block_volume
+        view = T.reshape(-1, lat.block_count, wd)
+        shift = lat.block_offset_matrix
+        out = np.zeros(view.shape, dtype=complex)
+        for off, blk in self.blocks.items():
+            out += view[:, shift[lat.block_negate(off)]] @ blk.T
+        return out.reshape(T.shape)
 
     def _recurse(self, charges: tuple[int, ...]) -> np.ndarray:
-        # builds the order-(n+1) tensor from tensors of every lower order
+        # the order-n tensor from tensors of every lower order, at rows x_1
+        # in block 0:
+        # Khat(x) = m_1 Khat(s_2..s_n)[x_2..x_n-1, x_1] R[x_1, x_n]
+        # + sum_k m_1 sum_x C_k[x_1..x_k-1, x] Khat(s_k..)[x_k.., x] R[x, x_n]
+        # with C_k = Khat(s_1..s_k) S. The first term sits on x = x_1, so one
+        # product with R serves every term.
         order = len(charges)
-        N = self.S.shape[0]
+        lat = self.lattice
+        wd, N = lat.block_volume, lat.N
+        loop_size_guard(lat, order)
         m1 = charge_m(self.m, charges[0])
-        mlast = charge_m(self.m, charges[-1])
-        R = self.resolvent(m1 * mlast)
-        # rotated lower tensor evaluated at (x2, ..., x_{order-1}, x1)
-        T = np.moveaxis(self.khat_tensor(charges[1:]), -1, 0)
-        rshape = (N,) + (1,) * (order - 2) + (N,)
-        out = m1 * T[..., None] * R.reshape(rshape)
+        if order == 1:
+            return np.full(wd, m1, dtype=complex)
+        R = self.resolvent(m1 * charge_m(self.m, charges[-1]))
+        lower = self.khat_last_pinned(charges[1:])
+        if order == 2:
+            return m1 * lower[:, None] * R[:wd]
+        X = np.empty((wd, N ** (order - 2), N), dtype=complex)
         for k in range(2, order):
-            B = self.khat_tensor(charges[:k])          # (x1..x_{k-1}, y)
-            C = np.tensordot(B, self.S, axes=([-1], [1]))  # (x1..x_{k-1}, x)
-            D = self.khat_tensor(charges[k - 1:])      # (x_k.., x)
-            E = np.einsum("px,qx,xj->pqj", C.reshape(-1, N), D.reshape(-1, N),
-                          R, optimize=True)
-            out += m1 * E.reshape(out.shape)
-        return out
+            C = self._apply_s(self.khat_tensor(charges[:k])).reshape(-1, 1, N)
+            D = self._roll(self.khat_tensor(charges[k - 1:]), pin_last=False)
+            term = X.reshape(C.shape[0], -1, N)
+            if k == 2:
+                np.multiply(C, D.reshape(1, -1, N), out=term)
+            else:
+                term += C * D.reshape(1, -1, N)
+        sites = np.arange(wd)
+        X[sites, :, sites] += lower.reshape(-1, wd).T
+        out = X.reshape(-1, N) @ R
+        out *= m1
+        return out.reshape((wd,) + (N,) * (order - 1))
+
+    def _average(self, charges) -> np.ndarray:
+        """Block average of Khat with its first block at 0, axes [a_2..a_n].
+
+        Memoized; the entrywise tensor of order >= 3 is kept only when
+        :meth:`khat_tensor` was asked for it.
+        """
+        charges = parse_charges(charges)
+        if charges not in self._averages:
+            lat = self.lattice
+            order = len(charges)
+            pinned = self._khat.get(charges)
+            if pinned is None:
+                pinned = self.khat_tensor(charges) if order <= 2 \
+                    else self._recurse(charges)
+            view = pinned.reshape(
+                (lat.block_volume,) + (lat.block_count, lat.block_volume)
+                * (order - 1))
+            avg = view.mean(axis=tuple(range(0, 2 * order - 1, 2)))
+            self._averages[charges] = avg
+        return self._averages[charges]
 
     def k_tensor(self, charges) -> np.ndarray:
-        """Block primitive loop tensor: the block average of Khat.
+        """Block primitive loop tensor: the block average of Khat, rolled
+        from its first block at 0 to every first block.
 
         For order 2 this is W^-d m(s) m(s') Theta, which ``bandlab kloop``
         checks against the block-Fourier :func:`theta`.
         """
-        return project_tensor(self.lattice, self.khat_tensor(charges))
+        charges = parse_charges(charges)
+        avg = self._average(charges)
+        if len(charges) == 1:
+            return np.full(self.lattice.block_count, avg)
+        grid = _index_grid(self.lattice, len(charges), pin_last=False)
+        return avg[grid]
 
 
 # ---- loop operations -------------------------------------------------------------
@@ -285,10 +420,11 @@ def ward_residual(calc: KLoopCalculator, eta_t: float, charges) -> float:
         raise ValueError("Ward identity needs order >= 2")
     if charges[0] != -charges[-1]:
         raise ValueError("Ward identity requires sigma_1 = -sigma_n")
-    lhs = calc.k_tensor(charges).sum(axis=-1)
+    # every cell is a common block shift of one with its first block at 0
+    lhs = calc._average(charges).sum(axis=-1)
     mid = charges[1:-1]
-    plus = calc.k_tensor((1,) + mid)
-    minus = calc.k_tensor((-1,) + mid)
+    plus = calc._average((1,) + mid)
+    minus = calc._average((-1,) + mid)
     rhs = (plus - minus) / (2j * calc.lattice.block_volume * eta_t)
     scale = max(np.abs(lhs).max(), np.abs(rhs).max())
     return float(np.abs(lhs - rhs).max() / scale)
@@ -332,9 +468,10 @@ def kloop_flow_derivative_residual(calc: KLoopCalculator, charges,
     """
     charges = parse_charges(charges)
     lat = calc.lattice
-    se = mean_field_profile(lat).assemble()
-    plus = KLoopCalculator(lat, calc.S + dt * se, calc.m)
-    minus = KLoopCalculator(lat, calc.S - dt * se, calc.m)
+    plus = KLoopCalculator(lat, _affine_blocks(lat, calc.blocks, 1.0, dt),
+                           calc.m)
+    minus = KLoopCalculator(lat, _affine_blocks(lat, calc.blocks, 1.0, -dt),
+                            calc.m)
     lhs = (plus.k_tensor(charges) - minus.k_tensor(charges)) / (2 * dt)
     rhs = _hierarchy_rhs(calc, charges)
     scale = max(float(np.abs(rhs).max()), float(np.abs(lhs).max()), 1e-300)

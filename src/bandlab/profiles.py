@@ -406,10 +406,12 @@ def validate(profile: VarianceProfile, eps_inter: float = 0.1,
 
 # ---- flow ---------------------------------------------------------------------
 
-def _affine_blocks(profile: VarianceProfile, a: float, b: float) -> dict:
-    """Blocks of a * S + b * S_E; the diagonal block is always a new array."""
-    wd = profile.lattice.block_volume
-    blocks = {off: a * blk for off, blk in profile.blocks.items()}
+def _affine_blocks(lattice: BlockLattice, blocks: dict, a: float, b: float
+                   ) -> dict:
+    """Blocks of a * S + b * S_E from the blocks of S; the diagonal block is
+    always a new array."""
+    wd = lattice.block_volume
+    blocks = {off: a * blk for off, blk in blocks.items()}
     blocks[0] = blocks.get(0, np.zeros((wd, wd))) + b / wd
     return blocks
 
@@ -418,7 +420,8 @@ def flow_profile(s0: VarianceProfile, t0: float, t: float) -> VarianceProfile:
     """S_t = S_{t0} + (t - t0) S_E. Row sums grow by (t - t0)."""
     if t < t0:
         raise ValueError(f"flow requires t >= t0, got t={t} < t0={t0}")
-    return VarianceProfile(s0.lattice, _affine_blocks(s0, 1.0, t - t0),
+    blocks = _affine_blocks(s0.lattice, s0.blocks, 1.0, t - t0)
+    return VarianceProfile(s0.lattice, blocks,
                            builder=s0.builder + "+flow",
                            builder_params={**s0.builder_params,
                                            "t0": t0, "t": t})
@@ -433,7 +436,8 @@ def family_member(s_rbm: VarianceProfile, t_f: float, t: float, s: float
     """
     if not t <= s <= t_f:
         raise ValueError(f"need t <= s <= t_f, got t={t}, s={s}, t_f={t_f}")
-    blocks = _affine_blocks(s_rbm, t * t_f / s, t * (1 - t_f / s))
+    blocks = _affine_blocks(s_rbm.lattice, s_rbm.blocks, t * t_f / s,
+                            t * (1 - t_f / s))
     return VarianceProfile(s_rbm.lattice, blocks,
                            builder=s_rbm.builder + "+family",
                            builder_params={**s_rbm.builder_params,
@@ -450,7 +454,7 @@ def decompose_core(s_t: VarianceProfile, c_ker: float):
     if c_ker > admissible + 1e-15:
         raise ProfileError(
             f"c_ker={c_ker} too large; maximal admissible value is {admissible}")
-    blocks = _affine_blocks(s_t, 1.0, -c_ker)
+    blocks = _affine_blocks(s_t.lattice, s_t.blocks, 1.0, -c_ker)
     np.clip(blocks[0], 0.0, None, out=blocks[0])
     ker = VarianceProfile(s_t.lattice, blocks, builder=s_t.builder + "+core",
                           builder_params={"c_ker": c_ker})

@@ -278,19 +278,56 @@ class TestDeterministicCommands:
                                                     monkeypatch):
         # the centre calculator serves the Ward, K^(2), shift and both
         # flow checks; only the two flow-shifted calculators per step add
-        # N x N solves
+        # resolvents
         import bandlab.deterministic as det
 
         solve, sizes = det.theta_entrywise, []
 
         def sized_solve(S, *args, **kwargs):
-            sizes.append(S.shape[0])
+            sizes.append(S.shape)
             return solve(S, *args, **kwargs)
 
         monkeypatch.setattr(det, "theta_entrywise", sized_solve)
         cfg = write_config(tmp_path / "c.ini", model={"W": 7, "n": 8})
         assert main(["kloop", "--config", cfg]) == 0
-        assert sizes.count(56) == 6
+        # n = 8 momentum solves of size W = 7 per resolvent or propagator:
+        # the centre's two resolvents (m m-bar, and m^2 = m-bar^2 at E = 0),
+        # four flow-shifted resolvents, four theta propagators
+        assert sizes == [(7, 7)] * (8 * (2 + 4 + 4))
+
+    def test_kloop_never_goes_n_by_n(self, tmp_path, monkeypatch):
+        import bandlab.deterministic as det
+        from bandlab.profiles import VarianceProfile
+
+        def refuse(self):
+            raise AssertionError("kloop assembled the N x N profile")
+
+        solve, shapes = det.theta_entrywise, set()
+
+        def sized_solve(S, *args, **kwargs):
+            shapes.add(S.shape)
+            return solve(S, *args, **kwargs)
+
+        monkeypatch.setattr(VarianceProfile, "assemble", refuse)
+        monkeypatch.setattr(det, "theta_entrywise", sized_solve)
+        cfg = write_config(tmp_path / "c.ini",
+                           model={"d": 2, "W": 3, "n": 3})
+        assert main(["kloop", "--config", cfg]) in (0, 1)
+        assert shapes == {(9, 9)}
+
+    def test_kloop_refuses_the_d2_reference_config(self, tmp_path, capsys):
+        # the order-3 pinned tensor at N = 2025 needs 1.6 GB
+        cfg = write_config(tmp_path / "c.ini", model={
+            "d": 2, "W": 5, "n": 9, "cutoff": 2})
+        assert main(["kloop", "--config", cfg]) == 2
+        assert "refusing oversized computation" in capsys.readouterr().err
+
+    def test_kloop_runs_at_the_readme_config(self, tmp_path):
+        cfg = write_config(tmp_path / "c.ini", model={"W": 33, "n": 15},
+                           spectral={"t_values": "0.3,0.9"})
+        assert main(["kloop", "--config", cfg]) in (0, 1)
+        rep = read_json(str(tmp_path / "out"), "kloop.json")
+        assert len(rep["rows"]) == 10
 
     def test_kloop_checks_k2_against_theta(self, tmp_path, monkeypatch):
         # a propagator off by 1e-9 relative must fail the K^(2) check alone

@@ -6,16 +6,16 @@ import pytest
 
 from bandlab import (BlockLattice, KLoopCalculator, LoopSignature,
                      build_translation_invariant, cut_signature,
-                     diffusion_predictions, project_matrix,
+                     diffusion_predictions, project_matrix, project_tensor,
                      evolution_kernel_apply, interaction_strength,
                      kloop_flow_derivative_residual, mean_field_profile,
                      random_walk_representation, stieltjes_m, theta,
                      theta_decay_report, theta_entrywise, ward_residual,
-                     finite_difference_report)
+                     finite_difference_report, wegner_orbital_profile)
 from bandlab.cli import build_profile
 from bandlab.deterministic import (PropagatorError, charge_m,
                                    loop_size_guard, parse_charges)
-from bandlab.profiles import KERNELS
+from bandlab.profiles import KERNELS, _affine_blocks
 from bandlab.spectral import ell_t
 
 
@@ -27,6 +27,55 @@ def band55():
 
 # boundary value at a bulk energy: |m| = 1 (flow convention)
 M_FLOW = stieltjes_m(0.3)
+
+
+class DenseLoops:
+    """Oracle: the loop recursion on an assembled N x N S, with dense LU
+    resolvents and full N^k tensors (small N only)."""
+
+    def __init__(self, S, m):
+        self.S, self.m = S, m
+        self._khat = {}
+
+    def khat_tensor(self, charges):
+        charges = parse_charges(charges)
+        if charges not in self._khat:
+            self._khat[charges] = self._recurse(charges)
+        return self._khat[charges]
+
+    def _recurse(self, charges):
+        order = len(charges)
+        N = self.S.shape[0]
+        m1 = charge_m(self.m, charges[0])
+        if order == 1:
+            return np.full(N, m1, dtype=complex)
+        R = theta_entrywise(self.S, m1 * charge_m(self.m, charges[-1]), 1.0)
+        # rotated lower tensor evaluated at (x2, ..., x_{order-1}, x1)
+        T = np.moveaxis(self.khat_tensor(charges[1:]), -1, 0)
+        rshape = (N,) + (1,) * (order - 2) + (N,)
+        out = m1 * T[..., None] * R.reshape(rshape)
+        for k in range(2, order):
+            B = self.khat_tensor(charges[:k])          # (x1..x_{k-1}, y)
+            C = np.tensordot(B, self.S, axes=([-1], [1]))  # (x1..x_{k-1}, x)
+            D = self.khat_tensor(charges[k - 1:])      # (x_k.., x)
+            E = np.einsum("px,qx,xj->pqj", C.reshape(-1, N), D.reshape(-1, N),
+                          R, optimize=True)
+            out += m1 * E.reshape(out.shape)
+        return out
+
+
+def block_major(lattice):
+    """The sites block by block: the site order of every axis of the
+    calculator's tensors."""
+    return np.concatenate([lattice.block_sites(a)
+                           for a in range(lattice.block_count)])
+
+
+def pinned_rows(lattice, T):
+    """A dense loop tensor in block-major site order with its first site in
+    block 0: the layout of ``KLoopCalculator.khat_tensor``."""
+    order = block_major(lattice)
+    return T[np.ix_(*[order] * T.ndim)][:lattice.block_volume]
 
 
 def naive_khat(charges, S, m):
@@ -187,62 +236,67 @@ class TestThetaBlockFourier:
 class TestKhatLoop:
     def test_order_one(self, band55):
         lat, prof = band55
-        calc = KLoopCalculator(lat, prof.assemble(), M_FLOW)
-        assert calc.khat_tensor((1,))[7] == pytest.approx(M_FLOW)
+        calc = KLoopCalculator(lat, prof.blocks, M_FLOW)
+        assert calc.khat_tensor((1,))[3] == pytest.approx(M_FLOW)
         assert calc.khat_tensor((-1,))[3] == pytest.approx(np.conj(M_FLOW))
 
     def test_order_two_closed_form(self, band55):
         lat, prof = band55
-        St = 0.7 * prof.assemble()
-        calc = KLoopCalculator(lat, St, M_FLOW)
+        calc = KLoopCalculator(lat, prof.scaled(0.7).blocks, M_FLOW)
         got = calc.khat_tensor((1, -1))
-        closed = theta_entrywise(St, M_FLOW, np.conj(M_FLOW))
-        assert np.abs(got - abs(M_FLOW) ** 2 * closed).max() < 1e-12
+        closed = theta_entrywise(0.7 * prof.assemble(), M_FLOW,
+                                 np.conj(M_FLOW))
+        assert np.abs(got - abs(M_FLOW) ** 2 * pinned_rows(lat, closed)
+                      ).max() < 1e-12
 
     def test_zero_profile_delta_chain(self):
         lat = BlockLattice(d=1, W=2, n=3)
-        S0 = np.zeros((6, 6))
-        calc = KLoopCalculator(lat, S0, M_FLOW)
+        calc = KLoopCalculator(lat, {}, M_FLOW)
         got = calc.khat_tensor((1, -1, 1))
         expected = np.zeros((6, 6, 6), dtype=complex)
         prod = M_FLOW * np.conj(M_FLOW) * M_FLOW
         for x in range(6):
             expected[x, x, x] = prod
-        assert np.abs(got - expected).max() < 1e-14
+        assert np.abs(got - pinned_rows(lat, expected)).max() < 1e-14
 
     def test_recursion_against_naive_loops(self):
-        # independent oracle: same recursion, nested python loops
-        lat = BlockLattice(d=1, W=2, n=2)
+        # independent oracle of the dense oracle: same recursion, nested
+        # python loops, on an S with no block translation invariance
         rng = np.random.default_rng(9)
         raw = rng.random((4, 4))
         S = 0.6 * (raw + raw.T) / (raw + raw.T).sum(axis=1).max()
         m = stieltjes_m(-0.4)
-        calc = KLoopCalculator(lat, S, m)
+        calc = DenseLoops(S, m)
         for charges in [(1, -1), (1, 1, -1), (1, -1, 1, -1)]:
             got = calc.khat_tensor(charges)
             assert np.abs(got - naive_khat(charges, S, m)).max() < 1e-12
 
     def test_shift_invariance(self, band55):
         lat, prof = band55
-        St = 0.7 * prof.assemble()
-        calc = KLoopCalculator(lat, St, M_FLOW)
+        calc = KLoopCalculator(lat, prof.scaled(0.7).blocks, M_FLOW)
         t1 = calc.khat_tensor((1, 1, -1))
-        t2 = calc.khat_tensor((1, -1, 1))
-        # K(s, x) = K(tau s, tau x): t1[x1,x2,x3] = t2[x2,x3,x1]
+        t2 = calc.khat_last_pinned((1, -1, 1))
+        # K(s, x) = K(tau s, tau x): t1[x1,x2,x3] = t2[x2,x3,x1], x1 in [0]
         assert np.abs(t1 - t2.transpose(2, 0, 1)).max() < 1e-12
 
     def test_memoization(self, band55):
         lat, prof = band55
-        calc = KLoopCalculator(lat, 0.5 * prof.assemble(), M_FLOW)
+        calc = KLoopCalculator(lat, prof.scaled(0.5).blocks, M_FLOW)
         first = calc.khat_tensor((1, -1))
         assert calc.khat_tensor((1, -1)) is first
 
     def test_size_guard(self):
-        lat = BlockLattice(d=1, W=10, n=100)
+        # 16 W^d N^(order-1) bytes against 1 GiB: the d=2 reference lattice
+        # (N = 2025) needs 1.6 GB at order 3, the README lattice (N = 495)
+        # 129 MB at order 3 and 64 GB at order 4
         with pytest.raises(MemoryError):
-            loop_size_guard(lat, 3)
-        small = BlockLattice(d=1, W=5, n=5)
-        loop_size_guard(small, 3)
+            loop_size_guard(BlockLattice(d=2, W=5, n=9), 3)
+        readme = BlockLattice(d=1, W=33, n=15)
+        loop_size_guard(readme, 3)
+        with pytest.raises(MemoryError):
+            loop_size_guard(readme, 4)
+        with pytest.raises(MemoryError):
+            loop_size_guard(readme, 3, max_bytes=16 * 33 * 495**2 - 1)
 
     def test_charge_parsing(self):
         assert parse_charges("+-") == (1, -1)
@@ -251,11 +305,105 @@ class TestKhatLoop:
             parse_charges("+x")
 
 
+def _uniform(d, W, n):
+    lat = BlockLattice(d=d, W=W, n=n)
+    return build_translation_invariant(lat, KERNELS["uniform"], 1)
+
+
+def _oracle_contexts():
+    """(name, lattice, blocks of t S, t S assembled, m, top order)."""
+    out = []
+    m0, m3 = stieltjes_m(0.0), stieltjes_m(0.3)
+    # c05: d=1 W=5 n=5 at t = 0.7; c06 adds d=2 W=3 n=3, whose order-4
+    # dense tensor (81^4 entries) is too large, so d=2 W=2 n=3 takes it
+    for name, (d, W, n), m, top in (("c05", (1, 5, 5), m0, 4),
+                                    ("c06-d1", (1, 5, 5), m3, 4),
+                                    ("c06-d2", (2, 3, 3), m3, 3),
+                                    ("d2-order4", (2, 2, 3), m3, 4)):
+        prof = _uniform(d, W, n).scaled(0.7)
+        out.append((name, prof.lattice, prof.blocks, prof.assemble(), m, top))
+    # c07: t_f S + (t - t_f) S_E on d=1 W=3 n=3
+    prof = _uniform(1, 3, 3)
+    se = mean_field_profile(prof.lattice).assemble()
+    out.append(("c07", prof.lattice,
+                _affine_blocks(prof.lattice, prof.blocks, 0.8, -0.2),
+                0.8 * prof.assemble() - 0.2 * se, m3, 4))
+    prof = wegner_orbital_profile(BlockLattice(d=1, W=3, n=4), 0.05,
+                                  0.5).scaled(0.6)
+    out.append(("wegner", prof.lattice, prof.blocks, prof.assemble(), m3, 4))
+    return out
+
+
+class TestReducedAgainstDense:
+    """The pinned recursion against the dense N x N oracle, every charge
+    vector of orders 2 to the context's top order."""
+
+    @pytest.mark.parametrize("context", _oracle_contexts(),
+                             ids=lambda c: c[0])
+    def test_tensors_match(self, context):
+        _, lat, blocks, S, m, top = context
+        calc = KLoopCalculator(lat, blocks, m)
+        dense = DenseLoops(S, m)
+        for order in range(2, top + 1):
+            for charges in itertools.product((1, -1), repeat=order):
+                full = dense.khat_tensor(charges)
+                scale = np.abs(full).max()
+                assert np.abs(calc.khat_tensor(charges)
+                              - pinned_rows(lat, full)).max() < 1e-12 * scale
+                K = project_tensor(lat, full)
+                assert np.abs(calc.k_tensor(charges) - K).max() \
+                    < 1e-12 * np.abs(K).max()
+
+    def test_last_pinned_roll(self):
+        _, lat, blocks, S, m, _ = _oracle_contexts()[3]
+        calc = KLoopCalculator(lat, blocks, m)
+        dense = DenseLoops(S, m)
+        order = block_major(lat)
+        for charges in [(1,), (1, -1), (1, -1, 1), (1, 1, -1, -1)]:
+            full = dense.khat_tensor(charges)
+            want = full[np.ix_(*[order] * (full.ndim - 1)
+                               + [order[:lat.block_volume]])]
+            assert np.abs(calc.khat_last_pinned(charges) - want).max() \
+                < 1e-12 * np.abs(full).max()
+
+
+class TestBlockResolvent:
+    def test_matches_dense_inverse(self, model_profile):
+        lat = model_profile.lattice
+        calc = KLoopCalculator(lat, model_profile.scaled(0.7).blocks, M_FLOW)
+        order = block_major(lat)
+        for c in (abs(M_FLOW) ** 2, M_FLOW**2):
+            dense = theta_entrywise(0.7 * model_profile.assemble(), c, 1.0)
+            assert np.abs(calc.resolvent(c) - dense[np.ix_(order, order)]
+                          ).max() < 1e-12 * np.abs(dense).max()
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda X: X * (1 + 1e-6), lambda X: np.full_like(X, np.nan)],
+        ids=["off-by-1e-6", "nan"])
+    def test_real_space_residual_fails(self, band55, monkeypatch, corrupt):
+        # per-momentum inverses that pass their own solve but are wrong
+        # (or NaN) must trip the block residual of R
+        import bandlab.deterministic as det
+        lat, prof = band55
+        solve = det.theta_entrywise
+        monkeypatch.setattr(det, "theta_entrywise",
+                            lambda *a: corrupt(solve(*a)))
+        calc = KLoopCalculator(lat, prof.scaled(0.7).blocks, M_FLOW)
+        with pytest.raises(PropagatorError, match="block resolvent"):
+            calc.k_tensor((1, -1))
+
+    def test_singular_momentum_raises(self, band55):
+        # t = 1, |m| = 1, (+,-): the zero momentum of 1 - S is singular
+        lat, prof = band55
+        calc = KLoopCalculator(lat, prof.blocks, M_FLOW)
+        with pytest.raises(PropagatorError):
+            calc.k_tensor((1, -1))
+
+
 class TestKLoop:
     def test_fast_path_matches_recursion(self, band55):
         lat, prof = band55
-        St = 0.7 * prof.assemble()
-        calc = KLoopCalculator(lat, St, M_FLOW)
+        calc = KLoopCalculator(lat, prof.scaled(0.7).blocks, M_FLOW)
         for pair in [(1, 1), (1, -1), (-1, 1), (-1, -1)]:
             mm = charge_m(M_FLOW, pair[0]) * charge_m(M_FLOW, pair[1])
             a = mm * theta(prof, 0.7, pair, M_FLOW) / lat.block_volume
@@ -264,13 +412,12 @@ class TestKLoop:
 
     def test_order_one_constant(self, band55):
         lat, prof = band55
-        calc = KLoopCalculator(lat, prof.assemble(), M_FLOW)
+        calc = KLoopCalculator(lat, prof.blocks, M_FLOW)
         assert calc.k_tensor((1,))[2] == pytest.approx(M_FLOW)
 
     def test_translation_invariance(self, band55):
         lat, prof = band55
-        St = 0.7 * prof.assemble()
-        calc = KLoopCalculator(lat, St, M_FLOW)
+        calc = KLoopCalculator(lat, prof.scaled(0.7).blocks, M_FLOW)
         T = calc.k_tensor((1, 1, -1))
         for shift in (1, 3):
             for a in range(lat.n):
@@ -283,8 +430,8 @@ class TestKLoop:
 
     def test_parity_symmetry(self, band55):
         lat, prof = band55
-        St = 0.7 * prof.assemble()
-        T = KLoopCalculator(lat, St, M_FLOW).k_tensor((1, -1, -1))
+        calc = KLoopCalculator(lat, prof.scaled(0.7).blocks, M_FLOW)
+        T = calc.k_tensor((1, -1, -1))
         n = lat.n
         for a in range(n):
             for b2 in range(n):
@@ -299,9 +446,8 @@ class TestWard:
         # row-sum identity: sum_b K2 = W^-d / (1 - t) entrywise at |m| = 1
         lat, prof = band55
         t = 0.7
-        St = t * prof.assemble()
         eta_t = (1 - t) * M_FLOW.imag
-        calc = KLoopCalculator(lat, St, M_FLOW)
+        calc = KLoopCalculator(lat, prof.scaled(t).blocks, M_FLOW)
         lhs = calc.k_tensor((1, -1)).sum(axis=-1)
         scalar = M_FLOW.imag / (lat.W * eta_t)
         assert np.abs(lhs - scalar).max() < 1e-12
@@ -311,9 +457,8 @@ class TestWard:
     def test_order_three(self, band55):
         lat, prof = band55
         t = 0.7
-        St = t * prof.assemble()
         eta_t = (1 - t) * M_FLOW.imag
-        calc = KLoopCalculator(lat, St, M_FLOW)
+        calc = KLoopCalculator(lat, prof.scaled(t).blocks, M_FLOW)
         for charges in [(1, 1, -1), (1, -1, -1), (-1, -1, 1), (-1, 1, 1)]:
             assert ward_residual(calc, eta_t, charges) < 1e-9
 
@@ -321,9 +466,8 @@ class TestWard:
         # doubling eta halves the right-hand side, breaking the identity
         lat, prof = band55
         t = 0.5
-        St = t * prof.assemble()
         eta_t = (1 - t) * M_FLOW.imag
-        calc = KLoopCalculator(lat, St, M_FLOW)
+        calc = KLoopCalculator(lat, prof.scaled(t).blocks, M_FLOW)
         assert ward_residual(calc, eta_t, (1, -1)) < 1e-10
         off = ward_residual(calc, 2 * eta_t, (1, -1))
         assert off == pytest.approx(0.5, rel=1e-6)
@@ -331,15 +475,14 @@ class TestWard:
     def test_charge_precondition(self, band55):
         lat, prof = band55
         with pytest.raises(ValueError):
-            ward_residual(KLoopCalculator(lat, prof.assemble(), M_FLOW), 0.1,
+            ward_residual(KLoopCalculator(lat, prof.blocks, M_FLOW), 0.1,
                           (1, 1))
 
     def test_single_cell(self, band55):
         lat, prof = band55
         t = 0.7
-        St = t * prof.assemble()
         eta_t = (1 - t) * M_FLOW.imag
-        calc = KLoopCalculator(lat, St, M_FLOW)
+        calc = KLoopCalculator(lat, prof.scaled(t).blocks, M_FLOW)
         # the identity at the one cell (a_1, a_2) = (0, 2), written out
         lhs = calc.k_tensor((1, 1, -1)).sum(axis=-1)
         rhs = (calc.k_tensor((1, 1)) - calc.k_tensor((-1, 1))) \
@@ -390,10 +533,9 @@ def setup33():
     lat = BlockLattice(d=1, W=3, n=3)
     prof = build_translation_invariant(lat, KERNELS["uniform"], 1)
     t_f, t = 0.8, 0.6
-    se = mean_field_profile(lat).assemble()
-    St = t_f * prof.assemble() + (t - t_f) * se
-    assert St.min() >= 0
-    return KLoopCalculator(lat, St, M_FLOW)
+    blocks = _affine_blocks(lat, prof.blocks, t_f, t - t_f)
+    assert min(blk.min() for blk in blocks.values()) >= 0
+    return KLoopCalculator(lat, blocks, M_FLOW)
 
 
 class TestFlowDerivative:
@@ -416,7 +558,7 @@ class TestFlowDerivative:
         # the centre loops come from the caller's calculator, whose memoized
         # tensors are the ones a fresh calculator would compute
         setup33.k_tensor((1, 1, -1))
-        fresh = KLoopCalculator(setup33.lattice, setup33.S, setup33.m)
+        fresh = KLoopCalculator(setup33.lattice, setup33.blocks, setup33.m)
         for charges in ((1, -1), (1, 1, -1)):
             assert kloop_flow_derivative_residual(setup33, charges, 1e-3) \
                 == kloop_flow_derivative_residual(fresh, charges, 1e-3)
@@ -663,10 +805,8 @@ def k3_setup():
     lat = BlockLattice(d=1, W=5, n=25)
     prof = build_translation_invariant(lat, KERNELS["uniform"], 1)
     t = 0.5
-    St = t * prof.assemble()
     lam = np.sqrt(interaction_strength(prof))
-    calc = KLoopCalculator(lat, St, M_FLOW, max_bytes=1 << 31,
-                           site_cap=1e10)
+    calc = KLoopCalculator(lat, prof.scaled(t).blocks, M_FLOW)
     return lat, calc, t, lam
 
 

@@ -265,7 +265,7 @@ class TestDiffusionPredictions:
         z = 0.2 + 0.4j
         m = stieltjes_m(z)
         pred_abs2, pred_gg = diffusion_predictions(band_profile, z)
-        calc = KLoopCalculator(lat, band_profile.assemble(), m)
+        calc = KLoopCalculator(lat, band_profile.blocks, m)
         k2 = calc.k_tensor((1, -1))
         assert np.abs(pred_abs2 - k2.real).max() < 1e-13
         k2pp = calc.k_tensor((1, 1))
@@ -475,7 +475,7 @@ class TestLoopConvergence:
         band = build_band(prof)
         z = 0.0 + 0.5j
         m = stieltjes_m(z)
-        K3 = KLoopCalculator(lat, prof.assemble(), m).k_tensor((1, -1, 1))
+        K3 = KLoopCalculator(lat, prof.blocks, m).k_tensor((1, -1, 1))
         triples = [(0, 0, 0), (0, 1, 2), (0, 2, 4), (1, 1, 3)]
         reps = 1200
         acc = {tr: 0j for tr in triples}

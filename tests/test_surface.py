@@ -23,6 +23,8 @@ KEPT = {
                             "the profile builders' reach",
     "flow_profile": "the profile flow S_t the family tests close against",
     "profile_from_text": "inverse of profile_to_text (round-trip tests)",
+    "assemble": "timed by bench/setup_probe.py; dense oracle of the tests",
+    "project_tensor": "block average of the dense loop oracle in the tests",
 }
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
