@@ -109,6 +109,12 @@ _MODEL_TYPES = ("translation_invariant", "wegner_orbital", "block_flat",
                 "mean_field")
 
 
+def _defaults() -> dict:
+    """Every schema key at its default value (None where it is required)."""
+    return {sec: {k: v for k, (_, v) in keys.items()}
+            for sec, keys in _SCHEMA.items()}
+
+
 def parse_config(path: str) -> dict:
     """Parse and schema-validate an INI config; unknown keys are errors."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -121,8 +127,7 @@ def parse_config(path: str) -> dict:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
 
-    cfg = {sec: {k: v for k, (_, v) in keys.items()}
-           for sec, keys in _SCHEMA.items()}
+    cfg = _defaults()
     for sec in cp.sections():
         if sec not in _SCHEMA:
             raise ConfigError(f"unknown section [{sec}]")
@@ -387,9 +392,8 @@ def cmd_flow(cfg, outdir):
     return rep
 
 
-def _run_ensemble(cfg, rep, fn, reducers, stream=None):
-    """Run the command's replicas and add their counts to ``rep``;
-    ``stream`` is passed on to run_ensemble.
+def _run_ensemble(cfg, rep, fn, reducers):
+    """Run the command's replicas and add their counts to ``rep``.
 
     Raises AllReplicasFailed with ``rep`` marked failing when no replica
     completed, since there is then no estimate to check.
@@ -397,7 +401,7 @@ def _run_ensemble(cfg, rep, fn, reducers, stream=None):
     config = mc.SampleConfig(master_seed=cfg["mc"]["master_seed"],
                              replicas=cfg["mc"]["replicas"],
                              parallelism=cfg["mc"]["parallelism"])
-    result = mc.run_ensemble(config, fn, reducers, stream)
+    result = mc.run_ensemble(config, fn, reducers)
     rep.update({"replicas": result.replicas, "completed": result.completed,
                 "failures": result.failures,
                 "master_seed": config.master_seed,
@@ -406,20 +410,6 @@ def _run_ensemble(cfg, rep, fn, reducers, stream=None):
         rep["pass"] = False
         raise AllReplicasFailed(rep)
     return result
-
-
-def _ward_counter(cfg):
-    """(stream, violating): a run_ensemble stream hook that appends to the
-    list ``violating`` every replica whose Ward residual is above the gate
-    or NaN."""
-    gate = cfg["checks"]["ward_gate"]
-    violating = []
-
-    def stream(replica, result):
-        if not result["ward_residual"] <= gate:
-            violating.append(replica)
-
-    return stream, violating
 
 
 def cmd_locallaw(cfg, outdir):
@@ -441,13 +431,14 @@ def cmd_locallaw(cfg, outdir):
         "lambda": lam, "ell": ell, "scale": scale, "tolerance": tol,
     })
     fn, reducers = mc.locallaw_replica_fn(band, z)
-    stream, violating = _ward_counter(cfg)
-    result = _run_ensemble(cfg, rep, fn, reducers, stream)
+    result = _run_ensemble(cfg, rep, fn, reducers)
     block_mean = result.mean("block_residual")
     block_stderr = result.stderr("block_residual")
     entry_mean_max = float(result.mean("entry_sq").max())
     block_max = float(block_mean.max())
-    ward_violations = len(violating)
+    ward = result.values["ward_residual"]
+    # replicas above the gate; a NaN residual is one of them
+    ward_violations = int((~(ward <= cfg["checks"]["ward_gate"])).sum())
 
     normalized_block = block_max / scale
     normalized_entry = entry_mean_max / scale
@@ -458,7 +449,7 @@ def cmd_locallaw(cfg, outdir):
         "block_residual_normalized": normalized_block,
         "entry_sq_max_mean": entry_mean_max,
         "entry_sq_normalized": normalized_entry,
-        "ward_residual_max": float(result.max("ward_residual")),
+        "ward_residual_max": float(ward.max()),
         "ward_violations": ward_violations,
         "pass": bool(passed),
     })
@@ -496,14 +487,15 @@ def cmd_deloc(cfg, outdir):
     })
     fn, reducers = mc.deloc_replica_fn(band, (-window, window))
     result = _run_ensemble(cfg, rep, fn, reducers)
-    sup_max = float(result.max("sup_norm_sq"))
+    sup_max = float(result.values["sup_norm_sq"].max())
+    counts = result.values["window_count"]
     # with no eigenvalue in any replica's window there is nothing to bound
-    vacuous = vacuous or not result.sums["window_count"]
+    vacuous = vacuous or not counts.any()
     passed = (not vacuous) and sup_max <= threshold and not result.failures
     rep.update({
         "vacuous_bound": bool(vacuous),
         "sup_norm_sq_max": sup_max,
-        "mean_window_count": float(result.mean("window_count")),
+        "mean_window_count": float(counts.mean()),
         "pass": bool(passed),
     })
     return rep
@@ -529,11 +521,12 @@ def cmd_diffusion(cfg, outdir):
     })
     pred_abs2, pred_gg = mc.diffusion_predictions(profile, z)
     fn, reducers = mc.diffusion_replica_fn(band, z)
-    stream, violating = _ward_counter(cfg)
-    result = _run_ensemble(cfg, rep, fn, reducers, stream)
+    result = _run_ensemble(cfg, rep, fn, reducers)
     mean_abs2, se_abs2 = result.mean("abs2").real, result.stderr("abs2")
     mean_gg, se_gg = result.mean("gg"), result.stderr("gg")
-    ward_violations = len(violating)
+    ward = result.values["ward_residual"]
+    # replicas above the gate; a NaN residual is one of them
+    ward_violations = int((~(ward <= cfg["checks"]["ward_gate"])).sum())
 
     breaches = []
     rows = []
@@ -556,7 +549,7 @@ def cmd_diffusion(cfg, outdir):
                          dev2, tol2, "pass" if ok else "FAIL"))
     passed = not breaches and ward_violations == 0 and not result.failures
     rep.update({
-        "ward_residual_max": float(result.max("ward_residual")),
+        "ward_residual_max": float(ward.max()),
         "ward_violations": ward_violations,
         "max_normalized_abs2": float((np.abs(mean_abs2 - pred_abs2)
                                       / scale).max()),
@@ -600,17 +593,17 @@ def cmd_que(cfg, outdir):
                 "threshold": threshold})
     fn, reducers = mc.que_replica_fn(band, window)
     result = _run_ensemble(cfg, rep, fn, reducers)
-    dev_sq_max = float(result.max("overlap_dev_sq"))
+    dev_sq_max = float(result.values["overlap_dev_sq"].max())
+    counts = result.values["window_count"]
     # with no eigenvalue in any replica's window there is nothing to bound
-    empty = int(result.sums["window_empty"])
-    vacuous = empty == result.completed
+    vacuous = not counts.any()
     passed = (not vacuous) \
         and dev_sq_max <= threshold * cfg["checks"]["tolerance_scale"] \
         and not result.failures
     rep.update({
         "overlap_dev_sq_max": dev_sq_max,
-        "mean_window_count": float(result.mean("window_count")),
-        "empty_windows": empty,
+        "mean_window_count": float(counts.mean()),
+        "empty_windows": int((counts == 0).sum()),
         "vacuous_bound": bool(vacuous),
         "pass": bool(passed),
     })
@@ -673,10 +666,7 @@ def main(argv=None) -> int:
         if args.config is None:
             if args.command != "report":
                 raise ConfigError("--config is required for this command")
-            cfg = {sec: {k: v for k, (_, v) in keys.items()}
-                   for sec, keys in _SCHEMA.items()}
-            cfg["mc"]["parallelism"] = 1
-            cfg["model"].update({"type": "mean_field", "W": 1, "n": 1})
+            cfg = _defaults()
         else:
             cfg = parse_config(args.config)
         if args.seed is not None:

@@ -105,10 +105,10 @@ def theta_entrywise(S: np.ndarray, m1: complex, m2: complex) -> np.ndarray:
     return X
 
 
-def _momentum_inverses(lattice: BlockLattice, blocks: dict, t: float,
-                       m1: complex, m2: complex):
-    """The blocks t*S_x as an (n^d, W^d, W^d) array, and the inverses of
-    1 - m1 m2 t S(p) for each block momentum p, in ``np.fft.fftn`` order.
+def _momentum_inverses(lattice: BlockLattice, blocks: dict,
+                       c: complex) -> np.ndarray:
+    """The inverses of 1 - c S(p) for each block momentum p of the blocks
+    S_x, in ``np.fft.fftn`` order.
 
     The symbol S(p) = sum_x e^(-2 pi i p.x/n) S_x goes through the
     residual-checked solve of :func:`theta_entrywise`, so a singular or
@@ -118,10 +118,23 @@ def _momentum_inverses(lattice: BlockLattice, blocks: dict, t: float,
     shape = (lattice.n,) * lattice.d
     dense = np.zeros((lattice.block_count, wd, wd))
     for off, blk in blocks.items():
-        dense[off] = t * blk
+        dense[off] = blk
     symbol = np.fft.fftn(dense.reshape(shape + (wd, wd)),
                          axes=tuple(range(lattice.d))).reshape(-1, wd, wd)
-    return dense, np.array([theta_entrywise(s, m1, m2) for s in symbol])
+    return np.array([theta_entrywise(s, c, 1.0) for s in symbol])
+
+
+def _times_s(lattice: BlockLattice, blocks: dict, T: np.ndarray) -> np.ndarray:
+    """T S from the blocks S_x of S, with T's last axis over the sites
+    block by block; returned as shape (-1, n^d, W^d).
+
+    S_xy is the block of offset [y] - [x], so block b of the product
+    collects T's block b - x times S_x for every offset x.
+    """
+    view = T.reshape(-1, lattice.block_count, lattice.block_volume)
+    shift = lattice.block_offset_matrix
+    return sum((view[:, shift[off]] @ blk for off, blk in blocks.items()),
+               np.zeros(view.shape, dtype=complex))
 
 
 def theta(profile: VarianceProfile, t: float, sigma_pair,
@@ -142,8 +155,9 @@ def theta(profile: VarianceProfile, t: float, sigma_pair,
     wd = lat.block_volume
     shape = (lat.n,) * lat.d
     axes = tuple(range(lat.d))
-    m1, m2 = charge_m(m, pair[0]), charge_m(m, pair[1])
-    blocks, inverses = _momentum_inverses(lat, profile.blocks, t, m1, m2)
+    c = charge_m(m, pair[0]) * charge_m(m, pair[1])
+    blocks = {off: t * blk for off, blk in profile.blocks.items()}
+    inverses = _momentum_inverses(lat, blocks, c)
 
     def solve(rhs):
         """Rows v_b of sum_k v_k (delta_kb - m1 m2 t S_(b-k)) = rhs_b."""
@@ -160,12 +174,10 @@ def theta(profile: VarianceProfile, t: float, sigma_pair,
     # refinement step against the residual taken in real space, where every
     # term near a tail entry is as small as it is, makes each entry accurate
     # relative to itself, as the dense LU's are.
-    shift = lat.block_offset_matrix
-    resid = rhs - v + (m1 * m2) * sum(v[shift[off]] @ blocks[off]
-                                      for off in profile.blocks)
+    resid = rhs - v + c * _times_s(lat, blocks, v)[0]
     v = v + solve(resid)
     row0 = v.sum(axis=1) / wd
-    if np.imag(m1 * m2) == 0:
+    if np.imag(c) == 0:
         # real blocks and a real coupling pair p with -p conjugately, so
         # Theta is real and its imaginary part here is rounding
         row0 = row0.real.astype(complex)
@@ -238,7 +250,7 @@ class KLoopCalculator:
 
         Its block row 0 is the inverse transform of the per-momentum
         inverses; the block-circulant rest is that row moved along
-        ``block_offset_matrix``. The residual max|(1 - c t S) R - I| of block
+        ``block_offset_matrix``. The residual max|R (1 - c t S) - I| of block
         row 0 is taken in real space from the blocks; above the solve
         tolerance, or NaN, it raises PropagatorError.
         """
@@ -246,21 +258,20 @@ class KLoopCalculator:
         if key not in self._resolvents:
             lat = self.lattice
             wd, N = lat.block_volume, lat.N
-            dense, inverses = _momentum_inverses(lat, self.blocks, 1.0, key,
-                                                 1.0)
+            inverses = _momentum_inverses(lat, self.blocks, key)
             row = np.fft.ifftn(
                 inverses.reshape((lat.n,) * lat.d + (wd, wd)),
                 axes=tuple(range(lat.d))).reshape(-1, wd, wd)
-            shift = lat.block_offset_matrix
-            # block row 0 of (1 - c S) R - I: R_b - c sum_x S_x R_(b-x)
-            resid = row - key * sum(dense[off] @ row[shift[off]]
-                                    for off in self.blocks)
-            resid[0] -= np.eye(wd)
+            # block row 0 of R (1 - c S) - I, as W^d rows over the sites
+            top = row.transpose(1, 0, 2)
+            resid = top - key * _times_s(lat, self.blocks, top)
+            resid[:, 0] -= np.eye(wd)
             err, scale = np.abs(resid).max(), np.abs(row).max()
             if not (err <= _RESIDUAL_TOL * scale and err <= 1e-6):
                 raise PropagatorError(
                     f"block resolvent residual {err:.3e} "
                     f"(max entry {scale:.3e})")
+            shift = lat.block_offset_matrix
             R = row[shift].transpose(0, 2, 1, 3).reshape(N, N)
             R.setflags(write=False)
             self._resolvents[key] = R
@@ -298,18 +309,6 @@ class KLoopCalculator:
         shape = (lat.N,) * free + ((wd,) if pin_last else ())
         return out.transpose(axes).reshape(shape)
 
-    def _apply_s(self, T: np.ndarray) -> np.ndarray:
-        """sum_y T[..., y] (t S)[x, y] from the blocks: S_xy = blocks[[y] -
-        [x]], so block a of the result collects T's block a + offset."""
-        lat = self.lattice
-        wd = lat.block_volume
-        view = T.reshape(-1, lat.block_count, wd)
-        shift = lat.block_offset_matrix
-        out = np.zeros(view.shape, dtype=complex)
-        for off, blk in self.blocks.items():
-            out += view[:, shift[lat.block_negate(off)]] @ blk.T
-        return out.reshape(T.shape)
-
     def _recurse(self, charges: tuple[int, ...]) -> np.ndarray:
         # the order-n tensor from tensors of every lower order, at rows x_1
         # in block 0:
@@ -330,7 +329,8 @@ class KLoopCalculator:
             return m1 * lower[:, None] * R[:wd]
         X = np.empty((wd, N ** (order - 2), N), dtype=complex)
         for k in range(2, order):
-            C = self._apply_s(self.khat_tensor(charges[:k])).reshape(-1, 1, N)
+            C = _times_s(lat, self.blocks,
+                         self.khat_tensor(charges[:k])).reshape(-1, 1, N)
             D = self._roll(self.khat_tensor(charges[k - 1:]), pin_last=False)
             term = X.reshape(C.shape[0], -1, N)
             if k == 2:

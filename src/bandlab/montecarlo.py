@@ -455,12 +455,14 @@ def diffusion_predictions(profile: VarianceProfile, z: complex):
 
 @dataclass
 class EnsembleResult:
-    """Order-independent merge of per-replica observable dictionaries."""
+    """Order-independent merge of per-replica observable dictionaries:
+    ``sums`` and ``sumsq`` of the 'mean' keys, and for each 'each' key
+    the array of its completed replicas' values in replica-index order."""
 
     replicas: int
     sums: dict
     sumsq: dict
-    maxima: dict
+    values: dict
     failures: list = field(default_factory=list)
 
     @property
@@ -477,9 +479,6 @@ class EnsembleResult:
         mean = self.sums[key] / r
         var = (self.sumsq[key] / r - np.abs(mean) ** 2) * r / (r - 1)
         return np.sqrt(np.maximum(var.real, 0.0) / r)
-
-    def max(self, key):
-        return self.maxima[key]
 
 
 @contextmanager
@@ -521,17 +520,16 @@ def _in_order(one, replicas: int, parallelism: int):
                 pending.append(pool.submit(one, r + window))
 
 
-def run_ensemble(config: SampleConfig, replica_fn, reducers: dict | None = None,
-                 stream=None) -> EnsembleResult:
+def run_ensemble(config: SampleConfig, replica_fn,
+                 reducers: dict | None = None) -> EnsembleResult:
     """Run ``replica_fn(replica_index, rng) -> dict`` over all replicas.
 
-    Values are merged per key: 'mean' keys accumulate sums and squared
-    magnitudes; 'max' keys keep the running elementwise maximum. Merging
-    follows replica-index order as results arrive, and BLAS runs on one
-    thread for the whole call, so results do not depend on parallelism.
-    Failed replicas are recorded and excluded. ``stream`` (optional
-    callable) is called as ``stream(replica_index, result)`` for every
-    completed replica, in merge order, before its values are merged.
+    Values are merged per key: 'mean' keys (the default) accumulate sums
+    and squared magnitudes, so an array observable costs the same memory
+    for any replica count; 'each' keys keep every completed replica's value.
+    Merging follows replica-index order as results arrive, and BLAS runs on
+    one thread for the whole call, so results do not depend on parallelism.
+    Failed replicas are recorded and excluded.
     """
     reducers = reducers or {}
 
@@ -541,30 +539,28 @@ def run_ensemble(config: SampleConfig, replica_fn, reducers: dict | None = None,
         except Exception as exc:
             return exc
 
-    sums, sumsq, maxima = {}, {}, {}
+    sums, sumsq, values = {}, {}, {}
     failures = []
     with _single_threaded_blas():
         for r, res in _in_order(one, config.replicas, config.parallelism):
             if isinstance(res, Exception):
                 failures.append((r, f"{type(res).__name__}: {res}"))
                 continue
-            if stream is not None:
-                stream(r, res)
             for key, val in res.items():
+                if reducers.get(key, "mean") == "each":
+                    values.setdefault(key, []).append(val)
+                    continue
                 val = np.asarray(val)
-                if reducers.get(key, "mean") == "max":
-                    maxima[key] = val if key not in maxima \
-                        else np.maximum(maxima[key], val)
+                if key not in sums:
+                    sums[key] = val.astype(complex if np.iscomplexobj(val)
+                                           else float)
+                    sumsq[key] = np.abs(val.astype(complex)) ** 2
                 else:
-                    if key not in sums:
-                        sums[key] = val.astype(complex if np.iscomplexobj(val)
-                                               else float)
-                        sumsq[key] = np.abs(val.astype(complex)) ** 2
-                    else:
-                        sums[key] = sums[key] + val
-                        sumsq[key] = sumsq[key] + np.abs(val) ** 2
+                    sums[key] = sums[key] + val
+                    sumsq[key] = sumsq[key] + np.abs(val) ** 2
     return EnsembleResult(replicas=config.replicas, sums=sums, sumsq=sumsq,
-                          maxima=maxima, failures=failures)
+                          values={k: np.array(v) for k, v in values.items()},
+                          failures=failures)
 
 
 # ---- replica closures for the statistical experiments ----------------------------------
@@ -588,7 +584,7 @@ def locallaw_replica_fn(band: Band, z: complex):
         }
 
     return fn, {"block_residual": "mean", "entry_sq": "mean",
-                "ward_residual": "max"}
+                "ward_residual": "each"}
 
 
 def diffusion_replica_fn(band: Band, z: complex):
@@ -604,7 +600,7 @@ def diffusion_replica_fn(band: Band, z: complex):
         return {"abs2": abs2, "gg": gg,
                 "ward_residual": ward_gate_residual(gf)}
 
-    return fn, {"abs2": "mean", "gg": "mean", "ward_residual": "max"}
+    return fn, {"abs2": "mean", "gg": "mean", "ward_residual": "each"}
 
 
 def deloc_replica_fn(band: Band, window: tuple[float, float]):
@@ -616,12 +612,9 @@ def deloc_replica_fn(band: Band, window: tuple[float, float]):
         # faster than bisection and inverse iteration for the window's
         stats = eigen_stats(H, window, full_spectrum=True)
         sup = float(stats.sup_norms.max()) if stats.sup_norms.size else 0.0
-        return {
-            "sup_norm_sq": sup,
-            "window_count": float(stats.sup_norms.size),
-        }
+        return {"sup_norm_sq": sup, "window_count": stats.sup_norms.size}
 
-    return fn, {"sup_norm_sq": "max", "window_count": "mean"}
+    return fn, {"sup_norm_sq": "each", "window_count": "each"}
 
 
 def que_replica_fn(band: Band, window: tuple[float, float]):
@@ -639,8 +632,6 @@ def que_replica_fn(band: Band, window: tuple[float, float]):
             U = stats.vectors[band.block_sites]
             overlaps = U.conj().transpose(0, 2, 1) @ U
             dev = float(np.abs(overlaps - share * np.eye(k)).max())
-        return {"overlap_dev_sq": dev**2, "window_count": float(k),
-                "window_empty": float(k == 0)}
+        return {"overlap_dev_sq": dev**2, "window_count": k}
 
-    return fn, {"overlap_dev_sq": "max", "window_count": "mean",
-                "window_empty": "mean"}
+    return fn, {"overlap_dev_sq": "each", "window_count": "each"}

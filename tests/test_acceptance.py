@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 
 from bandlab import (BlockLattice, KLoopCalculator,
-                     build_translation_invariant, ell_t,
+                     build_translation_invariant,
                      evolution_kernel_apply, family_member, flow_point,
                      interaction_strength, kloop_flow_derivative_residual,
                      mean_field_profile,
                      random_walk_representation, select_parameters,
-                     stieltjes_m, theta, theta_decay_report, validate,
+                     stieltjes_m, theta, validate,
                      ward_residual)
 from bandlab.cli import main as cli_main
 from bandlab.deterministic import charge_m
@@ -186,28 +186,10 @@ def test_c09_evolution_kernel_contraction():
            worst <= 10.0, f"realized constant {worst:.3f}")
 
 
-def test_c10_theta_decay():
-    lat = BlockLattice(d=1, W=5, n=25)
-    prof = build_translation_invariant(lat, KERNELS["uniform"], 1)
-    lam = np.sqrt(interaction_strength(prof))
-    m = stieltjes_m(0.0)
-    ok = True
-    details = []
-    for t in (0.3, 0.9):
-        ell = ell_t(lam, t, lat.n)
-        pm = theta_decay_report(lat, theta(prof, t, (1, -1), m), ell)
-        pp = theta_decay_report(lat, theta(prof, t, (1, 1), m), ell)
-        ok = ok and 0 < pm.decay_length <= 3 * ell and pm.monotone_ok
-        ok = ok and pp.decay_length <= 3.0
-        details.append(f"t={t}: xi_pm={pm.decay_length:.2f} vs ell={ell:.2f},"
-                       f" xi_pp={pp.decay_length:.2f}")
-    report(10, "Theta decay: (+,-) on scale <= 3*ell_t, same charge <= 3",
-           ok, "; ".join(details))
-
-
-# Criteria 11-15 run the CLI commands on the README lattice (d=1, W=33,
-# n=15) and check the canonical reports they write, so each experiment's
-# observable, scale and tolerance are defined once, in bandlab.cli.
+# Criteria 10-15 run the CLI commands and check the canonical reports they
+# write, so each experiment's observable, scale, tolerance and verdict are
+# defined once, in bandlab.cli; 11-15 run on the README lattice (d=1, W=33,
+# n=15).
 _CONFIG = """\
 [model]
 type = {type}
@@ -260,6 +242,17 @@ def diffusion_run(tmp_path_factory):
     _, raw, elapsed = run_command(tmp_path_factory.mktemp("diffusion"),
                                   "diffusion", eta=0.2, replicas=200)
     return json.loads(raw), elapsed
+
+
+def test_c10_theta_decay(tmp_path):
+    code, raw, _ = run_command(tmp_path, "theta", W=5, n=25)
+    results = json.loads(raw)["results"]
+    ok = code == 0 and len(results) == 4 and all(e["pass"] for e in results)
+    details = [f"{'pm' if e['pair'] == [1, -1] else 'pp'} t={e['t']:g}: "
+               f"xi={e['decay_length']:.3f} <= {e['bound']:.2f}"
+               for e in results]
+    report(10, "Theta decay: (+,-) on scale <= 3*ell_t, same charge <= 3",
+           ok, "; ".join(details))
 
 
 def test_c11_local_law(locallaw_runs):

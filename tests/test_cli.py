@@ -413,6 +413,19 @@ class TestMonteCarloCommands:
         assert rep["ward_violations"] == 3
         assert rep["pass"] is False
 
+    @pytest.mark.parametrize("command", ["locallaw", "diffusion"])
+    def test_every_ward_residual_nan_is_a_violation(self, command, tmp_path,
+                                                    monkeypatch):
+        import bandlab.montecarlo as mc
+
+        monkeypatch.setattr(mc, "ward_gate_residual",
+                            lambda gf: float("nan"))
+        cfg = write_config(tmp_path / "c.ini", mc={"replicas": 3})
+        assert main([command, "--config", cfg]) == 1
+        rep = read_json(str(tmp_path / "out"), f"{command}.json")
+        assert rep["ward_violations"] == rep["completed"] == 3
+        assert rep["pass"] is False
+
     def test_locallaw_determinism_across_parallelism(self, tmp_path):
         out1 = tmp_path / "o1"
         out2 = tmp_path / "o2"

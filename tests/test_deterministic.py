@@ -415,19 +415,6 @@ class TestKLoop:
         calc = KLoopCalculator(lat, prof.blocks, M_FLOW)
         assert calc.k_tensor((1,))[2] == pytest.approx(M_FLOW)
 
-    def test_translation_invariance(self, band55):
-        lat, prof = band55
-        calc = KLoopCalculator(lat, prof.scaled(0.7).blocks, M_FLOW)
-        T = calc.k_tensor((1, 1, -1))
-        for shift in (1, 3):
-            for a in range(lat.n):
-                for b in range(lat.n):
-                    for c in range(lat.n):
-                        assert abs(T[(a + shift) % lat.n,
-                                     (b + shift) % lat.n,
-                                     (c + shift) % lat.n]
-                                   - T[a, b, c]) < 1e-12
-
     def test_parity_symmetry(self, band55):
         lat, prof = band55
         calc = KLoopCalculator(lat, prof.scaled(0.7).blocks, M_FLOW)

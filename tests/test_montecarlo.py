@@ -293,51 +293,54 @@ class TestRunEnsemble:
         for key in res1.sums:
             assert np.array_equal(res1.sums[key], res4.sums[key])
             assert np.array_equal(res1.sumsq[key], res4.sumsq[key])
-        for key in res1.maxima:
-            assert np.array_equal(res1.maxima[key], res4.maxima[key])
+        assert res1.values.keys() == res4.values.keys() == {"ward_residual"}
+        for key in res1.values:
+            assert np.array_equal(res1.values[key], res4.values[key])
 
     @staticmethod
     def _record(failing=()):
-        """A replica_fn and stream that log starts and merges; later
-        replicas of each window finish first, so a merge that waited for
-        the whole ensemble or merged out of order would show."""
+        """A replica_fn that logs, as each replica starts, how many were
+        started and not yet consumed; later replicas of each window finish
+        first, so a consumer that waited for the whole ensemble or took
+        replicas out of order would show."""
         lock = threading.Lock()
-        log = {"started": 0, "merged": [], "outstanding": []}
+        log = {"started": 0, "consumed": 0, "outstanding": []}
 
         def fn(r, rng):
             with lock:
                 log["started"] += 1
-                log["outstanding"].append(log["started"]
-                                          - len(log["merged"]))
+                log["outstanding"].append(log["started"] - log["consumed"])
             time.sleep(0.002 * (3 - r % 4))
             if r in failing:
                 raise RuntimeError(f"injected failure {r}")
-            return {"x": float(r)}
+            return {"x": float(r), "r": r}
 
-        def stream(r, res):
-            with lock:
-                log["merged"].append(r)
-
-        return fn, stream, log
+        return fn, log
 
     @pytest.mark.parametrize("par", [2, 8])
     def test_merge_is_bounded_and_in_order(self, par):
-        fn, stream, log = self._record()
-        res = run_ensemble(SampleConfig(master_seed=1, replicas=24,
-                                        parallelism=par), fn, stream=stream)
+        fn, log = self._record()
+        taken = []
+        for r, res in mc._in_order(lambda r: fn(r, None), 24, par):
+            log["consumed"] += 1
+            taken.append(res["r"])
         assert log["started"] == 24
         assert max(log["outstanding"]) <= 2 * par
-        assert log["merged"] == list(range(24))
+        assert taken == list(range(24))
+        fn, _ = self._record()
+        res = run_ensemble(SampleConfig(master_seed=1, replicas=24,
+                                        parallelism=par), fn, {"r": "each"})
+        assert res.values["r"].tolist() == list(range(24))
         assert res.completed == 24 and res.mean("x") == 11.5
 
     def test_failures_merge_in_index_order(self):
-        fn, stream, log = self._record(failing={13, 2, 21})
+        fn, _ = self._record(failing={13, 2, 21})
         res = run_ensemble(SampleConfig(master_seed=1, replicas=24,
-                                        parallelism=2), fn, stream=stream)
+                                        parallelism=2), fn, {"r": "each"})
         assert [r for r, _ in res.failures] == [2, 13, 21]
         assert res.failures[0][1] == "RuntimeError: injected failure 2"
-        assert log["merged"] == [r for r in range(24)
-                                 if r not in (2, 13, 21)]
+        assert res.values["r"].tolist() == [r for r in range(24)
+                                            if r not in (2, 13, 21)]
 
     def test_stderr_scaling(self):
         def fn(r, rng):
@@ -360,22 +363,44 @@ class TestRunEnsemble:
         assert res.completed == 3
         assert res.mean("v") == pytest.approx((0 + 1 + 3) / 3)
 
-    def test_max_reducer(self):
+    def test_each_reducer(self):
+        # every completed replica's value in replica order: a NaN keeps
+        # its place, a failed replica leaves none, and nothing is summed
         def fn(r, rng):
-            return {"m": float(r)}
+            if r == 2:
+                raise RuntimeError("boom")
+            return {"m": np.nan if r == 1 else float(r)}
 
         res = run_ensemble(SampleConfig(master_seed=1, replicas=5), fn,
-                           reducers={"m": "max"})
-        assert res.max("m") == 4.0
+                           reducers={"m": "each"})
+        assert res.completed == 4 and res.sums == {}
+        np.testing.assert_array_equal(res.values["m"], [0.0, np.nan, 3, 4])
+        assert np.isnan(res.values["m"].max())
+
+    def test_each_arrays_match_across_parallelism(self, band_small):
+        lat, band = band_small
+        fn, red = que_replica_fn(band, (-0.3, 0.3))
+        runs = [run_ensemble(SampleConfig(master_seed=6, replicas=7,
+                                          parallelism=par), fn, red).values
+                for par in (1, 2, 8)]
+        assert runs[0]["window_count"].shape == (7,)
+        for other in runs[1:]:
+            assert other.keys() == runs[0].keys() \
+                == {"overlap_dev_sq", "window_count"}
+            for key in other:
+                assert other[key].dtype == runs[0][key].dtype
+                assert np.array_equal(other[key], runs[0][key])
 
     def test_deloc_and_que_replicas_run(self, band_small):
         lat, band = band_small
         fn, red = deloc_replica_fn(band, (-1.5, 1.5))
         res = run_ensemble(SampleConfig(master_seed=10, replicas=2), fn, red)
-        assert 0 < res.max("sup_norm_sq") <= 1
+        assert res.values["sup_norm_sq"].shape == (2,)
+        assert 0 < res.values["sup_norm_sq"].max() <= 1
+        assert (res.values["window_count"] > 0).all()
         fn, red = que_replica_fn(band, (-0.2, 0.2))
         res = run_ensemble(SampleConfig(master_seed=10, replicas=2), fn, red)
-        assert res.max("overlap_dev_sq") >= 0
+        assert (res.values["overlap_dev_sq"] >= 0).all()
 
     def test_diffusion_mean_tracks_prediction(self, band_profile, band_small):
         lat, band = band_small
@@ -383,7 +408,7 @@ class TestRunEnsemble:
         fn, red = diffusion_replica_fn(band, 0.5j)
         res = run_ensemble(SampleConfig(master_seed=3, replicas=20), fn, red)
         assert res.failures == []
-        assert res.max("ward_residual") <= 1e-10
+        assert res.values["ward_residual"].max() <= 1e-10
         mean_abs2 = res.mean("abs2").real
         assert mean_abs2.shape == res.stderr("gg").shape == (5, 5)
         # the MC mean tracks the prediction at this eta within a few percent
@@ -573,8 +598,8 @@ class TestBandHotPath:
                                          diffusion_replica_fn])
     def test_nan_ward_residual_is_a_violation(self, factory, band_small,
                                               monkeypatch):
-        # the command gates the merged max, so a NaN of any replica must
-        # survive the max merge whatever its neighbours hold
+        # the command gates every replica's residual, so a NaN must keep
+        # its replica's place whatever its neighbours hold
         lat, band = band_small
         residuals = iter([1e-16, np.nan, 1e-16])
         monkeypatch.setattr(mc, "ward_gate_residual",
@@ -582,7 +607,9 @@ class TestBandHotPath:
         res = run_ensemble(SampleConfig(master_seed=1, replicas=3),
                            *factory(band, 0.5j))
         assert res.completed == 3
-        assert np.isnan(res.max("ward_residual"))
+        assert np.isnan(res.values["ward_residual"]).tolist() == [False, True,
+                                                                  False]
+        assert np.isnan(res.values["ward_residual"].max())
 
     def test_readme_config_draws_only_the_support(self):
         lat = BlockLattice(d=1, W=33, n=15)
