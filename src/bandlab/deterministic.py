@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 _RESIDUAL_TOL = 1e-10
+_STACK_CHUNK = 16        # matrices per solve in theta_entrywise
 _CHARGE_NAMES = {"+": 1, "-": -1, 1: 1, -1: -1, "+1": 1, "-1": -1}
 
 
@@ -85,24 +86,42 @@ class LoopSignature:
 # ---- Theta propagators --------------------------------------------------------
 
 def theta_entrywise(S: np.ndarray, m1: complex, m2: complex) -> np.ndarray:
-    """Entrywise propagator (1 - m1*m2*S)^(-1) by a residual-checked solve."""
-    N = S.shape[0]
-    A = np.eye(N, dtype=complex) - (m1 * m2) * S
-    try:
-        X = np.linalg.solve(A, np.eye(N, dtype=complex))
-    except np.linalg.LinAlgError as exc:  # exactly singular
-        raise PropagatorError(f"resolvent factor is singular: {exc}") from exc
-    if not np.isfinite(X).all():
-        raise PropagatorError("resolvent factor is singular")
-    scale = np.abs(X).max()
-    resid = np.abs(A @ X - np.eye(N)).max()
+    """Entrywise propagator (1 - m1*m2*S)^(-1) by a residual-checked solve.
+
+    ``S`` may be a stack (..., N, N); each matrix's residual is checked on
+    its own, and the first one that fails is named by its flat index.
+    """
+    N = S.shape[-1]
+    eye = np.eye(N, dtype=complex)
+    # solved and checked a few matrices at a time, so that no stack other
+    # than S and X is formed
+    axes, checks = (-2, -1), []
+    stack = S.reshape(-1, N, N)
+    X = np.empty(stack.shape, dtype=complex)
+    for i in range(0, len(stack), _STACK_CHUNK):
+        A = eye - (m1 * m2) * stack[i:i + _STACK_CHUNK]
+        try:
+            x = np.linalg.solve(A, np.broadcast_to(eye, A.shape))
+        except np.linalg.LinAlgError as exc:  # exactly singular
+            raise PropagatorError(
+                f"resolvent factor is singular: {exc}") from exc
+        X[i:i + _STACK_CHUNK] = x
+        checks.append((np.isfinite(x).all(axis=axes),
+                       np.abs(x).max(axis=axes),
+                       np.abs(A @ x - eye).max(axis=axes)))
+    finite, scale, resid = (np.concatenate(c) for c in zip(*checks))
     # relative residual per the solve contract; the absolute cap catches
     # (near-)singular systems where backward stability hides the blow-up
-    if resid > _RESIDUAL_TOL * scale or resid > 1e-6:
+    bad = ~finite | (resid > _RESIDUAL_TOL * scale) | (resid > 1e-6)
+    if bad.any():
+        i = int(np.argmax(bad))
+        where = f" at momentum {i}" if S.ndim > 2 else ""
+        if not finite[i]:
+            raise PropagatorError(f"resolvent factor is singular{where}")
         raise PropagatorError(
-            f"singular or ill-conditioned propagator: residual {resid:.3e} "
-            f"(max entry {scale:.3e})")
-    return X
+            f"singular or ill-conditioned propagator{where}: residual "
+            f"{resid[i]:.3e} (max entry {scale[i]:.3e})")
+    return X.reshape(S.shape)
 
 
 def _momentum_inverses(lattice: BlockLattice, blocks: dict,
@@ -110,7 +129,7 @@ def _momentum_inverses(lattice: BlockLattice, blocks: dict,
     """The inverses of 1 - c S(p) for each block momentum p of the blocks
     S_x, in ``np.fft.fftn`` order.
 
-    The symbol S(p) = sum_x e^(-2 pi i p.x/n) S_x goes through the
+    The stacked symbol S(p) = sum_x e^(-2 pi i p.x/n) S_x goes through one
     residual-checked solve of :func:`theta_entrywise`, so a singular or
     ill-conditioned momentum raises PropagatorError.
     """
@@ -121,7 +140,8 @@ def _momentum_inverses(lattice: BlockLattice, blocks: dict,
         dense[off] = blk
     symbol = np.fft.fftn(dense.reshape(shape + (wd, wd)),
                          axes=tuple(range(lattice.d))).reshape(-1, wd, wd)
-    return np.array([theta_entrywise(s, c, 1.0) for s in symbol])
+    del dense  # not held through the solve
+    return theta_entrywise(symbol, c, 1.0)
 
 
 def _times_s(lattice: BlockLattice, blocks: dict, T: np.ndarray) -> np.ndarray:

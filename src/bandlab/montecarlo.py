@@ -10,8 +10,11 @@ calls, so pinning its thread count covers every solve and eigensolve.
 
 A replica never forms the N x N profile: each command builds one
 :class:`Band` from the profile's blocks, and replicas sample H on its
-support and solve for the resolvent layer by layer around its ring. The
-order of the draws is versioned by ``STREAM_VERSION``.
+support and solve for the resolvent layer by layer around its ring, with
+each pivot inverted once and applied by matrix products. The order of the
+draws is versioned by ``STREAM_VERSION``. The ``locallaw`` and
+``diffusion`` replicas write H and G into one pair of N x N buffers per
+worker thread instead of allocating them per replica.
 
 The windowed eigenpairs of ``deloc`` and ``que`` come from LAPACK zheevr
 (Dhillon-Parlett MRRR for the whole spectrum, bisection and inverse
@@ -24,6 +27,7 @@ from __future__ import annotations
 import ctypes
 import glob
 import math
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -169,7 +173,8 @@ def build_band(profile: VarianceProfile) -> Band:
 
 # ---- sampling -----------------------------------------------------------------
 
-def sample_H(band: Band, rng: np.random.Generator) -> np.ndarray:
+def sample_H(band: Band, rng: np.random.Generator,
+             out: np.ndarray | None = None) -> np.ndarray:
     """Hermitian Gaussian matrix with E|H_xy|^2 = S_xy and E H_xy^2 = 0.
 
     Off-diagonal entries are complex with independent real/imaginary parts
@@ -177,11 +182,15 @@ def sample_H(band: Band, rng: np.random.Generator) -> np.ndarray:
     only on the band's support (real parts, imaginary parts, then the
     diagonal: 2 |support| + N of them), so entries with S_xy = 0 are
     exactly zero.
+
+    With ``out``, an N x N complex buffer, H is written into it and only
+    the support and the diagonal are written: a buffer created zeroed and
+    only ever filled by this band stays exactly zero off the band.
     """
     N, k = band.lattice.N, band.rows.size
     normals = rng.standard_normal(2 * k + N)
     vals = (normals[:k] + 1j * normals[k:2 * k]) * band.sd
-    H = np.zeros((N, N), dtype=complex)
+    H = np.zeros((N, N), dtype=complex) if out is None else out
     H[band.rows, band.cols] = vals
     H[band.cols, band.rows] = vals.conj()
     H[np.diag_indices(N)] = normals[2 * k:] * band.diag_sd
@@ -197,16 +206,20 @@ class GreenFunction:
     residual: float
 
 
-def green(band: Band, H: np.ndarray, z: complex) -> GreenFunction:
+def green(band: Band, H: np.ndarray, z: complex,
+          out: np.ndarray | None = None) -> GreenFunction:
     """Resolvent (H - z)^{-1} by block elimination around the ring of layers.
 
     ``H`` must vanish off the band, as :func:`sample_H` draws it. Layers
-    0..p-2 are eliminated in order with pivoted solves of one layer each;
-    layer p-1 closes the ring, so the fill of the wrap-around couplings
-    stays in its column (F) and row (E). Eliminated right-hand sides of
-    layer k are zero beyond the columns of layers 0..k and are not
-    carried. Back substitution is then products only. With one layer this
-    is the dense solve. The residual max|(H - z)G - I| / max(1, max|G|) is
+    0..p-2 are eliminated in order; each pivot is inverted once and applied
+    by matrix products. Layer p-1 closes the ring, so the fill of the
+    wrap-around couplings stays in its column (F) and row (E). Eliminated
+    right-hand sides of layer k are zero beyond the columns of layers 0..k
+    and are not carried; until back substitution they are kept in G's rows
+    of layer k. Back substitution is one product per layer,
+    [-Z -Y] @ [G_last; G_(k+1)], written into G's rows. With one layer
+    this is the dense inverse. With ``out``, an N x N complex buffer, G is
+    written into it. The residual max|(H - z)G - I| / max(1, max|G|) is
     taken from the band's blocks; above the tolerance, or NaN, it raises
     GreenSolveError.
     """
@@ -215,57 +228,84 @@ def green(band: Band, H: np.ndarray, z: complex) -> GreenFunction:
         raise ValueError("green requires Im z != 0")
     cuts = band.cuts
     layer = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    width = np.diff(cuts)
     last = len(layer) - 1
+    N, w_last = cuts[-1], width[-1]
 
     def A(i, j):
         """Block (i, j) of H - z."""
         blk = H[layer[i], layer[j]]
         return blk - z * np.eye(blk.shape[0]) if i == j else blk
 
-    N = cuts[-1]
-    # the last layer's right-hand side: I in its own columns
-    rhs_last = np.zeros((cuts[-1] - cuts[-2], N), dtype=complex)
-    rhs_last[:, cuts[-2]:] = np.eye(cuts[-1] - cuts[-2])
+    G = np.empty((N, N), dtype=complex) if out is None else out
+    # rows [0, w_last) hold the last layer's right-hand side (I in its own
+    # columns), then G_last; in back substitution the next w_max rows hold
+    # G_(k+1) and the last w_max layer k's eliminated right-hand side
+    w_max = max(width[:-1], default=0)
+    stack = np.empty((w_last + 2 * w_max, N), dtype=complex)
+    rhs_last = stack[:w_last]
+    rhs_last[:] = 0.0
+    rhs_last[:, cuts[-2]:] = np.eye(w_last)
     D = A(last, last)
     if last:
-        # layer 0's pivot P, its fill column F (to the last layer), the
-        # last layer's fill row E (to layer 0) and layer 0's right-hand side
-        P, F, E = A(0, 0), A(0, last), A(last, 0)
-        R = np.eye(cuts[1], dtype=complex)
+        # layer 0's pivot P, its couplings C = [F U] to the last layer (the
+        # fill column F) and to layer 1, and the last layer's fill row E
+        P, E = A(0, 0), A(last, 0)
+        C = np.hstack([A(0, last)] + ([A(0, 1)] if last > 1 else []))
     steps = []
     for k in range(last):
         # width of layer k + 1, unless that is the last layer, which F holds
-        w_next = cuts[k + 2] - cuts[k + 1] if k + 1 < last else 0
-        U = A(k, k + 1) if w_next else np.zeros((cuts[k + 1] - cuts[k], 0))
-        sol = np.linalg.solve(P, np.hstack([U, F, R]))
-        Y, Z, Rk = np.split(sol, [w_next, sol.shape[1] - R.shape[1]], axis=1)
-        D = D - E @ Z
+        w_next = width[k + 1] if k + 1 < last else 0
+        inv = _inverse(P)
+        # -P^-1 [F U L]: [-Z -Y], and for k > 0 the map -P^-1 L of layer
+        # (k - 1)'s eliminated right-hand side, L = A(k, k - 1)
+        M = inv @ C
+        np.negative(M, out=M)
+        ZY = M[:, :w_last + w_next]
+        # layer k's eliminated right-hand side P^-1 [-L R_(k-1), I]
+        Rk = G[layer[k], :cuts[k + 1]]
+        Rk[:, cuts[k]:] = inv
+        if k:
+            np.matmul(M[:, w_last + w_next:], G[layer[k - 1], :cuts[k]],
+                      out=Rk[:, :cuts[k]])
+        EZY = E @ ZY
+        D += EZY[:, :w_last]
         rhs_last[:, :cuts[k + 1]] -= E @ Rk
-        steps.append((Y, Z, Rk))
+        steps.append(ZY)
         if not w_next:
-            continue
+            break
         low = A(k + 1, k)
-        P = A(k + 1, k + 1) - low @ Y
-        F, E = -(low @ Z), -(E @ Y)
+        LZY = low @ ZY
+        P = A(k + 1, k + 1) + LZY[:, w_last:]
+        F, E = LZY[:, :w_last], EZY[:, w_last:]
         if k + 2 == last:
-            F, E = F + A(k + 1, last), E + A(last, k + 1)
-        R = np.zeros((w_next, cuts[k + 2]), dtype=complex)
-        R[:, :cuts[k + 1]] = -(low @ Rk)
-        R[:, cuts[k + 1]:] = np.eye(w_next)
-    G = np.empty((N, N), dtype=complex)
-    G[layer[last]] = np.linalg.solve(D, rhs_last)
+            F += A(k + 1, last)
+            E += A(last, k + 1)
+        U = [A(k + 1, k + 2)] if k + 2 < last else []
+        C = np.hstack([F] + U + [low])
+    np.matmul(_inverse(D), rhs_last, out=G[layer[last]])
+    if last:
+        rhs_last[:] = G[layer[last]]
     for k in reversed(range(last)):
-        Y, Z, Rk = steps[k]
-        row = -(Z @ G[layer[last]])
-        if Y.size:
-            row -= Y @ G[layer[k + 1]]
-        row[:, :cuts[k + 1]] += Rk
-        G[layer[k]] = row
+        ZY, rows = steps[k], G[layer[k]]
+        # the product overwrites the eliminated right-hand side kept in
+        # these rows, so it waits in the stack's last rows
+        Rk = stack[w_last + w_max:w_last + w_max + width[k], :cuts[k + 1]]
+        Rk[:] = rows[:, :cuts[k + 1]]
+        np.matmul(ZY, stack[:ZY.shape[1]], out=rows)
+        rows[:, :cuts[k + 1]] += Rk
+        if k:
+            stack[w_last:w_last + width[k]] = rows
     resid = _band_residual(band, H, G, z)
     if not resid <= _RESIDUAL_TOL:
         raise GreenSolveError(f"resolvent residual {resid:.3e} above "
                               f"{_RESIDUAL_TOL:.1e}")
     return GreenFunction(z=z, G=G, residual=resid)
+
+
+def _inverse(P: np.ndarray) -> np.ndarray:
+    """P^-1 by one pivoted LU solve against the identity."""
+    return np.linalg.solve(P, np.eye(len(P), dtype=complex))
 
 
 def _band_residual(band: Band, H: np.ndarray, G: np.ndarray,
@@ -274,18 +314,22 @@ def _band_residual(band: Band, H: np.ndarray, G: np.ndarray,
     of the residual plan: one W^d x kW^d @ kW^d x N product per block [a]
     for the k nonzero block offsets, so no N x N temporary is formed.
 
-    The block maxima are gathered in an array, whose max keeps a NaN.
+    The block rows partition G, so max|G| is gathered block by block too.
+    The maxima are kept in arrays, whose max keeps a NaN.
     """
     sites = band.block_sites
     diag = np.arange(sites.shape[1])
     worst = np.empty(len(sites))
+    gmax = np.empty(len(sites))
     for a, rows in enumerate(sites):
         cols = sites[band.plan[a]].ravel()
+        Ga = G[rows]
         R = H[np.ix_(rows, cols)] @ G[cols]
-        R -= z * G[rows]
+        R -= z * Ga
         R[diag, rows] -= 1.0
         worst[a] = np.abs(R).max()
-    return float(worst.max() / max(1.0, np.abs(G).max()))
+        gmax[a] = np.abs(Ga).max()
+    return float(worst.max() / max(1.0, gmax.max()))
 
 
 def ward_gate_residual(gf: GreenFunction) -> float:
@@ -293,7 +337,8 @@ def ward_gate_residual(gf: GreenFunction) -> float:
 
     Returns max_x |lhs - rhs| / max(1, max lhs); used as a health gate.
     """
-    lhs = (np.abs(gf.G) ** 2).sum(axis=1)
+    sq = np.abs(gf.G)
+    lhs = np.square(sq, out=sq).sum(axis=1)
     rhs = np.diagonal(gf.G).imag / gf.z.imag
     return float(np.abs(lhs - rhs).max() / max(1.0, lhs.max()))
 
@@ -556,8 +601,8 @@ def run_ensemble(config: SampleConfig, replica_fn,
                                            else float)
                     sumsq[key] = np.abs(val.astype(complex)) ** 2
                 else:
-                    sums[key] = sums[key] + val
-                    sumsq[key] = sumsq[key] + np.abs(val) ** 2
+                    sums[key] += val
+                    sumsq[key] += np.abs(val) ** 2
     return EnsembleResult(replicas=config.replicas, sums=sums, sumsq=sumsq,
                           values={k: np.array(v) for k, v in values.items()},
                           failures=failures)
@@ -565,22 +610,43 @@ def run_ensemble(config: SampleConfig, replica_fn,
 
 # ---- replica closures for the statistical experiments ----------------------------------
 
+def _worker_buffers(N: int):
+    """buffers() -> the (H, G) pair of N x N complex buffers of the calling
+    thread, allocated on its first call there. H is created zeroed, so
+    :func:`sample_H` with ``out=H`` keeps it exactly zero off the band."""
+    local = threading.local()
+
+    def buffers():
+        pair = getattr(local, "pair", None)
+        if pair is None:
+            pair = local.pair = (np.zeros((N, N), dtype=complex),
+                                 np.empty((N, N), dtype=complex))
+        return pair
+
+    return buffers
+
+
 def locallaw_replica_fn(band: Band, z: complex):
-    """Local-law observables: per-block trace residuals and entrywise law."""
+    """Local-law observables: per-block trace residuals and entrywise law.
+
+    H and G live in per-worker buffers; no observable aliases them."""
     lattice = band.lattice
     m = stieltjes_m(z)
     diag = np.diag_indices(lattice.N)
+    buffers = _worker_buffers(lattice.N)
 
     def fn(replica, rng):
-        H = sample_H(band, rng)
-        gf = green(band, H, z)
+        H, G = buffers()
+        gf = green(band, sample_H(band, rng, out=H), z, out=G)
+        ward = ward_gate_residual(gf)
         # |G - m I|^2 without an N x N identity: only the diagonal shifts
-        entry_sq = np.abs(gf.G) ** 2
-        entry_sq[diag] = np.abs(np.diagonal(gf.G) - m) ** 2
+        entry_sq = np.abs(G)
+        np.square(entry_sq, out=entry_sq)
+        entry_sq[diag] = np.abs(np.diagonal(G) - m) ** 2
         return {
-            "block_residual": np.abs(block_traces(lattice, gf.G) - m),
+            "block_residual": np.abs(block_traces(lattice, G) - m),
             "entry_sq": entry_sq,
-            "ward_residual": ward_gate_residual(gf),
+            "ward_residual": ward,
         }
 
     return fn, {"block_residual": "mean", "entry_sq": "mean",
@@ -588,15 +654,18 @@ def locallaw_replica_fn(band: Band, z: complex):
 
 
 def diffusion_replica_fn(band: Band, z: complex):
-    """Quantum-diffusion observables: block-pair averages of |G|^2, G G."""
+    """Quantum-diffusion observables: block-pair averages of |G|^2, G G.
+
+    H and G live in per-worker buffers; no observable aliases them."""
     lattice = band.lattice
     wd = lattice.block_volume
+    buffers = _worker_buffers(lattice.N)
 
     def fn(replica, rng):
-        H = sample_H(band, rng)
-        gf = green(band, H, z)
-        abs2 = project_matrix(lattice, np.abs(gf.G) ** 2) / wd
-        gg = project_matrix(lattice, gf.G * gf.G.T) / wd
+        H, G = buffers()
+        gf = green(band, sample_H(band, rng, out=H), z, out=G)
+        abs2 = project_matrix(lattice, np.abs(G) ** 2) / wd
+        gg = project_matrix(lattice, G * G.T) / wd
         return {"abs2": abs2, "gg": gg,
                 "ward_residual": ward_gate_residual(gf)}
 

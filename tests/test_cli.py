@@ -240,8 +240,9 @@ class TestDeterministicCommands:
         # per flow time, one block propagator for Theta(+,-) and one for
         # Theta(+,+)
         assert len(thetas) == 2 * 2
-        # each propagator is n = 5 solves of one block momentum, W^d x W^d
-        assert solve_shapes == [(5, 5)] * (2 * 2 * 5)
+        # each propagator is one stack of n = 5 solves, one per block
+        # momentum, each W^d x W^d
+        assert solve_shapes == [(5, 5, 5)] * (2 * 2)
 
     def test_theta_never_assembles_the_profile(self, tmp_path, monkeypatch):
         from bandlab.profiles import VarianceProfile
@@ -290,10 +291,11 @@ class TestDeterministicCommands:
         monkeypatch.setattr(det, "theta_entrywise", sized_solve)
         cfg = write_config(tmp_path / "c.ini", model={"W": 7, "n": 8})
         assert main(["kloop", "--config", cfg]) == 0
-        # n = 8 momentum solves of size W = 7 per resolvent or propagator:
-        # the centre's two resolvents (m m-bar, and m^2 = m-bar^2 at E = 0),
-        # four flow-shifted resolvents, four theta propagators
-        assert sizes == [(7, 7)] * (8 * (2 + 4 + 4))
+        # one stack of n = 8 momentum solves of size W = 7 per resolvent or
+        # propagator: the centre's two resolvents (m m-bar, and m^2 =
+        # m-bar^2 at E = 0), four flow-shifted resolvents, four theta
+        # propagators
+        assert sizes == [(8, 7, 7)] * (2 + 4 + 4)
 
     def test_kloop_never_goes_n_by_n(self, tmp_path, monkeypatch):
         import bandlab.deterministic as det
@@ -313,7 +315,8 @@ class TestDeterministicCommands:
         cfg = write_config(tmp_path / "c.ini",
                            model={"d": 2, "W": 3, "n": 3})
         assert main(["kloop", "--config", cfg]) in (0, 1)
-        assert shapes == {(9, 9)}
+        # stacks of n^d = 9 momentum solves of size W^d = 9
+        assert shapes == {(9, 9, 9)}
 
     def test_kloop_refuses_the_d2_reference_config(self, tmp_path, capsys):
         # the order-3 pinned tensor at N = 2025 needs 1.6 GB
@@ -424,6 +427,53 @@ class TestMonteCarloCommands:
         assert main([command, "--config", cfg]) == 1
         rep = read_json(str(tmp_path / "out"), f"{command}.json")
         assert rep["ward_violations"] == rep["completed"] == 3
+        assert rep["pass"] is False
+
+    def test_non_hermitian_H_trips_the_ward_gate(self, tmp_path,
+                                                 monkeypatch):
+        # failing control: i 1e-6 on the diagonal leaves H in the band, so
+        # green solves it to its residual, but H is no longer Hermitian and
+        # the Ward identity fails in every replica
+        import numpy as np
+
+        import bandlab.montecarlo as mc
+
+        draw = mc.sample_H
+
+        def perturbed(band, rng, out=None):
+            H = draw(band, rng, out=out)
+            H[np.diag_indices(len(H))] += 1e-6j
+            return H
+
+        cfg = write_config(tmp_path / "c.ini", mc={"replicas": 3})
+        assert main(["locallaw", "--config", cfg]) == 0
+        assert read_json(str(tmp_path / "out"),
+                         "locallaw.json")["ward_violations"] == 0
+        monkeypatch.setattr(mc, "sample_H", perturbed)
+        assert main(["locallaw", "--config", cfg]) == 1
+        rep = read_json(str(tmp_path / "out"), "locallaw.json")
+        assert rep["failures"] == []
+        assert rep["ward_violations"] == rep["completed"] == 3
+        assert rep["pass"] is False
+
+    @pytest.mark.parametrize("command", ["locallaw", "diffusion"])
+    def test_corrupted_pivot_inverse_fails_every_replica(self, command,
+                                                         tmp_path,
+                                                         monkeypatch):
+        # failing control: pivot inverses off by a relative 1e-6 must trip
+        # green's residual gate in every replica
+        import bandlab.montecarlo as mc
+
+        inverse = mc._inverse
+        monkeypatch.setattr(mc, "_inverse",
+                            lambda P: inverse(P) * (1 + 1e-6))
+        cfg = write_config(tmp_path / "c.ini", mc={"replicas": 2})
+        assert main([command, "--config", cfg]) == 1
+        rep = read_json(str(tmp_path / "out"), f"{command}.json")
+        assert rep["completed"] == 0
+        assert [r for r, _ in rep["failures"]] == [0, 1]
+        assert all(msg.startswith("GreenSolveError: resolvent residual")
+                   for _, msg in rep["failures"])
         assert rep["pass"] is False
 
     def test_locallaw_determinism_across_parallelism(self, tmp_path):
@@ -580,7 +630,7 @@ class TestMonteCarloCommands:
                                          monkeypatch):
         import bandlab.montecarlo as mc
 
-        def failing(S, rng):
+        def failing(S, rng, out=None):
             raise RuntimeError("injected sampling failure")
 
         monkeypatch.setattr(mc, "sample_H", failing)
@@ -629,7 +679,7 @@ class TestMonteCarloCommands:
         get, set_ = blas_threads
         inside = []
 
-        def failing(S, rng):
+        def failing(S, rng, out=None):
             inside.append(get())
             raise RuntimeError("injected sampling failure")
 

@@ -143,6 +143,22 @@ class TestThetaEntrywise:
         with pytest.raises(PropagatorError):
             theta_entrywise(prof.assemble(), 1.0, 1.0)
 
+    def test_stack_checks_each_matrix_and_names_the_first_failure(self,
+                                                                  band55):
+        # stacks longer than the solver's chunk of matrices
+        lat, prof = band55
+        S = prof.assemble()
+        stack = np.stack([c * S for c in np.linspace(0.1, 0.6, 20)])
+        X = theta_entrywise(stack, 1.0, 1.0)
+        for s, x in zip(stack, X):
+            assert x.tobytes() == theta_entrywise(s, 1.0, 1.0).tobytes()
+        # 1 - S is singular; only the first failing matrix is named
+        for first in (1, 17):
+            bad = np.stack([0.5 * S] * first + [S, S])
+            with pytest.raises(PropagatorError,
+                               match=f"at momentum {first}:"):
+                theta_entrywise(bad, 1.0, 1.0)
+
     def test_exactly_singular_raises_without_warning(self):
         # 1 - S with S = I is the zero matrix: the solve itself fails, and
         # the failure is a PropagatorError, not a warning

@@ -1,5 +1,7 @@
+import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -624,6 +626,109 @@ class TestBandHotPath:
         assert words <= 1.05 * (2 * band.rows.size + lat.N)
         # the dense sampler drew 2 N^2 + N
         assert words < (2 * lat.N ** 2 + lat.N) / 10
+
+
+class TestWorkerBuffers:
+    """sample_H and green into caller buffers, as the locallaw and diffusion
+    replicas run them: one (H, G) pair per worker thread."""
+
+    def test_sample_H_writes_only_the_support_and_diagonal(self,
+                                                           band_profile,
+                                                           band_small):
+        lat, band = band_small
+        buf = np.full((lat.N, lat.N), 7.0 + 0j)
+        assert sample_H(band, stream_for(5, 0), out=buf) is buf
+        S = band_profile.assemble()
+        off_band = (S == 0) & ~np.eye(lat.N, dtype=bool)
+        assert off_band.any() and (buf[off_band] == 7.0).all()
+
+    def test_sample_H_into_a_used_buffer_is_a_fresh_draw(self, band_small):
+        lat, band = band_small
+        buf = np.zeros((lat.N, lat.N), dtype=complex)
+        sample_H(band, stream_for(5, 0), out=buf)
+        H = sample_H(band, stream_for(5, 1), out=buf)
+        assert H is buf
+        assert H.tobytes() == sample_H(band, stream_for(5, 1)).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(_RING_LATTICES))
+    def test_green_into_a_buffer_is_bitwise_green(self, name):
+        model, _ = _RING_LATTICES[name]
+        if model is None:
+            band = dense_band(6)
+        else:
+            d, W, n, cutoff = model
+            band = build_band(build_translation_invariant(
+                BlockLattice(d=d, W=W, n=n), KERNELS["uniform"], cutoff))
+        N = band.lattice.N
+        H = sample_H(band, stream_for(8, 0))
+        # NaN everywhere: every entry of G must be written
+        G = np.full((N, N), np.nan, dtype=complex)
+        gf = green(band, H, 0.1 + 0.2j, out=G)
+        assert gf.G is G
+        assert G.tobytes() == green(band, H, 0.1 + 0.2j).G.tobytes()
+
+    @pytest.mark.parametrize("factory", [locallaw_replica_fn,
+                                         diffusion_replica_fn])
+    def test_observables_do_not_alias_the_buffers(self, band_small, factory):
+        lat, band = band_small
+        fn, _ = factory(band, 0.3 + 0.2j)
+        first = fn(0, stream_for(6, 0))
+        kept = {k: np.array(v, copy=True) for k, v in first.items()}
+        fn(1, stream_for(6, 1))
+        for key, val in first.items():
+            assert np.asarray(val).tobytes() == kept[key].tobytes()
+
+    @pytest.mark.parametrize("factory", [locallaw_replica_fn,
+                                         diffusion_replica_fn])
+    def test_merges_match_across_parallelism(self, band_small, factory):
+        # replicas on reused buffers give the merge of replicas each run on
+        # fresh ones, at any worker count; a short switch interval makes
+        # the workers interleave, which a buffer shared between them
+        # would not survive
+        lat, band = band_small
+        z, replicas = 0.3 + 0.2j, 9
+        fresh = [factory(band, z)[0](r, stream_for(6, r))
+                 for r in range(replicas)]
+        fn, red = factory(band, z)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            runs = [run_ensemble(SampleConfig(master_seed=6,
+                                              replicas=replicas,
+                                              parallelism=par), fn, red)
+                    for par in (1, 2, 8)]
+        finally:
+            sys.setswitchinterval(interval)
+        for res in runs:
+            for key, how in red.items():
+                if how == "each":
+                    want = np.array([f[key] for f in fresh])
+                    assert res.values[key].tobytes() == want.tobytes()
+                else:
+                    want = np.asarray(fresh[0][key], dtype=res.sums[key].dtype)
+                    for f in fresh[1:]:
+                        want = want + f[key]
+                    assert res.sums[key].tobytes() == want.tobytes()
+
+    def test_locallaw_replica_peak_stays_below_two_n_by_n(self):
+        # the thread's H and G are allocated by its first replica; a later
+        # one adds at most 2 N x N complex arrays of temporaries
+        band = build_band(_readme_profile())
+        N = band.lattice.N
+        fn, _ = locallaw_replica_fn(band, 0.2j)
+        with mc._single_threaded_blas():
+            fn(0, stream_for(20260809, 0))
+            started = not tracemalloc.is_tracing()
+            if started:
+                tracemalloc.start()
+            tracemalloc.reset_peak()
+            try:
+                fn(1, stream_for(20260809, 1))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                if started:
+                    tracemalloc.stop()
+        assert peak < 2 * N * N * 16
 
 
 def _readme_profile():
