@@ -412,6 +412,22 @@ def _run_ensemble(cfg, rep, fn, reducers):
     return result
 
 
+def _ward_tally(cfg, result) -> dict:
+    """The largest Ward residual, and the count of replicas above
+    ``[checks] ward_gate`` (NaN counts)."""
+    ward = result.values["ward_residual"]
+    return {"ward_residual_max": float(ward.max()),
+            "ward_violations":
+                int((~(ward <= cfg["checks"]["ward_gate"])).sum())}
+
+
+def _window_tally(result) -> tuple:
+    """Mean window count, empty windows, and whether no window held an
+    eigenvalue, which leaves nothing to bound."""
+    counts = result.values["window_count"]
+    return float(counts.mean()), int((counts == 0).sum()), not counts.any()
+
+
 def cmd_locallaw(cfg, outdir):
     profile = build_profile(cfg)
     lat = profile.lattice
@@ -436,21 +452,18 @@ def cmd_locallaw(cfg, outdir):
     block_stderr = result.stderr("block_residual")
     entry_mean_max = float(result.mean("entry_sq").max())
     block_max = float(block_mean.max())
-    ward = result.values["ward_residual"]
-    # replicas above the gate; a NaN residual is one of them
-    ward_violations = int((~(ward <= cfg["checks"]["ward_gate"])).sum())
+    ward = _ward_tally(cfg, result)
 
     normalized_block = block_max / scale
     normalized_entry = entry_mean_max / scale
     passed = (normalized_block <= tol and normalized_entry <= tol
-              and ward_violations == 0 and not result.failures)
+              and ward["ward_violations"] == 0 and not result.failures)
     rep.update({
         "block_residual_max_mean": block_max,
         "block_residual_normalized": normalized_block,
         "entry_sq_max_mean": entry_mean_max,
         "entry_sq_normalized": normalized_entry,
-        "ward_residual_max": float(ward.max()),
-        "ward_violations": ward_violations,
+        **ward,
         "pass": bool(passed),
     })
     fmts = _formats(cfg)
@@ -488,14 +501,13 @@ def cmd_deloc(cfg, outdir):
     fn, reducers = mc.deloc_replica_fn(band, (-window, window))
     result = _run_ensemble(cfg, rep, fn, reducers)
     sup_max = float(result.values["sup_norm_sq"].max())
-    counts = result.values["window_count"]
-    # with no eigenvalue in any replica's window there is nothing to bound
-    vacuous = vacuous or not counts.any()
+    mean_count, _, no_window = _window_tally(result)
+    vacuous = vacuous or no_window
     passed = (not vacuous) and sup_max <= threshold and not result.failures
     rep.update({
         "vacuous_bound": bool(vacuous),
         "sup_norm_sq_max": sup_max,
-        "mean_window_count": float(counts.mean()),
+        "mean_window_count": mean_count,
         "pass": bool(passed),
     })
     return rep
@@ -524,9 +536,7 @@ def cmd_diffusion(cfg, outdir):
     result = _run_ensemble(cfg, rep, fn, reducers)
     mean_abs2, se_abs2 = result.mean("abs2").real, result.stderr("abs2")
     mean_gg, se_gg = result.mean("gg"), result.stderr("gg")
-    ward = result.values["ward_residual"]
-    # replicas above the gate; a NaN residual is one of them
-    ward_violations = int((~(ward <= cfg["checks"]["ward_gate"])).sum())
+    ward = _ward_tally(cfg, result)
 
     breaches = []
     rows = []
@@ -547,10 +557,9 @@ def cmd_diffusion(cfg, outdir):
                          se_gg[a, b], pred_gg[a, b].real,
                          pred_gg[a, b].imag,
                          dev2, tol2, "pass" if ok else "FAIL"))
-    passed = not breaches and ward_violations == 0 and not result.failures
+    passed = not (breaches or ward["ward_violations"] or result.failures)
     rep.update({
-        "ward_residual_max": float(ward.max()),
-        "ward_violations": ward_violations,
+        **ward,
         "max_normalized_abs2": float((np.abs(mean_abs2 - pred_abs2)
                                       / scale).max()),
         "max_normalized_gg": float((np.abs(mean_gg - pred_gg) / scale).max()),
@@ -594,16 +603,14 @@ def cmd_que(cfg, outdir):
     fn, reducers = mc.que_replica_fn(band, window)
     result = _run_ensemble(cfg, rep, fn, reducers)
     dev_sq_max = float(result.values["overlap_dev_sq"].max())
-    counts = result.values["window_count"]
-    # with no eigenvalue in any replica's window there is nothing to bound
-    vacuous = not counts.any()
+    mean_count, empty, vacuous = _window_tally(result)
     passed = (not vacuous) \
         and dev_sq_max <= threshold * cfg["checks"]["tolerance_scale"] \
         and not result.failures
     rep.update({
         "overlap_dev_sq_max": dev_sq_max,
-        "mean_window_count": float(counts.mean()),
-        "empty_windows": int((counts == 0).sum()),
+        "mean_window_count": mean_count,
+        "empty_windows": empty,
         "vacuous_bound": bool(vacuous),
         "pass": bool(passed),
     })

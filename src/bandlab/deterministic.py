@@ -145,8 +145,8 @@ def _momentum_inverses(lattice: BlockLattice, blocks: dict,
 
 
 def _times_s(lattice: BlockLattice, blocks: dict, T: np.ndarray) -> np.ndarray:
-    """T S from the blocks S_x of S, with T's last axis over the sites
-    block by block; returned as shape (-1, n^d, W^d).
+    """T S from the blocks S_x of S, with T's last axis over the sites;
+    returned as shape (-1, n^d, W^d).
 
     S_xy is the block of offset [y] - [x], so block b of the product
     collects T's block b - x times S_x for every offset x.
@@ -247,9 +247,7 @@ class KLoopCalculator:
     ``blocks`` maps a block offset to the W^d x W^d block of t S, as in
     :attr:`VarianceProfile.blocks`; entries may be negative. Khat^(k) is
     invariant under a common block shift of its k sites, so it is stored
-    with its first site in block 0: shape (W^d, N, ..., N). Every site axis
-    lists the sites block by block (``lattice.block_sites(0)``, then
-    ``block_sites(1)``, ...), which at d = 1 is the site order itself.
+    with its first site in block 0: shape (W^d, N, ..., N).
 
     The resolvent factor of the recursion is built once per distinct
     m(s)m(s') value from the per-momentum inverses that :func:`theta` uses.
@@ -266,7 +264,7 @@ class KLoopCalculator:
     _resolvents: dict = field(default_factory=dict, repr=False)
 
     def resolvent(self, c: complex) -> np.ndarray:
-        """R = (1 - c t S)^(-1) as an N x N matrix in block-major site order.
+        """R = (1 - c t S)^(-1) as an N x N matrix.
 
         Its block row 0 is the inverse transform of the per-momentum
         inverses; the block-circulant rest is that row moved along
@@ -623,8 +621,6 @@ def theta_decay_report(lattice: BlockLattice, th: np.ndarray,
 class FiniteDifferenceReport:
     max_first_ratio: float
     max_second_ratio: float
-    first_samples: int
-    second_samples: int
 
 
 def _modulus(z: np.ndarray) -> np.ndarray:
@@ -657,7 +653,6 @@ def finite_difference_report(lattice: BlockLattice, th: np.ndarray,
     edge = bracket ** (lattice.d - 1)
     r1 = (_modulus(th[x] - th[y]) * denom * (edge[x] + edge[y])
           / dist[x, y]).max(initial=0.0)
-    first = x.size
     # the first max_pairs cells (x, [y] != 0) in row-major order
     count2 = min(max_pairs, m * (m - 1))
     x, y = np.divmod(np.arange(count2), max(m - 1, 1))
@@ -667,6 +662,4 @@ def finite_difference_report(lattice: BlockLattice, th: np.ndarray,
     r2 = (_modulus(th[plus] + th[minus] - 2 * th[x]) * denom * bracket[x]
           ** lattice.d / dist[0, y] ** 2).max(initial=0.0)
     return FiniteDifferenceReport(max_first_ratio=float(r1),
-                                  max_second_ratio=float(r2),
-                                  first_samples=first,
-                                  second_samples=count2)
+                                  max_second_ratio=float(r2))

@@ -1,9 +1,11 @@
 """Periodic block geometry of Z_L^d.
 
 The lattice has side length L = n*W and is partitioned into n^d axis-aligned
-blocks of linear size W. Sites and blocks are addressed by canonical flattened
-integers (row-major) or by coordinate tuples; every public function accepts
-both forms. Distances are periodic L^1 (graph) distances on the torus.
+blocks of linear size W, numbered row-major. Site a W^d + i is the site at
+row-major offset i inside block a, so a site axis splits into (block,
+offset) axes by a reshape to (n^d, W^d). Sites and blocks are addressed by
+these integers or by coordinate tuples; every public function accepts both
+forms. Distances are periodic L^1 (graph) distances on the torus.
 """
 
 from __future__ import annotations
@@ -26,9 +28,7 @@ def _as_coords(idx, d, side):
         x = int(idx)
         if not 0 <= x < side**d:
             raise ValueError(f"index {x} out of range for side {side}, d={d}")
-        if d == 1:
-            return (x,)
-        return (x // side, x % side)
+        return divmod(x, side) if d == 2 else (x,)
     c = tuple(int(v) % side for v in idx)
     if len(c) != d:
         raise ValueError(f"coordinate {idx} has wrong arity for d={d}")
@@ -82,7 +82,14 @@ class BlockLattice:
     # ---- site/block addressing -------------------------------------------
 
     def site_coords(self, x) -> tuple:
-        return _as_coords(x, self.d, self.L)
+        """Coordinates on Z_L^d of site x, decoded as (block, offset)."""
+        if not np.isscalar(x):
+            return _as_coords(x, self.d, self.L)
+        if not 0 <= int(x) < self.N:
+            raise ValueError(f"site {x} out of range for N={self.N}")
+        a, i = divmod(int(x), self.block_volume)
+        return tuple(u * self.W + v for u, v in zip(
+            self.block_coords(a), _as_coords(i, self.d, self.W)))
 
     def block_index(self, a) -> int:
         return _flatten(_as_coords(a, self.d, self.n), self.n)
@@ -91,24 +98,18 @@ class BlockLattice:
         return _as_coords(a, self.d, self.n)
 
     def block_sites(self, a) -> np.ndarray:
-        """Sorted array of the W^d site indices belonging to block a."""
-        ac = _as_coords(a, self.d, self.n)
-        if self.d == 1:
-            return np.arange(ac[0] * self.W, (ac[0] + 1) * self.W)
-        r0 = np.arange(ac[0] * self.W, (ac[0] + 1) * self.W)
-        r1 = np.arange(ac[1] * self.W, (ac[1] + 1) * self.W)
-        return (r0[:, None] * self.L + r1[None, :]).ravel()
+        """The W^d sites of block a: the range [a W^d, (a+1) W^d)."""
+        first = self.block_index(a) * self.block_volume
+        return np.arange(first, first + self.block_volume)
 
     def block_negate(self, a) -> int:
         """Representative of -[a] on the block torus."""
-        ac = self.block_coords(a)
-        return _flatten(tuple((-v) % self.n for v in ac), self.n)
+        return self.block_index([-v for v in self.block_coords(a)])
 
     def block_shift(self, a, b) -> int:
         """Representative of [a] + [b] on the block torus."""
-        ac = self.block_coords(a)
-        bc = self.block_coords(b)
-        return _flatten(tuple((u + v) % self.n for u, v in zip(ac, bc)), self.n)
+        return self.block_index([u + v for u, v in zip(self.block_coords(a),
+                                                       self.block_coords(b))])
 
     def centered_block_coords(self, a) -> tuple:
         """Signed representative of [a] with components in (-n/2, n/2]."""
@@ -138,17 +139,25 @@ class BlockLattice:
     @cached_property
     def site_distance_matrix(self) -> np.ndarray:
         """(N, N) array of periodic L^1 site distances."""
-        return _torus_distances(self.L, self.L, self.d)
+        sites = self._site_grid()
+        return _torus_distances(sites, sites, self.L)
 
     def block0_site_distances(self) -> np.ndarray:
         """(W^d, N) rows of :attr:`site_distance_matrix` for the sites of
-        block 0, in ``block_sites(0)`` order, without forming the rest."""
-        return _torus_distances(self.W, self.L, self.d)
+        block 0, without forming the rest."""
+        sites = self._site_grid()
+        return _torus_distances(sites[:, :self.block_volume], sites, self.L)
 
     @cached_property
     def block_distance_matrix(self) -> np.ndarray:
         """(block_count, block_count) array of periodic block distances."""
-        return _torus_distances(self.n, self.n, self.d)
+        blocks = _grid(self.n, self.d)
+        return _torus_distances(blocks, blocks, self.n)
+
+    def _site_grid(self) -> np.ndarray:
+        """(d, N) coordinates on Z_L^d of the sites, in site order."""
+        return (self.W * _grid(self.n, self.d)[:, :, None]
+                + _grid(self.W, self.d)[:, None, :]).reshape(self.d, -1)
 
     @cached_property
     def block_offset_matrix(self) -> np.ndarray:
@@ -157,27 +166,22 @@ class BlockLattice:
         A block-translation-invariant block matrix with row 0 ``r`` is
         ``r[block_offset_matrix]``.
         """
-        shape = (self.n,) * self.d
-        coords = np.indices(shape).reshape(self.d, -1)
+        coords = _grid(self.n, self.d)
         diff = (coords[:, None, :] - coords[:, :, None]) % self.n
-        return np.ravel_multi_index(tuple(diff), shape)
+        return np.ravel_multi_index(tuple(diff), (self.n,) * self.d)
 
 
-def _torus_distances(rows: int, side: int, d: int) -> np.ndarray:
-    """Periodic L^1 distances on Z_side^d from the points with every
-    coordinate in [0, rows) to all points, both flattened row-major."""
-    diff = np.abs(np.arange(rows)[:, None] - np.arange(side)[None, :])
-    one_d = np.minimum(diff, side - diff)
-    if d == 1:
-        return one_d
-    return (one_d[:, None, :, None] + one_d[None, :, None, :]) \
-        .reshape(rows**2, side**2)
+def _grid(side: int, d: int) -> np.ndarray:
+    """(d, side^d) coordinates of the points of Z_side^d, row-major; int32
+    keeps the distance tables built from them small and fast."""
+    return np.indices((side,) * d, dtype=np.int32).reshape(d, -1)
 
 
-def _blocked_shape(lattice: BlockLattice, arity: int) -> tuple:
-    """Reshape target exposing (block, offset) factors of every tensor axis."""
-    per_axis = (lattice.n, lattice.W) * lattice.d
-    return per_axis * arity
+def _torus_distances(xs: np.ndarray, ys: np.ndarray, side: int) -> np.ndarray:
+    """Periodic L^1 distances on Z_side^d between the points (columns) of
+    the coordinate arrays ``xs`` and ``ys``, summed axis by axis."""
+    diffs = (np.abs(x[:, None] - y) for x, y in zip(xs, ys))
+    return sum(np.minimum(diff, side - diff) for diff in diffs)
 
 
 def project_matrix(lattice: BlockLattice, A: np.ndarray) -> np.ndarray:
@@ -185,11 +189,8 @@ def project_matrix(lattice: BlockLattice, A: np.ndarray) -> np.ndarray:
     N = lattice.N
     if A.shape != (N, N):
         raise ValueError(f"expected shape {(N, N)}, got {A.shape}")
-    B = A.reshape(_blocked_shape(lattice, 2))
-    offset_axes = tuple(2 * i + 1 for i in range(2 * lattice.d))
-    out = B.sum(axis=offset_axes) / lattice.block_volume
-    m = lattice.block_count
-    return out.reshape(m, m)
+    m, wd = lattice.block_count, lattice.block_volume
+    return A.reshape(m, wd, m, wd).sum(axis=(1, 3)) / wd
 
 
 def project_tensor(lattice: BlockLattice, A: np.ndarray) -> np.ndarray:
@@ -203,8 +204,5 @@ def project_tensor(lattice: BlockLattice, A: np.ndarray) -> np.ndarray:
         raise ValueError(f"tensor arity {arity} not supported (max 4)")
     if any(s != lattice.N for s in A.shape):
         raise ValueError(f"every axis must have length N={lattice.N}")
-    B = A.reshape(_blocked_shape(lattice, arity))
-    offset_axes = tuple(2 * i + 1 for i in range(arity * lattice.d))
-    out = B.mean(axis=offset_axes)
-    m = lattice.block_count
-    return out.reshape((m,) * arity)
+    B = A.reshape((lattice.block_count, lattice.block_volume) * arity)
+    return B.mean(axis=tuple(range(1, 2 * arity, 2)))

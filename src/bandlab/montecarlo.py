@@ -75,8 +75,10 @@ _RESIDUAL_TOL = 1e-10
 
 # Version of the order in which replicas draw from their Philox streams;
 # reports carry it, and a change of the draw order bumps it. Version 2
-# draws normals on the band's support only.
-STREAM_VERSION = 2
+# draws normals on the band's support only, in row-major order of the
+# sites. Version 3 numbers the sites block by block; at d = 1 that is the
+# same numbering, so its draws equal version 2's there.
+STREAM_VERSION = 3
 
 
 class GreenSolveError(RuntimeError):
@@ -118,15 +120,14 @@ class Band:
     Built once per command by :func:`build_band`; every replica shares it.
 
     - ``rows``, ``cols``, ``sd``: the strictly upper-triangular support of
-      S in row-major order and the standard deviations sqrt(S_xy / 2) of
-      the real and imaginary parts there; ``diag_sd`` is sqrt(S_xx).
+      S sorted by (row, column), and the standard deviations sqrt(S_xy / 2)
+      of the real and imaginary parts there; ``diag_sd`` is sqrt(S_xx).
     - ``cuts``: site boundaries 0 = c_0 < ... < c_p = N of the layers,
       contiguous runs of block rows along the first block coordinate. Each
       layer spans at least the profile's reach along that coordinate, so
       H couples a layer only to itself and its two ring neighbours.
     - ``plan``: the residual plan, (n^d, k) blocks [a] + x for each of the
       k nonzero block offsets x of the profile.
-    - ``block_sites``: (n^d, W^d) site indices of every block.
     """
 
     lattice: BlockLattice
@@ -136,14 +137,13 @@ class Band:
     diag_sd: np.ndarray
     cuts: tuple
     plan: np.ndarray
-    block_sites: np.ndarray
 
 
 def build_band(profile: VarianceProfile) -> Band:
     """The :class:`Band` of ``profile``, from its blocks; nothing N x N."""
     lat = profile.lattice
+    m, wd = lat.block_count, lat.block_volume
     offsets = sorted(profile.blocks)
-    sites = np.array([lat.block_sites(a) for a in range(lat.block_count)])
     plan = np.array([[lat.block_shift(a, off) for off in offsets]
                      for a in range(lat.block_count)], dtype=int)
     # seeded with empty arrays: an empty profile (S = 0) has no support
@@ -152,15 +152,16 @@ def build_band(profile: VarianceProfile) -> Band:
     for k, off in enumerate(offsets):
         blk = profile.blocks[off]
         i, j = np.nonzero(blk)
-        x, y = sites[:, i].ravel(), sites[plan[:, k]][:, j].ravel()
+        # entry (i, j) of block (a, b) sits at sites (a W^d + i, b W^d + j)
+        x = (wd * np.arange(m)[:, None] + i).ravel()
+        y = (wd * plan[:, k, None] + j).ravel()
         upper = x < y
         rows.append(x[upper])
         cols.append(y[upper])
-        var.append(np.tile(blk[i, j], lat.block_count)[upper])
+        var.append(np.tile(blk[i, j], m)[upper])
     rows, cols, var = (np.concatenate(v) for v in (rows, cols, var))
     order = np.argsort(rows * lat.N + cols)
-    diag_sd = np.zeros(lat.N)
-    diag_sd[sites] = np.sqrt(np.diagonal(profile.block_at(0)))
+    diag_sd = np.tile(np.sqrt(np.diagonal(profile.block_at(0))), m)
     reach = max((abs(lat.centered_block_coords(off)[0]) for off in offsets),
                 default=0)
     layers = np.array_split(np.arange(lat.n), lat.n // max(reach, 1))
@@ -168,7 +169,7 @@ def build_band(profile: VarianceProfile) -> Band:
     cuts = tuple(int(first) * per_row for first, *_ in layers) + (lat.N,)
     return Band(lattice=lat, rows=rows[order], cols=cols[order],
                 sd=np.sqrt(var[order] / 2.0), diag_sd=diag_sd, cuts=cuts,
-                plan=plan, block_sites=sites)
+                plan=plan)
 
 
 # ---- sampling -----------------------------------------------------------------
@@ -314,19 +315,19 @@ def _band_residual(band: Band, H: np.ndarray, G: np.ndarray,
     of the residual plan: one W^d x kW^d @ kW^d x N product per block [a]
     for the k nonzero block offsets, so no N x N temporary is formed.
 
-    The block rows partition G, so max|G| is gathered block by block too.
+    The block rows partition G, so max|G| is taken block by block too.
     The maxima are kept in arrays, whose max keeps a NaN.
     """
-    sites = band.block_sites
-    diag = np.arange(sites.shape[1])
-    worst = np.empty(len(sites))
-    gmax = np.empty(len(sites))
-    for a, rows in enumerate(sites):
-        cols = sites[band.plan[a]].ravel()
-        Ga = G[rows]
-        R = H[np.ix_(rows, cols)] @ G[cols]
+    lat = band.lattice
+    m, wd = lat.block_count, lat.block_volume
+    Hb, Gb = H.reshape(m, wd, m, wd), G.reshape(m, wd, lat.N)
+    diag = np.arange(wd)
+    worst, gmax = np.empty(m), np.empty(m)
+    for a, blocks in enumerate(band.plan):
+        Ga = Gb[a]
+        R = Hb[a][:, blocks].reshape(wd, -1) @ Gb[blocks].reshape(-1, lat.N)
         R -= z * Ga
-        R[diag, rows] -= 1.0
+        R[diag, a * wd + diag] -= 1.0
         worst[a] = np.abs(R).max()
         gmax[a] = np.abs(Ga).max()
     return float(worst.max() / max(1.0, gmax.max()))
@@ -424,10 +425,7 @@ def _zheevr(lib: _OpenBLAS, H: np.ndarray, window):
 
 def block_traces(lattice: BlockLattice, G: np.ndarray) -> np.ndarray:
     """W^-d sum_{x in [a]} G_xx for every block [a]."""
-    diag = np.diagonal(G)
-    shape = (lattice.n, lattice.W) * lattice.d
-    axes = tuple(2 * i + 1 for i in range(lattice.d))
-    return diag.reshape(shape).sum(axis=axes).reshape(lattice.block_count) \
+    return np.diagonal(G).reshape(lattice.block_count, -1).sum(axis=1) \
         / lattice.block_volume
 
 
@@ -698,7 +696,7 @@ def que_replica_fn(band: Band, window: tuple[float, float]):
         dev = 0.0
         if k:
             # overlap matrices sum_{x in [a]} conj(u_i) u_j of every block
-            U = stats.vectors[band.block_sites]
+            U = stats.vectors.reshape(lattice.block_count, -1, k)
             overlaps = U.conj().transpose(0, 2, 1) @ U
             dev = float(np.abs(overlaps - share * np.eye(k)).max())
         return {"overlap_dev_sq": dev**2, "window_count": k}

@@ -88,13 +88,12 @@ class VarianceProfile:
         if self._assembled is None:
             lat = self.lattice
             m, wd = lat.block_count, lat.block_volume
-            S = np.zeros((lat.N, lat.N))
-            site_idx = [lat.block_sites(a) for a in range(m)]
-            for a in range(m):
-                rows = site_idx[a]
-                for off, blk in self.blocks.items():
-                    b = lat.block_shift(a, off)
-                    S[np.ix_(rows, site_idx[b])] = blk
+            S = np.zeros((m, wd, m, wd))
+            rows = np.arange(m)
+            for off, blk in self.blocks.items():
+                # block (a, b) of S is the block of offset [b] - [a]
+                S[rows, :, [lat.block_shift(a, off) for a in rows]] = blk
+            S = S.reshape(lat.N, lat.N)
             S.setflags(write=False)
             self._assembled = S
         return self._assembled
@@ -167,11 +166,9 @@ def build_translation_invariant(lattice: BlockLattice, kernel, cutoff: int,
     if row <= 0:
         raise ProfileError("kernel produces a zero row")
     weights /= row
-    blocks = {}
-    for off in range(lattice.block_count):
-        blk = weights[:, lattice.block_sites(off)]
-        if blk.any():
-            blocks[off] = blk
+    blocks = {off: blk for off, blk in enumerate(
+        weights.reshape(lattice.block_volume, lattice.block_count, -1)
+        .transpose(1, 0, 2)) if blk.any()}
     prof = VarianceProfile(lattice, blocks, builder="translation_invariant",
                            builder_params={"kernel": name, "cutoff": cutoff})
     if prof.row_sum_deviation() > _ROWSUM_TOL:
@@ -348,8 +345,8 @@ def validate(profile: VarianceProfile, eps_inter: float = 0.1,
     max_entry_c = float(max((blk.max() for _, blk in blocks), default=0.0)
                         * wd)
     # the rows of block 0 hold every distance the profile spans
-    dist = lat.block0_site_distances()
-    reach = max((dist[:, lat.block_sites(off)][blk > 0].max(initial=0)
+    dist = lat.block0_site_distances().reshape(wd, lat.block_count, wd)
+    reach = max((dist[:, off][blk > 0].max(initial=0)
                  for off, blk in blocks), default=0)
     reach_c = float(reach) / lat.W
     flatness = max(max_entry_c, reach_c)

@@ -516,7 +516,7 @@ class TestMonteCarloCommands:
             reports.append((out / f"{command}.json").read_bytes())
         assert reports[0] == reports[1]
         rep = json.loads(reports[0])
-        assert rep["stream_version"] == mc.STREAM_VERSION == 2
+        assert rep["stream_version"] == mc.STREAM_VERSION == 3
 
     def test_no_replica_solves_an_n_by_n_system(self, tmp_path,
                                                 monkeypatch):

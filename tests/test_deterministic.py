@@ -64,20 +64,6 @@ class DenseLoops:
         return out
 
 
-def block_major(lattice):
-    """The sites block by block: the site order of every axis of the
-    calculator's tensors."""
-    return np.concatenate([lattice.block_sites(a)
-                           for a in range(lattice.block_count)])
-
-
-def pinned_rows(lattice, T):
-    """A dense loop tensor in block-major site order with its first site in
-    block 0: the layout of ``KLoopCalculator.khat_tensor``."""
-    order = block_major(lattice)
-    return T[np.ix_(*[order] * T.ndim)][:lattice.block_volume]
-
-
 def naive_khat(charges, S, m):
     """Oracle: the recursion written as plain nested loops (small N only)."""
     N = S.shape[0]
@@ -262,7 +248,7 @@ class TestKhatLoop:
         got = calc.khat_tensor((1, -1))
         closed = theta_entrywise(0.7 * prof.assemble(), M_FLOW,
                                  np.conj(M_FLOW))
-        assert np.abs(got - abs(M_FLOW) ** 2 * pinned_rows(lat, closed)
+        assert np.abs(got - abs(M_FLOW) ** 2 * closed[:lat.block_volume]
                       ).max() < 1e-12
 
     def test_zero_profile_delta_chain(self):
@@ -273,7 +259,7 @@ class TestKhatLoop:
         prod = M_FLOW * np.conj(M_FLOW) * M_FLOW
         for x in range(6):
             expected[x, x, x] = prod
-        assert np.abs(got - pinned_rows(lat, expected)).max() < 1e-14
+        assert np.abs(got - expected[:lat.block_volume]).max() < 1e-14
 
     def test_recursion_against_naive_loops(self):
         # independent oracle of the dense oracle: same recursion, nested
@@ -365,7 +351,8 @@ class TestReducedAgainstDense:
                 full = dense.khat_tensor(charges)
                 scale = np.abs(full).max()
                 assert np.abs(calc.khat_tensor(charges)
-                              - pinned_rows(lat, full)).max() < 1e-12 * scale
+                              - full[:lat.block_volume]).max() \
+                    < 1e-12 * scale
                 K = project_tensor(lat, full)
                 assert np.abs(calc.k_tensor(charges) - K).max() \
                     < 1e-12 * np.abs(K).max()
@@ -374,11 +361,9 @@ class TestReducedAgainstDense:
         _, lat, blocks, S, m, _ = _oracle_contexts()[3]
         calc = KLoopCalculator(lat, blocks, m)
         dense = DenseLoops(S, m)
-        order = block_major(lat)
         for charges in [(1,), (1, -1), (1, -1, 1), (1, 1, -1, -1)]:
             full = dense.khat_tensor(charges)
-            want = full[np.ix_(*[order] * (full.ndim - 1)
-                               + [order[:lat.block_volume]])]
+            want = full[..., :lat.block_volume]
             assert np.abs(calc.khat_last_pinned(charges) - want).max() \
                 < 1e-12 * np.abs(full).max()
 
@@ -387,11 +372,10 @@ class TestBlockResolvent:
     def test_matches_dense_inverse(self, model_profile):
         lat = model_profile.lattice
         calc = KLoopCalculator(lat, model_profile.scaled(0.7).blocks, M_FLOW)
-        order = block_major(lat)
         for c in (abs(M_FLOW) ** 2, M_FLOW**2):
             dense = theta_entrywise(0.7 * model_profile.assemble(), c, 1.0)
-            assert np.abs(calc.resolvent(c) - dense[np.ix_(order, order)]
-                          ).max() < 1e-12 * np.abs(dense).max()
+            assert np.abs(calc.resolvent(c) - dense).max() \
+                < 1e-12 * np.abs(dense).max()
 
     @pytest.mark.parametrize("corrupt", [
         lambda X: X * (1 + 1e-6), lambda X: np.full_like(X, np.nan)],
@@ -745,7 +729,6 @@ class TestFiniteDifference:
         rep = finite_difference_report(lat, p, lam, t)
         assert np.isfinite(rep.max_first_ratio)
         assert np.isfinite(rep.max_second_ratio)
-        assert rep.first_samples > 0 and rep.second_samples > 0
         assert rep.max_first_ratio < 50
         assert rep.max_second_ratio < 50
 
@@ -781,7 +764,7 @@ def loop_finite_differences(lattice, th, lam, t, max_pairs=4096, seed=7):
                 break
         if count2 >= max_pairs:
             break
-    return r1, r2, len(pairs), count2
+    return r1, r2
 
 
 class TestFiniteDifferenceVectorized:
@@ -798,8 +781,7 @@ class TestFiniteDifferenceVectorized:
         lam = np.sqrt(interaction_strength(prof))
         th = theta(prof, 0.5, pair, M_FLOW)
         rep = finite_difference_report(lat, th, lam, 0.5, max_pairs)
-        assert (rep.max_first_ratio, rep.max_second_ratio,
-                rep.first_samples, rep.second_samples) == \
+        assert (rep.max_first_ratio, rep.max_second_ratio) == \
             loop_finite_differences(lat, th, lam, 0.5, max_pairs)
 
 

@@ -35,9 +35,9 @@ class TestAddressing:
         assert 7 not in lat.block_sites(0)
 
     def test_site_to_block_2d(self):
-        # brute force over the W-grid partition of Z_9^2
+        # brute force over the W-grid partition of Z_9^2: the site at (4, 8)
+        # lies in block 5, at offset (1, 2), so it is site 5 * 9 + 1 * 3 + 2
         lat = BlockLattice(d=2, W=3, n=3)
-        x = 4 * lat.L + 8
         expected = None
         for b0, b1 in itertools.product(range(3), repeat=2):
             rows = range(3 * b0, 3 * b0 + 3)
@@ -45,8 +45,23 @@ class TestAddressing:
             if 4 in rows and 8 in cols:
                 expected = b0 * 3 + b1
         assert expected == 5
+        x = expected * lat.block_volume + 1 * lat.W + 2
+        assert lat.site_coords(x) == (4, 8)
         assert [a for a in range(lat.block_count)
                 if x in lat.block_sites(a)] == [expected]
+        # every site decodes into its own block, and no two sites coincide
+        coords = [lat.site_coords(y) for y in range(lat.N)]
+        assert len(set(coords)) == lat.N
+        for y, (c0, c1) in enumerate(coords):
+            assert lat.block_index((c0 // lat.W, c1 // lat.W)) == \
+                y // lat.block_volume
+
+    @pytest.mark.parametrize("d,W,n", [(1, 5, 3), (2, 3, 3), (2, 2, 5)])
+    def test_blocks_are_site_ranges(self, d, W, n):
+        lat = BlockLattice(d=d, W=W, n=n)
+        for a in range(lat.block_count):
+            assert np.array_equal(lat.block_sites(a),
+                                  np.arange(a * W**d, (a + 1) * W**d))
 
     def test_out_of_range(self):
         lat = BlockLattice(d=1, W=5, n=3)

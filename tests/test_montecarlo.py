@@ -751,7 +751,7 @@ def _que_deviations(band, vectors):
     """|sum_{x in [a]} conj(u_i) u_j - share delta_ij| of every block; they
     do not depend on the eigenvectors' phases."""
     lat = band.lattice
-    U = vectors[band.block_sites]
+    U = vectors.reshape(lat.block_count, lat.block_volume, -1)
     share = lat.block_volume / lat.N
     return np.abs(U.conj().transpose(0, 2, 1) @ U
                   - share * np.eye(vectors.shape[1]))
