@@ -5,8 +5,9 @@ upper half plane, m(+1) = m and m(-1) = conj(m). The block propagator
 :func:`theta` works from a profile's blocks and a flow time t; the loop
 calculator takes the blocks of the (already t-dependent) variance matrix
 t S. Both solve one W^d x W^d system per block momentum; nothing N x N is
-factorized. The same code serves the characteristic flow (|m| = 1, row
-sums t) and the original spectral parameter (|m| < 1, row sums 1).
+factorized, and the loops form nothing N x N. The same code serves the
+characteristic flow (|m| = 1, row sums t) and the original spectral
+parameter (|m| < 1, row sums 1).
 """
 
 from __future__ import annotations
@@ -145,11 +146,12 @@ def _momentum_inverses(lattice: BlockLattice, blocks: dict,
 
 
 def _times_s(lattice: BlockLattice, blocks: dict, T: np.ndarray) -> np.ndarray:
-    """T S from the blocks S_x of S, with T's last axis over the sites;
-    returned as shape (-1, n^d, W^d).
+    """T B for a block-circulant B given by its blocks B_x (S, or the
+    resolvent R), with T's last axis over the sites; returned as shape
+    (-1, n^d, W^d).
 
-    S_xy is the block of offset [y] - [x], so block b of the product
-    collects T's block b - x times S_x for every offset x.
+    B_xy is the block of offset [y] - [x], so block b of the product
+    collects T's block b - x times B_x for every offset x.
     """
     view = T.reshape(-1, lattice.block_count, lattice.block_volume)
     shift = lattice.block_offset_matrix
@@ -208,74 +210,64 @@ def theta(profile: VarianceProfile, t: float, sigma_pair,
 
 def loop_size_guard(lattice: BlockLattice, order: int,
                     max_bytes: int = 1 << 30) -> None:
-    """Refuse a loop tensor of this order whose first-site-pinned form,
-    16 W^d N^(order-1) bytes, exceeds ``max_bytes``."""
-    tensor_bytes = 16 * lattice.block_volume * lattice.N ** (order - 1)
+    """Refuse a loop of this order whose block-summed form,
+    16 n^(d(order-2)) N bytes, exceeds ``max_bytes``."""
+    tensor_bytes = 16 * lattice.block_count ** (order - 2) * lattice.N
     if tensor_bytes > max_bytes:
         raise MemoryError(
             f"loop tensor would need {tensor_bytes:.3g} bytes "
             f"(cap {max_bytes:.3g})")
 
 
-def _index_grid(lattice: BlockLattice, arity: int, pin_last: bool) -> tuple:
-    """Index arrays into the block axes 2..arity of a first-site-pinned
-    tensor, broadcast over the blocks (a_1, a_2, ...) of the unpinned one.
-
-    Block axis k of the pinned tensor holds a_k - a_1 =
-    ``block_offset_matrix[a_1, a_k]``. With ``pin_last``, a_arity = 0 and
-    the grid runs over (a_1, ..., a_(arity-1)).
+def _index_grid(lattice: BlockLattice, arity: int) -> tuple:
+    """Index arrays into the block axes 2..arity of a tensor with its first
+    block at 0, broadcast over the blocks (a_1, ..., a_arity) of the full
+    one: block axis k holds a_k - a_1 = ``block_offset_matrix[a_1, a_k]``.
     """
     shift = lattice.block_offset_matrix
-    m = lattice.block_count
-    free = arity - 1 if pin_last else arity
     out = []
     for k in range(1, arity):
-        shape = [1] * free
-        shape[0] = m
-        if pin_last and k == arity - 1:
-            out.append(shift[:, 0].reshape(shape))
-        else:
-            shape[k] = m
-            out.append(shift.reshape(shape))
+        shape = [1] * arity
+        shape[0] = shape[k] = lattice.block_count
+        out.append(shift.reshape(shape))
     return tuple(out)
 
 
 @dataclass
 class KLoopCalculator:
-    """Entrywise and block primitive loops for one (t S, m) context.
+    """Block primitive loops for one (t S, m) context.
 
     ``blocks`` maps a block offset to the W^d x W^d block of t S, as in
-    :attr:`VarianceProfile.blocks`; entries may be negative. Khat^(k) is
-    invariant under a common block shift of its k sites, so it is stored
-    with its first site in block 0: shape (W^d, N, ..., N).
+    :attr:`VarianceProfile.blocks`; entries may be negative. Every loop is
+    kept as its block sums (:meth:`khat_tensor`), so nothing of size N x N
+    or larger is formed: the recursion closes on block sums because each of
+    its terms is a product of two factors over disjoint sites and its last
+    step is one product with R on the last site.
 
-    The resolvent factor of the recursion is built once per distinct
-    m(s)m(s') value from the per-momentum inverses that :func:`theta` uses.
-    Tensors the recursion reads are memoized by charge vector; a block
-    tensor of order >= 3 keeps only its block average unless its entrywise
-    tensor was asked for.
+    The resolvent blocks are built once per distinct m(s)m(s') value from
+    the per-momentum inverses that :func:`theta` uses; loops are memoized
+    by charge vector.
     """
 
     lattice: BlockLattice
     blocks: dict
     m: complex
     _khat: dict = field(default_factory=dict, repr=False)
-    _averages: dict = field(default_factory=dict, repr=False)
     _resolvents: dict = field(default_factory=dict, repr=False)
 
-    def resolvent(self, c: complex) -> np.ndarray:
-        """R = (1 - c t S)^(-1) as an N x N matrix.
+    def resolvent(self, c: complex) -> dict:
+        """The blocks of R = (1 - c t S)^(-1) by offset, in the form of
+        ``blocks``: R[[a], [a] + [x]] is the block of offset x.
 
-        Its block row 0 is the inverse transform of the per-momentum
-        inverses; the block-circulant rest is that row moved along
-        ``block_offset_matrix``. The residual max|R (1 - c t S) - I| of block
-        row 0 is taken in real space from the blocks; above the solve
-        tolerance, or NaN, it raises PropagatorError.
+        They are the inverse transform of the per-momentum inverses. The
+        residual max|R (1 - c t S) - I| of block row 0 is taken in real
+        space from the blocks; above the solve tolerance, or NaN, it raises
+        PropagatorError.
         """
         key = complex(c)
         if key not in self._resolvents:
             lat = self.lattice
-            wd, N = lat.block_volume, lat.N
+            wd = lat.block_volume
             inverses = _momentum_inverses(lat, self.blocks, key)
             row = np.fft.ifftn(
                 inverses.reshape((lat.n,) * lat.d + (wd, wd)),
@@ -289,14 +281,16 @@ class KLoopCalculator:
                 raise PropagatorError(
                     f"block resolvent residual {err:.3e} "
                     f"(max entry {scale:.3e})")
-            shift = lat.block_offset_matrix
-            R = row[shift].transpose(0, 2, 1, 3).reshape(N, N)
-            R.setflags(write=False)
-            self._resolvents[key] = R
+            row.setflags(write=False)
+            self._resolvents[key] = dict(enumerate(row))
         return self._resolvents[key]
 
     def khat_tensor(self, charges) -> np.ndarray:
-        """Entrywise primitive loop with its first site in block 0."""
+        """Khat summed over blocks: A[a_2..a_(n-1), y] is the sum of
+        Khat[x_1, ..., x_(n-1), y] over x_1 in block 0 and x_k in block
+        a_k, with the last site y kept; shape (n^d,) * (n - 2) + (N,).
+        Order 1 has its last site only: m(s_1) at every site. Memoized.
+        """
         charges = parse_charges(charges)
         if charges not in self._khat:
             out = self._recurse(charges)
@@ -304,83 +298,49 @@ class KLoopCalculator:
             self._khat[charges] = out
         return self._khat[charges]
 
-    def khat_last_pinned(self, charges) -> np.ndarray:
-        """Entrywise primitive loop with its last site in block 0 instead:
-        shape (N, ..., N, W^d), by a block roll of :meth:`khat_tensor`."""
-        return self._roll(self.khat_tensor(charges), pin_last=True)
-
-    def _roll(self, pinned: np.ndarray, pin_last: bool) -> np.ndarray:
-        """The full tensor (order >= 2), or the one with its last site in
-        block 0, from the first-site-pinned one."""
+    def _free_first(self, charges: tuple[int, ...]) -> np.ndarray:
+        """The block sums with the first block free as well, (n^d)^(n-1)
+        rows [a_1..a_(n-1)] over the last site: a block roll of
+        :meth:`khat_tensor` through ``block_offset_matrix``."""
         lat = self.lattice
-        m, wd = lat.block_count, lat.block_volume
-        arity = pinned.ndim
-        view = pinned.reshape((wd,) + (m, wd) * (arity - 1))
-        # block axes first, then the site offsets (i_1, ..., i_arity); the
-        # grid's axes (a_1, ...) take the block axes' place
-        view = view.transpose(tuple(range(1, 2 * arity - 1, 2))
-                              + tuple(range(0, 2 * arity - 1, 2)))
-        out = view[_index_grid(lat, arity, pin_last)]
-        free = out.ndim - arity
-        axes = [ax for k in range(free) for ax in (k, free + k)]
-        axes += [out.ndim - 1] if pin_last else []
-        shape = (lat.N,) * free + ((wd,) if pin_last else ())
-        return out.transpose(axes).reshape(shape)
+        A = self.khat_tensor(charges)
+        view = A.reshape(A.shape[:-1] + (lat.block_count, lat.block_volume))
+        return view[_index_grid(lat, len(charges))].reshape(-1, lat.N)
 
     def _recurse(self, charges: tuple[int, ...]) -> np.ndarray:
-        # the order-n tensor from tensors of every lower order, at rows x_1
-        # in block 0:
         # Khat(x) = m_1 Khat(s_2..s_n)[x_2..x_n-1, x_1] R[x_1, x_n]
         # + sum_k m_1 sum_x C_k[x_1..x_k-1, x] Khat(s_k..)[x_k.., x] R[x, x_n]
-        # with C_k = Khat(s_1..s_k) S. The first term sits on x = x_1, so one
-        # product with R serves every term.
+        # with C_k = Khat(s_1..s_k) S. Summed over x_1 in block 0 and x_k in
+        # block a_k, C_k becomes A(s_1..s_k) S and each Khat(s_k..) factor
+        # its first-free sums; the first term sits on x = x_1 in block 0, so
+        # one application of R serves every term.
         order = len(charges)
         lat = self.lattice
         wd, N = lat.block_volume, lat.N
         loop_size_guard(lat, order)
         m1 = charge_m(self.m, charges[0])
         if order == 1:
-            return np.full(wd, m1, dtype=complex)
-        R = self.resolvent(m1 * charge_m(self.m, charges[-1]))
-        lower = self.khat_last_pinned(charges[1:])
-        if order == 2:
-            return m1 * lower[:, None] * R[:wd]
-        X = np.empty((wd, N ** (order - 2), N), dtype=complex)
+            return np.full(N, m1, dtype=complex)
+        X = np.zeros((lat.block_count ** (order - 2), N), dtype=complex)
         for k in range(2, order):
             C = _times_s(lat, self.blocks,
                          self.khat_tensor(charges[:k])).reshape(-1, 1, N)
-            D = self._roll(self.khat_tensor(charges[k - 1:]), pin_last=False)
             term = X.reshape(C.shape[0], -1, N)
-            if k == 2:
-                np.multiply(C, D.reshape(1, -1, N), out=term)
-            else:
-                term += C * D.reshape(1, -1, N)
-        sites = np.arange(wd)
-        X[sites, :, sites] += lower.reshape(-1, wd).T
-        out = X.reshape(-1, N) @ R
-        out *= m1
-        return out.reshape((wd,) + (N,) * (order - 1))
+            term += C * self._free_first(charges[k - 1:])
+        X[:, :wd] += self._free_first(charges[1:])[:, :wd]
+        R = self.resolvent(m1 * charge_m(self.m, charges[-1]))
+        out = m1 * _times_s(lat, R, X)
+        return out.reshape((lat.block_count,) * (order - 2) + (N,))
 
     def _average(self, charges) -> np.ndarray:
-        """Block average of Khat with its first block at 0, axes [a_2..a_n].
-
-        Memoized; the entrywise tensor of order >= 3 is kept only when
-        :meth:`khat_tensor` was asked for it.
-        """
+        """Block average of Khat with its first block at 0, axes [a_2..a_n]
+        (order 1: m(s_1) per block): the block sums' last site summed per
+        block, over W^(dn)."""
         charges = parse_charges(charges)
-        if charges not in self._averages:
-            lat = self.lattice
-            order = len(charges)
-            pinned = self._khat.get(charges)
-            if pinned is None:
-                pinned = self.khat_tensor(charges) if order <= 2 \
-                    else self._recurse(charges)
-            view = pinned.reshape(
-                (lat.block_volume,) + (lat.block_count, lat.block_volume)
-                * (order - 1))
-            avg = view.mean(axis=tuple(range(0, 2 * order - 1, 2)))
-            self._averages[charges] = avg
-        return self._averages[charges]
+        lat = self.lattice
+        A = self.khat_tensor(charges)
+        sums = A.reshape(A.shape[:-1] + (lat.block_count, lat.block_volume))
+        return sums.sum(axis=-1) / lat.block_volume ** len(charges)
 
     def k_tensor(self, charges) -> np.ndarray:
         """Block primitive loop tensor: the block average of Khat, rolled
@@ -390,11 +350,7 @@ class KLoopCalculator:
         checks against the block-Fourier :func:`theta`.
         """
         charges = parse_charges(charges)
-        avg = self._average(charges)
-        if len(charges) == 1:
-            return np.full(self.lattice.block_count, avg)
-        grid = _index_grid(self.lattice, len(charges), pin_last=False)
-        return avg[grid]
+        return self._average(charges)[_index_grid(self.lattice, len(charges))]
 
 
 # ---- loop operations -------------------------------------------------------------

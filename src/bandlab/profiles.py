@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -162,7 +163,8 @@ def build_translation_invariant(lattice: BlockLattice, kernel, cutoff: int,
         raise ProfileError("kernel must be nonnegative")
     weights = np.zeros(dist.shape)
     weights[mask] = vals[which]
-    row = weights[0].sum()
+    # an exact sum, so that the profile's bits do not depend on the site order
+    row = math.fsum(weights[0])
     if row <= 0:
         raise ProfileError("kernel produces a zero row")
     weights /= row

@@ -235,31 +235,44 @@ class TestThetaBlockFourier:
             dense_theta(model_profile, 1.0, (1, -1), M_FLOW)
 
 
+def block_sums(lattice, full):
+    """The oracle's loop summed as ``khat_tensor`` keeps it: the first site
+    over block 0, sites 2..n-1 over their blocks, the last site kept."""
+    order = full.ndim
+    m, wd = lattice.block_count, lattice.block_volume
+    view = full[:wd].reshape((wd,) + (m, wd) * (order - 2) + (lattice.N,))
+    return view.sum(axis=(0,) + tuple(range(2, 2 * order - 3, 2)))
+
+
 class TestKhatLoop:
     def test_order_one(self, band55):
         lat, prof = band55
         calc = KLoopCalculator(lat, prof.blocks, M_FLOW)
-        assert calc.khat_tensor((1,))[3] == pytest.approx(M_FLOW)
-        assert calc.khat_tensor((-1,))[3] == pytest.approx(np.conj(M_FLOW))
+        assert np.array_equal(calc.khat_tensor((1,)),
+                              np.full(lat.N, M_FLOW))
+        assert np.array_equal(calc.khat_tensor((-1,)),
+                              np.full(lat.N, np.conj(M_FLOW)))
 
     def test_order_two_closed_form(self, band55):
+        # |m|^2 times the column sums of block row 0 of (1 - |m|^2 t S)^-1
         lat, prof = band55
         calc = KLoopCalculator(lat, prof.scaled(0.7).blocks, M_FLOW)
         got = calc.khat_tensor((1, -1))
         closed = theta_entrywise(0.7 * prof.assemble(), M_FLOW,
                                  np.conj(M_FLOW))
-        assert np.abs(got - abs(M_FLOW) ** 2 * closed[:lat.block_volume]
-                      ).max() < 1e-12
+        want = abs(M_FLOW) ** 2 * closed[:lat.block_volume].sum(axis=0)
+        assert got.shape == (lat.N,)
+        assert np.abs(got - want).max() < 1e-12
 
     def test_zero_profile_delta_chain(self):
+        # Khat = m m-bar m on the diagonal x_1 = x_2 = x_3 only, so its
+        # block sums live at a_2 = 0 and y in block 0
         lat = BlockLattice(d=1, W=2, n=3)
         calc = KLoopCalculator(lat, {}, M_FLOW)
         got = calc.khat_tensor((1, -1, 1))
-        expected = np.zeros((6, 6, 6), dtype=complex)
-        prod = M_FLOW * np.conj(M_FLOW) * M_FLOW
-        for x in range(6):
-            expected[x, x, x] = prod
-        assert np.abs(got - expected[:lat.block_volume]).max() < 1e-14
+        expected = np.zeros((3, 6), dtype=complex)
+        expected[0, :2] = M_FLOW * np.conj(M_FLOW) * M_FLOW
+        assert np.abs(got - expected).max() < 1e-14
 
     def test_recursion_against_naive_loops(self):
         # independent oracle of the dense oracle: same recursion, nested
@@ -273,32 +286,42 @@ class TestKhatLoop:
             got = calc.khat_tensor(charges)
             assert np.abs(got - naive_khat(charges, S, m)).max() < 1e-12
 
-    def test_shift_invariance(self, band55):
-        lat, prof = band55
-        calc = KLoopCalculator(lat, prof.scaled(0.7).blocks, M_FLOW)
-        t1 = calc.khat_tensor((1, 1, -1))
-        t2 = calc.khat_last_pinned((1, -1, 1))
-        # K(s, x) = K(tau s, tau x): t1[x1,x2,x3] = t2[x2,x3,x1], x1 in [0]
-        assert np.abs(t1 - t2.transpose(2, 0, 1)).max() < 1e-12
-
     def test_memoization(self, band55):
+        # every order's block sums are built once, the lower orders by the
+        # recursion itself, and none can be written to
         lat, prof = band55
         calc = KLoopCalculator(lat, prof.scaled(0.5).blocks, M_FLOW)
-        first = calc.khat_tensor((1, -1))
-        assert calc.khat_tensor((1, -1)) is first
+        third = calc.khat_tensor((1, -1, 1))
+        second = calc.khat_tensor((1, -1))
+        assert calc.khat_tensor((1, -1, 1)) is third
+        assert calc.khat_tensor("+-") is second
+        assert not third.flags.writeable and not second.flags.writeable
 
     def test_size_guard(self):
-        # 16 W^d N^(order-1) bytes against 1 GiB: the d=2 reference lattice
-        # (N = 2025) needs 1.6 GB at order 3, the README lattice (N = 495)
-        # 129 MB at order 3 and 64 GB at order 4
+        # 16 n^(d(order-2)) N bytes against 1 GiB: the d=2 reference
+        # lattice (81 blocks, N = 2025) needs 2.6 MB at order 3, 213 MB at
+        # order 4 and 17 GB at order 5
+        d2 = BlockLattice(d=2, W=5, n=9)
+        loop_size_guard(d2, 3)
+        loop_size_guard(d2, 4)
         with pytest.raises(MemoryError):
-            loop_size_guard(BlockLattice(d=2, W=5, n=9), 3)
+            loop_size_guard(d2, 5)
         readme = BlockLattice(d=1, W=33, n=15)
-        loop_size_guard(readme, 3)
+        loop_size_guard(readme, 3, max_bytes=16 * 15 * 495)
         with pytest.raises(MemoryError):
-            loop_size_guard(readme, 4)
-        with pytest.raises(MemoryError):
-            loop_size_guard(readme, 3, max_bytes=16 * 33 * 495**2 - 1)
+            loop_size_guard(readme, 3, max_bytes=16 * 15 * 495 - 1)
+
+    def test_oversized_order_is_refused_before_any_work(self, monkeypatch):
+        # the guard runs before the recursion asks for a lower order
+        import bandlab.deterministic as det
+
+        def refuse(*args):
+            raise AssertionError("a resolvent was built")
+
+        monkeypatch.setattr(det, "_momentum_inverses", refuse)
+        calc = KLoopCalculator(BlockLattice(d=2, W=5, n=9), {}, M_FLOW)
+        with pytest.raises(MemoryError, match="1.72e\\+10 bytes"):
+            calc.k_tensor((1, 1, -1, -1, 1))
 
     def test_charge_parsing(self):
         assert parse_charges("+-") == (1, -1)
@@ -337,8 +360,8 @@ def _oracle_contexts():
 
 
 class TestReducedAgainstDense:
-    """The pinned recursion against the dense N x N oracle, every charge
-    vector of orders 2 to the context's top order."""
+    """The block-level recursion against the dense N x N oracle, every
+    charge vector of orders 2 to the context's top order."""
 
     @pytest.mark.parametrize("context", _oracle_contexts(),
                              ids=lambda c: c[0])
@@ -349,32 +372,27 @@ class TestReducedAgainstDense:
         for order in range(2, top + 1):
             for charges in itertools.product((1, -1), repeat=order):
                 full = dense.khat_tensor(charges)
-                scale = np.abs(full).max()
-                assert np.abs(calc.khat_tensor(charges)
-                              - full[:lat.block_volume]).max() \
-                    < 1e-12 * scale
+                sums = block_sums(lat, full)
+                assert np.abs(calc.khat_tensor(charges) - sums).max() \
+                    < 1e-12 * np.abs(sums).max()
                 K = project_tensor(lat, full)
                 assert np.abs(calc.k_tensor(charges) - K).max() \
                     < 1e-12 * np.abs(K).max()
-
-    def test_last_pinned_roll(self):
-        _, lat, blocks, S, m, _ = _oracle_contexts()[3]
-        calc = KLoopCalculator(lat, blocks, m)
-        dense = DenseLoops(S, m)
-        for charges in [(1,), (1, -1), (1, -1, 1), (1, 1, -1, -1)]:
-            full = dense.khat_tensor(charges)
-            want = full[..., :lat.block_volume]
-            assert np.abs(calc.khat_last_pinned(charges) - want).max() \
-                < 1e-12 * np.abs(full).max()
 
 
 class TestBlockResolvent:
     def test_matches_dense_inverse(self, model_profile):
         lat = model_profile.lattice
         calc = KLoopCalculator(lat, model_profile.scaled(0.7).blocks, M_FLOW)
+        N, wd = lat.N, lat.block_volume
         for c in (abs(M_FLOW) ** 2, M_FLOW**2):
             dense = theta_entrywise(0.7 * model_profile.assemble(), c, 1.0)
-            assert np.abs(calc.resolvent(c) - dense).max() \
+            blocks = calc.resolvent(c)
+            assert sorted(blocks) == list(range(lat.block_count))
+            # R[[a], [b]] is the block of offset [b] - [a]
+            row = np.array([blocks[off] for off in range(lat.block_count)])
+            R = row[lat.block_offset_matrix].transpose(0, 2, 1, 3)
+            assert np.abs(R.reshape(N, N) - dense).max() \
                 < 1e-12 * np.abs(dense).max()
 
     @pytest.mark.parametrize("corrupt", [

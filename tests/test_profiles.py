@@ -56,6 +56,27 @@ class TestBuilders:
             if (D[np.ix_(lat.block_sites(0), lat.block_sites(b))]
                 <= cutoff * W).any()}
 
+    @pytest.mark.parametrize("kernel,d,W,n,cutoff", [
+        ("gaussian", 1, 5, 5, 1), ("linear", 2, 3, 5, 2)])
+    def test_normalisation_ignores_the_site_order(self, kernel, d, W, n,
+                                                  cutoff, monkeypatch):
+        # relabel the sites inside every block: block 0's first row then
+        # holds the same weights in another order, and the blocks come out
+        # relabeled but otherwise bit-identical
+        lat = BlockLattice(d=d, W=W, n=n)
+        base = build_translation_invariant(lat, KERNELS[kernel], cutoff)
+        wd, m = lat.block_volume, lat.block_count
+        perm = np.random.default_rng(0).permutation(wd)
+        dist = lat.block0_site_distances()
+        relabeled = dist[perm][:, (np.arange(m)[:, None] * wd + perm).ravel()]
+        monkeypatch.setattr(BlockLattice, "block0_site_distances",
+                            lambda self: relabeled)
+        moved = build_translation_invariant(lat, KERNELS[kernel], cutoff)
+        back = np.ix_(np.argsort(perm), np.argsort(perm))
+        assert set(moved.blocks) == set(base.blocks)
+        for off, blk in base.blocks.items():
+            assert np.array_equal(moved.blocks[off][back], blk)
+
     def test_negative_kernel_rejected(self):
         lat = BlockLattice(d=1, W=3, n=5)
         with pytest.raises(ProfileError, match="nonnegative"):
