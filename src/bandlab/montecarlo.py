@@ -9,12 +9,12 @@ core counts. numpy's bundled OpenBLAS is the only BLAS and LAPACK bandlab
 calls, so pinning its thread count covers every solve and eigensolve.
 
 A replica never forms the N x N profile: each command builds one
-:class:`Band` from the profile's blocks, and replicas sample H on its
-support and solve for the resolvent layer by layer around its ring, with
-each pivot inverted once and applied by matrix products. The order of the
-draws is versioned by ``STREAM_VERSION``. The ``locallaw`` and
-``diffusion`` replicas write H and G into one pair of N x N buffers per
-worker thread instead of allocating them per replica.
+:class:`Band` from the profile's blocks, replicas sample H on its support,
+and the resolvent comes from recursive Green's functions along a chain of
+layers, closed into their ring by a Schur complement, with its residual
+checked on views of H's and G's block rows. The order of the draws is
+versioned by ``STREAM_VERSION``. Each ``locallaw`` and ``diffusion`` worker
+thread keeps its H, its G and the solve's W^d x N scratch buffers.
 
 The windowed eigenpairs of ``deloc`` and ``que`` come from LAPACK zheevr
 (Dhillon-Parlett MRRR for the whole spectrum, bisection and inverse
@@ -126,8 +126,8 @@ class Band:
       contiguous runs of block rows along the first block coordinate. Each
       layer spans at least the profile's reach along that coordinate, so
       H couples a layer only to itself and its two ring neighbours.
-    - ``plan``: the residual plan, (n^d, k) blocks [a] + x for each of the
-      k nonzero block offsets x of the profile.
+    - ``plan``: the residual plan, for each block [a] the site slices of the
+      runs of consecutive blocks among [a] and [a] + x, x a nonzero offset.
     """
 
     lattice: BlockLattice
@@ -136,7 +136,7 @@ class Band:
     sd: np.ndarray
     diag_sd: np.ndarray
     cuts: tuple
-    plan: np.ndarray
+    plan: tuple
 
 
 def build_band(profile: VarianceProfile) -> Band:
@@ -144,8 +144,8 @@ def build_band(profile: VarianceProfile) -> Band:
     lat = profile.lattice
     m, wd = lat.block_count, lat.block_volume
     offsets = sorted(profile.blocks)
-    plan = np.array([[lat.block_shift(a, off) for off in offsets]
-                     for a in range(lat.block_count)], dtype=int)
+    shift = np.array([[lat.block_shift(a, off) for off in offsets]
+                      for a in range(m)], dtype=int)
     # seeded with empty arrays: an empty profile (S = 0) has no support
     empty = np.zeros(0, dtype=int)
     rows, cols, var = [empty], [empty], [empty.astype(float)]
@@ -154,7 +154,7 @@ def build_band(profile: VarianceProfile) -> Band:
         i, j = np.nonzero(blk)
         # entry (i, j) of block (a, b) sits at sites (a W^d + i, b W^d + j)
         x = (wd * np.arange(m)[:, None] + i).ravel()
-        y = (wd * plan[:, k, None] + j).ravel()
+        y = (wd * shift[:, k, None] + j).ravel()
         upper = x < y
         rows.append(x[upper])
         cols.append(y[upper])
@@ -167,6 +167,11 @@ def build_band(profile: VarianceProfile) -> Band:
     layers = np.array_split(np.arange(lat.n), lat.n // max(reach, 1))
     per_row = lat.N // lat.n
     cuts = tuple(int(first) * per_row for first, *_ in layers) + (lat.N,)
+    # sorted in Python: np.unique's first call faults in 1.6 MB of code
+    runs = (np.split(b, np.flatnonzero(np.diff(b) != 1) + 1)
+            for b in (np.array(sorted({a, *r})) for a, r in enumerate(shift)))
+    plan = tuple(tuple(slice(wd * int(r[0]), wd * int(r[-1] + 1)) for r in row)
+                 for row in runs)
     return Band(lattice=lat, rows=rows[order], cols=cols[order],
                 sd=np.sqrt(var[order] / 2.0), diag_sd=diag_sd, cuts=cuts,
                 plan=plan)
@@ -209,94 +214,60 @@ class GreenFunction:
 
 def green(band: Band, H: np.ndarray, z: complex,
           out: np.ndarray | None = None) -> GreenFunction:
-    """Resolvent (H - z)^{-1} by block elimination around the ring of layers.
+    """Resolvent (H - z)^{-1} by recursive Green's functions along the chain
+    of layers 0..p-2, closed into the ring by the Schur complement of p-1.
 
-    ``H`` must vanish off the band, as :func:`sample_H` draws it. Layers
-    0..p-2 are eliminated in order; each pivot is inverted once and applied
-    by matrix products. Layer p-1 closes the ring, so the fill of the
-    wrap-around couplings stays in its column (F) and row (E). Eliminated
-    right-hand sides of layer k are zero beyond the columns of layers 0..k
-    and are not carried; until back substitution they are kept in G's rows
-    of layer k. Back substitution is one product per layer,
-    [-Z -Y] @ [G_last; G_(k+1)], written into G's rows. With one layer
-    this is the dense inverse. With ``out``, an N x N complex buffer, G is
-    written into it. The residual max|(H - z)G - I| / max(1, max|G|) is
-    taken from the band's blocks; above the tolerance, or NaN, it raises
-    GreenSolveError.
+    ``H`` must vanish off the band, as :func:`sample_H` draws it; A_ij are
+    the layer blocks of H - z. G's diagonal blocks keep the chain's pivots
+    gL_k = (A_kk - A_k,k-1 gL_k-1 A_k-1,k)^-1, and the chain inverse T^-1
+    is filled in bottom-up with Up_k = -gL_k A_k,k+1, Lo_k = -A_k+1,k gL_k:
+    row slab Up_k G_k+1,rest, column slab G_rest,k+1 Lo_k, and G_kk = gL_k
+    + Up_k G_k+1,k (Svizhenko et al., J. Appl. Phys. 91, 2343 (2002)). With
+    the last layer's couplings B, B', X = T^-1 B and S = A_LL - B'X: G_LL =
+    S^-1, G_LC = -S^-1 B'T^-1, and each chain block row takes G_CC = T^-1 -
+    X G_LC and G_CL = -X S^-1 from one product X [G_LC G_LL]. Every pivot
+    is inverted by :func:`_inverse`; one layer is the dense inverse. With
+    ``out``, an N x N complex buffer, G is written into it. The residual
+    max|(H - z)G - I| / max(1, max|G|) is taken from the band's blocks;
+    above the tolerance, or NaN, it raises GreenSolveError.
     """
     z = complex(z)
     if z.imag == 0:
         raise ValueError("green requires Im z != 0")
-    cuts = band.cuts
-    layer = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-    width = np.diff(cuts)
-    last = len(layer) - 1
-    N, w_last = cuts[-1], width[-1]
+    cuts, wd = band.cuts, band.lattice.block_volume
+    lay = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    last, M, N = len(lay) - 1, cuts[-2], cuts[-1]
 
     def A(i, j):
         """Block (i, j) of H - z."""
-        blk = H[layer[i], layer[j]]
+        blk = H[lay[i], lay[j]]
         return blk - z * np.eye(blk.shape[0]) if i == j else blk
 
     G = np.empty((N, N), dtype=complex) if out is None else out
-    # rows [0, w_last) hold the last layer's right-hand side (I in its own
-    # columns), then G_last; in back substitution the next w_max rows hold
-    # G_(k+1) and the last w_max layer k's eliminated right-hand side
-    w_max = max(width[:-1], default=0)
-    stack = np.empty((w_last + 2 * w_max, N), dtype=complex)
-    rhs_last = stack[:w_last]
-    rhs_last[:] = 0.0
-    rhs_last[:, cuts[-2]:] = np.eye(w_last)
-    D = A(last, last)
-    if last:
-        # layer 0's pivot P, its couplings C = [F U] to the last layer (the
-        # fill column F) and to layer 1, and the last layer's fill row E
-        P, E = A(0, 0), A(last, 0)
-        C = np.hstack([A(0, last)] + ([A(0, 1)] if last > 1 else []))
-    steps = []
+    acc, part = _worker_scratch(wd, N)
     for k in range(last):
-        # width of layer k + 1, unless that is the last layer, which F holds
-        w_next = width[k + 1] if k + 1 < last else 0
-        inv = _inverse(P)
-        # -P^-1 [F U L]: [-Z -Y], and for k > 0 the map -P^-1 L of layer
-        # (k - 1)'s eliminated right-hand side, L = A(k, k - 1)
-        M = inv @ C
-        np.negative(M, out=M)
-        ZY = M[:, :w_last + w_next]
-        # layer k's eliminated right-hand side P^-1 [-L R_(k-1), I]
-        Rk = G[layer[k], :cuts[k + 1]]
-        Rk[:, cuts[k]:] = inv
+        P = A(k, k)
         if k:
-            np.matmul(M[:, w_last + w_next:], G[layer[k - 1], :cuts[k]],
-                      out=Rk[:, :cuts[k]])
-        EZY = E @ ZY
-        D += EZY[:, :w_last]
-        rhs_last[:, :cuts[k + 1]] -= E @ Rk
-        steps.append(ZY)
-        if not w_next:
-            break
-        low = A(k + 1, k)
-        LZY = low @ ZY
-        P = A(k + 1, k + 1) + LZY[:, w_last:]
-        F, E = LZY[:, :w_last], EZY[:, w_last:]
-        if k + 2 == last:
-            F += A(k + 1, last)
-            E += A(last, k + 1)
-        U = [A(k + 1, k + 2)] if k + 2 < last else []
-        C = np.hstack([F] + U + [low])
-    np.matmul(_inverse(D), rhs_last, out=G[layer[last]])
-    if last:
-        rhs_last[:] = G[layer[last]]
-    for k in reversed(range(last)):
-        ZY, rows = steps[k], G[layer[k]]
-        # the product overwrites the eliminated right-hand side kept in
-        # these rows, so it waits in the stack's last rows
-        Rk = stack[w_last + w_max:w_last + w_max + width[k], :cuts[k + 1]]
-        Rk[:] = rows[:, :cuts[k + 1]]
-        np.matmul(ZY, stack[:ZY.shape[1]], out=rows)
-        rows[:, :cuts[k + 1]] += Rk
-        if k:
-            stack[w_last:w_last + width[k]] = rows
+            P -= A(k, k - 1) @ G[lay[k - 1], lay[k - 1]] @ A(k - 1, k)
+        G[lay[k], lay[k]] = _inverse(P)
+    for k in reversed(range(last - 1)):
+        gL, rest = G[lay[k], lay[k]], slice(cuts[k + 1], M)
+        up, lo = -gL @ A(k, k + 1), -A(k + 1, k) @ gL
+        np.matmul(up, G[lay[k + 1], rest], out=G[lay[k], rest])
+        np.matmul(G[rest, lay[k + 1]], lo, out=G[rest, lay[k]])
+        gL += up @ G[lay[k + 1], lay[k]]
+    L = lay[last]
+    ends = sorted({0, last - 1}) if last else []  # the layers B couples
+    _sum_of_products(G[:M, L], [(G[:M, lay[e]], A(e, last)) for e in ends],
+                     acc, part)
+    S = A(last, last) - sum(A(last, e) @ G[lay[e], L] for e in ends)
+    G[L, L] = _inverse(S)
+    _sum_of_products(G[L, :M], [(-G[L, L] @ A(last, e), G[lay[e], :M])
+                                for e in ends], acc, part)
+    for rows in (G[c:c + wd] for c in range(0, M, wd)):
+        np.matmul(rows[:, M:], G[L], out=acc)
+        rows[:, M:] = 0.0
+        rows -= acc
     resid = _band_residual(band, H, G, z)
     if not resid <= _RESIDUAL_TOL:
         raise GreenSolveError(f"resolvent residual {resid:.3e} above "
@@ -309,27 +280,56 @@ def _inverse(P: np.ndarray) -> np.ndarray:
     return np.linalg.solve(P, np.eye(len(P), dtype=complex))
 
 
+_scratch = threading.local()
+
+
+def _worker_scratch(rows: int, cols: int) -> np.ndarray:
+    """The calling thread's two complex (rows, cols) buffers, in one array;
+    no call reads what an earlier one left in them."""
+    if not hasattr(_scratch, "bufs") or _scratch.bufs[0].shape != (rows, cols):
+        _scratch.bufs = np.empty((2, rows, cols), dtype=complex)
+    return _scratch.bufs
+
+
+def _sum_of_products(out, pairs, acc, part):
+    """out = the sum of a @ b over ``pairs``, in the row chunks that
+    contiguous views of ``acc`` and ``part`` hold; ``out`` may be ``acc``."""
+    step = acc.size // max(out.shape[1], 1)
+    for c in range(0, len(out) if pairs else 0, step):
+        shape = out[c:c + step].shape
+        s, t = (buf.reshape(-1)[:math.prod(shape)].reshape(shape)
+                for buf in (acc, part))
+        np.matmul(pairs[0][0][c:c + step], pairs[0][1], out=s)
+        for a, b in pairs[1:]:
+            s += np.matmul(a[c:c + step], b, out=t)
+        out[c:c + step] = s
+
+
 def _band_residual(band: Band, H: np.ndarray, G: np.ndarray,
                    z: complex) -> float:
     """max|(H - z)G - I| / max(1, max|G|), with H read only on the blocks
-    of the residual plan: one W^d x kW^d @ kW^d x N product per block [a]
-    for the k nonzero block offsets, so no N x N temporary is formed.
-
-    The block rows partition G, so max|G| is taken block by block too.
-    The maxima are kept in arrays, whose max keeps a NaN.
-    """
-    lat = band.lattice
-    m, wd = lat.block_count, lat.block_volume
-    Hb, Gb = H.reshape(m, wd, m, wd), G.reshape(m, wd, lat.N)
+    of the residual plan: block row [a] is one product per run, of views of
+    H's rows of [a] over the run and of G's rows of the run, summed in the
+    thread's W^d x N buffers; -z is folded into a copy of the run holding
+    H's diagonal block. max|G| is taken block by block, and the maxima are
+    kept in arrays, whose max keeps a NaN."""
+    wd = band.lattice.block_volume
+    R, part = _worker_scratch(wd, band.lattice.N)
+    mag = part.reshape(-1).view(float)[:R.size].reshape(R.shape)
     diag = np.arange(wd)
-    worst, gmax = np.empty(m), np.empty(m)
-    for a, blocks in enumerate(band.plan):
-        Ga = Gb[a]
-        R = Hb[a][:, blocks].reshape(wd, -1) @ Gb[blocks].reshape(-1, lat.N)
-        R -= z * Ga
-        R[diag, a * wd + diag] -= 1.0
-        worst[a] = np.abs(R).max()
-        gmax[a] = np.abs(Ga).max()
+    worst, gmax = np.empty((2, len(band.plan)))
+    for a, runs in enumerate(band.plan):
+        rows, pairs = slice(a * wd, (a + 1) * wd), []
+        for run in runs:
+            h = H[rows, run]
+            if run.start <= rows.start < run.stop:
+                h = h.astype(complex)
+                h[diag, rows.start - run.start + diag] -= z
+            pairs.append((h, G[run]))
+        _sum_of_products(R, pairs, R, part)
+        R[diag, rows.start + diag] -= 1.0
+        worst[a] = np.abs(R, out=mag).max()
+        gmax[a] = np.abs(G[rows], out=mag).max()
     return float(worst.max() / max(1.0, gmax.max()))
 
 

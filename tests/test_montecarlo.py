@@ -578,18 +578,48 @@ class TestBandHotPath:
             assert np.abs(gf.G - _dense_green(H, z)).max() < 1e-12
             assert abs(gf.residual - _dense_residual(H, gf.G, z)) < 1e-14
 
-    def test_block_residual_sees_every_entry(self, band_small):
+    def test_block_residual_sees_every_entry(self):
         # a wrong entry anywhere in G shows in the block residual as in the
-        # dense one
+        # dense one: anywhere, in the ring-wrap couplings of block 0 with
+        # block n^d - 1 and back, and in the rows of every run of block
+        # 0's plan; (d, W, n, cutoff), those runs, and the entries
+        cases = [((1, 5, 5, 1), [(0, 10), (20, 25)],
+                  [(0, 0), (3, 21), (24, 7), (2, 22), (22, 2)]),
+                 ((2, 3, 5, 2), [(0, 108), (126, 153), (171, 225)],
+                  [(0, 0), (4, 220), (220, 4), (137, 5), (184, 200)])]
+        for (d, W, n, cutoff), runs, entries in cases:
+            band = build_band(build_translation_invariant(
+                BlockLattice(d=d, W=W, n=n), KERNELS["uniform"], cutoff))
+            assert [(r.start, r.stop) for r in band.plan[0]] == runs
+            H = sample_H(band, stream_for(8, 0))
+            G = green(band, H, 0.2j).G
+            for x, y in entries:
+                bad = G.copy()
+                bad[x, y] += 1e-6
+                res = mc._band_residual(band, H, bad, 0.2j)
+                assert res > 1e-7
+                assert abs(res - _dense_residual(H, bad, 0.2j)) < 1e-14
+
+    @pytest.mark.parametrize("which", ["first", "middle", "closure"])
+    def test_one_corrupted_pivot_fails_the_solve(self, band_small,
+                                                 monkeypatch, which):
+        # failing control: one pivot inverse off by a relative 1e-6 (the
+        # first chain pivot, a middle one, or the closure's S) trips
+        # green's residual gate
         lat, band = band_small
-        H = sample_H(band, stream_for(8, 0))
-        G = green(band, H, 0.2j).G
-        for x, y in ((0, 0), (3, 21), (24, 7)):
-            bad = G.copy()
-            bad[x, y] += 1e-6
-            res = mc._band_residual(band, H, bad, 0.2j)
-            assert res > 1e-7
-            assert abs(res - _dense_residual(H, bad, 0.2j)) < 1e-14
+        layers = len(band.cuts) - 1
+        bad = {"first": 0, "middle": layers // 2, "closure": layers - 1}[which]
+        inverse, calls = mc._inverse, []
+
+        def corrupt(P):
+            calls.append(P)
+            return inverse(P) * (1 + 1e-6 * (len(calls) - 1 == bad))
+
+        monkeypatch.setattr(mc, "_inverse", corrupt)
+        with pytest.raises(GreenSolveError, match="resolvent residual"):
+            green(band, sample_H(band, stream_for(8, 0)), 0.2j)
+        # one inverse per layer: the chain pivots in order, then S
+        assert [len(P) for P in calls] == list(np.diff(band.cuts))
 
     def test_nan_H_raises(self, band_small):
         lat, band = band_small
@@ -716,19 +746,37 @@ class TestWorkerBuffers:
         band = build_band(_readme_profile())
         N = band.lattice.N
         fn, _ = locallaw_replica_fn(band, 0.2j)
-        with mc._single_threaded_blas():
-            fn(0, stream_for(20260809, 0))
-            started = not tracemalloc.is_tracing()
-            if started:
-                tracemalloc.start()
-            tracemalloc.reset_peak()
-            try:
-                fn(1, stream_for(20260809, 1))
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                if started:
-                    tracemalloc.stop()
+        peak = _second_call_peak(fn, [(r, stream_for(20260809, r))
+                                      for r in (0, 1)])
         assert peak < 2 * N * N * 16
+
+    def test_green_peak_stays_below_four_block_rows(self):
+        # after the thread's first call, green into a buffer allocates
+        # less than 4 W^d N complex numbers: the ring closure and the block
+        # residual run through the thread's W^d x N buffers
+        band = build_band(_readme_profile())
+        lat = band.lattice
+        H = sample_H(band, stream_for(20260809, 0))
+        G = np.empty_like(H)
+        peak = _second_call_peak(green, [(band, H, 0.2j, G)] * 2)
+        assert peak < 4 * lat.block_volume * lat.N * 16
+
+
+def _second_call_peak(fn, args):
+    """Peak bytes tracemalloc sees in fn(*args[1]), on one BLAS thread,
+    after an untraced fn(*args[0]) on the same thread."""
+    with mc._single_threaded_blas():
+        fn(*args[0])
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            fn(*args[1])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            if started:
+                tracemalloc.stop()
 
 
 def _readme_profile():
