@@ -35,11 +35,9 @@ from .spectral import (
     eta_star,
 )
 from .deterministic import (
-    LoopSignature,
     KLoopCalculator,
     theta_entrywise,
     theta,
-    cut_signature,
     ward_residual,
     kloop_flow_derivative_residual,
     evolution_kernel_apply,

@@ -81,7 +81,6 @@ _SCHEMA = {
         "parallelism": (int, None),
     },
     "checks": {
-        "tolerance_scale": (float, 1.0),
         "parity": (_parse_bool, True),
         "eps_inter": (float, 0.1),
         "p_samples": (int, 64),
@@ -101,7 +100,6 @@ _SCHEMA = {
     },
     "output": {
         "directory": (str, "out"),
-        "formats": (str, "json,csv,gnuplot"),
     },
 }
 
@@ -200,10 +198,6 @@ def build_profile(cfg) -> prof.VarianceProfile:
                                        model["wegner_gamma"])
 
 
-def _formats(cfg):
-    return {f.strip() for f in cfg["output"]["formats"].split(",")}
-
-
 def _base_report(cfg, command, profile=None):
     canon = canonical_config(cfg)
     rep = {
@@ -233,16 +227,9 @@ def cmd_validate(cfg, outdir):
     # parity_ok is True when parity is not checked
     passed = (report.doubly_stochastic and report.fullness > 0
               and report.parity_ok and report.interaction_ok)
-    fields = dataclasses.asdict(report)
     rep = _base_report(cfg, "validate", profile)
-    rep.update({"validation": fields, "pass": bool(passed)})
-    lines = [f"profile: {profile.builder}  d={model['d']} W={model['W']} "
-             f"n={model['n']}"]
-    lines += [f"  {key}: {val}" for key, val in fields.items()]
-    lines.append(f"overall: {'PASS' if passed else 'FAIL'}")
-    with open(os.path.join(outdir, "validate.txt"), "w",
-              encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rep.update({"validation": dataclasses.asdict(report),
+                "pass": bool(passed)})
     return rep
 
 
@@ -259,11 +246,10 @@ def cmd_theta(cfg, outdir):
     lat = profile.lattice
     lam = math.sqrt(prof.interaction_strength(profile))
     mE = _flow_m(cfg)
-    factor = cfg["checks"]["decay_factor"] * cfg["checks"]["tolerance_scale"]
+    factor = cfg["checks"]["decay_factor"]
     same_cap = cfg["checks"]["same_charge_decay"]
     results = []
     passed = True
-    fmts = _formats(cfg)
     for t in cfg["spectral"]["t_values"]:
         ell = spec.ell_t(lam, t, lat.n)
         for pair in ((1, -1), (1, 1)):
@@ -272,16 +258,14 @@ def cmd_theta(cfg, outdir):
             fd = det.finite_difference_report(lat, th, lam, t) \
                 if pair == (1, -1) else None
             name = f"{'pm' if pair == (1, -1) else 'pp'}_t{t:g}"
-            if "csv" in fmts:
-                write_csv(os.path.join(outdir, f"theta_decay_{name}.csv"),
-                          ["distance", "value_re", "value_im", "abs",
-                           "fit_prediction"], decay.to_csv_rows())
-            if "gnuplot" in fmts:
-                write_plot_data(os.path.join(outdir, f"theta_decay_{name}.dat"),
-                                ["distance", "abs", "fit"],
-                                [(r, a, p_) for (r, _, _, a, p_)
-                                 in decay.to_csv_rows()],
-                                script_title=f"theta decay {name}")
+            write_csv(os.path.join(outdir, f"theta_decay_{name}.csv"),
+                      ["distance", "value_re", "value_im", "abs",
+                       "fit_prediction"], decay.to_csv_rows())
+            write_plot_data(os.path.join(outdir, f"theta_decay_{name}.dat"),
+                            ["distance", "abs", "fit"],
+                            [(r, a, p_) for (r, _, _, a, p_)
+                             in decay.to_csv_rows()],
+                            script_title=f"theta decay {name}")
             entry = {
                 "pair": list(pair), "t": t, "ell_t": ell,
                 "decay_length": decay.decay_length,
@@ -313,7 +297,7 @@ def cmd_kloop(cfg, outdir):
     mE = _flow_m(cfg)
     t = cfg["spectral"]["t_values"][0]
     eta_t = (1 - t) * mE.imag
-    ward_tol = cfg["checks"]["ward_tol"] * cfg["checks"]["tolerance_scale"]
+    ward_tol = cfg["checks"]["ward_tol"]
     calc = det.KLoopCalculator(
         lat, {off: t * blk for off, blk in profile.blocks.items()}, mE)
     rows = []
@@ -347,17 +331,15 @@ def cmd_kloop(cfg, outdir):
 
     # flow-derivative residual, second-order in dt
     dt = cfg["checks"]["kloop_dt"]
-    tol = cfg["checks"]["kloop_tol"] * cfg["checks"]["tolerance_scale"]
+    tol = cfg["checks"]["kloop_tol"]
     r_full = det.kloop_flow_derivative_residual(calc, (1, -1), dt)
     r_half = det.kloop_flow_derivative_residual(calc, (1, -1), dt / 2)
     ok = r_full < tol and r_half < r_full / 3.0
     check("flow_derivative", f"dt={dt:g}", r_full, tol, ok)
     check("flow_derivative", f"dt={dt / 2:g}", r_half, r_full / 3.0, ok)
 
-    if "csv" in _formats(cfg):
-        write_csv(os.path.join(outdir, "kloop_residuals.csv"),
-                  ["check", "detail", "residual", "tolerance", "status"],
-                  rows)
+    write_csv(os.path.join(outdir, "kloop_residuals.csv"),
+              ["check", "detail", "residual", "tolerance", "status"], rows)
     rep = _base_report(cfg, "kloop", profile)
     rep.update({
         "t": t, "eta_t": eta_t,
@@ -438,7 +420,7 @@ def cmd_locallaw(cfg, outdir):
     lam = math.sqrt(prof.interaction_strength(profile))
     ell = spec.ell_of_eta(lam, sp["eta"], lat.n)
     scale = 1.0 / mc.law_scale(lat, lam, sp["eta"])
-    tol = cfg["checks"]["locallaw_tol"] * cfg["checks"]["tolerance_scale"]
+    tol = cfg["checks"]["locallaw_tol"]
 
     rep = _base_report(cfg, "locallaw", profile)
     rep.update({
@@ -466,17 +448,14 @@ def cmd_locallaw(cfg, outdir):
         **ward,
         "pass": bool(passed),
     })
-    fmts = _formats(cfg)
     rows = [(a, block_mean[a], block_stderr[a], block_mean[a] / scale)
             for a in range(lat.block_count)]
-    if "csv" in fmts:
-        write_csv(os.path.join(outdir, "locallaw_blocks.csv"),
-                  ["block", "mean_residual", "stderr", "normalized"], rows)
-    if "gnuplot" in fmts:
-        write_plot_data(os.path.join(outdir, "locallaw_blocks.dat"),
-                        ["block", "mean_residual", "stderr"],
-                        [(r[0], r[1], r[2]) for r in rows],
-                        script_title="local law block residuals")
+    write_csv(os.path.join(outdir, "locallaw_blocks.csv"),
+              ["block", "mean_residual", "stderr", "normalized"], rows)
+    write_plot_data(os.path.join(outdir, "locallaw_blocks.dat"),
+                    ["block", "mean_residual", "stderr"],
+                    [(r[0], r[1], r[2]) for r in rows],
+                    script_title="local law block residuals")
     return rep
 
 
@@ -487,8 +466,7 @@ def cmd_deloc(cfg, outdir):
     lam2 = prof.interaction_strength(profile)
     window = cfg["checks"]["deloc_window"]
     estar = spec.eta_star(lat.W, math.sqrt(lam2), lat.N, lat.d)
-    threshold = (math.log(lat.N) ** cfg["checks"]["deloc_log_power"]) \
-        * estar * cfg["checks"]["tolerance_scale"]
+    threshold = (math.log(lat.N) ** cfg["checks"]["deloc_log_power"]) * estar
     vacuous = not math.isfinite(threshold) or threshold >= 1.0
 
     rep = _base_report(cfg, "deloc", profile)
@@ -520,7 +498,7 @@ def cmd_diffusion(cfg, outdir):
     sp = cfg["spectral"]
     z = complex(sp["E"], sp["eta"])
     sig_mult = cfg["checks"]["diffusion_sigma"]
-    rel = cfg["checks"]["diffusion_rel"] * cfg["checks"]["tolerance_scale"]
+    rel = cfg["checks"]["diffusion_rel"]
     lam = math.sqrt(prof.interaction_strength(profile))
     scale = mc.law_scale(lat, lam, abs(z.imag)) ** (-2.0)
     mcount = lat.block_count
@@ -566,19 +544,16 @@ def cmd_diffusion(cfg, outdir):
         "breaches": breaches,
         "pass": bool(passed),
     })
-    fmts = _formats(cfg)
-    if "csv" in fmts:
-        write_csv(os.path.join(outdir, "diffusion_pairs.csv"),
-                  ["a", "b", "mean_abs2", "stderr_abs2", "pred_abs2",
-                   "dev_abs2", "tol_abs2", "mean_gg_re", "mean_gg_im",
-                   "stderr_gg", "pred_gg_re", "pred_gg_im", "dev_gg",
-                   "tol_gg", "status"], rows)
-    if "gnuplot" in fmts:
-        diag = [(lat.block_distance(0, b), mean_abs2[0, b],
-                 pred_abs2[0, b]) for b in range(mcount)]
-        write_plot_data(os.path.join(outdir, "diffusion_profile.dat"),
-                        ["block_distance", "mc_mean", "prediction"],
-                        sorted(diag), script_title="quantum diffusion profile")
+    write_csv(os.path.join(outdir, "diffusion_pairs.csv"),
+              ["a", "b", "mean_abs2", "stderr_abs2", "pred_abs2",
+               "dev_abs2", "tol_abs2", "mean_gg_re", "mean_gg_im",
+               "stderr_gg", "pred_gg_re", "pred_gg_im", "dev_gg",
+               "tol_gg", "status"], rows)
+    diag = [(lat.block_distance(0, b), mean_abs2[0, b], pred_abs2[0, b])
+            for b in range(mcount)]
+    write_plot_data(os.path.join(outdir, "diffusion_profile.dat"),
+                    ["block_distance", "mc_mean", "prediction"],
+                    sorted(diag), script_title="quantum diffusion profile")
     return rep
 
 
@@ -604,9 +579,7 @@ def cmd_que(cfg, outdir):
     result = _run_ensemble(cfg, rep, fn, reducers)
     dev_sq_max = float(result.values["overlap_dev_sq"].max())
     mean_count, empty, vacuous = _window_tally(result)
-    passed = (not vacuous) \
-        and dev_sq_max <= threshold * cfg["checks"]["tolerance_scale"] \
-        and not result.failures
+    passed = (not vacuous) and dev_sq_max <= threshold and not result.failures
     rep.update({
         "overlap_dev_sq_max": dev_sq_max,
         "mean_window_count": mean_count,
@@ -665,8 +638,6 @@ def main(argv=None) -> int:
                         help="override [mc] replicas")
     parser.add_argument("--out", default=None,
                         help="override [output] directory")
-    parser.add_argument("--tolerance-scale", type=float, default=None,
-                        help="override [checks] tolerance_scale")
     args = parser.parse_args(argv)
 
     try:
@@ -684,8 +655,6 @@ def main(argv=None) -> int:
             cfg["mc"]["replicas"] = args.replicas
         if args.out is not None:
             cfg["output"]["directory"] = args.out
-        if args.tolerance_scale is not None:
-            cfg["checks"]["tolerance_scale"] = args.tolerance_scale
         outdir = cfg["output"]["directory"]
         if args.command != "report":
             os.makedirs(outdir, exist_ok=True)

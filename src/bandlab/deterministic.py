@@ -21,14 +21,12 @@ from .lattice import BlockLattice
 from .profiles import VarianceProfile, _affine_blocks, decompose_core
 
 __all__ = [
-    "LoopSignature",
     "PropagatorError",
     "parse_charges",
     "charge_m",
     "theta_entrywise",
     "theta",
     "KLoopCalculator",
-    "cut_signature",
     "ward_residual",
     "kloop_flow_derivative_residual",
     "evolution_kernel_apply",
@@ -43,6 +41,7 @@ __all__ = [
 _RESIDUAL_TOL = 1e-10
 _STACK_CHUNK = 16        # matrices per solve in theta_entrywise
 _CHARGE_NAMES = {"+": 1, "-": -1, 1: 1, -1: -1, "+1": 1, "-1": -1}
+_PAIR_SEED = 7           # finite_difference_report's block-pair subsample
 
 
 class PropagatorError(ValueError):
@@ -64,24 +63,6 @@ def parse_charges(spec) -> tuple[int, ...]:
 def charge_m(m: complex, sigma: int) -> complex:
     """m(sigma): m for +, conj(m) for -."""
     return m if sigma > 0 else np.conj(m)
-
-
-@dataclass(frozen=True)
-class LoopSignature:
-    """Charge vector plus index tuple (blocks for K/L-loops, sites for Khat)."""
-
-    charges: tuple[int, ...]
-    indices: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "charges", parse_charges(self.charges))
-        object.__setattr__(self, "indices", tuple(self.indices))
-        if len(self.charges) != len(self.indices):
-            raise ValueError("charges and indices must have equal length")
-
-    @property
-    def order(self) -> int:
-        return len(self.charges)
 
 
 # ---- Theta propagators --------------------------------------------------------
@@ -155,8 +136,17 @@ def _times_s(lattice: BlockLattice, blocks: dict, T: np.ndarray) -> np.ndarray:
     """
     view = T.reshape(-1, lattice.block_count, lattice.block_volume)
     shift = lattice.block_offset_matrix
-    return sum((view[:, shift[off]] @ blk for off, blk in blocks.items()),
-               np.zeros(view.shape, dtype=complex))
+    # one gather and one product buffer serve every offset: a fresh pair
+    # per offset is freed at the top of the heap, which glibc trims and
+    # faults in again for the next offset. take() copies through a
+    # temporary in its default mode="raise"; the shifts are in range.
+    rows = np.empty_like(view)
+    prod = np.empty(view.shape, dtype=complex)
+    out = np.zeros(view.shape, dtype=complex)
+    for off, blk in blocks.items():
+        np.take(view, shift[off], axis=1, out=rows, mode="wrap")
+        out += np.matmul(rows, blk, out=prod)
+    return out
 
 
 def theta(profile: VarianceProfile, t: float, sigma_pair,
@@ -353,30 +343,6 @@ class KLoopCalculator:
         return self._average(charges)[_index_grid(self.lattice, len(charges))]
 
 
-# ---- loop operations -------------------------------------------------------------
-
-def cut_signature(kind: str, sig: LoopSignature, k: int, l: int,
-                  new_block) -> LoopSignature:
-    """Cut-and-glue index transforms Cut_L / Cut_R at positions 1<=k<l<=n.
-
-    Cut_L keeps (s_1..s_k, s_l..s_n) with indices (a_1..a_{k-1}, new, a_l..a_n);
-    Cut_R keeps (s_k..s_l) with indices (a_k..a_{l-1}, new).
-    """
-    order = sig.order
-    if not 1 <= k < l <= order:
-        raise ValueError(f"need 1 <= k < l <= {order}, got k={k}, l={l}")
-    ch, ix = sig.charges, sig.indices
-    if kind == "L":
-        charges = ch[:k] + ch[l - 1:]
-        indices = ix[:k - 1] + (new_block,) + ix[l - 1:]
-    elif kind == "R":
-        charges = ch[k - 1:l]
-        indices = ix[k - 1:l - 1] + (new_block,)
-    else:
-        raise ValueError(f"kind must be 'L' or 'R', got {kind!r}")
-    return LoopSignature(charges=charges, indices=indices)
-
-
 # ---- Ward identity ----------------------------------------------------------------
 
 def ward_residual(calc: KLoopCalculator, eta_t: float, charges) -> float:
@@ -406,28 +372,24 @@ def ward_residual(calc: KLoopCalculator, eta_t: float, charges) -> float:
 
 # ---- loop-hierarchy flow check ------------------------------------------------------
 
-_LETTERS = "abcdefgh"
-
-
 def _hierarchy_rhs(calc: KLoopCalculator, charges: tuple[int, ...]
                    ) -> np.ndarray:
-    """W^d sum_{k<l} sum_[b] (Cut_L o K) * (Cut_R o K), via cut_signature."""
+    """W^d sum_{k<l} sum_[b] (Cut_L o K) * (Cut_R o K) over 1 <= k < l <= n.
+
+    For the loop K(s_1..s_n)[a_1..a_n], Cut_L is K(s_1..s_k, s_l..s_n) on
+    the blocks (a_1..a_{k-1}, b, a_l..a_n) and Cut_R is K(s_k..s_l) on
+    (a_k..a_{l-1}, b). Axis i - 1 holds a_i and axis n holds b, the summed
+    block. At order 1 there is no pair, and the order-1 loop is constant
+    along the flow.
+    """
     order = len(charges)
-    if order < 2:
-        # no k < l pairs: the order-1 loop is constant along the flow
-        return np.zeros((calc.lattice.block_count,) * order, dtype=complex)
-    labels = tuple(_LETTERS[:order])
-    base = LoopSignature(charges=charges, indices=labels)
-    out = None
+    out = np.zeros((calc.lattice.block_count,) * order, dtype=complex)
     for k, l in itertools.combinations(range(1, order + 1), 2):
-        left = cut_signature("L", base, k, l, "z")
-        right = cut_signature("R", base, k, l, "z")
-        tl = calc.k_tensor(left.charges)
-        tr = calc.k_tensor(right.charges)
-        expr = (f"{''.join(left.indices)},{''.join(right.indices)}"
-                f"->{''.join(labels)}")
-        term = np.einsum(expr, tl, tr, optimize=True)
-        out = term if out is None else out + term
+        out += np.einsum(
+            calc.k_tensor(charges[:k] + charges[l - 1:]),
+            [*range(k - 1), order, *range(l - 1, order)],
+            calc.k_tensor(charges[k - 1:l]), [*range(k - 1, l - 1), order],
+            [*range(order)], optimize=True)
     return calc.lattice.block_volume * out
 
 
@@ -552,8 +514,8 @@ def theta_decay_report(lattice: BlockLattice, th: np.ndarray,
     distances beyond max(ell, 3). The fitted decay length is -1/slope.
     """
     dists = lattice.block_distance_matrix[0]
-    rs = np.unique(dists)
-    vals = np.array([th[0, dists == r].mean() for r in rs])
+    rs, which = np.unique(dists, return_inverse=True)
+    vals = np.array([th[0, which == i].mean() for i in range(rs.size)])
     center = abs(vals[0])
     floor = 1e-14 * max(center, 1e-300)
     fit_start = max(ell, 1.0)
@@ -587,8 +549,7 @@ def _modulus(z: np.ndarray) -> np.ndarray:
 
 def finite_difference_report(lattice: BlockLattice, th: np.ndarray,
                              lam: float, t: float,
-                             max_pairs: int = 4096,
-                             seed: int = 7) -> FiniteDifferenceReport:
+                             max_pairs: int = 4096) -> FiniteDifferenceReport:
     """Finite-difference smoothness ratios of Theta(0, .) against the
     predicted (lambda^2 + 1 - t)^-1 modulus of continuity.
 
@@ -603,7 +564,7 @@ def finite_difference_report(lattice: BlockLattice, th: np.ndarray,
     # every unordered block pair, or a seeded subsample of max_pairs of them
     x, y = np.triu_indices(m, 1)
     if x.size > max_pairs:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_PAIR_SEED)
         pick = rng.choice(x.size, size=max_pairs, replace=False)
         x, y = x[pick], y[pick]
     edge = bracket ** (lattice.d - 1)

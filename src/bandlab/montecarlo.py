@@ -597,7 +597,7 @@ def run_ensemble(config: SampleConfig, replica_fn,
                 if key not in sums:
                     sums[key] = val.astype(complex if np.iscomplexobj(val)
                                            else float)
-                    sumsq[key] = np.abs(val.astype(complex)) ** 2
+                    sumsq[key] = np.abs(sums[key]) ** 2
                 else:
                     sums[key] += val
                     sumsq[key] += np.abs(val) ** 2

@@ -72,22 +72,21 @@ def write_csv(path: str, header: list[str], rows) -> None:
 
 
 def write_plot_data(path_dat: str, header: list[str], rows,
-                    script_title: str | None = None) -> None:
+                    script_title: str) -> None:
     """Gnuplot-compatible data file plus a small generated plot script."""
     os.makedirs(os.path.dirname(path_dat) or ".", exist_ok=True)
     with open(path_dat, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# " + " ".join(header) + "\n")
         for row in rows:
             fh.write(" ".join(fmt_float(v) for v in row) + "\n")
-    if script_title is not None:
-        gp = os.path.splitext(path_dat)[0] + ".gp"
-        base = os.path.basename(path_dat)
-        clauses = ", \\\n     ".join(
-            f"'{base}' using 1:{c} with linespoints title '{header[c - 1]}'"
-            for c in range(2, len(header) + 1))
-        script = (f"set title '{script_title}'\n"
-                  f"set xlabel '{header[0]}'\n"
-                  "set logscale y\n"
-                  f"plot {clauses}\n")
-        with open(gp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(script)
+    gp = os.path.splitext(path_dat)[0] + ".gp"
+    base = os.path.basename(path_dat)
+    clauses = ", \\\n     ".join(
+        f"'{base}' using 1:{c} with linespoints title '{header[c - 1]}'"
+        for c in range(2, len(header) + 1))
+    script = (f"set title '{script_title}'\n"
+              f"set xlabel '{header[0]}'\n"
+              "set logscale y\n"
+              f"plot {clauses}\n")
+    with open(gp, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(script)

@@ -115,6 +115,20 @@ class TestExitCodes:
         p.write_text("[model]\ntype = mean_field\nW = 3\nn = 3\nnope = 2\n")
         assert main(["validate", "--config", str(p)]) == 2
 
+    @pytest.mark.parametrize("section,key", [("checks", "tolerance_scale"),
+                                             ("output", "formats")])
+    def test_removed_key_exit_2(self, section, key, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.ini", **{section: {key: "1"}})
+        assert main(["validate", "--config", cfg]) == 2
+        assert f"unknown key '{key}' in section [{section}]" \
+            in capsys.readouterr().err
+
+    def test_tolerance_scale_flag_exit_2(self, tmp_path):
+        cfg = write_config(tmp_path / "c.ini")
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--config", cfg, "--tolerance-scale", "2"])
+        assert exc.value.code == 2
+
     def test_zero_replicas_exit_2(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini", mc={"replicas": 0})
         assert main(["locallaw", "--config", cfg]) == 2
@@ -196,6 +210,30 @@ def test_commands_run_on_numpy_alone(tmp_path):
     codes, scipy_loaded = run.stdout.strip().splitlines()[-1].rsplit(" ", 1)
     assert all(c in (0, 1) for c in json.loads(codes))
     assert scipy_loaded == "False"
+
+
+_THETA_FILES = [f"theta_decay_{pair}_t{t}.{ext}" for pair in ("pm", "pp")
+                for t in ("0.5", "0.9") for ext in ("csv", "dat", "gp")]
+
+
+@pytest.mark.parametrize("command,files", [
+    ("validate", []),
+    ("flow", []),
+    ("theta", _THETA_FILES),
+    ("kloop", ["kloop_residuals.csv"]),
+    ("locallaw", ["locallaw_blocks.csv", "locallaw_blocks.dat",
+                  "locallaw_blocks.gp"]),
+    ("diffusion", ["diffusion_pairs.csv", "diffusion_profile.dat",
+                   "diffusion_profile.gp"]),
+    ("deloc", []),
+    ("que", []),
+])
+def test_each_command_writes_its_files(command, files, tmp_path):
+    cfg = write_config(tmp_path / "c.ini", model={"W": 3, "n": 5},
+                       mc={"replicas": 2})
+    out = tmp_path / "run"
+    assert main([command, "--config", cfg, "--out", str(out)]) in (0, 1)
+    assert sorted(os.listdir(out)) == sorted([f"{command}.json", *files])
 
 
 class TestDeterministicCommands:

@@ -4,9 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from bandlab import (BlockLattice, KLoopCalculator, LoopSignature,
-                     build_translation_invariant, cut_signature,
-                     diffusion_predictions, project_matrix, project_tensor,
+from bandlab import (BlockLattice, KLoopCalculator,
+                     build_translation_invariant, diffusion_predictions,
+                     project_matrix, project_tensor,
                      evolution_kernel_apply, interaction_strength,
                      kloop_flow_derivative_residual, mean_field_profile,
                      random_walk_representation, stieltjes_m, theta,
@@ -496,42 +496,6 @@ class TestWard:
         assert abs(lhs[0, 2] - rhs[0, 2]) / scale < 1e-9
 
 
-class TestCutSignature:
-    def test_cut_r_order_two(self):
-        sig = LoopSignature(charges=(1, -1), indices=("a1", "a2"))
-        out = cut_signature("R", sig, 1, 2, "new")
-        assert out.charges == (1, -1)
-        assert out.indices == ("a1", "new")
-
-    def test_cut_l_lengths(self):
-        sig = LoopSignature(charges=(1, 1, -1, -1),
-                            indices=tuple("wxyz"))
-        out = cut_signature("L", sig, 2, 3, "b")
-        assert out.order == 4
-        assert out.indices == ("w", "b", "y", "z")
-        assert out.charges == (1, 1, -1, -1)
-
-    def test_length_composition(self):
-        # len(L-cut) + len(R-cut) = n + 2
-        for order in (2, 3, 4):
-            sig = LoopSignature(charges=(1,) * order,
-                                indices=tuple(range(order)))
-            for k in range(1, order):
-                for l in range(k + 1, order + 1):
-                    lo = cut_signature("L", sig, k, l, "b")
-                    ro = cut_signature("R", sig, k, l, "b")
-                    assert lo.order + ro.order == order + 2
-                    assert lo.order == order + k - l + 1
-                    assert ro.order == l - k + 1
-
-    def test_bad_order(self):
-        sig = LoopSignature(charges=(1, -1), indices=(0, 1))
-        with pytest.raises(ValueError):
-            cut_signature("L", sig, 2, 2, "b")
-        with pytest.raises(ValueError):
-            cut_signature("Q", sig, 1, 2, "b")
-
-
 @pytest.fixture(scope="module")
 def setup33():
     """The loop calculator at (S_t, m) on the W=3, n=3 lattice."""
@@ -555,6 +519,12 @@ class TestFlowDerivative:
 
     def test_order_three(self, setup33):
         assert kloop_flow_derivative_residual(setup33, (1, 1, -1), 1e-3) < 1e-4
+
+    def test_order_four(self, setup33):
+        # Cut_L keeps four charges at (k, l) = (2, 3); a misplaced summed
+        # block in either cut breaks the equation
+        assert kloop_flow_derivative_residual(setup33, (1, 1, -1, -1),
+                                              1e-3) < 1e-4
 
     def test_order_one_vanishes(self, setup33):
         assert kloop_flow_derivative_residual(setup33, (1,), 1e-3) == 0.0

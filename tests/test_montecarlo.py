@@ -285,6 +285,16 @@ class TestRunEnsemble:
         assert np.array_equal(res.mean("x"), [1.0, 2.0])
         assert res.mean("y") == 3.0
 
+    def test_real_observable_merges_as_reals(self):
+        # the first replica's sum and squared modulus, 2 * 8 N^2 bytes; a
+        # complex copy on the way would add 16 N^2 more
+        N = 400
+        x = np.random.default_rng(0).standard_normal((N, N))
+        cfg = SampleConfig(master_seed=5, replicas=1, parallelism=1)
+        peak = _second_call_peak(run_ensemble,
+                                 [(cfg, lambda r, rng: {"x": x})] * 2)
+        assert peak < 3 * 8 * N * N
+
     def test_parallel_merge_identical(self, band_small):
         lat, band = band_small
         fn, reducers = locallaw_replica_fn(band, 0.3j)
