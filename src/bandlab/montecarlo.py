@@ -16,10 +16,14 @@ checked on views of H's and G's block rows. The order of the draws is
 versioned by ``STREAM_VERSION``. Each ``locallaw`` and ``diffusion`` worker
 thread keeps its H, its G and the solve's W^d x N scratch buffers.
 
-The windowed eigenpairs of ``deloc`` and ``que`` come from LAPACK zheevr
-(Dhillon-Parlett MRRR for the whole spectrum, bisection and inverse
-iteration for a window by value), called through ctypes in that same
-OpenBLAS; a numpy build without it falls back to ``np.linalg.eigh``.
+``deloc``'s windowed eigenpairs come from LAPACK zheevr (Dhillon-Parlett
+MRRR for the whole spectrum), called through ctypes in that same OpenBLAS;
+a numpy build without it falls back to ``np.linalg.eigh``. ``que``'s
+narrow window comes from the same ring of layers: a block LDL^H of H - s
+at a real shift s, with its pivots factored by LAPACK zhetrf, counts the
+eigenvalues below s by their inertia, and its solves drive shift-invert
+subspace iteration at the window's centre. The inertia counts at the
+window's edges check ``deloc``'s zheevr count and fix ``que``'s.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -72,6 +76,18 @@ __all__ = [
 
 
 _RESIDUAL_TOL = 1e-10
+
+# A pivot of the ring's LDL^H at a real shift whose inverse has an entry
+# of modulus 1 / (_SINGULAR_TOL ||H||_F) or more is singular there: the
+# sign that it adds to the count is then rounding. Shift-invert converges
+# at Ritz residuals of _RITZ_TOL ||H||_F, a few hundred times the floor
+# that its refined solves reach, and fails after _MAX_ITERATIONS steps.
+_SINGULAR_TOL = 1e-12
+_RITZ_TOL = 1e-14
+_MAX_ITERATIONS = 200
+# Unrefined solves leave Ritz residuals of up to about 1e-11 ||H||_F at
+# the README config; shift-invert refines its solves from _REFINE_TOL on.
+_REFINE_TOL = 1e-9
 
 # Version of the order in which replicas draw from their Philox streams;
 # reports carry it, and a change of the draw order bumps it. Version 2
@@ -347,11 +363,14 @@ def ward_gate_residual(gf: GreenFunction) -> float:
 # ---- numpy's OpenBLAS ------------------------------------------------------------
 
 class _OpenBLAS(NamedTuple):
-    """The entry points bandlab calls in numpy's bundled OpenBLAS."""
+    """The entry points bandlab calls in numpy's bundled OpenBLAS; a LAPACKE
+    routine the build lacks is None."""
 
     get_threads: object
     set_threads: object
-    zheevr: object        # LAPACKE_zheevr, or None when the build lacks it
+    zheevr: object        # LAPACKE_zheevr
+    zhetrf: object        # LAPACKE_zhetrf, Bunch-Kaufman LDL^H
+    zhetri: object        # LAPACKE_zhetri, the inverse from zhetrf's factors
     lapack_int: type      # ctypes.c_int64 for the ILP64 ("64_") build
 
 
@@ -376,33 +395,39 @@ def _openblas() -> _OpenBLAS | None:
                 set_.argtypes, set_.restype = [ctypes.c_int], None
                 lapack_int = ctypes.c_int64 if suffix == "64_" \
                     else ctypes.c_int32
-                zheevr = getattr(lib, f"{prefix}LAPACKE_zheevr{suffix}", None)
-                if zheevr is not None:
-                    ptr, dbl, char = ctypes.c_void_p, ctypes.c_double, \
-                        ctypes.c_char
-                    # (layout, jobz, range, uplo, n, a, lda, vl, vu, il, iu,
-                    #  abstol, m, w, z, ldz, isuppz)
-                    zheevr.argtypes = [ctypes.c_int, char, char, char,
-                                       lapack_int, ptr, lapack_int, dbl, dbl,
-                                       lapack_int, lapack_int, dbl,
-                                       ctypes.POINTER(lapack_int), ptr, ptr,
-                                       lapack_int, ptr]
-                    zheevr.restype = lapack_int
-                return _OpenBLAS(get, set_, zheevr, lapack_int)
+                ptr, dbl = ctypes.c_void_p, ctypes.c_double
+                char = ctypes.c_char
+                # the arguments after (layout, ...): zheevr's are (jobz,
+                # range, uplo, n, a, lda, vl, vu, il, iu, abstol, m, w, z,
+                # ldz, isuppz); zhetrf's and zhetri's (uplo, n, a, lda, ipiv)
+                signatures = {
+                    "zheevr": [char, char, char, lapack_int, ptr, lapack_int,
+                               dbl, dbl, lapack_int, lapack_int, dbl,
+                               ctypes.POINTER(lapack_int), ptr, ptr,
+                               lapack_int, ptr],
+                    "zhetrf": [char, lapack_int, ptr, lapack_int, ptr],
+                    "zhetri": [char, lapack_int, ptr, lapack_int, ptr],
+                }
+                routines = {}
+                for name, args in signatures.items():
+                    fn = getattr(lib, f"{prefix}LAPACKE_{name}{suffix}", None)
+                    if fn is not None:
+                        fn.argtypes, fn.restype = [ctypes.c_int] + args, \
+                            lapack_int
+                    routines[name] = fn
+                return _OpenBLAS(get, set_, lapack_int=lapack_int, **routines)
     return None
 
 
 _COL_MAJOR = 102                   # LAPACK_COL_MAJOR
 
 
-def _zheevr(lib: _OpenBLAS, H: np.ndarray, window):
-    """(eigenvalues, eigenvectors) of Hermitian H from LAPACKE_zheevr:
-    every pair by MRRR when ``window`` is None, else the pairs with
-    eigenvalues in (lo, hi] by bisection and inverse iteration.
+def _zheevr(lib: _OpenBLAS, H: np.ndarray):
+    """(eigenvalues, eigenvectors) of Hermitian H, every pair by MRRR from
+    LAPACKE_zheevr.
 
     LAPACK overwrites its input, so it gets a Fortran-ordered copy of H; a
-    row-major call would make LAPACKE transpose N x N copies. Columns of the
-    eigenvector array past the count found are never written.
+    row-major call would make LAPACKE transpose N x N copies.
     """
     N = H.shape[0]
     if H.shape != (N, N):
@@ -412,13 +437,147 @@ def _zheevr(lib: _OpenBLAS, H: np.ndarray, window):
     z = np.empty((N, N), dtype=complex, order="F")
     isuppz = np.empty(2 * N, dtype=lib.lapack_int)
     found = lib.lapack_int(0)
-    kind, (vl, vu) = (b"A", (0.0, 0.0)) if window is None else (b"V", window)
-    info = lib.zheevr(_COL_MAJOR, b"V", kind, b"L", N, a.ctypes.data, N,
-                      vl, vu, 0, 0, 0.0, ctypes.byref(found), w.ctypes.data,
+    info = lib.zheevr(_COL_MAJOR, b"V", b"A", b"L", N, a.ctypes.data, N,
+                      0.0, 0.0, 0, 0, 0.0, ctypes.byref(found), w.ctypes.data,
                       z.ctypes.data, N, isuppz.ctypes.data)
     if info:
         raise EigenSolveError(f"LAPACKE_zheevr failed with info {info}")
-    return w[:found.value], z[:, :found.value]
+    return w, z
+
+
+def _pivot(P: np.ndarray):
+    """(negatives, P^-1) for a Hermitian pivot P; P^-1 is None when P is
+    exactly singular.
+
+    LAPACKE_zhetrf factors P = L D L^H by Bunch-Kaufman pivoting and zhetri
+    inverts it from those factors. By Sylvester's law D has P's inertia;
+    each 2 x 2 block of D, marked by a pair of equal negative entries of
+    ipiv, has a negative determinant by the pivoting rule, so it holds one
+    negative eigenvalue. A build without those routines takes P's
+    eigenvalues and inverse from np.linalg.eigh.
+    """
+    lib = _openblas()
+    if lib is None or lib.zhetrf is None or lib.zhetri is None:
+        d, Q = np.linalg.eigh(P)
+        return int((d < 0).sum()), (Q / d) @ Q.conj().T
+    n = len(P)
+    a = np.array(P, dtype=complex, order="F")
+    ipiv = np.empty(n, dtype=lib.lapack_int)
+    info = lib.zhetrf(_COL_MAJOR, b"L", n, a.ctypes.data, n, ipiv.ctypes.data)
+    if info < 0:
+        raise EigenSolveError(f"LAPACKE_zhetrf failed with info {info}")
+    two = ipiv < 0
+    negatives = int((a.diagonal().real[~two] < 0).sum() + two.sum() // 2)
+    if info > 0:
+        return negatives, None
+    lib.zhetri(_COL_MAJOR, b"L", n, a.ctypes.data, n, ipiv.ctypes.data)
+    np.copyto(a, a.T.conj(), where=_strict_upper(n))
+    return negatives, a
+
+
+@cache
+def _strict_upper(n: int) -> np.ndarray:
+    """The mask of an n x n matrix's strictly upper triangle, where zhetri
+    leaves the inverse's adjoint unwritten."""
+    return np.triu(np.ones((n, n), dtype=bool), 1)
+
+
+class _RingLDL:
+    """Block LDL^H of H - shift, at a real shift, over the band's layer ring.
+
+    The chain of layers 0..p-2 gives the pivots P_k = A_kk - A_k,k-1
+    P_k-1^-1 A_k-1,k. With the last layer's couplings B, Y = L^-1 B by
+    forward substitution along the chain and Z_k = P_k^-1 Y_k, the ring
+    closes with S = A_LL - B'T^-1 B = A_LL - Y'Z. By Sylvester's law and
+    Haynsworth's inertia additivity (Linear Algebra Appl. 1, 1968),
+    ``negatives``, the count of negative eigenvalues of the P_k and of S,
+    is #{lambda(H) < shift}.
+
+    :meth:`solve` applies (H - shift)^-1 from the same pieces. Elimination
+    across layers without pivoting loses digits when a chain pivot is
+    nearly singular, so each solve takes one step of iterative refinement,
+    which restores a backward error of a few ulps.
+
+    A pivot or S whose inverse has an entry of modulus 1 / ``tol`` or more
+    is singular at the shift and raises EigenSolveError; the shift is
+    never moved, as that would move the count at the window's edge.
+    """
+
+    def __init__(self, band: Band, H: np.ndarray, shift: float, tol: float):
+        cuts = band.cuts
+        self.H, self.shift, self.tol = H, shift, tol
+        self.lay = lay = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+        self.last = last = len(lay) - 1
+        self.M = M = cuts[-2]
+        # the layers that B couples
+        self.ends = sorted({0, last - 1}) if last else []
+        self.negatives = 0
+        Y = np.zeros((M, cuts[-1] - M), dtype=complex)
+        for e in self.ends:
+            Y[lay[e]] = self.A(e, last)
+        self.Z = Z = np.empty_like(Y)
+        self.inv, self.up = [], []     # P_k^-1 and P_k^-1 A_k,k+1
+        for k in range(last):
+            P = self.A(k, k)
+            if k:
+                below = self.A(k, k - 1)
+                P -= below @ self.up[-1]
+                Y[lay[k]] -= below @ Z[lay[k - 1]]
+            self.inv.append(self._factor(P))
+            np.matmul(self.inv[k], Y[lay[k]], out=Z[lay[k]])
+            if k < last - 1:
+                self.up.append(self.inv[k] @ self.A(k, k + 1))
+        self.S_inv = self._factor(self.A(last, last) - Y.conj().T @ Z)
+
+    def A(self, i, j):
+        """Block (i, j) of H - shift."""
+        blk = self.H[self.lay[i], self.lay[j]]
+        if i == j:
+            blk = blk.copy()
+            blk.ravel()[::len(blk) + 1] -= self.shift
+        return blk
+
+    def _factor(self, P):
+        negatives, inv = _pivot(P)
+        biggest = np.inf if inv is None else np.abs(inv).max()
+        if not biggest < 1 / self.tol:
+            raise EigenSolveError(f"a pivot of H - {self.shift!r} is "
+                                  f"singular: max|P^-1| = {biggest:.3e}")
+        self.negatives += negatives
+        return inv
+
+    def _back(self, U):
+        """U_k -= P_k^-1 A_k,k+1 U_k+1, from the chain's end: (L^H)^-1 U."""
+        for k in reversed(range(self.last - 1)):
+            U[self.lay[k]] -= self.up[k] @ U[self.lay[k + 1]]
+        return U
+
+    @cached_property
+    def X(self):
+        """T^-1 B, by back substitution from Z."""
+        return self._back(self.Z.copy())
+
+    def _ring_solve(self, R):
+        """(H - shift)^-1 R unrefined: the chain by substitution, then the
+        last layer through S^-1, and the chain's correction X x."""
+        lay, last = self.lay, self.last
+        U = np.empty((self.M, R.shape[1]), dtype=complex)
+        for k in range(last):
+            w = R[lay[k]]
+            if k:
+                w = w - self.A(k, k - 1) @ U[lay[k - 1]]
+            U[lay[k]] = self.inv[k] @ w
+        self._back(U)
+        x = self.S_inv @ (R[self.M:] - sum(self.A(last, e) @ U[lay[e]]
+                                           for e in self.ends))
+        return np.concatenate([U - self.X @ x, x])
+
+    def solve(self, R: np.ndarray, refine: bool = True) -> np.ndarray:
+        """(H - shift)^-1 R, refined once unless ``refine`` is false."""
+        Z = self._ring_solve(R)
+        if refine:
+            Z += self._ring_solve(R - self.H @ Z + self.shift * Z)
+        return Z
 
 
 # ---- per-sample observables -------------------------------------------------------
@@ -442,34 +601,19 @@ class EigenStats:
     vectors: np.ndarray            # (N, windowed) eigenvectors in the window
 
 
-def eigen_stats(H: np.ndarray, window: tuple[float, float], *,
-                full_spectrum: bool = False) -> EigenStats:
-    """The eigenvectors of H with eigenvalues in ``window`` (closed) and
-    their sup-norms.
-
-    The pairs come from LAPACK zheevr in numpy's bundled OpenBLAS, which
-    computes only the window's pairs; with ``full_spectrum`` it computes
-    every pair by MRRR and the window is kept afterwards, which is faster
-    when the window holds most of the spectrum. Without that routine the
-    full ``np.linalg.eigh`` serves instead.
-
-    Raises EigenSolveError when H is not finite, when LAPACK reports a
-    failure, or when the windowed pairs (V, L) fail the probe
-    max|H(Vc) - V(Lc)| / max(1, ||H||_F) <= tolerance for c = (1, ..., 1).
-    """
+def _finite_norm(H: np.ndarray) -> float:
+    """||H||_F; EigenSolveError when H is not finite."""
     norm = math.sqrt(np.vdot(H, H).real)
     if not math.isfinite(norm):
         raise EigenSolveError("H is not finite")
-    lo, hi = window
-    lib = _openblas()
-    if lib is None or lib.zheevr is None:
-        evals, evecs = np.linalg.eigh(H)
-    else:
-        # LAPACK takes a window by value only when lo < hi
-        by_value = not full_spectrum and lo < hi
-        evals, evecs = _zheevr(lib, H, window if by_value else None)
-    keep = (evals >= lo) & (evals <= hi)
-    evals, vectors = evals[keep], evecs[:, keep]
+    return norm
+
+
+def _probed(H: np.ndarray, norm: float, evals: np.ndarray,
+            vectors: np.ndarray) -> EigenStats:
+    """The :class:`EigenStats` of the pairs (evals, vectors) once they pass
+    the probe max|H(Vc) - V(Lc)| / max(1, ||H||_F) <= tolerance for c =
+    (1, ..., 1); EigenSolveError otherwise."""
     resid = float(np.abs(H @ vectors.sum(axis=1) - vectors @ evals).max()
                   / max(1.0, norm))
     if not resid <= _RESIDUAL_TOL:
@@ -477,6 +621,108 @@ def eigen_stats(H: np.ndarray, window: tuple[float, float], *,
                               f"{_RESIDUAL_TOL:.1e}")
     return EigenStats(sup_norms=(np.abs(vectors) ** 2).max(axis=0),
                       vectors=vectors)
+
+
+def eigen_stats(H: np.ndarray, window: tuple[float, float]) -> EigenStats:
+    """The eigenvectors of H with eigenvalues in ``window`` (closed) and
+    their sup-norms.
+
+    Every pair comes from LAPACK zheevr (MRRR) in numpy's bundled OpenBLAS,
+    or from the full ``np.linalg.eigh`` without that routine, and the
+    window is kept afterwards.
+
+    Raises EigenSolveError when H is not finite, when LAPACK reports a
+    failure, or when the windowed pairs fail the probe of :func:`_probed`.
+    """
+    norm = _finite_norm(H)
+    lo, hi = window
+    lib = _openblas()
+    if lib is None or lib.zheevr is None:
+        evals, evecs = np.linalg.eigh(H)
+    else:
+        evals, evecs = _zheevr(lib, H)
+    keep = (evals >= lo) & (evals <= hi)
+    return _probed(H, norm, evals[keep], evecs[:, keep])
+
+
+def _window_count(band: Band, H: np.ndarray, window: tuple[float, float],
+                  tol: float) -> int:
+    """#{lambda(H) in [lo, hi]} from the inertia of H - hi and H - lo; an
+    eigenvalue on an edge makes a pivot singular and raises."""
+    lo, hi = window
+    return (_RingLDL(band, H, hi, tol).negatives
+            - _RingLDL(band, H, lo, tol).negatives)
+
+
+def _ring_window_stats(band: Band, H: np.ndarray,
+                       window: tuple[float, float]) -> EigenStats:
+    """:func:`eigen_stats` of a narrow window from the band's layer ring,
+    with no N x N eigensolve.
+
+    The window's count k comes from the inertia at its two edges; an
+    empty window stops there. Otherwise shift-invert subspace iteration at
+    the window's centre (Ericsson-Ruhe, Math. Comp. 35, 1980) runs on a
+    block of p = k + (k + 4) vectors, whose start is drawn from a fixed
+    generator, never from the replica's stream. Each step solves by
+    :class:`_RingLDL`, takes the Rayleigh-Ritz pairs of (H - centre)^-1,
+    whose k of largest modulus are the window's, and refines those k by
+    Rayleigh-Ritz with H. They converge with factors |lambda - centre| /
+    |lambda_p+1 - centre|, which the guard k + 4 keeps below about a half
+    on an even spectrum. The solves are refined once the residuals of the
+    k pairs, |Hv - theta v|, reach 1e-9 ||H||_F or stop halving, and the
+    iteration stops one step after they first reach 1e-14 ||H||_F.
+
+    Raises EigenSolveError for a non-finite H, a pivot singular at a shift,
+    no convergence within the iteration cap, one of the k Ritz values
+    outside the window, a count of Ritz values in the window other than k,
+    or a failed probe.
+    """
+    norm = _finite_norm(H)
+    tol = _SINGULAR_TOL * max(1.0, norm)
+    lo, hi = window
+    N = H.shape[0]
+    k = _window_count(band, H, window, tol)
+    if k == 0:
+        return _probed(H, norm, np.zeros(0), np.zeros((N, 0), dtype=complex))
+    centre = (lo + hi) / 2
+    ring = _RingLDL(band, H, centre, tol)
+    p = min(N, 2 * k + 4)
+    start = np.random.default_rng(0).standard_normal((N, 2 * p)).view(complex)
+    Q = np.linalg.qr(start)[0]
+    converged, refine, resid = False, False, np.inf
+    for _ in range(_MAX_ITERATIONS):
+        Z = ring.solve(Q, refine)
+        # Ritz pairs of (H - centre)^-1: the k of largest modulus are the
+        # window's; a mix of far eigenvectors cannot pose as one of them
+        mu, Y = np.linalg.eigh(Q.conj().T @ Z)
+        order = np.argsort(-np.abs(mu), kind="stable")
+        V = Q @ Y[:, order[:k]]
+        HV = H @ V
+        theta, R = np.linalg.eigh(V.conj().T @ HV)
+        V, HV = V @ R, HV @ R
+        last, resid = resid, np.linalg.norm(HV - V * theta, axis=0).max()
+        if converged:
+            break
+        converged = resid <= _RITZ_TOL * norm
+        # unrefined solves cost half, but stall at the factorization's
+        # backward error: refine from the first step near convergence or
+        # not halving the residual
+        refine = refine or resid <= _REFINE_TOL * norm or resid > last / 2
+        Q = np.linalg.qr(Z @ Y[:, order])[0]
+    else:
+        raise EigenSolveError(f"shift-invert did not converge in "
+                              f"{_MAX_ITERATIONS} steps: Ritz residual "
+                              f"{resid:.3e}")
+    outside = theta[(theta < lo) | (theta > hi)]
+    if outside.size:
+        raise EigenSolveError(f"Ritz value {outside[0]!r} outside the window "
+                              f"[{lo!r}, {hi!r}]")
+    estimates = centre + 1 / mu
+    inside = int(((estimates >= lo) & (estimates <= hi)).sum())
+    if inside != k:
+        raise EigenSolveError(f"{inside} Ritz values in the window, the "
+                              f"inertia counts {k}")
+    return _probed(H, norm, theta, V)
 
 
 def diffusion_predictions(profile: VarianceProfile, z: complex):
@@ -671,27 +917,39 @@ def diffusion_replica_fn(band: Band, z: complex):
 
 
 def deloc_replica_fn(band: Band, window: tuple[float, float]):
-    """Delocalization observables: windowed eigenvector sup-norms."""
+    """Delocalization observables: windowed eigenvector sup-norms.
+
+    zheevr's window count is checked against the inertia count at the
+    window's edges; a dropped or duplicated eigenvalue fails the replica."""
 
     def fn(replica, rng):
         H = sample_H(band, rng)
-        # the window holds most of the spectrum: MRRR for all pairs is
-        # faster than bisection and inverse iteration for the window's
-        stats = eigen_stats(H, window, full_spectrum=True)
-        sup = float(stats.sup_norms.max()) if stats.sup_norms.size else 0.0
-        return {"sup_norm_sq": sup, "window_count": stats.sup_norms.size}
+        # counted before zheevr runs: counted after it, while its N x N
+        # arrays were still live, the check raised the peak RSS
+        count = _window_count(band, H, window,
+                              _SINGULAR_TOL * max(1.0, _finite_norm(H)))
+        # the window holds most of the spectrum: MRRR for all pairs
+        stats = eigen_stats(H, window)
+        k = stats.sup_norms.size
+        if k != count:
+            raise EigenSolveError(f"zheevr found {k} eigenvalues in the "
+                                  f"window, the inertia counts {count}")
+        sup = float(stats.sup_norms.max()) if k else 0.0
+        return {"sup_norm_sq": sup, "window_count": k}
 
     return fn, {"sup_norm_sq": "each", "window_count": "each"}
 
 
 def que_replica_fn(band: Band, window: tuple[float, float]):
-    """QUE observables: worst block-mass overlap deviation in the window."""
+    """QUE observables: worst block-mass overlap deviation in the window,
+    whose pairs come from the band's layer ring
+    (:func:`_ring_window_stats`)."""
     lattice = band.lattice
     share = lattice.block_volume / lattice.N
 
     def fn(replica, rng):
         H = sample_H(band, rng)
-        stats = eigen_stats(H, window)
+        stats = _ring_window_stats(band, H, window)
         k = stats.sup_norms.size
         dev = 0.0
         if k:

@@ -599,17 +599,22 @@ class TestMonteCarloCommands:
 
     @pytest.mark.parametrize("command", ["deloc", "que"])
     def test_no_replica_calls_eigh(self, command, tmp_path, monkeypatch):
-        # the eigenpairs come from zheevr in numpy's OpenBLAS
+        # deloc's eigenpairs come from zheevr in numpy's OpenBLAS, que's
+        # from the layer ring, whose Rayleigh-Ritz steps are small
         import numpy as np
 
         import bandlab.montecarlo as mc
 
         lib = mc._openblas()
-        if lib is None or lib.zheevr is None:
-            pytest.skip("numpy's OpenBLAS has no LAPACKE_zheevr")
+        if lib is None or lib.zheevr is None or lib.zhetrf is None:
+            pytest.skip("numpy's OpenBLAS lacks LAPACKE_zheevr or zhetrf")
+        eigh = np.linalg.eigh
 
-        def refuse(*args, **kwargs):
-            raise AssertionError(f"{command} called np.linalg.eigh")
+        def refuse(a, *args, **kwargs):
+            if len(a) == 495:
+                raise AssertionError(f"{command} called an N x N "
+                                     f"np.linalg.eigh")
+            return eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         cfg = write_config(tmp_path / "c.ini", model={"W": 33, "n": 15},
@@ -658,6 +663,59 @@ class TestMonteCarloCommands:
         rep = read_json(str(tmp_path / "out"), "que.json")
         assert "overlap_dev_sq_max" in rep
         assert 0 <= rep["empty_windows"] <= rep["completed"]
+
+    @pytest.mark.parametrize("fault", ["drop", "duplicate"])
+    def test_deloc_count_check_fails_a_lost_pair(self, fault, tmp_path,
+                                                 monkeypatch):
+        # failing control: zheevr with one windowed pair dropped or
+        # repeated still passes the probe, but not the inertia count
+        import numpy as np
+
+        import bandlab.montecarlo as mc
+
+        lib = mc._openblas()
+        if lib is None or lib.zheevr is None:
+            pytest.skip("numpy's OpenBLAS has no LAPACKE_zheevr")
+        solve = mc._zheevr
+
+        def faulty(lib, H):
+            w, z = solve(lib, H)
+            i = int(np.argmin(np.abs(w)))
+            keep = np.r_[:i, i + 1:len(w)] if fault == "drop" \
+                else np.r_[:i + 1, i:len(w)]
+            return w[keep], z[:, keep]
+
+        cfg = write_config(tmp_path / "c.ini", mc={"replicas": 2})
+        main(["deloc", "--config", cfg])
+        assert read_json(str(tmp_path / "out"), "deloc.json")[
+            "completed"] == 2
+        monkeypatch.setattr(mc, "_zheevr", faulty)
+        assert main(["deloc", "--config", cfg]) == 1
+        rep = read_json(str(tmp_path / "out"), "deloc.json")
+        assert rep["completed"] == 0
+        off = -1 if fault == "drop" else 1
+        assert all(msg.startswith("EigenSolveError: zheevr found ")
+                   and msg.endswith(f"the inertia counts {count}")
+                   and f"found {count + off} eigenvalues" in msg
+                   for _, msg in rep["failures"]
+                   for count in [int(msg.rsplit(" ", 1)[1])])
+
+    def test_que_with_pairs_is_byte_identical_across_parallelism(self,
+                                                                 tmp_path):
+        # que_epsilon = -1 puts a few pairs in every window, so every
+        # replica runs shift-invert from its fixed start block
+        reports = []
+        for par in (1, 2, 8):
+            out = tmp_path / f"par{par}"
+            cfg = write_config(tmp_path / f"par{par}.ini",
+                               mc={"replicas": 6, "parallelism": par},
+                               checks={"que_epsilon": -1},
+                               output={"directory": str(out)})
+            assert main(["que", "--config", cfg]) in (0, 1)
+            reports.append((out / "que.json").read_bytes())
+        assert reports[0] == reports[1] == reports[2]
+        rep = json.loads(reports[0])
+        assert rep["completed"] == 6 and rep["empty_windows"] == 0
 
     def test_que_all_windows_empty_is_vacuous(self, tmp_path):
         # a window of half-width W^-30 eta0 holds no eigenvalue

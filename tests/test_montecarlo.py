@@ -231,7 +231,8 @@ class TestSampleObservables:
         # the batched product over every block gives the per-block bits
         lat, band = band_small
         fn, _ = que_replica_fn(band, window)
-        stats = eigen_stats(sample_H(band, stream_for(16, 0)), window)
+        stats = mc._ring_window_stats(band, sample_H(band, stream_for(16, 0)),
+                                      window)
         k = stats.sup_norms.size
         assert k > 0
         target = lat.block_volume / lat.N * np.eye(k)
@@ -815,14 +816,26 @@ def _que_deviations(band, vectors):
                   - share * np.eye(vectors.shape[1]))
 
 
-def _assert_matches_eigh(band, H, window, full_spectrum):
-    """eigen_stats against the full np.linalg.eigh on a closed window:
-    equal counts, sup-norms and que deviations to 1e-12."""
+def _window_stats(band, H, window, all_pairs):
+    """deloc's eigen_stats (every pair by zheevr) or que's ring window."""
+    if all_pairs:
+        return eigen_stats(H, window)
+    return mc._ring_window_stats(band, H, window)
+
+
+def _assert_matches_eigh(band, H, window, all_pairs):
+    """A window's pairs against the full np.linalg.eigh on a closed window:
+    equal counts, and eigenvalues (the Rayleigh quotients of the vectors),
+    sup-norms and que deviations to 1e-12."""
     evals, evecs = np.linalg.eigh(H)
-    ref = evecs[:, (evals >= window[0]) & (evals <= window[1])]
-    stats = eigen_stats(H, window, full_spectrum=full_spectrum)
+    inside = (evals >= window[0]) & (evals <= window[1])
+    ref = evecs[:, inside]
+    stats = _window_stats(band, H, window, all_pairs)
     assert stats.vectors.shape == ref.shape
     assert stats.sup_norms.shape == (ref.shape[1],)
+    quotients = np.einsum("xk,xy,yk->k", stats.vectors.conj(), H,
+                          stats.vectors).real
+    assert np.abs(quotients - evals[inside]).max(initial=0) < 1e-12
     assert np.abs(stats.sup_norms
                   - (np.abs(ref) ** 2).max(axis=0)).max(initial=0) < 1e-12
     assert np.abs(_que_deviations(band, stats.vectors)
@@ -836,7 +849,8 @@ needs_zheevr = pytest.mark.skipif(
 
 
 class TestEigenSolver:
-    """eigen_stats' LAPACK zheevr path against np.linalg.eigh, its oracle."""
+    """Both window paths against np.linalg.eigh, their oracle: eigen_stats
+    (zheevr's every pair, ``all_pairs``) and que's ring window."""
 
     @pytest.mark.parametrize("seed", [20260809, 1, 2])
     def test_readme_config_windows(self, seed):
@@ -850,19 +864,19 @@ class TestEigenSolver:
         assert _assert_matches_eigh(band, H, _que_window(profile, -1.0),
                                     False) > 10
 
-    @pytest.mark.parametrize("full_spectrum", [True, False])
-    def test_empty_and_whole_windows(self, band_small, full_spectrum):
+    @pytest.mark.parametrize("all_pairs", [True, False])
+    def test_empty_and_whole_windows(self, band_small, all_pairs):
         lat, band = band_small
         H = sample_H(band, stream_for(17, 0))
-        assert _assert_matches_eigh(band, H, (5.0, 6.0), full_spectrum) == 0
-        # a window of one point (lo = hi) is empty, not a LAPACK error
-        assert _assert_matches_eigh(band, H, (0.3, 0.3), full_spectrum) == 0
+        assert _assert_matches_eigh(band, H, (5.0, 6.0), all_pairs) == 0
+        # a window of one point (lo = hi) is empty, not an error
+        assert _assert_matches_eigh(band, H, (0.3, 0.3), all_pairs) == 0
         assert _assert_matches_eigh(band, H, (-10.0, 10.0),
-                                    full_spectrum) == lat.N
+                                    all_pairs) == lat.N
 
     @pytest.mark.parametrize("profile", ["d2", "wegner_orbital"])
-    @pytest.mark.parametrize("full_spectrum", [True, False])
-    def test_other_profiles(self, profile, full_spectrum):
+    @pytest.mark.parametrize("all_pairs", [True, False])
+    def test_other_profiles(self, profile, all_pairs):
         from bandlab import wegner_orbital_profile
 
         lat = BlockLattice(d=2, W=3, n=5)
@@ -874,11 +888,11 @@ class TestEigenSolver:
         for r in range(2):
             H = sample_H(band, stream_for(23, r))
             for window in ((-1.5, 1.5), (-0.3, 0.3)):
-                assert _assert_matches_eigh(band, H, window,
-                                            full_spectrum) > 0
+                assert _assert_matches_eigh(band, H, window, all_pairs) > 0
 
     @pytest.mark.parametrize("lookup", ["none", "no_zheevr"])
     def test_falls_back_to_eigh(self, band_small, monkeypatch, lookup):
+        # deloc's eigen_stats; que's ring window never calls an N x N solver
         lat, band = band_small
         H = sample_H(band, stream_for(18, 0))
         lib = mc._openblas()
@@ -898,10 +912,9 @@ class TestEigenSolver:
         monkeypatch.setattr(np.linalg, "eigh", counted)
         evals, evecs = eigh(H)
         ref = evecs[:, (evals >= -1.0) & (evals <= 1.0)]
-        for full_spectrum in (True, False):
-            stats = eigen_stats(H, (-1.0, 1.0), full_spectrum=full_spectrum)
-            assert np.array_equal(stats.vectors, ref)
-        assert calls == [(lat.N, lat.N)] * 2
+        stats = eigen_stats(H, (-1.0, 1.0))
+        assert np.array_equal(stats.vectors, ref)
+        assert calls == [(lat.N, lat.N)]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("factory", [deloc_replica_fn, que_replica_fn])
@@ -932,24 +945,168 @@ class TestEigenSolver:
         H = sample_H(band, stream_for(20, 0))
         H[1, 1] = np.nan
         with pytest.raises(mc.EigenSolveError, match="info -6"):
-            mc._zheevr(mc._openblas(), H, None)
+            mc._zheevr(mc._openblas(), H)
 
-    @needs_zheevr
-    @pytest.mark.parametrize("full_spectrum", [True, False])
+    @pytest.mark.parametrize("all_pairs", [True, False])
     def test_corrupted_eigenvector_trips_the_probe(self, band_small,
-                                                   monkeypatch,
-                                                   full_spectrum):
+                                                   monkeypatch, all_pairs):
         lat, band = band_small
         H = sample_H(band, stream_for(21, 0))
-        eigen_stats(H, (-1.5, 1.5), full_spectrum=full_spectrum)
-        solve = mc._zheevr
+        _window_stats(band, H, (-1.5, 1.5), all_pairs)
+        probe = mc._probed
 
-        def corrupted(lib, H, window):
-            evals, evecs = solve(lib, H, window)
-            evecs = evecs.copy()
-            evecs[5, evecs.shape[1] // 2] += 1e-6
-            return evals, evecs
+        def corrupted(H, norm, evals, vectors):
+            vectors = vectors.copy()
+            vectors[5, vectors.shape[1] // 2] += 1e-6
+            return probe(H, norm, evals, vectors)
 
-        monkeypatch.setattr(mc, "_zheevr", corrupted)
+        monkeypatch.setattr(mc, "_probed", corrupted)
         with pytest.raises(mc.EigenSolveError, match="eigenpair residual"):
-            eigen_stats(H, (-1.5, 1.5), full_spectrum=full_spectrum)
+            _window_stats(band, H, (-1.5, 1.5), all_pairs)
+
+
+def _ring_band(name):
+    """The band of a _RING_LATTICES entry, the Wegner orbital one of
+    d = 2, W = 3, n = 5, or the README one."""
+    from bandlab import wegner_orbital_profile
+
+    if name == "wegner_orbital":
+        return build_band(wegner_orbital_profile(BlockLattice(d=2, W=3, n=5),
+                                                 0.05, 0.5))
+    if name == "readme":
+        return build_band(_readme_profile())
+    model, _ = _RING_LATTICES[name]
+    if model is None:
+        return dense_band(6)
+    d, W, n, cutoff = model
+    return build_band(build_translation_invariant(
+        BlockLattice(d=d, W=W, n=n), KERNELS["uniform"], cutoff))
+
+
+_WINDOW_BANDS = ["readme", "d1-reach2-uneven", "d2-W3-n5", "wegner_orbital",
+                 "one-layer", "d1-ring-of-3"]
+
+
+class TestRingWindow:
+    """que's window from the band's layer ring: inertia counts, shift-invert
+    pairs, and the failures that fail a replica."""
+
+    @pytest.mark.parametrize("name", _WINDOW_BANDS)
+    def test_inertia_counts_and_solves_match_the_dense_oracle(self, name):
+        band = _ring_band(name)
+        H = sample_H(band, stream_for(31, 0))
+        evals = np.linalg.eigvalsh(H)
+        Y = np.random.default_rng(3).standard_normal((len(H), 4)) + 0j
+        for shift in (-2.5, -0.41, 0.0, 0.173, 1.2):
+            ldl = mc._RingLDL(band, H, shift, 1e-12)
+            assert ldl.negatives == (evals < shift).sum()
+            X = ldl.solve(Y)
+            assert np.abs(H @ X - shift * X - Y).max() < 1e-12 * max(
+                1.0, np.abs(X).max())
+
+    @pytest.mark.parametrize("name", _WINDOW_BANDS)
+    def test_windows_match_eigh(self, name):
+        band = _ring_band(name)
+        N = band.lattice.N
+        for r in range(2):
+            H = sample_H(band, stream_for(32, r))
+            assert _assert_matches_eigh(band, H, (5.0, 6.0), False) == 0
+            assert _assert_matches_eigh(band, H, (0.21, 0.21), False) == 0
+            assert _assert_matches_eigh(band, H, (-10.0, 10.0), False) == N
+        # about a tenth of the spectrum, and more than a couple of pairs
+        half = 0.3 if N > 100 else 0.5
+        if name == "readme":
+            window = _que_window(_readme_profile(), -1.0)
+        else:
+            window = (-half, half)
+        assert _assert_matches_eigh(band, H, window, False) > 2
+
+    @pytest.mark.parametrize("lookup", ["none", "no_zhetrf"])
+    def test_pivots_without_zhetrf_take_eigh(self, monkeypatch, lookup):
+        # a numpy build without LAPACKE_zhetrf factors each pivot by eigh:
+        # the same counts and pairs
+        band = _ring_band("d1-reach2-uneven")
+        H = sample_H(band, stream_for(33, 0))
+        lib = mc._openblas()
+        if lookup == "none":
+            monkeypatch.setattr(mc, "_openblas", lambda: None)
+        elif lib is None:
+            pytest.skip("numpy has no bundled OpenBLAS")
+        else:
+            monkeypatch.setattr(mc, "_openblas",
+                                lambda: lib._replace(zhetrf=None))
+        assert _assert_matches_eigh(band, H, (-0.5, 0.5), False) > 2
+        assert _assert_matches_eigh(band, H, (-10.0, 10.0),
+                                    False) == band.lattice.N
+
+    @pytest.mark.parametrize("window", [(-0.5, 0.0), (1.25, 2.0)])
+    @pytest.mark.parametrize("factory", [deloc_replica_fn, que_replica_fn])
+    def test_eigenvalue_on_a_window_edge_fails(self, band_small, monkeypatch,
+                                               factory, window):
+        # failing control: H is block diagonal, each block a quarter of the
+        # all-ones W x W matrix, with eigenvalues 1.25 and 0 exactly; an
+        # edge on one of them makes a pivot singular there, and the shift
+        # is not moved to count past it
+        lat, band = band_small
+        H = np.kron(np.eye(lat.n), np.full((lat.W, lat.W), 0.25)) + 0j
+        monkeypatch.setattr(mc, "sample_H", lambda band, rng: H.copy())
+        res = run_ensemble(SampleConfig(master_seed=1, replicas=2),
+                           *factory(band, window))
+        assert res.completed == 0
+        assert all(msg.startswith("EigenSolveError: a pivot of H - ")
+                   and "is singular" in msg for _, msg in res.failures)
+        # a window whose edges and centre miss both eigenvalues counts
+        # them exactly
+        res = run_ensemble(SampleConfig(master_seed=1, replicas=1),
+                           *factory(band, (-0.5, 0.75)))
+        assert res.values["window_count"].tolist() == [20]
+
+    def test_no_convergence_within_the_cap_fails(self, band_small,
+                                                 monkeypatch):
+        lat, band = band_small
+        H = sample_H(band, stream_for(34, 0))
+        assert mc._ring_window_stats(band, H, (-0.5, 0.5)).vectors.shape[1]
+        monkeypatch.setattr(mc, "_MAX_ITERATIONS", 2)
+        with pytest.raises(mc.EigenSolveError,
+                           match="did not converge in 2 steps"):
+            mc._ring_window_stats(band, H, (-0.5, 0.5))
+
+    @pytest.mark.parametrize("error,match", [
+        (1, "Ritz value .* outside the window"),
+        (-1, "Ritz values in the window, the inertia counts")])
+    def test_a_miscount_fails(self, band_small, monkeypatch, error, match):
+        # failing controls: an inertia count one too high leaves a Ritz
+        # value outside the window, one too low one Ritz value too many in it
+        lat, band = band_small
+        H = sample_H(band, stream_for(34, 0))
+        count = mc._window_count
+        assert count(band, H, (-0.5, 0.5), 1e-12) > 2
+        monkeypatch.setattr(mc, "_window_count",
+                            lambda *args: count(*args) + error)
+        with pytest.raises(mc.EigenSolveError, match=match):
+            mc._ring_window_stats(band, H, (-0.5, 0.5))
+
+    def test_start_block_draws_nothing_from_the_replica_stream(self,
+                                                              band_small):
+        lat, band = band_small
+        fn, _ = que_replica_fn(band, (-0.5, 0.5))
+        used, fresh = stream_for(35, 0), stream_for(35, 0)
+        assert fn(0, used)["window_count"] > 0
+        sample_H(band, fresh)
+        assert _philox_words(used) == _philox_words(fresh)
+
+    def test_refined_solves_pass_where_unrefined_ones_stall(self,
+                                                            monkeypatch):
+        # failing control: at the centre of README replica 0 a chain pivot
+        # is nearly singular, and solves without refinement stall above
+        # the Ritz tolerance; refined from 1e-9 ||H||_F on they converge
+        profile = _readme_profile()
+        band = build_band(profile)
+        H = sample_H(band, stream_for(20260809, 0))
+        window = _que_window(profile, -1.0)
+        assert _assert_matches_eigh(band, H, window, False) > 10
+        solve = mc._RingLDL.solve
+        monkeypatch.setattr(mc._RingLDL, "solve",
+                            lambda self, R, refine=True: solve(self, R, False))
+        with pytest.raises(mc.EigenSolveError, match="did not converge"):
+            mc._ring_window_stats(band, H, window)
