@@ -13,12 +13,15 @@ A replica never forms the N x N profile: each command builds one
 and the resolvent comes from recursive Green's functions along a chain of
 layers, closed into their ring by a Schur complement, with its residual
 checked on views of H's and G's block rows. The order of the draws is
-versioned by ``STREAM_VERSION``. Each ``locallaw`` and ``diffusion`` worker
-thread keeps its H, its G and the solve's W^d x N scratch buffers.
+versioned by ``STREAM_VERSION``. Each worker thread keeps the buffers of
+its command: H and G for ``locallaw`` and ``diffusion``, with the solve's
+W^d x N scratch buffers; a Fortran-ordered H and zheevr's eigenvectors for
+``deloc``; H for ``que``.
 
 ``deloc``'s windowed eigenpairs come from LAPACK zheevr (Dhillon-Parlett
-MRRR for the whole spectrum), called through ctypes in that same OpenBLAS;
-a numpy build without it falls back to ``np.linalg.eigh``. ``que``'s
+MRRR for the whole spectrum), called through ctypes in that same OpenBLAS
+on H's own storage, which it overwrites below the diagonal; a numpy build
+without it falls back to ``np.linalg.eigh``. ``que``'s
 narrow window comes from the same ring of layers: a block LDL^H of H - s
 at a real shift s, with its pivots factored by LAPACK zhetrf, counts the
 eigenvalues below s by their inertia, and its solves drive shift-invert
@@ -422,27 +425,43 @@ def _openblas() -> _OpenBLAS | None:
 _COL_MAJOR = 102                   # LAPACK_COL_MAJOR
 
 
-def _zheevr(lib: _OpenBLAS, H: np.ndarray):
-    """(eigenvalues, eigenvectors) of Hermitian H, every pair by MRRR from
-    LAPACKE_zheevr.
+class _EigenBuffers(NamedTuple):
+    """What an eigensolve of an N x N Hermitian H writes: the eigenvalues
+    ``w``, the Fortran-ordered eigenvectors ``z`` and zheevr's ``isuppz``."""
 
-    LAPACK overwrites its input, so it gets a Fortran-ordered copy of H; a
-    row-major call would make LAPACKE transpose N x N copies.
+    w: np.ndarray
+    z: np.ndarray
+    isuppz: np.ndarray
+
+
+def _eigen_buffers(N: int) -> _EigenBuffers:
+    """Fresh :class:`_EigenBuffers` for N x N."""
+    lib = _openblas()
+    return _EigenBuffers(
+        np.empty(N), np.empty((N, N), dtype=complex, order="F"),
+        np.empty(2 * N, dtype=lib.lapack_int if lib else np.int64))
+
+
+def _zheevr(lib: _OpenBLAS, a: np.ndarray, out: _EigenBuffers):
+    """(eigenvalues, eigenvectors) of the Hermitian H that ``a`` holds,
+    every pair by MRRR from LAPACKE_zheevr, written into ``out``.
+
+    ``a`` is Fortran-ordered, so LAPACK reads H from a's own storage with
+    no copy; it overwrites a's lower triangle and diagonal and leaves the
+    strict upper triangle as it was.
     """
-    N = H.shape[0]
-    if H.shape != (N, N):
-        raise ValueError(f"H must be square, not of shape {H.shape}")
-    a = np.array(H, dtype=complex, order="F")
-    w = np.empty(N)
-    z = np.empty((N, N), dtype=complex, order="F")
-    isuppz = np.empty(2 * N, dtype=lib.lapack_int)
+    N = a.shape[0]
+    if a.shape != (N, N) or not a.flags.f_contiguous:
+        raise ValueError(f"H must be a square Fortran-ordered array, not "
+                         f"of shape {a.shape}")
     found = lib.lapack_int(0)
     info = lib.zheevr(_COL_MAJOR, b"V", b"A", b"L", N, a.ctypes.data, N,
-                      0.0, 0.0, 0, 0, 0.0, ctypes.byref(found), w.ctypes.data,
-                      z.ctypes.data, N, isuppz.ctypes.data)
+                      0.0, 0.0, 0, 0, 0.0, ctypes.byref(found),
+                      out.w.ctypes.data, out.z.ctypes.data, N,
+                      out.isuppz.ctypes.data)
     if info:
         raise EigenSolveError(f"LAPACKE_zheevr failed with info {info}")
-    return w, z
+    return out.w, out.z
 
 
 def _pivot(P: np.ndarray):
@@ -602,47 +621,83 @@ class EigenStats:
 
 
 def _finite_norm(H: np.ndarray) -> float:
-    """||H||_F; EigenSolveError when H is not finite."""
+    """||H||_F; EigenSolveError when H is not finite. np.vdot copies an
+    array that is not C-ordered, so a Fortran-ordered H is passed as H.T,
+    whose norm is the same."""
     norm = math.sqrt(np.vdot(H, H).real)
     if not math.isfinite(norm):
         raise EigenSolveError("H is not finite")
     return norm
 
 
-def _probed(H: np.ndarray, norm: float, evals: np.ndarray,
-            vectors: np.ndarray) -> EigenStats:
+def _probed(band: Band, H: np.ndarray, diag: np.ndarray, norm: float,
+            evals: np.ndarray, vectors: np.ndarray) -> EigenStats:
     """The :class:`EigenStats` of the pairs (evals, vectors) once they pass
     the probe max|H(Vc) - V(Lc)| / max(1, ||H||_F) <= tolerance for c =
-    (1, ..., 1); EigenSolveError otherwise."""
-    resid = float(np.abs(H @ vectors.sum(axis=1) - vectors @ evals).max()
-                  / max(1.0, norm))
+    (1, ..., 1); EigenSolveError otherwise.
+
+    H must vanish off the band. H(Vc) is applied from H's strict upper
+    triangle on the band's support and from ``diag``, H's diagonal, so H's
+    lower triangle is never read.
+    """
+    x = vectors.sum(axis=1)
+    hx = diag * x
+    upper = H[band.rows, band.cols]
+    np.add.at(hx, band.rows, upper * x[band.cols])
+    np.add.at(hx, band.cols, upper.conj() * x[band.rows])
+    resid = float(np.abs(hx - vectors @ evals).max() / max(1.0, norm))
     if not resid <= _RESIDUAL_TOL:
         raise EigenSolveError(f"eigenpair residual {resid:.3e} above "
                               f"{_RESIDUAL_TOL:.1e}")
-    return EigenStats(sup_norms=(np.abs(vectors) ** 2).max(axis=0),
-                      vectors=vectors)
+    return EigenStats(sup_norms=_sup_norms(band, vectors), vectors=vectors)
 
 
-def eigen_stats(H: np.ndarray, window: tuple[float, float]) -> EigenStats:
+def _sup_norms(band: Band, vectors: np.ndarray) -> np.ndarray:
+    """max_x |u(x)|^2 of each column u of ``vectors``, taken over chunks of
+    columns in the thread's scratch buffers, viewed as floats. Squaring is
+    monotone, so the square of max|u| is max|u|^2 bit for bit."""
+    N, k = vectors.shape
+    flat = _worker_scratch(band.lattice.block_volume, N).reshape(-1)
+    step = 2 * flat.size // N
+    # an N x step Fortran-ordered view: a chunk's columns are contiguous
+    mag = flat.view(float)[:N * step].reshape(step, N).T
+    sup = np.empty(k)
+    for c in range(0, k, step):
+        part = mag[:, :min(step, k - c)]
+        np.abs(vectors[:, c:c + step], out=part)
+        part.max(axis=0, out=sup[c:c + step])
+    return np.square(sup, out=sup)
+
+
+def eigen_stats(band: Band, H: np.ndarray, window: tuple[float, float],
+                norm: float, out: _EigenBuffers) -> EigenStats:
     """The eigenvectors of H with eigenvalues in ``window`` (closed) and
     their sup-norms.
 
-    Every pair comes from LAPACK zheevr (MRRR) in numpy's bundled OpenBLAS,
-    or from the full ``np.linalg.eigh`` without that routine, and the
-    window is kept afterwards.
+    H is Fortran-ordered and vanishes off the band, as :func:`sample_H`
+    draws it into a zeroed Fortran-ordered buffer, and ``norm`` is its
+    ||H||_F, from :func:`_finite_norm`. Every pair comes from LAPACK zheevr
+    (MRRR) in numpy's bundled OpenBLAS, on H's own storage, or from the
+    full ``np.linalg.eigh`` without that routine. zheevr overwrites H's
+    lower triangle and diagonal; the probe of :func:`_probed` reads the
+    strict upper triangle, which it leaves, and the diagonal saved before
+    the call. The pairs are written into ``out``, and the window is the run
+    of eigenvalues in it: ``vectors`` is a view of out's eigenvectors.
 
-    Raises EigenSolveError when H is not finite, when LAPACK reports a
-    failure, or when the windowed pairs fail the probe of :func:`_probed`.
+    Raises EigenSolveError when LAPACK reports a failure or when the
+    windowed pairs fail the probe.
     """
-    norm = _finite_norm(H)
-    lo, hi = window
+    diag = H.diagonal().copy()
     lib = _openblas()
     if lib is None or lib.zheevr is None:
         evals, evecs = np.linalg.eigh(H)
     else:
-        evals, evecs = _zheevr(lib, H)
-    keep = (evals >= lo) & (evals <= hi)
-    return _probed(H, norm, evals[keep], evecs[:, keep])
+        evals, evecs = _zheevr(lib, H, out)
+    # the eigenvalues come in ascending order
+    first = np.searchsorted(evals, window[0])
+    end = np.searchsorted(evals, window[1], "right")
+    return _probed(band, H, diag, norm, evals[first:end],
+                   evecs[:, first:end])
 
 
 def _window_count(band: Band, H: np.ndarray, window: tuple[float, float],
@@ -683,7 +738,8 @@ def _ring_window_stats(band: Band, H: np.ndarray,
     N = H.shape[0]
     k = _window_count(band, H, window, tol)
     if k == 0:
-        return _probed(H, norm, np.zeros(0), np.zeros((N, 0), dtype=complex))
+        return _probed(band, H, np.diagonal(H), norm, np.zeros(0),
+                       np.zeros((N, 0), dtype=complex))
     centre = (lo + hi) / 2
     ring = _RingLDL(band, H, centre, tol)
     p = min(N, 2 * k + 4)
@@ -722,7 +778,7 @@ def _ring_window_stats(band: Band, H: np.ndarray,
     if inside != k:
         raise EigenSolveError(f"{inside} Ritz values in the window, the "
                               f"inertia counts {k}")
-    return _probed(H, norm, theta, V)
+    return _probed(band, H, np.diagonal(H), norm, theta, V)
 
 
 def diffusion_predictions(profile: VarianceProfile, z: complex):
@@ -854,20 +910,26 @@ def run_ensemble(config: SampleConfig, replica_fn,
 
 # ---- replica closures for the statistical experiments ----------------------------------
 
+def _per_thread(make):
+    """get() -> the calling thread's ``make()``, made on its first call
+    there."""
+    local = threading.local()
+
+    def get():
+        made = getattr(local, "made", None)
+        if made is None:
+            made = local.made = make()
+        return made
+
+    return get
+
+
 def _worker_buffers(N: int):
     """buffers() -> the (H, G) pair of N x N complex buffers of the calling
     thread, allocated on its first call there. H is created zeroed, so
     :func:`sample_H` with ``out=H`` keeps it exactly zero off the band."""
-    local = threading.local()
-
-    def buffers():
-        pair = getattr(local, "pair", None)
-        if pair is None:
-            pair = local.pair = (np.zeros((N, N), dtype=complex),
-                                 np.empty((N, N), dtype=complex))
-        return pair
-
-    return buffers
+    return _per_thread(lambda: (np.zeros((N, N), dtype=complex),
+                                np.empty((N, N), dtype=complex)))
 
 
 def locallaw_replica_fn(band: Band, z: complex):
@@ -919,17 +981,25 @@ def diffusion_replica_fn(band: Band, z: complex):
 def deloc_replica_fn(band: Band, window: tuple[float, float]):
     """Delocalization observables: windowed eigenvector sup-norms.
 
-    zheevr's window count is checked against the inertia count at the
-    window's edges; a dropped or duplicated eigenvalue fails the replica."""
+    Each worker thread keeps a Fortran-ordered H, which zheevr reads in
+    place, and zheevr's eigenvectors. zheevr overwrites H's lower triangle,
+    so H is zeroed before each draw. zheevr's window count is checked
+    against the inertia count at the window's edges; a dropped or
+    duplicated eigenvalue fails the replica."""
+    N = band.lattice.N
+    buffers = _per_thread(lambda: (
+        np.zeros((N, N), dtype=complex, order="F"), _eigen_buffers(N)))
 
     def fn(replica, rng):
-        H = sample_H(band, rng)
-        # counted before zheevr runs: counted after it, while its N x N
-        # arrays were still live, the check raised the peak RSS
+        H, out = buffers()
+        H.fill(0.0)
+        H = sample_H(band, rng, out=H)
+        norm = _finite_norm(H.T)
+        # counted before zheevr overwrites H
         count = _window_count(band, H, window,
-                              _SINGULAR_TOL * max(1.0, _finite_norm(H)))
+                              _SINGULAR_TOL * max(1.0, norm))
         # the window holds most of the spectrum: MRRR for all pairs
-        stats = eigen_stats(H, window)
+        stats = eigen_stats(band, H, window, norm, out)
         k = stats.sup_norms.size
         if k != count:
             raise EigenSolveError(f"zheevr found {k} eigenvalues in the "
@@ -943,12 +1013,14 @@ def deloc_replica_fn(band: Band, window: tuple[float, float]):
 def que_replica_fn(band: Band, window: tuple[float, float]):
     """QUE observables: worst block-mass overlap deviation in the window,
     whose pairs come from the band's layer ring
-    (:func:`_ring_window_stats`)."""
+    (:func:`_ring_window_stats`). Each worker thread keeps its H."""
     lattice = band.lattice
     share = lattice.block_volume / lattice.N
+    N = lattice.N
+    buffers = _per_thread(lambda: np.zeros((N, N), dtype=complex))
 
     def fn(replica, rng):
-        H = sample_H(band, rng)
+        H = sample_H(band, rng, out=buffers())
         stats = _ring_window_stats(band, H, window)
         k = stats.sup_norms.size
         dev = 0.0

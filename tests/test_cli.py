@@ -678,8 +678,8 @@ class TestMonteCarloCommands:
             pytest.skip("numpy's OpenBLAS has no LAPACKE_zheevr")
         solve = mc._zheevr
 
-        def faulty(lib, H):
-            w, z = solve(lib, H)
+        def faulty(lib, a, out):
+            w, z = solve(lib, a, out)
             i = int(np.argmin(np.abs(w)))
             keep = np.r_[:i, i + 1:len(w)] if fault == "drop" \
                 else np.r_[:i + 1, i:len(w)]
@@ -716,6 +716,28 @@ class TestMonteCarloCommands:
         assert reports[0] == reports[1] == reports[2]
         rep = json.loads(reports[0])
         assert rep["completed"] == 6 and rep["empty_windows"] == 0
+
+    def test_deloc_is_byte_identical_across_parallelism(self, tmp_path):
+        # each deloc worker thread draws into its own H, which zheevr
+        # overwrites; a short switch interval makes the workers interleave,
+        # which a buffer shared between them would not survive
+        reports = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for par in (1, 2, 8):
+                out = tmp_path / f"par{par}"
+                cfg = write_config(tmp_path / f"par{par}.ini",
+                                   model={"W": 15, "n": 9},
+                                   mc={"replicas": 12, "parallelism": par},
+                                   output={"directory": str(out)})
+                assert main(["deloc", "--config", cfg]) in (0, 1)
+                reports.append((out / "deloc.json").read_bytes())
+        finally:
+            sys.setswitchinterval(interval)
+        assert reports[0] == reports[1] == reports[2]
+        rep = json.loads(reports[0])
+        assert rep["completed"] == 12 and rep["failures"] == []
 
     def test_que_all_windows_empty_is_vacuous(self, tmp_path):
         # a window of half-width W^-30 eta0 holds no eigenvalue

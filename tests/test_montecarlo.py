@@ -35,6 +35,13 @@ def block_overlap(stats, lattice, a):
     return U.conj().T @ U
 
 
+def windowed(band, H, window):
+    """eigen_stats of H as deloc runs it: on a Fortran-ordered copy, which
+    zheevr overwrites, with H's norm."""
+    return eigen_stats(band, np.asfortranarray(H), window,
+                       mc._finite_norm(H), mc._eigen_buffers(len(H)))
+
+
 def dense_band(N):
     """The band of one N-site block: every entry in the support, one layer."""
     return build_band(mean_field_profile(BlockLattice(d=1, W=N, n=1)))
@@ -186,7 +193,7 @@ class TestSampleObservables:
     def test_eigen_stats_normalization(self, band_small):
         lat, band = band_small
         H = sample_H(band, stream_for(13, 0))
-        stats = eigen_stats(H, (-2.5, 2.5))
+        stats = windowed(band, H, (-2.5, 2.5))
         # every eigenvector is in the window, and each is a unit vector
         assert stats.vectors.shape == (lat.N, lat.N)
         sums = (np.abs(stats.vectors) ** 2).sum(axis=0)
@@ -197,15 +204,16 @@ class TestSampleObservables:
         lat = BlockLattice(d=1, W=1, n=30)
         prof = mean_field_profile(lat)
         assert np.array_equal(prof.assemble(), np.eye(30))
-        H = sample_H(build_band(prof), stream_for(14, 0))
-        stats = eigen_stats(H, (-1.5, 1.5))
+        band = build_band(prof)
+        H = sample_H(band, stream_for(14, 0))
+        stats = windowed(band, H, (-1.5, 1.5))
         assert stats.sup_norms.size > 0
         assert stats.sup_norms.min() == pytest.approx(1.0)
 
     def test_eigen_window_filter(self, band_small):
         lat, band = band_small
         H = sample_H(band, stream_for(15, 0))
-        stats = eigen_stats(H, (-0.5, 0.5))
+        stats = windowed(band, H, (-0.5, 0.5))
         # the kept vectors are eigenvectors with eigenvalues in the window
         inside = np.einsum("xk,xy,yk->k", stats.vectors.conj(), H,
                            stats.vectors).real
@@ -220,7 +228,7 @@ class TestSampleObservables:
         # summing the QUE overlap matrices over all blocks gives I
         lat, band = band_small
         H = sample_H(band, stream_for(16, 0))
-        stats = eigen_stats(H, (-1.0, 1.0))
+        stats = windowed(band, H, (-1.0, 1.0))
         k = stats.sup_norms.size
         total = sum(block_overlap(stats, lat, a) for a in range(lat.n))
         assert np.abs(total - np.eye(k)).max() < 1e-10
@@ -462,7 +470,7 @@ class TestTwoDimensional:
         for a in (0, 4, 8):
             direct = np.diagonal(gf.G)[lat.block_sites(a)].sum() / 9
             assert bt[a] == pytest.approx(direct)
-        stats = eigen_stats(H, (-1.5, 1.5))
+        stats = windowed(band, H, (-1.5, 1.5))
         total = sum(block_overlap(stats, lat, a)
                     for a in range(lat.block_count))
         assert np.abs(total - np.eye(stats.sup_norms.size)).max() < 1e-10
@@ -761,6 +769,40 @@ class TestWorkerBuffers:
                                       for r in (0, 1)])
         assert peak < 2 * N * N * 16
 
+    @pytest.mark.parametrize("command", ["deloc", "que"])
+    def test_eigen_replica_peak_stays_below_one_n_by_n(self, command):
+        # after the thread's first replica, deloc draws into the thread's
+        # Fortran-ordered H and zheevr writes into the thread's buffers, and
+        # que draws into the thread's H: neither allocates an N x N array.
+        # que's replica 3 holds one pair in its window
+        profile = _readme_profile()
+        band = build_band(profile)
+        N = band.lattice.N
+        if command == "deloc":
+            fn, _ = deloc_replica_fn(band, (-1.5, 1.5))
+            replicas = (0, 1)
+        else:
+            fn, _ = que_replica_fn(band, _que_window(profile, 0.1))
+            replicas = (2, 3)
+        peak = _second_call_peak(fn, [(r, stream_for(20260809, r))
+                                      for r in replicas])
+        assert peak < N * N * 16
+        if command == "que":
+            assert fn(3, stream_for(20260809, 3))["window_count"] == 1
+
+    def test_deloc_replica_on_an_overwritten_buffer_is_a_fresh_draw(
+            self, band_small):
+        # zheevr leaves garbage below the diagonal of the thread's H, off
+        # the band too; each replica on that buffer gives the bits of the
+        # same replica run on a fresh one
+        lat, band = band_small
+        fn, _ = deloc_replica_fn(band, (-1.5, 1.5))
+        for r in range(4):
+            reused = fn(r, stream_for(7, r))
+            fresh = deloc_replica_fn(band, (-1.5, 1.5))[0](r, stream_for(7, r))
+            assert reused == fresh
+            assert reused["window_count"] > 0
+
     def test_green_peak_stays_below_four_block_rows(self):
         # after the thread's first call, green into a buffer allocates
         # less than 4 W^d N complex numbers: the ring closure and the block
@@ -819,7 +861,7 @@ def _que_deviations(band, vectors):
 def _window_stats(band, H, window, all_pairs):
     """deloc's eigen_stats (every pair by zheevr) or que's ring window."""
     if all_pairs:
-        return eigen_stats(H, window)
+        return windowed(band, H, window)
     return mc._ring_window_stats(band, H, window)
 
 
@@ -912,7 +954,7 @@ class TestEigenSolver:
         monkeypatch.setattr(np.linalg, "eigh", counted)
         evals, evecs = eigh(H)
         ref = evecs[:, (evals >= -1.0) & (evals <= 1.0)]
-        stats = eigen_stats(H, (-1.0, 1.0))
+        stats = windowed(band, H, (-1.0, 1.0))
         assert np.array_equal(stats.vectors, ref)
         assert calls == [(lat.N, lat.N)]
 
@@ -925,8 +967,8 @@ class TestEigenSolver:
         lat, band = band_small
         draw = mc.sample_H
 
-        def poisoned(band, rng):
-            H = draw(band, rng)
+        def poisoned(band, rng, out):
+            H = draw(band, rng, out=out)
             H[3, 7] = bad
             return H
 
@@ -945,7 +987,18 @@ class TestEigenSolver:
         H = sample_H(band, stream_for(20, 0))
         H[1, 1] = np.nan
         with pytest.raises(mc.EigenSolveError, match="info -6"):
-            mc._zheevr(mc._openblas(), H)
+            mc._zheevr(mc._openblas(), np.asfortranarray(H),
+                       mc._eigen_buffers(lat.N))
+
+    @needs_zheevr
+    def test_row_major_H_is_refused(self, band_small):
+        # zheevr would read a C-ordered H as its transpose and overwrite
+        # the upper triangle that the probe reads
+        lat, band = band_small
+        H = sample_H(band, stream_for(20, 0))
+        with pytest.raises(ValueError, match="Fortran-ordered"):
+            eigen_stats(band, H, (-1.0, 1.0), mc._finite_norm(H),
+                        mc._eigen_buffers(lat.N))
 
     @pytest.mark.parametrize("all_pairs", [True, False])
     def test_corrupted_eigenvector_trips_the_probe(self, band_small,
@@ -955,10 +1008,10 @@ class TestEigenSolver:
         _window_stats(band, H, (-1.5, 1.5), all_pairs)
         probe = mc._probed
 
-        def corrupted(H, norm, evals, vectors):
+        def corrupted(band, H, diag, norm, evals, vectors):
             vectors = vectors.copy()
             vectors[5, vectors.shape[1] // 2] += 1e-6
-            return probe(H, norm, evals, vectors)
+            return probe(band, H, diag, norm, evals, vectors)
 
         monkeypatch.setattr(mc, "_probed", corrupted)
         with pytest.raises(mc.EigenSolveError, match="eigenpair residual"):
@@ -1049,7 +1102,11 @@ class TestRingWindow:
         # is not moved to count past it
         lat, band = band_small
         H = np.kron(np.eye(lat.n), np.full((lat.W, lat.W), 0.25)) + 0j
-        monkeypatch.setattr(mc, "sample_H", lambda band, rng: H.copy())
+        def fixed(band, rng, out):
+            out[...] = H
+            return out
+
+        monkeypatch.setattr(mc, "sample_H", fixed)
         res = run_ensemble(SampleConfig(master_seed=1, replicas=2),
                            *factory(band, window))
         assert res.completed == 0
