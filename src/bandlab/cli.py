@@ -162,6 +162,12 @@ def _check_required(cfg):
             f"lie in [0, 1/(2d)) = [0, {1 / (2 * model['d']):g}) at "
             f"d = {model['d']}: the 2d neighbor blocks leave the diagonal "
             f"block the mass 1 - 2d*neighbor_weight")
+    sp = cfg["spectral"]
+    for key in ("E", "eta", "kappa", "epsilon0", "t_values"):
+        if not all(math.isfinite(v) for v in np.atleast_1d(sp[key])):
+            raise ConfigError(f"[spectral] {key} must be finite")
+    if sp["eta"] <= 0:
+        raise ConfigError(f"[spectral] eta = {sp['eta']:g} must be > 0")
     if cfg["mc"]["replicas"] < 1:
         raise ConfigError("[mc] replicas must be >= 1")
     if cfg["mc"]["parallelism"] is None:

@@ -15,8 +15,19 @@ layers, closed into their ring by a Schur complement, with its residual
 checked on views of H's and G's block rows. The order of the draws is
 versioned by ``STREAM_VERSION``. Each worker thread keeps the buffers of
 its command: H and G for ``locallaw`` and ``diffusion``, with the solve's
-W^d x N scratch buffers; a Fortran-ordered H and zheevr's eigenvectors for
-``deloc``; H for ``que``.
+scratch buffer of two W^d x N block rows; a Fortran-ordered H and zheevr's
+eigenvectors for ``deloc``; H for ``que``.
+
+Replica threads share the GIL, and numpy releases it around every call on
+more than a few hundred numbers, so each small call of a replica is a
+hand-off to the other threads. The resolvent path keeps its calls few
+without changing a bit of G: H's diagonal is shifted by -z in place for
+the solve instead of copied per layer, the block residual runs a group of
+blocks with equal runs as one batched product per run, a chunk of block
+rows at a time, and |G|^2 is formed once per replica
+(:attr:`GreenFunction.abs2`) for the Ward gate and the observables. The
+residual's normalisation max(1, max|G|) can only lower max|(H - z)G - I|,
+so a solve forms it only when that peak is above the tolerance.
 
 ``deloc``'s windowed eigenpairs come from LAPACK zheevr (Dhillon-Parlett
 MRRR for the whole spectrum), called through ctypes in that same OpenBLAS
@@ -33,13 +44,14 @@ from __future__ import annotations
 
 import ctypes
 import glob
+import itertools
 import math
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
@@ -157,6 +169,22 @@ class Band:
     cuts: tuple
     plan: tuple
 
+    @cached_property
+    def groups(self) -> tuple:
+        """The plan grouped, as (blocks, runs) pairs: ``blocks`` is a range
+        of consecutive blocks whose runs lie at the same site offsets (lo,
+        hi) from each block's first site, and ``runs`` holds those offsets.
+        Every block lies in exactly one group."""
+        wd = self.lattice.block_volume
+        groups, first = [], 0
+        for offsets, same in itertools.groupby(
+                tuple((s.start - wd * a, s.stop - wd * a) for s in row)
+                for a, row in enumerate(self.plan)):
+            count = len(list(same))
+            groups.append((range(first, first + count), offsets))
+            first += count
+        return tuple(groups)
+
 
 def build_band(profile: VarianceProfile) -> Band:
     """The :class:`Band` of ``profile``, from its blocks; nothing N x N."""
@@ -226,9 +254,30 @@ def sample_H(band: Band, rng: np.random.Generator,
 
 @dataclass
 class GreenFunction:
+    """G = (H - z)^-1 of one sample, and ``peak``, the largest modulus of
+    an entry of its block residual (H - z)G - I."""
+
     z: complex
     G: np.ndarray
-    residual: float
+    peak: float
+
+    @cached_property
+    def abs2(self) -> np.ndarray:
+        """|G_xy|^2, formed on first use and then shared by every reader."""
+        sq = np.abs(self.G)
+        return np.square(sq, out=sq)
+
+    @cached_property
+    def residual(self) -> float:
+        """peak / max(1, max|G|). The square root of max|G|^2 is max|G|
+        bit for bit, so it is read off :attr:`abs2`."""
+        return self.peak / max(1.0, math.sqrt(self.abs2.max()))
+
+
+# Block rows, of W^d x N complex numbers, in each thread's scratch buffer.
+# The block residual, the ring closure's fill and diffusion's G o G^T take
+# this many block rows at a time through it, each batch in one call.
+_CHUNK_BLOCKS = 2
 
 
 def green(band: Band, H: np.ndarray, z: complex,
@@ -237,18 +286,23 @@ def green(band: Band, H: np.ndarray, z: complex,
     of layers 0..p-2, closed into the ring by the Schur complement of p-1.
 
     ``H`` must vanish off the band, as :func:`sample_H` draws it; A_ij are
-    the layer blocks of H - z. G's diagonal blocks keep the chain's pivots
-    gL_k = (A_kk - A_k,k-1 gL_k-1 A_k-1,k)^-1, and the chain inverse T^-1
-    is filled in bottom-up with Up_k = -gL_k A_k,k+1, Lo_k = -A_k+1,k gL_k:
-    row slab Up_k G_k+1,rest, column slab G_rest,k+1 Lo_k, and G_kk = gL_k
-    + Up_k G_k+1,k (Svizhenko et al., J. Appl. Phys. 91, 2343 (2002)). With
-    the last layer's couplings B, B', X = T^-1 B and S = A_LL - B'X: G_LL =
-    S^-1, G_LC = -S^-1 B'T^-1, and each chain block row takes G_CC = T^-1 -
-    X G_LC and G_CL = -X S^-1 from one product X [G_LC G_LL]. Every pivot
-    is inverted by :func:`_inverse`; one layer is the dense inverse. With
-    ``out``, an N x N complex buffer, G is written into it. The residual
-    max|(H - z)G - I| / max(1, max|G|) is taken from the band's blocks;
-    above the tolerance, or NaN, it raises GreenSolveError.
+    the layer blocks of H - z, which are views of H while its diagonal is
+    shifted by -z in place (:func:`_shifted`), so H must not be read by
+    another thread during the call. G's diagonal blocks keep the chain's
+    pivots gL_k = (A_kk - A_k,k-1 gL_k-1 A_k-1,k)^-1, and the chain inverse
+    T^-1 is filled in bottom-up with Up_k = -gL_k A_k,k+1, Lo_k = -A_k+1,k
+    gL_k: row slab Up_k G_k+1,rest, column slab G_rest,k+1 Lo_k, and G_kk =
+    gL_k + Up_k G_k+1,k (Svizhenko et al., J. Appl. Phys. 91, 2343 (2002)).
+    With the last layer's couplings B, B', X = T^-1 B and S = A_LL - B'X:
+    G_LL = S^-1, G_LC = -S^-1 B'T^-1, and each chain block row takes G_CC =
+    T^-1 - X G_LC and G_CL = -X S^-1 from one product X [G_LC G_LL], a
+    batch of block rows at a time. Every pivot is inverted by
+    :func:`_inverse`; one layer is the dense inverse. With ``out``, an N x N
+    complex buffer, G is written into it. The residual max|(H - z)G - I| /
+    max(1, max|G|) is taken from the band's blocks; above the tolerance, or
+    NaN, it raises GreenSolveError. The normalisation can only lower
+    max|(H - z)G - I|, so it is formed only when that is above the
+    tolerance.
     """
     z = complex(z)
     if z.imag == 0:
@@ -256,100 +310,172 @@ def green(band: Band, H: np.ndarray, z: complex,
     cuts, wd = band.cuts, band.lattice.block_volume
     lay = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
     last, M, N = len(lay) - 1, cuts[-2], cuts[-1]
-
-    def A(i, j):
-        """Block (i, j) of H - z."""
-        blk = H[lay[i], lay[j]]
-        return blk - z * np.eye(blk.shape[0]) if i == j else blk
-
     G = np.empty((N, N), dtype=complex) if out is None else out
-    acc, part = _worker_scratch(wd, N)
-    for k in range(last):
-        P = A(k, k)
-        if k:
-            P -= A(k, k - 1) @ G[lay[k - 1], lay[k - 1]] @ A(k - 1, k)
-        G[lay[k], lay[k]] = _inverse(P)
-    for k in reversed(range(last - 1)):
-        gL, rest = G[lay[k], lay[k]], slice(cuts[k + 1], M)
-        up, lo = -gL @ A(k, k + 1), -A(k + 1, k) @ gL
-        np.matmul(up, G[lay[k + 1], rest], out=G[lay[k], rest])
-        np.matmul(G[rest, lay[k + 1]], lo, out=G[rest, lay[k]])
-        gL += up @ G[lay[k + 1], lay[k]]
-    L = lay[last]
-    ends = sorted({0, last - 1}) if last else []  # the layers B couples
-    _sum_of_products(G[:M, L], [(G[:M, lay[e]], A(e, last)) for e in ends],
-                     acc, part)
-    S = A(last, last) - sum(A(last, e) @ G[lay[e], L] for e in ends)
-    G[L, L] = _inverse(S)
-    _sum_of_products(G[L, :M], [(-G[L, L] @ A(last, e), G[lay[e], :M])
-                                for e in ends], acc, part)
-    for rows in (G[c:c + wd] for c in range(0, M, wd)):
-        np.matmul(rows[:, M:], G[L], out=acc)
+    buf = _worker_scratch(_CHUNK_BLOCKS * wd, N)
+    with _shifted(H, z) as Hz:
+        def A(i, j):
+            """Block (i, j) of H - z, a view."""
+            return Hz[lay[i], lay[j]]
+
+        # a chain pivot is kept negated in G until the fill reaches it: Up_k
+        # and Lo_k take it so, and a sign moved between the factors of a
+        # product, or from a subtrahend to an addend, leaves the bits
+        for k in range(last):
+            P = A(k, k)
+            if k:
+                P = P + A(k, k - 1) @ G[lay[k - 1], lay[k - 1]] @ A(k - 1, k)
+            if k < last - 1:
+                np.negative(_inverse(P), out=G[lay[k], lay[k]])
+            else:
+                G[lay[k], lay[k]] = _inverse(P)
+        for k in reversed(range(last - 1)):
+            neg, rest = G[lay[k], lay[k]], slice(cuts[k + 1], M)
+            up, lo = neg @ A(k, k + 1), A(k + 1, k) @ neg
+            np.matmul(up, G[lay[k + 1], rest], out=G[lay[k], rest])
+            np.matmul(G[rest, lay[k + 1]], lo, out=G[rest, lay[k]])
+            np.subtract(up @ G[lay[k + 1], lay[k]], neg, out=neg)
+        L = lay[last]
+        ends = sorted({0, last - 1}) if last else []  # the layers B couples
+        _sum_of_products(G[:M, L], [(G[:M, lay[e]], A(e, last))
+                                    for e in ends], buf)
+        S = A(last, last)
+        if ends:
+            coupled = (A(last, e) @ G[lay[e], L] for e in ends)
+            S = S - sum(coupled, next(coupled))
+        G[L, L] = _inverse(S)
+        neg = -G[L, L]
+        _sum_of_products(G[L, :M], [(neg @ A(last, e), G[lay[e], :M])
+                                    for e in ends], buf)
+    # gemm's bits depend on its row count, so the batch keeps W^d rows a
+    # product
+    for c in range(0, M, len(buf)):
+        rows = G[c:min(c + len(buf), M)]
+        prod = buf[:len(rows)]
+        np.matmul(rows[:, M:].reshape(-1, wd, N - M), G[L],
+                  out=prod.reshape(-1, wd, N))
         rows[:, M:] = 0.0
-        rows -= acc
-    resid = _band_residual(band, H, G, z)
-    if not resid <= _RESIDUAL_TOL:
-        raise GreenSolveError(f"resolvent residual {resid:.3e} above "
+        rows -= prod
+    gf = GreenFunction(z=z, G=G, peak=_residual_peak(band, H, G, z))
+    if not (gf.peak <= _RESIDUAL_TOL or gf.residual <= _RESIDUAL_TOL):
+        raise GreenSolveError(f"resolvent residual {gf.residual:.3e} above "
                               f"{_RESIDUAL_TOL:.1e}")
-    return GreenFunction(z=z, G=G, residual=resid)
+    return gf
 
 
 def _inverse(P: np.ndarray) -> np.ndarray:
     """P^-1 by one pivoted LU solve against the identity."""
-    return np.linalg.solve(P, np.eye(len(P), dtype=complex))
+    return np.linalg.solve(P, _identity(len(P)))
+
+
+# a band's layers come in at most two sizes
+@lru_cache(maxsize=2)
+def _identity(n: int) -> np.ndarray:
+    """The n x n complex identity, read-only, kept for the last two sizes."""
+    eye = np.eye(n, dtype=complex)
+    eye.flags.writeable = False
+    return eye
+
+
+@contextmanager
+def _shifted(H: np.ndarray, z: complex):
+    """H - z for the body. A writable C-ordered complex H holds it in its
+    own storage: the diagonal is shifted in place and restored bit for bit
+    from a copy afterwards. Any other H is copied first."""
+    if not (H.dtype == complex and H.flags.writeable
+            and H.flags.c_contiguous):
+        H = np.array(H, dtype=complex, order="C")
+    diag = np.einsum("ii->i", H)
+    saved = diag.copy()
+    diag -= z
+    try:
+        yield H
+    finally:
+        diag[...] = saved
 
 
 _scratch = threading.local()
 
 
 def _worker_scratch(rows: int, cols: int) -> np.ndarray:
-    """The calling thread's two complex (rows, cols) buffers, in one array;
-    no call reads what an earlier one left in them."""
-    if not hasattr(_scratch, "bufs") or _scratch.bufs[0].shape != (rows, cols):
-        _scratch.bufs = np.empty((2, rows, cols), dtype=complex)
-    return _scratch.bufs
+    """The calling thread's complex (rows, cols) buffer; no call reads what
+    an earlier one left in it."""
+    buf = getattr(_scratch, "buf", None)
+    if buf is None or buf.shape != (rows, cols):
+        buf = _scratch.buf = np.empty((rows, cols), dtype=complex)
+    return buf
 
 
-def _sum_of_products(out, pairs, acc, part):
-    """out = the sum of a @ b over ``pairs``, in the row chunks that
-    contiguous views of ``acc`` and ``part`` hold; ``out`` may be ``acc``."""
-    step = acc.size // max(out.shape[1], 1)
+def _sum_of_products(out, pairs, part):
+    """out = the sum of a @ b over ``pairs``, in the row chunks that a
+    contiguous view of ``part`` holds; ``out`` overlaps no factor."""
+    step = part.size // max(out.shape[1], 1)
     for c in range(0, len(out) if pairs else 0, step):
-        shape = out[c:c + step].shape
-        s, t = (buf.reshape(-1)[:math.prod(shape)].reshape(shape)
-                for buf in (acc, part))
+        s = out[c:c + step]
+        t = part.reshape(-1)[:s.size].reshape(s.shape)
         np.matmul(pairs[0][0][c:c + step], pairs[0][1], out=s)
         for a, b in pairs[1:]:
             s += np.matmul(a[c:c + step], b, out=t)
-        out[c:c + step] = s
+
+
+def _windows(A: np.ndarray, first: tuple, shape: tuple,
+             steps: tuple) -> np.ndarray:
+    """The view of C-ordered 2-D ``A`` from A[first] whose axis i advances
+    steps[i] = (rows, columns) of A per index."""
+    s0, s1 = A.strides
+    return np.ndarray(shape, A.dtype, A, first[0] * s0 + first[1] * s1,
+                      tuple(r * s0 + c * s1 for r, c in steps))
 
 
 def _band_residual(band: Band, H: np.ndarray, G: np.ndarray,
                    z: complex) -> float:
-    """max|(H - z)G - I| / max(1, max|G|), with H read only on the blocks
-    of the residual plan: block row [a] is one product per run, of views of
-    H's rows of [a] over the run and of G's rows of the run, summed in the
-    thread's W^d x N buffers; -z is folded into a copy of the run holding
-    H's diagonal block. max|G| is taken block by block, and the maxima are
-    kept in arrays, whose max keeps a NaN."""
-    wd = band.lattice.block_volume
-    R, part = _worker_scratch(wd, band.lattice.N)
-    mag = part.reshape(-1).view(float)[:R.size].reshape(R.shape)
-    diag = np.arange(wd)
-    worst, gmax = np.empty((2, len(band.plan)))
-    for a, runs in enumerate(band.plan):
-        rows, pairs = slice(a * wd, (a + 1) * wd), []
-        for run in runs:
-            h = H[rows, run]
-            if run.start <= rows.start < run.stop:
-                h = h.astype(complex)
-                h[diag, rows.start - run.start + diag] -= z
-            pairs.append((h, G[run]))
-        _sum_of_products(R, pairs, R, part)
-        R[diag, rows.start + diag] -= 1.0
-        worst[a] = np.abs(R, out=mag).max()
-        gmax[a] = np.abs(G[rows], out=mag).max()
-    return float(worst.max() / max(1.0, gmax.max()))
+    """max|(H - z)G - I| / max(1, max|G|) for any G, as green's gate
+    normalises it (:attr:`GreenFunction.residual`)."""
+    return GreenFunction(z=complex(z), G=G,
+                         peak=_residual_peak(band, H, G, z)).residual
+
+
+def _residual_peak(band: Band, H: np.ndarray, G: np.ndarray,
+                   z: complex) -> float:
+    """max|(H - z)G - I| over every entry, with H read only on the blocks
+    of the residual plan.
+
+    Each group of the plan goes through the thread's scratch buffer in
+    chunks of blocks: ``_CHUNK_BLOCKS`` blocks of a group with one run,
+    half as many of a group with more, whose products are summed in the
+    buffer's second half.
+    A chunk's block rows of (H - z)G are one batched product per run, of
+    strided views of H's block rows over the run and of G's rows of the
+    run, while H's diagonal is shifted by -z in place; each product keeps
+    the W^d x N shape of one block row. The chunks' maxima are kept in an
+    array, whose max keeps a NaN."""
+    wd, N = band.lattice.block_volume, band.lattice.N
+    buf = _worker_scratch(_CHUNK_BLOCKS * wd, N)
+    G = np.ascontiguousarray(G)
+    chunks = []
+    for blocks, runs in band.groups:
+        step = max(1, _CHUNK_BLOCKS // min(len(runs), 2))
+        chunks += [(blocks[i:i + step], runs)
+                   for i in range(0, len(blocks), step)]
+    peaks = np.empty(len(chunks))
+    with _shifted(H, z) as Hz:
+        for c, (blocks, runs) in enumerate(chunks):
+            a, k = blocks.start * wd, len(blocks)
+            R, prod = buf[:k * wd], buf[k * wd:2 * k * wd]
+            for i, (lo, hi) in enumerate(runs):
+                h = _windows(Hz, (a, a + lo), (k, wd, hi - lo),
+                             ((wd, wd), (1, 0), (0, 1)))
+                g = _windows(G, (a + lo, 0), (k, hi - lo, N),
+                             ((wd, 0), (1, 0), (0, 1)))
+                np.matmul(h, g, out=(prod if i else R).reshape(k, wd, N))
+                if i:
+                    R += prod
+            _windows(buf, (0, a), (k, wd), ((wd, wd), (1, 1)))[...] -= 1.0
+            # |R| overwrites R's real parts; an imaginary part left beside
+            # |R_xy| is at most |R_xy|, so the max of all of them is max|R|
+            flat = R.reshape(-1).view(float)
+            np.abs(R.reshape(-1), out=flat[::2])
+            peaks[c] = flat.max()
+    return float(peaks.max())
 
 
 def ward_gate_residual(gf: GreenFunction) -> float:
@@ -357,8 +483,7 @@ def ward_gate_residual(gf: GreenFunction) -> float:
 
     Returns max_x |lhs - rhs| / max(1, max lhs); used as a health gate.
     """
-    sq = np.abs(gf.G)
-    lhs = np.square(sq, out=sq).sum(axis=1)
+    lhs = gf.abs2.sum(axis=1)
     rhs = np.diagonal(gf.G).imag / gf.z.imag
     return float(np.abs(lhs - rhs).max() / max(1.0, lhs.max()))
 
@@ -654,10 +779,11 @@ def _probed(band: Band, H: np.ndarray, diag: np.ndarray, norm: float,
 
 def _sup_norms(band: Band, vectors: np.ndarray) -> np.ndarray:
     """max_x |u(x)|^2 of each column u of ``vectors``, taken over chunks of
-    columns in the thread's scratch buffers, viewed as floats. Squaring is
+    columns in the thread's scratch buffer, viewed as floats. Squaring is
     monotone, so the square of max|u| is max|u|^2 bit for bit."""
     N, k = vectors.shape
-    flat = _worker_scratch(band.lattice.block_volume, N).reshape(-1)
+    flat = _worker_scratch(_CHUNK_BLOCKS * band.lattice.block_volume,
+                           N).reshape(-1)
     step = 2 * flat.size // N
     # an N x step Fortran-ordered view: a chunk's columns are contiguous
     mag = flat.view(float)[:N * step].reshape(step, N).T
@@ -945,9 +1071,9 @@ def locallaw_replica_fn(band: Band, z: complex):
         H, G = buffers()
         gf = green(band, sample_H(band, rng, out=H), z, out=G)
         ward = ward_gate_residual(gf)
-        # |G - m I|^2 without an N x N identity: only the diagonal shifts
-        entry_sq = np.abs(G)
-        np.square(entry_sq, out=entry_sq)
+        # |G - m I|^2 without an N x N identity: only the diagonal shifts.
+        # The Ward gate has read |G|^2, so the replica's array is reused
+        entry_sq = gf.abs2
         entry_sq[diag] = np.abs(np.diagonal(G) - m) ** 2
         return {
             "block_residual": np.abs(block_traces(lattice, G) - m),
@@ -957,6 +1083,23 @@ def locallaw_replica_fn(band: Band, z: complex):
 
     return fn, {"block_residual": "mean", "entry_sq": "mean",
                 "ward_residual": "each"}
+
+
+def _project_gg(band: Band, G: np.ndarray) -> np.ndarray:
+    """project_matrix(lattice, G * G.T) bit for bit, from the products of
+    G's block rows and block columns, ``_CHUNK_BLOCKS`` block rows at a
+    time in the thread's scratch buffer: no N x N temporary."""
+    lat = band.lattice
+    m, wd, N = lat.block_count, lat.block_volume, lat.N
+    buf = _worker_scratch(_CHUNK_BLOCKS * wd, N)
+    out = np.empty((m, m), dtype=complex)
+    for a in range(0, m, _CHUNK_BLOCKS):
+        rows = slice(a * wd, min(a + _CHUNK_BLOCKS, m) * wd)
+        prod = np.multiply(G[rows], G[:, rows].T,
+                           out=buf[:rows.stop - rows.start])
+        out[a:a + _CHUNK_BLOCKS] = prod.reshape(-1, wd, m, wd).sum(
+            axis=(1, 3))
+    return np.divide(out, wd, out=out)
 
 
 def diffusion_replica_fn(band: Band, z: complex):
@@ -970,8 +1113,8 @@ def diffusion_replica_fn(band: Band, z: complex):
     def fn(replica, rng):
         H, G = buffers()
         gf = green(band, sample_H(band, rng, out=H), z, out=G)
-        abs2 = project_matrix(lattice, np.abs(G) ** 2) / wd
-        gg = project_matrix(lattice, G * G.T) / wd
+        abs2 = project_matrix(lattice, gf.abs2) / wd
+        gg = _project_gg(band, G) / wd
         return {"abs2": abs2, "gg": gg,
                 "ward_residual": ward_gate_residual(gf)}
 

@@ -909,7 +909,7 @@ def _malformed(draw):
     """Tiny config text with exactly one schema violation."""
     sections = _base()
     kind = draw(st.sampled_from(["section", "key", "value", "size", "d",
-                                 "type", "header"]))
+                                 "type", "header", "nonfinite", "eta"]))
     if kind == "section":
         sections[draw(_NAMES.filter(lambda s: s not in _SCHEMA))] = {"a": 1}
     elif kind == "key":
@@ -928,6 +928,15 @@ def _malformed(draw):
             st.integers(-2, 6).filter(lambda d: d not in (1, 2)))
     elif kind == "type":
         del sections["model"]["type"]
+    elif kind == "nonfinite":
+        key = draw(st.sampled_from(["E", "eta", "kappa", "epsilon0",
+                                    "t_values"]))
+        bad = draw(st.sampled_from(["nan", "inf", "-inf"]))
+        sections["spectral"] = {key: f"0.3, {bad}" if key == "t_values"
+                                else bad}
+    elif kind == "eta":
+        sections["spectral"] = {"eta": draw(st.sampled_from(["0", "-0.0",
+                                                             "-0.2"]))}
     else:
         return _ini(sections).split("\n", 1)[1]
     return _ini(sections)
@@ -939,6 +948,9 @@ class TestExitCodeContract:
     # an empty flow-time list made kloop raise IndexError
     @example(text=_ini({**_base(), "spectral": {"t_values": ""}}),
              command="kloop")
+    # E = nan parsed, and que failed both replicas and exited 1
+    @example(text=_ini({**_base(), "spectral": {"E": "nan"}}),
+             command="que")
     def test_malformed_config_exits_2(self, text, command):
         assert _run(text, command) == (2, None)
 

@@ -15,6 +15,7 @@ from bandlab import (BlockLattice, SampleConfig,
 from bandlab.montecarlo import (GreenSolveError, block_traces, build_band,
                                 deloc_replica_fn, diffusion_replica_fn,
                                 locallaw_replica_fn, que_replica_fn)
+from bandlab.lattice import project_matrix
 from bandlab.profiles import KERNELS, VarianceProfile, block_flat_profile
 
 
@@ -436,6 +437,15 @@ class TestRunEnsemble:
         relative = np.abs(mean_abs2 - pred_abs2) / pred_abs2.max()
         assert relative.max() < 0.1
 
+    @pytest.mark.parametrize("model", [(1, 33, 15, 1), (2, 3, 5, 1)])
+    def test_gg_projection_is_the_dense_one_bit_for_bit(self, model):
+        # diffusion projects G o G^T block row by block row; the dense
+        # product is the oracle, on the README band and on a d = 2 band
+        band = _band_of(model)
+        G = green(band, sample_H(band, stream_for(20260809, 0)), 0.2j).G
+        assert mc._project_gg(band, G).tobytes() == \
+            project_matrix(band.lattice, G * G.T).tobytes()
+
     def test_diffusion_replica_shapes(self, band_small):
         lat, band = band_small
         fn, red = diffusion_replica_fn(band, 0.5j)
@@ -545,6 +555,19 @@ class TestLoopConvergence:
             assert abs(mean - K3[tr]) <= tol, (tr, abs(mean - K3[tr]), tol)
 
 
+def _band_of(model):
+    """The band of a uniform profile at (d, W, n, cutoff)."""
+    d, W, n, cutoff = model
+    return build_band(build_translation_invariant(
+        BlockLattice(d=d, W=W, n=n), KERNELS["uniform"], cutoff))
+
+
+def _ring_band(name):
+    """The band of one of the _RING_LATTICES."""
+    model, _ = _RING_LATTICES[name]
+    return dense_band(6) if model is None else _band_of(model)
+
+
 def _dense_green(H, z):
     """The dense oracle of ``green``: one N x N LU against N columns."""
     N = H.shape[0]
@@ -571,6 +594,7 @@ def _philox_words(rng):
 # lattice of dense_band(6), and the layer cuts the band takes for them
 _RING_LATTICES = {
     "d1-readme": ((1, 33, 15, 1), tuple(range(0, 496, 33))),
+    "d1-W3-n4": ((1, 3, 4, 1), (0, 3, 6, 9, 12)),
     "d1-reach2-uneven": ((1, 4, 7, 2), (0, 12, 20, 28)),
     "d1-ring-of-3": ((1, 5, 3, 1), (0, 5, 10, 15)),
     "d2-W3-n3": ((2, 3, 3, 1), (0, 27, 54, 81)),
@@ -661,6 +685,55 @@ class TestBandHotPath:
         assert np.isnan(res.values["ward_residual"]).tolist() == [False, True,
                                                                   False]
         assert np.isnan(res.values["ward_residual"].max())
+
+    @pytest.mark.parametrize("block", [2, 4])
+    def test_one_nan_entry_of_G_fails(self, band_small, monkeypatch, block):
+        # one NaN entry of G, in an interior block row (2) or a ring-wrap
+        # one (4), with H finite: the block residual is NaN wherever its
+        # chunk falls, and green's gate raises on it
+        lat, band = band_small
+        H = sample_H(band, stream_for(8, 0))
+        x = block * lat.block_volume + 1
+        G = green(band, H, 0.2j).G.copy()
+        G[x, 7] = np.nan
+        assert np.isnan(mc._band_residual(band, H, G, 0.2j))
+        peak = mc._residual_peak
+
+        def poisoned(band, H, G, z):
+            G[x, 7] = np.nan
+            return peak(band, H, G, z)
+
+        monkeypatch.setattr(mc, "_residual_peak", poisoned)
+        with pytest.raises(GreenSolveError, match="residual nan"):
+            green(band, H, 0.2j)
+
+    @pytest.mark.parametrize("name", sorted(_RING_LATTICES))
+    def test_groups_partition_the_plan(self, name):
+        # every block lies in exactly one group, and a group's runs, at
+        # offsets from each block's first site, are that block's runs
+        band = _ring_band(name)
+        wd = band.lattice.block_volume
+        blocks = [a for group, _ in band.groups for a in group]
+        assert blocks == list(range(band.lattice.block_count))
+        for group, runs in band.groups:
+            assert len(group) >= 1
+            for a in group:
+                assert [(r.start, r.stop) for r in band.plan[a]] == \
+                    [(a * wd + lo, a * wd + hi) for lo, hi in runs]
+
+    @pytest.mark.parametrize("model, groups", [
+        # the README band: the two ring-wrap blocks and the interior
+        ((1, 33, 15, 1), [(0, 1), (1, 14), (14, 15)]),
+        ((1, 3, 4, 1), [(0, 1), (1, 3), (3, 4)]),
+        # a ring of 3: every block couples to all three, at its own offsets
+        ((1, 5, 3, 1), [(0, 1), (1, 2), (2, 3)]),
+        ((1, 4, 7, 2), [(0, 1), (1, 2), (2, 5), (5, 6), (6, 7)]),
+        ((2, 5, 9, 2), 45),
+    ])
+    def test_groups_of_known_bands(self, model, groups):
+        band = _band_of(model)
+        found = [(g.start, g.stop) for g, _ in band.groups]
+        assert (len(found) if isinstance(groups, int) else found) == groups
 
     def test_readme_config_draws_only_the_support(self):
         lat = BlockLattice(d=1, W=33, n=15)
