@@ -82,20 +82,7 @@ _SCHEMA = {
     },
     "checks": {
         "parity": (_parse_bool, True),
-        "eps_inter": (float, 0.1),
-        "p_samples": (int, 64),
-        "locallaw_tol": (float, 5.0),
-        "deloc_log_power": (float, 3.0),
         "deloc_window": (float, 1.5),
-        "diffusion_sigma": (float, 3.0),
-        "diffusion_rel": (float, 0.1),
-        "decay_factor": (float, 3.0),
-        "same_charge_decay": (float, 3.0),
-        "ward_tol": (float, 1e-9),
-        "kloop_dt": (float, 1e-3),
-        "kloop_tol": (float, 1e-4),
-        "ward_gate": (float, 1e-10),
-        "que_c": (float, 0.5),
         "que_epsilon": (float, 0.1),
     },
     "output": {
@@ -162,12 +149,15 @@ def _check_required(cfg):
             f"lie in [0, 1/(2d)) = [0, {1 / (2 * model['d']):g}) at "
             f"d = {model['d']}: the 2d neighbor blocks leave the diagonal "
             f"block the mass 1 - 2d*neighbor_weight")
-    sp = cfg["spectral"]
-    for key in ("E", "eta", "kappa", "epsilon0", "t_values"):
-        if not all(math.isfinite(v) for v in np.atleast_1d(sp[key])):
-            raise ConfigError(f"[spectral] {key} must be finite")
-    if sp["eta"] <= 0:
-        raise ConfigError(f"[spectral] eta = {sp['eta']:g} must be > 0")
+    for sec, keys in (("spectral", ("E", "eta", "kappa", "epsilon0",
+                                    "t_values")),
+                      ("checks", ("deloc_window", "que_epsilon"))):
+        for key in keys:
+            if not all(math.isfinite(v) for v in np.atleast_1d(cfg[sec][key])):
+                raise ConfigError(f"[{sec}] {key} must be finite")
+    for sec, key in (("spectral", "eta"), ("checks", "deloc_window")):
+        if cfg[sec][key] <= 0:
+            raise ConfigError(f"[{sec}] {key} = {cfg[sec][key]:g} must be > 0")
     if cfg["mc"]["replicas"] < 1:
         raise ConfigError("[mc] replicas must be >= 1")
     if cfg["mc"]["parallelism"] is None:
@@ -227,9 +217,7 @@ def cmd_validate(cfg, outdir):
             "parity check requires odd W; set [checks] parity = false "
             "or use an odd band width")
     profile = build_profile(cfg)
-    report = prof.validate(profile, eps_inter=cfg["checks"]["eps_inter"],
-                           p_samples=cfg["checks"]["p_samples"],
-                           check_parity=check_parity)
+    report = prof.validate(profile, check_parity=check_parity)
     # parity_ok is True when parity is not checked
     passed = (report.doubly_stochastic and report.fullness > 0
               and report.parity_ok and report.interaction_ok)
@@ -247,13 +235,17 @@ def _flow_m(cfg):
     return spec.stieltjes_m(complex(E, 0.0))
 
 
+# theta's bounds on the tail-fit decay length: DECAY_FACTOR * ell_t for
+# (+,-), SAME_CHARGE_DECAY blocks for (+,+)
+DECAY_FACTOR = 3.0
+SAME_CHARGE_DECAY = 3.0
+
+
 def cmd_theta(cfg, outdir):
     profile = build_profile(cfg)
     lat = profile.lattice
     lam = math.sqrt(prof.interaction_strength(profile))
     mE = _flow_m(cfg)
-    factor = cfg["checks"]["decay_factor"]
-    same_cap = cfg["checks"]["same_charge_decay"]
     results = []
     passed = True
     for t in cfg["spectral"]["t_values"]:
@@ -281,14 +273,14 @@ def cmd_theta(cfg, outdir):
             # an empty tail fit (decay length 0) bounds nothing
             if pair == (1, -1):
                 # nor does a rising tail
-                ok = (0 < decay.decay_length <= factor * ell
+                ok = (0 < decay.decay_length <= DECAY_FACTOR * ell
                       and decay.monotone_ok)
-                entry["bound"] = factor * ell
+                entry["bound"] = DECAY_FACTOR * ell
                 entry["fd_max_first_ratio"] = fd.max_first_ratio
                 entry["fd_max_second_ratio"] = fd.max_second_ratio
             else:
-                ok = 0 < decay.decay_length <= same_cap
-                entry["bound"] = same_cap
+                ok = 0 < decay.decay_length <= SAME_CHARGE_DECAY
+                entry["bound"] = SAME_CHARGE_DECAY
             entry["pass"] = bool(ok)
             passed = passed and ok
             results.append(entry)
@@ -297,13 +289,23 @@ def cmd_theta(cfg, outdir):
     return rep
 
 
+# kloop's tolerances: the Ward identities; the K^(2)-Theta consistency and
+# the cyclic invariance, which hold up to rounding; and the flow-derivative
+# residual at step KLOOP_DT, which halving the step must cut by more than
+# KLOOP_HALVING_GAIN (second order gives 4)
+WARD_TOL = 1e-9
+LOOP_IDENTITY_TOL = 1e-12
+KLOOP_DT = 1e-3
+KLOOP_TOL = 1e-4
+KLOOP_HALVING_GAIN = 3.0
+
+
 def cmd_kloop(cfg, outdir):
     profile = build_profile(cfg)
     lat = profile.lattice
     mE = _flow_m(cfg)
     t = cfg["spectral"]["t_values"][0]
     eta_t = (1 - t) * mE.imag
-    ward_tol = cfg["checks"]["ward_tol"]
     calc = det.KLoopCalculator(
         lat, {off: t * blk for off, blk in profile.blocks.items()}, mE)
     rows = []
@@ -316,7 +318,7 @@ def cmd_kloop(cfg, outdir):
     for charges in [(1, -1), (-1, 1),
                     (1, 1, -1), (1, -1, -1), (-1, -1, 1), (-1, 1, 1)]:
         check("ward", "".join("+" if c > 0 else "-" for c in charges),
-              det.ward_residual(calc, eta_t, charges), ward_tol)
+              det.ward_residual(calc, eta_t, charges), WARD_TOL)
 
     # K^(2): the loop recursion against the block-Fourier propagator
     ktheta_dev = 0.0
@@ -325,7 +327,7 @@ def cmd_kloop(cfg, outdir):
         closed = mm * det.theta(profile, t, pair, mE) / lat.block_volume
         dev = float(np.abs(calc.k_tensor(pair) - closed).max())
         ktheta_dev = max(ktheta_dev, dev)
-    check("k2_theta_consistency", "all pairs", ktheta_dev, 1e-12)
+    check("k2_theta_consistency", "all pairs", ktheta_dev, LOOP_IDENTITY_TOL)
 
     # cyclic invariance, K(++-)[0, a_2, a_3] = K(+-+)[a_2, a_3, 0]: the two
     # sides come from different recursion paths
@@ -333,16 +335,15 @@ def cmd_kloop(cfg, outdir):
     rhs = calc.k_tensor((1, -1, 1))[..., 0]
     scale = max(np.abs(lhs).max(), np.abs(rhs).max())
     check("cyclic_invariance", "++-",
-          float(np.abs(lhs - rhs).max() / scale), 1e-12)
+          float(np.abs(lhs - rhs).max() / scale), LOOP_IDENTITY_TOL)
 
     # flow-derivative residual, second-order in dt
-    dt = cfg["checks"]["kloop_dt"]
-    tol = cfg["checks"]["kloop_tol"]
-    r_full = det.kloop_flow_derivative_residual(calc, (1, -1), dt)
-    r_half = det.kloop_flow_derivative_residual(calc, (1, -1), dt / 2)
-    ok = r_full < tol and r_half < r_full / 3.0
-    check("flow_derivative", f"dt={dt:g}", r_full, tol, ok)
-    check("flow_derivative", f"dt={dt / 2:g}", r_half, r_full / 3.0, ok)
+    r_full = det.kloop_flow_derivative_residual(calc, (1, -1), KLOOP_DT)
+    r_half = det.kloop_flow_derivative_residual(calc, (1, -1), KLOOP_DT / 2)
+    half_tol = r_full / KLOOP_HALVING_GAIN
+    ok = r_full < KLOOP_TOL and r_half < half_tol
+    check("flow_derivative", f"dt={KLOOP_DT:g}", r_full, KLOOP_TOL, ok)
+    check("flow_derivative", f"dt={KLOOP_DT / 2:g}", r_half, half_tol, ok)
 
     write_csv(os.path.join(outdir, "kloop_residuals.csv"),
               ["check", "detail", "residual", "tolerance", "status"], rows)
@@ -400,13 +401,16 @@ def _run_ensemble(cfg, rep, fn, reducers):
     return result
 
 
-def _ward_tally(cfg, result) -> dict:
+# per-replica Ward residual gate of locallaw and diffusion
+WARD_GATE = 1e-10
+
+
+def _ward_tally(result) -> dict:
     """The largest Ward residual, and the count of replicas above
-    ``[checks] ward_gate`` (NaN counts)."""
+    ``WARD_GATE`` (NaN counts)."""
     ward = result.values["ward_residual"]
     return {"ward_residual_max": float(ward.max()),
-            "ward_violations":
-                int((~(ward <= cfg["checks"]["ward_gate"])).sum())}
+            "ward_violations": int((~(ward <= WARD_GATE)).sum())}
 
 
 def _window_tally(result) -> tuple:
@@ -414,6 +418,10 @@ def _window_tally(result) -> tuple:
     eigenvalue, which leaves nothing to bound."""
     counts = result.values["window_count"]
     return float(counts.mean()), int((counts == 0).sum()), not counts.any()
+
+
+# bound on the block and entry residuals in units of 1/(W^d ell^d eta)
+LOCALLAW_TOL = 5.0
 
 
 def cmd_locallaw(cfg, outdir):
@@ -426,13 +434,13 @@ def cmd_locallaw(cfg, outdir):
     lam = math.sqrt(prof.interaction_strength(profile))
     ell = spec.ell_of_eta(lam, sp["eta"], lat.n)
     scale = 1.0 / mc.law_scale(lat, lam, sp["eta"])
-    tol = cfg["checks"]["locallaw_tol"]
 
     rep = _base_report(cfg, "locallaw", profile)
     rep.update({
         "z": {"re": z.real, "im": z.imag},
         "m": {"re": m.real, "im": m.imag},
-        "lambda": lam, "ell": ell, "scale": scale, "tolerance": tol,
+        "lambda": lam, "ell": ell, "scale": scale,
+        "tolerance": LOCALLAW_TOL, "ward_gate": WARD_GATE,
     })
     fn, reducers = mc.locallaw_replica_fn(band, z)
     result = _run_ensemble(cfg, rep, fn, reducers)
@@ -440,11 +448,12 @@ def cmd_locallaw(cfg, outdir):
     block_stderr = result.stderr("block_residual")
     entry_mean_max = float(result.mean("entry_sq").max())
     block_max = float(block_mean.max())
-    ward = _ward_tally(cfg, result)
+    ward = _ward_tally(result)
 
     normalized_block = block_max / scale
     normalized_entry = entry_mean_max / scale
-    passed = (normalized_block <= tol and normalized_entry <= tol
+    passed = (normalized_block <= LOCALLAW_TOL
+              and normalized_entry <= LOCALLAW_TOL
               and ward["ward_violations"] == 0 and not result.failures)
     rep.update({
         "block_residual_max_mean": block_max,
@@ -465,6 +474,10 @@ def cmd_locallaw(cfg, outdir):
     return rep
 
 
+# deloc's bound on the windowed sup-norms: (log N)^DELOC_LOG_POWER eta_*
+DELOC_LOG_POWER = 3.0
+
+
 def cmd_deloc(cfg, outdir):
     profile = build_profile(cfg)
     lat = profile.lattice
@@ -472,7 +485,7 @@ def cmd_deloc(cfg, outdir):
     lam2 = prof.interaction_strength(profile)
     window = cfg["checks"]["deloc_window"]
     estar = spec.eta_star(lat.W, math.sqrt(lam2), lat.N, lat.d)
-    threshold = (math.log(lat.N) ** cfg["checks"]["deloc_log_power"]) * estar
+    threshold = (math.log(lat.N) ** DELOC_LOG_POWER) * estar
     vacuous = not math.isfinite(threshold) or threshold >= 1.0
 
     rep = _base_report(cfg, "deloc", profile)
@@ -497,14 +510,18 @@ def cmd_deloc(cfg, outdir):
     return rep
 
 
+# diffusion's tolerance per block-pair cell:
+# max(DIFFUSION_SIGMA * stderr, DIFFUSION_REL * |prediction|)
+DIFFUSION_SIGMA = 3.0
+DIFFUSION_REL = 0.1
+
+
 def cmd_diffusion(cfg, outdir):
     profile = build_profile(cfg)
     lat = profile.lattice
     band = mc.build_band(profile)
     sp = cfg["spectral"]
     z = complex(sp["E"], sp["eta"])
-    sig_mult = cfg["checks"]["diffusion_sigma"]
-    rel = cfg["checks"]["diffusion_rel"]
     lam = math.sqrt(prof.interaction_strength(profile))
     scale = mc.law_scale(lat, lam, abs(z.imag)) ** (-2.0)
     mcount = lat.block_count
@@ -514,22 +531,27 @@ def cmd_diffusion(cfg, outdir):
         "z": {"re": z.real, "im": z.imag},
         "cells": mcount * mcount,
         "normalization_scale": scale,
+        "sigma": DIFFUSION_SIGMA, "rel": DIFFUSION_REL,
+        "ward_gate": WARD_GATE,
     })
     pred_abs2, pred_gg = mc.diffusion_predictions(profile, z)
     fn, reducers = mc.diffusion_replica_fn(band, z)
     result = _run_ensemble(cfg, rep, fn, reducers)
     mean_abs2, se_abs2 = result.mean("abs2").real, result.stderr("abs2")
     mean_gg, se_gg = result.mean("gg"), result.stderr("gg")
-    ward = _ward_tally(cfg, result)
+    ward = _ward_tally(result)
+
+    def cell_tol(se, pred):
+        return max(DIFFUSION_SIGMA * se, DIFFUSION_REL * abs(pred))
 
     breaches = []
     rows = []
     for a in range(mcount):
         for b in range(mcount):
             dev1 = abs(mean_abs2[a, b] - pred_abs2[a, b])
-            tol1 = max(sig_mult * se_abs2[a, b], rel * abs(pred_abs2[a, b]))
+            tol1 = cell_tol(se_abs2[a, b], pred_abs2[a, b])
             dev2 = abs(mean_gg[a, b] - pred_gg[a, b])
-            tol2 = max(sig_mult * se_gg[a, b], rel * abs(pred_gg[a, b]))
+            tol2 = cell_tol(se_gg[a, b], pred_gg[a, b])
             ok = dev1 <= tol1 and dev2 <= tol2
             if not ok:
                 breaches.append({"a": a, "b": b,
@@ -563,6 +585,10 @@ def cmd_diffusion(cfg, outdir):
     return rep
 
 
+# que's bound on the overlap deviations: W^(d - QUE_C) / N
+QUE_C = 0.5
+
+
 def cmd_que(cfg, outdir):
     profile = build_profile(cfg)
     lat = profile.lattice
@@ -575,11 +601,10 @@ def cmd_que(cfg, outdir):
         eta0 = lam * lat.W ** (lat.d / 2) / lat.N
     half = lat.W ** (-cfg["checks"]["que_epsilon"]) * eta0
     window = (sp["E"] - half, sp["E"] + half)
-    c = cfg["checks"]["que_c"]
-    threshold = lat.W ** (lat.d - c) / lat.N
+    threshold = lat.W ** (lat.d - QUE_C) / lat.N
 
     rep = _base_report(cfg, "que", profile)
-    rep.update({"window": list(window), "eta0": eta0, "c": c,
+    rep.update({"window": list(window), "eta0": eta0, "c": QUE_C,
                 "threshold": threshold})
     fn, reducers = mc.que_replica_fn(band, window)
     result = _run_ensemble(cfg, rep, fn, reducers)

@@ -426,14 +426,6 @@ def _windows(A: np.ndarray, first: tuple, shape: tuple,
                       tuple(r * s0 + c * s1 for r, c in steps))
 
 
-def _band_residual(band: Band, H: np.ndarray, G: np.ndarray,
-                   z: complex) -> float:
-    """max|(H - z)G - I| / max(1, max|G|) for any G, as green's gate
-    normalises it (:attr:`GreenFunction.residual`)."""
-    return GreenFunction(z=complex(z), G=G,
-                         peak=_residual_peak(band, H, G, z)).residual
-
-
 def _residual_peak(band: Band, H: np.ndarray, G: np.ndarray,
                    z: complex) -> float:
     """max|(H - z)G - I| over every entry, with H read only on the blocks

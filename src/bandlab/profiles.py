@@ -309,7 +309,6 @@ class ValidationReport:
     interaction_threshold: float
     irreducibility_ratio: float
     isotropy_range: list[float]    # [min, max]
-    generating_set: str = "not checked"
 
 
 def _block_step_distribution(profile: VarianceProfile):

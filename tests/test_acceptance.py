@@ -18,6 +18,7 @@ from bandlab import (BlockLattice, KLoopCalculator,
                      random_walk_representation, select_parameters,
                      stieltjes_m, theta, validate,
                      ward_residual)
+from bandlab import cli
 from bandlab.cli import main as cli_main
 from bandlab.deterministic import charge_m
 from bandlab.profiles import KERNELS, _affine_blocks
@@ -108,7 +109,7 @@ def test_c05_k2_theta_consistency(band_5_5):
         worst = max(worst, float(dev))
     elapsed = time.perf_counter() - t0
     report(5, "K^(2) recursion vs W^-d m m' Theta (block Fourier), all pairs",
-           worst < 1e-12 and elapsed < 5.0,
+           worst < cli.LOOP_IDENTITY_TOL and elapsed < 5.0,
            f"max dev {worst:.2e}, {elapsed:.2f}s")
 
 
@@ -127,8 +128,9 @@ def test_c06_ward_identity(band_5_5):
             r = ward_residual(calc, eta_t, charges)
             worst = max(worst, r)
     elapsed = time.perf_counter() - t0
-    report(6, "Ward identity residual < 1e-9 for n=2,3 at d=1 and d=2",
-           worst < 1e-9 and elapsed < 60.0,
+    report(6, f"Ward identity residual < {cli.WARD_TOL:g} for n=2,3 at d=1 "
+              f"and d=2",
+           worst < cli.WARD_TOL and elapsed < 60.0,
            f"max residual {worst:.2e}, {elapsed:.1f}s")
 
 
@@ -139,10 +141,12 @@ def test_c07_kloop_flow_equation():
     m = stieltjes_m(0.3)
     calc = KLoopCalculator(lat, _affine_blocks(lat, prof.blocks, t_f, t - t_f),
                            m)
-    r1 = kloop_flow_derivative_residual(calc, (1, -1), 1e-3)
-    r2 = kloop_flow_derivative_residual(calc, (1, -1), 5e-4)
-    ok = r1 < 1e-4 and r2 <= r1 / 3
-    report(7, "K-loop flow equation: dt=1e-3 residual < 1e-4, halving gains 3x",
+    dt, gain = cli.KLOOP_DT, cli.KLOOP_HALVING_GAIN
+    r1 = kloop_flow_derivative_residual(calc, (1, -1), dt)
+    r2 = kloop_flow_derivative_residual(calc, (1, -1), dt / 2)
+    ok = r1 < cli.KLOOP_TOL and r2 <= r1 / gain
+    report(7, f"K-loop flow equation: dt={dt:g} residual < "
+              f"{cli.KLOOP_TOL:g}, halving gains {gain:g}x",
            ok, f"r(dt)={r1:.2e}, r(dt/2)={r2:.2e}, ratio {r1 / r2:.2f}")
 
 
@@ -251,7 +255,8 @@ def test_c10_theta_decay(tmp_path):
     details = [f"{'pm' if e['pair'] == [1, -1] else 'pp'} t={e['t']:g}: "
                f"xi={e['decay_length']:.3f} <= {e['bound']:.2f}"
                for e in results]
-    report(10, "Theta decay: (+,-) on scale <= 3*ell_t, same charge <= 3",
+    report(10, f"Theta decay: (+,-) on scale <= {cli.DECAY_FACTOR:g}*ell_t, "
+               f"same charge <= {cli.SAME_CHARGE_DECAY:g}",
            ok, "; ".join(details))
 
 
@@ -265,7 +270,8 @@ def test_c11_local_law(locallaw_runs):
     # the command's own verdict covers the Ward gate too
     ok = code == 0 and rep["pass"] and block_norm <= tol \
         and entry_norm <= tol and not rep["failures"] and elapsed < 300
-    report(11, "local law: normalized block and entry residuals <= 5",
+    report(11, f"local law: normalized block and entry residuals <= "
+               f"{cli.LOCALLAW_TOL:g}",
            ok, f"block {block_norm:.2f}, entry {entry_norm:.2f}, "
                f"tolerance {tol:g}, {elapsed:.0f}s")
 
@@ -283,7 +289,8 @@ def test_c12_delocalization(tmp_path):
     # the command's own verdict covers a vacuous bound too
     ok = code == 0 and rep["pass"] and sup_max <= threshold \
         and control >= 0.5 and elapsed < 300
-    report(12, "delocalization: sup-norms <= (log N)^3 eta_*, W=1 inversion",
+    report(12, f"delocalization: sup-norms <= (log N)^{cli.DELOC_LOG_POWER:g} "
+               f"eta_*, W=1 inversion",
            ok, f"max {sup_max:.4f} <= {threshold:.4f}, control {control:.2f}, "
                f"{elapsed:.0f}s")
 
@@ -293,7 +300,8 @@ def test_c13_quantum_diffusion(diffusion_run):
     # the command's own verdict covers the Ward gate too
     ok = code == 0 and rep["pass"] and not rep["breaches"] \
         and not rep["failures"] and elapsed < 900
-    report(13, "quantum diffusion: every block pair within max(3se, 10%)",
+    report(13, f"quantum diffusion: every block pair within "
+               f"max({cli.DIFFUSION_SIGMA:g}se, {cli.DIFFUSION_REL:.0%})",
            ok, f"breaching cells {len(rep['breaches'])}/{rep['cells']}, "
                f"{elapsed:.0f}s")
 
@@ -302,8 +310,10 @@ def test_c14_ward_gate(locallaw_runs, diffusion_run):
     reports = [json.loads(locallaw_runs[1][1]), diffusion_run[1]]
     violations = sum(r["ward_violations"] for r in reports)
     worst = max(r["ward_residual_max"] for r in reports)
-    report(14, "per-sample Ward gate: zero violations at 1e-10",
-           violations == 0, f"worst per-sample residual {worst:.2e}")
+    gates = {r["ward_gate"] for r in reports}
+    report(14, f"per-sample Ward gate: zero violations at {cli.WARD_GATE:g}",
+           violations == 0 and gates == {cli.WARD_GATE},
+           f"worst per-sample residual {worst:.2e}")
 
 
 def test_c15_determinism(locallaw_runs):

@@ -43,7 +43,7 @@ def read_json(outdir, name):
 class TestConfigParsing:
     def test_defaults_filled(self, tmp_path):
         cfg = parse_config(write_config(tmp_path / "c.ini"))
-        assert cfg["checks"]["locallaw_tol"] == 5.0
+        assert cfg["checks"]["deloc_window"] == 1.5
         assert cfg["spectral"]["t_values"] == (0.5, 0.9)
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -115,8 +115,14 @@ class TestExitCodes:
         p.write_text("[model]\ntype = mean_field\nW = 3\nn = 3\nnope = 2\n")
         assert main(["validate", "--config", str(p)]) == 2
 
-    @pytest.mark.parametrize("section,key", [("checks", "tolerance_scale"),
-                                             ("output", "formats")])
+    # tolerances are constants of bandlab.cli, not config keys
+    @pytest.mark.parametrize("section,key", [
+        ("checks", "tolerance_scale"), ("output", "formats"),
+        *(("checks", key) for key in (
+            "locallaw_tol", "diffusion_sigma", "diffusion_rel",
+            "deloc_log_power", "decay_factor", "same_charge_decay",
+            "ward_tol", "ward_gate", "kloop_dt", "kloop_tol", "que_c",
+            "eps_inter", "p_samples"))])
     def test_removed_key_exit_2(self, section, key, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.ini", **{section: {key: "1"}})
         assert main(["validate", "--config", cfg]) == 2
@@ -423,6 +429,30 @@ class _Reads(dict):
     def __getitem__(self, key):
         self.seen.add(key)
         return super().__getitem__(key)
+
+
+def test_readme_config_block_matches_the_schema(tmp_path):
+    # the README's config block names every schema key, section by
+    # section, and shows every default the schema has
+    import configparser
+
+    readme = (Path(__file__).resolve().parent.parent
+              / "README.md").read_text(encoding="utf-8")
+    assert readme.count("```ini\n") == 1
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    cp.optionxform = str
+    cp.read_string(block)
+    assert {sec: set(cp[sec]) for sec in cp.sections()} == \
+        {sec: set(keys) for sec, keys in _SCHEMA.items()}
+    path = tmp_path / "readme.ini"
+    path.write_text(block, encoding="utf-8")
+    cfg = parse_config(str(path))
+    shown = {(sec, key): cfg[sec][key] for sec, keys in _SCHEMA.items()
+             for key, (_, default) in keys.items() if default is not None}
+    assert shown == {(sec, key): default for sec, keys in _SCHEMA.items()
+                     for key, (_, default) in keys.items()
+                     if default is not None}
 
 
 def test_every_schema_key_is_read(tmp_path, monkeypatch):
@@ -904,12 +934,18 @@ def _base():
             "mc": {"replicas": 2, "parallelism": 1}}
 
 
+def _window_base():
+    return {**_base(),
+            "model": {"type": "translation_invariant", "W": 5, "n": 6}}
+
+
 @st.composite
 def _malformed(draw):
     """Tiny config text with exactly one schema violation."""
     sections = _base()
     kind = draw(st.sampled_from(["section", "key", "value", "size", "d",
-                                 "type", "header", "nonfinite", "eta"]))
+                                 "type", "header", "nonfinite",
+                                 "nonpositive"]))
     if kind == "section":
         sections[draw(_NAMES.filter(lambda s: s not in _SCHEMA))] = {"a": 1}
     elif kind == "key":
@@ -929,14 +965,16 @@ def _malformed(draw):
     elif kind == "type":
         del sections["model"]["type"]
     elif kind == "nonfinite":
-        key = draw(st.sampled_from(["E", "eta", "kappa", "epsilon0",
-                                    "t_values"]))
+        sec, key = draw(st.sampled_from(
+            [("spectral", k) for k in ("E", "eta", "kappa", "epsilon0",
+                                       "t_values")]
+            + [("checks", "deloc_window"), ("checks", "que_epsilon")]))
         bad = draw(st.sampled_from(["nan", "inf", "-inf"]))
-        sections["spectral"] = {key: f"0.3, {bad}" if key == "t_values"
-                                else bad}
-    elif kind == "eta":
-        sections["spectral"] = {"eta": draw(st.sampled_from(["0", "-0.0",
-                                                             "-0.2"]))}
+        sections[sec] = {key: f"0.3, {bad}" if key == "t_values" else bad}
+    elif kind == "nonpositive":
+        sec, key = draw(st.sampled_from([("spectral", "eta"),
+                                         ("checks", "deloc_window")]))
+        sections[sec] = {key: draw(st.sampled_from(["0", "-0.0", "-0.2"]))}
     else:
         return _ini(sections).split("\n", 1)[1]
     return _ini(sections)
@@ -950,6 +988,15 @@ class TestExitCodeContract:
              command="kloop")
     # E = nan parsed, and que failed both replicas and exited 1
     @example(text=_ini({**_base(), "spectral": {"E": "nan"}}),
+             command="que")
+    # each of these parsed, and every replica failed in LAPACK with exit 1:
+    # zheevr found 0 eigenvalues in the window, the inertia counts -26
+    @example(text=_ini({**_window_base(), "checks": {"deloc_window": -1.5}}),
+             command="deloc")
+    # and LAPACKE_zhetrf failed with info -4
+    @example(text=_ini({**_window_base(), "checks": {"deloc_window": "nan"}}),
+             command="deloc")
+    @example(text=_ini({**_window_base(), "checks": {"que_epsilon": "nan"}}),
              command="que")
     def test_malformed_config_exits_2(self, text, command):
         assert _run(text, command) == (2, None)

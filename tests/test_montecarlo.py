@@ -639,7 +639,9 @@ class TestBandHotPath:
             for x, y in entries:
                 bad = G.copy()
                 bad[x, y] += 1e-6
-                res = mc._band_residual(band, H, bad, 0.2j)
+                res = mc.GreenFunction(
+                    z=0.2j, G=bad,
+                    peak=mc._residual_peak(band, H, bad, 0.2j)).residual
                 assert res > 1e-7
                 assert abs(res - _dense_residual(H, bad, 0.2j)) < 1e-14
 
@@ -696,7 +698,8 @@ class TestBandHotPath:
         x = block * lat.block_volume + 1
         G = green(band, H, 0.2j).G.copy()
         G[x, 7] = np.nan
-        assert np.isnan(mc._band_residual(band, H, G, 0.2j))
+        assert np.isnan(mc.GreenFunction(
+            z=0.2j, G=G, peak=mc._residual_peak(band, H, G, 0.2j)).residual)
         peak = mc._residual_peak
 
         def poisoned(band, H, G, z):
