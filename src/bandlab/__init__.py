@@ -7,7 +7,7 @@ quantitative predictions (local laws, delocalization, quantum diffusion) by
 seeded Monte Carlo at desk scale.
 """
 
-from .lattice import BlockLattice, project_matrix, project_tensor
+from .lattice import BlockLattice, project_matrix
 from .profiles import (
     VarianceProfile,
     ValidationReport,
@@ -18,11 +18,9 @@ from .profiles import (
     mean_field_profile,
     validate,
     interaction_strength,
-    flow_profile,
     family_member,
     decompose_core,
     profile_to_text,
-    profile_from_text,
 )
 from .spectral import (
     FlowParams,

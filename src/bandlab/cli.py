@@ -142,6 +142,9 @@ def _check_required(cfg):
             raise ConfigError(f"[model] {key} must be >= 1")
     if model["d"] not in (1, 2):
         raise ConfigError("[model] d must be 1 or 2")
+    if model["cutoff"] < 1:
+        raise ConfigError(f"[model] cutoff = {model['cutoff']} must be >= 1: "
+                          "below 1 the kernel reaches no other site")
     if model["type"] == "block_flat" and \
             not 0 <= model["neighbor_weight"] < 1 / (2 * model["d"]):
         raise ConfigError(
@@ -210,14 +213,8 @@ def _base_report(cfg, command, profile=None):
 
 
 def cmd_validate(cfg, outdir):
-    model = cfg["model"]
-    check_parity = cfg["checks"]["parity"]
-    if check_parity and model["W"] % 2 == 0:
-        raise ConfigError(
-            "parity check requires odd W; set [checks] parity = false "
-            "or use an odd band width")
     profile = build_profile(cfg)
-    report = prof.validate(profile, check_parity=check_parity)
+    report = prof.validate(profile, check_parity=cfg["checks"]["parity"])
     # parity_ok is True when parity is not checked
     passed = (report.doubly_stochastic and report.fullness > 0
               and report.parity_ok and report.interaction_ok)

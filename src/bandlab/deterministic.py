@@ -449,9 +449,7 @@ def evolution_kernel_apply(lattice: BlockLattice, s: float, t: float,
 @dataclass
 class RandomWalkRep:
     K: np.ndarray
-    t_hat: float
     residual: float
-    row_deficit: float
     theta: np.ndarray
 
 
@@ -476,8 +474,7 @@ def random_walk_representation(profile_t: VarianceProfile,
     recon = (t_hat / c_ker) * K @ np.linalg.solve(np.eye(mb) - t_hat * K,
                                                   np.eye(mb))
     residual = float(np.abs(th - recon).max() / np.abs(th).max())
-    return RandomWalkRep(K=K, t_hat=t_hat, residual=residual,
-                         row_deficit=deficit, theta=th)
+    return RandomWalkRep(K=K, residual=residual, theta=th)
 
 
 # ---- decay and finite-difference reports ------------------------------------------------

@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "BlockLattice",
     "project_matrix",
-    "project_tensor",
 ]
 
 
@@ -97,11 +96,6 @@ class BlockLattice:
     def block_coords(self, a) -> tuple:
         return _as_coords(a, self.d, self.n)
 
-    def block_sites(self, a) -> np.ndarray:
-        """The W^d sites of block a: the range [a W^d, (a+1) W^d)."""
-        first = self.block_index(a) * self.block_volume
-        return np.arange(first, first + self.block_volume)
-
     def block_negate(self, a) -> int:
         """Representative of -[a] on the block torus."""
         return self.block_index([-v for v in self.block_coords(a)])
@@ -118,13 +112,6 @@ class BlockLattice:
 
     # ---- periodic distances ----------------------------------------------
 
-    def periodic_distance(self, x, y) -> int:
-        """Periodic L^1 graph distance ||x - y||_L between sites."""
-        xc = self.site_coords(x)
-        yc = self.site_coords(y)
-        return sum(min((u - v) % self.L, (v - u) % self.L)
-                   for u, v in zip(xc, yc))
-
     def block_distance(self, a, b) -> int:
         """Periodic L^1 distance ||[a] - [b]||_n on the block torus."""
         ac = self.block_coords(a)
@@ -132,20 +119,11 @@ class BlockLattice:
         return sum(min((u - v) % self.n, (v - u) % self.n)
                    for u, v in zip(ac, bc))
 
-    def block_bracket(self, a, b) -> int:
-        """<[a] - [b]> = ||[a] - [b]||_n + 1."""
-        return self.block_distance(a, b) + 1
-
-    @cached_property
-    def site_distance_matrix(self) -> np.ndarray:
-        """(N, N) array of periodic L^1 site distances."""
-        sites = self._site_grid()
-        return _torus_distances(sites, sites, self.L)
-
     def block0_site_distances(self) -> np.ndarray:
-        """(W^d, N) rows of :attr:`site_distance_matrix` for the sites of
-        block 0, without forming the rest."""
-        sites = self._site_grid()
+        """(W^d, N) periodic L^1 distances from the sites of block 0 to
+        every site, in site order."""
+        sites = (self.W * _grid(self.n, self.d)[:, :, None]
+                 + _grid(self.W, self.d)[:, None, :]).reshape(self.d, -1)
         return _torus_distances(sites[:, :self.block_volume], sites, self.L)
 
     @cached_property
@@ -153,11 +131,6 @@ class BlockLattice:
         """(block_count, block_count) array of periodic block distances."""
         blocks = _grid(self.n, self.d)
         return _torus_distances(blocks, blocks, self.n)
-
-    def _site_grid(self) -> np.ndarray:
-        """(d, N) coordinates on Z_L^d of the sites, in site order."""
-        return (self.W * _grid(self.n, self.d)[:, :, None]
-                + _grid(self.W, self.d)[:, None, :]).reshape(self.d, -1)
 
     @cached_property
     def block_offset_matrix(self) -> np.ndarray:
@@ -192,17 +165,3 @@ def project_matrix(lattice: BlockLattice, A: np.ndarray) -> np.ndarray:
     m, wd = lattice.block_count, lattice.block_volume
     return A.reshape(m, wd, m, wd).sum(axis=(1, 3)) / wd
 
-
-def project_tensor(lattice: BlockLattice, A: np.ndarray) -> np.ndarray:
-    """Averaged tensor [A]_a = W^{-arity*d} sum over the block cells.
-
-    Unlike :func:`project_matrix` this is a plain average (the W^{-arity*d}
-    normalization), matching the primitive-loop convention.
-    """
-    arity = A.ndim
-    if arity > 4:
-        raise ValueError(f"tensor arity {arity} not supported (max 4)")
-    if any(s != lattice.N for s in A.shape):
-        raise ValueError(f"every axis must have length N={lattice.N}")
-    B = A.reshape((lattice.block_count, lattice.block_volume) * arity)
-    return B.mean(axis=tuple(range(1, 2 * arity, 2)))

@@ -2,7 +2,8 @@
 
 A profile stores one W^d x W^d block per block offset (block translation
 invariance is structural: S|_{[a],[a]+[x]} is the same matrix for every [a]).
-Assembling the full N x N matrix is explicit and memoized.
+No command forms the full N x N matrix; ``assemble`` builds a fresh one on
+each call.
 """
 
 from __future__ import annotations
@@ -28,15 +29,15 @@ __all__ = [
     "mean_field_profile",
     "validate",
     "interaction_strength",
-    "flow_profile",
     "family_member",
     "decompose_core",
     "profile_to_text",
-    "profile_from_text",
     "KERNELS",
 ]
 
 _ROWSUM_TOL = 1e-12
+EPS_INTER = 0.1     # validate's interaction threshold is W^(-d + EPS_INTER)
+P_SAMPLES = 64      # momenta per axis of validate's irreducibility grid
 
 
 class ProfileError(ValueError):
@@ -75,7 +76,6 @@ class VarianceProfile:
             if other is None or not np.array_equal(blk.T, other):
                 raise ProfileError(
                     f"transpose symmetry violated between offsets {off} and {neg}")
-        self._assembled = None
 
     # ---- assembly ----------------------------------------------------------
 
@@ -85,19 +85,17 @@ class VarianceProfile:
         return self.blocks.get(off, np.zeros((wd, wd)))
 
     def assemble(self) -> np.ndarray:
-        """Full N x N matrix; memoized, returned read-only."""
-        if self._assembled is None:
-            lat = self.lattice
-            m, wd = lat.block_count, lat.block_volume
-            S = np.zeros((m, wd, m, wd))
-            rows = np.arange(m)
-            for off, blk in self.blocks.items():
-                # block (a, b) of S is the block of offset [b] - [a]
-                S[rows, :, [lat.block_shift(a, off) for a in rows]] = blk
-            S = S.reshape(lat.N, lat.N)
-            S.setflags(write=False)
-            self._assembled = S
-        return self._assembled
+        """Full N x N matrix, built afresh and returned read-only."""
+        lat = self.lattice
+        m, wd = lat.block_count, lat.block_volume
+        S = np.zeros((m, wd, m, wd))
+        rows = np.arange(m)
+        for off, blk in self.blocks.items():
+            # block (a, b) of S is the block of offset [b] - [a]
+            S[rows, :, [lat.block_shift(a, off) for a in rows]] = blk
+        S = S.reshape(lat.N, lat.N)
+        S.setflags(write=False)
+        return S
 
     @cached_property
     def row_sums(self) -> np.ndarray:
@@ -322,8 +320,7 @@ def _block_step_distribution(profile: VarianceProfile):
     return np.array(steps, dtype=float), np.array(probs)
 
 
-def validate(profile: VarianceProfile, eps_inter: float = 0.1,
-             p_samples: int = 64, check_parity: bool = True
+def validate(profile: VarianceProfile, check_parity: bool = True
              ) -> ValidationReport:
     """Check the defining conditions of the model class and report extremes.
 
@@ -334,6 +331,7 @@ def validate(profile: VarianceProfile, eps_inter: float = 0.1,
     flatness: smallest C with S_xy <= C W^-d and S_xy = 0 for |x-y| > C W.
     parity: (S|_[a][b])_{x,y} = (S|_[a][b])_{-y,-x} in centered coordinates
     (requires odd W).
+    interaction: lambda^2 >= W^(-d + EPS_INTER).
     irreducibility: min over a p-grid of (1 - phi(p)) / (lambda^2 |p|^2).
     isotropy: eigenvalue range of the step covariance divided by lambda^2.
     """
@@ -357,8 +355,8 @@ def validate(profile: VarianceProfile, eps_inter: float = 0.1,
     parity_violation = 0.0
     if check_parity:
         if lat.W % 2 == 0:
-            raise ProfileError("parity check requires odd W "
-                               "(centered block coordinates must exist)")
+            raise ProfileError("parity check requires odd W; set [checks] "
+                               "parity = false or use an odd band width")
         parity_checked = True
         for off, blk in profile.blocks.items():
             viol = float(np.abs(blk - blk[::-1, ::-1].T).max())
@@ -366,13 +364,13 @@ def validate(profile: VarianceProfile, eps_inter: float = 0.1,
         parity_ok = parity_violation <= 1e-12
 
     lam2 = interaction_strength(profile)
-    thresh = float(lat.W ** (-lat.d + eps_inter))
+    thresh = float(lat.W ** (-lat.d + EPS_INTER))
     interaction_ok = lam2 >= thresh
 
     steps, probs = _block_step_distribution(profile)
     irre = np.inf
     if lam2 > 0:
-        grid = np.linspace(-np.pi, np.pi, p_samples, endpoint=False)
+        grid = np.linspace(-np.pi, np.pi, P_SAMPLES, endpoint=False)
         ps = np.stack(np.meshgrid(*[grid] * lat.d), axis=-1).reshape(-1, lat.d)
         ps = ps[np.abs(ps).sum(axis=1) > 1e-9]
         phase = ps @ steps.T
@@ -414,23 +412,12 @@ def _affine_blocks(lattice: BlockLattice, blocks: dict, a: float, b: float
     return blocks
 
 
-def flow_profile(s0: VarianceProfile, t0: float, t: float) -> VarianceProfile:
-    """S_t = S_{t0} + (t - t0) S_E. Row sums grow by (t - t0)."""
-    if t < t0:
-        raise ValueError(f"flow requires t >= t0, got t={t} < t0={t0}")
-    blocks = _affine_blocks(s0.lattice, s0.blocks, 1.0, t - t0)
-    return VarianceProfile(s0.lattice, blocks,
-                           builder=s0.builder + "+flow",
-                           builder_params={**s0.builder_params,
-                                           "t0": t0, "t": t})
-
-
 def family_member(s_rbm: VarianceProfile, t_f: float, t: float, s: float
                   ) -> VarianceProfile:
     """Member t * [(t_f/s) S_RBM + (1 - t_f/s) S_E] of the family t*S_t.
 
-    Requires t <= s <= t_f. Flowing the result from t to any t' <= t_f with
-    :func:`flow_profile` stays inside the t'-family.
+    Requires t <= s <= t_f. Flowing the result from t to any t' <= t_f,
+    S -> S + (t' - t) S_E, stays inside the t'-family.
     """
     if not t <= s <= t_f:
         raise ValueError(f"need t <= s <= t_f, got t={t}, s={s}, t_f={t_f}")
@@ -461,17 +448,9 @@ def decompose_core(s_t: VarianceProfile, c_ker: float):
 
 # ---- serialization -------------------------------------------------------------
 
-def _encode(arr: np.ndarray) -> str:
-    return base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii")
-
-
-def _decode(text: str, wd: int) -> np.ndarray:
-    raw = base64.b64decode(text.encode("ascii"))
-    return np.frombuffer(raw, dtype="<f8").reshape(wd, wd).copy()
-
-
 def profile_to_text(profile: VarianceProfile) -> str:
-    """Serialize to a structured text document (bit-exact round trip)."""
+    """Serialize to a structured text document that stores every block
+    bit-exact; the reports' ``profile_digest`` hashes it."""
     lat = profile.lattice
     doc = {
         "d": lat.d,
@@ -479,17 +458,9 @@ def profile_to_text(profile: VarianceProfile) -> str:
         "n": lat.n,
         "builder": profile.builder,
         "builder_params": profile.builder_params,
-        "blocks": {str(off): _encode(blk)
+        "blocks": {str(off): base64.b64encode(blk.astype("<f8").tobytes())
+                   .decode("ascii")
                    for off, blk in sorted(profile.blocks.items())},
     }
     return json.dumps(doc, sort_keys=True, indent=1)
 
-
-def profile_from_text(text: str) -> VarianceProfile:
-    doc = json.loads(text)
-    lat = BlockLattice(d=int(doc["d"]), W=int(doc["W"]), n=int(doc["n"]))
-    wd = lat.block_volume
-    blocks = {int(off): _decode(blob, wd)
-              for off, blob in doc["blocks"].items()}
-    return VarianceProfile(lat, blocks, builder=doc.get("builder", "custom"),
-                           builder_params=doc.get("builder_params", {}))

@@ -106,9 +106,11 @@ class TestExitCodes:
         rep = read_json(str(tmp_path / "out"), "validate.json")
         assert rep["validation"]["lambda2"] == 0.0
 
-    def test_validate_even_w_parity_schema_error(self, tmp_path):
+    def test_validate_even_w_parity_schema_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.ini", model={"W": 4})
         assert main(["validate", "--config", cfg]) == 2
+        assert "set [checks] parity = false" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "validate.json").exists()
 
     def test_unknown_key_exit_2(self, tmp_path):
         p = tmp_path / "c.ini"
@@ -957,8 +959,8 @@ def _malformed(draw):
         sections.setdefault(sec, {})[key] = draw(
             st.sampled_from(["", "x", "1..5", "0x1g", "one,two"]))
     elif kind == "size":
-        sections["model"][draw(st.sampled_from(["W", "n"]))] = draw(
-            st.integers(-3, 0))
+        sections["model"][draw(st.sampled_from(["W", "n", "cutoff"]))] = \
+            draw(st.integers(-3, 0))
     elif kind == "d":
         sections["model"]["d"] = draw(
             st.integers(-2, 6).filter(lambda d: d not in (1, 2)))
@@ -980,6 +982,9 @@ def _malformed(draw):
     return _ini(sections)
 
 
+_DIAGONAL = _ini({**_base(), "model": {**_base()["model"], "cutoff": 0}})
+
+
 class TestExitCodeContract:
     @settings(max_examples=40, deadline=None)
     @given(text=_malformed(), command=st.sampled_from(_COMMANDS))
@@ -998,6 +1003,9 @@ class TestExitCodeContract:
              command="deloc")
     @example(text=_ini({**_window_base(), "checks": {"que_epsilon": "nan"}}),
              command="que")
+    # cutoff 0 built a diagonal profile, and validate and locallaw exited 1
+    @example(text=_DIAGONAL, command="validate")
+    @example(text=_DIAGONAL, command="locallaw")
     def test_malformed_config_exits_2(self, text, command):
         assert _run(text, command) == (2, None)
 

