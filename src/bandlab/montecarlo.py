@@ -14,20 +14,25 @@ and the resolvent comes from recursive Green's functions along a chain of
 layers, closed into their ring by a Schur complement, with its residual
 checked on views of H's and G's block rows. The order of the draws is
 versioned by ``STREAM_VERSION``. Each worker thread keeps the buffers of
-its command: H and G for ``locallaw`` and ``diffusion``, with the solve's
-scratch buffer of two W^d x N block rows; a Fortran-ordered H and zheevr's
-eigenvectors for ``deloc``; H for ``que``.
+its command: for ``locallaw`` and ``diffusion``, H's :class:`LayerRows`
+(each layer's rows over the columns of the layer and its two ring
+neighbours, all that the solve reads of H) and an N x N G, with the
+solve's scratch buffer of two W^d x N block rows; a Fortran-ordered H and
+zheevr's eigenvectors for ``deloc``; a dense H for ``que``, whose ring
+products read all of it.
 
 Replica threads share the GIL, and numpy releases it around every call on
 more than a few hundred numbers, so each small call of a replica is a
 hand-off to the other threads. The resolvent path keeps its calls few
 without changing a bit of G: H's diagonal is shifted by -z in place for
-the solve instead of copied per layer, the block residual runs a group of
-blocks with equal runs as one batched product per run, a chunk of block
-rows at a time, and |G|^2 is formed once per replica
-(:attr:`GreenFunction.abs2`) for the Ward gate and the observables. The
-residual's normalisation max(1, max|G|) can only lower max|(H - z)G - I|,
-so a solve forms it only when that peak is above the tolerance.
+the solve instead of copied per layer, the layer map (:attr:`Band.layers`)
+holds the draw's positions and the residual's chunks, made once per
+command, the block residual runs a group of blocks with equal runs as one
+batched product per run, a chunk of block rows at a time, and |G|^2 is
+formed once per replica (:attr:`GreenFunction.abs2`) for the Ward gate and
+the observables. The residual's normalisation max(1, max|G|) can only
+lower max|(H - z)G - I|, so a solve forms it only when that peak is above
+the tolerance.
 
 ``deloc``'s windowed eigenpairs come from LAPACK zheevr (Dhillon-Parlett
 MRRR for the whole spectrum), called through ctypes in that same OpenBLAS
@@ -73,6 +78,7 @@ __all__ = [
     "GreenSolveError",
     "EigenSolveError",
     "stream_for",
+    "LayerRows",
     "sample_H",
     "green",
     "ward_gate_residual",
@@ -185,6 +191,101 @@ class Band:
             first += count
         return tuple(groups)
 
+    @cached_property
+    def layers(self) -> "_LayerMap":
+        """Where :class:`LayerRows` keeps H, made on first use: only the
+        resolvent path reads it."""
+        cuts, N = self.cuts, self.lattice.N
+        p = len(cuts) - 1
+        # at[i, j]: the first column of layer j in layer i's rows
+        at = np.zeros((p, p), dtype=int)
+        base, width, cols, size = [], [], [], 0
+        for i in range(p):
+            spans, end = {}, 0
+            for j in sorted({(i - 1) % p, i, (i + 1) % p}):
+                spans[j] = slice(end, end + cuts[j + 1] - cuts[j])
+                at[i, j], end = spans[j].start, spans[j].stop
+            base.append(size)
+            width.append(end)
+            cols.append(spans)
+            size += (cuts[i + 1] - cuts[i]) * end
+        layer = np.repeat(np.arange(p), np.diff(cuts))
+        starts, widths, first = (np.array(v) for v in (base, width, cuts))
+
+        def flat(x, y):
+            """The position of H_xy in the flat buffer; y lies in layer
+            x's rows."""
+            i, j = layer[x], layer[y]
+            return starts[i] + (x - first[i]) * widths[i] + at[i, j] \
+                + y - first[j]
+
+        wd = self.lattice.block_volume
+        chunks = []
+        for blocks, runs in self.groups:
+            step = max(1, _CHUNK_BLOCKS // min(len(runs), 2))
+
+            def joins(chunk, w, at):
+                """Whether a block whose layer rows have width w and whose
+                runs start at ``at`` extends ``chunk``: there is room, and
+                its runs lie at the chunk's strides."""
+                return len(chunk) < step and w == chunk[0][1] and (
+                    len(chunk) == 1 or np.array_equal(
+                        at - chunk[-1][2], chunk[1][2] - chunk[0][2]))
+
+            chunk = []
+            for a in blocks:
+                x = a * wd
+                block = (x, width[layer[x]],
+                         np.array([flat(x, x + lo) for lo, _ in runs]))
+                if chunk and not joins(chunk, *block[1:]):
+                    chunks.append(_residual_chunk(chunk, runs))
+                    chunk = []
+                chunk.append(block)
+            chunks.append(_residual_chunk(chunk, runs))
+        diag = np.arange(N)
+        return _LayerMap(base=tuple(base), width=tuple(width),
+                         cols=tuple(cols), size=size,
+                         upper=flat(self.rows, self.cols),
+                         lower=flat(self.cols, self.rows),
+                         diag=flat(diag, diag), chunks=tuple(chunks))
+
+
+class _LayerMap(NamedTuple):
+    """Where H's layer rows sit in the flat buffer of :class:`LayerRows`.
+
+    Layer i's rows are kept over the columns of the layers it couples to,
+    i - 1, i and i + 1 on the ring, in ascending site order: C-ordered from
+    position ``base[i]``, ``width[i]`` columns a row. ``cols[i]`` maps each
+    of those layers j to the slice of its columns there, so A_ij is a view.
+    ``upper``, ``lower`` and ``diag`` are the positions of the band's
+    support (in the band's order), of its mirror image and of the diagonal.
+    ``chunks`` is the residual plan on this storage, as
+    :func:`_residual_chunk` gives it.
+    """
+
+    base: tuple
+    width: tuple
+    cols: tuple
+    size: int
+    upper: np.ndarray
+    lower: np.ndarray
+    diag: np.ndarray
+    chunks: tuple
+
+
+def _residual_chunk(chunk, runs) -> tuple:
+    """(x, k, width, ((lo, hi, start, advance), ...)) for a chunk of k
+    blocks of one group, given as (first site, row width, positions of
+    H_x,x+lo for each run) per block: x is the first block's first site,
+    ``width`` the row stride of their layer rows, and each run's ``start``
+    is H_x,x+lo's position and ``advance`` its step from block to block.
+    Within a chunk the row stride and every advance are the same."""
+    x, width, at = chunk[0]
+    advance = chunk[1][2] - at if len(chunk) > 1 else 0 * at
+    return (x, len(chunk), width,
+            tuple((lo, hi, int(s), int(d))
+                  for (lo, hi), s, d in zip(runs, at, advance)))
+
 
 def build_band(profile: VarianceProfile) -> Band:
     """The :class:`Band` of ``profile``, from its blocks; nothing N x N."""
@@ -226,8 +327,40 @@ def build_band(profile: VarianceProfile) -> Band:
 
 # ---- sampling -----------------------------------------------------------------
 
-def sample_H(band: Band, rng: np.random.Generator,
-             out: np.ndarray | None = None) -> np.ndarray:
+class LayerRows:
+    """H as its layer rows: each layer's rows over the columns of the
+    layers it couples to, laid out by :attr:`Band.layers` in one flat
+    complex buffer ``data``, created zeroed. ``rows[i]`` is layer i's rows
+    as a C-ordered view. At the README config that is 15 layers of 33 rows
+    over 99 columns, a fifth of N x N."""
+
+    def __init__(self, band: Band):
+        lay, cuts = band.layers, band.cuts
+        self.band = band
+        self.data = np.zeros(lay.size, dtype=complex)
+        self.rows = tuple(
+            self.data[b:b + (hi - lo) * w].reshape(hi - lo, w)
+            for b, w, lo, hi in zip(lay.base, lay.width, cuts, cuts[1:]))
+
+    def block(self, i: int, j: int) -> np.ndarray:
+        """Block (i, j) of layers of H, a view; j is i or one of its ring
+        neighbours."""
+        return self.rows[i][:, self.band.layers.cols[i][j]]
+
+
+def _layer_rows(band: Band, H) -> LayerRows:
+    """H if it is :class:`LayerRows`, else a copy of a dense H's layer
+    rows, which must vanish off the band."""
+    if isinstance(H, LayerRows):
+        return H
+    out, cuts = LayerRows(band), band.cuts
+    for i, spans in enumerate(band.layers.cols):
+        for j, cols in spans.items():
+            out.rows[i][:, cols] = H[cuts[i]:cuts[i + 1], cuts[j]:cuts[j + 1]]
+    return out
+
+
+def sample_H(band: Band, rng: np.random.Generator, out=None):
     """Hermitian Gaussian matrix with E|H_xy|^2 = S_xy and E H_xy^2 = 0.
 
     Off-diagonal entries are complex with independent real/imaginary parts
@@ -236,17 +369,25 @@ def sample_H(band: Band, rng: np.random.Generator,
     diagonal: 2 |support| + N of them), so entries with S_xy = 0 are
     exactly zero.
 
-    With ``out``, an N x N complex buffer, H is written into it and only
-    the support and the diagonal are written: a buffer created zeroed and
-    only ever filled by this band stays exactly zero off the band.
+    With ``out``, an N x N complex buffer or :class:`LayerRows`, H is
+    written into it and only the support and the diagonal are written: a
+    buffer created zeroed and only ever filled by this band stays exactly
+    zero off the band. Without it H is a fresh dense array.
     """
     N, k = band.lattice.N, band.rows.size
     normals = rng.standard_normal(2 * k + N)
     vals = (normals[:k] + 1j * normals[k:2 * k]) * band.sd
+    diag = normals[2 * k:] * band.diag_sd
+    if isinstance(out, LayerRows):
+        lay = band.layers
+        out.data[lay.upper] = vals
+        out.data[lay.lower] = vals.conj()
+        out.data[lay.diag] = diag
+        return out
     H = np.zeros((N, N), dtype=complex) if out is None else out
     H[band.rows, band.cols] = vals
     H[band.cols, band.rows] = vals.conj()
-    H[np.diag_indices(N)] = normals[2 * k:] * band.diag_sd
+    H[np.diag_indices(N)] = diag
     return H
 
 
@@ -280,13 +421,14 @@ class GreenFunction:
 _CHUNK_BLOCKS = 2
 
 
-def green(band: Band, H: np.ndarray, z: complex,
+def green(band: Band, H, z: complex,
           out: np.ndarray | None = None) -> GreenFunction:
     """Resolvent (H - z)^{-1} by recursive Green's functions along the chain
     of layers 0..p-2, closed into the ring by the Schur complement of p-1.
 
-    ``H`` must vanish off the band, as :func:`sample_H` draws it; A_ij are
-    the layer blocks of H - z, which are views of H while its diagonal is
+    ``H`` is :class:`LayerRows`, or a dense H that vanishes off the band,
+    as :func:`sample_H` draws it, whose layer rows are copied. A_ij are the
+    layer blocks of H - z, views of H's layer rows while its diagonal is
     shifted by -z in place (:func:`_shifted`), so H must not be read by
     another thread during the call. G's diagonal blocks keep the chain's
     pivots gL_k = (A_kk - A_k,k-1 gL_k-1 A_k-1,k)^-1, and the chain inverse
@@ -312,10 +454,9 @@ def green(band: Band, H: np.ndarray, z: complex,
     last, M, N = len(lay) - 1, cuts[-2], cuts[-1]
     G = np.empty((N, N), dtype=complex) if out is None else out
     buf = _worker_scratch(_CHUNK_BLOCKS * wd, N)
-    with _shifted(H, z) as Hz:
-        def A(i, j):
-            """Block (i, j) of H - z, a view."""
-            return Hz[lay[i], lay[j]]
+    H = _layer_rows(band, H)
+    with _shifted(H, z):
+        A = H.block  # block (i, j) of H - z, a view
 
         # a chain pivot is kept negated in G until the fill reaches it: Up_k
         # and Lo_k take it so, and a sign moved between the factors of a
@@ -377,20 +518,16 @@ def _identity(n: int) -> np.ndarray:
 
 
 @contextmanager
-def _shifted(H: np.ndarray, z: complex):
-    """H - z for the body. A writable C-ordered complex H holds it in its
-    own storage: the diagonal is shifted in place and restored bit for bit
-    from a copy afterwards. Any other H is copied first."""
-    if not (H.dtype == complex and H.flags.writeable
-            and H.flags.c_contiguous):
-        H = np.array(H, dtype=complex, order="C")
-    diag = np.einsum("ii->i", H)
-    saved = diag.copy()
-    diag -= z
+def _shifted(H: LayerRows, z: complex):
+    """H - z in H's own storage for the body: the diagonal is shifted in
+    place and restored bit for bit from a copy afterwards."""
+    data, diag = H.data, H.band.layers.diag
+    saved = data[diag]
+    data[diag] = saved - z
     try:
-        yield H
+        yield
     finally:
-        diag[...] = saved
+        data[diag] = saved
 
 
 _scratch = threading.local()
@@ -426,36 +563,34 @@ def _windows(A: np.ndarray, first: tuple, shape: tuple,
                       tuple(r * s0 + c * s1 for r, c in steps))
 
 
-def _residual_peak(band: Band, H: np.ndarray, G: np.ndarray,
-                   z: complex) -> float:
+def _residual_peak(band: Band, H, G: np.ndarray, z: complex) -> float:
     """max|(H - z)G - I| over every entry, with H read only on the blocks
-    of the residual plan.
+    of the residual plan; H as :func:`green` takes it.
 
-    Each group of the plan goes through the thread's scratch buffer in
-    chunks of blocks: ``_CHUNK_BLOCKS`` blocks of a group with one run,
-    half as many of a group with more, whose products are summed in the
-    buffer's second half.
+    The plan goes through the thread's scratch buffer in the chunks of
+    :attr:`_LayerMap.chunks`: up to ``_CHUNK_BLOCKS`` consecutive blocks of
+    a group with one run, half as many of a group with more, whose products
+    are summed in the buffer's second half, and only blocks whose layer
+    rows lie at one stride.
     A chunk's block rows of (H - z)G are one batched product per run, of
-    strided views of H's block rows over the run and of G's rows of the
+    strided views of H's layer rows over the run and of G's rows of the
     run, while H's diagonal is shifted by -z in place; each product keeps
     the W^d x N shape of one block row. The chunks' maxima are kept in an
     array, whose max keeps a NaN."""
     wd, N = band.lattice.block_volume, band.lattice.N
     buf = _worker_scratch(_CHUNK_BLOCKS * wd, N)
     G = np.ascontiguousarray(G)
-    chunks = []
-    for blocks, runs in band.groups:
-        step = max(1, _CHUNK_BLOCKS // min(len(runs), 2))
-        chunks += [(blocks[i:i + step], runs)
-                   for i in range(0, len(blocks), step)]
+    H = _layer_rows(band, H)
+    chunks, data = band.layers.chunks, H.data
+    item = data.itemsize
     peaks = np.empty(len(chunks))
-    with _shifted(H, z) as Hz:
-        for c, (blocks, runs) in enumerate(chunks):
-            a, k = blocks.start * wd, len(blocks)
+    with _shifted(H, z):
+        for c, (a, k, width, runs) in enumerate(chunks):
             R, prod = buf[:k * wd], buf[k * wd:2 * k * wd]
-            for i, (lo, hi) in enumerate(runs):
-                h = _windows(Hz, (a, a + lo), (k, wd, hi - lo),
-                             ((wd, wd), (1, 0), (0, 1)))
+            for i, (lo, hi, start, advance) in enumerate(runs):
+                # block j's rows of the run start at start + j * advance
+                h = np.ndarray((k, wd, hi - lo), complex, data, start * item,
+                               (advance * item, width * item, item))
                 g = _windows(G, (a + lo, 0), (k, hi - lo, N),
                              ((wd, 0), (1, 0), (0, 1)))
                 np.matmul(h, g, out=(prod if i else R).reshape(k, wd, N))
@@ -919,8 +1054,9 @@ def diffusion_predictions(profile: VarianceProfile, z: complex):
 @dataclass
 class EnsembleResult:
     """Order-independent merge of per-replica observable dictionaries:
-    ``sums`` and ``sumsq`` of the 'mean' keys, and for each 'each' key
-    the array of its completed replicas' values in replica-index order."""
+    ``sums`` of the 'mean' and 'sum' keys, ``sumsq`` of the 'mean' keys
+    only, and for each 'each' key the array of its completed replicas'
+    values in replica-index order."""
 
     replicas: int
     sums: dict
@@ -936,6 +1072,9 @@ class EnsembleResult:
         return self.sums[key] / self.completed
 
     def stderr(self, key):
+        if key in self.sums and key not in self.sumsq:
+            raise ValueError(f"{key!r} was merged by its sums only: its "
+                             f"spread was not kept")
         r = self.completed
         if r < 2:
             return np.zeros_like(np.real(self.sums[key]))
@@ -988,8 +1127,9 @@ def run_ensemble(config: SampleConfig, replica_fn,
     """Run ``replica_fn(replica_index, rng) -> dict`` over all replicas.
 
     Values are merged per key: 'mean' keys (the default) accumulate sums
-    and squared magnitudes, so an array observable costs the same memory
-    for any replica count; 'each' keys keep every completed replica's value.
+    and squared magnitudes, and 'sum' keys, whose spread no report reads,
+    only sums, so an array observable costs the same memory for any
+    replica count; 'each' keys keep every completed replica's value.
     Merging follows replica-index order as results arrive, and BLAS runs on
     one thread for the whole call, so results do not depend on parallelism.
     Failed replicas are recorded and excluded.
@@ -1010,17 +1150,20 @@ def run_ensemble(config: SampleConfig, replica_fn,
                 failures.append((r, f"{type(res).__name__}: {res}"))
                 continue
             for key, val in res.items():
-                if reducers.get(key, "mean") == "each":
+                how = reducers.get(key, "mean")
+                if how == "each":
                     values.setdefault(key, []).append(val)
                     continue
                 val = np.asarray(val)
                 if key not in sums:
                     sums[key] = val.astype(complex if np.iscomplexobj(val)
                                            else float)
-                    sumsq[key] = np.abs(sums[key]) ** 2
+                    if how == "mean":
+                        sumsq[key] = np.abs(sums[key]) ** 2
                 else:
                     sums[key] += val
-                    sumsq[key] += np.abs(val) ** 2
+                    if how == "mean":
+                        sumsq[key] += np.abs(val) ** 2
     return EnsembleResult(replicas=config.replicas, sums=sums, sumsq=sumsq,
                           values={k: np.array(v) for k, v in values.items()},
                           failures=failures)
@@ -1042,11 +1185,13 @@ def _per_thread(make):
     return get
 
 
-def _worker_buffers(N: int):
-    """buffers() -> the (H, G) pair of N x N complex buffers of the calling
-    thread, allocated on its first call there. H is created zeroed, so
-    :func:`sample_H` with ``out=H`` keeps it exactly zero off the band."""
-    return _per_thread(lambda: (np.zeros((N, N), dtype=complex),
+def _worker_buffers(band: Band):
+    """buffers() -> the calling thread's (H, G): H's :class:`LayerRows`
+    and an N x N complex G, allocated on its first call there. The layer
+    map is made here, before any worker needs it."""
+    N = band.lattice.N
+    band.layers
+    return _per_thread(lambda: (LayerRows(band),
                                 np.empty((N, N), dtype=complex)))
 
 
@@ -1057,7 +1202,7 @@ def locallaw_replica_fn(band: Band, z: complex):
     lattice = band.lattice
     m = stieltjes_m(z)
     diag = np.diag_indices(lattice.N)
-    buffers = _worker_buffers(lattice.N)
+    buffers = _worker_buffers(band)
 
     def fn(replica, rng):
         H, G = buffers()
@@ -1073,7 +1218,7 @@ def locallaw_replica_fn(band: Band, z: complex):
             "ward_residual": ward,
         }
 
-    return fn, {"block_residual": "mean", "entry_sq": "mean",
+    return fn, {"block_residual": "mean", "entry_sq": "sum",
                 "ward_residual": "each"}
 
 
@@ -1100,7 +1245,7 @@ def diffusion_replica_fn(band: Band, z: complex):
     H and G live in per-worker buffers; no observable aliases them."""
     lattice = band.lattice
     wd = lattice.block_volume
-    buffers = _worker_buffers(lattice.N)
+    buffers = _worker_buffers(band)
 
     def fn(replica, rng):
         H, G = buffers()

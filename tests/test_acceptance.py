@@ -326,3 +326,46 @@ def test_c15_determinism(locallaw_runs):
     report(15, "determinism: parallelism 1 vs 8 give byte-identical JSON",
            codes == [0, 0] and identical and parsed["pass"],
            f"{len(outputs[0])} bytes, {elapsed:.0f}s")
+
+
+# Controls of the Monte Carlo verdicts: each runs its criterion's command
+# on the README lattice with a defect of a size fixed from theory before
+# the first run, and the verdict must fail for that defect's reason.
+
+# locallaw with m(z) taken at E + 1.5: at z = 0.1i the bias |m(1.5 + 0.1i)
+# - m(0.1i)| = 0.77 alone reads 8.3 in units of 1 / (W ell eta), above the
+# tolerance 5
+LOCALLAW_CONTROL_SHIFT = 1.5
+# diffusion with both predictions scaled by 1 + 0.5: five times the
+# relative tolerance on every cell
+DIFFUSION_CONTROL_SCALE = 0.5
+
+
+def test_locallaw_control_shifted_energy_fails(tmp_path, monkeypatch):
+    from bandlab import montecarlo as mc
+
+    monkeypatch.setattr(
+        mc, "stieltjes_m",
+        lambda z: stieltjes_m(z + LOCALLAW_CONTROL_SHIFT))
+    code, raw, _ = run_command(tmp_path, "locallaw")
+    rep = json.loads(raw)
+    assert code == 1 and rep["pass"] is False
+    assert rep["block_residual_normalized"] > rep["tolerance"]
+    assert rep["ward_violations"] == 0 and rep["failures"] == []
+
+
+def test_diffusion_control_scaled_predictions_fail(tmp_path, monkeypatch):
+    from bandlab import montecarlo as mc
+
+    predictions = mc.diffusion_predictions
+
+    def scaled(profile, z):
+        return tuple((1 + DIFFUSION_CONTROL_SCALE) * p
+                     for p in predictions(profile, z))
+
+    monkeypatch.setattr(mc, "diffusion_predictions", scaled)
+    code, raw, _ = run_command(tmp_path, "diffusion", eta=0.2, replicas=200)
+    rep = json.loads(raw)
+    assert code == 1 and rep["pass"] is False
+    assert rep["breaches"]
+    assert rep["ward_violations"] == 0 and rep["failures"] == []

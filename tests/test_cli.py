@@ -339,9 +339,9 @@ class TestDeterministicCommands:
         assert main(["kloop", "--config", cfg]) == 0
         # one stack of n = 8 momentum solves of size W = 7 per resolvent or
         # propagator: the centre's two resolvents (m m-bar, and m^2 =
-        # m-bar^2 at E = 0), four flow-shifted resolvents, four theta
-        # propagators
-        assert sizes == [(8, 7, 7)] * (2 + 4 + 4)
+        # m-bar^2 at E = 0), four flow-shifted resolvents, and two theta
+        # propagators, one per coupling (the same two)
+        assert sizes == [(8, 7, 7)] * (2 + 4 + 2)
 
     def test_kloop_never_goes_n_by_n(self, tmp_path, monkeypatch):
         import bandlab.deterministic as det
@@ -390,6 +390,27 @@ class TestDeterministicCommands:
         rep = read_json(str(tmp_path / "out"), "kloop.json")
         failed = [r[0] for r in rep["rows"] if r[4] == "FAIL"]
         assert failed == ["k2_theta_consistency"]
+
+    @pytest.mark.parametrize("E, pairs", [
+        (0.3, [(1, 1), (1, -1), (-1, -1)]),
+        # m is imaginary at E = 0, so m^2 = conj(m)^2 too
+        (0.0, [(1, 1), (1, -1)]),
+    ])
+    def test_kloop_solves_one_theta_per_coupling(self, E, pairs, tmp_path,
+                                                 monkeypatch):
+        # (+,-) and (-,+) share the coupling m conj(m), so the K^(2) check
+        # solves one propagator for both
+        from bandlab import deterministic as det
+        theta, solved = det.theta, []
+
+        def counted(profile, t, pair, m):
+            solved.append(tuple(pair))
+            return theta(profile, t, pair, m)
+
+        monkeypatch.setattr(det, "theta", counted)
+        cfg = write_config(tmp_path / "c.ini", spectral={"E": E})
+        assert main(["kloop", "--config", cfg]) == 0
+        assert solved == pairs
 
     def test_kloop_checks_cyclic_invariance(self, tmp_path, monkeypatch):
         # the +-+ loop, which no Ward row reads, off by 1e-9 relative must
@@ -525,15 +546,14 @@ class TestMonteCarloCommands:
         # failing control: i 1e-6 on the diagonal leaves H in the band, so
         # green solves it to its residual, but H is no longer Hermitian and
         # the Ward identity fails in every replica
-        import numpy as np
-
         import bandlab.montecarlo as mc
 
         draw = mc.sample_H
 
         def perturbed(band, rng, out=None):
+            # the replica draws into H's layer rows
             H = draw(band, rng, out=out)
-            H[np.diag_indices(len(H))] += 1e-6j
+            H.data[band.layers.diag] += 1e-6j
             return H
 
         cfg = write_config(tmp_path / "c.ini", mc={"replicas": 3})

@@ -305,6 +305,14 @@ class TestRunEnsemble:
         peak = _second_call_peak(run_ensemble,
                                  [(cfg, lambda r, rng: {"x": x})] * 2)
         assert peak < 3 * 8 * N * N
+        # a sums-only key keeps its sum alone, 8 N^2 bytes, however many
+        # replicas come
+        for replicas in (1, 3):
+            cfg = SampleConfig(master_seed=5, replicas=replicas)
+            peak = _second_call_peak(
+                run_ensemble,
+                [(cfg, lambda r, rng: {"x": x}, {"x": "sum"})] * 2)
+            assert peak < 1.25 * 8 * N * N
 
     def test_parallel_merge_identical(self, band_small):
         lat, band = band_small
@@ -313,8 +321,12 @@ class TestRunEnsemble:
                                          parallelism=1), fn, reducers)
         res4 = run_ensemble(SampleConfig(master_seed=2, replicas=6,
                                          parallelism=4), fn, reducers)
+        assert res1.sums.keys() == res4.sums.keys()
         for key in res1.sums:
             assert np.array_equal(res1.sums[key], res4.sums[key])
+        # entry_sq is merged by its sums only
+        assert res1.sumsq.keys() == res4.sumsq.keys() == {"block_residual"}
+        for key in res1.sumsq:
             assert np.array_equal(res1.sumsq[key], res4.sumsq[key])
         assert res1.values.keys() == res4.values.keys() == {"ward_residual"}
         for key in res1.values:
@@ -373,6 +385,18 @@ class TestRunEnsemble:
         r2 = run_ensemble(SampleConfig(master_seed=3, replicas=1600), fn)
         ratio = r1.stderr("g") / r2.stderr("g")
         assert ratio == pytest.approx(2.0, rel=0.25)
+
+    def test_stderr_of_a_sums_only_key_names_it(self):
+        def fn(r, rng):
+            return {"g": rng.standard_normal(3), "h": float(r)}
+
+        res = run_ensemble(SampleConfig(master_seed=3, replicas=4), fn,
+                           {"g": "sum"})
+        assert set(res.sumsq) == {"h"}
+        assert res.mean("g").shape == (3,)
+        with pytest.raises(ValueError, match="'g' was merged by its sums"):
+            res.stderr("g")
+        assert res.stderr("h") > 0
 
     def test_failures_recorded(self):
         def fn(r, rng):
@@ -597,6 +621,9 @@ _RING_LATTICES = {
     "d1-readme": ((1, 33, 15, 1), tuple(range(0, 496, 33))),
     "d1-W3-n4": ((1, 3, 4, 1), (0, 3, 6, 9, 12)),
     "d1-reach2-uneven": ((1, 4, 7, 2), (0, 12, 20, 28)),
+    # layer rows of widths 21, 21, 18 and 21: a residual chunk stops where
+    # the width changes
+    "d1-reach2-four-uneven": ((1, 3, 9, 2), (0, 9, 15, 21, 27)),
     "d1-ring-of-3": ((1, 5, 3, 1), (0, 5, 10, 15)),
     "d2-W3-n3": ((2, 3, 3, 1), (0, 27, 54, 81)),
     "d2-W3-n5": ((2, 3, 5, 2), (0, 135, 225)),
@@ -754,6 +781,111 @@ class TestBandHotPath:
         assert words < (2 * lat.N ** 2 + lat.N) / 10
 
 
+class TestLayerRows:
+    """H as its layer rows, as the locallaw and diffusion replicas keep it."""
+
+    @pytest.mark.parametrize("name", sorted(_RING_LATTICES))
+    def test_layer_row_draw_equals_the_dense_draw(self, name):
+        # entry by entry on every block of a layer with itself and its ring
+        # neighbours, and the dense draw holds nothing outside those blocks
+        band = _ring_band(name)
+        cuts = band.cuts
+        H = sample_H(band, stream_for(8, 0))
+        rows = sample_H(band, stream_for(8, 0), out=mc.LayerRows(band))
+        covered = np.zeros(H.shape, dtype=bool)
+        for i, spans in enumerate(band.layers.cols):
+            lay = slice(cuts[i], cuts[i + 1])
+            assert rows.rows[i].shape == (lay.stop - lay.start,
+                                          sum(s.stop - s.start
+                                              for s in spans.values()))
+            for j in spans:
+                other = slice(cuts[j], cuts[j + 1])
+                assert rows.block(i, j).tobytes() == H[lay, other].tobytes()
+                covered[lay, other] = True
+        assert (H[~covered] == 0).all()
+
+    @pytest.mark.parametrize("name", sorted(_RING_LATTICES))
+    def test_green_on_layer_rows_matches_the_dense_oracle(self, name):
+        # green reads the blocks A_ij as views of the layer rows, and
+        # restores their diagonal bit for bit
+        band = _ring_band(name)
+        for r, z in enumerate((0.1 + 0.2j, -0.7 + 0.05j)):
+            H = sample_H(band, stream_for(8, r))
+            rows = sample_H(band, stream_for(8, r), out=mc.LayerRows(band))
+            before = rows.data.tobytes()
+            gf = green(band, rows, z)
+            assert rows.data.tobytes() == before
+            assert np.abs(gf.G - _dense_green(H, z)).max() < 1e-12
+            assert abs(gf.residual - _dense_residual(H, gf.G, z)) < 1e-14
+            assert gf.G.tobytes() == green(band, H, z).G.tobytes()
+
+    @pytest.mark.parametrize("model, widths, size", [
+        # 15 layers of 33 sites over 99 columns: a fifth of N x N
+        ((1, 33, 15, 1), (99,) * 15, 495 ** 2 // 5),
+        # layers of 675, 450, 450 and 450 sites: 3/4 of N x N
+        ((2, 5, 9, 2), (1575, 1575, 1350, 1575), 3088125),
+    ])
+    def test_reference_configs_keep_a_fraction_of_n_by_n(self, model,
+                                                         widths, size):
+        band = _band_of(model)
+        lay = band.layers
+        assert lay.width == widths
+        assert lay.size == size == sum(
+            w * (hi - lo) for w, lo, hi in zip(widths, band.cuts,
+                                               band.cuts[1:]))
+
+    def test_readme_chunks_are_the_dense_plans(self):
+        # the two ring-wrap blocks alone, the interior two blocks a chunk:
+        # the layer rows of single-block layers lie at one stride
+        band = _band_of((1, 33, 15, 1))
+        chunks = [(x // 33, k) for x, k, _, _ in band.layers.chunks]
+        assert chunks == [(0, 1)] + [(a, 2) for a in range(1, 13, 2)] \
+            + [(13, 1), (14, 1)]
+
+    @pytest.mark.parametrize("command", ["deloc", "que"])
+    def test_eigen_replicas_never_build_the_layer_map(self, band_profile,
+                                                      command):
+        band = build_band(band_profile)
+        factory = deloc_replica_fn if command == "deloc" else que_replica_fn
+        fn, _ = factory(band, (-1.5, 1.5) if command == "deloc"
+                        else (-0.3, 0.3))
+        fn(0, stream_for(9, 0))
+        assert "layers" not in vars(band)
+        locallaw_replica_fn(band, 0.3j)
+        assert "layers" in vars(band)
+
+
+# C-level calls of one README-config replica after its thread's first, as
+# sys.setprofile sees them (c_call events: builtins and methods of C
+# types; ufunc calls are not among them), with numpy 2.4.6. A replica
+# that drew into a dense H made 427 (locallaw) and 455 (diffusion); each
+# small call hands the GIL to the other worker threads, so no change may
+# add any.
+_REPLICA_C_CALLS = {"locallaw": 427, "diffusion": 455}
+
+
+@pytest.mark.parametrize("command", sorted(_REPLICA_C_CALLS))
+def test_replica_numpy_calls_do_not_grow(command):
+    band = build_band(_readme_profile())
+    factory = {"locallaw": locallaw_replica_fn,
+               "diffusion": diffusion_replica_fn}[command]
+    fn, _ = factory(band, 0.1j)
+    calls = []
+
+    def count(frame, event, arg):
+        if event == "c_call":
+            calls.append(arg)
+
+    with mc._single_threaded_blas():
+        fn(0, stream_for(20260809, 0))
+        sys.setprofile(count)
+        try:
+            fn(1, stream_for(20260809, 1))
+        finally:
+            sys.setprofile(None)
+    assert 0 < len(calls) <= _REPLICA_C_CALLS[command]
+
+
 class TestWorkerBuffers:
     """sample_H and green into caller buffers, as the locallaw and diffusion
     replicas run them: one (H, G) pair per worker thread."""
@@ -836,15 +968,34 @@ class TestWorkerBuffers:
                         want = want + f[key]
                     assert res.sums[key].tobytes() == want.tobytes()
 
-    def test_locallaw_replica_peak_stays_below_two_n_by_n(self):
+    def test_locallaw_replica_allocates_its_entry_sq_and_a_block_row(self):
         # the thread's H and G are allocated by its first replica; a later
-        # one adds at most 2 N x N complex arrays of temporaries
+        # one allocates the N x N reals of |G|^2, which it returns as
+        # entry_sq, and less than one W^d x N complex block row besides
         band = build_band(_readme_profile())
-        N = band.lattice.N
+        lat = band.lattice
+        N = lat.N
         fn, _ = locallaw_replica_fn(band, 0.2j)
         peak = _second_call_peak(fn, [(r, stream_for(20260809, r))
                                       for r in (0, 1)])
-        assert peak < 2 * N * N * 16
+        assert peak < N * N * 8 + lat.block_volume * N * 16
+
+    @pytest.mark.parametrize("factory", [locallaw_replica_fn,
+                                         diffusion_replica_fn])
+    def test_worker_keeps_G_layer_rows_and_scratch_but_no_dense_H(self,
+                                                                  factory):
+        # what a worker's first replica leaves allocated is its G, H's
+        # layer rows and the scratch buffer, with 64 KiB for small caches:
+        # an N x N H would not fit in that slack
+        band = build_band(_readme_profile())
+        lat = band.lattice
+        N, wd = lat.N, lat.block_volume
+        fn, _ = factory(band, 0.2j)
+        rows = 16 * band.layers.size
+        assert rows == 16 * 15 * 33 * 99
+        slack = rows + 16 * mc._CHUNK_BLOCKS * wd * N + 64 * 1024
+        assert slack < 16 * N * N
+        assert _kept_by_first_replica(fn) < 16 * N * N + slack
 
     @pytest.mark.parametrize("command", ["deloc", "que"])
     def test_eigen_replica_peak_stays_below_one_n_by_n(self, command):
@@ -880,16 +1031,44 @@ class TestWorkerBuffers:
             assert reused == fresh
             assert reused["window_count"] > 0
 
-    def test_green_peak_stays_below_four_block_rows(self):
-        # after the thread's first call, green into a buffer allocates
-        # less than 4 W^d N complex numbers: the ring closure and the block
-        # residual run through the thread's W^d x N buffers
+    def test_green_peak_stays_below_two_block_rows(self):
+        # after the thread's first call, green on layer rows into a buffer
+        # allocates less than 2 W^d N complex numbers (1.48 measured): the
+        # ring closure and the block residual run through the thread's
+        # W^d x N buffers, and H's diagonal is shifted in its own storage
         band = build_band(_readme_profile())
         lat = band.lattice
-        H = sample_H(band, stream_for(20260809, 0))
-        G = np.empty_like(H)
+        H = sample_H(band, stream_for(20260809, 0), out=mc.LayerRows(band))
+        G = np.empty((lat.N, lat.N), dtype=complex)
         peak = _second_call_peak(green, [(band, H, 0.2j, G)] * 2)
-        assert peak < 4 * lat.block_volume * lat.N * 16
+        assert peak < 2 * lat.block_volume * lat.N * 16
+
+
+def _kept_by_first_replica(fn):
+    """Bytes still allocated after fn(0, rng), its result dropped, on a
+    fresh thread on one BLAS thread, taken before the thread ends and its
+    buffers with it. A first thread runs it untraced, so that what the
+    process makes once (numpy's lazy imports, bandlab's caches) is made."""
+    kept = []
+
+    def run():
+        with mc._single_threaded_blas():
+            started = not tracemalloc.is_tracing()
+            if started:
+                tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                fn(0, stream_for(20260809, 0))
+                kept.append(tracemalloc.get_traced_memory()[0] - before)
+            finally:
+                if started:
+                    tracemalloc.stop()
+
+    for target in (lambda: fn(0, stream_for(20260809, 0)), run):
+        worker = threading.Thread(target=target)
+        worker.start()
+        worker.join()
+    return kept[0]
 
 
 def _second_call_peak(fn, args):
