@@ -13,11 +13,12 @@ A replica never forms the N x N profile: each command builds one
 and the resolvent comes from recursive Green's functions along a chain of
 layers, closed into their ring by a Schur complement, with its residual
 checked on views of H's and G's block rows. The order of the draws is
-versioned by ``STREAM_VERSION``. Each worker thread keeps the buffers of
-its command: for ``locallaw`` and ``diffusion``, H's :class:`LayerRows`
-(each layer's rows over the columns of the layer and its two ring
-neighbours, all that the solve reads of H) and an N x N G, with the
-solve's scratch buffer of two W^d x N block rows; a Fortran-ordered H and
+versioned by ``STREAM_VERSION``. The resolvent path takes H in one form,
+its :class:`LayerRows`: each layer's rows over the columns of the layer
+and its two ring neighbours, all that the solve reads of H. Each worker
+thread keeps the buffers of its command: for ``locallaw`` and
+``diffusion``, H's :class:`LayerRows` and an N x N G, with the solve's
+scratch buffer of two W^d x N block rows; a Fortran-ordered H and
 zheevr's eigenvectors for ``deloc``; a dense H for ``que``, whose ring
 products read all of it.
 
@@ -27,12 +28,12 @@ hand-off to the other threads. The resolvent path keeps its calls few
 without changing a bit of G: H's diagonal is shifted by -z in place for
 the solve instead of copied per layer, the layer map (:attr:`Band.layers`)
 holds the draw's positions and the residual's chunks, made once per
-command, the block residual runs a group of blocks with equal runs as one
-batched product per run, a chunk of block rows at a time, and |G|^2 is
-formed once per replica (:attr:`GreenFunction.abs2`) for the Ward gate and
-the observables. The residual's normalisation max(1, max|G|) can only
-lower max|(H - z)G - I|, so a solve forms it only when that peak is above
-the tolerance.
+command in one pass over each block's runs (:attr:`Band.runs`), the block
+residual runs a chunk of consecutive blocks with equal runs as one batched
+product per run, and |G|^2 is formed once per replica
+(:attr:`GreenFunction.abs2`) for the Ward gate and the observables. The
+residual's normalisation max(1, max|G|) can only lower max|(H - z)G - I|,
+so a solve forms it only when that peak is above the tolerance.
 
 ``deloc``'s windowed eigenpairs come from LAPACK zheevr (Dhillon-Parlett
 MRRR for the whole spectrum), called through ctypes in that same OpenBLAS
@@ -49,7 +50,6 @@ from __future__ import annotations
 
 import ctypes
 import glob
-import itertools
 import math
 import threading
 from collections import deque
@@ -163,8 +163,9 @@ class Band:
       contiguous runs of block rows along the first block coordinate. Each
       layer spans at least the profile's reach along that coordinate, so
       H couples a layer only to itself and its two ring neighbours.
-    - ``plan``: the residual plan, for each block [a] the site slices of the
-      runs of consecutive blocks among [a] and [a] + x, x a nonzero offset.
+    - ``runs``: the residual plan, for each block [a] the runs of
+      consecutive blocks among [a] and [a] + x, x a nonzero offset, as
+      site offsets (lo, hi) from [a]'s first site.
     """
 
     lattice: BlockLattice
@@ -173,23 +174,7 @@ class Band:
     sd: np.ndarray
     diag_sd: np.ndarray
     cuts: tuple
-    plan: tuple
-
-    @cached_property
-    def groups(self) -> tuple:
-        """The plan grouped, as (blocks, runs) pairs: ``blocks`` is a range
-        of consecutive blocks whose runs lie at the same site offsets (lo,
-        hi) from each block's first site, and ``runs`` holds those offsets.
-        Every block lies in exactly one group."""
-        wd = self.lattice.block_volume
-        groups, first = [], 0
-        for offsets, same in itertools.groupby(
-                tuple((s.start - wd * a, s.stop - wd * a) for s in row)
-                for a, row in enumerate(self.plan)):
-            count = len(list(same))
-            groups.append((range(first, first + count), offsets))
-            first += count
-        return tuple(groups)
+    runs: tuple
 
     @cached_property
     def layers(self) -> "_LayerMap":
@@ -219,35 +204,36 @@ class Band:
             return starts[i] + (x - first[i]) * widths[i] + at[i, j] \
                 + y - first[j]
 
+        # a chunk is consecutive blocks whose runs lie at the same offsets
+        # and whose layer rows lie at one stride: up to two blocks of one
+        # run, or one block of more, whose products then take the scratch
+        # buffer's second half
         wd = self.lattice.block_volume
-        chunks = []
-        for blocks, runs in self.groups:
-            step = max(1, _CHUNK_BLOCKS // min(len(runs), 2))
-
-            def joins(chunk, w, at):
-                """Whether a block whose layer rows have width w and whose
-                runs start at ``at`` extends ``chunk``: there is room, and
-                its runs lie at the chunk's strides."""
-                return len(chunk) < step and w == chunk[0][1] and (
-                    len(chunk) == 1 or np.array_equal(
-                        at - chunk[-1][2], chunk[1][2] - chunk[0][2]))
-
-            chunk = []
-            for a in blocks:
-                x = a * wd
-                block = (x, width[layer[x]],
-                         np.array([flat(x, x + lo) for lo, _ in runs]))
-                if chunk and not joins(chunk, *block[1:]):
-                    chunks.append(_residual_chunk(chunk, runs))
-                    chunk = []
-                chunk.append(block)
-            chunks.append(_residual_chunk(chunk, runs))
+        chunks = []             # [first site, (row width, runs), positions]
+        for a, runs in enumerate(self.runs):
+            x = a * wd
+            key = (width[layer[x]], runs)
+            pos = np.array([flat(x, x + lo) for lo, _ in runs])
+            if chunks and chunks[-1][1] == key:
+                held = chunks[-1][2]
+                if len(held) < _CHUNK_BLOCKS // min(len(runs), 2) and (
+                        len(held) == 1
+                        or np.array_equal(pos - held[-1], held[1] - held[0])):
+                    held.append(pos)
+                    continue
+            chunks.append([x, key, [pos]])
+        plan = []
+        for x, (w, runs), held in chunks:
+            advance = held[1] - held[0] if len(held) > 1 else 0 * held[0]
+            plan.append((x, len(held), w, tuple(
+                (lo, hi, int(s), int(d))
+                for (lo, hi), s, d in zip(runs, held[0], advance))))
         diag = np.arange(N)
         return _LayerMap(base=tuple(base), width=tuple(width),
                          cols=tuple(cols), size=size,
                          upper=flat(self.rows, self.cols),
                          lower=flat(self.cols, self.rows),
-                         diag=flat(diag, diag), chunks=tuple(chunks))
+                         diag=flat(diag, diag), chunks=tuple(plan))
 
 
 class _LayerMap(NamedTuple):
@@ -259,8 +245,10 @@ class _LayerMap(NamedTuple):
     of those layers j to the slice of its columns there, so A_ij is a view.
     ``upper``, ``lower`` and ``diag`` are the positions of the band's
     support (in the band's order), of its mirror image and of the diagonal.
-    ``chunks`` is the residual plan on this storage, as
-    :func:`_residual_chunk` gives it.
+    ``chunks`` is the residual plan on this storage: (x, k, width, ((lo,
+    hi, start, advance), ...)) for a chunk of k consecutive blocks from
+    site x, whose layer rows are ``width`` wide, with H_x,x+lo of each run
+    at position ``start`` and each next block's ``advance`` further on.
     """
 
     base: tuple
@@ -271,20 +259,6 @@ class _LayerMap(NamedTuple):
     lower: np.ndarray
     diag: np.ndarray
     chunks: tuple
-
-
-def _residual_chunk(chunk, runs) -> tuple:
-    """(x, k, width, ((lo, hi, start, advance), ...)) for a chunk of k
-    blocks of one group, given as (first site, row width, positions of
-    H_x,x+lo for each run) per block: x is the first block's first site,
-    ``width`` the row stride of their layer rows, and each run's ``start``
-    is H_x,x+lo's position and ``advance`` its step from block to block.
-    Within a chunk the row stride and every advance are the same."""
-    x, width, at = chunk[0]
-    advance = chunk[1][2] - at if len(chunk) > 1 else 0 * at
-    return (x, len(chunk), width,
-            tuple((lo, hi, int(s), int(d))
-                  for (lo, hi), s, d in zip(runs, at, advance)))
 
 
 def build_band(profile: VarianceProfile) -> Band:
@@ -316,13 +290,14 @@ def build_band(profile: VarianceProfile) -> Band:
     per_row = lat.N // lat.n
     cuts = tuple(int(first) * per_row for first, *_ in layers) + (lat.N,)
     # sorted in Python: np.unique's first call faults in 1.6 MB of code
-    runs = (np.split(b, np.flatnonzero(np.diff(b) != 1) + 1)
-            for b in (np.array(sorted({a, *r})) for a, r in enumerate(shift)))
-    plan = tuple(tuple(slice(wd * int(r[0]), wd * int(r[-1] + 1)) for r in row)
-                 for row in runs)
+    coupled = (np.array(sorted({a, *r})) for a, r in enumerate(shift))
+    runs = tuple(tuple((wd * int(r[0] - a), wd * int(r[-1] + 1 - a))
+                       for r in np.split(b, np.flatnonzero(np.diff(b) != 1)
+                                         + 1))
+                 for a, b in enumerate(coupled))
     return Band(lattice=lat, rows=rows[order], cols=cols[order],
                 sd=np.sqrt(var[order] / 2.0), diag_sd=diag_sd, cuts=cuts,
-                plan=plan)
+                runs=runs)
 
 
 # ---- sampling -----------------------------------------------------------------
@@ -346,18 +321,6 @@ class LayerRows:
         """Block (i, j) of layers of H, a view; j is i or one of its ring
         neighbours."""
         return self.rows[i][:, self.band.layers.cols[i][j]]
-
-
-def _layer_rows(band: Band, H) -> LayerRows:
-    """H if it is :class:`LayerRows`, else a copy of a dense H's layer
-    rows, which must vanish off the band."""
-    if isinstance(H, LayerRows):
-        return H
-    out, cuts = LayerRows(band), band.cuts
-    for i, spans in enumerate(band.layers.cols):
-        for j, cols in spans.items():
-            out.rows[i][:, cols] = H[cuts[i]:cuts[i + 1], cuts[j]:cuts[j + 1]]
-    return out
 
 
 def sample_H(band: Band, rng: np.random.Generator, out=None):
@@ -421,18 +384,17 @@ class GreenFunction:
 _CHUNK_BLOCKS = 2
 
 
-def green(band: Band, H, z: complex,
+def green(band: Band, H: LayerRows, z: complex,
           out: np.ndarray | None = None) -> GreenFunction:
     """Resolvent (H - z)^{-1} by recursive Green's functions along the chain
     of layers 0..p-2, closed into the ring by the Schur complement of p-1.
 
-    ``H`` is :class:`LayerRows`, or a dense H that vanishes off the band,
-    as :func:`sample_H` draws it, whose layer rows are copied. A_ij are the
-    layer blocks of H - z, views of H's layer rows while its diagonal is
-    shifted by -z in place (:func:`_shifted`), so H must not be read by
-    another thread during the call. G's diagonal blocks keep the chain's
-    pivots gL_k = (A_kk - A_k,k-1 gL_k-1 A_k-1,k)^-1, and the chain inverse
-    T^-1 is filled in bottom-up with Up_k = -gL_k A_k,k+1, Lo_k = -A_k+1,k
+    ``H`` is the band's :class:`LayerRows`. A_ij are the layer blocks of
+    H - z, views of H's layer rows while its diagonal is shifted by -z in
+    place (:func:`_shifted`), so H must not be read by another thread
+    during the call. G's diagonal blocks keep the chain's pivots gL_k =
+    (A_kk - A_k,k-1 gL_k-1 A_k-1,k)^-1, and the chain inverse T^-1 is
+    filled in bottom-up with Up_k = -gL_k A_k,k+1, Lo_k = -A_k+1,k
     gL_k: row slab Up_k G_k+1,rest, column slab G_rest,k+1 Lo_k, and G_kk =
     gL_k + Up_k G_k+1,k (Svizhenko et al., J. Appl. Phys. 91, 2343 (2002)).
     With the last layer's couplings B, B', X = T^-1 B and S = A_LL - B'X:
@@ -454,7 +416,6 @@ def green(band: Band, H, z: complex,
     last, M, N = len(lay) - 1, cuts[-2], cuts[-1]
     G = np.empty((N, N), dtype=complex) if out is None else out
     buf = _worker_scratch(_CHUNK_BLOCKS * wd, N)
-    H = _layer_rows(band, H)
     with _shifted(H, z):
         A = H.block  # block (i, j) of H - z, a view
 
@@ -563,15 +524,16 @@ def _windows(A: np.ndarray, first: tuple, shape: tuple,
                       tuple(r * s0 + c * s1 for r, c in steps))
 
 
-def _residual_peak(band: Band, H, G: np.ndarray, z: complex) -> float:
-    """max|(H - z)G - I| over every entry, with H read only on the blocks
-    of the residual plan; H as :func:`green` takes it.
+def _residual_peak(band: Band, H: LayerRows, G: np.ndarray,
+                   z: complex) -> float:
+    """max|(H - z)G - I| over every entry, with H, the band's
+    :class:`LayerRows`, read only on the blocks of the residual plan.
 
     The plan goes through the thread's scratch buffer in the chunks of
-    :attr:`_LayerMap.chunks`: up to ``_CHUNK_BLOCKS`` consecutive blocks of
-    a group with one run, half as many of a group with more, whose products
-    are summed in the buffer's second half, and only blocks whose layer
-    rows lie at one stride.
+    :attr:`_LayerMap.chunks`: up to ``_CHUNK_BLOCKS`` consecutive blocks
+    with the same runs if they have one, half as many if more, whose
+    products are summed in the buffer's second half, and only blocks whose
+    layer rows lie at one stride.
     A chunk's block rows of (H - z)G are one batched product per run, of
     strided views of H's layer rows over the run and of G's rows of the
     run, while H's diagonal is shifted by -z in place; each product keeps
@@ -580,7 +542,6 @@ def _residual_peak(band: Band, H, G: np.ndarray, z: complex) -> float:
     wd, N = band.lattice.block_volume, band.lattice.N
     buf = _worker_scratch(_CHUNK_BLOCKS * wd, N)
     G = np.ascontiguousarray(G)
-    H = _layer_rows(band, H)
     chunks, data = band.layers.chunks, H.data
     item = data.itemsize
     peaks = np.empty(len(chunks))

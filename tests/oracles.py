@@ -16,6 +16,17 @@ def block_sites(lat: BlockLattice, a) -> np.ndarray:
     return np.arange(first, first + lat.block_volume)
 
 
+def dense_H(H) -> np.ndarray:
+    """The N x N H of ``H``, a band's LayerRows: each layer's blocks with
+    itself and its ring neighbours, zero elsewhere."""
+    cuts = H.band.cuts
+    out = np.zeros((cuts[-1], cuts[-1]), dtype=complex)
+    for i, spans in enumerate(H.band.layers.cols):
+        for j in spans:
+            out[cuts[i]:cuts[i + 1], cuts[j]:cuts[j + 1]] = H.block(i, j)
+    return out
+
+
 def periodic_distance(lat: BlockLattice, x, y) -> int:
     """Periodic L^1 graph distance ||x - y||_L between sites."""
     return sum(min((u - v) % lat.L, (v - u) % lat.L)

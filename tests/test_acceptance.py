@@ -218,14 +218,18 @@ directory = {outdir}
 
 
 def run_command(workdir, command, type="translation_invariant", W=33, n=15,
-                eta=0.1, replicas=50, parallelism=4):
-    """Run one CLI command; return its exit code, report bytes and seconds."""
+                eta=0.1, replicas=50, parallelism=4, checks=None):
+    """Run one CLI command; return its exit code, report bytes and seconds.
+    ``checks`` holds the config's ``[checks]`` keys, if any."""
     workdir.mkdir(parents=True, exist_ok=True)
     cfg = workdir / "config.ini"
-    cfg.write_text(_CONFIG.format(type=type, W=W, n=n, eta=eta,
-                                  replicas=replicas, seed=MASTER_SEED,
-                                  parallelism=parallelism,
-                                  outdir=workdir / "out"))
+    text = _CONFIG.format(type=type, W=W, n=n, eta=eta, replicas=replicas,
+                          seed=MASTER_SEED, parallelism=parallelism,
+                          outdir=workdir / "out")
+    if checks:
+        text += "[checks]\n" + "".join(f"{key} = {value}\n"
+                                       for key, value in checks.items())
+    cfg.write_text(text)
     t0 = time.perf_counter()
     code = cli_main([command, "--config", str(cfg)])
     elapsed = time.perf_counter() - t0
@@ -293,6 +297,20 @@ def test_c12_delocalization(tmp_path):
                f"eta_*, W=1 inversion",
            ok, f"max {sup_max:.4f} <= {threshold:.4f}, control {control:.2f}, "
                f"{elapsed:.0f}s")
+
+
+def test_que_control_localized_fails(tmp_path):
+    # W=3 on the README's N = 495: eigenvectors localize on a few blocks, so
+    # their block masses miss the share W/N by far more than the threshold.
+    # que_epsilon = -3 widens the window to hold pairs in every replica;
+    # at W=1 the window is empty in 2 of 3 replicas, which fails the
+    # verdict for vacuity instead of localization
+    code, raw, _ = run_command(tmp_path, "que", W=3, n=165, replicas=3,
+                               parallelism=1, checks={"que_epsilon": -3})
+    rep = json.loads(raw)
+    assert code == 1 and rep["pass"] is False and rep["failures"] == []
+    assert rep["vacuous_bound"] is False and rep["empty_windows"] == 0
+    assert rep["overlap_dev_sq_max"] > rep["threshold"]
 
 
 def test_c13_quantum_diffusion(diffusion_run):

@@ -1,3 +1,4 @@
+import itertools
 import sys
 import threading
 import time
@@ -17,7 +18,7 @@ from bandlab.montecarlo import (GreenSolveError, block_traces, build_band,
                                 locallaw_replica_fn, que_replica_fn)
 from bandlab.lattice import project_matrix
 from bandlab.profiles import KERNELS, VarianceProfile, block_flat_profile
-from oracles import block_sites
+from oracles import block_sites, dense_H
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +48,11 @@ def windowed(band, H, window):
 def dense_band(N):
     """The band of one N-site block: every entry in the support, one layer."""
     return build_band(mean_field_profile(BlockLattice(d=1, W=N, n=1)))
+
+
+def drawn_rows(band, rng):
+    """H drawn into a fresh LayerRows, the one form green takes."""
+    return sample_H(band, rng, out=mc.LayerRows(band))
 
 
 class TestStreams:
@@ -130,12 +136,13 @@ class TestSampleH:
 class TestGreen:
     def test_zero_matrix(self):
         z = 0.3 + 0.5j
-        gf = green(dense_band(8), np.zeros((8, 8)), z)
+        band = dense_band(8)
+        gf = green(band, mc.LayerRows(band), z)
         assert np.abs(gf.G + np.eye(8) / z).max() < 1e-14
 
     def test_imaginary_sign(self, band_small):
         lat, band = band_small
-        H = sample_H(band, stream_for(3, 0))
+        H = drawn_rows(band, stream_for(3, 0))
         gf = green(band, H, 0.1 + 0.2j)
         assert np.trace(gf.G).imag > 0
         gf2 = green(band, H, 0.1 - 0.2j)
@@ -146,28 +153,29 @@ class TestGreen:
         lat = BlockLattice(d=1, W=4, n=8)
         prof = build_translation_invariant(lat, KERNELS["uniform"], 1)
         band = build_band(prof)
-        H = sample_H(band, stream_for(11, 0))
+        H = drawn_rows(band, stream_for(11, 0))
         z = -0.2 + 0.15j
         gf = green(band, H, z)
-        evals, evecs = np.linalg.eigh(H)
+        evals, evecs = np.linalg.eigh(dense_H(H))
         G2 = (evecs / (evals - z)) @ evecs.conj().T
         assert np.abs(gf.G - G2).max() < 1e-9
 
     def test_real_z_rejected(self):
+        band = dense_band(4)
         with pytest.raises(ValueError):
-            green(dense_band(4), np.zeros((4, 4)), 0.5)
+            green(band, mc.LayerRows(band), 0.5)
 
     def test_ward_gate(self, band_small):
         lat, band = band_small
         for r in range(5):
-            gf = green(band, sample_H(band, stream_for(21, r)), 0.2j)
+            gf = green(band, drawn_rows(band, stream_for(21, r)), 0.2j)
             assert ward_gate_residual(gf) < 1e-10
 
 
 class TestSampleObservables:
     def test_block_traces_oracle(self, band_small):
         lat, band = band_small
-        gf = green(band, sample_H(band, stream_for(9, 0)), 0.5j)
+        gf = green(band, drawn_rows(band, stream_for(9, 0)), 0.5j)
         bt = block_traces(lat, gf.G)
         for a in range(lat.n):
             direct = np.diagonal(gf.G)[block_sites(lat, a)].sum() / lat.W
@@ -188,7 +196,7 @@ class TestSampleObservables:
         lat, band = band_small
         z = 0.1 + 0.4j
         fn, _ = locallaw_replica_fn(band, z)
-        G = green(band, sample_H(band, stream_for(3, 0)), z).G
+        G = green(band, drawn_rows(band, stream_for(3, 0)), z).G
         dense = np.abs(G - stieltjes_m(z) * np.eye(lat.N)) ** 2
         assert np.array_equal(fn(0, stream_for(3, 0))["entry_sq"], dense)
 
@@ -467,7 +475,7 @@ class TestRunEnsemble:
         # diffusion projects G o G^T block row by block row; the dense
         # product is the oracle, on the README band and on a d = 2 band
         band = _band_of(model)
-        G = green(band, sample_H(band, stream_for(20260809, 0)), 0.2j).G
+        G = green(band, drawn_rows(band, stream_for(20260809, 0)), 0.2j).G
         assert mc._project_gg(band, G).tobytes() == \
             project_matrix(band.lattice, G * G.T).tobytes()
 
@@ -484,7 +492,7 @@ class TestAdjointConsistency:
     def test_green_conjugate_z(self, band_small):
         # G(conj z) equals the adjoint of G(z) for Hermitian H
         lat, band = band_small
-        H = sample_H(band, stream_for(41, 0))
+        H = drawn_rows(band, stream_for(41, 0))
         z = 0.4 + 0.3j
         g1 = green(band, H, z)
         g2 = green(band, H, np.conj(z))
@@ -496,9 +504,10 @@ class TestTwoDimensional:
         lat = BlockLattice(d=2, W=3, n=3)
         prof = build_translation_invariant(lat, KERNELS["uniform"], 1)
         band = build_band(prof)
-        H = sample_H(band, stream_for(55, 0))
+        rows = drawn_rows(band, stream_for(55, 0))
+        H = dense_H(rows)
         assert np.array_equal(H, H.conj().T)
-        gf = green(band, H, 0.1 + 0.4j)
+        gf = green(band, rows, 0.1 + 0.4j)
         assert ward_gate_residual(gf) < 1e-10
         bt = block_traces(lat, gf.G)
         assert bt.shape == (9,)
@@ -561,8 +570,9 @@ class TestLoopConvergence:
         reps = 1200
         acc = {tr: 0j for tr in triples}
         acc2 = {tr: 0.0 for tr in triples}
+        rows = mc.LayerRows(band)
         for r in range(reps):
-            gf = green(band, sample_H(band, stream_for(314, r)), z)
+            gf = green(band, sample_H(band, stream_for(314, r), out=rows), z)
             mats = (gf.G, gf.G.conj().T, gf.G)
             for tr in triples:
                 # W^-3 tr(G E_a G^* E_b G E_c) through the block slices
@@ -585,12 +595,6 @@ def _band_of(model):
     d, W, n, cutoff = model
     return build_band(build_translation_invariant(
         BlockLattice(d=d, W=W, n=n), KERNELS["uniform"], cutoff))
-
-
-def _ring_band(name):
-    """The band of one of the _RING_LATTICES."""
-    model, _ = _RING_LATTICES[name]
-    return dense_band(6) if model is None else _band_of(model)
 
 
 def _dense_green(H, z):
@@ -635,25 +639,20 @@ _RING_LATTICES = {
 class TestBandHotPath:
     @pytest.mark.parametrize("name", sorted(_RING_LATTICES))
     def test_ring_green_matches_dense_solve(self, name):
-        model, cuts = _RING_LATTICES[name]
-        if model is None:
-            band = dense_band(6)
-        else:
-            d, W, n, cutoff = model
-            band = build_band(build_translation_invariant(
-                BlockLattice(d=d, W=W, n=n), KERNELS["uniform"], cutoff))
-        assert band.cuts == cuts
+        band = _ring_band(name)
+        assert band.cuts == _RING_LATTICES[name][1]
         for r, z in enumerate((0.1 + 0.2j, -0.7 + 0.05j)):
-            H = sample_H(band, stream_for(8, r))
+            H = drawn_rows(band, stream_for(8, r))
             gf = green(band, H, z)
-            assert np.abs(gf.G - _dense_green(H, z)).max() < 1e-12
-            assert abs(gf.residual - _dense_residual(H, gf.G, z)) < 1e-14
+            dense = dense_H(H)
+            assert np.abs(gf.G - _dense_green(dense, z)).max() < 1e-12
+            assert abs(gf.residual - _dense_residual(dense, gf.G, z)) < 1e-14
 
     def test_block_residual_sees_every_entry(self):
         # a wrong entry anywhere in G shows in the block residual as in the
         # dense one: anywhere, in the ring-wrap couplings of block 0 with
         # block n^d - 1 and back, and in the rows of every run of block
-        # 0's plan; (d, W, n, cutoff), those runs, and the entries
+        # 0; (d, W, n, cutoff), those runs, and the entries
         cases = [((1, 5, 5, 1), [(0, 10), (20, 25)],
                   [(0, 0), (3, 21), (24, 7), (2, 22), (22, 2)]),
                  ((2, 3, 5, 2), [(0, 108), (126, 153), (171, 225)],
@@ -661,8 +660,8 @@ class TestBandHotPath:
         for (d, W, n, cutoff), runs, entries in cases:
             band = build_band(build_translation_invariant(
                 BlockLattice(d=d, W=W, n=n), KERNELS["uniform"], cutoff))
-            assert [(r.start, r.stop) for r in band.plan[0]] == runs
-            H = sample_H(band, stream_for(8, 0))
+            assert list(band.runs[0]) == runs
+            H = drawn_rows(band, stream_for(8, 0))
             G = green(band, H, 0.2j).G
             for x, y in entries:
                 bad = G.copy()
@@ -671,7 +670,8 @@ class TestBandHotPath:
                     z=0.2j, G=bad,
                     peak=mc._residual_peak(band, H, bad, 0.2j)).residual
                 assert res > 1e-7
-                assert abs(res - _dense_residual(H, bad, 0.2j)) < 1e-14
+                assert abs(res - _dense_residual(dense_H(H), bad, 0.2j)) \
+                    < 1e-14
 
     @pytest.mark.parametrize("which", ["first", "middle", "closure"])
     def test_one_corrupted_pivot_fails_the_solve(self, band_small,
@@ -690,14 +690,16 @@ class TestBandHotPath:
 
         monkeypatch.setattr(mc, "_inverse", corrupt)
         with pytest.raises(GreenSolveError, match="resolvent residual"):
-            green(band, sample_H(band, stream_for(8, 0)), 0.2j)
+            green(band, drawn_rows(band, stream_for(8, 0)), 0.2j)
         # one inverse per layer: the chain pivots in order, then S
         assert [len(P) for P in calls] == list(np.diff(band.cuts))
 
     def test_nan_H_raises(self, band_small):
         lat, band = band_small
+        H = mc.LayerRows(band)
+        H.data[:] = np.nan
         with pytest.raises(GreenSolveError):
-            green(band, np.full((lat.N, lat.N), np.nan + 0j), 0.2j)
+            green(band, H, 0.2j)
 
     @pytest.mark.parametrize("factory", [locallaw_replica_fn,
                                          diffusion_replica_fn])
@@ -722,7 +724,7 @@ class TestBandHotPath:
         # one (4), with H finite: the block residual is NaN wherever its
         # chunk falls, and green's gate raises on it
         lat, band = band_small
-        H = sample_H(band, stream_for(8, 0))
+        H = drawn_rows(band, stream_for(8, 0))
         x = block * lat.block_volume + 1
         G = green(band, H, 0.2j).G.copy()
         G[x, 7] = np.nan
@@ -740,17 +742,29 @@ class TestBandHotPath:
 
     @pytest.mark.parametrize("name", sorted(_RING_LATTICES))
     def test_groups_partition_the_plan(self, name):
-        # every block lies in exactly one group, and a group's runs, at
-        # offsets from each block's first site, are that block's runs
+        # the residual's chunks take every block once, in order, with that
+        # block's runs; the runs hold all of its block row of H, and the
+        # chunk reads each run at start + j advance for its block j
         band = _ring_band(name)
         wd = band.lattice.block_volume
-        blocks = [a for group, _ in band.groups for a in group]
+        H = drawn_rows(band, stream_for(8, 0))
+        dense = dense_H(H)
+        blocks = []
+        for x, k, width, runs in band.layers.chunks:
+            for j in range(k):
+                a = x // wd + j
+                blocks.append(a)
+                assert [(lo, hi) for lo, hi, _, _ in runs] == \
+                    list(band.runs[a])
+                row = dense[a * wd:(a + 1) * wd].copy()
+                for lo, hi, start, advance in runs:
+                    at = start + j * advance + width * np.arange(wd)[:, None]
+                    cols = slice(a * wd + lo, a * wd + hi)
+                    assert H.data[at + np.arange(hi - lo)].tobytes() == \
+                        row[:, cols].tobytes()
+                    row[:, cols] = 0
+                assert (row == 0).all()
         assert blocks == list(range(band.lattice.block_count))
-        for group, runs in band.groups:
-            assert len(group) >= 1
-            for a in group:
-                assert [(r.start, r.stop) for r in band.plan[a]] == \
-                    [(a * wd + lo, a * wd + hi) for lo, hi in runs]
 
     @pytest.mark.parametrize("model, groups", [
         # the README band: the two ring-wrap blocks and the interior
@@ -762,9 +776,18 @@ class TestBandHotPath:
         ((2, 5, 9, 2), 45),
     ])
     def test_groups_of_known_bands(self, model, groups):
+        # a group is a stretch of consecutive blocks whose runs lie at the
+        # same offsets from each block's first site; no chunk leaves one
         band = _band_of(model)
-        found = [(g.start, g.stop) for g, _ in band.groups]
+        found, first = [], 0
+        for _, same in itertools.groupby(band.runs):
+            found.append((first, first + len(list(same))))
+            first = found[-1][1]
         assert (len(found) if isinstance(groups, int) else found) == groups
+        wd = band.lattice.block_volume
+        for x, k, _, _ in band.layers.chunks:
+            assert any(lo <= x // wd and x // wd + k <= hi
+                       for lo, hi in found)
 
     def test_readme_config_draws_only_the_support(self):
         lat = BlockLattice(d=1, W=33, n=15)
@@ -817,7 +840,6 @@ class TestLayerRows:
             assert rows.data.tobytes() == before
             assert np.abs(gf.G - _dense_green(H, z)).max() < 1e-12
             assert abs(gf.residual - _dense_residual(H, gf.G, z)) < 1e-14
-            assert gf.G.tobytes() == green(band, H, z).G.tobytes()
 
     @pytest.mark.parametrize("model, widths, size", [
         # 15 layers of 33 sites over 99 columns: a fifth of N x N
@@ -857,19 +879,26 @@ class TestLayerRows:
 
 # C-level calls of one README-config replica after its thread's first, as
 # sys.setprofile sees them (c_call events: builtins and methods of C
-# types; ufunc calls are not among them), with numpy 2.4.6. A replica
-# that drew into a dense H made 427 (locallaw) and 455 (diffusion); each
-# small call hands the GIL to the other worker threads, so no change may
-# add any.
-_REPLICA_C_CALLS = {"locallaw": 427, "diffusion": 455}
+# types; ufunc calls are not among them), with numpy 2.4.6. Each small
+# call hands the GIL to the other worker threads, so no change may add
+# any. A resolvent replica that drew into a dense H made 427 (locallaw)
+# and 455 (diffusion); deloc's replica 1 made 769, and que's replica 3,
+# whose window holds one pair, 1718.
+_REPLICA_C_CALLS = {"locallaw": 427, "diffusion": 455, "deloc": 769,
+                    "que": 1718}
 
 
 @pytest.mark.parametrize("command", sorted(_REPLICA_C_CALLS))
 def test_replica_numpy_calls_do_not_grow(command):
-    band = build_band(_readme_profile())
-    factory = {"locallaw": locallaw_replica_fn,
-               "diffusion": diffusion_replica_fn}[command]
-    fn, _ = factory(band, 0.1j)
+    profile = _readme_profile()
+    band = build_band(profile)
+    fn, _ = {
+        "locallaw": lambda: locallaw_replica_fn(band, 0.1j),
+        "diffusion": lambda: diffusion_replica_fn(band, 0.1j),
+        "deloc": lambda: deloc_replica_fn(band, (-1.5, 1.5)),
+        "que": lambda: que_replica_fn(band, _que_window(profile, 0.1)),
+    }[command]()
+    first, second = (2, 3) if command == "que" else (0, 1)
     calls = []
 
     def count(frame, event, arg):
@@ -877,13 +906,15 @@ def test_replica_numpy_calls_do_not_grow(command):
             calls.append(arg)
 
     with mc._single_threaded_blas():
-        fn(0, stream_for(20260809, 0))
+        fn(first, stream_for(20260809, first))
         sys.setprofile(count)
         try:
-            fn(1, stream_for(20260809, 1))
+            out = fn(second, stream_for(20260809, second))
         finally:
             sys.setprofile(None)
     assert 0 < len(calls) <= _REPLICA_C_CALLS[command]
+    if command == "que":
+        assert out["window_count"] == 1
 
 
 class TestWorkerBuffers:
@@ -910,15 +941,9 @@ class TestWorkerBuffers:
 
     @pytest.mark.parametrize("name", sorted(_RING_LATTICES))
     def test_green_into_a_buffer_is_bitwise_green(self, name):
-        model, _ = _RING_LATTICES[name]
-        if model is None:
-            band = dense_band(6)
-        else:
-            d, W, n, cutoff = model
-            band = build_band(build_translation_invariant(
-                BlockLattice(d=d, W=W, n=n), KERNELS["uniform"], cutoff))
+        band = _ring_band(name)
         N = band.lattice.N
-        H = sample_H(band, stream_for(8, 0))
+        H = drawn_rows(band, stream_for(8, 0))
         # NaN everywhere: every entry of G must be written
         G = np.full((N, N), np.nan, dtype=complex)
         gf = green(band, H, 0.1 + 0.2j, out=G)
@@ -1038,7 +1063,7 @@ class TestWorkerBuffers:
         # W^d x N buffers, and H's diagonal is shifted in its own storage
         band = build_band(_readme_profile())
         lat = band.lattice
-        H = sample_H(band, stream_for(20260809, 0), out=mc.LayerRows(band))
+        H = drawn_rows(band, stream_for(20260809, 0))
         G = np.empty((lat.N, lat.N), dtype=complex)
         peak = _second_call_peak(green, [(band, H, 0.2j, G)] * 2)
         assert peak < 2 * lat.block_volume * lat.N * 16
