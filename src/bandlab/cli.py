@@ -163,6 +163,8 @@ def _check_required(cfg):
             raise ConfigError(f"[{sec}] {key} = {cfg[sec][key]:g} must be > 0")
     if cfg["mc"]["replicas"] < 1:
         raise ConfigError("[mc] replicas must be >= 1")
+    if cfg["mc"]["master_seed"] < 0:
+        raise ConfigError("[mc] master_seed must be >= 0")
     if cfg["mc"]["parallelism"] is None:
         env = os.environ.get("BANDLAB_THREADS", "").strip()
         cfg["mc"]["parallelism"] = int(env) if env \
@@ -681,6 +683,8 @@ def main(argv=None) -> int:
         else:
             cfg = parse_config(args.config)
         if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError("--seed must be >= 0")
             cfg["mc"]["master_seed"] = args.seed
         if args.replicas is not None:
             if args.replicas < 1:

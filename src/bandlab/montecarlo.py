@@ -18,9 +18,8 @@ its :class:`LayerRows`: each layer's rows over the columns of the layer
 and its two ring neighbours, all that the solve reads of H. Each worker
 thread keeps the buffers of its command: for ``locallaw`` and
 ``diffusion``, H's :class:`LayerRows` and an N x N G, with the solve's
-scratch buffer of two W^d x N block rows; a Fortran-ordered H and
-zheevr's eigenvectors for ``deloc``; a dense H for ``que``, whose ring
-products read all of it.
+scratch buffer of two W^d x N block rows; for ``deloc`` and ``que``, one
+dense C-ordered H, and zheevr's eigenvectors once a window takes them.
 
 Replica threads share the GIL, and numpy releases it around every call on
 more than a few hundred numbers, so each small call of a replica is a
@@ -35,15 +34,14 @@ product per run, and |G|^2 is formed once per replica
 residual's normalisation max(1, max|G|) can only lower max|(H - z)G - I|,
 so a solve forms it only when that peak is above the tolerance.
 
-``deloc``'s windowed eigenpairs come from LAPACK zheevr (Dhillon-Parlett
-MRRR for the whole spectrum), called through ctypes in that same OpenBLAS
-on H's own storage, which it overwrites below the diagonal; a numpy build
-without it falls back to ``np.linalg.eigh``. ``que``'s
-narrow window comes from the same ring of layers: a block LDL^H of H - s
-at a real shift s, with its pivots factored by LAPACK zhetrf, counts the
-eigenvalues below s by their inertia, and its solves drive shift-invert
-subspace iteration at the window's centre. The inertia counts at the
-window's edges check ``deloc``'s zheevr count and fix ``que``'s.
+``deloc`` and ``que`` read the eigenpairs in a window through one
+:func:`eigen_stats`. A block LDL^H of H - s at a real shift s on the same
+ring of layers, with its pivots factored by LAPACK zhetrf, counts the
+eigenvalues below s by their inertia, and the count at the window's edges
+picks the solver: a wide window (``deloc``'s) takes every pair from
+LAPACK zheevr (Dhillon-Parlett MRRR), called through ctypes in that same
+OpenBLAS on H's own storage, and a narrow one (``que``'s) runs
+shift-invert subspace iteration at its centre on the ring's solves.
 """
 
 from __future__ import annotations
@@ -648,11 +646,15 @@ class _EigenBuffers(NamedTuple):
 
 
 def _eigen_buffers(N: int) -> _EigenBuffers:
-    """Fresh :class:`_EigenBuffers` for N x N."""
-    lib = _openblas()
-    return _EigenBuffers(
-        np.empty(N), np.empty((N, N), dtype=complex, order="F"),
-        np.empty(2 * N, dtype=lib.lapack_int if lib else np.int64))
+    """The calling thread's :class:`_EigenBuffers` for N x N, made on its
+    first call there; no call reads what an earlier one left in them."""
+    out = getattr(_scratch, "eigen", None)
+    if out is None or out.w.size != N:
+        lib = _openblas()
+        out = _scratch.eigen = _EigenBuffers(
+            np.empty(N), np.empty((N, N), dtype=complex, order="F"),
+            np.empty(2 * N, dtype=lib.lapack_int if lib else np.int64))
+    return out
 
 
 def _zheevr(lib: _OpenBLAS, a: np.ndarray, out: _EigenBuffers):
@@ -834,20 +836,18 @@ class EigenStats:
 
 
 def _finite_norm(H: np.ndarray) -> float:
-    """||H||_F; EigenSolveError when H is not finite. np.vdot copies an
-    array that is not C-ordered, so a Fortran-ordered H is passed as H.T,
-    whose norm is the same."""
+    """||H||_F; EigenSolveError when H is not finite."""
     norm = math.sqrt(np.vdot(H, H).real)
     if not math.isfinite(norm):
         raise EigenSolveError("H is not finite")
     return norm
 
 
-def _probed(band: Band, H: np.ndarray, diag: np.ndarray, norm: float,
+def _probed(band: Band, H: np.ndarray, diag: np.ndarray, scale: float,
             evals: np.ndarray, vectors: np.ndarray) -> EigenStats:
     """The :class:`EigenStats` of the pairs (evals, vectors) once they pass
-    the probe max|H(Vc) - V(Lc)| / max(1, ||H||_F) <= tolerance for c =
-    (1, ..., 1); EigenSolveError otherwise.
+    the probe max|H(Vc) - V(Lc)| / scale <= tolerance for c = (1, ..., 1),
+    where ``scale`` is max(1, ||H||_F); EigenSolveError otherwise.
 
     H must vanish off the band. H(Vc) is applied from H's strict upper
     triangle on the band's support and from ``diag``, H's diagonal, so H's
@@ -858,7 +858,7 @@ def _probed(band: Band, H: np.ndarray, diag: np.ndarray, norm: float,
     upper = H[band.rows, band.cols]
     np.add.at(hx, band.rows, upper * x[band.cols])
     np.add.at(hx, band.cols, upper.conj() * x[band.rows])
-    resid = float(np.abs(hx - vectors @ evals).max() / max(1.0, norm))
+    resid = float(np.abs(hx - vectors @ evals).max() / scale)
     if not resid <= _RESIDUAL_TOL:
         raise EigenSolveError(f"eigenpair residual {resid:.3e} above "
                               f"{_RESIDUAL_TOL:.1e}")
@@ -883,77 +883,82 @@ def _sup_norms(band: Band, vectors: np.ndarray) -> np.ndarray:
     return np.square(sup, out=sup)
 
 
-def eigen_stats(band: Band, H: np.ndarray, window: tuple[float, float],
-                norm: float, out: _EigenBuffers) -> EigenStats:
-    """The eigenvectors of H with eigenvalues in ``window`` (closed) and
+# A window of more than _ALL_PAIRS_SHARE N eigenvalues takes every pair
+# from zheevr, a narrower one shift-invert. Measured with the inertia count
+# on both sides (one BLAS thread), the two cross near k = 8-9 at N = 495
+# and near k = 32 at N = 2025, both about N / 64.
+_ALL_PAIRS_SHARE = 1 / 64
+
+
+def eigen_stats(band: Band, H: np.ndarray,
+                window: tuple[float, float]) -> EigenStats:
+    """The eigenpairs of H with eigenvalues in ``window`` (closed) and
     their sup-norms.
 
-    H is Fortran-ordered and vanishes off the band, as :func:`sample_H`
-    draws it into a zeroed Fortran-ordered buffer, and ``norm`` is its
-    ||H||_F, from :func:`_finite_norm`. Every pair comes from LAPACK zheevr
-    (MRRR) in numpy's bundled OpenBLAS, on H's own storage, or from the
-    full ``np.linalg.eigh`` without that routine. zheevr overwrites H's
-    lower triangle and diagonal; the probe of :func:`_probed` reads the
-    strict upper triangle, which it leaves, and the diagonal saved before
-    the call. The pairs are written into ``out``, and the window is the run
-    of eigenvalues in it: ``vectors`` is a view of out's eigenvectors.
+    H is C-ordered and vanishes off the band, as :func:`sample_H` draws it
+    into a zeroed buffer. The window's count k comes from the inertia of
+    H - hi and H - lo on the band's layer ring (:class:`_RingLDL`); an
+    eigenvalue on an edge makes a pivot singular and raises, and an empty
+    window stops there. The solver is picked by k (spectrum slicing:
+    Parlett, The Symmetric Eigenvalue Problem, 1980):
 
-    Raises EigenSolveError when LAPACK reports a failure or when the
-    windowed pairs fail the probe.
-    """
-    diag = H.diagonal().copy()
-    lib = _openblas()
-    if lib is None or lib.zheevr is None:
-        evals, evecs = np.linalg.eigh(H)
-    else:
-        evals, evecs = _zheevr(lib, H, out)
-    # the eigenvalues come in ascending order
-    first = np.searchsorted(evals, window[0])
-    end = np.searchsorted(evals, window[1], "right")
-    return _probed(band, H, diag, norm, evals[first:end],
-                   evecs[:, first:end])
-
-
-def _window_count(band: Band, H: np.ndarray, window: tuple[float, float],
-                  tol: float) -> int:
-    """#{lambda(H) in [lo, hi]} from the inertia of H - hi and H - lo; an
-    eigenvalue on an edge makes a pivot singular and raises."""
-    lo, hi = window
-    return (_RingLDL(band, H, hi, tol).negatives
-            - _RingLDL(band, H, lo, tol).negatives)
-
-
-def _ring_window_stats(band: Band, H: np.ndarray,
-                       window: tuple[float, float]) -> EigenStats:
-    """:func:`eigen_stats` of a narrow window from the band's layer ring,
-    with no N x N eigensolve.
-
-    The window's count k comes from the inertia at its two edges; an
-    empty window stops there. Otherwise shift-invert subspace iteration at
-    the window's centre (Ericsson-Ruhe, Math. Comp. 35, 1980) runs on a
-    block of p = k + (k + 4) vectors, whose start is drawn from a fixed
-    generator, never from the replica's stream. Each step solves by
-    :class:`_RingLDL`, takes the Rayleigh-Ritz pairs of (H - centre)^-1,
-    whose k of largest modulus are the window's, and refines those k by
-    Rayleigh-Ritz with H. They converge with factors |lambda - centre| /
-    |lambda_p+1 - centre|, which the guard k + 4 keeps below about a half
-    on an even spectrum. The solves are refined once the residuals of the
-    k pairs, |Hv - theta v|, reach 1e-9 ||H||_F or stop halving, and the
-    iteration stops one step after they first reach 1e-14 ||H||_F.
+    - Above ``_ALL_PAIRS_SHARE`` N, every pair comes from LAPACK zheevr
+      (MRRR) in numpy's bundled OpenBLAS, or from ``np.linalg.eigh``
+      without that routine. zheevr reads H's storage as the
+      Fortran-ordered H.T, which is conj(H) for a Hermitian H, so it finds
+      H's eigenvalues and the conjugates of its eigenvectors, written into
+      the thread's eigen buffers. It overwrites H's upper triangle and
+      diagonal: the probe applies conj(H) from H's strict lower triangle,
+      which it leaves, and the diagonal saved before the call; then H is
+      zeroed, and the window's vectors, a view of the thread's buffer, are
+      conjugated in place. zheevr's window count must equal k.
+    - Otherwise shift-invert subspace iteration at the window's centre
+      (Ericsson-Ruhe, Math. Comp. 35, 1980) runs on a block of p = k +
+      (k + 4) vectors, whose start is drawn from a fixed generator, never
+      from the replica's stream. Each step solves by :class:`_RingLDL`,
+      takes the Rayleigh-Ritz pairs of (H - centre)^-1, whose k of largest
+      modulus are the window's, and refines those k by Rayleigh-Ritz with
+      H. They converge with factors |lambda - centre| / |lambda_p+1 -
+      centre|, which the guard k + 4 keeps below about a half on an even
+      spectrum. The solves are refined once the residuals of the k pairs,
+      |Hv - theta v|, reach 1e-9 ||H||_F or stop halving, and the
+      iteration stops one step after they first reach 1e-14 ||H||_F.
 
     Raises EigenSolveError for a non-finite H, a pivot singular at a shift,
-    no convergence within the iteration cap, one of the k Ritz values
-    outside the window, a count of Ritz values in the window other than k,
-    or a failed probe.
+    a LAPACK failure, a zheevr count other than k, no convergence within
+    the iteration cap, one of the k Ritz values outside the window, a count
+    of Ritz values in the window other than k, or a failed probe.
     """
     norm = _finite_norm(H)
-    tol = _SINGULAR_TOL * max(1.0, norm)
+    scale = max(1.0, norm)
+    tol = _SINGULAR_TOL * scale
     lo, hi = window
     N = H.shape[0]
-    k = _window_count(band, H, window, tol)
+    k = (_RingLDL(band, H, hi, tol).negatives
+         - _RingLDL(band, H, lo, tol).negatives)
     if k == 0:
-        return _probed(band, H, np.diagonal(H), norm, np.zeros(0),
+        return _probed(band, H, np.diagonal(H), scale, np.zeros(0),
                        np.zeros((N, 0), dtype=complex))
+    if k > _ALL_PAIRS_SHARE * N:
+        diag, lib = H.diagonal().copy(), _openblas()
+        try:
+            if lib is None or lib.zheevr is None:
+                evals, evecs = np.linalg.eigh(H.T)
+            else:
+                evals, evecs = _zheevr(lib, H.T, _eigen_buffers(N))
+            # the eigenvalues come in ascending order
+            first = np.searchsorted(evals, lo)
+            end = np.searchsorted(evals, hi, "right")
+            if end - first != k:
+                raise EigenSolveError(f"zheevr found {end - first} "
+                                      f"eigenvalues in the window, the "
+                                      f"inertia counts {k}")
+            stats = _probed(band, H.T, diag, scale, evals[first:end],
+                            evecs[:, first:end])
+        finally:
+            H.fill(0.0)
+        np.negative(stats.vectors.imag, out=stats.vectors.imag)
+        return stats
     centre = (lo + hi) / 2
     ring = _RingLDL(band, H, centre, tol)
     p = min(N, 2 * k + 4)
@@ -992,7 +997,7 @@ def _ring_window_stats(band: Band, H: np.ndarray,
     if inside != k:
         raise EigenSolveError(f"{inside} Ritz values in the window, the "
                               f"inertia counts {k}")
-    return _probed(band, H, np.diagonal(H), norm, theta, V)
+    return _probed(band, H, np.diagonal(H), scale, theta, V)
 
 
 def diffusion_predictions(profile: VarianceProfile, z: complex):
@@ -1146,41 +1151,44 @@ def _per_thread(make):
     return get
 
 
-def _worker_buffers(band: Band):
-    """buffers() -> the calling thread's (H, G): H's :class:`LayerRows`
-    and an N x N complex G, allocated on its first call there. The layer
-    map is made here, before any worker needs it."""
+def _resolvent_replica_fn(band: Band, z: complex, observe):
+    """fn(replica, rng) -> observe(gf) and the Ward residual, for the
+    GreenFunction gf of the replica's H at z.
+
+    Each worker thread keeps H's :class:`LayerRows` and an N x N complex G,
+    allocated on its first replica; the layer map is made here, before any
+    worker needs it. The Ward residual is taken before ``observe`` runs,
+    so an observable may write into |G|^2; none aliases H or G."""
     N = band.lattice.N
     band.layers
-    return _per_thread(lambda: (LayerRows(band),
-                                np.empty((N, N), dtype=complex)))
-
-
-def locallaw_replica_fn(band: Band, z: complex):
-    """Local-law observables: per-block trace residuals and entrywise law.
-
-    H and G live in per-worker buffers; no observable aliases them."""
-    lattice = band.lattice
-    m = stieltjes_m(z)
-    diag = np.diag_indices(lattice.N)
-    buffers = _worker_buffers(band)
+    buffers = _per_thread(lambda: (LayerRows(band),
+                                   np.empty((N, N), dtype=complex)))
 
     def fn(replica, rng):
         H, G = buffers()
         gf = green(band, sample_H(band, rng, out=H), z, out=G)
         ward = ward_gate_residual(gf)
+        return {**observe(gf), "ward_residual": ward}
+
+    return fn
+
+
+def locallaw_replica_fn(band: Band, z: complex):
+    """Local-law observables: per-block trace residuals and entrywise law."""
+    lattice = band.lattice
+    m = stieltjes_m(z)
+    diag = np.diag_indices(lattice.N)
+
+    def observe(gf):
         # |G - m I|^2 without an N x N identity: only the diagonal shifts.
         # The Ward gate has read |G|^2, so the replica's array is reused
         entry_sq = gf.abs2
-        entry_sq[diag] = np.abs(np.diagonal(G) - m) ** 2
-        return {
-            "block_residual": np.abs(block_traces(lattice, G) - m),
-            "entry_sq": entry_sq,
-            "ward_residual": ward,
-        }
+        entry_sq[diag] = np.abs(np.diagonal(gf.G) - m) ** 2
+        return {"block_residual": np.abs(block_traces(lattice, gf.G) - m),
+                "entry_sq": entry_sq}
 
-    return fn, {"block_residual": "mean", "entry_sq": "sum",
-                "ward_residual": "each"}
+    return _resolvent_replica_fn(band, z, observe), {
+        "block_residual": "mean", "entry_sq": "sum", "ward_residual": "each"}
 
 
 def _project_gg(band: Band, G: np.ndarray) -> np.ndarray:
@@ -1201,68 +1209,52 @@ def _project_gg(band: Band, G: np.ndarray) -> np.ndarray:
 
 
 def diffusion_replica_fn(band: Band, z: complex):
-    """Quantum-diffusion observables: block-pair averages of |G|^2, G G.
-
-    H and G live in per-worker buffers; no observable aliases them."""
+    """Quantum-diffusion observables: block-pair averages of |G|^2, G G."""
     lattice = band.lattice
     wd = lattice.block_volume
-    buffers = _worker_buffers(band)
 
-    def fn(replica, rng):
-        H, G = buffers()
-        gf = green(band, sample_H(band, rng, out=H), z, out=G)
-        abs2 = project_matrix(lattice, gf.abs2) / wd
-        gg = _project_gg(band, G) / wd
-        return {"abs2": abs2, "gg": gg,
-                "ward_residual": ward_gate_residual(gf)}
+    def observe(gf):
+        return {"abs2": project_matrix(lattice, gf.abs2) / wd,
+                "gg": _project_gg(band, gf.G) / wd}
 
-    return fn, {"abs2": "mean", "gg": "mean", "ward_residual": "each"}
+    return _resolvent_replica_fn(band, z, observe), {
+        "abs2": "mean", "gg": "mean", "ward_residual": "each"}
 
 
-def deloc_replica_fn(band: Band, window: tuple[float, float]):
-    """Delocalization observables: windowed eigenvector sup-norms.
+def _eigen_replica_fn(band: Band, window: tuple[float, float], observe):
+    """fn(replica, rng) -> observe(stats) and the window count, for the
+    :func:`eigen_stats` of the replica's H in ``window``.
 
-    Each worker thread keeps a Fortran-ordered H, which zheevr reads in
-    place, and zheevr's eigenvectors. zheevr overwrites H's lower triangle,
-    so H is zeroed before each draw. zheevr's window count is checked
-    against the inertia count at the window's edges; a dropped or
-    duplicated eigenvalue fails the replica."""
+    Each worker thread keeps one zeroed C-ordered H. zheevr, when the
+    window's count picks it, overwrites H and eigen_stats zeroes it again,
+    so each draw starts from zeros off the band."""
     N = band.lattice.N
-    buffers = _per_thread(lambda: (
-        np.zeros((N, N), dtype=complex, order="F"), _eigen_buffers(N)))
-
-    def fn(replica, rng):
-        H, out = buffers()
-        H.fill(0.0)
-        H = sample_H(band, rng, out=H)
-        norm = _finite_norm(H.T)
-        # counted before zheevr overwrites H
-        count = _window_count(band, H, window,
-                              _SINGULAR_TOL * max(1.0, norm))
-        # the window holds most of the spectrum: MRRR for all pairs
-        stats = eigen_stats(band, H, window, norm, out)
-        k = stats.sup_norms.size
-        if k != count:
-            raise EigenSolveError(f"zheevr found {k} eigenvalues in the "
-                                  f"window, the inertia counts {count}")
-        sup = float(stats.sup_norms.max()) if k else 0.0
-        return {"sup_norm_sq": sup, "window_count": k}
-
-    return fn, {"sup_norm_sq": "each", "window_count": "each"}
-
-
-def que_replica_fn(band: Band, window: tuple[float, float]):
-    """QUE observables: worst block-mass overlap deviation in the window,
-    whose pairs come from the band's layer ring
-    (:func:`_ring_window_stats`). Each worker thread keeps its H."""
-    lattice = band.lattice
-    share = lattice.block_volume / lattice.N
-    N = lattice.N
     buffers = _per_thread(lambda: np.zeros((N, N), dtype=complex))
 
     def fn(replica, rng):
-        H = sample_H(band, rng, out=buffers())
-        stats = _ring_window_stats(band, H, window)
+        stats = eigen_stats(band, sample_H(band, rng, out=buffers()), window)
+        return {**observe(stats), "window_count": stats.sup_norms.size}
+
+    return fn
+
+
+def deloc_replica_fn(band: Band, window: tuple[float, float]):
+    """Delocalization observables: the largest windowed eigenvector
+    sup-norm."""
+    def observe(stats):
+        return {"sup_norm_sq": float(stats.sup_norms.max(initial=0.0))}
+
+    return _eigen_replica_fn(band, window, observe), {
+        "sup_norm_sq": "each", "window_count": "each"}
+
+
+def que_replica_fn(band: Band, window: tuple[float, float]):
+    """QUE observables: worst block-mass overlap deviation in the
+    window."""
+    lattice = band.lattice
+    share = lattice.block_volume / lattice.N
+
+    def observe(stats):
         k = stats.sup_norms.size
         dev = 0.0
         if k:
@@ -1270,6 +1262,7 @@ def que_replica_fn(band: Band, window: tuple[float, float]):
             U = stats.vectors.reshape(lattice.block_count, -1, k)
             overlaps = U.conj().transpose(0, 2, 1) @ U
             dev = float(np.abs(overlaps - share * np.eye(k)).max())
-        return {"overlap_dev_sq": dev**2, "window_count": k}
+        return {"overlap_dev_sq": dev**2}
 
-    return fn, {"overlap_dev_sq": "each", "window_count": "each"}
+    return _eigen_replica_fn(band, window, observe), {
+        "overlap_dev_sq": "each", "window_count": "each"}

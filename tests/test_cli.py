@@ -161,6 +161,17 @@ class TestExitCodes:
         cfg = write_config(tmp_path / "c.ini")
         assert main(["locallaw", "--config", cfg, "--replicas", "0"]) == 2
 
+    @pytest.mark.parametrize("route", ["config", "override"])
+    def test_negative_seed_exit_2(self, route, tmp_path, capsys):
+        # SeedSequence refuses a negative seed, which would fail every
+        # replica and exit 1 as a failed check
+        seed = {"master_seed": -3} if route == "config" else {}
+        cfg = write_config(tmp_path / "c.ini", mc=seed)
+        extra = ["--seed", "-3"] if route == "override" else []
+        assert main(["locallaw", "--config", cfg, *extra]) == 2
+        assert "must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "locallaw.json").exists()
+
     @pytest.mark.parametrize("kind", ["translation_invariant",
                                       "wegner_orbital", "block_flat"])
     def test_arithmetic_overflow_exit_2(self, kind, tmp_path, capsys):
@@ -752,10 +763,14 @@ class TestMonteCarloCommands:
                    for _, msg in rep["failures"]
                    for count in [int(msg.rsplit(" ", 1)[1])])
 
-    def test_que_with_pairs_is_byte_identical_across_parallelism(self,
-                                                                 tmp_path):
-        # que_epsilon = -1 puts a few pairs in every window, so every
-        # replica runs shift-invert from its fixed start block
+    def test_que_with_pairs_is_byte_identical_across_parallelism(
+            self, tmp_path, monkeypatch):
+        # que_epsilon = -1 puts a few pairs in every window, and every
+        # replica runs shift-invert from its fixed start block: at N = 25
+        # the crossover would take every pair from zheevr, so it is moved
+        import bandlab.montecarlo as mc
+
+        monkeypatch.setattr(mc, "_ALL_PAIRS_SHARE", 1.0)
         reports = []
         for par in (1, 2, 8):
             out = tmp_path / f"par{par}"

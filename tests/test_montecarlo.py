@@ -1,3 +1,4 @@
+import gc
 import itertools
 import sys
 import threading
@@ -39,10 +40,8 @@ def block_overlap(stats, lattice, a):
 
 
 def windowed(band, H, window):
-    """eigen_stats of H as deloc runs it: on a Fortran-ordered copy, which
-    zheevr overwrites, with H's norm."""
-    return eigen_stats(band, np.asfortranarray(H), window,
-                       mc._finite_norm(H), mc._eigen_buffers(len(H)))
+    """eigen_stats of a copy of H, which the all-pairs path zeroes."""
+    return eigen_stats(band, H.copy(), window)
 
 
 def dense_band(N):
@@ -249,8 +248,7 @@ class TestSampleObservables:
         # the batched product over every block gives the per-block bits
         lat, band = band_small
         fn, _ = que_replica_fn(band, window)
-        stats = mc._ring_window_stats(band, sample_H(band, stream_for(16, 0)),
-                                      window)
+        stats = eigen_stats(band, sample_H(band, stream_for(16, 0)), window)
         k = stats.sup_norms.size
         assert k > 0
         target = lat.block_volume / lat.N * np.eye(k)
@@ -883,7 +881,9 @@ class TestLayerRows:
 # call hands the GIL to the other worker threads, so no change may add
 # any. A resolvent replica that drew into a dense H made 427 (locallaw)
 # and 455 (diffusion); deloc's replica 1 made 769, and que's replica 3,
-# whose window holds one pair, 1718.
+# whose window holds one pair, 1718. With the garbage collector paused
+# around the counted call, so that no other object's finalizer is counted,
+# they make 402, 430, 769 and 1717.
 _REPLICA_C_CALLS = {"locallaw": 427, "diffusion": 455, "deloc": 769,
                     "que": 1718}
 
@@ -907,11 +907,14 @@ def test_replica_numpy_calls_do_not_grow(command):
 
     with mc._single_threaded_blas():
         fn(first, stream_for(20260809, first))
+        gc.collect()
+        gc.disable()
         sys.setprofile(count)
         try:
             out = fn(second, stream_for(20260809, second))
         finally:
             sys.setprofile(None)
+            gc.enable()
     assert 0 < len(calls) <= _REPLICA_C_CALLS[command]
     if command == "que":
         assert out["window_count"] == 1
@@ -1024,9 +1027,9 @@ class TestWorkerBuffers:
 
     @pytest.mark.parametrize("command", ["deloc", "que"])
     def test_eigen_replica_peak_stays_below_one_n_by_n(self, command):
-        # after the thread's first replica, deloc draws into the thread's
-        # Fortran-ordered H and zheevr writes into the thread's buffers, and
-        # que draws into the thread's H: neither allocates an N x N array.
+        # after the thread's first replica, deloc and que draw into the
+        # thread's H, and deloc's zheevr writes into the thread's buffers:
+        # neither allocates an N x N array.
         # que's replica 3 holds one pair in its window
         profile = _readme_profile()
         band = build_band(profile)
@@ -1045,9 +1048,9 @@ class TestWorkerBuffers:
 
     def test_deloc_replica_on_an_overwritten_buffer_is_a_fresh_draw(
             self, band_small):
-        # zheevr leaves garbage below the diagonal of the thread's H, off
-        # the band too; each replica on that buffer gives the bits of the
-        # same replica run on a fresh one
+        # zheevr leaves garbage above the diagonal of the thread's H, off
+        # the band too, until it is zeroed; each replica on that buffer
+        # gives the bits of the same replica run on a fresh one
         lat, band = band_small
         fn, _ = deloc_replica_fn(band, (-1.5, 1.5))
         for r in range(4):
@@ -1139,11 +1142,14 @@ def _que_deviations(band, vectors):
                   - share * np.eye(vectors.shape[1]))
 
 
-def _window_stats(band, H, window, all_pairs):
-    """deloc's eigen_stats (every pair by zheevr) or que's ring window."""
-    if all_pairs:
+def _window_stats(band, H, window, all_pairs=None):
+    """eigen_stats of a copy of H on the solver that the crossover picks
+    (``all_pairs`` None), or forced through the crossover share: every pair
+    by zheevr (True) or shift-invert (False)."""
+    with pytest.MonkeyPatch.context() as mp:
+        if all_pairs is not None:
+            mp.setattr(mc, "_ALL_PAIRS_SHARE", 0.0 if all_pairs else 1.0)
         return windowed(band, H, window)
-    return mc._ring_window_stats(band, H, window)
 
 
 def _assert_matches_eigh(band, H, window, all_pairs):
@@ -1172,8 +1178,10 @@ needs_zheevr = pytest.mark.skipif(
 
 
 class TestEigenSolver:
-    """Both window paths against np.linalg.eigh, their oracle: eigen_stats
-    (zheevr's every pair, ``all_pairs``) and que's ring window."""
+    """Both solvers of eigen_stats against np.linalg.eigh, their oracle:
+    zheevr's every pair (``all_pairs``) and shift-invert on the layer
+    ring, each forced through the crossover share, and the crossover
+    rule that picks between them."""
 
     @pytest.mark.parametrize("seed", [20260809, 1, 2])
     def test_readme_config_windows(self, seed):
@@ -1197,6 +1205,39 @@ class TestEigenSolver:
         assert _assert_matches_eigh(band, H, (-10.0, 10.0),
                                     all_pairs) == lat.N
 
+    @pytest.mark.parametrize("k,solver", [(2, "shift-invert"),
+                                          (3, "zheevr")])
+    def test_the_window_count_picks_the_solver(self, monkeypatch, k, solver):
+        # N = 128: a window of at most N / 64 = 2 pairs runs shift-invert,
+        # the only path that solves on the ring, a wider one zheevr
+        band = build_band(build_translation_invariant(
+            BlockLattice(d=1, W=8, n=16), KERNELS["uniform"], 1))
+        H = sample_H(band, stream_for(36, 0))
+        edges = np.sort(np.abs(np.linalg.eigvalsh(H)))
+        half = (edges[k - 1] + edges[k]) / 2
+        solves, solve = [], mc._RingLDL.solve
+        monkeypatch.setattr(mc._RingLDL, "solve", lambda self, *args: (
+            solves.append(1), solve(self, *args))[1])
+        assert _assert_matches_eigh(band, H, (-half, half), None) == k
+        assert bool(solves) == (solver == "shift-invert")
+
+    def test_an_empty_deloc_window_skips_zheevr(self, band_small,
+                                                monkeypatch):
+        # the inertia count stops an empty window before any eigensolve
+        lat, band = band_small
+        eigh = np.linalg.eigh
+
+        def refuse(a, *args):
+            if len(a) == lat.N:
+                raise AssertionError("an N x N eigensolve of an empty window")
+            return eigh(a, *args)
+
+        monkeypatch.setattr(mc, "_zheevr", lambda lib, a, out: refuse(a))
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        fn, _ = deloc_replica_fn(band, (5.0, 6.0))
+        assert fn(0, stream_for(37, 0)) == {"sup_norm_sq": 0.0,
+                                            "window_count": 0}
+
     @pytest.mark.parametrize("profile", ["d2", "wegner_orbital"])
     @pytest.mark.parametrize("all_pairs", [True, False])
     def test_other_profiles(self, profile, all_pairs):
@@ -1215,7 +1256,7 @@ class TestEigenSolver:
 
     @pytest.mark.parametrize("lookup", ["none", "no_zheevr"])
     def test_falls_back_to_eigh(self, band_small, monkeypatch, lookup):
-        # deloc's eigen_stats; que's ring window never calls an N x N solver
+        # the all-pairs path; shift-invert never calls an N x N solver
         lat, band = band_small
         H = sample_H(band, stream_for(18, 0))
         lib = mc._openblas()
@@ -1237,7 +1278,9 @@ class TestEigenSolver:
         ref = evecs[:, (evals >= -1.0) & (evals <= 1.0)]
         stats = windowed(band, H, (-1.0, 1.0))
         assert np.array_equal(stats.vectors, ref)
-        assert calls == [(lat.N, lat.N)]
+        # one N x N eigh; without any LAPACKE routine the inertia count's
+        # W x W pivots take eigh too
+        assert [c for c in calls if c != (lat.W, lat.W)] == [(lat.N, lat.N)]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("factory", [deloc_replica_fn, que_replica_fn])
@@ -1273,13 +1316,12 @@ class TestEigenSolver:
 
     @needs_zheevr
     def test_row_major_H_is_refused(self, band_small):
-        # zheevr would read a C-ordered H as its transpose and overwrite
-        # the upper triangle that the probe reads
+        # LAPACK reads its argument column-major: eigen_stats passes the
+        # Fortran-ordered view H.T, and a C-ordered array is refused
         lat, band = band_small
         H = sample_H(band, stream_for(20, 0))
         with pytest.raises(ValueError, match="Fortran-ordered"):
-            eigen_stats(band, H, (-1.0, 1.0), mc._finite_norm(H),
-                        mc._eigen_buffers(lat.N))
+            mc._zheevr(mc._openblas(), H, mc._eigen_buffers(lat.N))
 
     @pytest.mark.parametrize("all_pairs", [True, False])
     def test_corrupted_eigenvector_trips_the_probe(self, band_small,
@@ -1322,7 +1364,7 @@ _WINDOW_BANDS = ["readme", "d1-reach2-uneven", "d2-W3-n5", "wegner_orbital",
 
 
 class TestRingWindow:
-    """que's window from the band's layer ring: inertia counts, shift-invert
+    """Windows from the band's layer ring: inertia counts, shift-invert
     pairs, and the failures that fail a replica."""
 
     @pytest.mark.parametrize("name", _WINDOW_BANDS)
@@ -1403,11 +1445,11 @@ class TestRingWindow:
                                                  monkeypatch):
         lat, band = band_small
         H = sample_H(band, stream_for(34, 0))
-        assert mc._ring_window_stats(band, H, (-0.5, 0.5)).vectors.shape[1]
+        assert _window_stats(band, H, (-0.5, 0.5), False).vectors.shape[1]
         monkeypatch.setattr(mc, "_MAX_ITERATIONS", 2)
         with pytest.raises(mc.EigenSolveError,
                            match="did not converge in 2 steps"):
-            mc._ring_window_stats(band, H, (-0.5, 0.5))
+            _window_stats(band, H, (-0.5, 0.5), False)
 
     @pytest.mark.parametrize("error,match", [
         (1, "Ritz value .* outside the window"),
@@ -1417,16 +1459,22 @@ class TestRingWindow:
         # value outside the window, one too low one Ritz value too many in it
         lat, band = band_small
         H = sample_H(band, stream_for(34, 0))
-        count = mc._window_count
-        assert count(band, H, (-0.5, 0.5), 1e-12) > 2
-        monkeypatch.setattr(mc, "_window_count",
-                            lambda *args: count(*args) + error)
-        with pytest.raises(mc.EigenSolveError, match=match):
-            mc._ring_window_stats(band, H, (-0.5, 0.5))
+        assert _window_stats(band, H, (-0.5, 0.5), False).vectors.shape[1] > 2
 
-    def test_start_block_draws_nothing_from_the_replica_stream(self,
-                                                              band_small):
+        class Miscounted(mc._RingLDL):
+            def __init__(self, band, H, shift, tol):
+                super().__init__(band, H, shift, tol)
+                if shift == 0.5:
+                    self.negatives += error
+
+        monkeypatch.setattr(mc, "_RingLDL", Miscounted)
+        with pytest.raises(mc.EigenSolveError, match=match):
+            _window_stats(band, H, (-0.5, 0.5), False)
+
+    def test_start_block_draws_nothing_from_the_replica_stream(
+            self, band_small, monkeypatch):
         lat, band = band_small
+        monkeypatch.setattr(mc, "_ALL_PAIRS_SHARE", 1.0)
         fn, _ = que_replica_fn(band, (-0.5, 0.5))
         used, fresh = stream_for(35, 0), stream_for(35, 0)
         assert fn(0, used)["window_count"] > 0
@@ -1447,4 +1495,4 @@ class TestRingWindow:
         monkeypatch.setattr(mc._RingLDL, "solve",
                             lambda self, R, refine=True: solve(self, R, False))
         with pytest.raises(mc.EigenSolveError, match="did not converge"):
-            mc._ring_window_stats(band, H, window)
+            _window_stats(band, H, window, False)
