@@ -152,15 +152,17 @@ def _check_required(cfg):
             f"lie in [0, 1/(2d)) = [0, {1 / (2 * model['d']):g}) at "
             f"d = {model['d']}: the 2d neighbor blocks leave the diagonal "
             f"block the mass 1 - 2d*neighbor_weight")
-    for sec, keys in (("spectral", ("E", "eta", "kappa", "epsilon0",
-                                    "t_values")),
+    for sec, keys in (("spectral", ("E", "eta", "kappa", "epsilon0")),
                       ("checks", ("deloc_window", "que_epsilon"))):
         for key in keys:
-            if not all(math.isfinite(v) for v in np.atleast_1d(cfg[sec][key])):
+            if not math.isfinite(cfg[sec][key]):
                 raise ConfigError(f"[{sec}] {key} must be finite")
     for sec, key in (("spectral", "eta"), ("checks", "deloc_window")):
         if cfg[sec][key] <= 0:
             raise ConfigError(f"[{sec}] {key} = {cfg[sec][key]:g} must be > 0")
+    # a flow time lies in (0, 1); NaN and infinities fail this too
+    if not all(0 < t < 1 for t in cfg["spectral"]["t_values"]):
+        raise ConfigError("[spectral] each t_values entry must lie in (0, 1)")
     if cfg["mc"]["replicas"] < 1:
         raise ConfigError("[mc] replicas must be >= 1")
     if cfg["mc"]["master_seed"] < 0:

@@ -42,6 +42,7 @@ _RESIDUAL_TOL = 1e-10
 _STACK_CHUNK = 16        # matrices per solve in theta_entrywise
 _CHARGE_NAMES = {"+": 1, "-": -1, 1: 1, -1: -1, "+1": 1, "-1": -1}
 _PAIR_SEED = 7           # finite_difference_report's block-pair subsample
+_MAX_PAIRS = 4096        # and its cap on the pairs of each ratio
 
 
 class PropagatorError(ValueError):
@@ -545,8 +546,7 @@ def _modulus(z: np.ndarray) -> np.ndarray:
 
 
 def finite_difference_report(lattice: BlockLattice, th: np.ndarray,
-                             lam: float, t: float,
-                             max_pairs: int = 4096) -> FiniteDifferenceReport:
+                             lam: float, t: float) -> FiniteDifferenceReport:
     """Finite-difference smoothness ratios of Theta(0, .) against the
     predicted (lambda^2 + 1 - t)^-1 modulus of continuity.
 
@@ -558,17 +558,17 @@ def finite_difference_report(lattice: BlockLattice, th: np.ndarray,
     denom = lam**2 + 1.0 - t
     dist = lattice.block_distance_matrix
     bracket = dist[0] + 1
-    # every unordered block pair, or a seeded subsample of max_pairs of them
+    # every unordered block pair, or a seeded subsample of _MAX_PAIRS of them
     x, y = np.triu_indices(m, 1)
-    if x.size > max_pairs:
+    if x.size > _MAX_PAIRS:
         rng = np.random.default_rng(_PAIR_SEED)
-        pick = rng.choice(x.size, size=max_pairs, replace=False)
+        pick = rng.choice(x.size, size=_MAX_PAIRS, replace=False)
         x, y = x[pick], y[pick]
     edge = bracket ** (lattice.d - 1)
     r1 = (_modulus(th[x] - th[y]) * denom * (edge[x] + edge[y])
           / dist[x, y]).max(initial=0.0)
-    # the first max_pairs cells (x, [y] != 0) in row-major order
-    count2 = min(max_pairs, m * (m - 1))
+    # the first _MAX_PAIRS cells (x, [y] != 0) in row-major order
+    count2 = min(_MAX_PAIRS, m * (m - 1))
     x, y = np.divmod(np.arange(count2), max(m - 1, 1))
     y += 1
     shift = lattice.block_offset_matrix      # shift[a, b] = [b] - [a]

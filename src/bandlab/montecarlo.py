@@ -36,11 +36,12 @@ so a solve forms it only when that peak is above the tolerance.
 
 ``deloc`` and ``que`` read the eigenpairs in a window through one
 :func:`eigen_stats`. A block LDL^H of H - s at a real shift s on the same
-ring of layers, with its pivots factored by LAPACK zhetrf, counts the
-eigenvalues below s by their inertia, and the count at the window's edges
-picks the solver: a wide window (``deloc``'s) takes every pair from
-LAPACK zheevr (Dhillon-Parlett MRRR), called through ctypes in that same
-OpenBLAS on H's own storage, and a narrow one (``que``'s) runs
+ring of layers, with H's diagonal shifted in place as for the resolvent and
+its pivots factored by LAPACK zhetrf, counts the eigenvalues below s by
+their inertia. The count at the window's edges ends an empty window, and
+picks the solver of any other: a wide window (``deloc``'s) takes every
+pair from LAPACK zheevr (Dhillon-Parlett MRRR), called through ctypes in
+that same OpenBLAS on H's own storage, and a narrow one (``que``'s) runs
 shift-invert subspace iteration at its centre on the ring's solves.
 """
 
@@ -414,7 +415,7 @@ def green(band: Band, H: LayerRows, z: complex,
     last, M, N = len(lay) - 1, cuts[-2], cuts[-1]
     G = np.empty((N, N), dtype=complex) if out is None else out
     buf = _worker_scratch(_CHUNK_BLOCKS * wd, N)
-    with _shifted(H, z):
+    with _shifted(H.data, band.layers.diag, z):
         A = H.block  # block (i, j) of H - z, a view
 
         # a chain pivot is kept negated in G until the fill reaches it: Up_k
@@ -477,10 +478,10 @@ def _identity(n: int) -> np.ndarray:
 
 
 @contextmanager
-def _shifted(H: LayerRows, z: complex):
-    """H - z in H's own storage for the body: the diagonal is shifted in
-    place and restored bit for bit from a copy afterwards."""
-    data, diag = H.data, H.band.layers.diag
+def _shifted(data: np.ndarray, diag: np.ndarray, z: complex):
+    """H - z in H's own storage for the body: H's flat buffer ``data`` is
+    shifted in place at ``diag``, an index array of its diagonal's positions
+    (a slice would save a view), and restored bit for bit from a copy."""
     saved = data[diag]
     data[diag] = saved - z
     try:
@@ -543,7 +544,7 @@ def _residual_peak(band: Band, H: LayerRows, G: np.ndarray,
     chunks, data = band.layers.chunks, H.data
     item = data.itemsize
     peaks = np.empty(len(chunks))
-    with _shifted(H, z):
+    with _shifted(data, band.layers.diag, z):
         for c, (a, k, width, runs) in enumerate(chunks):
             R, prod = buf[:k * wd], buf[k * wd:2 * k * wd]
             for i, (lo, hi, start, advance) in enumerate(runs):
@@ -725,7 +726,8 @@ class _RingLDL:
     closes with S = A_LL - B'T^-1 B = A_LL - Y'Z. By Sylvester's law and
     Haynsworth's inertia additivity (Linear Algebra Appl. 1, 1968),
     ``negatives``, the count of negative eigenvalues of the P_k and of S,
-    is #{lambda(H) < shift}.
+    is #{lambda(H) < shift}. The constructor reads A_ij, the blocks of H -
+    shift, as views of the C-ordered H with its diagonal in :func:`_shifted`.
 
     :meth:`solve` applies (H - shift)^-1 from the same pieces. Elimination
     across layers without pivoting loses digits when a chain pivot is
@@ -751,25 +753,22 @@ class _RingLDL:
             Y[lay[e]] = self.A(e, last)
         self.Z = Z = np.empty_like(Y)
         self.inv, self.up = [], []     # P_k^-1 and P_k^-1 A_k,k+1
-        for k in range(last):
-            P = self.A(k, k)
-            if k:
-                below = self.A(k, k - 1)
-                P -= below @ self.up[-1]
-                Y[lay[k]] -= below @ Z[lay[k - 1]]
-            self.inv.append(self._factor(P))
-            np.matmul(self.inv[k], Y[lay[k]], out=Z[lay[k]])
-            if k < last - 1:
-                self.up.append(self.inv[k] @ self.A(k, k + 1))
-        self.S_inv = self._factor(self.A(last, last) - Y.conj().T @ Z)
+        with _shifted(H.reshape(-1), np.arange(0, H.size, len(H) + 1), shift):
+            for k in range(last):
+                P = self.A(k, k)
+                if k:
+                    below = self.A(k, k - 1)
+                    P = P - below @ self.up[-1]
+                    Y[lay[k]] -= below @ Z[lay[k - 1]]
+                self.inv.append(self._factor(P))
+                np.matmul(self.inv[k], Y[lay[k]], out=Z[lay[k]])
+                if k < last - 1:
+                    self.up.append(self.inv[k] @ self.A(k, k + 1))
+            self.S_inv = self._factor(self.A(last, last) - Y.conj().T @ Z)
 
     def A(self, i, j):
-        """Block (i, j) of H - shift."""
-        blk = self.H[self.lay[i], self.lay[j]]
-        if i == j:
-            blk = blk.copy()
-            blk.ravel()[::len(blk) + 1] -= self.shift
-        return blk
+        """Block (i, j) of H, a view: of H - shift in the constructor."""
+        return self.H[self.lay[i], self.lay[j]]
 
     def _factor(self, P):
         negatives, inv = _pivot(P)
@@ -937,8 +936,8 @@ def eigen_stats(band: Band, H: np.ndarray,
     k = (_RingLDL(band, H, hi, tol).negatives
          - _RingLDL(band, H, lo, tol).negatives)
     if k == 0:
-        return _probed(band, H, np.diagonal(H), scale, np.zeros(0),
-                       np.zeros((N, 0), dtype=complex))
+        return EigenStats(sup_norms=np.zeros(0),
+                          vectors=np.zeros((N, 0), dtype=complex))
     if k > _ALL_PAIRS_SHARE * N:
         diag, lib = H.diagonal().copy(), _openblas()
         try:

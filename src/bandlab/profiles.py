@@ -113,11 +113,11 @@ class VarianceProfile:
     def row_sum_deviation(self) -> float:
         return float(np.abs(self.row_sums - 1.0).max())
 
-    def scaled(self, factor: float, builder: str | None = None) -> "VarianceProfile":
+    def scaled(self, factor: float) -> "VarianceProfile":
         return VarianceProfile(
             self.lattice,
             {off: factor * blk for off, blk in self.blocks.items()},
-            builder=builder or self.builder,
+            builder=self.builder,
             builder_params=dict(self.builder_params),
         )
 

@@ -48,12 +48,10 @@ def digest(obj) -> str:
     return hashlib.sha256(obj.encode("utf-8")).hexdigest()
 
 
-def write_json(path: str, obj) -> str:
-    text = canonical_json(obj)
+def write_json(path: str, obj) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    return text
+        fh.write(canonical_json(obj))
 
 
 def fmt_float(x) -> str:

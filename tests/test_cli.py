@@ -940,14 +940,15 @@ def _ini(sections):
 
 
 def _run(text, command):
-    """Exit code of ``command`` on config ``text``, and its report if any."""
+    """Exit code of ``command`` on config ``text``, and its report, or None
+    when the command wrote no file at all."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "c.ini")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         out = os.path.join(tmp, "out")
         code = main([command, "--config", path, "--out", out])
-        if not os.path.exists(os.path.join(out, f"{command}.json")):
+        if not (os.path.isdir(out) and os.listdir(out)):
             return code, None
         return code, read_json(out, f"{command}.json")
 
@@ -982,7 +983,7 @@ def _malformed(draw):
     sections = _base()
     kind = draw(st.sampled_from(["section", "key", "value", "size", "d",
                                  "type", "header", "nonfinite",
-                                 "nonpositive"]))
+                                 "nonpositive", "flowtime"]))
     if kind == "section":
         sections[draw(_NAMES.filter(lambda s: s not in _SCHEMA))] = {"a": 1}
     elif kind == "key":
@@ -1012,6 +1013,9 @@ def _malformed(draw):
         sec, key = draw(st.sampled_from([("spectral", "eta"),
                                          ("checks", "deloc_window")]))
         sections[sec] = {key: draw(st.sampled_from(["0", "-0.0", "-0.2"]))}
+    elif kind == "flowtime":
+        sections["spectral"] = {"t_values": draw(st.sampled_from(
+            ["1.2", "1", "0", "-0.0", "-0.5", "0.5, 1.0", "0.3, -0.1"]))}
     else:
         return _ini(sections).split("\n", 1)[1]
     return _ini(sections)
@@ -1038,6 +1042,12 @@ class TestExitCodeContract:
              command="deloc")
     @example(text=_ini({**_window_base(), "checks": {"que_epsilon": "nan"}}),
              command="que")
+    # flow times outside (0, 1) parsed: kloop passed at t = 1.2, and theta
+    # wrote its t = 0.5 files before it failed at t = 1.0
+    @example(text=_ini({**_base(), "spectral": {"t_values": "1.2"}}),
+             command="kloop")
+    @example(text=_ini({**_base(), "spectral": {"t_values": "0.5, 1.0"}}),
+             command="theta")
     # cutoff 0 built a diagonal profile, and validate and locallaw exited 1
     @example(text=_DIAGONAL, command="validate")
     @example(text=_DIAGONAL, command="locallaw")

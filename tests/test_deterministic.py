@@ -766,13 +766,15 @@ class TestFiniteDifferenceVectorized:
                                                   (2, 3, 11, 2)])
     @pytest.mark.parametrize("pair", [(1, -1), (1, 1)])
     @pytest.mark.parametrize("max_pairs", [4096, 50])
-    def test_bit_identical_to_loops(self, d, W, n, cutoff, pair, max_pairs):
+    def test_bit_identical_to_loops(self, monkeypatch, d, W, n, cutoff, pair,
+                                    max_pairs):
         # d=2, n=11: 7260 pairs and 14520 cells, so both caps apply
         lat = BlockLattice(d=d, W=W, n=n)
         prof = build_translation_invariant(lat, KERNELS["uniform"], cutoff)
         lam = np.sqrt(interaction_strength(prof))
         th = theta(prof, 0.5, pair, M_FLOW)
-        rep = finite_difference_report(lat, th, lam, 0.5, max_pairs)
+        monkeypatch.setattr("bandlab.deterministic._MAX_PAIRS", max_pairs)
+        rep = finite_difference_report(lat, th, lam, 0.5)
         assert (rep.max_first_ratio, rep.max_second_ratio) == \
             loop_finite_differences(lat, th, lam, 0.5, max_pairs)
 

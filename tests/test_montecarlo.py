@@ -880,12 +880,12 @@ class TestLayerRows:
 # types; ufunc calls are not among them), with numpy 2.4.6. Each small
 # call hands the GIL to the other worker threads, so no change may add
 # any. A resolvent replica that drew into a dense H made 427 (locallaw)
-# and 455 (diffusion); deloc's replica 1 made 769, and que's replica 3,
-# whose window holds one pair, 1718. With the garbage collector paused
-# around the counted call, so that no other object's finalizer is counted,
-# they make 402, 430, 769 and 1717.
-_REPLICA_C_CALLS = {"locallaw": 427, "diffusion": 455, "deloc": 769,
-                    "que": 1718}
+# and 455 (diffusion). With the garbage collector paused around the
+# counted call, so that no other object's finalizer is counted, they make
+# 402 and 430, deloc's replica 1 makes 691, and que's replica 3, whose
+# window holds one pair, 1600, since the inertia count shifts H in place.
+_REPLICA_C_CALLS = {"locallaw": 427, "diffusion": 455, "deloc": 691,
+                    "que": 1600}
 
 
 @pytest.mark.parametrize("command", sorted(_REPLICA_C_CALLS))
@@ -1238,6 +1238,19 @@ class TestEigenSolver:
         assert fn(0, stream_for(37, 0)) == {"sup_norm_sq": 0.0,
                                             "window_count": 0}
 
+    @pytest.mark.parametrize("factory", [deloc_replica_fn, que_replica_fn])
+    def test_an_empty_window_makes_no_probe(self, band_small, monkeypatch,
+                                            factory):
+        # the count ends an empty window: it has no pair to probe
+        lat, band = band_small
+
+        def refuse(*args):
+            raise AssertionError("a probe of an empty window")
+
+        monkeypatch.setattr(mc, "_probed", refuse)
+        fn, _ = factory(band, (5.0, 6.0))
+        assert fn(0, stream_for(37, 0))["window_count"] == 0
+
     @pytest.mark.parametrize("profile", ["d2", "wegner_orbital"])
     @pytest.mark.parametrize("all_pairs", [True, False])
     def test_other_profiles(self, profile, all_pairs):
@@ -1359,6 +1372,12 @@ def _ring_band(name):
         BlockLattice(d=d, W=W, n=n), KERNELS["uniform"], cutoff))
 
 
+def _edge_H(lat):
+    """Block diagonal, each block a quarter of the all-ones W x W matrix:
+    at W = 5 its eigenvalues are 1.25 and 0 exactly."""
+    return np.kron(np.eye(lat.n), np.full((lat.W, lat.W), 0.25)) + 0j
+
+
 _WINDOW_BANDS = ["readme", "d1-reach2-uneven", "d2-W3-n5", "wegner_orbital",
                  "one-layer", "d1-ring-of-3"]
 
@@ -1371,10 +1390,13 @@ class TestRingWindow:
     def test_inertia_counts_and_solves_match_the_dense_oracle(self, name):
         band = _ring_band(name)
         H = sample_H(band, stream_for(31, 0))
+        drawn = H.tobytes()
         evals = np.linalg.eigvalsh(H)
         Y = np.random.default_rng(3).standard_normal((len(H), 4)) + 0j
         for shift in (-2.5, -0.41, 0.0, 0.173, 1.2):
             ldl = mc._RingLDL(band, H, shift, 1e-12)
+            # the count shifts H's diagonal in place and restores it
+            assert H.tobytes() == drawn
             assert ldl.negatives == (evals < shift).sum()
             X = ldl.solve(Y)
             assert np.abs(H @ X - shift * X - Y).max() < 1e-12 * max(
@@ -1419,12 +1441,10 @@ class TestRingWindow:
     @pytest.mark.parametrize("factory", [deloc_replica_fn, que_replica_fn])
     def test_eigenvalue_on_a_window_edge_fails(self, band_small, monkeypatch,
                                                factory, window):
-        # failing control: H is block diagonal, each block a quarter of the
-        # all-ones W x W matrix, with eigenvalues 1.25 and 0 exactly; an
-        # edge on one of them makes a pivot singular there, and the shift
-        # is not moved to count past it
+        # failing control: an edge on one of _edge_H's eigenvalues makes a
+        # pivot singular there, and the shift is not moved to count past it
         lat, band = band_small
-        H = np.kron(np.eye(lat.n), np.full((lat.W, lat.W), 0.25)) + 0j
+        H = _edge_H(lat)
         def fixed(band, rng, out):
             out[...] = H
             return out
@@ -1440,6 +1460,17 @@ class TestRingWindow:
         res = run_ensemble(SampleConfig(master_seed=1, replicas=1),
                            *factory(band, (-0.5, 0.75)))
         assert res.values["window_count"].tolist() == [20]
+
+    def test_a_singular_pivot_leaves_H_as_it_was(self, band_small):
+        # the count raises at either eigenvalue of _edge_H, and H's
+        # diagonal, shifted in place, comes back bit for bit
+        lat, band = band_small
+        H = _edge_H(lat)
+        drawn = H.tobytes()
+        for shift in (0.0, 1.25):
+            with pytest.raises(mc.EigenSolveError, match="is singular"):
+                mc._RingLDL(band, H, shift, 1e-12)
+            assert H.tobytes() == drawn
 
     def test_no_convergence_within_the_cap_fails(self, band_small,
                                                  monkeypatch):
