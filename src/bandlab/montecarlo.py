@@ -13,13 +13,13 @@ A replica never forms the N x N profile: each command builds one
 and the resolvent comes from recursive Green's functions along a chain of
 layers, closed into their ring by a Schur complement, with its residual
 checked on views of H's and G's block rows. The order of the draws is
-versioned by ``STREAM_VERSION``. The resolvent path takes H in one form,
-its :class:`LayerRows`: each layer's rows over the columns of the layer
-and its two ring neighbours, all that the solve reads of H. Each worker
-thread keeps the buffers of its command: for ``locallaw`` and
-``diffusion``, H's :class:`LayerRows` and an N x N G, with the solve's
-scratch buffer of two W^d x N block rows; for ``deloc`` and ``que``, one
-dense C-ordered H, and zheevr's eigenvectors once a window takes them.
+versioned by ``STREAM_VERSION``. Every replica keeps H in one form, its
+:class:`LayerRows`: each layer's rows over the columns of the layer and
+its two ring neighbours, all that H holds off zero. Each worker thread
+keeps H's :class:`LayerRows` and a scratch buffer of two W^d x N block
+rows, and the buffers of its command: for ``locallaw`` and ``diffusion``
+an N x N G; for ``deloc`` and ``que``, once a window takes every pair,
+zheevr's N x N input and eigenvectors.
 
 Replica threads share the GIL, and numpy releases it around every call on
 more than a few hundred numbers, so each small call of a replica is a
@@ -41,8 +41,9 @@ its pivots factored by LAPACK zhetrf, counts the eigenvalues below s by
 their inertia. The count at the window's edges ends an empty window, and
 picks the solver of any other: a wide window (``deloc``'s) takes every
 pair from LAPACK zheevr (Dhillon-Parlett MRRR), called through ctypes in
-that same OpenBLAS on H's own storage, and a narrow one (``que``'s) runs
-shift-invert subspace iteration at its centre on the ring's solves.
+that same OpenBLAS on a dense copy of H's upper triangle, and a narrow
+one (``que``'s) runs shift-invert subspace iteration at its centre on the
+ring's solves, with H applied one layer's rows at a time.
 """
 
 from __future__ import annotations
@@ -177,8 +178,8 @@ class Band:
 
     @cached_property
     def layers(self) -> "_LayerMap":
-        """Where :class:`LayerRows` keeps H, made on first use: only the
-        resolvent path reads it."""
+        """Where :class:`LayerRows` keeps H, made on first use: each replica
+        factory makes it before any worker needs it."""
         cuts, N = self.cuts, self.lattice.N
         p = len(cuts) - 1
         # at[i, j]: the first column of layer j in layer i's rows
@@ -228,8 +229,10 @@ class Band:
                 (lo, hi, int(s), int(d))
                 for (lo, hi), s, d in zip(runs, held[0], advance))))
         diag = np.arange(N)
+        sites = tuple(np.concatenate([np.arange(cuts[j], cuts[j + 1])
+                                      for j in spans]) for spans in cols)
         return _LayerMap(base=tuple(base), width=tuple(width),
-                         cols=tuple(cols), size=size,
+                         cols=tuple(cols), sites=sites, size=size,
                          upper=flat(self.rows, self.cols),
                          lower=flat(self.cols, self.rows),
                          diag=flat(diag, diag), chunks=tuple(plan))
@@ -241,7 +244,8 @@ class _LayerMap(NamedTuple):
     Layer i's rows are kept over the columns of the layers it couples to,
     i - 1, i and i + 1 on the ring, in ascending site order: C-ordered from
     position ``base[i]``, ``width[i]`` columns a row. ``cols[i]`` maps each
-    of those layers j to the slice of its columns there, so A_ij is a view.
+    of those layers j to the slice of its columns there, so A_ij is a view,
+    and ``sites[i]`` lists the sites of those columns, in their order.
     ``upper``, ``lower`` and ``diag`` are the positions of the band's
     support (in the band's order), of its mirror image and of the diagonal.
     ``chunks`` is the residual plan on this storage: (x, k, width, ((lo,
@@ -253,6 +257,7 @@ class _LayerMap(NamedTuple):
     base: tuple
     width: tuple
     cols: tuple
+    sites: tuple
     size: int
     upper: np.ndarray
     lower: np.ndarray
@@ -321,8 +326,19 @@ class LayerRows:
         neighbours."""
         return self.rows[i][:, self.band.layers.cols[i][j]]
 
+    def __matmul__(self, V: np.ndarray) -> np.ndarray:
+        """H @ V for V of N rows: one product per layer, of its rows and
+        V's rows at the sites of their columns."""
+        out = np.empty(V.shape, dtype=complex)
+        cuts = self.band.cuts
+        for rows, sites, lo, hi in zip(self.rows, self.band.layers.sites,
+                                       cuts, cuts[1:]):
+            np.matmul(rows, V[sites], out=out[lo:hi])
+        return out
 
-def sample_H(band: Band, rng: np.random.Generator, out=None):
+
+def sample_H(band: Band, rng: np.random.Generator,
+             out: LayerRows) -> LayerRows:
     """Hermitian Gaussian matrix with E|H_xy|^2 = S_xy and E H_xy^2 = 0.
 
     Off-diagonal entries are complex with independent real/imaginary parts
@@ -331,26 +347,17 @@ def sample_H(band: Band, rng: np.random.Generator, out=None):
     diagonal: 2 |support| + N of them), so entries with S_xy = 0 are
     exactly zero.
 
-    With ``out``, an N x N complex buffer or :class:`LayerRows`, H is
-    written into it and only the support and the diagonal are written: a
-    buffer created zeroed and only ever filled by this band stays exactly
-    zero off the band. Without it H is a fresh dense array.
+    H is written into ``out``, the band's :class:`LayerRows`, and only
+    the support and the diagonal are written: layer rows created zeroed
+    and only ever filled by this band stay exactly zero off the band.
     """
-    N, k = band.lattice.N, band.rows.size
-    normals = rng.standard_normal(2 * k + N)
+    k, lay = band.rows.size, band.layers
+    normals = rng.standard_normal(2 * k + band.lattice.N)
     vals = (normals[:k] + 1j * normals[k:2 * k]) * band.sd
-    diag = normals[2 * k:] * band.diag_sd
-    if isinstance(out, LayerRows):
-        lay = band.layers
-        out.data[lay.upper] = vals
-        out.data[lay.lower] = vals.conj()
-        out.data[lay.diag] = diag
-        return out
-    H = np.zeros((N, N), dtype=complex) if out is None else out
-    H[band.rows, band.cols] = vals
-    H[band.cols, band.rows] = vals.conj()
-    H[np.diag_indices(N)] = diag
-    return H
+    out.data[lay.upper] = vals
+    out.data[lay.lower] = vals.conj()
+    out.data[lay.diag] = normals[2 * k:] * band.diag_sd
+    return out
 
 
 # ---- Green's function -----------------------------------------------------------
@@ -638,9 +645,11 @@ _COL_MAJOR = 102                   # LAPACK_COL_MAJOR
 
 
 class _EigenBuffers(NamedTuple):
-    """What an eigensolve of an N x N Hermitian H writes: the eigenvalues
-    ``w``, the Fortran-ordered eigenvectors ``z`` and zheevr's ``isuppz``."""
+    """What an eigensolve of an N x N Hermitian H reads and writes: the
+    C-ordered ``a`` that holds H, the eigenvalues ``w``, the
+    Fortran-ordered eigenvectors ``z`` and zheevr's ``isuppz``."""
 
+    a: np.ndarray
     w: np.ndarray
     z: np.ndarray
     isuppz: np.ndarray
@@ -653,7 +662,8 @@ def _eigen_buffers(N: int) -> _EigenBuffers:
     if out is None or out.w.size != N:
         lib = _openblas()
         out = _scratch.eigen = _EigenBuffers(
-            np.empty(N), np.empty((N, N), dtype=complex, order="F"),
+            np.empty((N, N), dtype=complex), np.empty(N),
+            np.empty((N, N), dtype=complex, order="F"),
             np.empty(2 * N, dtype=lib.lapack_int if lib else np.int64))
     return out
 
@@ -727,7 +737,8 @@ class _RingLDL:
     Haynsworth's inertia additivity (Linear Algebra Appl. 1, 1968),
     ``negatives``, the count of negative eigenvalues of the P_k and of S,
     is #{lambda(H) < shift}. The constructor reads A_ij, the blocks of H -
-    shift, as views of the C-ordered H with its diagonal in :func:`_shifted`.
+    shift, as views of H's :class:`LayerRows` with its diagonal in
+    :func:`_shifted`.
 
     :meth:`solve` applies (H - shift)^-1 from the same pieces. Elimination
     across layers without pivoting loses digits when a chain pivot is
@@ -739,9 +750,10 @@ class _RingLDL:
     never moved, as that would move the count at the window's edge.
     """
 
-    def __init__(self, band: Band, H: np.ndarray, shift: float, tol: float):
+    def __init__(self, band: Band, H: LayerRows, shift: float, tol: float):
         cuts = band.cuts
         self.H, self.shift, self.tol = H, shift, tol
+        self.A = H.block    # block (i, j) of H, a view: of H - shift below
         self.lay = lay = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
         self.last = last = len(lay) - 1
         self.M = M = cuts[-2]
@@ -753,7 +765,7 @@ class _RingLDL:
             Y[lay[e]] = self.A(e, last)
         self.Z = Z = np.empty_like(Y)
         self.inv, self.up = [], []     # P_k^-1 and P_k^-1 A_k,k+1
-        with _shifted(H.reshape(-1), np.arange(0, H.size, len(H) + 1), shift):
+        with _shifted(H.data, band.layers.diag, shift):
             for k in range(last):
                 P = self.A(k, k)
                 if k:
@@ -765,10 +777,6 @@ class _RingLDL:
                 if k < last - 1:
                     self.up.append(self.inv[k] @ self.A(k, k + 1))
             self.S_inv = self._factor(self.A(last, last) - Y.conj().T @ Z)
-
-    def A(self, i, j):
-        """Block (i, j) of H, a view: of H - shift in the constructor."""
-        return self.H[self.lay[i], self.lay[j]]
 
     def _factor(self, P):
         negatives, inv = _pivot(P)
@@ -834,30 +842,13 @@ class EigenStats:
     vectors: np.ndarray            # (N, windowed) eigenvectors in the window
 
 
-def _finite_norm(H: np.ndarray) -> float:
-    """||H||_F; EigenSolveError when H is not finite."""
-    norm = math.sqrt(np.vdot(H, H).real)
-    if not math.isfinite(norm):
-        raise EigenSolveError("H is not finite")
-    return norm
-
-
-def _probed(band: Band, H: np.ndarray, diag: np.ndarray, scale: float,
-            evals: np.ndarray, vectors: np.ndarray) -> EigenStats:
+def _probed(band: Band, H: LayerRows, scale: float, evals: np.ndarray,
+            vectors: np.ndarray) -> EigenStats:
     """The :class:`EigenStats` of the pairs (evals, vectors) once they pass
     the probe max|H(Vc) - V(Lc)| / scale <= tolerance for c = (1, ..., 1),
-    where ``scale`` is max(1, ||H||_F); EigenSolveError otherwise.
-
-    H must vanish off the band. H(Vc) is applied from H's strict upper
-    triangle on the band's support and from ``diag``, H's diagonal, so H's
-    lower triangle is never read.
-    """
+    where ``scale`` is max(1, ||H||_F); EigenSolveError otherwise."""
     x = vectors.sum(axis=1)
-    hx = diag * x
-    upper = H[band.rows, band.cols]
-    np.add.at(hx, band.rows, upper * x[band.cols])
-    np.add.at(hx, band.cols, upper.conj() * x[band.rows])
-    resid = float(np.abs(hx - vectors @ evals).max() / scale)
+    resid = float(np.abs(H @ x - vectors @ evals).max() / scale)
     if not resid <= _RESIDUAL_TOL:
         raise EigenSolveError(f"eigenpair residual {resid:.3e} above "
                               f"{_RESIDUAL_TOL:.1e}")
@@ -889,13 +880,13 @@ def _sup_norms(band: Band, vectors: np.ndarray) -> np.ndarray:
 _ALL_PAIRS_SHARE = 1 / 64
 
 
-def eigen_stats(band: Band, H: np.ndarray,
+def eigen_stats(band: Band, H: LayerRows,
                 window: tuple[float, float]) -> EigenStats:
     """The eigenpairs of H with eigenvalues in ``window`` (closed) and
     their sup-norms.
 
-    H is C-ordered and vanishes off the band, as :func:`sample_H` draws it
-    into a zeroed buffer. The window's count k comes from the inertia of
+    H is the band's :class:`LayerRows`, which the call leaves as it was.
+    The window's count k comes from the inertia of
     H - hi and H - lo on the band's layer ring (:class:`_RingLDL`); an
     eigenvalue on an edge makes a pivot singular and raises, and an empty
     window stops there. The solver is picked by k (spectrum slicing:
@@ -903,14 +894,13 @@ def eigen_stats(band: Band, H: np.ndarray,
 
     - Above ``_ALL_PAIRS_SHARE`` N, every pair comes from LAPACK zheevr
       (MRRR) in numpy's bundled OpenBLAS, or from ``np.linalg.eigh``
-      without that routine. zheevr reads H's storage as the
-      Fortran-ordered H.T, which is conj(H) for a Hermitian H, so it finds
-      H's eigenvalues and the conjugates of its eigenvectors, written into
-      the thread's eigen buffers. It overwrites H's upper triangle and
-      diagonal: the probe applies conj(H) from H's strict lower triangle,
-      which it leaves, and the diagonal saved before the call; then H is
-      zeroed, and the window's vectors, a view of the thread's buffer, are
-      conjugated in place. zheevr's window count must equal k.
+      without that routine. H's strict upper triangle and diagonal are
+      copied into the thread's C-ordered buffer ``a``, zeroed first,
+      which zheevr reads as the Fortran-ordered a.T: its lower triangle
+      is that of conj(H), so zheevr finds H's eigenvalues and the
+      conjugates of its eigenvectors, written into the thread's eigen
+      buffers. The window's vectors, a view of those, are conjugated in
+      place. zheevr's window count must equal k.
     - Otherwise shift-invert subspace iteration at the window's centre
       (Ericsson-Ruhe, Math. Comp. 35, 1980) runs on a block of p = k +
       (k + 4) vectors, whose start is drawn from a fixed generator, never
@@ -928,36 +918,38 @@ def eigen_stats(band: Band, H: np.ndarray,
     the iteration cap, one of the k Ritz values outside the window, a count
     of Ritz values in the window other than k, or a failed probe.
     """
-    norm = _finite_norm(H)
+    # ||H||_F: the layer rows hold each entry of H once
+    norm = math.sqrt(np.vdot(H.data, H.data).real)
+    if not math.isfinite(norm):
+        raise EigenSolveError("H is not finite")
     scale = max(1.0, norm)
     tol = _SINGULAR_TOL * scale
     lo, hi = window
-    N = H.shape[0]
+    N = band.lattice.N
     k = (_RingLDL(band, H, hi, tol).negatives
          - _RingLDL(band, H, lo, tol).negatives)
     if k == 0:
         return EigenStats(sup_norms=np.zeros(0),
                           vectors=np.zeros((N, 0), dtype=complex))
     if k > _ALL_PAIRS_SHARE * N:
-        diag, lib = H.diagonal().copy(), _openblas()
-        try:
-            if lib is None or lib.zheevr is None:
-                evals, evecs = np.linalg.eigh(H.T)
-            else:
-                evals, evecs = _zheevr(lib, H.T, _eigen_buffers(N))
-            # the eigenvalues come in ascending order
-            first = np.searchsorted(evals, lo)
-            end = np.searchsorted(evals, hi, "right")
-            if end - first != k:
-                raise EigenSolveError(f"zheevr found {end - first} "
-                                      f"eigenvalues in the window, the "
-                                      f"inertia counts {k}")
-            stats = _probed(band, H.T, diag, scale, evals[first:end],
-                            evecs[:, first:end])
-        finally:
-            H.fill(0.0)
-        np.negative(stats.vectors.imag, out=stats.vectors.imag)
-        return stats
+        lib, buffers = _openblas(), _eigen_buffers(N)
+        a = buffers.a
+        a.fill(0.0)
+        a[band.rows, band.cols] = H.data[band.layers.upper]
+        a.reshape(-1)[::N + 1] = H.data[band.layers.diag]
+        if lib is None or lib.zheevr is None:
+            evals, evecs = np.linalg.eigh(a.T)
+        else:
+            evals, evecs = _zheevr(lib, a.T, buffers)
+        # the eigenvalues come in ascending order
+        first = np.searchsorted(evals, lo)
+        end = np.searchsorted(evals, hi, "right")
+        if end - first != k:
+            raise EigenSolveError(f"zheevr found {end - first} eigenvalues "
+                                  f"in the window, the inertia counts {k}")
+        vectors = evecs[:, first:end]
+        np.negative(vectors.imag, out=vectors.imag)
+        return _probed(band, H, scale, evals[first:end], vectors)
     centre = (lo + hi) / 2
     ring = _RingLDL(band, H, centre, tol)
     p = min(N, 2 * k + 4)
@@ -996,7 +988,7 @@ def eigen_stats(band: Band, H: np.ndarray,
     if inside != k:
         raise EigenSolveError(f"{inside} Ritz values in the window, the "
                               f"inertia counts {k}")
-    return _probed(band, H, np.diagonal(H), scale, theta, V)
+    return _probed(band, H, scale, theta, V)
 
 
 def diffusion_predictions(profile: VarianceProfile, z: complex):
@@ -1224,11 +1216,11 @@ def _eigen_replica_fn(band: Band, window: tuple[float, float], observe):
     """fn(replica, rng) -> observe(stats) and the window count, for the
     :func:`eigen_stats` of the replica's H in ``window``.
 
-    Each worker thread keeps one zeroed C-ordered H. zheevr, when the
-    window's count picks it, overwrites H and eigen_stats zeroes it again,
-    so each draw starts from zeros off the band."""
-    N = band.lattice.N
-    buffers = _per_thread(lambda: np.zeros((N, N), dtype=complex))
+    Each worker thread keeps H's :class:`LayerRows`, allocated on its
+    first replica; the layer map is made here, before any worker needs
+    it."""
+    band.layers
+    buffers = _per_thread(lambda: LayerRows(band))
 
     def fn(replica, rng):
         stats = eigen_stats(band, sample_H(band, rng, out=buffers()), window)

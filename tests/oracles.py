@@ -8,6 +8,7 @@ import json
 import numpy as np
 
 from bandlab import BlockLattice, VarianceProfile
+from bandlab.montecarlo import LayerRows
 
 
 def block_sites(lat: BlockLattice, a) -> np.ndarray:
@@ -25,6 +26,30 @@ def dense_H(H) -> np.ndarray:
         for j in spans:
             out[cuts[i]:cuts[i + 1], cuts[j]:cuts[j + 1]] = H.block(i, j)
     return out
+
+
+def rows_of(band, H: np.ndarray) -> LayerRows:
+    """The band's LayerRows of an N x N H that vanishes off the blocks of
+    each layer with itself and its ring neighbours: dense_H's inverse."""
+    rows, cuts = LayerRows(band), band.cuts
+    for i, spans in enumerate(band.layers.cols):
+        for j in spans:
+            rows.block(i, j)[...] = H[cuts[i]:cuts[i + 1], cuts[j]:cuts[j + 1]]
+    return rows
+
+
+def dense_draw(band, rng) -> np.ndarray:
+    """H as a fresh N x N array, from the normals that sample_H draws:
+    real parts, imaginary parts and the diagonal, written on the band's
+    support, its mirror image and the diagonal."""
+    N, k = band.lattice.N, band.rows.size
+    normals = rng.standard_normal(2 * k + N)
+    vals = (normals[:k] + 1j * normals[k:2 * k]) * band.sd
+    H = np.zeros((N, N), dtype=complex)
+    H[band.rows, band.cols] = vals
+    H[band.cols, band.rows] = vals.conj()
+    H[np.diag_indices(N)] = normals[2 * k:] * band.diag_sd
+    return H
 
 
 def periodic_distance(lat: BlockLattice, x, y) -> int:

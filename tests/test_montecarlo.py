@@ -19,7 +19,7 @@ from bandlab.montecarlo import (GreenSolveError, block_traces, build_band,
                                 locallaw_replica_fn, que_replica_fn)
 from bandlab.lattice import project_matrix
 from bandlab.profiles import KERNELS, VarianceProfile, block_flat_profile
-from oracles import block_sites, dense_H
+from oracles import block_sites, dense_draw, dense_H, rows_of
 
 
 @pytest.fixture(scope="module")
@@ -39,52 +39,47 @@ def block_overlap(stats, lattice, a):
     return U.conj().T @ U
 
 
-def windowed(band, H, window):
-    """eigen_stats of a copy of H, which the all-pairs path zeroes."""
-    return eigen_stats(band, H.copy(), window)
-
-
 def dense_band(N):
     """The band of one N-site block: every entry in the support, one layer."""
     return build_band(mean_field_profile(BlockLattice(d=1, W=N, n=1)))
 
 
 def drawn_rows(band, rng):
-    """H drawn into a fresh LayerRows, the one form green takes."""
+    """H drawn into a fresh LayerRows, the one form that H takes."""
     return sample_H(band, rng, out=mc.LayerRows(band))
 
 
 class TestStreams:
     def test_replica_reproducible(self, band_small):
         lat, band = band_small
-        h1 = sample_H(band, stream_for(123, 7))
-        h2 = sample_H(band, stream_for(123, 7))
-        assert np.array_equal(h1, h2)
+        h1 = drawn_rows(band, stream_for(123, 7))
+        h2 = drawn_rows(band, stream_for(123, 7))
+        assert np.array_equal(h1.data, h2.data)
 
     def test_replicas_differ(self, band_small):
         lat, band = band_small
-        h1 = sample_H(band, stream_for(123, 0))
-        h2 = sample_H(band, stream_for(123, 1))
-        assert not np.array_equal(h1, h2)
+        h1 = drawn_rows(band, stream_for(123, 0))
+        h2 = drawn_rows(band, stream_for(123, 1))
+        assert not np.array_equal(h1.data, h2.data)
 
     def test_seed_changes_draws(self, band_small):
         lat, band = band_small
-        h1 = sample_H(band, stream_for(1, 0))
-        h2 = sample_H(band, stream_for(2, 0))
-        assert not np.array_equal(h1, h2)
+        h1 = drawn_rows(band, stream_for(1, 0))
+        h2 = drawn_rows(band, stream_for(2, 0))
+        assert not np.array_equal(h1.data, h2.data)
 
 
 class TestSampleH:
     def test_hermitian_exact(self, band_small):
         lat, band = band_small
-        H = sample_H(band, stream_for(0, 0))
+        H = dense_H(drawn_rows(band, stream_for(0, 0)))
         assert np.array_equal(H, H.conj().T)
         assert np.all(np.diagonal(H).imag == 0)
 
     def test_exact_zeros_outside_band(self, band_profile, band_small):
         lat, band = band_small
         S = band_profile.assemble()
-        H = sample_H(band, stream_for(0, 1))
+        H = dense_H(drawn_rows(band, stream_for(0, 1)))
         assert np.all(H[S == 0] == 0)
         # the band's support is the strictly upper nonzeros of S, row-major,
         # and every entry on it is drawn
@@ -100,7 +95,7 @@ class TestSampleH:
         acc = np.zeros_like(S)
         acc2 = np.zeros_like(S, dtype=complex)
         for r in range(reps):
-            H = sample_H(band, stream_for(99, r))
+            H = dense_H(drawn_rows(band, stream_for(99, r)))
             acc += np.abs(H) ** 2
             acc2 += H * H
         mean = acc / reps
@@ -123,7 +118,7 @@ class TestSampleH:
         picks = [(0, 3), (2, 7), (10, 10), (0, 24)]
         acc = {p: 0.0 for p in picks}
         for r in range(reps):
-            H = sample_H(band, stream_for(7, r))
+            H = dense_H(drawn_rows(band, stream_for(7, r)))
             for p in picks:
                 acc[p] += abs(H[p]) ** 2
         for p in picks:
@@ -201,8 +196,8 @@ class TestSampleObservables:
 
     def test_eigen_stats_normalization(self, band_small):
         lat, band = band_small
-        H = sample_H(band, stream_for(13, 0))
-        stats = windowed(band, H, (-2.5, 2.5))
+        H = drawn_rows(band, stream_for(13, 0))
+        stats = eigen_stats(band, H, (-2.5, 2.5))
         # every eigenvector is in the window, and each is a unit vector
         assert stats.vectors.shape == (lat.N, lat.N)
         sums = (np.abs(stats.vectors) ** 2).sum(axis=0)
@@ -214,15 +209,16 @@ class TestSampleObservables:
         prof = mean_field_profile(lat)
         assert np.array_equal(prof.assemble(), np.eye(30))
         band = build_band(prof)
-        H = sample_H(band, stream_for(14, 0))
-        stats = windowed(band, H, (-1.5, 1.5))
+        H = drawn_rows(band, stream_for(14, 0))
+        stats = eigen_stats(band, H, (-1.5, 1.5))
         assert stats.sup_norms.size > 0
         assert stats.sup_norms.min() == pytest.approx(1.0)
 
     def test_eigen_window_filter(self, band_small):
         lat, band = band_small
-        H = sample_H(band, stream_for(15, 0))
-        stats = windowed(band, H, (-0.5, 0.5))
+        rows = drawn_rows(band, stream_for(15, 0))
+        stats = eigen_stats(band, rows, (-0.5, 0.5))
+        H = dense_H(rows)
         # the kept vectors are eigenvectors with eigenvalues in the window
         inside = np.einsum("xk,xy,yk->k", stats.vectors.conj(), H,
                            stats.vectors).real
@@ -236,8 +232,8 @@ class TestSampleObservables:
     def test_cross_overlap_identity_sum(self, band_small):
         # summing the QUE overlap matrices over all blocks gives I
         lat, band = band_small
-        H = sample_H(band, stream_for(16, 0))
-        stats = windowed(band, H, (-1.0, 1.0))
+        H = drawn_rows(band, stream_for(16, 0))
+        stats = eigen_stats(band, H, (-1.0, 1.0))
         k = stats.sup_norms.size
         total = sum(block_overlap(stats, lat, a) for a in range(lat.n))
         assert np.abs(total - np.eye(k)).max() < 1e-10
@@ -248,7 +244,7 @@ class TestSampleObservables:
         # the batched product over every block gives the per-block bits
         lat, band = band_small
         fn, _ = que_replica_fn(band, window)
-        stats = eigen_stats(band, sample_H(band, stream_for(16, 0)), window)
+        stats = eigen_stats(band, drawn_rows(band, stream_for(16, 0)), window)
         k = stats.sup_norms.size
         assert k > 0
         target = lat.block_volume / lat.N * np.eye(k)
@@ -512,7 +508,7 @@ class TestTwoDimensional:
         for a in (0, 4, 8):
             direct = np.diagonal(gf.G)[block_sites(lat, a)].sum() / 9
             assert bt[a] == pytest.approx(direct)
-        stats = windowed(band, H, (-1.5, 1.5))
+        stats = eigen_stats(band, rows, (-1.5, 1.5))
         total = sum(block_overlap(stats, lat, a)
                     for a in range(lat.block_count))
         assert np.abs(total - np.eye(stats.sup_norms.size)).max() < 1e-10
@@ -793,7 +789,7 @@ class TestBandHotPath:
             lat, KERNELS["uniform"], 1))
         rng = stream_for(20260809, 0)
         start = _philox_words(rng)
-        sample_H(band, rng)
+        drawn_rows(band, rng)
         words = _philox_words(rng) - start
         # 67 sites within distance 33 of each site: 495 * 66 / 2 pairs
         assert band.rows.size == 16335
@@ -803,7 +799,7 @@ class TestBandHotPath:
 
 
 class TestLayerRows:
-    """H as its layer rows, as the locallaw and diffusion replicas keep it."""
+    """H as its layer rows, as every replica keeps it."""
 
     @pytest.mark.parametrize("name", sorted(_RING_LATTICES))
     def test_layer_row_draw_equals_the_dense_draw(self, name):
@@ -811,8 +807,8 @@ class TestLayerRows:
         # neighbours, and the dense draw holds nothing outside those blocks
         band = _ring_band(name)
         cuts = band.cuts
-        H = sample_H(band, stream_for(8, 0))
-        rows = sample_H(band, stream_for(8, 0), out=mc.LayerRows(band))
+        H = dense_draw(band, stream_for(8, 0))
+        rows = drawn_rows(band, stream_for(8, 0))
         covered = np.zeros(H.shape, dtype=bool)
         for i, spans in enumerate(band.layers.cols):
             lay = slice(cuts[i], cuts[i + 1])
@@ -831,8 +827,8 @@ class TestLayerRows:
         # restores their diagonal bit for bit
         band = _ring_band(name)
         for r, z in enumerate((0.1 + 0.2j, -0.7 + 0.05j)):
-            H = sample_H(band, stream_for(8, r))
-            rows = sample_H(band, stream_for(8, r), out=mc.LayerRows(band))
+            H = dense_draw(band, stream_for(8, r))
+            rows = drawn_rows(band, stream_for(8, r))
             before = rows.data.tobytes()
             gf = green(band, rows, z)
             assert rows.data.tobytes() == before
@@ -862,17 +858,19 @@ class TestLayerRows:
         assert chunks == [(0, 1)] + [(a, 2) for a in range(1, 13, 2)] \
             + [(13, 1), (14, 1)]
 
-    @pytest.mark.parametrize("command", ["deloc", "que"])
-    def test_eigen_replicas_never_build_the_layer_map(self, band_profile,
-                                                      command):
-        band = build_band(band_profile)
-        factory = deloc_replica_fn if command == "deloc" else que_replica_fn
-        fn, _ = factory(band, (-1.5, 1.5) if command == "deloc"
-                        else (-0.3, 0.3))
-        fn(0, stream_for(9, 0))
-        assert "layers" not in vars(band)
-        locallaw_replica_fn(band, 0.3j)
-        assert "layers" in vars(band)
+    @pytest.mark.parametrize("name", sorted(_RING_LATTICES))
+    def test_product_matches_the_dense_product(self, name):
+        # one gathered product per layer, also where a ring of one, two or
+        # three layers makes a layer's neighbours collapse, and H untouched
+        band = _ring_band(name)
+        H = drawn_rows(band, stream_for(8, 0))
+        before = H.data.tobytes()
+        V = np.random.default_rng(4).standard_normal(
+            (band.lattice.N, 12)).view(complex)
+        dense = dense_H(H)
+        for X in (V, V[:, 0]):
+            assert np.abs(H @ X - dense @ X).max() < 1e-13
+        assert H.data.tobytes() == before
 
 
 # C-level calls of one README-config replica after its thread's first, as
@@ -882,10 +880,11 @@ class TestLayerRows:
 # any. A resolvent replica that drew into a dense H made 427 (locallaw)
 # and 455 (diffusion). With the garbage collector paused around the
 # counted call, so that no other object's finalizer is counted, they make
-# 402 and 430, deloc's replica 1 makes 691, and que's replica 3, whose
-# window holds one pair, 1600, since the inertia count shifts H in place.
-_REPLICA_C_CALLS = {"locallaw": 427, "diffusion": 455, "deloc": 691,
-                    "que": 1600}
+# 401 and 429, deloc's replica 1 makes 680, and que's replica 3, whose
+# window holds one pair, 1595, since both draw into layer rows and apply
+# H a layer's rows at a time (691 and 1600 on a dense H).
+_REPLICA_C_CALLS = {"locallaw": 427, "diffusion": 455, "deloc": 680,
+                    "que": 1595}
 
 
 @pytest.mark.parametrize("command", sorted(_REPLICA_C_CALLS))
@@ -921,26 +920,33 @@ def test_replica_numpy_calls_do_not_grow(command):
 
 
 class TestWorkerBuffers:
-    """sample_H and green into caller buffers, as the locallaw and diffusion
-    replicas run them: one (H, G) pair per worker thread."""
+    """sample_H, green and eigen_stats on caller buffers, as the replicas
+    run them: H's layer rows per worker thread, and G or the eigen
+    buffers."""
 
     def test_sample_H_writes_only_the_support_and_diagonal(self,
                                                            band_profile,
                                                            band_small):
         lat, band = band_small
-        buf = np.full((lat.N, lat.N), 7.0 + 0j)
+        buf = mc.LayerRows(band)
+        buf.data[:] = 7.0
         assert sample_H(band, stream_for(5, 0), out=buf) is buf
+        # the entries that the layer rows hold off the band keep their 7
+        held = mc.LayerRows(band)
+        held.data[:] = 1.0
         S = band_profile.assemble()
-        off_band = (S == 0) & ~np.eye(lat.N, dtype=bool)
-        assert off_band.any() and (buf[off_band] == 7.0).all()
+        off_band = (dense_H(held) == 1.0) & (S == 0) \
+            & ~np.eye(lat.N, dtype=bool)
+        assert off_band.any() and (dense_H(buf)[off_band] == 7.0).all()
 
     def test_sample_H_into_a_used_buffer_is_a_fresh_draw(self, band_small):
         lat, band = band_small
-        buf = np.zeros((lat.N, lat.N), dtype=complex)
+        buf = mc.LayerRows(band)
         sample_H(band, stream_for(5, 0), out=buf)
         H = sample_H(band, stream_for(5, 1), out=buf)
         assert H is buf
-        assert H.tobytes() == sample_H(band, stream_for(5, 1)).tobytes()
+        assert H.data.tobytes() == \
+            drawn_rows(band, stream_for(5, 1)).data.tobytes()
 
     @pytest.mark.parametrize("name", sorted(_RING_LATTICES))
     def test_green_into_a_buffer_is_bitwise_green(self, name):
@@ -1023,7 +1029,30 @@ class TestWorkerBuffers:
         assert rows == 16 * 15 * 33 * 99
         slack = rows + 16 * mc._CHUNK_BLOCKS * wd * N + 64 * 1024
         assert slack < 16 * N * N
-        assert _kept_by_first_replica(fn) < 16 * N * N + slack
+        assert _first_replica(fn)[0] < 16 * N * N + slack
+
+    @pytest.mark.parametrize("command", ["deloc", "que"])
+    def test_eigen_worker_keeps_layer_rows(self, command):
+        # an eigen worker's first replica leaves H's layer rows and the
+        # scratch buffer allocated, and deloc's zheevr buffers besides:
+        # its N x N input a and eigenvectors z, N reals and 2 N integers.
+        # que's replica 3 holds one pair, so its window runs shift-invert,
+        # and that replica allocates no N x N complex array at all
+        profile = _readme_profile()
+        band = build_band(profile)
+        N, wd = band.lattice.N, band.lattice.block_volume
+        kept = 16 * band.layers.size + 16 * mc._CHUNK_BLOCKS * wd * N
+        if command == "deloc":
+            fn, _ = deloc_replica_fn(band, (-1.5, 1.5))
+            replica, kept = 0, kept + 2 * 16 * N * N
+        else:
+            fn, _ = que_replica_fn(band, _que_window(profile, 0.1))
+            replica = 3
+            assert fn(3, stream_for(20260809, 3))["window_count"] == 1
+        left, peak = _first_replica(fn, replica)
+        assert kept <= left < kept + 64 * 1024
+        if command == "que":
+            assert peak < 16 * N * N
 
     @pytest.mark.parametrize("command", ["deloc", "que"])
     def test_eigen_replica_peak_stays_below_one_n_by_n(self, command):
@@ -1048,15 +1077,19 @@ class TestWorkerBuffers:
 
     def test_deloc_replica_on_an_overwritten_buffer_is_a_fresh_draw(
             self, band_small):
-        # zheevr leaves garbage above the diagonal of the thread's H, off
-        # the band too, until it is zeroed; each replica on that buffer
-        # gives the bits of the same replica run on a fresh one
+        # zheevr leaves garbage above the diagonal of the thread's input
+        # buffer, off the band too; each replica on that buffer gives the
+        # bits of the same replica run on a fresh thread's buffers
         lat, band = band_small
         fn, _ = deloc_replica_fn(band, (-1.5, 1.5))
         for r in range(4):
             reused = fn(r, stream_for(7, r))
-            fresh = deloc_replica_fn(band, (-1.5, 1.5))[0](r, stream_for(7, r))
-            assert reused == fresh
+            fresh = []
+            worker = threading.Thread(target=lambda: fresh.append(
+                deloc_replica_fn(band, (-1.5, 1.5))[0](r, stream_for(7, r))))
+            worker.start()
+            worker.join()
+            assert reused == fresh[0]
             assert reused["window_count"] > 0
 
     def test_green_peak_stays_below_two_block_rows(self):
@@ -1072,12 +1105,13 @@ class TestWorkerBuffers:
         assert peak < 2 * lat.block_volume * lat.N * 16
 
 
-def _kept_by_first_replica(fn):
-    """Bytes still allocated after fn(0, rng), its result dropped, on a
-    fresh thread on one BLAS thread, taken before the thread ends and its
-    buffers with it. A first thread runs it untraced, so that what the
-    process makes once (numpy's lazy imports, bandlab's caches) is made."""
-    kept = []
+def _first_replica(fn, replica=0):
+    """(bytes still allocated after fn(replica, rng), its result dropped,
+    peak bytes during the call), on a fresh thread on one BLAS thread,
+    taken before the thread ends and its buffers with it. A first thread
+    runs it untraced, so that what the process makes once (numpy's lazy
+    imports, bandlab's caches) is made."""
+    seen = []
 
     def run():
         with mc._single_threaded_blas():
@@ -1085,18 +1119,20 @@ def _kept_by_first_replica(fn):
             if started:
                 tracemalloc.start()
             try:
+                tracemalloc.reset_peak()
                 before = tracemalloc.get_traced_memory()[0]
-                fn(0, stream_for(20260809, 0))
-                kept.append(tracemalloc.get_traced_memory()[0] - before)
+                fn(replica, stream_for(20260809, replica))
+                after, peak = tracemalloc.get_traced_memory()
+                seen.append((after - before, peak - before))
             finally:
                 if started:
                     tracemalloc.stop()
 
-    for target in (lambda: fn(0, stream_for(20260809, 0)), run):
+    for target in (lambda: fn(replica, stream_for(20260809, replica)), run):
         worker = threading.Thread(target=target)
         worker.start()
         worker.join()
-    return kept[0]
+    return seen[0]
 
 
 def _second_call_peak(fn, args):
@@ -1143,23 +1179,25 @@ def _que_deviations(band, vectors):
 
 
 def _window_stats(band, H, window, all_pairs=None):
-    """eigen_stats of a copy of H on the solver that the crossover picks
+    """eigen_stats of H's layer rows on the solver that the crossover picks
     (``all_pairs`` None), or forced through the crossover share: every pair
     by zheevr (True) or shift-invert (False)."""
     with pytest.MonkeyPatch.context() as mp:
         if all_pairs is not None:
             mp.setattr(mc, "_ALL_PAIRS_SHARE", 0.0 if all_pairs else 1.0)
-        return windowed(band, H, window)
+        return eigen_stats(band, H, window)
 
 
-def _assert_matches_eigh(band, H, window, all_pairs):
+def _assert_matches_eigh(band, rows, window, all_pairs):
     """A window's pairs against the full np.linalg.eigh on a closed window:
     equal counts, and eigenvalues (the Rayleigh quotients of the vectors),
-    sup-norms and que deviations to 1e-12."""
+    sup-norms and que deviations to 1e-12; the layer rows stay as drawn."""
+    H, drawn = dense_H(rows), rows.data.tobytes()
     evals, evecs = np.linalg.eigh(H)
     inside = (evals >= window[0]) & (evals <= window[1])
     ref = evecs[:, inside]
-    stats = _window_stats(band, H, window, all_pairs)
+    stats = _window_stats(band, rows, window, all_pairs)
+    assert rows.data.tobytes() == drawn
     assert stats.vectors.shape == ref.shape
     assert stats.sup_norms.shape == (ref.shape[1],)
     quotients = np.einsum("xk,xy,yk->k", stats.vectors.conj(), H,
@@ -1187,7 +1225,7 @@ class TestEigenSolver:
     def test_readme_config_windows(self, seed):
         profile = _readme_profile()
         band = build_band(profile)
-        H = sample_H(band, stream_for(seed, 0))
+        H = drawn_rows(band, stream_for(seed, 0))
         # deloc's window holds most of the spectrum, que's about one
         # eigenvalue; que_epsilon = -1 widens it to about 22
         assert _assert_matches_eigh(band, H, (-1.5, 1.5), True) > 400
@@ -1198,7 +1236,7 @@ class TestEigenSolver:
     @pytest.mark.parametrize("all_pairs", [True, False])
     def test_empty_and_whole_windows(self, band_small, all_pairs):
         lat, band = band_small
-        H = sample_H(band, stream_for(17, 0))
+        H = drawn_rows(band, stream_for(17, 0))
         assert _assert_matches_eigh(band, H, (5.0, 6.0), all_pairs) == 0
         # a window of one point (lo = hi) is empty, not an error
         assert _assert_matches_eigh(band, H, (0.3, 0.3), all_pairs) == 0
@@ -1212,8 +1250,8 @@ class TestEigenSolver:
         # the only path that solves on the ring, a wider one zheevr
         band = build_band(build_translation_invariant(
             BlockLattice(d=1, W=8, n=16), KERNELS["uniform"], 1))
-        H = sample_H(band, stream_for(36, 0))
-        edges = np.sort(np.abs(np.linalg.eigvalsh(H)))
+        H = drawn_rows(band, stream_for(36, 0))
+        edges = np.sort(np.abs(np.linalg.eigvalsh(dense_H(H))))
         half = (edges[k - 1] + edges[k]) / 2
         solves, solve = [], mc._RingLDL.solve
         monkeypatch.setattr(mc._RingLDL, "solve", lambda self, *args: (
@@ -1263,7 +1301,7 @@ class TestEigenSolver:
             prof = wegner_orbital_profile(lat, 0.05, 0.5)
         band = build_band(prof)
         for r in range(2):
-            H = sample_H(band, stream_for(23, r))
+            H = drawn_rows(band, stream_for(23, r))
             for window in ((-1.5, 1.5), (-0.3, 0.3)):
                 assert _assert_matches_eigh(band, H, window, all_pairs) > 0
 
@@ -1271,7 +1309,7 @@ class TestEigenSolver:
     def test_falls_back_to_eigh(self, band_small, monkeypatch, lookup):
         # the all-pairs path; shift-invert never calls an N x N solver
         lat, band = band_small
-        H = sample_H(band, stream_for(18, 0))
+        H = drawn_rows(band, stream_for(18, 0))
         lib = mc._openblas()
         if lookup == "none":
             monkeypatch.setattr(mc, "_openblas", lambda: None)
@@ -1287,9 +1325,9 @@ class TestEigenSolver:
             return eigh(A)
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
-        evals, evecs = eigh(H)
+        evals, evecs = eigh(dense_H(H))
         ref = evecs[:, (evals >= -1.0) & (evals <= 1.0)]
-        stats = windowed(band, H, (-1.0, 1.0))
+        stats = eigen_stats(band, H, (-1.0, 1.0))
         assert np.array_equal(stats.vectors, ref)
         # one N x N eigh; without any LAPACKE routine the inertia count's
         # W x W pivots take eigh too
@@ -1306,7 +1344,7 @@ class TestEigenSolver:
 
         def poisoned(band, rng, out):
             H = draw(band, rng, out=out)
-            H[3, 7] = bad
+            H.block(0, 1)[3, 2] = bad       # H_3,7
             return H
 
         monkeypatch.setattr(mc, "sample_H", poisoned)
@@ -1321,7 +1359,7 @@ class TestEigenSolver:
     def test_lapack_failure_raises(self, band_small):
         # LAPACKE's own NaN check answers with info = -6
         lat, band = band_small
-        H = sample_H(band, stream_for(20, 0))
+        H = dense_H(drawn_rows(band, stream_for(20, 0)))
         H[1, 1] = np.nan
         with pytest.raises(mc.EigenSolveError, match="info -6"):
             mc._zheevr(mc._openblas(), np.asfortranarray(H),
@@ -1330,9 +1368,9 @@ class TestEigenSolver:
     @needs_zheevr
     def test_row_major_H_is_refused(self, band_small):
         # LAPACK reads its argument column-major: eigen_stats passes the
-        # Fortran-ordered view H.T, and a C-ordered array is refused
+        # Fortran-ordered view a.T, and a C-ordered array is refused
         lat, band = band_small
-        H = sample_H(band, stream_for(20, 0))
+        H = dense_H(drawn_rows(band, stream_for(20, 0)))
         with pytest.raises(ValueError, match="Fortran-ordered"):
             mc._zheevr(mc._openblas(), H, mc._eigen_buffers(lat.N))
 
@@ -1340,14 +1378,14 @@ class TestEigenSolver:
     def test_corrupted_eigenvector_trips_the_probe(self, band_small,
                                                    monkeypatch, all_pairs):
         lat, band = band_small
-        H = sample_H(band, stream_for(21, 0))
+        H = drawn_rows(band, stream_for(21, 0))
         _window_stats(band, H, (-1.5, 1.5), all_pairs)
         probe = mc._probed
 
-        def corrupted(band, H, diag, norm, evals, vectors):
+        def corrupted(band, H, norm, evals, vectors):
             vectors = vectors.copy()
             vectors[5, vectors.shape[1] // 2] += 1e-6
-            return probe(band, H, diag, norm, evals, vectors)
+            return probe(band, H, norm, evals, vectors)
 
         monkeypatch.setattr(mc, "_probed", corrupted)
         with pytest.raises(mc.EigenSolveError, match="eigenpair residual"):
@@ -1372,10 +1410,13 @@ def _ring_band(name):
         BlockLattice(d=d, W=W, n=n), KERNELS["uniform"], cutoff))
 
 
-def _edge_H(lat):
-    """Block diagonal, each block a quarter of the all-ones W x W matrix:
-    at W = 5 its eigenvalues are 1.25 and 0 exactly."""
-    return np.kron(np.eye(lat.n), np.full((lat.W, lat.W), 0.25)) + 0j
+def _edge_H(band):
+    """The layer rows of a block diagonal H, each block a quarter of the
+    all-ones W x W matrix: at W = 5 its eigenvalues are 1.25 and 0
+    exactly."""
+    lat = band.lattice
+    return rows_of(band, np.kron(np.eye(lat.n),
+                                 np.full((lat.W, lat.W), 0.25)) + 0j)
 
 
 _WINDOW_BANDS = ["readme", "d1-reach2-uneven", "d2-W3-n5", "wegner_orbital",
@@ -1389,17 +1430,17 @@ class TestRingWindow:
     @pytest.mark.parametrize("name", _WINDOW_BANDS)
     def test_inertia_counts_and_solves_match_the_dense_oracle(self, name):
         band = _ring_band(name)
-        H = sample_H(band, stream_for(31, 0))
-        drawn = H.tobytes()
-        evals = np.linalg.eigvalsh(H)
-        Y = np.random.default_rng(3).standard_normal((len(H), 4)) + 0j
+        H = drawn_rows(band, stream_for(31, 0))
+        dense, drawn = dense_H(H), H.data.tobytes()
+        evals = np.linalg.eigvalsh(dense)
+        Y = np.random.default_rng(3).standard_normal((len(dense), 4)) + 0j
         for shift in (-2.5, -0.41, 0.0, 0.173, 1.2):
             ldl = mc._RingLDL(band, H, shift, 1e-12)
             # the count shifts H's diagonal in place and restores it
-            assert H.tobytes() == drawn
+            assert H.data.tobytes() == drawn
             assert ldl.negatives == (evals < shift).sum()
             X = ldl.solve(Y)
-            assert np.abs(H @ X - shift * X - Y).max() < 1e-12 * max(
+            assert np.abs(dense @ X - shift * X - Y).max() < 1e-12 * max(
                 1.0, np.abs(X).max())
 
     @pytest.mark.parametrize("name", _WINDOW_BANDS)
@@ -1407,7 +1448,7 @@ class TestRingWindow:
         band = _ring_band(name)
         N = band.lattice.N
         for r in range(2):
-            H = sample_H(band, stream_for(32, r))
+            H = drawn_rows(band, stream_for(32, r))
             assert _assert_matches_eigh(band, H, (5.0, 6.0), False) == 0
             assert _assert_matches_eigh(band, H, (0.21, 0.21), False) == 0
             assert _assert_matches_eigh(band, H, (-10.0, 10.0), False) == N
@@ -1424,7 +1465,7 @@ class TestRingWindow:
         # a numpy build without LAPACKE_zhetrf factors each pivot by eigh:
         # the same counts and pairs
         band = _ring_band("d1-reach2-uneven")
-        H = sample_H(band, stream_for(33, 0))
+        H = drawn_rows(band, stream_for(33, 0))
         lib = mc._openblas()
         if lookup == "none":
             monkeypatch.setattr(mc, "_openblas", lambda: None)
@@ -1444,9 +1485,10 @@ class TestRingWindow:
         # failing control: an edge on one of _edge_H's eigenvalues makes a
         # pivot singular there, and the shift is not moved to count past it
         lat, band = band_small
-        H = _edge_H(lat)
+        H = _edge_H(band)
+
         def fixed(band, rng, out):
-            out[...] = H
+            out.data[...] = H.data
             return out
 
         monkeypatch.setattr(mc, "sample_H", fixed)
@@ -1465,17 +1507,17 @@ class TestRingWindow:
         # the count raises at either eigenvalue of _edge_H, and H's
         # diagonal, shifted in place, comes back bit for bit
         lat, band = band_small
-        H = _edge_H(lat)
-        drawn = H.tobytes()
+        H = _edge_H(band)
+        drawn = H.data.tobytes()
         for shift in (0.0, 1.25):
             with pytest.raises(mc.EigenSolveError, match="is singular"):
                 mc._RingLDL(band, H, shift, 1e-12)
-            assert H.tobytes() == drawn
+            assert H.data.tobytes() == drawn
 
     def test_no_convergence_within_the_cap_fails(self, band_small,
                                                  monkeypatch):
         lat, band = band_small
-        H = sample_H(band, stream_for(34, 0))
+        H = drawn_rows(band, stream_for(34, 0))
         assert _window_stats(band, H, (-0.5, 0.5), False).vectors.shape[1]
         monkeypatch.setattr(mc, "_MAX_ITERATIONS", 2)
         with pytest.raises(mc.EigenSolveError,
@@ -1489,7 +1531,7 @@ class TestRingWindow:
         # failing controls: an inertia count one too high leaves a Ritz
         # value outside the window, one too low one Ritz value too many in it
         lat, band = band_small
-        H = sample_H(band, stream_for(34, 0))
+        H = drawn_rows(band, stream_for(34, 0))
         assert _window_stats(band, H, (-0.5, 0.5), False).vectors.shape[1] > 2
 
         class Miscounted(mc._RingLDL):
@@ -1509,7 +1551,7 @@ class TestRingWindow:
         fn, _ = que_replica_fn(band, (-0.5, 0.5))
         used, fresh = stream_for(35, 0), stream_for(35, 0)
         assert fn(0, used)["window_count"] > 0
-        sample_H(band, fresh)
+        drawn_rows(band, fresh)
         assert _philox_words(used) == _philox_words(fresh)
 
     def test_refined_solves_pass_where_unrefined_ones_stall(self,
@@ -1519,7 +1561,7 @@ class TestRingWindow:
         # the Ritz tolerance; refined from 1e-9 ||H||_F on they converge
         profile = _readme_profile()
         band = build_band(profile)
-        H = sample_H(band, stream_for(20260809, 0))
+        H = drawn_rows(band, stream_for(20260809, 0))
         window = _que_window(profile, -1.0)
         assert _assert_matches_eigh(band, H, window, False) > 10
         solve = mc._RingLDL.solve
