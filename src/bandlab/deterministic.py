@@ -1,11 +1,9 @@
 """Deterministic limit theory: Theta-propagators, primitive loops, kernels.
 
-Charges are represented as +1 / -1 integers; for a reference value m in the
-upper half plane, m(+1) = m and m(-1) = conj(m). The block propagator
-:func:`theta` works from a profile's blocks and a flow time t; the loop
-calculator takes the blocks of the (already t-dependent) variance matrix
-t S. Both solve one W^d x W^d system per block momentum; nothing N x N is
-factorized, and the loops form nothing N x N. The same code serves the
+Charges are +1 / -1 integers; for m in the upper half plane, m(+1) = m and
+m(-1) = conj(m). :func:`theta` takes a profile's blocks and a flow time t,
+the loop calculator the blocks of t S. Both solve one W^d x W^d system per
+block momentum and form nothing N x N. The same code serves the
 characteristic flow (|m| = 1, row sums t) and the original spectral
 parameter (|m| < 1, row sums 1).
 """
@@ -17,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import BlockLattice
+from .lattice import BlockLattice, _grid
 from .profiles import VarianceProfile, _affine_blocks, decompose_core
 
 __all__ = [
@@ -68,11 +66,13 @@ def charge_m(m: complex, sigma: int) -> complex:
 
 # ---- Theta propagators --------------------------------------------------------
 
-def theta_entrywise(S: np.ndarray, m1: complex, m2: complex) -> np.ndarray:
+def theta_entrywise(S: np.ndarray, m1: complex, m2: complex,
+                    momenta=None) -> np.ndarray:
     """Entrywise propagator (1 - m1*m2*S)^(-1) by a residual-checked solve.
 
     ``S`` may be a stack (..., N, N); each matrix's residual is checked on
-    its own, and the first one that fails is named by its flat index.
+    its own, and the first one that fails is named by its flat index, or
+    by its entry of ``momenta`` if given.
     """
     N = S.shape[-1]
     eye = np.eye(N, dtype=complex)
@@ -98,7 +98,8 @@ def theta_entrywise(S: np.ndarray, m1: complex, m2: complex) -> np.ndarray:
     bad = ~finite | (resid > _RESIDUAL_TOL * scale) | (resid > 1e-6)
     if bad.any():
         i = int(np.argmax(bad))
-        where = f" at momentum {i}" if S.ndim > 2 else ""
+        name = i if momenta is None else momenta[i]
+        where = f" at momentum {name}" if S.ndim > 2 else ""
         if not finite[i]:
             raise PropagatorError(f"resolvent factor is singular{where}")
         raise PropagatorError(
@@ -110,27 +111,51 @@ def theta_entrywise(S: np.ndarray, m1: complex, m2: complex) -> np.ndarray:
 def _momentum_inverses(lattice: BlockLattice, blocks: dict,
                        c: complex) -> np.ndarray:
     """The inverses of 1 - c S(p) for each block momentum p of the blocks
-    S_x, in ``np.fft.fftn`` order.
-
-    The stacked symbol S(p) = sum_x e^(-2 pi i p.x/n) S_x goes through one
-    residual-checked solve of :func:`theta_entrywise`, so a singular or
-    ill-conditioned momentum raises PropagatorError.
+    S_x, in ``np.fft.fftn`` order, by the residual-checked solve of
+    :func:`theta_entrywise`, which names a failing momentum. The symbol
+    S(p) = sum_x e^(-2 pi i p.x/n) S_x is summed over the given blocks at
+    the momenta solved. Real blocks give S(-p) = conj S(p), so for a real
+    c one momentum of each pair {p, -p} is solved and the other takes the
+    conjugate: the solve of conj S(p), bit for bit.
     """
+    wd, count = lattice.block_volume, lattice.block_count
+    mirror = lattice.block_offset_matrix[:, 0]  # at p, the index of -p
+    picked = np.flatnonzero(np.arange(count) <= mirror) if np.imag(c) == 0 \
+        else np.arange(count)
+    at = _grid(lattice.n, lattice.d)  # coordinates of each block index
+    # p.x mod n is exact, so each phase is as accurate as exp
+    phase = np.exp(-2j * np.pi / lattice.n
+                   * (at[:, picked].T @ at[:, list(blocks)] % lattice.n))
+    stack = np.reshape(list(blocks.values()), (len(blocks), wd * wd))
+    # one small product per momentum, which BLAS runs on a single thread
+    solved = theta_entrywise((phase[:, None] @ stack).reshape(-1, wd, wd),
+                             c, 1.0, picked)
+    if len(picked) == count:
+        return solved
+    out = np.empty((count, wd, wd), dtype=complex)
+    out[mirror[picked]] = solved.conj()
+    out[picked] = solved  # p = -p keeps its own solve
+    return out
+
+
+def _times_momenta(lattice: BlockLattice, T: np.ndarray,
+                   inverses: np.ndarray) -> np.ndarray:
+    """T B for a block-circulant B given by its block B(p) per momentum, as
+    :func:`_momentum_inverses` returns them, with T's last axis over the
+    sites: one W^d x W^d product per momentum between block Fourier
+    transforms of T, in one buffer. Returned as shape (-1, n^d, W^d)."""
     wd = lattice.block_volume
-    shape = (lattice.n,) * lattice.d
-    dense = np.zeros((lattice.block_count, wd, wd))
-    for off, blk in blocks.items():
-        dense[off] = blk
-    symbol = np.fft.fftn(dense.reshape(shape + (wd, wd)),
-                         axes=tuple(range(lattice.d))).reshape(-1, wd, wd)
-    del dense  # not held through the solve
-    return theta_entrywise(symbol, c, 1.0)
+    axes = tuple(range(1, lattice.d + 1))
+    T = T.reshape((-1,) + (lattice.n,) * lattice.d + (wd,))
+    out = np.fft.fftn(T, axes=axes, out=np.empty(T.shape, dtype=complex))
+    hat = out.reshape(-1, lattice.block_count, 1, wd) @ inverses
+    return np.fft.ifftn(hat.reshape(T.shape), axes=axes, out=out).reshape(
+        -1, lattice.block_count, wd)
 
 
 def _times_s(lattice: BlockLattice, blocks: dict, T: np.ndarray) -> np.ndarray:
-    """T B for a block-circulant B given by its blocks B_x (S, or the
-    resolvent R), with T's last axis over the sites; returned as shape
-    (-1, n^d, W^d).
+    """T B for a block-circulant B given by its blocks B_x, here S's, with
+    T's last axis over the sites; returned as shape (-1, n^d, W^d).
 
     B_xy is the block of offset [y] - [x], so block b of the product
     collects T's block b - x times B_x for every offset x.
@@ -155,10 +180,10 @@ def theta(profile: VarianceProfile, t: float, sigma_pair,
     """Block propagator P((1 - m(s) m(s') t S)^(-1)) by block Fourier transform.
 
     The profile is block-translation-invariant, so the entrywise propagator
-    X is block-circulant and splits into one W^d x W^d system per block
-    momentum (:func:`_momentum_inverses`). The column sums v_b of the block
-    row X_(0, b) transform back from 1^T X(p), and Theta(0, b) = v_b . 1 /
-    W^d. Equal to
+    X is block-circulant: one W^d x W^d inverse X(p) per block momentum,
+    solved for one of each pair {p, -p} if m(s) m(s') is real
+    (:func:`_momentum_inverses`). The column sums v_b of block row X_(0, b)
+    transform back from 1^T X(p), and Theta(0, b) = v_b . 1 / W^d. Equal to
     ``project_matrix(lattice, theta_entrywise(t * S, m(s), m(s')))``.
     """
     pair = parse_charges(sigma_pair)
@@ -166,29 +191,20 @@ def theta(profile: VarianceProfile, t: float, sigma_pair,
         raise ValueError("sigma_pair must have length 2")
     lat = profile.lattice
     wd = lat.block_volume
-    shape = (lat.n,) * lat.d
-    axes = tuple(range(lat.d))
     c = charge_m(m, pair[0]) * charge_m(m, pair[1])
     blocks = {off: t * blk for off, blk in profile.blocks.items()}
     inverses = _momentum_inverses(lat, blocks, c)
-
-    def solve(rhs):
-        """Rows v_b of sum_k v_k (delta_kb - m1 m2 t S_(b-k)) = rhs_b."""
-        hat = np.fft.fftn(rhs.reshape(shape + (wd,)), axes=axes)
-        vhat = hat.reshape(-1, 1, wd) @ inverses
-        return np.fft.ifftn(vhat.reshape(shape + (wd,)),
-                            axes=axes).reshape(-1, wd)
-
     rhs = np.zeros((lat.block_count, wd))
     rhs[0] = 1.0
-    v = solve(rhs)
+    # rows v_b of sum_k v_k (delta_kb - m1 m2 t S_(b-k)) = rhs_b
+    v = _times_momenta(lat, rhs, inverses)[0]
     # The inverse transform is accurate to rounding of max|v| only, so tail
     # entries many orders below it carry large relative errors. One
     # refinement step against the residual taken in real space, where every
     # term near a tail entry is as small as it is, makes each entry accurate
     # relative to itself, as the dense LU's are.
     resid = rhs - v + c * _times_s(lat, blocks, v)[0]
-    v = v + solve(resid)
+    v = v + _times_momenta(lat, resid, inverses)[0]
     row0 = v.sum(axis=1) / wd
     if np.imag(c) == 0:
         # real blocks and a real coupling pair p with -p conjugately, so
@@ -215,13 +231,10 @@ def _index_grid(lattice: BlockLattice, arity: int) -> tuple:
     block at 0, broadcast over the blocks (a_1, ..., a_arity) of the full
     one: block axis k holds a_k - a_1 = ``block_offset_matrix[a_1, a_k]``.
     """
-    shift = lattice.block_offset_matrix
-    out = []
-    for k in range(1, arity):
-        shape = [1] * arity
-        shape[0] = shape[k] = lattice.block_count
-        out.append(shift.reshape(shape))
-    return tuple(out)
+    m = lattice.block_count
+    return tuple(lattice.block_offset_matrix.reshape(
+        [m if i in (0, k) else 1 for i in range(arity)])
+        for k in range(1, arity))
 
 
 @dataclass
@@ -235,9 +248,9 @@ class KLoopCalculator:
     its terms is a product of two factors over disjoint sites and its last
     step is one product with R on the last site.
 
-    The resolvent blocks are built once per distinct m(s)m(s') value from
-    the per-momentum inverses that :func:`theta` uses; loops are memoized
-    by charge vector.
+    R is built once per distinct m(s)m(s') value as the per-momentum
+    inverses that :func:`theta` uses, and applied as them, one W^d x W^d
+    product per block momentum; loops are memoized by charge vector.
     """
 
     lattice: BlockLattice
@@ -250,31 +263,30 @@ class KLoopCalculator:
         """The blocks of R = (1 - c t S)^(-1) by offset, in the form of
         ``blocks``: R[[a], [a] + [x]] is the block of offset x.
 
-        They are the inverse transform of the per-momentum inverses. The
-        residual max|R (1 - c t S) - I| of block row 0 is taken in real
-        space from the blocks; above the solve tolerance, or NaN, it raises
-        PropagatorError.
+        They are R's per-momentum inverses, kept for the recursion, applied
+        to block row 0 of the identity. The residual max|R (1 - c t S) - I|
+        of block row 0 is taken in real space from the blocks; above the
+        solve tolerance, or NaN, it raises PropagatorError.
         """
         key = complex(c)
         if key not in self._resolvents:
             lat = self.lattice
             wd = lat.block_volume
             inverses = _momentum_inverses(lat, self.blocks, key)
-            row = np.fft.ifftn(
-                inverses.reshape((lat.n,) * lat.d + (wd, wd)),
-                axes=tuple(range(lat.d))).reshape(-1, wd, wd)
-            # block row 0 of R (1 - c S) - I, as W^d rows over the sites
-            top = row.transpose(1, 0, 2)
+            # block row 0 of R and of R (1 - c S) - I, over the sites
+            top = _times_momenta(lat, np.eye(wd, lat.N), inverses)
             resid = top - key * _times_s(lat, self.blocks, top)
             resid[:, 0] -= np.eye(wd)
-            err, scale = np.abs(resid).max(), np.abs(row).max()
+            err, scale = np.abs(resid).max(), np.abs(top).max()
             if not (err <= _RESIDUAL_TOL * scale and err <= 1e-6):
                 raise PropagatorError(
                     f"block resolvent residual {err:.3e} "
                     f"(max entry {scale:.3e})")
-            row.setflags(write=False)
-            self._resolvents[key] = dict(enumerate(row))
-        return self._resolvents[key]
+            top.setflags(write=False)
+            inverses.setflags(write=False)
+            self._resolvents[key] = (dict(enumerate(top.transpose(1, 0, 2))),
+                                     inverses)
+        return self._resolvents[key][0]
 
     def khat_tensor(self, charges) -> np.ndarray:
         """Khat summed over blocks: A[a_2..a_(n-1), y] is the sum of
@@ -319,8 +331,10 @@ class KLoopCalculator:
             term = X.reshape(C.shape[0], -1, N)
             term += C * self._free_first(charges[k - 1:])
         X[:, :wd] += self._free_first(charges[1:])[:, :wd]
-        R = self.resolvent(m1 * charge_m(self.m, charges[-1]))
-        out = m1 * _times_s(lat, R, X)
+        c = complex(m1 * charge_m(self.m, charges[-1]))
+        self.resolvent(c)  # builds and checks R once per coupling
+        out = _times_momenta(lat, X, self._resolvents[c][1])
+        out *= m1
         return out.reshape((lat.block_count,) * (order - 2) + (N,))
 
     def _average(self, charges) -> np.ndarray:
@@ -405,10 +419,9 @@ def kloop_flow_derivative_residual(calc: KLoopCalculator, charges,
     """
     charges = parse_charges(charges)
     lat = calc.lattice
-    plus = KLoopCalculator(lat, _affine_blocks(lat, calc.blocks, 1.0, dt),
-                           calc.m)
-    minus = KLoopCalculator(lat, _affine_blocks(lat, calc.blocks, 1.0, -dt),
-                            calc.m)
+    plus, minus = (KLoopCalculator(lat, _affine_blocks(lat, calc.blocks,
+                                                       1.0, h), calc.m)
+                   for h in (dt, -dt))
     lhs = (plus.k_tensor(charges) - minus.k_tensor(charges)) / (2 * dt)
     rhs = _hierarchy_rhs(calc, charges)
     scale = max(float(np.abs(rhs).max()), float(np.abs(lhs).max()), 1e-300)
@@ -433,12 +446,9 @@ def evolution_kernel_apply(lattice: BlockLattice, s: float, t: float,
         raise ValueError("need s <= t")
     if A.shape != (lattice.block_count,) * order:
         raise ValueError("tensor shape does not match the block lattice")
-    mats = []
     eye = np.eye(lattice.block_count)
-    for i in range(order):
-        pair = (charges[i], charges[(i + 1) % order])
-        mats.append(eye + (t - s) * charge_m(m, pair[0])
-                    * charge_m(m, pair[1]) * thetas[pair])
+    mats = [eye + (t - s) * charge_m(m, a) * charge_m(m, b) * thetas[a, b]
+            for a, b in zip(charges, charges[1:] + charges[:1])]
     if order == 2:
         return mats[0] @ A @ mats[1].T
     return np.einsum("ai,bj,ck,ijk->abc", mats[0], mats[1], mats[2], A,

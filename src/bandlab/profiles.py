@@ -350,25 +350,21 @@ def validate(profile: VarianceProfile, check_parity: bool = True
     reach_c = float(reach) / lat.W
     flatness = max(max_entry_c, reach_c)
 
-    parity_checked = False
-    parity_ok = True
     parity_violation = 0.0
     if check_parity:
         if lat.W % 2 == 0:
             raise ProfileError("parity check requires odd W; set [checks] "
                                "parity = false or use an odd band width")
-        parity_checked = True
         for off, blk in profile.blocks.items():
             viol = float(np.abs(blk - blk[::-1, ::-1].T).max())
             parity_violation = max(parity_violation, viol)
-        parity_ok = parity_violation <= 1e-12
 
     lam2 = interaction_strength(profile)
     thresh = float(lat.W ** (-lat.d + EPS_INTER))
     interaction_ok = lam2 >= thresh
 
     steps, probs = _block_step_distribution(profile)
-    irre = np.inf
+    irre, iso = np.inf, [0.0, 0.0]
     if lam2 > 0:
         grid = np.linspace(-np.pi, np.pi, P_SAMPLES, endpoint=False)
         ps = np.stack(np.meshgrid(*[grid] * lat.d), axis=-1).reshape(-1, lat.d)
@@ -376,21 +372,17 @@ def validate(profile: VarianceProfile, check_parity: bool = True
         phase = ps @ steps.T
         one_minus_phi = ((1 - np.cos(phase)) * probs[None, :]).sum(axis=1)
         irre = float(np.min(one_minus_phi / (lam2 * (ps**2).sum(axis=1))))
-
-    if lam2 > 0:
         sigma = np.einsum("k,ki,kj->ij", probs, steps, steps)
         evals = np.linalg.eigvalsh(sigma) / lam2
         iso = [float(evals.min()), float(evals.max())]
-    else:
-        iso = [0.0, 0.0]
 
     return ValidationReport(
         doubly_stochastic=bool(dev <= _ROWSUM_TOL),
         row_sum_deviation=float(dev),
         fullness=fullness,
         flatness=float(flatness),
-        parity_checked=parity_checked,
-        parity_ok=parity_ok,
+        parity_checked=bool(check_parity),
+        parity_ok=parity_violation <= 1e-12,
         parity_violation=parity_violation,
         lambda2=lam2,
         interaction_ok=bool(interaction_ok),

@@ -34,10 +34,8 @@ def m_t(z, t: float) -> complex:
         raise ValueError("t must be positive")
     disc = np.sqrt(z * z - 4.0 * t + 0j)
     # avoid cancellation: pick the larger-magnitude numerator for q
-    if abs(z + disc) >= abs(z - disc):
-        q = -(z + disc) / 2.0
-    else:
-        q = -(z - disc) / 2.0
+    q = -(z + disc) / 2.0 if abs(z + disc) >= abs(z - disc) \
+        else -(z - disc) / 2.0
     roots = (q / t, 1.0 / q)
     upper = [r for r in roots if r.imag > 0]
     if not upper:

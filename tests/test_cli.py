@@ -297,9 +297,10 @@ class TestDeterministicCommands:
         # per flow time, one block propagator for Theta(+,-) and one for
         # Theta(+,+)
         assert len(thetas) == 2 * 2
-        # each propagator is one stack of n = 5 solves, one per block
-        # momentum, each W^d x W^d
-        assert solve_shapes == [(5, 5, 5)] * (2 * 2)
+        # each propagator's coupling is real at E = 0, so it is one stack
+        # of 3 solves, each W^d x W^d: momentum 0 and one of each pair
+        # {p, -p} of the n = 5 block momenta
+        assert solve_shapes == [(3, 5, 5)] * (2 * 2)
 
     def test_theta_never_assembles_the_profile(self, tmp_path, monkeypatch):
         from bandlab.profiles import VarianceProfile
@@ -348,11 +349,13 @@ class TestDeterministicCommands:
         monkeypatch.setattr(det, "theta_entrywise", sized_solve)
         cfg = write_config(tmp_path / "c.ini", model={"W": 7, "n": 8})
         assert main(["kloop", "--config", cfg]) == 0
-        # one stack of n = 8 momentum solves of size W = 7 per resolvent or
+        # one stack of momentum solves of size W = 7 per resolvent or
         # propagator: the centre's two resolvents (m m-bar, and m^2 =
         # m-bar^2 at E = 0), four flow-shifted resolvents, and two theta
-        # propagators, one per coupling (the same two)
-        assert sizes == [(8, 7, 7)] * (2 + 4 + 2)
+        # propagators, one per coupling (the same two). Every coupling is
+        # real, so each stack holds 5 of the n = 8 momenta: 0, 4 and one
+        # of each pair {p, -p}
+        assert sizes == [(5, 7, 7)] * (2 + 4 + 2)
 
     def test_kloop_never_goes_n_by_n(self, tmp_path, monkeypatch):
         import bandlab.deterministic as det
@@ -372,8 +375,10 @@ class TestDeterministicCommands:
         cfg = write_config(tmp_path / "c.ini",
                            model={"d": 2, "W": 3, "n": 3})
         assert main(["kloop", "--config", cfg]) in (0, 1)
-        # stacks of n^d = 9 momentum solves of size W^d = 9
-        assert shapes == {(9, 9, 9)}
+        # stacks of momentum solves of size W^d = 9: at E = 0 every
+        # coupling is real, so 5 of the n^d = 9 momenta, one of each pair
+        # {p, -p} and p = 0
+        assert shapes == {(5, 9, 9)}
 
     def test_kloop_runs_at_the_d2_reference_config(self, tmp_path):
         # the order-3 block sums at N = 2025 take 2.6 MB
@@ -389,6 +394,24 @@ class TestDeterministicCommands:
         assert main(["kloop", "--config", cfg]) in (0, 1)
         rep = read_json(str(tmp_path / "out"), "kloop.json")
         assert len(rep["rows"]) == 10
+
+    @pytest.mark.parametrize("model, t", [
+        ({"W": 33, "n": 15}, "0.3,0.9"),
+        ({"d": 2, "W": 5, "n": 9, "cutoff": 2}, "0.9"),
+        ({"W": 7, "n": 8}, "0.3,0.9")], ids=["readme", "d2", "L56"])
+    def test_kloop_rows_and_verdicts(self, model, t, tmp_path):
+        # every row in its order, and every one passes
+        cfg = write_config(tmp_path / "c.ini", model=model,
+                           spectral={"t_values": t})
+        assert main(["kloop", "--config", cfg]) == 0
+        rep = read_json(str(tmp_path / "out"), "kloop.json")
+        assert [(r[0], r[1], r[4]) for r in rep["rows"]] == [
+            ("ward", s, "pass") for s in ("+-", "-+", "++-", "+--", "--+",
+                                          "-++")] + [
+            ("k2_theta_consistency", "all pairs", "pass"),
+            ("cyclic_invariance", "++-", "pass"),
+            ("flow_derivative", "dt=0.001", "pass"),
+            ("flow_derivative", "dt=0.0005", "pass")]
 
     def test_kloop_checks_k2_against_theta(self, tmp_path, monkeypatch):
         # a propagator off by 1e-9 relative must fail the K^(2) check alone

@@ -419,6 +419,123 @@ class TestBlockResolvent:
             calc.k_tensor((1, -1))
 
 
+def _symbol(lat, blocks):
+    """Oracle: the full stack of S(p) = sum_x e^(-2 pi i p.x/n) S_x."""
+    wd = lat.block_volume
+    dense = np.zeros((lat.block_count, wd, wd))
+    for off, blk in blocks.items():
+        dense[off] = blk
+    return np.fft.fftn(dense.reshape((lat.n,) * lat.d + (wd, wd)),
+                       axes=tuple(range(lat.d))).reshape(-1, wd, wd)
+
+
+def _random_blocks(lat, seed):
+    """Real blocks with S_(-x) = S_x^T and no symmetry beyond it, so each
+    S(p) is Hermitian and no two momenta but p and -p share a spectrum."""
+    rng = np.random.default_rng(seed)
+    raw = rng.random((lat.block_count,) + (lat.block_volume,) * 2)
+    return {x: (raw[x] + raw[lat.block_negate(x)].T) / (2 * raw.size)
+            for x in range(lat.block_count)}
+
+
+class TestConjugatePairs:
+    """A real coupling solves one momentum of each pair {p, -p}."""
+
+    @pytest.mark.parametrize("d, W, n, solved", [(2, 2, 9, 41),
+                                                 (1, 3, 8, 5)])
+    def test_representative_count(self, d, W, n, solved, monkeypatch):
+        # an even n has the momentum n/2 = -n/2, solved once as 0 is
+        import bandlab.deterministic as det
+        lat = _uniform(d, W, n).lattice
+        solve, sizes = det.theta_entrywise, []
+
+        def sized_solve(S, *args):
+            sizes.append(len(S))
+            return solve(S, *args)
+
+        monkeypatch.setattr(det, "theta_entrywise", sized_solve)
+        det._momentum_inverses(lat, _uniform(d, W, n).scaled(0.7).blocks, 1.0)
+        assert sizes == [solved]
+
+    @pytest.mark.parametrize("d, W, n", [(1, 3, 8), (1, 4, 7), (2, 2, 9),
+                                         (2, 3, 4)])
+    @pytest.mark.parametrize("c", [abs(M_FLOW) ** 2, M_FLOW**2,
+                                   stieltjes_m(0.0) ** 2])
+    def test_inverses_against_the_full_stack(self, d, W, n, c, monkeypatch):
+        import bandlab.deterministic as det
+        prof = _uniform(d, W, n).scaled(0.7)
+        lat = prof.lattice
+        solve, stacks = det.theta_entrywise, []
+
+        def kept(S, *args):
+            stacks.append(S)
+            return solve(S, *args)
+
+        monkeypatch.setattr(det, "theta_entrywise", kept)
+        got = det._momentum_inverses(lat, prof.blocks, c)
+        full = solve(_symbol(lat, prof.blocks), c, 1.0)
+        assert np.abs(got - full).max() <= 1e-12
+        if np.imag(c) == 0:
+            # every solved momentum keeps its own solve, p = -p included,
+            # and the mirror -p takes the conjugate
+            mirror = lat.block_offset_matrix[:, 0]
+            solved = np.arange(lat.block_count) <= mirror
+            pairs = mirror != np.arange(lat.block_count)
+            assert pairs.any()
+            assert np.array_equal(got[solved], solve(stacks[0], c, 1.0))
+            assert np.array_equal(got[pairs], got[mirror][pairs].conj())
+
+    def test_nonreal_coupling_solves_every_momentum(self, monkeypatch):
+        import bandlab.deterministic as det
+        solve, sizes = det.theta_entrywise, []
+
+        def sized_solve(S, *args):
+            sizes.append(len(S))
+            return solve(S, *args)
+
+        monkeypatch.setattr(det, "theta_entrywise", sized_solve)
+        m = stieltjes_m(0.3)
+        assert np.imag(m * m) != 0
+        theta(_uniform(2, 3, 5), 0.7, (1, 1), m)
+        assert sizes == [25]
+
+    def test_failure_names_the_full_momentum_index(self):
+        # c = 1/lambda for an eigenvalue lambda of S(p*) makes p* and -p*
+        # singular. p* = (2, 2) is index 12 of the 25 momenta, -p* index
+        # 18, and p* is entry 8 of the solved stack
+        import bandlab.deterministic as det
+        lat = BlockLattice(d=2, W=2, n=5)
+        blocks = _random_blocks(lat, seed=3)
+        lam = np.linalg.eigvalsh(_symbol(lat, blocks)[12])[-1]
+        with pytest.raises(PropagatorError, match=r"at momentum (12|18)\b"):
+            det._momentum_inverses(lat, blocks, 1 / lam)
+
+
+class TestMomentumProduct:
+    """R applied per block momentum against the real-space block product."""
+
+    @pytest.mark.parametrize("d, W, n, orders", [
+        (1, 5, 7, (2, 3, 4)), (1, 4, 8, (2, 3, 4)), (2, 3, 5, (2, 3)),
+        (2, 2, 4, (2, 3))])
+    def test_matches_real_space_product(self, d, W, n, orders):
+        import bandlab.deterministic as det
+        prof = _uniform(d, W, n).scaled(0.7)
+        lat = prof.lattice
+        calc = KLoopCalculator(lat, prof.blocks, M_FLOW)
+        rng = np.random.default_rng(5)
+        for c in (abs(M_FLOW) ** 2, M_FLOW**2):
+            R = calc.resolvent(c)
+            inverses = det._momentum_inverses(lat, prof.blocks, c)
+            for order in orders:
+                X = rng.standard_normal((lat.block_count ** (order - 2),
+                                         2 * lat.N)).view(complex)
+                want = det._times_s(lat, R, X)
+                got = det._times_momenta(lat, X, inverses)
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() \
+                    <= 1e-13 * np.abs(want).max()
+
+
 class TestKLoop:
     def test_fast_path_matches_recursion(self, band55):
         lat, prof = band55
