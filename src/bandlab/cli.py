@@ -165,14 +165,27 @@ def _check_required(cfg):
         raise ConfigError("[spectral] each t_values entry must lie in (0, 1)")
     if cfg["mc"]["replicas"] < 1:
         raise ConfigError("[mc] replicas must be >= 1")
-    if cfg["mc"]["master_seed"] < 0:
-        raise ConfigError("[mc] master_seed must be >= 0")
+    _check_seed(cfg["mc"]["master_seed"], "[mc] master_seed")
+    source = "[mc] parallelism"
     if cfg["mc"]["parallelism"] is None:
-        env = os.environ.get("BANDLAB_THREADS", "").strip()
-        cfg["mc"]["parallelism"] = int(env) if env \
-            else len(os.sched_getaffinity(0))
+        source = "BANDLAB_THREADS"
+        env = os.environ.get(source, "").strip()
+        try:
+            cfg["mc"]["parallelism"] = int(env) if env \
+                else len(os.sched_getaffinity(0))
+        except ValueError:
+            raise ConfigError(f"{source} = {env!r} is not an integer") \
+                from None
     if cfg["mc"]["parallelism"] < 1:
-        raise ConfigError("[mc] parallelism must be >= 1")
+        raise ConfigError(f"{source} must be >= 1")
+
+
+def _check_seed(seed: int, source: str):
+    """A master seed is a U64, as ``--help`` says."""
+    if seed < 0:
+        raise ConfigError(f"{source} must be >= 0")
+    if seed >= 2**64:
+        raise ConfigError(f"{source} must be <= 2^64 - 1")
 
 
 def canonical_config(cfg: dict) -> dict:
@@ -670,7 +683,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=False,
                         help="INI config file (required except for 'report')")
     parser.add_argument("--seed", type=int, default=None,
-                        help="override [mc] master_seed")
+                        help="override [mc] master_seed, a U64")
     parser.add_argument("--replicas", type=int, default=None,
                         help="override [mc] replicas")
     parser.add_argument("--out", default=None,
@@ -685,8 +698,7 @@ def main(argv=None) -> int:
         else:
             cfg = parse_config(args.config)
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("--seed must be >= 0")
+            _check_seed(args.seed, "--seed")
             cfg["mc"]["master_seed"] = args.seed
         if args.replicas is not None:
             if args.replicas < 1:

@@ -9,27 +9,26 @@ core counts. numpy's bundled OpenBLAS is the only BLAS and LAPACK bandlab
 calls, so pinning its thread count covers every solve and eigensolve.
 
 A replica never forms the N x N profile: each command builds one
-:class:`Band` from the profile's blocks, replicas sample H on its support,
-and the resolvent comes from recursive Green's functions along a chain of
-layers, closed into their ring by a Schur complement, with its residual
-checked on views of H's and G's block rows. The order of the draws is
-versioned by ``STREAM_VERSION``. Every replica keeps H in one form, its
-:class:`LayerRows`: each layer's rows over the columns of the layer and
-its two ring neighbours, all that H holds off zero. Each worker thread
-keeps H's :class:`LayerRows` and a scratch buffer of two W^d x N block
-rows, and the buffers of its command: for ``locallaw`` and ``diffusion``
-an N x N G; for ``deloc`` and ``que``, once a window takes every pair,
-zheevr's N x N input and eigenvectors.
+:class:`Band` from the profile's blocks, whole, with the layout of H's
+layers, the draw's positions and the residual's chunks. Replicas sample H
+on its support, and the resolvent comes from recursive Green's functions
+along a chain of layers, closed into their ring by a Schur complement,
+with its residual checked on views of H's and G's block rows. The order of
+the draws is versioned by ``STREAM_VERSION``. Every replica keeps H in one
+form, its :class:`LayerRows`: each layer's rows over the columns of the
+layer and its two ring neighbours, all that H holds off zero. Each thread
+keeps its buffers in one store (:func:`_kept`): H's :class:`LayerRows`, a
+scratch buffer of two W^d x N block rows, and for ``locallaw`` and
+``diffusion`` an N x N G; for ``deloc`` and ``que``, once a window takes
+every pair, zheevr's N x N input and eigenvectors.
 
 Replica threads share the GIL, and numpy releases it around every call on
 more than a few hundred numbers, so each small call of a replica is a
 hand-off to the other threads. The resolvent path keeps its calls few
 without changing a bit of G: H's diagonal is shifted by -z in place for
-the solve instead of copied per layer, the layer map (:attr:`Band.layers`)
-holds the draw's positions and the residual's chunks, made once per
-command in one pass over each block's runs (:attr:`Band.runs`), the block
-residual runs a chunk of consecutive blocks with equal runs as one batched
-product per run, and |G|^2 is formed once per replica
+the solve instead of copied per layer, the block residual runs a chunk of
+consecutive blocks with equal runs as one batched product per run, and
+|G|^2 is formed once per replica
 (:attr:`GreenFunction.abs2`) for the Ward gate and the observables. The
 residual's normalisation max(1, max|G|) can only lower max|(H - z)G - I|,
 so a solve forms it only when that peak is above the tolerance.
@@ -150,22 +149,37 @@ def stream_for(master_seed: int, replica: int) -> np.random.Generator:
 
 # ---- the band: what a replica needs of the profile ------------------------------
 
-@dataclass(frozen=True)
+# compared by identity: a kept buffer of H fits only its own band
+@dataclass(frozen=True, eq=False)
 class Band:
-    """The sparsity of a block random band matrix, read off a profile's blocks.
-
-    Built once per command by :func:`build_band`; every replica shares it.
+    """A profile's block band: the support of H, the ring of layers on
+    which :class:`LayerRows` keeps H, and the residual's plan there. Built
+    whole, once per command, by :func:`build_band`; every replica shares it.
 
     - ``rows``, ``cols``, ``sd``: the strictly upper-triangular support of
       S sorted by (row, column), and the standard deviations sqrt(S_xy / 2)
       of the real and imaginary parts there; ``diag_sd`` is sqrt(S_xx).
     - ``cuts``: site boundaries 0 = c_0 < ... < c_p = N of the layers,
-      contiguous runs of block rows along the first block coordinate. Each
-      layer spans at least the profile's reach along that coordinate, so
-      H couples a layer only to itself and its two ring neighbours.
-    - ``runs``: the residual plan, for each block [a] the runs of
-      consecutive blocks among [a] and [a] + x, x a nonzero offset, as
-      site offsets (lo, hi) from [a]'s first site.
+      contiguous runs of block rows along the first block coordinate, and
+      ``slices`` their sites. Each layer spans at least the profile's reach
+      along that coordinate, so H couples a layer only to itself and its
+      two ring neighbours; ``ends`` are the layers of the chain 0..p-2
+      that the last layer couples to.
+    - Layer i's rows are kept over the columns of layers i - 1, i and i + 1
+      on the ring, in ascending site order: C-ordered from position
+      ``base[i]`` of a flat buffer of ``size`` numbers, ``width[i]``
+      columns a row. ``spans[i]`` maps each of those layers j to the slice
+      of its columns there, so A_ij is a view, and ``sites[i]`` lists the
+      sites of those columns. ``upper``, ``lower`` and ``diag`` are the
+      positions there of the support (in the band's order), of its mirror
+      image and of the diagonal.
+    - ``chunks``, the residual plan: (x, k, width, ((lo, hi, start,
+      advance), ...)) for a chunk of k consecutive blocks from site x,
+      whose layer rows are ``width`` wide, with H_x,x+lo of each run at
+      position ``start`` and each next block's ``advance`` further on. The
+      runs of a block [a] are those of consecutive blocks among [a] and
+      [a] + x, x a nonzero offset, as site offsets (lo, hi) from [a]'s
+      first site.
     """
 
     lattice: BlockLattice
@@ -174,89 +188,11 @@ class Band:
     sd: np.ndarray
     diag_sd: np.ndarray
     cuts: tuple
-    runs: tuple
-
-    @cached_property
-    def layers(self) -> "_LayerMap":
-        """Where :class:`LayerRows` keeps H, made on first use: each replica
-        factory makes it before any worker needs it."""
-        cuts, N = self.cuts, self.lattice.N
-        p = len(cuts) - 1
-        # at[i, j]: the first column of layer j in layer i's rows
-        at = np.zeros((p, p), dtype=int)
-        base, width, cols, size = [], [], [], 0
-        for i in range(p):
-            spans, end = {}, 0
-            for j in sorted({(i - 1) % p, i, (i + 1) % p}):
-                spans[j] = slice(end, end + cuts[j + 1] - cuts[j])
-                at[i, j], end = spans[j].start, spans[j].stop
-            base.append(size)
-            width.append(end)
-            cols.append(spans)
-            size += (cuts[i + 1] - cuts[i]) * end
-        layer = np.repeat(np.arange(p), np.diff(cuts))
-        starts, widths, first = (np.array(v) for v in (base, width, cuts))
-
-        def flat(x, y):
-            """The position of H_xy in the flat buffer; y lies in layer
-            x's rows."""
-            i, j = layer[x], layer[y]
-            return starts[i] + (x - first[i]) * widths[i] + at[i, j] \
-                + y - first[j]
-
-        # a chunk is consecutive blocks whose runs lie at the same offsets
-        # and whose layer rows lie at one stride: up to two blocks of one
-        # run, or one block of more, whose products then take the scratch
-        # buffer's second half
-        wd = self.lattice.block_volume
-        chunks = []             # [first site, (row width, runs), positions]
-        for a, runs in enumerate(self.runs):
-            x = a * wd
-            key = (width[layer[x]], runs)
-            pos = np.array([flat(x, x + lo) for lo, _ in runs])
-            if chunks and chunks[-1][1] == key:
-                held = chunks[-1][2]
-                if len(held) < _CHUNK_BLOCKS // min(len(runs), 2) and (
-                        len(held) == 1
-                        or np.array_equal(pos - held[-1], held[1] - held[0])):
-                    held.append(pos)
-                    continue
-            chunks.append([x, key, [pos]])
-        plan = []
-        for x, (w, runs), held in chunks:
-            advance = held[1] - held[0] if len(held) > 1 else 0 * held[0]
-            plan.append((x, len(held), w, tuple(
-                (lo, hi, int(s), int(d))
-                for (lo, hi), s, d in zip(runs, held[0], advance))))
-        diag = np.arange(N)
-        sites = tuple(np.concatenate([np.arange(cuts[j], cuts[j + 1])
-                                      for j in spans]) for spans in cols)
-        return _LayerMap(base=tuple(base), width=tuple(width),
-                         cols=tuple(cols), sites=sites, size=size,
-                         upper=flat(self.rows, self.cols),
-                         lower=flat(self.cols, self.rows),
-                         diag=flat(diag, diag), chunks=tuple(plan))
-
-
-class _LayerMap(NamedTuple):
-    """Where H's layer rows sit in the flat buffer of :class:`LayerRows`.
-
-    Layer i's rows are kept over the columns of the layers it couples to,
-    i - 1, i and i + 1 on the ring, in ascending site order: C-ordered from
-    position ``base[i]``, ``width[i]`` columns a row. ``cols[i]`` maps each
-    of those layers j to the slice of its columns there, so A_ij is a view,
-    and ``sites[i]`` lists the sites of those columns, in their order.
-    ``upper``, ``lower`` and ``diag`` are the positions of the band's
-    support (in the band's order), of its mirror image and of the diagonal.
-    ``chunks`` is the residual plan on this storage: (x, k, width, ((lo,
-    hi, start, advance), ...)) for a chunk of k consecutive blocks from
-    site x, whose layer rows are ``width`` wide, with H_x,x+lo of each run
-    at position ``start`` and each next block's ``advance`` further on.
-    """
-
+    slices: tuple
+    ends: tuple
     base: tuple
     width: tuple
-    cols: tuple
+    spans: tuple
     sites: tuple
     size: int
     upper: np.ndarray
@@ -268,7 +204,7 @@ class _LayerMap(NamedTuple):
 def build_band(profile: VarianceProfile) -> Band:
     """The :class:`Band` of ``profile``, from its blocks; nothing N x N."""
     lat = profile.lattice
-    m, wd = lat.block_count, lat.block_volume
+    m, wd, N = lat.block_count, lat.block_volume, lat.N
     offsets = sorted(profile.blocks)
     shift = np.array([[lat.block_shift(a, off) for off in offsets]
                       for a in range(m)], dtype=int)
@@ -286,53 +222,107 @@ def build_band(profile: VarianceProfile) -> Band:
         cols.append(y[upper])
         var.append(np.tile(blk[i, j], m)[upper])
     rows, cols, var = (np.concatenate(v) for v in (rows, cols, var))
-    order = np.argsort(rows * lat.N + cols)
-    diag_sd = np.tile(np.sqrt(np.diagonal(profile.block_at(0))), m)
+    order = np.argsort(rows * N + cols)
+    rows, cols, sd = rows[order], cols[order], np.sqrt(var[order] / 2.0)
+    # the layer map below peaks without the sort's temporaries
+    del var, order
     reach = max((abs(lat.centered_block_coords(off)[0]) for off in offsets),
                 default=0)
-    layers = np.array_split(np.arange(lat.n), lat.n // max(reach, 1))
-    per_row = lat.N // lat.n
-    cuts = tuple(int(first) * per_row for first, *_ in layers) + (lat.N,)
-    # sorted in Python: np.unique's first call faults in 1.6 MB of code
-    coupled = (np.array(sorted({a, *r})) for a, r in enumerate(shift))
-    runs = tuple(tuple((wd * int(r[0] - a), wd * int(r[-1] + 1 - a))
-                       for r in np.split(b, np.flatnonzero(np.diff(b) != 1)
-                                         + 1))
-                 for a, b in enumerate(coupled))
-    return Band(lattice=lat, rows=rows[order], cols=cols[order],
-                sd=np.sqrt(var[order] / 2.0), diag_sd=diag_sd, cuts=cuts,
-                runs=runs)
+    split = np.array_split(np.arange(lat.n), lat.n // max(reach, 1))
+    cuts = tuple(int(first) * (N // lat.n) for first, *_ in split) + (N,)
+    p = len(cuts) - 1
+    # at[i, j]: the first column of layer j in layer i's rows
+    at = np.zeros((p, p), dtype=int)
+    base, width, spans, size = [], [], [], 0
+    for i in range(p):
+        span, end = {}, 0
+        for j in sorted({(i - 1) % p, i, (i + 1) % p}):
+            span[j] = slice(end, end + cuts[j + 1] - cuts[j])
+            at[i, j], end = span[j].start, span[j].stop
+        base.append(size)
+        width.append(end)
+        spans.append(span)
+        size += (cuts[i + 1] - cuts[i]) * end
+    layer = np.repeat(np.arange(p), np.diff(cuts))
+    starts, widths, first = (np.array(v) for v in (base, width, cuts))
+
+    def flat(x, y):
+        """The position of H_xy in the flat buffer; y lies in layer x's
+        rows."""
+        i, j = layer[x], layer[y]
+        return starts[i] + (x - first[i]) * widths[i] + at[i, j] \
+            + y - first[j]
+
+    # a chunk is consecutive blocks whose runs lie at the same offsets and
+    # whose layer rows lie at one stride: up to two blocks of one run, or
+    # one block of more, whose products then take the scratch buffer's
+    # second half
+    chunks = []             # [first site, (row width, runs), positions]
+    for a, r in enumerate(shift):
+        # sorted in Python: np.unique's first call faults in 1.6 MB of code
+        b = np.array(sorted({a, *r}))
+        runs = tuple((wd * int(c[0] - a), wd * int(c[-1] + 1 - a))
+                     for c in np.split(b, np.flatnonzero(np.diff(b) != 1)
+                                       + 1))
+        x = a * wd
+        key = (width[layer[x]], runs)
+        pos = np.array([flat(x, x + lo) for lo, _ in runs])
+        if chunks and chunks[-1][1] == key:
+            held = chunks[-1][2]
+            if len(held) < _CHUNK_BLOCKS // min(len(runs), 2) and (
+                    len(held) == 1
+                    or np.array_equal(pos - held[-1], held[1] - held[0])):
+                held.append(pos)
+                continue
+        chunks.append([x, key, [pos]])
+    plan = []
+    for x, (w, runs), held in chunks:
+        advance = held[1] - held[0] if len(held) > 1 else 0 * held[0]
+        plan.append((x, len(held), w, tuple(
+            (lo, hi, int(s), int(d))
+            for (lo, hi), s, d in zip(runs, held[0], advance))))
+    diag = np.arange(N)
+    return Band(
+        lattice=lat, rows=rows, cols=cols, sd=sd,
+        diag_sd=np.tile(np.sqrt(np.diagonal(profile.block_at(0))), m),
+        cuts=cuts, slices=tuple(slice(*c) for c in zip(cuts, cuts[1:])),
+        ends=tuple(sorted({0, p - 2})) if p > 1 else (),
+        base=tuple(base), width=tuple(width), spans=tuple(spans),
+        sites=tuple(np.concatenate([np.arange(cuts[j], cuts[j + 1])
+                                    for j in span]) for span in spans),
+        size=size, upper=flat(rows, cols), lower=flat(cols, rows),
+        diag=flat(diag, diag), chunks=tuple(plan))
 
 
 # ---- sampling -----------------------------------------------------------------
 
 class LayerRows:
     """H as its layer rows: each layer's rows over the columns of the
-    layers it couples to, laid out by :attr:`Band.layers` in one flat
+    layers it couples to, laid out as its :class:`Band` says in one flat
     complex buffer ``data``, created zeroed. ``rows[i]`` is layer i's rows
     as a C-ordered view. At the README config that is 15 layers of 33 rows
     over 99 columns, a fifth of N x N."""
 
     def __init__(self, band: Band):
-        lay, cuts = band.layers, band.cuts
+        cuts = band.cuts
         self.band = band
-        self.data = np.zeros(lay.size, dtype=complex)
+        self.data = np.zeros(band.size, dtype=complex)
         self.rows = tuple(
             self.data[b:b + (hi - lo) * w].reshape(hi - lo, w)
-            for b, w, lo, hi in zip(lay.base, lay.width, cuts, cuts[1:]))
+            for b, w, lo, hi in zip(band.base, band.width, cuts, cuts[1:]))
 
     def block(self, i: int, j: int) -> np.ndarray:
         """Block (i, j) of layers of H, a view; j is i or one of its ring
         neighbours."""
-        return self.rows[i][:, self.band.layers.cols[i][j]]
+        return self.rows[i][:, self.band.spans[i][j]]
 
     def __matmul__(self, V: np.ndarray) -> np.ndarray:
         """H @ V for V of N rows: one product per layer, of its rows and
         V's rows at the sites of their columns."""
         out = np.empty(V.shape, dtype=complex)
         cuts = self.band.cuts
-        for rows, sites, lo, hi in zip(self.rows, self.band.layers.sites,
-                                       cuts, cuts[1:]):
+        for rows, sites, lo, hi in zip(self.rows, self.band.sites, cuts,
+                                       cuts[1:]):
             np.matmul(rows, V[sites], out=out[lo:hi])
         return out
 
@@ -351,12 +341,12 @@ def sample_H(band: Band, rng: np.random.Generator,
     the support and the diagonal are written: layer rows created zeroed
     and only ever filled by this band stay exactly zero off the band.
     """
-    k, lay = band.rows.size, band.layers
+    k = band.rows.size
     normals = rng.standard_normal(2 * k + band.lattice.N)
     vals = (normals[:k] + 1j * normals[k:2 * k]) * band.sd
-    out.data[lay.upper] = vals
-    out.data[lay.lower] = vals.conj()
-    out.data[lay.diag] = normals[2 * k:] * band.diag_sd
+    out.data[band.upper] = vals
+    out.data[band.lower] = vals.conj()
+    out.data[band.diag] = normals[2 * k:] * band.diag_sd
     return out
 
 
@@ -417,12 +407,11 @@ def green(band: Band, H: LayerRows, z: complex,
     z = complex(z)
     if z.imag == 0:
         raise ValueError("green requires Im z != 0")
-    cuts, wd = band.cuts, band.lattice.block_volume
-    lay = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    cuts, lay, wd = band.cuts, band.slices, band.lattice.block_volume
     last, M, N = len(lay) - 1, cuts[-2], cuts[-1]
     G = np.empty((N, N), dtype=complex) if out is None else out
-    buf = _worker_scratch(_CHUNK_BLOCKS * wd, N)
-    with _shifted(H.data, band.layers.diag, z):
+    buf = _worker_scratch(band)
+    with _shifted(H.data, band.diag, z):
         A = H.block  # block (i, j) of H - z, a view
 
         # a chain pivot is kept negated in G until the fill reaches it: Up_k
@@ -443,17 +432,16 @@ def green(band: Band, H: LayerRows, z: complex,
             np.matmul(G[rest, lay[k + 1]], lo, out=G[rest, lay[k]])
             np.subtract(up @ G[lay[k + 1], lay[k]], neg, out=neg)
         L = lay[last]
-        ends = sorted({0, last - 1}) if last else []  # the layers B couples
         _sum_of_products(G[:M, L], [(G[:M, lay[e]], A(e, last))
-                                    for e in ends], buf)
+                                    for e in band.ends], buf)
         S = A(last, last)
-        if ends:
-            coupled = (A(last, e) @ G[lay[e], L] for e in ends)
+        if band.ends:
+            coupled = (A(last, e) @ G[lay[e], L] for e in band.ends)
             S = S - sum(coupled, next(coupled))
         G[L, L] = _inverse(S)
         neg = -G[L, L]
         _sum_of_products(G[L, :M], [(neg @ A(last, e), G[lay[e], :M])
-                                    for e in ends], buf)
+                                    for e in band.ends], buf)
     # gemm's bits depend on its row count, so the batch keeps W^d rows a
     # product
     for c in range(0, M, len(buf)):
@@ -497,16 +485,28 @@ def _shifted(data: np.ndarray, diag: np.ndarray, z: complex):
         data[diag] = saved
 
 
-_scratch = threading.local()
+_buffers = threading.local()
 
 
-def _worker_scratch(rows: int, cols: int) -> np.ndarray:
-    """The calling thread's complex (rows, cols) buffer; no call reads what
-    an earlier one left in it."""
-    buf = getattr(_scratch, "buf", None)
-    if buf is None or buf.shape != (rows, cols):
-        buf = _scratch.buf = np.empty((rows, cols), dtype=complex)
-    return buf
+def _kept(name: str, key, make):
+    """The calling thread's buffer ``name`` while it was made for ``key``,
+    else a fresh ``make()``, kept in its place. The scratch rows are kept
+    by shape, zheevr's buffers by N, and H's layer rows, alone or with G,
+    by band: only their own band's draws leave them zero off the band. A
+    worker's buffers go with its thread, which ends with
+    :func:`run_ensemble`'s pool; the main thread's stay until replaced."""
+    held = getattr(_buffers, name, None)
+    if held is None or held[0] != key:
+        held = (key, make())
+        setattr(_buffers, name, held)
+    return held[1]
+
+
+def _worker_scratch(band: Band) -> np.ndarray:
+    """The calling thread's complex buffer of ``_CHUNK_BLOCKS`` block rows
+    of the band; no call reads what an earlier one left in it."""
+    shape = (_CHUNK_BLOCKS * band.lattice.block_volume, band.lattice.N)
+    return _kept("scratch", shape, lambda: np.empty(shape, dtype=complex))
 
 
 def _sum_of_products(out, pairs, part):
@@ -536,7 +536,7 @@ def _residual_peak(band: Band, H: LayerRows, G: np.ndarray,
     :class:`LayerRows`, read only on the blocks of the residual plan.
 
     The plan goes through the thread's scratch buffer in the chunks of
-    :attr:`_LayerMap.chunks`: up to ``_CHUNK_BLOCKS`` consecutive blocks
+    :attr:`Band.chunks`: up to ``_CHUNK_BLOCKS`` consecutive blocks
     with the same runs if they have one, half as many if more, whose
     products are summed in the buffer's second half, and only blocks whose
     layer rows lie at one stride.
@@ -546,12 +546,12 @@ def _residual_peak(band: Band, H: LayerRows, G: np.ndarray,
     the W^d x N shape of one block row. The chunks' maxima are kept in an
     array, whose max keeps a NaN."""
     wd, N = band.lattice.block_volume, band.lattice.N
-    buf = _worker_scratch(_CHUNK_BLOCKS * wd, N)
+    buf = _worker_scratch(band)
     G = np.ascontiguousarray(G)
-    chunks, data = band.layers.chunks, H.data
+    chunks, data = band.chunks, H.data
     item = data.itemsize
     peaks = np.empty(len(chunks))
-    with _shifted(data, band.layers.diag, z):
+    with _shifted(data, band.diag, z):
         for c, (a, k, width, runs) in enumerate(chunks):
             R, prod = buf[:k * wd], buf[k * wd:2 * k * wd]
             for i, (lo, hi, start, advance) in enumerate(runs):
@@ -656,16 +656,12 @@ class _EigenBuffers(NamedTuple):
 
 
 def _eigen_buffers(N: int) -> _EigenBuffers:
-    """The calling thread's :class:`_EigenBuffers` for N x N, made on its
-    first call there; no call reads what an earlier one left in them."""
-    out = getattr(_scratch, "eigen", None)
-    if out is None or out.w.size != N:
-        lib = _openblas()
-        out = _scratch.eigen = _EigenBuffers(
-            np.empty((N, N), dtype=complex), np.empty(N),
-            np.empty((N, N), dtype=complex, order="F"),
-            np.empty(2 * N, dtype=lib.lapack_int if lib else np.int64))
-    return out
+    """The calling thread's :class:`_EigenBuffers` for N x N; no call reads
+    what an earlier one left in them."""
+    return _kept("eigen", N, lambda: _EigenBuffers(
+        np.empty((N, N), dtype=complex), np.empty(N),
+        np.empty((N, N), dtype=complex, order="F"),
+        np.empty(2 * N, dtype=getattr(_openblas(), "lapack_int", np.int64))))
 
 
 def _zheevr(lib: _OpenBLAS, a: np.ndarray, out: _EigenBuffers):
@@ -751,21 +747,19 @@ class _RingLDL:
     """
 
     def __init__(self, band: Band, H: LayerRows, shift: float, tol: float):
-        cuts = band.cuts
         self.H, self.shift, self.tol = H, shift, tol
         self.A = H.block    # block (i, j) of H, a view: of H - shift below
-        self.lay = lay = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+        self.lay = lay = band.slices
         self.last = last = len(lay) - 1
-        self.M = M = cuts[-2]
-        # the layers that B couples
-        self.ends = sorted({0, last - 1}) if last else []
+        self.M = M = band.cuts[-2]
+        self.ends = band.ends   # the layers that B couples
         self.negatives = 0
-        Y = np.zeros((M, cuts[-1] - M), dtype=complex)
+        Y = np.zeros((M, band.lattice.N - M), dtype=complex)
         for e in self.ends:
             Y[lay[e]] = self.A(e, last)
         self.Z = Z = np.empty_like(Y)
         self.inv, self.up = [], []     # P_k^-1 and P_k^-1 A_k,k+1
-        with _shifted(H.data, band.layers.diag, shift):
+        with _shifted(H.data, band.diag, shift):
             for k in range(last):
                 P = self.A(k, k)
                 if k:
@@ -860,8 +854,7 @@ def _sup_norms(band: Band, vectors: np.ndarray) -> np.ndarray:
     columns in the thread's scratch buffer, viewed as floats. Squaring is
     monotone, so the square of max|u| is max|u|^2 bit for bit."""
     N, k = vectors.shape
-    flat = _worker_scratch(_CHUNK_BLOCKS * band.lattice.block_volume,
-                           N).reshape(-1)
+    flat = _worker_scratch(band).reshape(-1)
     step = 2 * flat.size // N
     # an N x step Fortran-ordered view: a chunk's columns are contiguous
     mag = flat.view(float)[:N * step].reshape(step, N).T
@@ -935,8 +928,8 @@ def eigen_stats(band: Band, H: LayerRows,
         lib, buffers = _openblas(), _eigen_buffers(N)
         a = buffers.a
         a.fill(0.0)
-        a[band.rows, band.cols] = H.data[band.layers.upper]
-        a.reshape(-1)[::N + 1] = H.data[band.layers.diag]
+        a[band.rows, band.cols] = H.data[band.upper]
+        a.reshape(-1)[::N + 1] = H.data[band.diag]
         if lib is None or lib.zheevr is None:
             evals, evecs = np.linalg.eigh(a.T)
         else:
@@ -1128,35 +1121,19 @@ def run_ensemble(config: SampleConfig, replica_fn,
 
 # ---- replica closures for the statistical experiments ----------------------------------
 
-def _per_thread(make):
-    """get() -> the calling thread's ``make()``, made on its first call
-    there."""
-    local = threading.local()
-
-    def get():
-        made = getattr(local, "made", None)
-        if made is None:
-            made = local.made = make()
-        return made
-
-    return get
-
-
 def _resolvent_replica_fn(band: Band, z: complex, observe):
     """fn(replica, rng) -> observe(gf) and the Ward residual, for the
     GreenFunction gf of the replica's H at z.
 
-    Each worker thread keeps H's :class:`LayerRows` and an N x N complex G,
-    allocated on its first replica; the layer map is made here, before any
-    worker needs it. The Ward residual is taken before ``observe`` runs,
-    so an observable may write into |G|^2; none aliases H or G."""
+    Each thread keeps H's :class:`LayerRows` and an N x N complex G as one
+    entry of its buffers (:func:`_kept`), remade for another band. The
+    Ward residual is taken before ``observe`` runs, so an observable may
+    write into |G|^2; none aliases H or G."""
     N = band.lattice.N
-    band.layers
-    buffers = _per_thread(lambda: (LayerRows(band),
-                                   np.empty((N, N), dtype=complex)))
 
     def fn(replica, rng):
-        H, G = buffers()
+        H, G = _kept("H, G", band, lambda: (LayerRows(band),
+                                            np.empty((N, N), dtype=complex)))
         gf = green(band, sample_H(band, rng, out=H), z, out=G)
         ward = ward_gate_residual(gf)
         return {**observe(gf), "ward_residual": ward}
@@ -1188,7 +1165,7 @@ def _project_gg(band: Band, G: np.ndarray) -> np.ndarray:
     time in the thread's scratch buffer: no N x N temporary."""
     lat = band.lattice
     m, wd, N = lat.block_count, lat.block_volume, lat.N
-    buf = _worker_scratch(_CHUNK_BLOCKS * wd, N)
+    buf = _worker_scratch(band)
     out = np.empty((m, m), dtype=complex)
     for a in range(0, m, _CHUNK_BLOCKS):
         rows = slice(a * wd, min(a + _CHUNK_BLOCKS, m) * wd)
@@ -1216,14 +1193,11 @@ def _eigen_replica_fn(band: Band, window: tuple[float, float], observe):
     """fn(replica, rng) -> observe(stats) and the window count, for the
     :func:`eigen_stats` of the replica's H in ``window``.
 
-    Each worker thread keeps H's :class:`LayerRows`, allocated on its
-    first replica; the layer map is made here, before any worker needs
-    it."""
-    band.layers
-    buffers = _per_thread(lambda: LayerRows(band))
-
+    Each thread keeps H's :class:`LayerRows` among its buffers
+    (:func:`_kept`), remade for another band."""
     def fn(replica, rng):
-        stats = eigen_stats(band, sample_H(band, rng, out=buffers()), window)
+        H = _kept("H", band, lambda: LayerRows(band))
+        stats = eigen_stats(band, sample_H(band, rng, out=H), window)
         return {**observe(stats), "window_count": stats.sup_norms.size}
 
     return fn

@@ -22,7 +22,7 @@ def dense_H(H) -> np.ndarray:
     itself and its ring neighbours, zero elsewhere."""
     cuts = H.band.cuts
     out = np.zeros((cuts[-1], cuts[-1]), dtype=complex)
-    for i, spans in enumerate(H.band.layers.cols):
+    for i, spans in enumerate(H.band.spans):
         for j in spans:
             out[cuts[i]:cuts[i + 1], cuts[j]:cuts[j + 1]] = H.block(i, j)
     return out
@@ -32,7 +32,7 @@ def rows_of(band, H: np.ndarray) -> LayerRows:
     """The band's LayerRows of an N x N H that vanishes off the blocks of
     each layer with itself and its ring neighbours: dense_H's inverse."""
     rows, cuts = LayerRows(band), band.cuts
-    for i, spans in enumerate(band.layers.cols):
+    for i, spans in enumerate(band.spans):
         for j in spans:
             rows.block(i, j)[...] = H[cuts[i]:cuts[i + 1], cuts[j]:cuts[j + 1]]
     return rows

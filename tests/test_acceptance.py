@@ -13,14 +13,11 @@ import pytest
 from bandlab import (BlockLattice, KLoopCalculator,
                      build_translation_invariant,
                      evolution_kernel_apply, family_member, flow_point,
-                     interaction_strength, kloop_flow_derivative_residual,
-                     mean_field_profile,
+                     kloop_flow_derivative_residual,
                      random_walk_representation, select_parameters,
-                     stieltjes_m, theta, validate,
-                     ward_residual)
+                     stieltjes_m, theta)
 from bandlab import cli
 from bandlab.cli import main as cli_main
-from bandlab.deterministic import charge_m
 from bandlab.profiles import KERNELS, _affine_blocks
 
 MASTER_SEED = 20260809
@@ -32,12 +29,6 @@ def report(num, desc, ok, detail=""):
     line = f"criterion {num:02d} [{tag}] {desc}{suffix}"
     print(line)
     assert ok, line
-
-
-@pytest.fixture(scope="module")
-def band_5_5():
-    lat = BlockLattice(d=1, W=5, n=5)
-    return lat, build_translation_invariant(lat, KERNELS["uniform"], 1)
 
 
 def test_c01_self_consistency_grid():
@@ -83,57 +74,101 @@ def test_c03_flow_invariance():
            worst < 1e-12, f"max residual {worst:.2e}")
 
 
-def test_c04_profile_validation(band_5_5):
-    lat, prof = band_5_5
-    rep = validate(prof)
-    mf = mean_field_profile(lat)
-    lam2_mf = interaction_strength(mf)
-    ok = (rep.row_sum_deviation < 1e-12
-          and abs(rep.fullness - lat.W / (2 * lat.W + 1)) < 1e-12
-          and rep.parity_checked and rep.parity_ok
+# Criteria 4-6 and 10-15 run the CLI commands and check the canonical
+# reports they write, so each experiment's observable, scale, tolerance and
+# verdict are defined once, in bandlab.cli; 11-15 run on the README lattice
+# (d=1, W=33, n=15).
+_CONFIG = """\
+[model]
+type = {type}
+d = {d}
+W = {W}
+n = {n}
+kernel = uniform
+cutoff = 1
+
+[spectral]
+E = {E}
+eta = {eta}
+t_values = {t_values}
+
+[mc]
+replicas = {replicas}
+master_seed = {seed}
+parallelism = {parallelism}
+
+[output]
+directory = {outdir}
+"""
+
+
+def run_command(workdir, command, type="translation_invariant", d=1, W=33,
+                n=15, E=0.0, eta=0.1, t_values=(0.3, 0.9), replicas=50,
+                parallelism=4, checks=None):
+    """Run one CLI command; return its exit code, report bytes and seconds.
+    ``checks`` holds the config's ``[checks]`` keys, if any."""
+    workdir.mkdir(parents=True, exist_ok=True)
+    cfg = workdir / "config.ini"
+    text = _CONFIG.format(type=type, d=d, W=W, n=n, E=E, eta=eta,
+                          t_values=",".join(map(repr, t_values)),
+                          replicas=replicas, seed=MASTER_SEED,
+                          parallelism=parallelism, outdir=workdir / "out")
+    if checks:
+        text += "[checks]\n" + "".join(f"{key} = {value}\n"
+                                       for key, value in checks.items())
+    cfg.write_text(text)
+    t0 = time.perf_counter()
+    code = cli_main([command, "--config", str(cfg)])
+    elapsed = time.perf_counter() - t0
+    return code, (workdir / "out" / f"{command}.json").read_bytes(), elapsed
+
+
+def test_c04_profile_validation(tmp_path):
+    W = 5
+    _, raw, _ = run_command(tmp_path / "band", "validate", W=W, n=5)
+    rep = json.loads(raw)["validation"]
+    _, raw, _ = run_command(tmp_path / "mean_field", "validate",
+                            type="mean_field", W=W, n=5)
+    lam2_mf = json.loads(raw)["validation"]["lambda2"]
+    ok = (rep["row_sum_deviation"] < 1e-12
+          and abs(rep["fullness"] - W / (2 * W + 1)) < 1e-12
+          and rep["parity_checked"] and rep["parity_ok"]
           and lam2_mf == 0.0)
     report(4, "uniform-band validation values and mean-field lambda^2 = 0",
-           ok, f"fullness {rep.fullness:.12f}, rowdev {rep.row_sum_deviation:.1e}")
+           ok, f"fullness {rep['fullness']:.12f}, "
+               f"rowdev {rep['row_sum_deviation']:.1e}")
 
 
-def test_c05_k2_theta_consistency(band_5_5):
-    lat, prof = band_5_5
-    t0 = time.perf_counter()
-    m = stieltjes_m(0.0)
-    calc = KLoopCalculator(lat, prof.scaled(0.7).blocks, m)
-    worst = 0.0
-    for pair in [(1, 1), (1, -1), (-1, 1), (-1, -1)]:
-        mm = charge_m(m, pair[0]) * charge_m(m, pair[1])
-        closed = mm * theta(prof, 0.7, pair, m) / lat.block_volume
-        dev = np.abs(calc.k_tensor(pair) - closed).max()
-        worst = max(worst, float(dev))
-    elapsed = time.perf_counter() - t0
+def _kloop_rows(workdir, **model):
+    """kloop's (check, detail, residual, tolerance, status) rows, and the
+    command's seconds."""
+    _, raw, elapsed = run_command(workdir, "kloop", **model)
+    return json.loads(raw)["rows"], elapsed
+
+
+def test_c05_k2_theta_consistency(tmp_path):
+    rows, elapsed = _kloop_rows(tmp_path, W=5, n=5, t_values=(0.7,))
+    worst = max(r[2] for r in rows if r[0] == "k2_theta_consistency")
     report(5, "K^(2) recursion vs W^-d m m' Theta (block Fourier), all pairs",
            worst < cli.LOOP_IDENTITY_TOL and elapsed < 5.0,
            f"max dev {worst:.2e}, {elapsed:.2f}s")
 
 
-def test_c06_ward_identity(band_5_5):
-    t0 = time.perf_counter()
-    m = stieltjes_m(0.3)
-    t = 0.7
-    worst = 0.0
-    for lat_spec in [(1, 5, 5), (2, 3, 3)]:
-        lat = BlockLattice(*lat_spec)
-        prof = build_translation_invariant(lat, KERNELS["uniform"], 1)
-        eta_t = (1 - t) * m.imag
-        calc = KLoopCalculator(lat, prof.scaled(t).blocks, m)
-        for charges in [(1, -1), (-1, 1), (1, 1, -1), (1, -1, -1),
-                        (-1, -1, 1), (-1, 1, 1)]:
-            r = ward_residual(calc, eta_t, charges)
-            worst = max(worst, r)
-    elapsed = time.perf_counter() - t0
+def test_c06_ward_identity(tmp_path):
+    worst, elapsed = 0.0, 0.0
+    for d, W, n in [(1, 5, 5), (2, 3, 3)]:
+        rows, seconds = _kloop_rows(tmp_path / f"d{d}", d=d, W=W, n=n,
+                                    E=0.3, t_values=(0.7,))
+        worst = max(worst, *(r[2] for r in rows if r[0] == "ward"))
+        elapsed += seconds
     report(6, f"Ward identity residual < {cli.WARD_TOL:g} for n=2,3 at d=1 "
               f"and d=2",
            worst < cli.WARD_TOL and elapsed < 60.0,
            f"max residual {worst:.2e}, {elapsed:.1f}s")
 
 
+# c07 stays a library call: kloop's blocks are t S, and c07's are
+# t_f S + (t - t_f) S_E
 def test_c07_kloop_flow_equation():
     lat = BlockLattice(d=1, W=3, n=3)
     prof = build_translation_invariant(lat, KERNELS["uniform"], 1)
@@ -188,52 +223,6 @@ def test_c09_evolution_kernel_contraction():
                                      / (bound * np.abs(A).max())))
     report(9, "evolution-kernel contraction constant <= 10 over 5 (s,t) pairs",
            worst <= 10.0, f"realized constant {worst:.3f}")
-
-
-# Criteria 10-15 run the CLI commands and check the canonical reports they
-# write, so each experiment's observable, scale, tolerance and verdict are
-# defined once, in bandlab.cli; 11-15 run on the README lattice (d=1, W=33,
-# n=15).
-_CONFIG = """\
-[model]
-type = {type}
-d = 1
-W = {W}
-n = {n}
-kernel = uniform
-cutoff = 1
-
-[spectral]
-E = 0.0
-eta = {eta}
-
-[mc]
-replicas = {replicas}
-master_seed = {seed}
-parallelism = {parallelism}
-
-[output]
-directory = {outdir}
-"""
-
-
-def run_command(workdir, command, type="translation_invariant", W=33, n=15,
-                eta=0.1, replicas=50, parallelism=4, checks=None):
-    """Run one CLI command; return its exit code, report bytes and seconds.
-    ``checks`` holds the config's ``[checks]`` keys, if any."""
-    workdir.mkdir(parents=True, exist_ok=True)
-    cfg = workdir / "config.ini"
-    text = _CONFIG.format(type=type, W=W, n=n, eta=eta, replicas=replicas,
-                          seed=MASTER_SEED, parallelism=parallelism,
-                          outdir=workdir / "out")
-    if checks:
-        text += "[checks]\n" + "".join(f"{key} = {value}\n"
-                                       for key, value in checks.items())
-    cfg.write_text(text)
-    t0 = time.perf_counter()
-    code = cli_main([command, "--config", str(cfg)])
-    elapsed = time.perf_counter() - t0
-    return code, (workdir / "out" / f"{command}.json").read_bytes(), elapsed
 
 
 @pytest.fixture(scope="module")

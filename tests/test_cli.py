@@ -76,6 +76,17 @@ class TestConfigParsing:
         cfg = parse_config(str(p))
         assert cfg["mc"]["parallelism"] == 6
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-1"])
+    def test_bad_threads_env_exit_2_naming_it(self, value, tmp_path,
+                                              monkeypatch, capsys):
+        p = tmp_path / "c.ini"
+        p.write_text("[model]\ntype = mean_field\nW = 3\nn = 3\n")
+        monkeypatch.setenv("BANDLAB_THREADS", value)
+        assert main(["validate", "--config", str(p),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "config error: BANDLAB_THREADS" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_threads_default_is_usable_cores(self, tmp_path, monkeypatch):
         p = tmp_path / "c.ini"
         p.write_text("[model]\ntype = mean_field\nW = 3\nn = 3\n")
@@ -171,6 +182,22 @@ class TestExitCodes:
         assert main(["locallaw", "--config", cfg, *extra]) == 2
         assert "must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "out" / "locallaw.json").exists()
+
+    @pytest.mark.parametrize("route", ["config", "override"])
+    @pytest.mark.parametrize("seed, code", [(2**64, 2), (2**64 - 1, 0)])
+    def test_seed_is_a_u64(self, route, seed, code, tmp_path, capsys):
+        # --help documents a U64: 2^64 exits 2 and writes no report, and
+        # 2^64 - 1 runs and is recorded as given
+        cfg = write_config(tmp_path / "c.ini", mc={"master_seed": seed}
+                           if route == "config" else {})
+        extra = ["--seed", str(seed)] if route == "override" else []
+        assert main(["locallaw", "--config", cfg, *extra]) == code
+        out = tmp_path / "out" / "locallaw.json"
+        if code == 2:
+            assert "must be <= 2^64 - 1" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert read_json(str(out.parent), out.name)["master_seed"] == seed
 
     @pytest.mark.parametrize("kind", ["translation_invariant",
                                       "wegner_orbital", "block_flat"])
@@ -587,7 +614,7 @@ class TestMonteCarloCommands:
         def perturbed(band, rng, out=None):
             # the replica draws into H's layer rows
             H = draw(band, rng, out=out)
-            H.data[band.layers.diag] += 1e-6j
+            H.data[band.diag] += 1e-6j
             return H
 
         cfg = write_config(tmp_path / "c.ini", mc={"replicas": 3})

@@ -591,6 +591,15 @@ def _band_of(model):
         BlockLattice(d=d, W=W, n=n), KERNELS["uniform"], cutoff))
 
 
+def _runs(H, wd, a):
+    """Block a's runs in the dense H: the runs of consecutive blocks that its
+    block row couples to, as site offsets (lo, hi) from its first site."""
+    b = np.flatnonzero(H[a * wd:(a + 1) * wd].reshape(wd, -1, wd).any(
+        axis=(0, 2)))
+    return [(wd * int(r[0] - a), wd * int(r[-1] + 1 - a))
+            for r in np.split(b, np.flatnonzero(np.diff(b) != 1) + 1)]
+
+
 def _dense_green(H, z):
     """The dense oracle of ``green``: one N x N LU against N columns."""
     N = H.shape[0]
@@ -654,8 +663,8 @@ class TestBandHotPath:
         for (d, W, n, cutoff), runs, entries in cases:
             band = build_band(build_translation_invariant(
                 BlockLattice(d=d, W=W, n=n), KERNELS["uniform"], cutoff))
-            assert list(band.runs[0]) == runs
             H = drawn_rows(band, stream_for(8, 0))
+            assert _runs(dense_H(H), band.lattice.block_volume, 0) == runs
             G = green(band, H, 0.2j).G
             for x, y in entries:
                 bad = G.copy()
@@ -737,19 +746,20 @@ class TestBandHotPath:
     @pytest.mark.parametrize("name", sorted(_RING_LATTICES))
     def test_groups_partition_the_plan(self, name):
         # the residual's chunks take every block once, in order, with that
-        # block's runs; the runs hold all of its block row of H, and the
-        # chunk reads each run at start + j advance for its block j
+        # block's runs in the dense H; the runs hold all of its block row of
+        # H, and the chunk reads each run at start + j advance for its block
+        # j
         band = _ring_band(name)
         wd = band.lattice.block_volume
         H = drawn_rows(band, stream_for(8, 0))
         dense = dense_H(H)
         blocks = []
-        for x, k, width, runs in band.layers.chunks:
+        for x, k, width, runs in band.chunks:
             for j in range(k):
                 a = x // wd + j
                 blocks.append(a)
                 assert [(lo, hi) for lo, hi, _, _ in runs] == \
-                    list(band.runs[a])
+                    _runs(dense, wd, a)
                 row = dense[a * wd:(a + 1) * wd].copy()
                 for lo, hi, start, advance in runs:
                     at = start + j * advance + width * np.arange(wd)[:, None]
@@ -773,13 +783,16 @@ class TestBandHotPath:
         # a group is a stretch of consecutive blocks whose runs lie at the
         # same offsets from each block's first site; no chunk leaves one
         band = _band_of(model)
+        wd = band.lattice.block_volume
+        dense = dense_H(drawn_rows(band, stream_for(8, 0)))
         found, first = [], 0
-        for _, same in itertools.groupby(band.runs):
+        for _, same in itertools.groupby(
+                _runs(dense, wd, a) for a in range(band.lattice.block_count)):
             found.append((first, first + len(list(same))))
             first = found[-1][1]
+        del dense
         assert (len(found) if isinstance(groups, int) else found) == groups
-        wd = band.lattice.block_volume
-        for x, k, _, _ in band.layers.chunks:
+        for x, k, _, _ in band.chunks:
             assert any(lo <= x // wd and x // wd + k <= hi
                        for lo, hi in found)
 
@@ -810,7 +823,7 @@ class TestLayerRows:
         H = dense_draw(band, stream_for(8, 0))
         rows = drawn_rows(band, stream_for(8, 0))
         covered = np.zeros(H.shape, dtype=bool)
-        for i, spans in enumerate(band.layers.cols):
+        for i, spans in enumerate(band.spans):
             lay = slice(cuts[i], cuts[i + 1])
             assert rows.rows[i].shape == (lay.stop - lay.start,
                                           sum(s.stop - s.start
@@ -844,9 +857,8 @@ class TestLayerRows:
     def test_reference_configs_keep_a_fraction_of_n_by_n(self, model,
                                                          widths, size):
         band = _band_of(model)
-        lay = band.layers
-        assert lay.width == widths
-        assert lay.size == size == sum(
+        assert band.width == widths
+        assert band.size == size == sum(
             w * (hi - lo) for w, lo, hi in zip(widths, band.cuts,
                                                band.cuts[1:]))
 
@@ -854,7 +866,7 @@ class TestLayerRows:
         # the two ring-wrap blocks alone, the interior two blocks a chunk:
         # the layer rows of single-block layers lie at one stride
         band = _band_of((1, 33, 15, 1))
-        chunks = [(x // 33, k) for x, k, _, _ in band.layers.chunks]
+        chunks = [(x // 33, k) for x, k, _, _ in band.chunks]
         assert chunks == [(0, 1)] + [(a, 2) for a in range(1, 13, 2)] \
             + [(13, 1), (14, 1)]
 
@@ -923,6 +935,32 @@ class TestWorkerBuffers:
     """sample_H, green and eigen_stats on caller buffers, as the replicas
     run them: H's layer rows per worker thread, and G or the eigen
     buffers."""
+
+    @pytest.mark.parametrize("factory", [
+        lambda band: locallaw_replica_fn(band, 0.2j),
+        lambda band: deloc_replica_fn(band, (-1.5, 1.5))],
+        ids=["locallaw", "deloc"])
+    def test_thread_keeps_layer_rows_for_their_band_only(self, factory):
+        # two bands of N = 495 with different supports, alternated on one
+        # thread: each replica equals, bit for bit, the same replica on a
+        # fresh thread, which layer rows kept by N would not give
+        fns = [factory(_band_of((1, 33, 15, 1)))[0],
+               factory(_band_of((1, 11, 45, 1)))[0]]
+
+        def on_thread(calls):
+            out = []
+            thread = threading.Thread(target=lambda: out.extend(
+                {key: np.asarray(val).tobytes()
+                 for key, val in fn(r, stream_for(9, r)).items()}
+                for fn, r in calls))
+            with mc._single_threaded_blas():
+                thread.start()
+                thread.join(timeout=120)
+            assert not thread.is_alive()
+            return out
+
+        calls = [(fn, r) for r in (0, 1) for fn in fns]
+        assert on_thread(calls) == [on_thread([c])[0] for c in calls]
 
     def test_sample_H_writes_only_the_support_and_diagonal(self,
                                                            band_profile,
@@ -1025,7 +1063,7 @@ class TestWorkerBuffers:
         lat = band.lattice
         N, wd = lat.N, lat.block_volume
         fn, _ = factory(band, 0.2j)
-        rows = 16 * band.layers.size
+        rows = 16 * band.size
         assert rows == 16 * 15 * 33 * 99
         slack = rows + 16 * mc._CHUNK_BLOCKS * wd * N + 64 * 1024
         assert slack < 16 * N * N
@@ -1041,7 +1079,7 @@ class TestWorkerBuffers:
         profile = _readme_profile()
         band = build_band(profile)
         N, wd = band.lattice.N, band.lattice.block_volume
-        kept = 16 * band.layers.size + 16 * mc._CHUNK_BLOCKS * wd * N
+        kept = 16 * band.size + 16 * mc._CHUNK_BLOCKS * wd * N
         if command == "deloc":
             fn, _ = deloc_replica_fn(band, (-1.5, 1.5))
             replica, kept = 0, kept + 2 * 16 * N * N
