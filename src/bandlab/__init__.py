@@ -2,9 +2,9 @@
 
 Builds variance profiles with general block-translation-invariant structure,
 evaluates the deterministic limit theory (Stieltjes transform, characteristic
-flow, Theta-propagators, primitive loops, evolution kernels), and tests the
-quantitative predictions (local laws, delocalization, quantum diffusion) by
-seeded Monte Carlo at desk scale.
+flow, Theta-propagators, primitive loops), and tests the quantitative
+predictions (local laws, delocalization, quantum diffusion) by seeded Monte
+Carlo at desk scale.
 """
 
 from .lattice import BlockLattice, project_matrix
@@ -18,8 +18,6 @@ from .profiles import (
     mean_field_profile,
     validate,
     interaction_strength,
-    family_member,
-    decompose_core,
     profile_to_text,
 )
 from .spectral import (
@@ -38,8 +36,6 @@ from .deterministic import (
     theta,
     ward_residual,
     kloop_flow_derivative_residual,
-    evolution_kernel_apply,
-    random_walk_representation,
     theta_decay_report,
     finite_difference_report,
 )

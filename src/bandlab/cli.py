@@ -145,6 +145,13 @@ def _check_required(cfg):
     if model["cutoff"] < 1:
         raise ConfigError(f"[model] cutoff = {model['cutoff']} must be >= 1: "
                           "below 1 the kernel reaches no other site")
+    for sec, keys in (("model", ("neighbor_weight", "wegner_alpha",
+                                 "wegner_gamma")),
+                      ("spectral", ("E", "eta", "kappa", "epsilon0")),
+                      ("checks", ("deloc_window", "que_epsilon"))):
+        for key in keys:
+            if not math.isfinite(cfg[sec][key]):
+                raise ConfigError(f"[{sec}] {key} must be finite")
     if model["type"] == "block_flat" and \
             not 0 <= model["neighbor_weight"] < 1 / (2 * model["d"]):
         raise ConfigError(
@@ -152,14 +159,15 @@ def _check_required(cfg):
             f"lie in [0, 1/(2d)) = [0, {1 / (2 * model['d']):g}) at "
             f"d = {model['d']}: the 2d neighbor blocks leave the diagonal "
             f"block the mass 1 - 2d*neighbor_weight")
-    for sec, keys in (("spectral", ("E", "eta", "kappa", "epsilon0")),
-                      ("checks", ("deloc_window", "que_epsilon"))):
-        for key in keys:
-            if not math.isfinite(cfg[sec][key]):
-                raise ConfigError(f"[{sec}] {key} must be finite")
     for sec, key in (("spectral", "eta"), ("checks", "deloc_window")):
         if cfg[sec][key] <= 0:
             raise ConfigError(f"[{sec}] {key} = {cfg[sec][key]:g} must be > 0")
+    # the bulk guard |E| <= 2 - kappa needs 0 < kappa < 2, and the flow's
+    # t_i = (1 - epsilon0) t_f needs 0 < epsilon0 < 1
+    for key, top in (("kappa", 2), ("epsilon0", 1)):
+        if not 0 < cfg["spectral"][key] < top:
+            raise ConfigError(f"[spectral] {key} = {cfg['spectral'][key]:g} "
+                              f"must lie in (0, {top})")
     # a flow time lies in (0, 1); NaN and infinities fail this too
     if not all(0 < t < 1 for t in cfg["spectral"]["t_values"]):
         raise ConfigError("[spectral] each t_values entry must lie in (0, 1)")

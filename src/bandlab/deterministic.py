@@ -1,4 +1,4 @@
-"""Deterministic limit theory: Theta-propagators, primitive loops, kernels.
+"""Deterministic limit theory: Theta-propagators and primitive loops.
 
 Charges are +1 / -1 integers; for m in the upper half plane, m(+1) = m and
 m(-1) = conj(m). :func:`theta` takes a profile's blocks and a flow time t,
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattice import BlockLattice, _grid
-from .profiles import VarianceProfile, _affine_blocks, decompose_core
+from .profiles import VarianceProfile, _affine_blocks
 
 __all__ = [
     "PropagatorError",
@@ -27,9 +27,6 @@ __all__ = [
     "KLoopCalculator",
     "ward_residual",
     "kloop_flow_derivative_residual",
-    "evolution_kernel_apply",
-    "random_walk_representation",
-    "RandomWalkRep",
     "theta_decay_report",
     "DecayReport",
     "finite_difference_report",
@@ -426,66 +423,6 @@ def kloop_flow_derivative_residual(calc: KLoopCalculator, charges,
     rhs = _hierarchy_rhs(calc, charges)
     scale = max(float(np.abs(rhs).max()), float(np.abs(lhs).max()), 1e-300)
     return float(np.abs(lhs - rhs).max() / scale)
-
-
-# ---- evolution kernel ----------------------------------------------------------------
-
-def evolution_kernel_apply(lattice: BlockLattice, s: float, t: float,
-                           charges, m: complex, thetas: dict,
-                           A: np.ndarray) -> np.ndarray:
-    """Apply U_{s,t}: per axis i, I + (t-s) m(s_i) m(s_{i+1}) Theta_t^(i,i+1).
-
-    ``thetas`` maps charge pairs to block propagator matrices at time t
-    (cyclic convention sigma_{n+1} = sigma_1). Supports 2- and 3-tensors.
-    """
-    charges = parse_charges(charges)
-    order = len(charges)
-    if order not in (2, 3):
-        raise ValueError("evolution kernel supports loop orders 2 and 3")
-    if s > t:
-        raise ValueError("need s <= t")
-    if A.shape != (lattice.block_count,) * order:
-        raise ValueError("tensor shape does not match the block lattice")
-    eye = np.eye(lattice.block_count)
-    mats = [eye + (t - s) * charge_m(m, a) * charge_m(m, b) * thetas[a, b]
-            for a, b in zip(charges, charges[1:] + charges[:1])]
-    if order == 2:
-        return mats[0] @ A @ mats[1].T
-    return np.einsum("ai,bj,ck,ijk->abc", mats[0], mats[1], mats[2], A,
-                     optimize=True)
-
-
-# ---- random walk representation --------------------------------------------------------
-
-@dataclass
-class RandomWalkRep:
-    K: np.ndarray
-    residual: float
-    theta: np.ndarray
-
-
-def random_walk_representation(profile_t: VarianceProfile,
-                               c_ker: float) -> RandomWalkRep:
-    """Random-walk form of the (+,-) flow propagator Theta = P((1-S_t)^-1).
-
-    Splits S_t = S_ker + c_ker*S_E with :func:`decompose_core`, builds the
-    stochastic block kernel K = (1-t+c_ker) P((1-S_ker)^-1) and the
-    effective time t_hat = c_ker/(1-t+c_ker), and reports the max-norm
-    residual of Theta = t_hat K (1 - t_hat K)^{-1} / c_ker. Both block
-    propagators come from :func:`theta` at unit coupling.
-    """
-    rows = profile_t.row_sums
-    if np.abs(rows - rows.mean()).max() > 1e-10:
-        raise ValueError("S_t must have constant row sums")
-    ker, deficit = decompose_core(profile_t, c_ker)
-    K = deficit * theta(ker, 1.0, (1, 1), 1.0).real
-    t_hat = c_ker / deficit
-    th = theta(profile_t, 1.0, (1, 1), 1.0).real
-    mb = profile_t.lattice.block_count
-    recon = (t_hat / c_ker) * K @ np.linalg.solve(np.eye(mb) - t_hat * K,
-                                                  np.eye(mb))
-    residual = float(np.abs(th - recon).max() / np.abs(th).max())
-    return RandomWalkRep(K=K, residual=residual, theta=th)
 
 
 # ---- decay and finite-difference reports ------------------------------------------------

@@ -29,8 +29,6 @@ __all__ = [
     "mean_field_profile",
     "validate",
     "interaction_strength",
-    "family_member",
-    "decompose_core",
     "profile_to_text",
     "KERNELS",
 ]
@@ -105,21 +103,8 @@ class VarianceProfile:
         rows.setflags(write=False)
         return rows
 
-    @property
-    def row_sum(self) -> float:
-        """Common row sum (total variance per row); rows are constant."""
-        return float(self.row_sums.max())
-
     def row_sum_deviation(self) -> float:
         return float(np.abs(self.row_sums - 1.0).max())
-
-    def scaled(self, factor: float) -> "VarianceProfile":
-        return VarianceProfile(
-            self.lattice,
-            {off: factor * blk for off, blk in self.blocks.items()},
-            builder=self.builder,
-            builder_params=dict(self.builder_params),
-        )
 
 
 # ---- builders ---------------------------------------------------------------
@@ -402,40 +387,6 @@ def _affine_blocks(lattice: BlockLattice, blocks: dict, a: float, b: float
     blocks = {off: a * blk for off, blk in blocks.items()}
     blocks[0] = blocks.get(0, np.zeros((wd, wd))) + b / wd
     return blocks
-
-
-def family_member(s_rbm: VarianceProfile, t_f: float, t: float, s: float
-                  ) -> VarianceProfile:
-    """Member t * [(t_f/s) S_RBM + (1 - t_f/s) S_E] of the family t*S_t.
-
-    Requires t <= s <= t_f. Flowing the result from t to any t' <= t_f,
-    S -> S + (t' - t) S_E, stays inside the t'-family.
-    """
-    if not t <= s <= t_f:
-        raise ValueError(f"need t <= s <= t_f, got t={t}, s={s}, t_f={t_f}")
-    blocks = _affine_blocks(s_rbm.lattice, s_rbm.blocks, t * t_f / s,
-                            t * (1 - t_f / s))
-    return VarianceProfile(s_rbm.lattice, blocks,
-                           builder=s_rbm.builder + "+family",
-                           builder_params={**s_rbm.builder_params,
-                                           "t_f": t_f, "t": t, "s": s})
-
-
-def decompose_core(s_t: VarianceProfile, c_ker: float):
-    """Split S_t = S_ker + c_ker * S_E with S_ker entrywise nonnegative.
-
-    Returns (S_ker profile, row_deficit) where row_deficit = 1 - rowsum(S_t)
-    + c_ker is the killing rate of the random-walk representation.
-    """
-    admissible = float(s_t.block_at(0).min() * s_t.lattice.block_volume)
-    if c_ker > admissible + 1e-15:
-        raise ProfileError(
-            f"c_ker={c_ker} too large; maximal admissible value is {admissible}")
-    blocks = _affine_blocks(s_t.lattice, s_t.blocks, 1.0, -c_ker)
-    np.clip(blocks[0], 0.0, None, out=blocks[0])
-    ker = VarianceProfile(s_t.lattice, blocks, builder=s_t.builder + "+core",
-                          builder_params={"c_ker": c_ker})
-    return ker, 1.0 - s_t.row_sum + c_ker
 
 
 # ---- serialization -------------------------------------------------------------

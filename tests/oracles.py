@@ -1,14 +1,16 @@
-"""Site-level oracles of the tests: the site-by-site and N x N forms that
-bandlab's block code is checked against. ``tests/test_surface.py`` fails if
-one of their names is defined in bandlab again."""
+"""Oracles of the tests: the site-by-site and N x N forms that bandlab's
+block code is checked against, and the random-walk representation that
+acceptance criterion 8 checks ``theta`` against. ``tests/test_surface.py``
+fails if one of their names is defined in bandlab again."""
 
 import base64
 import json
 
 import numpy as np
 
-from bandlab import BlockLattice, VarianceProfile
+from bandlab import BlockLattice, VarianceProfile, theta
 from bandlab.montecarlo import LayerRows
+from bandlab.profiles import ProfileError, _affine_blocks
 
 
 def block_sites(lat: BlockLattice, a) -> np.ndarray:
@@ -78,6 +80,38 @@ def flow_profile(s0: VarianceProfile, t0: float, t: float) -> VarianceProfile:
     blocks = dict(s0.blocks)
     blocks[0] = blocks.get(0, np.zeros((wd, wd))) + (t - t0) / wd
     return VarianceProfile(s0.lattice, blocks)
+
+
+def core_split(s: VarianceProfile, t: float, c_ker: float):
+    """Split t S = S_ker + c_ker S_E with S_ker entrywise nonnegative, for
+    c_ker up to the admissible W^d t min S|_[0][0]; S_ker's diagonal block
+    is clipped at 0 against rounding. Returns S_ker and the killing rate
+    1 - t + c_ker of the random walk, as the rows of S sum to 1."""
+    lat = s.lattice
+    admissible = float(t * s.block_at(0).min() * lat.block_volume)
+    if c_ker > admissible + 1e-15:
+        raise ProfileError(f"c_ker={c_ker} too large; maximal admissible "
+                           f"value is {admissible}")
+    blocks = _affine_blocks(lat, s.blocks, t, -c_ker)
+    np.clip(blocks[0], 0.0, None, out=blocks[0])
+    return VarianceProfile(lat, blocks), 1.0 - t + c_ker
+
+
+def random_walk_kernel(s: VarianceProfile, t: float, c_ker: float
+                       ) -> np.ndarray:
+    """The stochastic block kernel K = (1 - t + c_ker) P((1 - S_ker)^-1) of
+    the random-walk representation of Theta = P((1 - t S)^-1), with S_ker
+    from :func:`core_split`; ``random_walk_theta`` rebuilds Theta from it."""
+    ker, deficit = core_split(s, t, c_ker)
+    return deficit * theta(ker, 1.0, (1, 1), 1.0).real
+
+
+def random_walk_theta(K: np.ndarray, t: float, c_ker: float) -> np.ndarray:
+    """Theta = t_hat K (1 - t_hat K)^-1 / c_ker at the effective time
+    t_hat = c_ker / (1 - t + c_ker): the random-walk form of Theta."""
+    t_hat = c_ker / (1.0 - t + c_ker)
+    eye = np.eye(len(K))
+    return (t_hat / c_ker) * K @ np.linalg.solve(eye - t_hat * K, eye)
 
 
 def profile_from_text(text: str) -> VarianceProfile:

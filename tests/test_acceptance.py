@@ -10,15 +10,14 @@ import time
 import numpy as np
 import pytest
 
-from bandlab import (BlockLattice, KLoopCalculator,
-                     build_translation_invariant,
-                     evolution_kernel_apply, family_member, flow_point,
-                     kloop_flow_derivative_residual,
-                     random_walk_representation, select_parameters,
+from bandlab import (BlockLattice, KLoopCalculator, VarianceProfile,
+                     build_translation_invariant, flow_point,
+                     kloop_flow_derivative_residual, select_parameters,
                      stieltjes_m, theta)
 from bandlab import cli
 from bandlab.cli import main as cli_main
 from bandlab.profiles import KERNELS, _affine_blocks
+from oracles import random_walk_kernel, random_walk_theta
 
 MASTER_SEED = 20260809
 
@@ -190,11 +189,12 @@ def test_c08_random_walk_representation():
     prof = build_translation_invariant(lat, KERNELS["uniform"], 1)
     worst_res, worst_row = 0.0, 0.0
     for t in (0.5, 0.9):
-        St = prof.scaled(t)
-        c_ker = 0.5 * lat.W * St.block_at(0).min()
-        rep = random_walk_representation(St, c_ker)
-        worst_res = max(worst_res, rep.residual)
-        worst_row = max(worst_row, float(np.abs(rep.K.sum(axis=1) - 1).max()))
+        c_ker = 0.5 * lat.W * (t * prof.block_at(0).min())
+        th = theta(prof, t, (1, 1), 1.0).real
+        K = random_walk_kernel(prof, t, c_ker)
+        res = np.abs(th - random_walk_theta(K, t, c_ker)).max()
+        worst_res = max(worst_res, float(res / np.abs(th).max()))
+        worst_row = max(worst_row, float(np.abs(K.sum(axis=1) - 1).max()))
     ok = worst_res < 1e-8 and worst_row < 1e-10
     report(8, "random-walk representation of Theta at t=0.5, 0.9",
            ok, f"residual {worst_res:.2e}, row-sum dev {worst_row:.2e}")
@@ -211,14 +211,18 @@ def test_c09_evolution_kernel_contraction():
     rng = np.random.default_rng(MASTER_SEED + 2)
     worst = 0.0
     for s, t in pairs:
-        # t_f S + (t - t_f) S_E, the member of the t-family at s = t
-        St = family_member(prof, t_f, t, t)
-        thetas = {p: theta(St, 1.0, p, mE)
-                  for p in [(1, 1), (1, -1), (-1, 1), (-1, -1)]}
+        # t_f S + (t - t_f) S_E, which flows to t_f S at time t_f
+        St = VarianceProfile(lat, _affine_blocks(lat, prof.blocks, t_f,
+                                                 t - t_f))
+        # the order-2 kernel U_{s,t} A = L A R^T, with L and R the factors
+        # I + (t - s) m m' Theta of the charge pairs (+,-) and (-,+)
+        eye = np.eye(lat.n)
+        L = eye + (t - s) * mE * np.conj(mE) * theta(St, 1.0, (1, -1), mE)
+        R = eye + (t - s) * np.conj(mE) * mE * theta(St, 1.0, (-1, 1), mE)
         bound = ((1 - s) / (1 - t)) ** 2
         for _ in range(100):
             A = rng.standard_normal((lat.n, lat.n))
-            out = evolution_kernel_apply(lat, s, t, (1, -1), mE, thetas, A)
+            out = L @ A @ R.T
             worst = max(worst, float(np.abs(out).max()
                                      / (bound * np.abs(A).max())))
     report(9, "evolution-kernel contraction constant <= 10 over 5 (s,t) pairs",

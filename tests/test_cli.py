@@ -236,6 +236,23 @@ class TestExitCodes:
         assert main(["validate", "--config", cfg]) == 2
         assert "not a boolean: 'maybe'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section,values,name", [
+        ("spectral", {"kappa": -1, "E": 2.5}, "[spectral] kappa = -1"),
+        ("spectral", {"kappa": 5}, "[spectral] kappa = 5"),
+        ("spectral", {"epsilon0": 1.5}, "[spectral] epsilon0 = 1.5"),
+        ("model", {"type": "wegner_orbital", "wegner_alpha": "nan"},
+         "[model] wegner_alpha must be finite"),
+        ("model", {"type": "wegner_orbital", "wegner_gamma": "inf"},
+         "[model] wegner_gamma must be finite"),
+        ("model", {"type": "block_flat", "neighbor_weight": "nan"},
+         "[model] neighbor_weight must be finite")])
+    def test_out_of_range_float_names_the_key(self, section, values, name,
+                                              tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.ini", **{section: values})
+        assert main(["flow", "--config", cfg]) == 2
+        assert f"config error: {name}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 def test_commands_run_on_numpy_alone(tmp_path):
     """theta, kloop, diffusion, deloc and que never import scipy."""
@@ -1033,7 +1050,8 @@ def _malformed(draw):
     sections = _base()
     kind = draw(st.sampled_from(["section", "key", "value", "size", "d",
                                  "type", "header", "nonfinite",
-                                 "nonpositive", "flowtime"]))
+                                 "nonpositive", "flowtime",
+                                 "spectral_range"]))
     if kind == "section":
         sections[draw(_NAMES.filter(lambda s: s not in _SCHEMA))] = {"a": 1}
     elif kind == "key":
@@ -1054,11 +1072,14 @@ def _malformed(draw):
         del sections["model"]["type"]
     elif kind == "nonfinite":
         sec, key = draw(st.sampled_from(
-            [("spectral", k) for k in ("E", "eta", "kappa", "epsilon0",
-                                       "t_values")]
+            [("model", k) for k in ("neighbor_weight", "wegner_alpha",
+                                    "wegner_gamma")]
+            + [("spectral", k) for k in ("E", "eta", "kappa", "epsilon0",
+                                         "t_values")]
             + [("checks", "deloc_window"), ("checks", "que_epsilon")]))
         bad = draw(st.sampled_from(["nan", "inf", "-inf"]))
-        sections[sec] = {key: f"0.3, {bad}" if key == "t_values" else bad}
+        value = f"0.3, {bad}" if key == "t_values" else bad
+        sections.setdefault(sec, {})[key] = value
     elif kind == "nonpositive":
         sec, key = draw(st.sampled_from([("spectral", "eta"),
                                          ("checks", "deloc_window")]))
@@ -1066,6 +1087,11 @@ def _malformed(draw):
     elif kind == "flowtime":
         sections["spectral"] = {"t_values": draw(st.sampled_from(
             ["1.2", "1", "0", "-0.0", "-0.5", "0.5, 1.0", "0.3, -0.1"]))}
+    elif kind == "spectral_range":
+        key, value = draw(st.sampled_from(
+            [("kappa", v) for v in ("-1", "0", "2", "5")]
+            + [("epsilon0", v) for v in ("-0.2", "0", "1", "1.5")]))
+        sections["spectral"] = {key: value}
     else:
         return _ini(sections).split("\n", 1)[1]
     return _ini(sections)
@@ -1098,6 +1124,23 @@ class TestExitCodeContract:
              command="kloop")
     @example(text=_ini({**_base(), "spectral": {"t_values": "0.5, 1.0"}}),
              command="theta")
+    # kappa and epsilon0 outside (0, 2) and (0, 1) parsed: flow passed at
+    # an energy outside the spectrum, theta refused E = 0 as outside the
+    # bulk guard, and validate passed at epsilon0 = 1.5
+    @example(text=_ini({**_base(), "spectral": {"kappa": -1, "E": 2.5}}),
+             command="flow")
+    @example(text=_ini({**_base(), "spectral": {"kappa": 5}}),
+             command="theta")
+    @example(text=_ini({**_base(), "spectral": {"epsilon0": 1.5}}),
+             command="validate")
+    @example(text=_ini({**_base(), "spectral": {"epsilon0": 1.5}}),
+             command="flow")
+    # a non-finite [model] float reached the builders: wegner_alpha = nan
+    # failed as "V must be symmetric" and flow passed
+    @example(text=_ini({**_base(), "model": {**_base()["model"],
+                                             "type": "wegner_orbital",
+                                             "wegner_alpha": "nan"}}),
+             command="flow")
     # cutoff 0 built a diagonal profile, and validate and locallaw exited 1
     @example(text=_DIAGONAL, command="validate")
     @example(text=_DIAGONAL, command="locallaw")

@@ -6,18 +6,18 @@ import pytest
 
 from bandlab import (BlockLattice, KLoopCalculator,
                      build_translation_invariant, diffusion_predictions,
-                     project_matrix,
-                     evolution_kernel_apply, interaction_strength,
+                     project_matrix, interaction_strength,
                      kloop_flow_derivative_residual, mean_field_profile,
-                     random_walk_representation, stieltjes_m, theta,
-                     theta_decay_report, theta_entrywise, ward_residual,
+                     stieltjes_m, theta, theta_decay_report,
+                     theta_entrywise, ward_residual,
                      finite_difference_report, wegner_orbital_profile)
 from bandlab.cli import build_profile
 from bandlab.deterministic import (PropagatorError, charge_m,
                                    loop_size_guard, parse_charges)
-from bandlab.profiles import KERNELS, _affine_blocks, decompose_core
+from bandlab.profiles import KERNELS, _affine_blocks
 from bandlab.spectral import ell_t
-from oracles import project_tensor
+from oracles import (core_split, project_tensor, random_walk_kernel,
+                     random_walk_theta)
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +28,11 @@ def band55():
 
 # boundary value at a bulk energy: |m| = 1 (flow convention)
 M_FLOW = stieltjes_m(0.3)
+
+
+def _blocks_of(prof, t):
+    """The blocks of t S."""
+    return _affine_blocks(prof.lattice, prof.blocks, t, 0.0)
 
 
 class DenseLoops:
@@ -257,7 +262,7 @@ class TestKhatLoop:
     def test_order_two_closed_form(self, band55):
         # |m|^2 times the column sums of block row 0 of (1 - |m|^2 t S)^-1
         lat, prof = band55
-        calc = KLoopCalculator(lat, prof.scaled(0.7).blocks, M_FLOW)
+        calc = KLoopCalculator(lat, _blocks_of(prof, 0.7), M_FLOW)
         got = calc.khat_tensor((1, -1))
         closed = theta_entrywise(0.7 * prof.assemble(), M_FLOW,
                                  np.conj(M_FLOW))
@@ -291,7 +296,7 @@ class TestKhatLoop:
         # every order's block sums are built once, the lower orders by the
         # recursion itself, and none can be written to
         lat, prof = band55
-        calc = KLoopCalculator(lat, prof.scaled(0.5).blocks, M_FLOW)
+        calc = KLoopCalculator(lat, _blocks_of(prof, 0.5), M_FLOW)
         third = calc.khat_tensor((1, -1, 1))
         second = calc.khat_tensor((1, -1))
         assert calc.khat_tensor((1, -1, 1)) is third
@@ -346,17 +351,18 @@ def _oracle_contexts():
                                     ("c06-d1", (1, 5, 5), m3, 4),
                                     ("c06-d2", (2, 3, 3), m3, 3),
                                     ("d2-order4", (2, 2, 3), m3, 4)):
-        prof = _uniform(d, W, n).scaled(0.7)
-        out.append((name, prof.lattice, prof.blocks, prof.assemble(), m, top))
+        prof = _uniform(d, W, n)
+        out.append((name, prof.lattice, _blocks_of(prof, 0.7),
+                    0.7 * prof.assemble(), m, top))
     # c07: t_f S + (t - t_f) S_E on d=1 W=3 n=3
     prof = _uniform(1, 3, 3)
     se = mean_field_profile(prof.lattice).assemble()
     out.append(("c07", prof.lattice,
                 _affine_blocks(prof.lattice, prof.blocks, 0.8, -0.2),
                 0.8 * prof.assemble() - 0.2 * se, m3, 4))
-    prof = wegner_orbital_profile(BlockLattice(d=1, W=3, n=4), 0.05,
-                                  0.5).scaled(0.6)
-    out.append(("wegner", prof.lattice, prof.blocks, prof.assemble(), m3, 4))
+    prof = wegner_orbital_profile(BlockLattice(d=1, W=3, n=4), 0.05, 0.5)
+    out.append(("wegner", prof.lattice, _blocks_of(prof, 0.6),
+                0.6 * prof.assemble(), m3, 4))
     return out
 
 
@@ -384,7 +390,7 @@ class TestReducedAgainstDense:
 class TestBlockResolvent:
     def test_matches_dense_inverse(self, model_profile):
         lat = model_profile.lattice
-        calc = KLoopCalculator(lat, model_profile.scaled(0.7).blocks, M_FLOW)
+        calc = KLoopCalculator(lat, _blocks_of(model_profile, 0.7), M_FLOW)
         N, wd = lat.N, lat.block_volume
         for c in (abs(M_FLOW) ** 2, M_FLOW**2):
             dense = theta_entrywise(0.7 * model_profile.assemble(), c, 1.0)
@@ -407,7 +413,7 @@ class TestBlockResolvent:
         solve = det.theta_entrywise
         monkeypatch.setattr(det, "theta_entrywise",
                             lambda *a: corrupt(solve(*a)))
-        calc = KLoopCalculator(lat, prof.scaled(0.7).blocks, M_FLOW)
+        calc = KLoopCalculator(lat, _blocks_of(prof, 0.7), M_FLOW)
         with pytest.raises(PropagatorError, match="block resolvent"):
             calc.k_tensor((1, -1))
 
@@ -454,7 +460,7 @@ class TestConjugatePairs:
             return solve(S, *args)
 
         monkeypatch.setattr(det, "theta_entrywise", sized_solve)
-        det._momentum_inverses(lat, _uniform(d, W, n).scaled(0.7).blocks, 1.0)
+        det._momentum_inverses(lat, _blocks_of(_uniform(d, W, n), 0.7), 1.0)
         assert sizes == [solved]
 
     @pytest.mark.parametrize("d, W, n", [(1, 3, 8), (1, 4, 7), (2, 2, 9),
@@ -463,8 +469,9 @@ class TestConjugatePairs:
                                    stieltjes_m(0.0) ** 2])
     def test_inverses_against_the_full_stack(self, d, W, n, c, monkeypatch):
         import bandlab.deterministic as det
-        prof = _uniform(d, W, n).scaled(0.7)
+        prof = _uniform(d, W, n)
         lat = prof.lattice
+        blocks = _blocks_of(prof, 0.7)
         solve, stacks = det.theta_entrywise, []
 
         def kept(S, *args):
@@ -472,8 +479,8 @@ class TestConjugatePairs:
             return solve(S, *args)
 
         monkeypatch.setattr(det, "theta_entrywise", kept)
-        got = det._momentum_inverses(lat, prof.blocks, c)
-        full = solve(_symbol(lat, prof.blocks), c, 1.0)
+        got = det._momentum_inverses(lat, blocks, c)
+        full = solve(_symbol(lat, blocks), c, 1.0)
         assert np.abs(got - full).max() <= 1e-12
         if np.imag(c) == 0:
             # every solved momentum keeps its own solve, p = -p included,
@@ -519,13 +526,14 @@ class TestMomentumProduct:
         (2, 2, 4, (2, 3))])
     def test_matches_real_space_product(self, d, W, n, orders):
         import bandlab.deterministic as det
-        prof = _uniform(d, W, n).scaled(0.7)
+        prof = _uniform(d, W, n)
         lat = prof.lattice
-        calc = KLoopCalculator(lat, prof.blocks, M_FLOW)
+        blocks = _blocks_of(prof, 0.7)
+        calc = KLoopCalculator(lat, blocks, M_FLOW)
         rng = np.random.default_rng(5)
         for c in (abs(M_FLOW) ** 2, M_FLOW**2):
             R = calc.resolvent(c)
-            inverses = det._momentum_inverses(lat, prof.blocks, c)
+            inverses = det._momentum_inverses(lat, blocks, c)
             for order in orders:
                 X = rng.standard_normal((lat.block_count ** (order - 2),
                                          2 * lat.N)).view(complex)
@@ -539,7 +547,7 @@ class TestMomentumProduct:
 class TestKLoop:
     def test_fast_path_matches_recursion(self, band55):
         lat, prof = band55
-        calc = KLoopCalculator(lat, prof.scaled(0.7).blocks, M_FLOW)
+        calc = KLoopCalculator(lat, _blocks_of(prof, 0.7), M_FLOW)
         for pair in [(1, 1), (1, -1), (-1, 1), (-1, -1)]:
             mm = charge_m(M_FLOW, pair[0]) * charge_m(M_FLOW, pair[1])
             a = mm * theta(prof, 0.7, pair, M_FLOW) / lat.block_volume
@@ -553,7 +561,7 @@ class TestKLoop:
 
     def test_parity_symmetry(self, band55):
         lat, prof = band55
-        calc = KLoopCalculator(lat, prof.scaled(0.7).blocks, M_FLOW)
+        calc = KLoopCalculator(lat, _blocks_of(prof, 0.7), M_FLOW)
         T = calc.k_tensor((1, -1, -1))
         n = lat.n
         for a in range(n):
@@ -570,7 +578,7 @@ class TestWard:
         lat, prof = band55
         t = 0.7
         eta_t = (1 - t) * M_FLOW.imag
-        calc = KLoopCalculator(lat, prof.scaled(t).blocks, M_FLOW)
+        calc = KLoopCalculator(lat, _blocks_of(prof, t), M_FLOW)
         lhs = calc.k_tensor((1, -1)).sum(axis=-1)
         scalar = M_FLOW.imag / (lat.W * eta_t)
         assert np.abs(lhs - scalar).max() < 1e-12
@@ -581,7 +589,7 @@ class TestWard:
         lat, prof = band55
         t = 0.7
         eta_t = (1 - t) * M_FLOW.imag
-        calc = KLoopCalculator(lat, prof.scaled(t).blocks, M_FLOW)
+        calc = KLoopCalculator(lat, _blocks_of(prof, t), M_FLOW)
         for charges in [(1, 1, -1), (1, -1, -1), (-1, -1, 1), (-1, 1, 1)]:
             assert ward_residual(calc, eta_t, charges) < 1e-9
 
@@ -590,7 +598,7 @@ class TestWard:
         lat, prof = band55
         t = 0.5
         eta_t = (1 - t) * M_FLOW.imag
-        calc = KLoopCalculator(lat, prof.scaled(t).blocks, M_FLOW)
+        calc = KLoopCalculator(lat, _blocks_of(prof, t), M_FLOW)
         assert ward_residual(calc, eta_t, (1, -1)) < 1e-10
         off = ward_residual(calc, 2 * eta_t, (1, -1))
         assert off == pytest.approx(0.5, rel=1e-6)
@@ -605,7 +613,7 @@ class TestWard:
         lat, prof = band55
         t = 0.7
         eta_t = (1 - t) * M_FLOW.imag
-        calc = KLoopCalculator(lat, prof.scaled(t).blocks, M_FLOW)
+        calc = KLoopCalculator(lat, _blocks_of(prof, t), M_FLOW)
         # the identity at the one cell (a_1, a_2) = (0, 2), written out
         lhs = calc.k_tensor((1, 1, -1)).sum(axis=-1)
         rhs = (calc.k_tensor((1, 1)) - calc.k_tensor((-1, 1))) \
@@ -657,133 +665,79 @@ class TestFlowDerivative:
                 == kloop_flow_derivative_residual(fresh, charges, 1e-3)
 
 
-@pytest.fixture(scope="module")
-def kernel_setup():
-    lat = BlockLattice(d=1, W=5, n=5)
-    prof = build_translation_invariant(lat, KERNELS["uniform"], 1)
-    t = 0.8
-    thetas = {}
-    for pair in [(1, 1), (1, -1), (-1, 1), (-1, -1)]:
-        thetas[pair] = theta(prof, t, pair, M_FLOW)
-    return lat, thetas, t
-
-
 class TestEvolutionKernel:
-
-    def test_identity_at_s_eq_t(self, kernel_setup):
-        lat, thetas, t = kernel_setup
-        rng = np.random.default_rng(0)
-        A = rng.standard_normal((5, 5))
-        out = evolution_kernel_apply(lat, t, t, (1, -1), M_FLOW, thetas, A)
-        assert np.abs(out - A).max() < 1e-14
-
-    def test_outer_product_oracle(self, kernel_setup):
-        # U applied to e_a (x) e_b is the outer product of kernel columns
-        lat, thetas, t = kernel_setup
-        s = 0.7
-        A = np.zeros((5, 5))
-        A[1, 3] = 1.0
-        out = evolution_kernel_apply(lat, s, t, (1, -1), M_FLOW, thetas, A)
-        m1 = np.eye(5) + (t - s) * M_FLOW * np.conj(M_FLOW) \
-            * thetas[(1, -1)]
-        m2 = np.eye(5) + (t - s) * np.conj(M_FLOW) * M_FLOW \
-            * thetas[(-1, 1)]
-        oracle = np.outer(m1[:, 1], m2[:, 3])
-        assert np.abs(out - oracle).max() < 1e-12
-
-    def test_three_tensor_matches_matrix_oracle(self, kernel_setup):
-        lat, thetas, t = kernel_setup
-        rng = np.random.default_rng(1)
-        A = rng.standard_normal((5, 5, 5))
-        out = evolution_kernel_apply(lat, 0.75, t, (1, -1, 1), M_FLOW,
-                                     thetas, A)
-
-        def axis_mat(pair):
-            mm = (M_FLOW if pair[0] > 0 else np.conj(M_FLOW)) \
-                * (M_FLOW if pair[1] > 0 else np.conj(M_FLOW))
-            return np.eye(5) + (t - 0.75) * mm * thetas[pair]
-
-        ref = np.einsum("ai,bj,ck,ijk->abc", axis_mat((1, -1)),
-                        axis_mat((-1, 1)), axis_mat((1, 1)), A)
-        assert np.abs(out - ref).max() < 1e-12
-
-    def test_contraction_bound(self, kernel_setup):
-        # sup-norm contraction at rate (eta_s/eta_t)^2 = ((1-s)/(1-t))^2
-        lat, thetas, t = kernel_setup
-        s = 0.6
+    def test_contraction_bound(self):
+        # the order-2 kernel U_{s,t} A = L A R^T, with L and R the factors
+        # I + (t - s) m m' Theta of the pairs (+,-) and (-,+), contracts in
+        # sup norm at rate (eta_s/eta_t)^2 = ((1-s)/(1-t))^2
+        lat = BlockLattice(d=1, W=5, n=5)
+        prof = build_translation_invariant(lat, KERNELS["uniform"], 1)
+        s, t = 0.6, 0.8
+        k = (t - s) * M_FLOW * np.conj(M_FLOW)
+        L = np.eye(5) + k * theta(prof, t, (1, -1), M_FLOW)
+        R = np.eye(5) + k * theta(prof, t, (-1, 1), M_FLOW)
         rng = np.random.default_rng(2)
         bound = ((1 - s) / (1 - t)) ** 2
         for _ in range(25):
             A = rng.standard_normal((5, 5))
-            out = evolution_kernel_apply(lat, s, t, (1, -1), M_FLOW,
-                                         thetas, A)
-            assert np.abs(out).max() <= 10 * bound * np.abs(A).max()
+            assert np.abs(L @ A @ R.T).max() <= 10 * bound * np.abs(A).max()
 
-    def test_arity_cap(self, kernel_setup):
-        lat, thetas, t = kernel_setup
-        with pytest.raises(ValueError):
-            evolution_kernel_apply(lat, 0.7, t, (1, -1, 1, -1), M_FLOW,
-                                   thetas, np.zeros((5,) * 4))
+
+def _random_walk(prof, t, c_ker):
+    """The oracle's kernel K for t S, Theta = P((1 - t S)^-1) from theta,
+    and the relative max-norm residual of Theta's random-walk form."""
+    K = random_walk_kernel(prof, t, c_ker)
+    th = theta(prof, t, (1, 1), 1.0).real
+    residual = np.abs(th - random_walk_theta(K, t, c_ker)).max()
+    return K, th, float(residual / np.abs(th).max())
 
 
 class TestRandomWalkRep:
     def test_mean_field_closed_form(self):
-        # S_t = t S_E with c_ker = t: S_ker = 0, K = identity on blocks
+        # t S_E with c_ker = t: S_ker = 0, K = identity on blocks
         lat = BlockLattice(d=1, W=4, n=3)
         t = 0.6
-        St = mean_field_profile(lat).scaled(t)
-        rep = random_walk_representation(St, t)
-        assert np.abs(rep.K - np.eye(3)).max() < 1e-12
+        se = mean_field_profile(lat)
+        K, th, residual = _random_walk(se, t, t)
+        assert np.abs(K - np.eye(3)).max() < 1e-12
         # effective time t_hat = c_ker / (1 - t + c_ker)
-        assert t / decompose_core(St, t)[1] == pytest.approx(t)
-        assert rep.residual < 1e-8
-        assert np.abs(rep.theta - np.eye(3) / (1 - t)).max() < 1e-10
+        assert t / core_split(se, t, t)[1] == pytest.approx(t)
+        assert residual < 1e-8
+        assert np.abs(th - np.eye(3) / (1 - t)).max() < 1e-10
 
     @pytest.mark.parametrize("t", [0.5, 0.9])
     def test_banded_identity(self, band55, t):
         lat, prof = band55
-        St = prof.scaled(t)
-        c_ker = 0.5 * lat.W * St.block_at(0).min()
-        rep = random_walk_representation(St, c_ker)
-        assert rep.residual < 1e-8
-        assert np.abs(rep.K.sum(axis=1) - 1).max() < 1e-10
-        assert rep.K.min() >= 0
-        assert decompose_core(St, c_ker)[1] == pytest.approx(1 - t + c_ker)
+        c_ker = 0.5 * lat.W * (t * prof.block_at(0).min())
+        K, _, residual = _random_walk(prof, t, c_ker)
+        assert residual < 1e-8
+        assert np.abs(K.sum(axis=1) - 1).max() < 1e-10
+        assert K.min() >= 0
+        assert core_split(prof, t, c_ker)[1] == pytest.approx(1 - t + c_ker)
 
     def test_cker_too_large(self, band55):
         _, prof = band55
         with pytest.raises(ValueError) as err:
-            random_walk_representation(prof.scaled(0.5), 0.49)
+            random_walk_kernel(prof, 0.5, 0.49)
         assert "admissible" in str(err.value)
 
     def test_matches_dense(self, model_profile):
         # oracle: the dense N x N inverses the representation is built from
         lat = model_profile.lattice
-        St = model_profile.scaled(0.7)
-        c_ker = 0.5 * lat.block_volume * St.block_at(0).min()
-        rep = random_walk_representation(St, c_ker)
-        S = St.assemble()
+        t = 0.7
+        c_ker = 0.5 * lat.block_volume * (t * model_profile.block_at(0).min())
+        K, th, residual = _random_walk(model_profile, t, c_ker)
+        S = t * model_profile.assemble()
         eye = np.eye(lat.N)
         se = mean_field_profile(lat).assemble()
         deficit = 1.0 - S.sum(axis=1).mean() + c_ker
-        assert decompose_core(St, c_ker)[1] == pytest.approx(deficit,
-                                                             rel=1e-14)
-        assert_entrywise_close(rep.theta, project_matrix(
+        assert core_split(model_profile, t, c_ker)[1] \
+            == pytest.approx(deficit, rel=1e-14)
+        assert_entrywise_close(th, project_matrix(
             lat, np.linalg.inv(eye - S)))
-        assert_entrywise_close(rep.K, deficit * project_matrix(
+        assert_entrywise_close(K, deficit * project_matrix(
             lat, np.linalg.inv(eye - (S - c_ker * se))))
-        assert rep.residual < 1e-12
-
-    def test_never_assembles_the_profile(self, band55, monkeypatch):
-        from bandlab.profiles import VarianceProfile
-
-        def refuse(self):
-            raise AssertionError("assembled the N x N profile")
-
-        _, prof = band55
-        monkeypatch.setattr(VarianceProfile, "assemble", refuse)
-        assert random_walk_representation(prof.scaled(0.5), 0.2).residual \
-            < 1e-12
+        assert residual < 1e-12
 
 
 class TestDecayReport:
@@ -902,7 +856,7 @@ def k3_setup():
     prof = build_translation_invariant(lat, KERNELS["uniform"], 1)
     t = 0.5
     lam = np.sqrt(interaction_strength(prof))
-    calc = KLoopCalculator(lat, prof.scaled(t).blocks, M_FLOW)
+    calc = KLoopCalculator(lat, _blocks_of(prof, t), M_FLOW)
     return lat, calc, t, lam
 
 

@@ -3,12 +3,11 @@ import pytest
 
 from bandlab import (BlockLattice, VarianceProfile, block_flat_profile,
                      build_translation_invariant, build_wegner_orbital,
-                     decompose_core, family_member,
                      interaction_strength, mean_field_profile,
                      profile_to_text, validate)
 from bandlab.cli import build_profile
-from bandlab.profiles import KERNELS, P_SAMPLES, ProfileError
-from oracles import (block_sites, flow_profile, profile_from_text,
+from bandlab.profiles import KERNELS, P_SAMPLES, ProfileError, _affine_blocks
+from oracles import (block_sites, core_split, flow_profile, profile_from_text,
                      site_distance_matrix)
 
 
@@ -148,6 +147,20 @@ class TestBuilders:
         assert prof.row_sum_deviation() < 1e-12
         assert prof.builder_params["normalization"] == "diagonal_absorb"
 
+    def test_wegner_global_rescale(self):
+        # constant raw rows 1.25 with zeros in V, which diagonal_absorb
+        # would refuse: a single division normalizes every block
+        lat = BlockLattice(d=1, W=3, n=3)
+        V = np.array([[0.25, 0.0, 0.25],
+                      [0.0, 0.5, 0.0],
+                      [0.25, 0.0, 0.25]])
+        A = {1: np.full((3, 3), 0.125), 2: np.full((3, 3), 0.125)}
+        prof = build_wegner_orbital(lat, V, A)
+        assert prof.builder_params["normalization"] == "global_rescale"
+        assert np.abs(prof.row_sums - 1.0).max() <= 1e-15
+        for off, blk in {0: V, **A}.items():
+            assert np.array_equal(prof.blocks[off], blk / 1.25)
+
     def test_block_flat_rows(self):
         lat = BlockLattice(d=1, W=3, n=5)
         prof = block_flat_profile(lat, 0.2)
@@ -259,6 +272,13 @@ class TestValidateFromBlocks:
         assert validate(prof).doubly_stochastic
 
 
+def _family(prof, t_f, t):
+    """The member t_f S + (t - t_f) S_E at flow time t of the family that
+    criteria 7 and 9 run on."""
+    return VarianceProfile(prof.lattice, _affine_blocks(
+        prof.lattice, prof.blocks, t_f, t - t_f))
+
+
 class TestFlow:
     def test_flow_identity_at_t0(self, band55):
         out = flow_profile(band55, 0.3, 0.3)
@@ -266,7 +286,7 @@ class TestFlow:
 
     def test_flow_scales_mean_field(self):
         lat = BlockLattice(d=1, W=3, n=4)
-        half = mean_field_profile(lat).scaled(0.5)
+        half = VarianceProfile(lat, {0: np.full((3, 3), 0.5 / 3)})
         out = flow_profile(half, 0.0, 0.5)
         se = mean_field_profile(lat).assemble()
         assert np.abs(out.assemble() - se).max() < 1e-15
@@ -277,69 +297,55 @@ class TestFlow:
         expected = band55.assemble() + (t - t0) * mean_field_profile(
             band55.lattice).assemble()
         assert np.abs(out.assemble() - expected).max() < 1e-15
-        assert out.row_sum == pytest.approx(1 + (t - t0))
+        assert out.row_sums == pytest.approx(1 + (t - t0))
 
     def test_family_endpoint(self, band55):
         t_f = 0.8
-        member = family_member(band55, t_f, t_f, t_f)
+        member = _family(band55, t_f, t_f)
         assert np.abs(member.assemble() - t_f * band55.assemble()).max() \
             < 1e-15
 
     def test_family_flow_closure(self, band55):
-        # the s = t member is the preimage of t_f * S_RBM: flowing it up
-        # to t_f recovers the endpoint entrywise
+        # flowing the time-t member up to t_f recovers the endpoint
+        # entrywise
         t_f, t = 0.8, 0.6
-        member = family_member(band55, t_f, t, t)
+        member = _family(band55, t_f, t)
         flowed = flow_profile(member, t, t_f)
         assert np.abs(flowed.assemble()
                       - t_f * band55.assemble()).max() < 1e-12
 
-    def test_family_stays_in_family(self, band55):
-        # flowing the preimage member reproduces the (t_f/s') representation
-        t_f, t1, t2, s2 = 0.9, 0.5, 0.8, 0.85
-        s1 = s2 * t1 / t2
-        member = family_member(band55, t_f, t1, s1)
-        flowed = flow_profile(member, t1, t2)
-        target = family_member(band55, t_f, t2, s2)
-        assert np.abs(flowed.assemble() - target.assemble()).max() < 1e-12
-
     def test_family_of_mean_field(self):
         lat = BlockLattice(d=1, W=3, n=4)
         se = mean_field_profile(lat)
-        member = family_member(se, 0.9, 0.5, 0.7)
+        member = _family(se, 0.9, 0.5)
         assert np.abs(member.assemble()
                       - 0.5 * se.assemble()).max() < 1e-15
-
-    def test_family_ordering_errors(self, band55):
-        with pytest.raises(ValueError):
-            family_member(band55, 0.8, 0.7, 0.9)
 
 
 class TestDecomposeCore:
     def test_full_mean_field(self):
         lat = BlockLattice(d=1, W=3, n=4)
         se = mean_field_profile(lat)
-        ker, deficit = decompose_core(se, 1.0)
+        ker, deficit = core_split(se, 1.0, 1.0)
         assert np.abs(ker.assemble()).max() == 0
         assert deficit == pytest.approx(1.0)
 
     def test_zero_cker(self, band55):
         # c_ker = 0 leaves S_t untouched; deficit 1 - t + c_ker is 0 at t=1
-        ker, deficit = decompose_core(band55, 0.0)
+        ker, deficit = core_split(band55, 1.0, 0.0)
         assert np.abs(ker.assemble() - band55.assemble()).max() == 0
         assert deficit == pytest.approx(0.0, abs=1e-15)
 
     def test_half_admissible_nonneg(self, band55):
         t = 0.7
-        st = band55.scaled(t)
-        admissible = st.block_at(0).min() * band55.lattice.block_volume
-        ker, deficit = decompose_core(st, admissible / 2)
+        admissible = t * band55.block_at(0).min() * band55.lattice.block_volume
+        ker, deficit = core_split(band55, t, admissible / 2)
         assert ker.assemble().min() >= 0
         assert deficit == pytest.approx(1 - t + admissible / 2)
 
     def test_too_large_rejected(self, band55):
         with pytest.raises(ProfileError) as err:
-            decompose_core(band55, 0.99)
+            core_split(band55, 1.0, 0.99)
         assert "admissible" in str(err.value)
 
 

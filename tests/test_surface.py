@@ -3,13 +3,14 @@
 A public name is a name in a module's ``__all__``, or a public method,
 property or dataclass field of a class listed there. It must be read
 somewhere in ``src/bandlab`` outside its own definition, ``__all__`` and the
-import statements, or by the acceptance suite. A method or field is read
-only through an attribute (``x.name``): a local variable that happens to
-share its name is not a reader. A dataclass whose instances are passed to
-``dataclasses.asdict`` has every field read. The two names kept without
-such a reader are listed in ``KEPT``, each with the reason it stays.
+import statements; a reader outside the package, the tests included, does
+not count. A method or field is read only through an attribute
+(``x.name``): a local variable that happens to share its name is not a
+reader. A dataclass whose instances are passed to ``dataclasses.asdict``
+has every field read. The two names kept without such a reader are listed
+in ``KEPT``, each with the reason it stays.
 
-The tests' own site-level oracles live in ``tests/oracles.py``; a name
+The tests' own oracles live in ``tests/oracles.py``; a name
 defined there may not also be defined in ``src/bandlab``, so an oracle
 cannot drift back into the package.
 """
@@ -19,7 +20,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "bandlab"
-ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
 ORACLES = ROOT / "tests" / "oracles.py"
 
 KEPT = {
@@ -110,18 +110,22 @@ def _serialized(trees) -> set:
     return out
 
 
-def _surface():
+def _parsed(paths) -> dict:
+    return {p: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(paths)}
+
+
+def _surface(trees):
     """Public names, every name read, the names read as attributes, and
-    the dataclasses whose fields are all read through ``asdict``."""
-    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
-             for p in sorted(SRC.glob("*.py"))}
-    public = [(mod, name) for mod, tree in trees.items()
+    the dataclasses whose fields are all read through ``asdict``, over the
+    modules of ``trees`` (path -> parsed module) that lie in the package;
+    the others are ignored."""
+    package = {p.stem: t for p, t in trees.items() if p.parent == SRC}
+    public = [(mod, name) for mod, tree in package.items()
               for name in _public_names(tree)]
-    reads = [_reads(t) for t in trees.values()]
-    reads.append(_reads(ast.parse(ACCEPTANCE.read_text(encoding="utf-8"))))
+    reads = [_reads(t) for t in package.values()]
     bare = set().union(*(b for b, _ in reads))
     attrs = set().union(*(a for _, a in reads))
-    return public, bare | attrs, attrs, _serialized(trees.values())
+    return public, bare | attrs, attrs, _serialized(package.values())
 
 
 def _is_read(name, read, attrs, serialized) -> bool:
@@ -133,18 +137,40 @@ def _is_read(name, read, attrs, serialized) -> bool:
     return last in attrs or owner in serialized
 
 
+def _unread(trees) -> list:
+    public, read, attrs, serialized = _surface(trees)
+    return [f"{mod}.{name}" for mod, name in public
+            if not _is_read(name, read, attrs, serialized)
+            and name.split(".")[-1] not in KEPT]
+
+
 def test_every_public_name_has_a_reader():
-    public, read, attrs, serialized = _surface()
-    unread = [f"{mod}.{name}" for mod, name in public
-              if not _is_read(name, read, attrs, serialized)
-              and name.split(".")[-1] not in KEPT]
+    unread = _unread(_parsed(SRC.glob("*.py")))
     assert unread == [], (
-        "public names that no command, module or acceptance criterion "
-        f"reads: {unread}; delete them, or add them to KEPT with a reason")
+        f"public names that no command or module reads: {unread}; delete "
+        "them, or add them to KEPT with a reason")
+
+
+# failing controls: a synthetic public function that nothing reads
+_ORPHAN = ast.parse('__all__ = ["orphan"]\n\n\ndef orphan():\n    pass\n')
+_READER = ast.parse("from bandlab.orphaned import orphan\n\norphan()\n")
+
+
+def test_an_unread_public_name_is_reported():
+    trees = {**_parsed(SRC.glob("*.py")), SRC / "orphaned.py": _ORPHAN}
+    assert _unread(trees) == ["orphaned.orphan"]
+
+
+def test_a_reader_outside_the_package_does_not_count():
+    trees = {**_parsed(SRC.glob("*.py")), SRC / "orphaned.py": _ORPHAN}
+    outside = ROOT / "tests" / "test_acceptance.py"
+    assert _unread({**trees, outside: _READER}) == ["orphaned.orphan"]
+    # the same reader inside the package keeps the name
+    assert _unread({**trees, SRC / "reader.py": _READER}) == []
 
 
 def test_kept_names_are_public_and_unread():
-    public, read, attrs, serialized = _surface()
+    public, read, attrs, serialized = _surface(_parsed(SRC.glob("*.py")))
     kept = [name for _, name in public if name.split(".")[-1] in KEPT]
     assert {name.split(".")[-1] for name in kept} == set(KEPT)
     assert [name for name in kept
