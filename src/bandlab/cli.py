@@ -159,6 +159,13 @@ def _check_required(cfg):
             f"lie in [0, 1/(2d)) = [0, {1 / (2 * model['d']):g}) at "
             f"d = {model['d']}: the 2d neighbor blocks leave the diagonal "
             f"block the mass 1 - 2d*neighbor_weight")
+    if model["type"] == "wegner_orbital":
+        W, gamma = model["W"], model["wegner_gamma"]
+        if not 0 <= model["wegner_alpha"] <= 1 / (2 * model["d"]):
+            raise ConfigError("[model] wegner_alpha must lie in [0, 1/(2d)]")
+        if (1 + gamma * np.cos(np.pi * np.arange(1 - W, W) / W)).min() < 0:
+            raise ConfigError("[model] wegner_gamma makes a ripple factor "
+                              "1 + gamma cos(pi k/W), |k| < W, negative")
     for sec, key in (("spectral", "eta"), ("checks", "deloc_window")):
         if cfg[sec][key] <= 0:
             raise ConfigError(f"[{sec}] {key} = {cfg[sec][key]:g} must be > 0")
@@ -698,6 +705,7 @@ def main(argv=None) -> int:
                         help="override [output] directory")
     args = parser.parse_args(argv)
 
+    made = None
     try:
         if args.config is None:
             if args.command != "report":
@@ -715,13 +723,16 @@ def main(argv=None) -> int:
         if args.out is not None:
             cfg["output"]["directory"] = args.out
         outdir = cfg["output"]["directory"]
-        if args.command != "report":
-            os.makedirs(outdir, exist_ok=True)
-        try:
-            rep = _COMMANDS[args.command](cfg, outdir)
-        except AllReplicasFailed as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            rep = exc.report
+        if args.command != "report" and not os.path.isdir(outdir):
+            os.makedirs(outdir)
+            made = outdir
+        # on one BLAS thread no report's bits depend on the machine's cores
+        with mc._single_threaded_blas():
+            try:
+                rep = _COMMANDS[args.command](cfg, outdir)
+            except AllReplicasFailed as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                rep = exc.report
         write_json(os.path.join(outdir, f"{args.command}.json"), rep)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -735,6 +746,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return 2
+    finally:  # a refused run removes the empty directory it made
+        if made and not os.listdir(made):
+            os.rmdir(made)
     code = 0 if rep["pass"] else 1
     if args.command != "report":
         status = "PASS" if code == 0 else "FAIL"

@@ -105,11 +105,6 @@ class BlockLattice:
         return self.block_index([u + v for u, v in zip(self.block_coords(a),
                                                        self.block_coords(b))])
 
-    def centered_block_coords(self, a) -> tuple:
-        """Signed representative of [a] with components in (-n/2, n/2]."""
-        return tuple(v - self.n if v > self.n // 2 else v
-                     for v in self.block_coords(a))
-
     # ---- periodic distances ----------------------------------------------
 
     def block_distance(self, a, b) -> int:
@@ -119,18 +114,25 @@ class BlockLattice:
         return sum(min((u - v) % self.n, (v - u) % self.n)
                    for u, v in zip(ac, bc))
 
-    def block0_site_distances(self) -> np.ndarray:
-        """(W^d, N) periodic L^1 distances from the sites of block 0 to
-        every site, in site order."""
-        sites = (self.W * _grid(self.n, self.d)[:, :, None]
-                 + _grid(self.W, self.d)[:, None, :]).reshape(self.d, -1)
-        return _torus_distances(sites[:, :self.block_volume], sites, self.L)
+    def block0_site_distances(self, blocks) -> np.ndarray:
+        """(W^d, k W^d) periodic L^1 distances from the sites of block 0 to
+        the sites of the k listed blocks, block by block in site order."""
+        inner = _grid(self.W, self.d)
+        sites = (self.W * _grid(self.n, self.d)[:, blocks, None]
+                 + inner[:, None, :]).reshape(self.d, -1)
+        return _torus_distances(inner, sites, self.L)
 
     @cached_property
     def block_distance_matrix(self) -> np.ndarray:
         """(block_count, block_count) array of periodic block distances."""
         blocks = _grid(self.n, self.d)
         return _torus_distances(blocks, blocks, self.n)
+
+    @cached_property
+    def centered_block_coords(self) -> np.ndarray:
+        """(d, n^d) block coordinates, each taken in (-n/2, n/2]."""
+        half = (self.n - 1) // 2
+        return (_grid(self.n, self.d) + half) % self.n - half
 
     @cached_property
     def block_offset_matrix(self) -> np.ndarray:

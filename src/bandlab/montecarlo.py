@@ -226,8 +226,7 @@ def build_band(profile: VarianceProfile) -> Band:
     rows, cols, sd = rows[order], cols[order], np.sqrt(var[order] / 2.0)
     # the layer map below peaks without the sort's temporaries
     del var, order
-    reach = max((abs(lat.centered_block_coords(off)[0]) for off in offsets),
-                default=0)
+    reach = int(np.abs(lat.centered_block_coords[0, offsets]).max(initial=0))
     split = np.array_split(np.arange(lat.n), lat.n // max(reach, 1))
     cuts = tuple(int(first) * (N // lat.n) for first, *_ in split) + (N,)
     p = len(cuts) - 1

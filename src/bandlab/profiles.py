@@ -137,8 +137,12 @@ def build_translation_invariant(lattice: BlockLattice, kernel, cutoff: int,
             f"cutoff*W = {cutoff * lattice.W} overlaps its own periodic image "
             f"(needs < L/2 = {lattice.L / 2})")
     reach = cutoff * lattice.W
-    # full translation invariance makes the rows of block 0 the whole profile
-    dist = lattice.block0_site_distances()
+    # block 0's rows are the whole profile by translation invariance; its
+    # nearest sites in block c lie sum_i [c_i != 0]((|c_i| - 1)W + 1) away
+    c = np.abs(lattice.centered_block_coords)
+    near = np.flatnonzero(np.where(c > 0, (c - 1) * lattice.W + 1, 0)
+                          .sum(axis=0) <= reach).tolist()
+    dist = lattice.block0_site_distances(near)
     mask = dist <= reach
     radii, which = np.unique(dist[mask], return_inverse=True)
     vals = np.array([float(kernel(r)) for r in radii])
@@ -151,9 +155,8 @@ def build_translation_invariant(lattice: BlockLattice, kernel, cutoff: int,
     if row <= 0:
         raise ProfileError("kernel produces a zero row")
     weights /= row
-    blocks = {off: blk for off, blk in enumerate(
-        weights.reshape(lattice.block_volume, lattice.block_count, -1)
-        .transpose(1, 0, 2)) if blk.any()}
+    blocks = {off: blk for off, blk in zip(near, weights.reshape(
+        lattice.block_volume, len(near), -1).transpose(1, 0, 2)) if blk.any()}
     prof = VarianceProfile(lattice, blocks, builder="translation_invariant",
                            builder_params={"kernel": name, "cutoff": cutoff})
     if prof.row_sum_deviation() > _ROWSUM_TOL:
@@ -294,17 +297,6 @@ class ValidationReport:
     isotropy_range: list[float]    # [min, max]
 
 
-def _block_step_distribution(profile: VarianceProfile):
-    """Centered block offsets and probabilities of the W^d[S] random walk."""
-    lat = profile.lattice
-    wd = lat.block_volume
-    steps, probs = [], []
-    for off, blk in profile.blocks.items():
-        steps.append(lat.centered_block_coords(off))
-        probs.append(blk.sum() / wd)
-    return np.array(steps, dtype=float), np.array(probs)
-
-
 def validate(profile: VarianceProfile, check_parity: bool = True
              ) -> ValidationReport:
     """Check the defining conditions of the model class and report extremes.
@@ -329,9 +321,9 @@ def validate(profile: VarianceProfile, check_parity: bool = True
     max_entry_c = float(max((blk.max() for _, blk in blocks), default=0.0)
                         * wd)
     # the rows of block 0 hold every distance the profile spans
-    dist = lat.block0_site_distances().reshape(wd, lat.block_count, wd)
-    reach = max((dist[:, off][blk > 0].max(initial=0)
-                 for off, blk in blocks), default=0)
+    dist = lat.block0_site_distances(list(profile.blocks))
+    reach = max((dist[:, i * wd:(i + 1) * wd][blk > 0].max(initial=0)
+                 for i, (_, blk) in enumerate(blocks)), default=0)
     reach_c = float(reach) / lat.W
     flatness = max(max_entry_c, reach_c)
 
@@ -348,16 +340,19 @@ def validate(profile: VarianceProfile, check_parity: bool = True
     thresh = float(lat.W ** (-lat.d + EPS_INTER))
     interaction_ok = lam2 >= thresh
 
-    steps, probs = _block_step_distribution(profile)
     irre, iso = np.inf, [0.0, 0.0]
     if lam2 > 0:
+        # the walk's symbol phi(p) = sum_x P(x) e^(ip.x) is E P E^T (d = 2)
+        # or E P, E = exp(i grid (x) c), c the centered values of one axis
+        steps = lat.centered_block_coords
+        P = np.zeros(lat.block_count)
+        P[list(profile.blocks)] = [blk.sum() / wd for _, blk in blocks]
         grid = np.linspace(-np.pi, np.pi, P_SAMPLES, endpoint=False)
-        ps = np.stack(np.meshgrid(*[grid] * lat.d), axis=-1).reshape(-1, lat.d)
-        ps = ps[np.abs(ps).sum(axis=1) > 1e-9]
-        phase = ps @ steps.T
-        one_minus_phi = ((1 - np.cos(phase)) * probs[None, :]).sum(axis=1)
-        irre = float(np.min(one_minus_phi / (lam2 * (ps**2).sum(axis=1))))
-        sigma = np.einsum("k,ki,kj->ij", probs, steps, steps)
+        E = np.exp(1j * np.outer(grid, steps[-1, :lat.n]))
+        phi = (E @ P.reshape(lat.n, -1) @ E.T if lat.d == 2 else E @ P).real
+        p2 = sum(np.ix_(*[grid**2] * lat.d))
+        irre = float(np.min((P.sum() - phi)[p2 > 0] / (lam2 * p2[p2 > 0])))
+        sigma = np.einsum("k,ik,jk->ij", P, steps, steps)
         evals = np.linalg.eigvalsh(sigma) / lam2
         iso = [float(evals.min()), float(evals.max())]
 

@@ -5,12 +5,13 @@ fails if one of their names is defined in bandlab again."""
 
 import base64
 import json
+import math
 
 import numpy as np
 
-from bandlab import BlockLattice, VarianceProfile, theta
+from bandlab import BlockLattice, VarianceProfile, interaction_strength, theta
 from bandlab.montecarlo import LayerRows
-from bandlab.profiles import ProfileError, _affine_blocks
+from bandlab.profiles import P_SAMPLES, ProfileError, _affine_blocks
 
 
 def block_sites(lat: BlockLattice, a) -> np.ndarray:
@@ -65,6 +66,52 @@ def site_distance_matrix(lat: BlockLattice) -> np.ndarray:
     coords = np.array([lat.site_coords(x) for x in range(lat.N)])
     diff = np.abs(coords[:, None, :] - coords[None, :, :])
     return np.minimum(diff, lat.L - diff).sum(axis=2)
+
+
+def translation_invariant_profile(lat: BlockLattice, kernel, cutoff: int,
+                                  name: str = "custom") -> VarianceProfile:
+    """build_translation_invariant from the full (W^d, N) table of the
+    distances from block 0's sites to every site: no block is left out."""
+    reach = cutoff * lat.W
+    if reach >= lat.L / 2:
+        raise ProfileError("cutoff*W overlaps its own periodic image")
+    coords = np.array([lat.site_coords(x) for x in range(lat.N)])
+    diff = np.abs(coords[:lat.block_volume, None, :] - coords[None, :, :])
+    dist = np.minimum(diff, lat.L - diff).sum(axis=2)
+    mask = dist <= reach
+    radii, which = np.unique(dist[mask], return_inverse=True)
+    weights = np.zeros(dist.shape)
+    weights[mask] = np.array([float(kernel(r)) for r in radii])[which]
+    weights /= math.fsum(weights[0])
+    blocks = weights.reshape(lat.block_volume, lat.block_count, -1)
+    return VarianceProfile(
+        lat, {off: blk for off, blk in enumerate(blocks.transpose(1, 0, 2))
+              if blk.any()},
+        builder="translation_invariant",
+        builder_params={"kernel": name, "cutoff": cutoff})
+
+
+def walk_irreducibility(s: VarianceProfile):
+    """validate's irreducibility ratio and isotropy range from the list of
+    the walk's steps: 1 - phi(p) = sum_x P(x) (1 - cos p.x) at every grid
+    momentum p != 0, with each step x in centered block coordinates."""
+    lat = s.lattice
+    lam2 = interaction_strength(s)
+    if lam2 == 0:
+        return 0.0, [0.0, 0.0]
+    steps = np.array([[v - lat.n if v > lat.n // 2 else v
+                       for v in lat.block_coords(off)] for off in s.blocks],
+                     dtype=float)
+    probs = np.array([blk.sum() / lat.block_volume
+                      for blk in s.blocks.values()])
+    grid = np.linspace(-np.pi, np.pi, P_SAMPLES, endpoint=False)
+    ps = np.stack(np.meshgrid(*[grid] * lat.d), axis=-1).reshape(-1, lat.d)
+    ps = ps[np.abs(ps).sum(axis=1) > 1e-9]
+    one_minus_phi = ((1 - np.cos(ps @ steps.T)) * probs[None, :]).sum(axis=1)
+    ratio = float(np.min(one_minus_phi / (lam2 * (ps**2).sum(axis=1))))
+    sigma = np.einsum("k,ki,kj->ij", probs, steps, steps)
+    evals = np.linalg.eigvalsh(sigma) / lam2
+    return ratio, [float(evals.min()), float(evals.max())]
 
 
 def project_tensor(lat: BlockLattice, A: np.ndarray) -> np.ndarray:

@@ -928,15 +928,22 @@ class TestMonteCarloCommands:
         yield get, set_
         set_(before)
 
-    @pytest.mark.parametrize("command", ["locallaw", "deloc"])
-    def test_reports_ignore_ambient_blas_threads(self, command, tmp_path,
+    # kloop's Ward rows, k2_theta_consistency and cyclic_invariance at the
+    # d = 2 step config moved with the ambient thread count
+    @pytest.mark.parametrize("command,model,spectral", [
+        ("locallaw", {"W": 15, "n": 15}, {}),
+        ("deloc", {"W": 15, "n": 15}, {}),
+        ("kloop", {"d": 2, "W": 5, "n": 9, "cutoff": 2},
+         {"t_values": "0.9"})], ids=["locallaw", "deloc", "kloop"])
+    def test_reports_ignore_ambient_blas_threads(self, command, model,
+                                                 spectral, tmp_path,
                                                  blas_threads):
         get, set_ = blas_threads
         reports = []
         for threads in (2, 1):
             out = tmp_path / f"blas{threads}"
             cfg = write_config(tmp_path / f"blas{threads}.ini",
-                               model={"W": 15, "n": 15},
+                               model=model, spectral=spectral,
                                mc={"replicas": 4, "parallelism": 2},
                                output={"directory": str(out)})
             set_(threads)
@@ -1051,7 +1058,7 @@ def _malformed(draw):
     kind = draw(st.sampled_from(["section", "key", "value", "size", "d",
                                  "type", "header", "nonfinite",
                                  "nonpositive", "flowtime",
-                                 "spectral_range"]))
+                                 "spectral_range", "wegner_range"]))
     if kind == "section":
         sections[draw(_NAMES.filter(lambda s: s not in _SCHEMA))] = {"a": 1}
     elif kind == "key":
@@ -1092,12 +1099,28 @@ def _malformed(draw):
             [("kappa", v) for v in ("-1", "0", "2", "5")]
             + [("epsilon0", v) for v in ("-0.2", "0", "1", "1.5")]))
         sections["spectral"] = {key: value}
+    elif kind == "wegner_range":
+        sections["model"] = draw(st.sampled_from(_WEGNER_OUT_OF_RANGE))
     else:
         return _ini(sections).split("\n", 1)[1]
     return _ini(sections)
 
 
 _DIAGONAL = _ini({**_base(), "model": {**_base()["model"], "cutoff": 0}})
+
+
+def _wegner(**model):
+    return {"type": "wegner_orbital", "d": 1, "W": 3, "n": 5, **model}
+
+
+# alpha outside [0, 1/(2d)], or gamma with a negative ripple factor
+# 1 + gamma cos(pi k/W), |k| < W: gamma outside [-1, 1/cos(pi/W)] for W >= 2
+_WEGNER_OUT_OF_RANGE = [
+    _wegner(d=2, wegner_alpha=0.3), _wegner(d=2, wegner_alpha=0.2500001),
+    _wegner(wegner_alpha=-0.1), _wegner(wegner_alpha=0.6),
+    _wegner(wegner_gamma=3), _wegner(wegner_gamma=-1.5),
+    _wegner(wegner_gamma=-1.0000001), _wegner(W=5, wegner_gamma=1.25),
+    _wegner(d=2, W=1, wegner_gamma=-1.5)]
 
 
 class TestExitCodeContract:
@@ -1141,11 +1164,50 @@ class TestExitCodeContract:
                                              "type": "wegner_orbital",
                                              "wegner_alpha": "nan"}}),
              command="flow")
+    # these reached the builder, which refused them as "negative entries
+    # are not allowed", a message that names no key
+    @example(text=_ini({**_base(), "model": _wegner(d=2, wegner_alpha=0.3)}),
+             command="validate")
+    @example(text=_ini({**_base(), "model": _wegner(wegner_alpha=-0.1)}),
+             command="validate")
+    @example(text=_ini({**_base(), "model": _wegner(wegner_gamma=3)}),
+             command="validate")
+    @example(text=_ini({**_base(), "model": _wegner(wegner_gamma=-1.5)}),
+             command="validate")
     # cutoff 0 built a diagonal profile, and validate and locallaw exited 1
     @example(text=_DIAGONAL, command="validate")
     @example(text=_DIAGONAL, command="locallaw")
     def test_malformed_config_exits_2(self, text, command):
         assert _run(text, command) == (2, None)
+
+    @pytest.mark.parametrize("model", _WEGNER_OUT_OF_RANGE)
+    def test_out_of_range_wegner_key_is_named(self, model, capsys):
+        assert _run(_ini({**_base(), "model": model}), "validate") == (2, None)
+        key = "wegner_alpha" if "wegner_alpha" in model else "wegner_gamma"
+        assert f"config error: [model] {key}" in capsys.readouterr().err
+
+    # each exits 2 before writing anything: the first two as config errors,
+    # the last two in the builder (cutoff*W overlaps its periodic image;
+    # block_flat cannot separate the +-1 offsets at n = 2)
+    @pytest.mark.parametrize("model", [
+        _wegner(d=2, wegner_alpha=0.3), _wegner(wegner_gamma=3),
+        {"type": "translation_invariant", "W": 5, "n": 2},
+        {"type": "block_flat", "W": 5, "n": 2}])
+    @pytest.mark.parametrize("command", ["validate", "locallaw"])
+    def test_refused_run_leaves_no_out_directory(self, model, command,
+                                                 tmp_path):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.ini", model=model)
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_refused_run_keeps_an_existing_out_directory(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        cfg = write_config(tmp_path / "c.ini",
+                           model={"type": "block_flat", "W": 5, "n": 2})
+        assert main(["validate", "--config", cfg, "--out", str(out)]) == 2
+        assert out.is_dir() and not any(out.iterdir())
 
     @settings(max_examples=30, deadline=None)
     @given(model=_valid_model(),

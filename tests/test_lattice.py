@@ -126,11 +126,26 @@ class TestDistances:
 
     def test_block0_rows_match_scalar(self):
         for lat in (BlockLattice(d=1, W=3, n=4), BlockLattice(d=2, W=3, n=3)):
-            D = lat.block0_site_distances()
+            D = lat.block0_site_distances(list(range(lat.block_count)))
             assert D.shape == (lat.block_volume, lat.N)
             for i, x in enumerate(block_sites(lat, 0)):
                 for y in range(lat.N):
                     assert D[i, y] == periodic_distance(lat, x, y)
+            # a list of blocks, in any order, gives their columns in turn
+            blocks = [lat.block_count - 1, 0, 2]
+            sites = np.concatenate([block_sites(lat, b) for b in blocks])
+            assert np.array_equal(lat.block0_site_distances(blocks),
+                                  D[:, sites])
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 6])
+    def test_centered_block_coords(self, n):
+        for d in (1, 2):
+            lat = BlockLattice(d=d, W=2, n=n)
+            c = lat.centered_block_coords
+            assert c.shape == (d, lat.block_count)
+            assert ((-n / 2 < c) & (c <= n / 2)).all()
+            for b in range(lat.block_count):
+                assert lat.block_index(c[:, b]) == b
 
     def test_brackets(self):
         lat = BlockLattice(d=1, W=5, n=3)

@@ -1,3 +1,7 @@
+import hashlib
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,7 +12,8 @@ from bandlab import (BlockLattice, VarianceProfile, block_flat_profile,
 from bandlab.cli import build_profile
 from bandlab.profiles import KERNELS, P_SAMPLES, ProfileError, _affine_blocks
 from oracles import (block_sites, core_split, flow_profile, profile_from_text,
-                     site_distance_matrix)
+                     site_distance_matrix, translation_invariant_profile,
+                     walk_irreducibility)
 
 
 def brute_lambda2(S, lat):
@@ -20,6 +25,28 @@ def brute_lambda2(S, lat):
                 continue
             total += S[np.ix_(block_sites(lat, a), block_sites(lat, b))].sum()
     return total / lat.N
+
+
+def _sha(prof):
+    return hashlib.sha256(profile_to_text(prof).encode()).hexdigest()
+
+
+def _model(kind, d, W, n, cutoff=1):
+    return build_profile({"model": {
+        "type": kind, "d": d, "W": W, "n": n, "kernel": "exponential",
+        "cutoff": cutoff, "neighbor_weight": 0.1, "wegner_alpha": 0.05,
+        "wegner_gamma": 0.5}})
+
+
+# every model type at d = 1 and 2, n even and odd, W = 1, cutoff up to 3
+_WALK_MODELS = [
+    (kind, d, W, n) for kind in ("wegner_orbital", "block_flat",
+                                 "mean_field")
+    for d, W, n in ((1, 1, 7), (1, 4, 6), (2, 1, 8), (2, 3, 5))] + [
+    ("translation_invariant", d, W, n, cutoff)
+    for d, W, n, cutoff in ((1, 1, 8, 3), (1, 3, 5, 2), (1, 4, 9, 1),
+                            (1, 5, 8, 3), (2, 1, 7, 3), (2, 1, 8, 2),
+                            (2, 3, 6, 2), (2, 5, 9, 2), (2, 2, 9, 3))]
 
 
 @pytest.fixture
@@ -67,15 +94,57 @@ class TestBuilders:
         base = build_translation_invariant(lat, KERNELS[kernel], cutoff)
         wd, m = lat.block_volume, lat.block_count
         perm = np.random.default_rng(0).permutation(wd)
-        dist = lat.block0_site_distances()
-        relabeled = dist[perm][:, (np.arange(m)[:, None] * wd + perm).ravel()]
-        monkeypatch.setattr(BlockLattice, "block0_site_distances",
-                            lambda self: relabeled)
+        distances = BlockLattice.block0_site_distances
+
+        def relabeled(self, blocks):
+            dist = distances(self, blocks)
+            k = len(blocks)
+            return dist[perm][:, (np.arange(k)[:, None] * wd + perm).ravel()]
+
+        monkeypatch.setattr(BlockLattice, "block0_site_distances", relabeled)
         moved = build_translation_invariant(lat, KERNELS[kernel], cutoff)
         back = np.ix_(np.argsort(perm), np.argsort(perm))
         assert set(moved.blocks) == set(base.blocks)
         for off, blk in base.blocks.items():
             assert np.array_equal(moved.blocks[off][back], blk)
+
+    # W = 1 puts a whole block at each distance from block 0, so a block
+    # within reach that the builder leaves out shows in the digest
+    @pytest.mark.parametrize("d,W,n", [
+        (1, 1, 7), (1, 1, 8), (1, 2, 7), (1, 3, 5), (1, 4, 6), (1, 5, 9),
+        (1, 7, 8), (2, 1, 5), (2, 1, 8), (2, 2, 6), (2, 3, 5), (2, 3, 8),
+        (2, 2, 9)])
+    def test_matches_the_full_distance_table(self, d, W, n):
+        lat = BlockLattice(d=d, W=W, n=n)
+        for kernel, cutoff in itertools.product(sorted(KERNELS), (1, 2, 3)):
+            try:
+                want = translation_invariant_profile(lat, KERNELS[kernel],
+                                                     cutoff, kernel)
+            except ProfileError:
+                with pytest.raises(ProfileError):
+                    build_translation_invariant(lat, KERNELS[kernel], cutoff)
+                continue
+            got = build_translation_invariant(lat, KERNELS[kernel], cutoff,
+                                              kernel)
+            assert _sha(got) == _sha(want), (kernel, cutoff)
+
+    @pytest.mark.parametrize("d,W,n,cutoff", [
+        (1, 1, 8, 3), (1, 4, 7, 2), (2, 1, 8, 3), (2, 3, 5, 1),
+        (2, 5, 9, 2), (2, 4, 9, 3)])
+    def test_measures_only_the_blocks_within_reach(self, d, W, n, cutoff,
+                                                   monkeypatch):
+        # the uniform kernel weighs every site within reach, so the blocks
+        # of the profile are exactly the blocks with a site within reach
+        lat = BlockLattice(d=d, W=W, n=n)
+        distances, asked = BlockLattice.block0_site_distances, []
+
+        def spy(self, blocks):
+            asked.append(list(blocks))
+            return distances(self, blocks)
+
+        monkeypatch.setattr(BlockLattice, "block0_site_distances", spy)
+        prof = build_translation_invariant(lat, KERNELS["uniform"], cutoff)
+        assert asked == [sorted(prof.blocks)]
 
     def test_negative_kernel_rejected(self):
         lat = BlockLattice(d=1, W=3, n=5)
@@ -235,6 +304,15 @@ class TestValidate:
         assert rep.irreducibility_ratio == pytest.approx(ratios.min(),
                                                          rel=1e-9)
 
+    @pytest.mark.parametrize("model", _WALK_MODELS, ids=str)
+    def test_irreducibility_matches_the_step_list(self, model):
+        # oracle: the cosine of every grid momentum against every step
+        prof = _model(*model)
+        rep = validate(prof, check_parity=False)
+        ratio, iso = walk_irreducibility(prof)
+        assert abs(rep.irreducibility_ratio - ratio) <= 1e-13 * abs(ratio)
+        assert np.allclose(rep.isotropy_range, iso, rtol=1e-13, atol=0)
+
     def test_gaussian_kernel_parity(self):
         lat = BlockLattice(d=1, W=5, n=7)
         prof = build_translation_invariant(lat, KERNELS["gaussian"], 2)
@@ -270,6 +348,23 @@ class TestValidateFromBlocks:
         prof = self.profile(kind, d)
         monkeypatch.setattr(VarianceProfile, "assemble", refuse)
         assert validate(prof).doubly_stochastic
+
+
+def test_builder_and_validate_form_no_distance_table():
+    # the d = 2 reference config; one W^d x N int64 distance table there is
+    # 25 * 2025 * 8 bytes, and neither step may hold that much at once
+    cfg = {"model": {"type": "translation_invariant", "d": 2, "W": 5,
+                     "n": 9, "kernel": "uniform", "cutoff": 2}}
+    prof = build_profile(cfg)
+    validate(prof)
+    for step in (lambda: build_profile(cfg), lambda: validate(prof)):
+        tracemalloc.start()
+        try:
+            step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 25 * 2025 * 8
 
 
 def _family(prof, t_f, t):
