@@ -163,9 +163,13 @@ def _check_required(cfg):
         W, gamma = model["W"], model["wegner_gamma"]
         if not 0 <= model["wegner_alpha"] <= 1 / (2 * model["d"]):
             raise ConfigError("[model] wegner_alpha must lie in [0, 1/(2d)]")
-        if (1 + gamma * np.cos(np.pi * np.arange(1 - W, W) / W)).min() < 0:
+        # the factor 1 + gamma at k = 0 scales V's off-diagonal entries,
+        # or V itself at W = 1: no normalisation lifts them from zero
+        if (1 + gamma * np.cos(np.pi * np.arange(1 - W, W) / W)).min() < 0 \
+                or 1 + gamma <= 0:
             raise ConfigError("[model] wegner_gamma makes a ripple factor "
-                              "1 + gamma cos(pi k/W), |k| < W, negative")
+                              "1 + gamma cos(pi k/W), |k| < W, negative, "
+                              "or 1 + gamma zero")
     for sec, key in (("spectral", "eta"), ("checks", "deloc_window")):
         if cfg[sec][key] <= 0:
             raise ConfigError(f"[{sec}] {key} = {cfg[sec][key]:g} must be > 0")
@@ -673,7 +677,10 @@ def cmd_report(cfg, outdir):
             passed = passed and bool(data["pass"])
     for e in entries:
         print(f"{e['file']}: {'PASS' if e['pass'] else 'FAIL'}")
-    return {"command": "report", "entries": entries, "pass": bool(passed)}
+    if not entries:
+        print(f"report: {outdir!r} holds no command report", file=sys.stderr)
+    return {"command": "report", "entries": entries,
+            "pass": bool(passed and entries)}
 
 
 _COMMANDS = {

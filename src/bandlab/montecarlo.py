@@ -10,13 +10,14 @@ calls, so pinning its thread count covers every solve and eigensolve.
 
 A replica never forms the N x N profile: each command builds one
 :class:`Band` from the profile's blocks, whole, with the layout of H's
-layers, the draw's positions and the residual's chunks. Replicas sample H
+layers, the draw's positions and the residual's plan. Replicas sample H
 on its support, and the resolvent comes from recursive Green's functions
 along a chain of layers, closed into their ring by a Schur complement,
-with its residual checked on views of H's and G's block rows. The order of
-the draws is versioned by ``STREAM_VERSION``. Every replica keeps H in one
-form, its :class:`LayerRows`: each layer's rows over the columns of the
-layer and its two ring neighbours, all that H holds off zero. Each thread
+with its residual checked one block row at a time, on slices of H's layer
+rows and of G's rows. The order of the draws is versioned by
+``STREAM_VERSION``. Every replica keeps H in one form, its
+:class:`LayerRows`: each layer's rows over the columns of the layer and
+its two ring neighbours, all that H holds off zero. Each thread
 keeps its buffers in one store (:func:`_kept`): H's :class:`LayerRows`, a
 scratch buffer of two W^d x N block rows, and for ``locallaw`` and
 ``diffusion`` an N x N G; for ``deloc`` and ``que``, once a window takes
@@ -26,9 +27,8 @@ Replica threads share the GIL, and numpy releases it around every call on
 more than a few hundred numbers, so each small call of a replica is a
 hand-off to the other threads. The resolvent path keeps its calls few
 without changing a bit of G: H's diagonal is shifted by -z in place for
-the solve instead of copied per layer, the block residual runs a chunk of
-consecutive blocks with equal runs as one batched product per run, and
-|G|^2 is formed once per replica
+the solve instead of copied per layer, the block residual takes one
+product per run of a block, and |G|^2 is formed once per replica
 (:attr:`GreenFunction.abs2`) for the Ward gate and the observables. The
 residual's normalisation max(1, max|G|) can only lower max|(H - z)G - I|,
 so a solve forms it only when that peak is above the tolerance.
@@ -173,13 +173,12 @@ class Band:
       sites of those columns. ``upper``, ``lower`` and ``diag`` are the
       positions there of the support (in the band's order), of its mirror
       image and of the diagonal.
-    - ``chunks``, the residual plan: (x, k, width, ((lo, hi, start,
-      advance), ...)) for a chunk of k consecutive blocks from site x,
-      whose layer rows are ``width`` wide, with H_x,x+lo of each run at
-      position ``start`` and each next block's ``advance`` further on. The
-      runs of a block [a] are those of consecutive blocks among [a] and
-      [a] + x, x a nonzero offset, as site offsets (lo, hi) from [a]'s
-      first site.
+    - ``plan``, the residual's: one entry (x, i, row, ((lo, hi, col),
+      ...)) per block [a], in order. x is [a]'s first site, i its layer
+      and row the first of its rows in layer i's rows. The runs are those
+      of consecutive blocks among [a] and the blocks it couples to, as
+      site offsets (lo, hi) from x, and col is a run's first column in
+      layer i's rows.
     """
 
     lattice: BlockLattice
@@ -198,7 +197,7 @@ class Band:
     upper: np.ndarray
     lower: np.ndarray
     diag: np.ndarray
-    chunks: tuple
+    plan: tuple
 
 
 def build_band(profile: VarianceProfile) -> Band:
@@ -245,41 +244,27 @@ def build_band(profile: VarianceProfile) -> Band:
     layer = np.repeat(np.arange(p), np.diff(cuts))
     starts, widths, first = (np.array(v) for v in (base, width, cuts))
 
+    def column(i, y):
+        """The column of site y in layer i's rows."""
+        j = layer[y]
+        return at[i, j] + y - first[j]
+
     def flat(x, y):
         """The position of H_xy in the flat buffer; y lies in layer x's
         rows."""
-        i, j = layer[x], layer[y]
-        return starts[i] + (x - first[i]) * widths[i] + at[i, j] \
-            + y - first[j]
+        i = layer[x]
+        return starts[i] + (x - first[i]) * widths[i] + column(i, y)
 
-    # a chunk is consecutive blocks whose runs lie at the same offsets and
-    # whose layer rows lie at one stride: up to two blocks of one run, or
-    # one block of more, whose products then take the scratch buffer's
-    # second half
-    chunks = []             # [first site, (row width, runs), positions]
+    plan = []
     for a, r in enumerate(shift):
         # sorted in Python: np.unique's first call faults in 1.6 MB of code
         b = np.array(sorted({a, *r}))
-        runs = tuple((wd * int(c[0] - a), wd * int(c[-1] + 1 - a))
-                     for c in np.split(b, np.flatnonzero(np.diff(b) != 1)
-                                       + 1))
         x = a * wd
-        key = (width[layer[x]], runs)
-        pos = np.array([flat(x, x + lo) for lo, _ in runs])
-        if chunks and chunks[-1][1] == key:
-            held = chunks[-1][2]
-            if len(held) < _CHUNK_BLOCKS // min(len(runs), 2) and (
-                    len(held) == 1
-                    or np.array_equal(pos - held[-1], held[1] - held[0])):
-                held.append(pos)
-                continue
-        chunks.append([x, key, [pos]])
-    plan = []
-    for x, (w, runs), held in chunks:
-        advance = held[1] - held[0] if len(held) > 1 else 0 * held[0]
-        plan.append((x, len(held), w, tuple(
-            (lo, hi, int(s), int(d))
-            for (lo, hi), s, d in zip(runs, held[0], advance))))
+        i = int(layer[x])
+        plan.append((x, i, x - cuts[i], tuple(
+            (wd * int(c[0] - a), wd * int(c[-1] + 1 - a),
+             int(column(i, wd * c[0])))
+            for c in np.split(b, np.flatnonzero(np.diff(b) != 1) + 1))))
     diag = np.arange(N)
     return Band(
         lattice=lat, rows=rows, cols=cols, sd=sd,
@@ -290,7 +275,7 @@ def build_band(profile: VarianceProfile) -> Band:
         sites=tuple(np.concatenate([np.arange(cuts[j], cuts[j + 1])
                                     for j in span]) for span in spans),
         size=size, upper=flat(rows, cols), lower=flat(cols, rows),
-        diag=flat(diag, diag), chunks=tuple(plan))
+        diag=flat(diag, diag), plan=tuple(plan))
 
 
 # ---- sampling -----------------------------------------------------------------
@@ -374,8 +359,10 @@ class GreenFunction:
 
 
 # Block rows, of W^d x N complex numbers, in each thread's scratch buffer.
-# The block residual, the ring closure's fill and diffusion's G o G^T take
-# this many block rows at a time through it, each batch in one call.
+# The ring closure's fill and diffusion's G o G^T take this many block rows
+# at a time through it, each batch in one call; the block residual sums a
+# block's row in the first and forms each later run's product in the
+# second.
 _CHUNK_BLOCKS = 2
 
 
@@ -520,54 +507,37 @@ def _sum_of_products(out, pairs, part):
             s += np.matmul(a[c:c + step], b, out=t)
 
 
-def _windows(A: np.ndarray, first: tuple, shape: tuple,
-             steps: tuple) -> np.ndarray:
-    """The view of C-ordered 2-D ``A`` from A[first] whose axis i advances
-    steps[i] = (rows, columns) of A per index."""
-    s0, s1 = A.strides
-    return np.ndarray(shape, A.dtype, A, first[0] * s0 + first[1] * s1,
-                      tuple(r * s0 + c * s1 for r, c in steps))
-
-
 def _residual_peak(band: Band, H: LayerRows, G: np.ndarray,
                    z: complex) -> float:
     """max|(H - z)G - I| over every entry, with H, the band's
-    :class:`LayerRows`, read only on the blocks of the residual plan.
+    :class:`LayerRows`, read only on the runs of :attr:`Band.plan`.
 
-    The plan goes through the thread's scratch buffer in the chunks of
-    :attr:`Band.chunks`: up to ``_CHUNK_BLOCKS`` consecutive blocks
-    with the same runs if they have one, half as many if more, whose
-    products are summed in the buffer's second half, and only blocks whose
-    layer rows lie at one stride.
-    A chunk's block rows of (H - z)G are one batched product per run, of
-    strided views of H's layer rows over the run and of G's rows of the
-    run, while H's diagonal is shifted by -z in place; each product keeps
-    the W^d x N shape of one block row. The chunks' maxima are kept in an
-    array, whose max keeps a NaN."""
+    A block's row R of (H - z)G is one product per run, of a slice of H's
+    layer rows and G's rows of the run, while H's diagonal is shifted by -z
+    in place. The first run's product goes into the first block row of the
+    thread's scratch buffer, and each later one into its second, to be
+    added in. Each product keeps the W^d x N shape of one block row. The
+    blocks' maxima are kept in an array, whose max keeps a NaN."""
     wd, N = band.lattice.block_volume, band.lattice.N
     buf = _worker_scratch(band)
-    G = np.ascontiguousarray(G)
-    chunks, data = band.chunks, H.data
-    item = data.itemsize
-    peaks = np.empty(len(chunks))
-    with _shifted(data, band.diag, z):
-        for c, (a, k, width, runs) in enumerate(chunks):
-            R, prod = buf[:k * wd], buf[k * wd:2 * k * wd]
-            for i, (lo, hi, start, advance) in enumerate(runs):
-                # block j's rows of the run start at start + j * advance
-                h = np.ndarray((k, wd, hi - lo), complex, data, start * item,
-                               (advance * item, width * item, item))
-                g = _windows(G, (a + lo, 0), (k, hi - lo, N),
-                             ((wd, 0), (1, 0), (0, 1)))
-                np.matmul(h, g, out=(prod if i else R).reshape(k, wd, N))
-                if i:
+    R, prod = buf[:wd], buf[wd:2 * wd]
+    entries = R.reshape(-1)
+    # |R| overwrites R's real parts; an imaginary part left beside |R_xy|
+    # is at most |R_xy|, so the max of all of them is max|R|
+    flat = entries.view(float)
+    peaks = np.empty(len(band.plan))
+    with _shifted(H.data, band.diag, z):
+        for b, (x, i, row, runs) in enumerate(band.plan):
+            h = H.rows[i][row:row + wd]
+            for k, (lo, hi, col) in enumerate(runs):
+                np.matmul(h[:, col:col + hi - lo], G[x + lo:x + hi],
+                          out=prod if k else R)
+                if k:
                     R += prod
-            _windows(buf, (0, a), (k, wd), ((wd, wd), (1, 1)))[...] -= 1.0
-            # |R| overwrites R's real parts; an imaginary part left beside
-            # |R_xy| is at most |R_xy|, so the max of all of them is max|R|
-            flat = R.reshape(-1).view(float)
-            np.abs(R.reshape(-1), out=flat[::2])
-            peaks[c] = flat.max()
+            # the identity's entries in R: (r, x + r) for r < W^d
+            entries[x:x + wd * (N + 1):N + 1] -= 1.0
+            np.abs(entries, out=flat[::2])
+            peaks[b] = flat.max()
     return float(peaks.max())
 
 

@@ -984,6 +984,17 @@ class TestMonteCarloCommands:
         main(["validate", "--config", cfg])
         assert main(["report", "--out", str(tmp_path / "out")]) == 1
 
+    def test_report_of_no_command_report_fails(self, tmp_path, capsys):
+        # a directory that holds no command's report has nothing to pass
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "note.json").write_text('"pass"')
+        assert main(["report", "--out", str(out)]) == 1
+        rep = read_json(str(out), "report.json")
+        assert rep["entries"] == [] and rep["pass"] is False
+        assert f"{str(out)!r} holds no command report" in \
+            capsys.readouterr().err
+
     def test_report_skips_non_object_json(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini")
         assert main(["flow", "--config", cfg]) == 0
@@ -1114,13 +1125,15 @@ def _wegner(**model):
 
 
 # alpha outside [0, 1/(2d)], or gamma with a negative ripple factor
-# 1 + gamma cos(pi k/W), |k| < W: gamma outside [-1, 1/cos(pi/W)] for W >= 2
+# 1 + gamma cos(pi k/W), |k| < W, or a zero one at k = 0: gamma outside
+# (-1, 1/cos(pi/W)] for W >= 2. gamma = -1 exited 2 as "rows are not
+# normalizable", a message that names no key
 _WEGNER_OUT_OF_RANGE = [
     _wegner(d=2, wegner_alpha=0.3), _wegner(d=2, wegner_alpha=0.2500001),
     _wegner(wegner_alpha=-0.1), _wegner(wegner_alpha=0.6),
     _wegner(wegner_gamma=3), _wegner(wegner_gamma=-1.5),
     _wegner(wegner_gamma=-1.0000001), _wegner(W=5, wegner_gamma=1.25),
-    _wegner(d=2, W=1, wegner_gamma=-1.5)]
+    _wegner(d=2, W=1, wegner_gamma=-1.5), _wegner(wegner_gamma=-1)]
 
 
 class TestExitCodeContract:

@@ -1,5 +1,4 @@
 import gc
-import itertools
 import sys
 import threading
 import time
@@ -628,8 +627,8 @@ _RING_LATTICES = {
     "d1-readme": ((1, 33, 15, 1), tuple(range(0, 496, 33))),
     "d1-W3-n4": ((1, 3, 4, 1), (0, 3, 6, 9, 12)),
     "d1-reach2-uneven": ((1, 4, 7, 2), (0, 12, 20, 28)),
-    # layer rows of widths 21, 21, 18 and 21: a residual chunk stops where
-    # the width changes
+    # layer rows of widths 21, 21, 18 and 21: the plan reads a block's
+    # runs at the width of its own layer's rows
     "d1-reach2-four-uneven": ((1, 3, 9, 2), (0, 9, 15, 21, 27)),
     "d1-ring-of-3": ((1, 5, 3, 1), (0, 5, 10, 15)),
     "d2-W3-n3": ((2, 3, 3, 1), (0, 27, 54, 81)),
@@ -721,14 +720,21 @@ class TestBandHotPath:
                                                                   False]
         assert np.isnan(res.values["ward_residual"].max())
 
-    @pytest.mark.parametrize("block", [2, 4])
-    def test_one_nan_entry_of_G_fails(self, band_small, monkeypatch, block):
-        # one NaN entry of G, in an interior block row (2) or a ring-wrap
-        # one (4), with H finite: the block residual is NaN wherever its
-        # chunk falls, and green's gate raises on it
-        lat, band = band_small
+    @pytest.mark.parametrize("name, block", [(None, 2), (None, 4),
+                                             ("d2-W3-n5", 22)])
+    def test_one_nan_entry_of_G_fails(self, band_small, monkeypatch, name,
+                                      block):
+        # one NaN entry of G, with H finite: in an interior block row (2)
+        # or a ring-wrap one (4) of the d = 1 band_small, and at d = 2 in a
+        # block row that only a block's second or later run reads (22).
+        # The block residual is NaN, and green's gate raises on it
+        band = band_small[1] if name is None else _ring_band(name)
+        wd = band.lattice.block_volume
+        if name is not None:
+            assert all(not lo <= (block - x // wd) * wd < hi
+                       for x, _, _, ((lo, hi, _), *_) in band.plan)
         H = drawn_rows(band, stream_for(8, 0))
-        x = block * lat.block_volume + 1
+        x = block * wd + 1
         G = green(band, H, 0.2j).G.copy()
         G[x, 7] = np.nan
         assert np.isnan(mc.GreenFunction(
@@ -744,57 +750,25 @@ class TestBandHotPath:
             green(band, H, 0.2j)
 
     @pytest.mark.parametrize("name", sorted(_RING_LATTICES))
-    def test_groups_partition_the_plan(self, name):
-        # the residual's chunks take every block once, in order, with that
-        # block's runs in the dense H; the runs hold all of its block row of
-        # H, and the chunk reads each run at start + j advance for its block
-        # j
+    def test_plan_reads_each_block_row_once(self, name):
+        # the residual's plan takes every block once, in order, with that
+        # block's runs in the dense H; each run's slice of the layer rows
+        # is the block row's columns there, and the runs hold all of it
         band = _ring_band(name)
         wd = band.lattice.block_volume
         H = drawn_rows(band, stream_for(8, 0))
         dense = dense_H(H)
-        blocks = []
-        for x, k, width, runs in band.chunks:
-            for j in range(k):
-                a = x // wd + j
-                blocks.append(a)
-                assert [(lo, hi) for lo, hi, _, _ in runs] == \
-                    _runs(dense, wd, a)
-                row = dense[a * wd:(a + 1) * wd].copy()
-                for lo, hi, start, advance in runs:
-                    at = start + j * advance + width * np.arange(wd)[:, None]
-                    cols = slice(a * wd + lo, a * wd + hi)
-                    assert H.data[at + np.arange(hi - lo)].tobytes() == \
-                        row[:, cols].tobytes()
-                    row[:, cols] = 0
-                assert (row == 0).all()
-        assert blocks == list(range(band.lattice.block_count))
-
-    @pytest.mark.parametrize("model, groups", [
-        # the README band: the two ring-wrap blocks and the interior
-        ((1, 33, 15, 1), [(0, 1), (1, 14), (14, 15)]),
-        ((1, 3, 4, 1), [(0, 1), (1, 3), (3, 4)]),
-        # a ring of 3: every block couples to all three, at its own offsets
-        ((1, 5, 3, 1), [(0, 1), (1, 2), (2, 3)]),
-        ((1, 4, 7, 2), [(0, 1), (1, 2), (2, 5), (5, 6), (6, 7)]),
-        ((2, 5, 9, 2), 45),
-    ])
-    def test_groups_of_known_bands(self, model, groups):
-        # a group is a stretch of consecutive blocks whose runs lie at the
-        # same offsets from each block's first site; no chunk leaves one
-        band = _band_of(model)
-        wd = band.lattice.block_volume
-        dense = dense_H(drawn_rows(band, stream_for(8, 0)))
-        found, first = [], 0
-        for _, same in itertools.groupby(
-                _runs(dense, wd, a) for a in range(band.lattice.block_count)):
-            found.append((first, first + len(list(same))))
-            first = found[-1][1]
-        del dense
-        assert (len(found) if isinstance(groups, int) else found) == groups
-        for x, k, _, _ in band.chunks:
-            assert any(lo <= x // wd and x // wd + k <= hi
-                       for lo, hi in found)
+        assert [x for x, *_ in band.plan] == list(range(0, band.lattice.N,
+                                                         wd))
+        for x, i, row, runs in band.plan:
+            assert [(lo, hi) for lo, hi, _ in runs] == _runs(dense, wd,
+                                                             x // wd)
+            block = dense[x:x + wd].copy()
+            for lo, hi, col in runs:
+                assert H.rows[i][row:row + wd, col:col + hi - lo].tobytes() \
+                    == block[:, x + lo:x + hi].tobytes()
+                block[:, x + lo:x + hi] = 0
+            assert (block == 0).all()
 
     def test_readme_config_draws_only_the_support(self):
         lat = BlockLattice(d=1, W=33, n=15)
@@ -862,14 +836,6 @@ class TestLayerRows:
             w * (hi - lo) for w, lo, hi in zip(widths, band.cuts,
                                                band.cuts[1:]))
 
-    def test_readme_chunks_are_the_dense_plans(self):
-        # the two ring-wrap blocks alone, the interior two blocks a chunk:
-        # the layer rows of single-block layers lie at one stride
-        band = _band_of((1, 33, 15, 1))
-        chunks = [(x // 33, k) for x, k, _, _ in band.chunks]
-        assert chunks == [(0, 1)] + [(a, 2) for a in range(1, 13, 2)] \
-            + [(13, 1), (14, 1)]
-
     @pytest.mark.parametrize("name", sorted(_RING_LATTICES))
     def test_product_matches_the_dense_product(self, name):
         # one gathered product per layer, also where a ring of one, two or
@@ -892,8 +858,8 @@ class TestLayerRows:
 # any. A resolvent replica that drew into a dense H made 427 (locallaw)
 # and 455 (diffusion). With the garbage collector paused around the
 # counted call, so that no other object's finalizer is counted, they make
-# 401 and 429, deloc's replica 1 makes 680, and que's replica 3, whose
-# window holds one pair, 1595, since both draw into layer rows and apply
+# 375 and 403, deloc's replica 1 makes 678, and que's replica 3, whose
+# window holds one pair, 1592, since both draw into layer rows and apply
 # H a layer's rows at a time (691 and 1600 on a dense H).
 _REPLICA_C_CALLS = {"locallaw": 427, "diffusion": 455, "deloc": 680,
                     "que": 1595}

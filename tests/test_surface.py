@@ -13,6 +13,10 @@ in ``KEPT``, each with the reason it stays.
 The tests' own oracles live in ``tests/oracles.py``; a name
 defined there may not also be defined in ``src/bandlab``, so an oracle
 cannot drift back into the package.
+
+The package calls no ``np.ndarray(...)`` constructor: every view of H's
+layer rows and of G is a plain slice, whose strides numpy derives, never
+one built by hand over a buffer.
 """
 
 import ast
@@ -189,3 +193,24 @@ def test_oracles_stay_out_of_the_package():
                                     for p in SRC.glob("*.py")))
     assert oracles and clash == set(), (
         f"test oracles also defined in bandlab: {sorted(clash)}")
+
+
+def _ndarray_calls(trees) -> list:
+    """(module, line) of each call of the ``ndarray`` constructor in
+    ``trees`` (path -> parsed module)."""
+    return [(p.stem, node.lineno) for p, t in trees.items()
+            for node in ast.walk(t)
+            if isinstance(node, ast.Call) and _callee(node) == "ndarray"]
+
+
+def test_the_package_builds_no_array_by_hand():
+    calls = _ndarray_calls(_parsed(SRC.glob("*.py")))
+    assert calls == [], (
+        f"np.ndarray(...) calls in bandlab: {calls}; take a slice instead")
+
+
+def test_a_hand_built_array_is_reported():
+    # failing control: a view made by the constructor over another buffer
+    made = ast.parse("import numpy as np\n\n"
+                     "v = np.ndarray((2,), complex, buf, 0, (32,))\n")
+    assert _ndarray_calls({SRC / "strided.py": made}) == [("strided", 3)]
