@@ -770,6 +770,37 @@ class TestBandHotPath:
                 block[:, x + lo:x + hi] = 0
             assert (block == 0).all()
 
+    @pytest.mark.parametrize("model, plan", [
+        # the README band, one block a layer: block a reads blocks a - 1
+        # to a + 1 as one run from column 0 of its layer's rows, and the
+        # ring-wrap blocks 0 and 14 read two runs, the wrapped one where
+        # their layer's rows hold it
+        ((1, 33, 15, 1),
+         ((0, 0, 0, ((0, 66, 0), (462, 495, 66))),)
+         + tuple((33 * a, a, 0, ((-33, 66, 0),)) for a in range(1, 14))
+         + ((462, 14, 0, ((-462, -429, 0), (-33, 33, 33))),)),
+        ((1, 3, 4, 1),
+         ((0, 0, 0, ((0, 6, 0), (9, 12, 6))), (3, 1, 0, ((-3, 6, 0),)),
+          (6, 2, 0, ((-3, 6, 0),)), (9, 3, 0, ((-9, -6, 0), (-3, 3, 3))))),
+        # a ring of 3: every block reads the whole ring as one run
+        ((1, 5, 3, 1),
+         ((0, 0, 0, ((0, 15, 0),)), (5, 1, 0, ((-5, 10, 0),)),
+          (10, 2, 0, ((-10, 5, 0),)))),
+        # layers of 3, 2 and 2 blocks, each layer's rows all 28 sites in
+        # order: a block's row is its place in its layer, and a run's
+        # column is its first site
+        ((1, 4, 7, 2),
+         ((0, 0, 0, ((0, 12, 0), (20, 28, 20))),
+          (4, 0, 4, ((-4, 12, 0), (20, 24, 24))),
+          (8, 0, 8, ((-8, 12, 0),)), (12, 1, 0, ((-8, 12, 4),)),
+          (16, 1, 4, ((-8, 12, 8),)),
+          (20, 2, 0, ((-20, -16, 0), (-8, 8, 12))),
+          (24, 2, 4, ((-24, -16, 0), (-8, 4, 16))))),
+    ])
+    def test_plan_of_known_bands(self, model, plan):
+        # (x, layer, row, ((lo, hi, col), ...)) of each block, by hand
+        assert _band_of(model).plan == plan
+
     def test_readme_config_draws_only_the_support(self):
         lat = BlockLattice(d=1, W=33, n=15)
         band = build_band(build_translation_invariant(
