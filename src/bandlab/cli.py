@@ -328,6 +328,7 @@ def cmd_theta(cfg, outdir):
 # KLOOP_HALVING_GAIN (second order gives 4)
 WARD_TOL = 1e-9
 LOOP_IDENTITY_TOL = 1e-12
+FLOW_TOL = 1e-12    # flow's identities, m's invariance and Im z_t / (1 - t)
 KLOOP_DT = 1e-3
 KLOOP_TOL = 1e-4
 KLOOP_HALVING_GAIN = 3.0
@@ -405,8 +406,7 @@ def cmd_flow(cfg, outdir):
                      for t in ts)
     ratio = [spec.flow_point(params, t).imag / (1 - t) for t in ts]
     ratio_dev = float(np.ptp(ratio))
-    passed = r1 < 1e-12 and r2 < 1e-12 and invariance < 1e-12 \
-        and ratio_dev < 1e-12
+    passed = all(r < FLOW_TOL for r in (r1, r2, invariance, ratio_dev))
     rep = _base_report(cfg, "flow")
     rep.update({
         "z": {"re": z.real, "im": z.imag},
@@ -627,18 +627,25 @@ def cmd_diffusion(cfg, outdir):
 QUE_C = 0.5
 
 
-def cmd_que(cfg, outdir):
-    profile = build_profile(cfg)
+def que_window(profile, E: float, epsilon: float) -> tuple:
+    """((E - h, E + h), eta0): que's window about E, h = W^-epsilon eta0,
+    with eta0 = W lambda / N^1.5 at d = 1 and lambda W^(d/2) / N above."""
     lat = profile.lattice
-    band = mc.build_band(profile)
-    sp = cfg["spectral"]
     lam = math.sqrt(prof.interaction_strength(profile))
     if lat.d == 1:
         eta0 = lat.W * lam / lat.N**1.5
     else:
         eta0 = lam * lat.W ** (lat.d / 2) / lat.N
-    half = lat.W ** (-cfg["checks"]["que_epsilon"]) * eta0
-    window = (sp["E"] - half, sp["E"] + half)
+    half = lat.W ** (-epsilon) * eta0
+    return (E - half, E + half), eta0
+
+
+def cmd_que(cfg, outdir):
+    profile = build_profile(cfg)
+    lat = profile.lattice
+    band = mc.build_band(profile)
+    sp = cfg["spectral"]
+    window, eta0 = que_window(profile, sp["E"], cfg["checks"]["que_epsilon"])
     threshold = lat.W ** (lat.d - QUE_C) / lat.N
 
     rep = _base_report(cfg, "que", profile)

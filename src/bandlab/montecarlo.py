@@ -26,12 +26,13 @@ every pair, zheevr's N x N input and eigenvectors.
 Replica threads share the GIL, and numpy releases it around every call on
 more than a few hundred numbers, so each small call of a replica is a
 hand-off to the other threads. The resolvent path keeps its calls few
-without changing a bit of G: H's diagonal is shifted by -z in place for
-the solve instead of copied per layer, the block residual takes one
-product per run of a block, and |G|^2 is formed once per replica
-(:attr:`GreenFunction.abs2`) for the Ward gate and the observables. The
-residual's normalisation max(1, max|G|) can only lower max|(H - z)G - I|,
-so a solve forms it only when that peak is above the tolerance.
+without changing a bit of G: ``np.linalg.inv`` inverts each pivot, H's
+diagonal is shifted by -z in place for the solve instead of copied per
+layer, the block residual takes one product per run of a block, and |G|^2
+is formed once per replica (:attr:`GreenFunction.abs2`) for the Ward gate
+and the observables. The residual's normalisation max(1, max|G|) can only
+lower max|(H - z)G - I|, so a solve forms it only when that peak is above
+the tolerance.
 
 ``deloc`` and ``que`` read the eigenpairs in a window through one
 :func:`eigen_stats`. A block LDL^H of H - s at a real shift s on the same
@@ -55,7 +56,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -382,13 +383,13 @@ def green(band: Band, H: LayerRows, z: complex,
     With the last layer's couplings B, B', X = T^-1 B and S = A_LL - B'X:
     G_LL = S^-1, G_LC = -S^-1 B'T^-1, and each chain block row takes G_CC =
     T^-1 - X G_LC and G_CL = -X S^-1 from one product X [G_LC G_LL], a
-    batch of block rows at a time. Every pivot is inverted by
-    :func:`_inverse`; one layer is the dense inverse. With ``out``, an N x N
-    complex buffer, G is written into it. The residual max|(H - z)G - I| /
-    max(1, max|G|) is taken from the band's blocks; above the tolerance, or
-    NaN, it raises GreenSolveError. The normalisation can only lower
-    max|(H - z)G - I|, so it is formed only when that is above the
-    tolerance.
+    batch of block rows at a time. ``np.linalg.inv``, one pivoted LU solve
+    against the identity, inverts every pivot; one layer is the dense
+    inverse. With ``out``, an N x N complex buffer, G is written into it.
+    The residual max|(H - z)G - I| / max(1, max|G|) is taken from the
+    band's blocks; above the tolerance, or NaN, it raises GreenSolveError.
+    The normalisation can only lower max|(H - z)G - I|, so it is formed
+    only when that is above the tolerance.
     """
     z = complex(z)
     if z.imag == 0:
@@ -408,9 +409,9 @@ def green(band: Band, H: LayerRows, z: complex,
             if k:
                 P = P + A(k, k - 1) @ G[lay[k - 1], lay[k - 1]] @ A(k - 1, k)
             if k < last - 1:
-                np.negative(_inverse(P), out=G[lay[k], lay[k]])
+                np.negative(np.linalg.inv(P), out=G[lay[k], lay[k]])
             else:
-                G[lay[k], lay[k]] = _inverse(P)
+                G[lay[k], lay[k]] = np.linalg.inv(P)
         for k in reversed(range(last - 1)):
             neg, rest = G[lay[k], lay[k]], slice(cuts[k + 1], M)
             up, lo = neg @ A(k, k + 1), A(k + 1, k) @ neg
@@ -424,7 +425,7 @@ def green(band: Band, H: LayerRows, z: complex,
         if band.ends:
             coupled = (A(last, e) @ G[lay[e], L] for e in band.ends)
             S = S - sum(coupled, next(coupled))
-        G[L, L] = _inverse(S)
+        G[L, L] = np.linalg.inv(S)
         neg = -G[L, L]
         _sum_of_products(G[L, :M], [(neg @ A(last, e), G[lay[e], :M])
                                     for e in band.ends], buf)
@@ -442,20 +443,6 @@ def green(band: Band, H: LayerRows, z: complex,
         raise GreenSolveError(f"resolvent residual {gf.residual:.3e} above "
                               f"{_RESIDUAL_TOL:.1e}")
     return gf
-
-
-def _inverse(P: np.ndarray) -> np.ndarray:
-    """P^-1 by one pivoted LU solve against the identity."""
-    return np.linalg.solve(P, _identity(len(P)))
-
-
-# a band's layers come in at most two sizes
-@lru_cache(maxsize=2)
-def _identity(n: int) -> np.ndarray:
-    """The n x n complex identity, read-only, kept for the last two sizes."""
-    eye = np.eye(n, dtype=complex)
-    eye.flags.writeable = False
-    return eye
 
 
 @contextmanager
@@ -563,6 +550,7 @@ class _OpenBLAS(NamedTuple):
     zhetrf: object        # LAPACKE_zhetrf, Bunch-Kaufman LDL^H
     zhetri: object        # LAPACKE_zhetri, the inverse from zhetrf's factors
     lapack_int: type      # ctypes.c_int64 for the ILP64 ("64_") build
+    int_dtype: np.dtype   # np.dtype(lapack_int), for the integer arrays
 
 
 @cache
@@ -606,7 +594,8 @@ def _openblas() -> _OpenBLAS | None:
                         fn.argtypes, fn.restype = [ctypes.c_int] + args, \
                             lapack_int
                     routines[name] = fn
-                return _OpenBLAS(get, set_, lapack_int=lapack_int, **routines)
+                return _OpenBLAS(get, set_, lapack_int=lapack_int,
+                                 int_dtype=np.dtype(lapack_int), **routines)
     return None
 
 
@@ -630,7 +619,7 @@ def _eigen_buffers(N: int) -> _EigenBuffers:
     return _kept("eigen", N, lambda: _EigenBuffers(
         np.empty((N, N), dtype=complex), np.empty(N),
         np.empty((N, N), dtype=complex, order="F"),
-        np.empty(2 * N, dtype=getattr(_openblas(), "lapack_int", np.int64))))
+        np.empty(2 * N, dtype=getattr(_openblas(), "int_dtype", np.int64))))
 
 
 def _zheevr(lib: _OpenBLAS, a: np.ndarray, out: _EigenBuffers):
@@ -672,12 +661,13 @@ def _pivot(P: np.ndarray):
         return int((d < 0).sum()), (Q / d) @ Q.conj().T
     n = len(P)
     a = np.array(P, dtype=complex, order="F")
-    ipiv = np.empty(n, dtype=lib.lapack_int)
+    ipiv = np.empty(n, dtype=lib.int_dtype)
     info = lib.zhetrf(_COL_MAJOR, b"L", n, a.ctypes.data, n, ipiv.ctypes.data)
     if info < 0:
         raise EigenSolveError(f"LAPACKE_zhetrf failed with info {info}")
     two = ipiv < 0
-    negatives = int((a.diagonal().real[~two] < 0).sum() + two.sum() // 2)
+    negatives = int(np.count_nonzero(a.diagonal().real[~two] < 0)
+                    + np.count_nonzero(two) // 2)
     if info > 0:
         return negatives, None
     lib.zhetri(_COL_MAJOR, b"L", n, a.ctypes.data, n, ipiv.ctypes.data)

@@ -54,8 +54,8 @@ def test_c02_parameter_selection_identities():
         r1, r2 = p.identity_residuals()
         worst = max(worst, r1, r2)
     elapsed = time.perf_counter() - t0
-    report(2, "parameter-selection identities < 1e-12 for 100 bulk z",
-           worst < 1e-12 and elapsed < 1.0,
+    report(2, f"parameter-selection identities < {cli.FLOW_TOL:g} for 100 "
+           "bulk z", worst < cli.FLOW_TOL and elapsed < 1.0,
            f"max residual {worst:.2e}, {elapsed:.2f}s")
 
 
@@ -69,8 +69,8 @@ def test_c03_flow_invariance():
         for t in np.linspace(p.t_i, 1.0, 100, endpoint=False):
             zt = flow_point(p, t)
             worst = max(worst, abs(1 + zt * mE + t * mE * mE))
-    report(3, "flow invariance residual < 1e-12 along 10 trajectories",
-           worst < 1e-12, f"max residual {worst:.2e}")
+    report(3, f"flow invariance residual < {cli.FLOW_TOL:g} along 10 "
+           "trajectories", worst < cli.FLOW_TOL, f"max residual {worst:.2e}")
 
 
 # Criteria 4-6 and 10-15 run the CLI commands and check the canonical

@@ -10,8 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bandlab.cli import _COMMANDS as _CLI_COMMANDS
-from bandlab.cli import (_SCHEMA, ConfigError, build_profile, main,
-                         parse_config)
+from bandlab.cli import (_SCHEMA, FLOW_TOL, ConfigError, build_profile,
+                         main, parse_config)
 
 
 def write_config(path, **overrides):
@@ -304,7 +304,7 @@ class TestDeterministicCommands:
         cfg = write_config(tmp_path / "c.ini")
         assert main(["flow", "--config", cfg]) == 0
         rep = read_json(str(tmp_path / "out"), "flow.json")
-        assert rep["m_identity_residual"] < 1e-12
+        assert rep["m_identity_residual"] < FLOW_TOL
 
     def test_theta(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini",
@@ -650,11 +650,12 @@ class TestMonteCarloCommands:
                                                          tmp_path,
                                                          monkeypatch):
         # failing control: pivot inverses off by a relative 1e-6 must trip
-        # green's residual gate in every replica
-        import bandlab.montecarlo as mc
+        # green's residual gate in every replica; nothing else in bandlab
+        # calls np.linalg.inv
+        import numpy as np
 
-        inverse = mc._inverse
-        monkeypatch.setattr(mc, "_inverse",
+        inverse = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv",
                             lambda P: inverse(P) * (1 + 1e-6))
         cfg = write_config(tmp_path / "c.ini", mc={"replicas": 2})
         assert main([command, "--config", cfg]) == 1
@@ -711,20 +712,25 @@ class TestMonteCarloCommands:
                                                 monkeypatch):
         import numpy as np
 
-        shapes, solve = [], np.linalg.solve
+        shapes, solve, inv = [], np.linalg.solve, np.linalg.inv
 
         def sized_solve(A, B):
             shapes.append(A.shape)
             return solve(A, B)
 
+        def sized_inv(A):
+            shapes.append(A.shape)
+            return inv(A)
+
         monkeypatch.setattr(np.linalg, "solve", sized_solve)
+        monkeypatch.setattr(np.linalg, "inv", sized_inv)
         cfg = write_config(tmp_path / "c.ini", model={"W": 33, "n": 15},
                            spectral={"eta": 0.2}, mc={"replicas": 1})
         assert main(["locallaw", "--config", cfg]) in (0, 1)
         assert read_json(str(tmp_path / "out"), "locallaw.json")[
             "completed"] == 1
         # the README lattice (N = 495) is a ring of 15 layers of one block
-        # row each: every solve is one layer, 33 x 33
+        # row each: every solve and every inverse is one layer, 33 x 33
         assert shapes and set(shapes) == {(33, 33)}
 
     @pytest.mark.parametrize("command", ["deloc", "que"])

@@ -3,6 +3,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from bandlab import (BlockLattice, SampleConfig,
 from bandlab.montecarlo import (GreenSolveError, block_traces, build_band,
                                 deloc_replica_fn, diffusion_replica_fn,
                                 locallaw_replica_fn, que_replica_fn)
+from bandlab.cli import que_window
 from bandlab.lattice import project_matrix
 from bandlab.profiles import KERNELS, VarianceProfile, block_flat_profile
 from oracles import block_sites, dense_draw, dense_H, rows_of
@@ -163,6 +165,20 @@ class TestGreen:
         for r in range(5):
             gf = green(band, drawn_rows(band, stream_for(21, r)), 0.2j)
             assert ward_gate_residual(gf) < 1e-10
+
+    def test_inverse_is_a_solve_against_the_identity(self, monkeypatch):
+        # np.linalg.inv runs the same pivoted LU solve as np.linalg.solve
+        # against the identity, so G keeps its bits with either
+        solve = np.linalg.solve
+        for name in sorted(_RING_LATTICES):
+            band = _ring_band(name)
+            H = drawn_rows(band, stream_for(8, 0))
+            for z in (0.1 + 0.2j, -0.7 + 0.05j):
+                G = green(band, H, z).G
+                with monkeypatch.context() as m:
+                    m.setattr(np.linalg, "inv",
+                              lambda P: solve(P, np.eye(len(P))))
+                    assert green(band, H, z).G.tobytes() == G.tobytes()
 
 
 class TestSampleObservables:
@@ -684,13 +700,13 @@ class TestBandHotPath:
         lat, band = band_small
         layers = len(band.cuts) - 1
         bad = {"first": 0, "middle": layers // 2, "closure": layers - 1}[which]
-        inverse, calls = mc._inverse, []
+        inverse, calls = np.linalg.inv, []
 
         def corrupt(P):
             calls.append(P)
             return inverse(P) * (1 + 1e-6 * (len(calls) - 1 == bad))
 
-        monkeypatch.setattr(mc, "_inverse", corrupt)
+        monkeypatch.setattr(np.linalg, "inv", corrupt)
         with pytest.raises(GreenSolveError, match="resolvent residual"):
             green(band, drawn_rows(band, stream_for(8, 0)), 0.2j)
         # one inverse per layer: the chain pivots in order, then S
@@ -884,16 +900,15 @@ class TestLayerRows:
 
 # C-level calls of one README-config replica after its thread's first, as
 # sys.setprofile sees them (c_call events: builtins and methods of C
-# types; ufunc calls are not among them), with numpy 2.4.6. Each small
-# call hands the GIL to the other worker threads, so no change may add
-# any. A resolvent replica that drew into a dense H made 427 (locallaw)
-# and 455 (diffusion). With the garbage collector paused around the
-# counted call, so that no other object's finalizer is counted, they make
-# 375 and 403, deloc's replica 1 makes 678, and que's replica 3, whose
-# window holds one pair, 1592, since both draw into layer rows and apply
-# H a layer's rows at a time (691 and 1600 on a dense H).
-_REPLICA_C_CALLS = {"locallaw": 427, "diffusion": 455, "deloc": 680,
-                    "que": 1595}
+# types; ufunc calls are not among them), with numpy 2.4.6 and the garbage
+# collector paused around the counted call, so that no other object's
+# finalizer is counted. Each small call hands the GIL to the other worker
+# threads, so no change may add any: each cap is its replica's count plus
+# 3. locallaw's replica makes 285 calls, diffusion's 313, deloc's replica 1
+# 378, and que's replica 3, whose window holds one pair, 1142. A failure
+# names the five lines that made the most calls.
+_REPLICA_C_CALLS = {"locallaw": 288, "diffusion": 316, "deloc": 381,
+                    "que": 1145}
 
 
 @pytest.mark.parametrize("command", sorted(_REPLICA_C_CALLS))
@@ -904,14 +919,14 @@ def test_replica_numpy_calls_do_not_grow(command):
         "locallaw": lambda: locallaw_replica_fn(band, 0.1j),
         "diffusion": lambda: diffusion_replica_fn(band, 0.1j),
         "deloc": lambda: deloc_replica_fn(band, (-1.5, 1.5)),
-        "que": lambda: que_replica_fn(band, _que_window(profile, 0.1)),
+        "que": lambda: que_replica_fn(band, que_window(profile, 0.0, 0.1)[0]),
     }[command]()
     first, second = (2, 3) if command == "que" else (0, 1)
     calls = []
 
     def count(frame, event, arg):
         if event == "c_call":
-            calls.append(arg)
+            calls.append((frame.f_code, frame.f_lineno))
 
     with mc._single_threaded_blas():
         fn(first, stream_for(20260809, first))
@@ -923,7 +938,10 @@ def test_replica_numpy_calls_do_not_grow(command):
         finally:
             sys.setprofile(None)
             gc.enable()
-    assert 0 < len(calls) <= _REPLICA_C_CALLS[command]
+    busiest = [f"{code.co_filename}:{line} {code.co_name}: {n}"
+               for (code, line), n in Counter(calls).most_common(5)]
+    assert 0 < len(calls) <= _REPLICA_C_CALLS[command], \
+        f"{len(calls)} C calls; the most from\n" + "\n".join(busiest)
     if command == "que":
         assert out["window_count"] == 1
 
@@ -1081,7 +1099,7 @@ class TestWorkerBuffers:
             fn, _ = deloc_replica_fn(band, (-1.5, 1.5))
             replica, kept = 0, kept + 2 * 16 * N * N
         else:
-            fn, _ = que_replica_fn(band, _que_window(profile, 0.1))
+            fn, _ = que_replica_fn(band, que_window(profile, 0.0, 0.1)[0])
             replica = 3
             assert fn(3, stream_for(20260809, 3))["window_count"] == 1
         left, peak = _first_replica(fn, replica)
@@ -1102,7 +1120,7 @@ class TestWorkerBuffers:
             fn, _ = deloc_replica_fn(band, (-1.5, 1.5))
             replicas = (0, 1)
         else:
-            fn, _ = que_replica_fn(band, _que_window(profile, 0.1))
+            fn, _ = que_replica_fn(band, que_window(profile, 0.0, 0.1)[0])
             replicas = (2, 3)
         peak = _second_call_peak(fn, [(r, stream_for(20260809, r))
                                       for r in replicas])
@@ -1192,17 +1210,6 @@ def _readme_profile():
     return build_translation_invariant(lat, KERNELS["uniform"], 1)
 
 
-def _que_window(profile, epsilon):
-    """que's window E = 0 +- W^-epsilon eta0 at d = 1, as the command
-    sets it."""
-    from bandlab import interaction_strength
-
-    lat = profile.lattice
-    eta0 = lat.W * np.sqrt(interaction_strength(profile)) / lat.N ** 1.5
-    half = lat.W ** (-epsilon) * eta0
-    return (-half, half)
-
-
 def _que_deviations(band, vectors):
     """|sum_{x in [a]} conj(u_i) u_j - share delta_ij| of every block; they
     do not depend on the eigenvectors' phases."""
@@ -1264,9 +1271,10 @@ class TestEigenSolver:
         # deloc's window holds most of the spectrum, que's about one
         # eigenvalue; que_epsilon = -1 widens it to about 22
         assert _assert_matches_eigh(band, H, (-1.5, 1.5), True) > 400
-        _assert_matches_eigh(band, H, _que_window(profile, 0.1), False)
-        assert _assert_matches_eigh(band, H, _que_window(profile, -1.0),
-                                    False) > 10
+        narrow, wide = (que_window(profile, 0.0, epsilon)[0]
+                        for epsilon in (0.1, -1.0))
+        _assert_matches_eigh(band, H, narrow, False)
+        assert _assert_matches_eigh(band, H, wide, False) > 10
 
     @pytest.mark.parametrize("all_pairs", [True, False])
     def test_empty_and_whole_windows(self, band_small, all_pairs):
@@ -1490,7 +1498,7 @@ class TestRingWindow:
         # about a tenth of the spectrum, and more than a couple of pairs
         half = 0.3 if N > 100 else 0.5
         if name == "readme":
-            window = _que_window(_readme_profile(), -1.0)
+            window = que_window(_readme_profile(), 0.0, -1.0)[0]
         else:
             window = (-half, half)
         assert _assert_matches_eigh(band, H, window, False) > 2
@@ -1597,7 +1605,7 @@ class TestRingWindow:
         profile = _readme_profile()
         band = build_band(profile)
         H = drawn_rows(band, stream_for(20260809, 0))
-        window = _que_window(profile, -1.0)
+        window = que_window(profile, 0.0, -1.0)[0]
         assert _assert_matches_eigh(band, H, window, False) > 10
         solve = mc._RingLDL.solve
         monkeypatch.setattr(mc._RingLDL, "solve",
