@@ -15,6 +15,7 @@ import dataclasses
 import math
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,47 +57,73 @@ def _parse_floats(text):
     return values
 
 
+class _Interval(NamedTuple):
+    """lo < v < hi, <= at an end that ``brackets`` closes; an end may be a
+    ``_MODEL_ENDS`` name, read off [model] d or W."""
+    lo: object
+    hi: object
+    brackets: str = "()"
+
+
+class _Key(NamedTuple):
+    """A key's parser, default (None: required) and domain, which holds under
+    ``model_type`` or every type: allowed values, an interval, or str."""
+    parse: object
+    default: object
+    domain: object
+    model_type: str | None = None
+
+
+_MODEL_ENDS = {"1/(2d)": lambda model: 1 / (2 * model["d"]),
+               "1/cos(pi/W)": lambda model: prof.wegner_gamma_max(model["W"])}
+_COUNT, _FINITE = _Interval(1, math.inf, "[)"), _Interval(-math.inf, math.inf)
+
 _SCHEMA = {
     "model": {
-        "type": (str, None),
-        "d": (int, 1),
-        "W": (int, None),
-        "n": (int, None),
-        "kernel": (str, "uniform"),
-        "cutoff": (int, 1),
-        "neighbor_weight": (float, 0.25),
-        "wegner_alpha": (float, 0.05),
-        "wegner_gamma": (float, 0.5),
+        "type": _Key(str, None, ("translation_invariant", "wegner_orbital",
+                                 "block_flat", "mean_field")),
+        "d": _Key(int, 1, (1, 2)),
+        "W": _Key(int, None, _COUNT),
+        "n": _Key(int, None, _COUNT),
+        "kernel": _Key(str, "uniform", tuple(prof.KERNELS),
+                       "translation_invariant"),
+        "cutoff": _Key(int, 1, _COUNT),  # below 1 it reaches no other site
+        # the 2d neighbor blocks leave the diagonal block 1 - 2d*weight
+        "neighbor_weight": _Key(float, 0.25, _Interval(0, "1/(2d)", "[)"),
+                                "block_flat"),
+        "wegner_alpha": _Key(float, 0.05, _Interval(0, "1/(2d)", "[]"),
+                             "wegner_orbital"),
+        # the factor 1 + gamma at k = 0 scales V's off-diagonal entries, or
+        # V itself at W = 1: no normalisation lifts them from zero
+        "wegner_gamma": _Key(float, 0.5, _Interval(-1, "1/cos(pi/W)", "(]"),
+                             "wegner_orbital"),
     },
     "spectral": {
-        "E": (float, 0.0),
-        "eta": (float, 0.1),
-        "kappa": (float, 0.05),
-        "epsilon0": (float, 0.2),
-        "t_values": (_parse_floats, (0.3, 0.9)),
+        "E": _Key(float, 0.0, _FINITE),
+        "eta": _Key(float, 0.1, _Interval(0, math.inf)),
+        # the bulk guard |E| <= 2 - kappa needs 0 < kappa < 2, and the
+        # flow's t_i = (1 - epsilon0) t_f needs 0 < epsilon0 < 1
+        "kappa": _Key(float, 0.05, _Interval(0, 2)),
+        "epsilon0": _Key(float, 0.2, _Interval(0, 1)),
+        "t_values": _Key(_parse_floats, (0.3, 0.9), _Interval(0, 1)),
     },
     "mc": {
-        "replicas": (int, 50),
-        "master_seed": (int, 20260809),
-        "parallelism": (int, None),
+        "replicas": _Key(int, 50, _COUNT),
+        "master_seed": _Key(int, 20260809, _Interval(0, 2**64 - 1, "[]")),
+        "parallelism": _Key(int, None, _COUNT),
     },
     "checks": {
-        "parity": (_parse_bool, True),
-        "deloc_window": (float, 1.5),
-        "que_epsilon": (float, 0.1),
+        "parity": _Key(_parse_bool, True, (True, False)),
+        "deloc_window": _Key(float, 1.5, _Interval(0, math.inf)),
+        "que_epsilon": _Key(float, 0.1, _FINITE),
     },
-    "output": {
-        "directory": (str, "out"),
-    },
+    "output": {"directory": _Key(str, "out", str)},
 }
-
-_MODEL_TYPES = ("translation_invariant", "wegner_orbital", "block_flat",
-                "mean_field")
 
 
 def _defaults() -> dict:
     """Every schema key at its default value (None where it is required)."""
-    return {sec: {k: v for k, (_, v) in keys.items()}
+    return {sec: {k: key.default for k, key in keys.items()}
             for sec, keys in _SCHEMA.items()}
 
 
@@ -109,6 +136,8 @@ def parse_config(path: str) -> dict:
             cp.read_file(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
 
@@ -119,92 +148,61 @@ def parse_config(path: str) -> dict:
         for key, raw in cp.items(sec):
             if key not in _SCHEMA[sec]:
                 raise ConfigError(f"unknown key '{key}' in section [{sec}]")
-            parser, _ = _SCHEMA[sec][key]
             try:
-                cfg[sec][key] = parser(raw)
+                cfg[sec][key] = _SCHEMA[sec][key].parse(raw)
             except ValueError as exc:
                 raise ConfigError(
                     f"bad value for [{sec}] {key} = {raw!r}: {exc}") from exc
-    _check_required(cfg)
+    names = {}
+    if cfg["mc"]["parallelism"] is None:
+        names["parallelism"] = "BANDLAB_THREADS"
+        env = os.environ.get("BANDLAB_THREADS", "").strip()
+        try:
+            cfg["mc"]["parallelism"] = int(env) if env else _usable_cores()
+        except ValueError:
+            raise ConfigError(f"BANDLAB_THREADS = {env!r} is not an integer") \
+                from None
+    for sec, keys in _SCHEMA.items():
+        for key in keys:
+            _check(sec, key, cfg[sec][key], cfg["model"], names.get(key))
     return cfg
 
 
-def _check_required(cfg):
-    model = cfg["model"]
-    if model["type"] is None:
-        raise ConfigError("[model] type is required")
-    if model["type"] not in _MODEL_TYPES:
-        raise ConfigError(f"[model] type must be one of {_MODEL_TYPES}")
-    for key in ("W", "n"):
-        if model[key] is None:
-            raise ConfigError(f"[model] {key} is required")
-        if model[key] < 1:
-            raise ConfigError(f"[model] {key} must be >= 1")
-    if model["d"] not in (1, 2):
-        raise ConfigError("[model] d must be 1 or 2")
-    if model["cutoff"] < 1:
-        raise ConfigError(f"[model] cutoff = {model['cutoff']} must be >= 1: "
-                          "below 1 the kernel reaches no other site")
-    for sec, keys in (("model", ("neighbor_weight", "wegner_alpha",
-                                 "wegner_gamma")),
-                      ("spectral", ("E", "eta", "kappa", "epsilon0")),
-                      ("checks", ("deloc_window", "que_epsilon"))):
-        for key in keys:
-            if not math.isfinite(cfg[sec][key]):
-                raise ConfigError(f"[{sec}] {key} must be finite")
-    if model["type"] == "block_flat" and \
-            not 0 <= model["neighbor_weight"] < 1 / (2 * model["d"]):
-        raise ConfigError(
-            f"[model] neighbor_weight = {model['neighbor_weight']:g} must "
-            f"lie in [0, 1/(2d)) = [0, {1 / (2 * model['d']):g}) at "
-            f"d = {model['d']}: the 2d neighbor blocks leave the diagonal "
-            f"block the mass 1 - 2d*neighbor_weight")
-    if model["type"] == "wegner_orbital":
-        W, gamma = model["W"], model["wegner_gamma"]
-        if not 0 <= model["wegner_alpha"] <= 1 / (2 * model["d"]):
-            raise ConfigError("[model] wegner_alpha must lie in [0, 1/(2d)]")
-        # the factor 1 + gamma at k = 0 scales V's off-diagonal entries,
-        # or V itself at W = 1: no normalisation lifts them from zero
-        if (1 + gamma * np.cos(np.pi * np.arange(1 - W, W) / W)).min() < 0 \
-                or 1 + gamma <= 0:
-            raise ConfigError("[model] wegner_gamma makes a ripple factor "
-                              "1 + gamma cos(pi k/W), |k| < W, negative, "
-                              "or 1 + gamma zero")
-    for sec, key in (("spectral", "eta"), ("checks", "deloc_window")):
-        if cfg[sec][key] <= 0:
-            raise ConfigError(f"[{sec}] {key} = {cfg[sec][key]:g} must be > 0")
-    # the bulk guard |E| <= 2 - kappa needs 0 < kappa < 2, and the flow's
-    # t_i = (1 - epsilon0) t_f needs 0 < epsilon0 < 1
-    for key, top in (("kappa", 2), ("epsilon0", 1)):
-        if not 0 < cfg["spectral"][key] < top:
-            raise ConfigError(f"[spectral] {key} = {cfg['spectral'][key]:g} "
-                              f"must lie in (0, {top})")
-    # a flow time lies in (0, 1); NaN and infinities fail this too
-    if not all(0 < t < 1 for t in cfg["spectral"]["t_values"]):
-        raise ConfigError("[spectral] each t_values entry must lie in (0, 1)")
-    if cfg["mc"]["replicas"] < 1:
-        raise ConfigError("[mc] replicas must be >= 1")
-    _check_seed(cfg["mc"]["master_seed"], "[mc] master_seed")
-    source = "[mc] parallelism"
-    if cfg["mc"]["parallelism"] is None:
-        source = "BANDLAB_THREADS"
-        env = os.environ.get(source, "").strip()
-        try:
-            cfg["mc"]["parallelism"] = int(env) if env \
-                else len(os.sched_getaffinity(0))
-        except ValueError:
-            raise ConfigError(f"{source} = {env!r} is not an integer") \
-                from None
-    if cfg["mc"]["parallelism"] < 1:
-        raise ConfigError(f"{source} must be >= 1")
+def _usable_cores() -> int:
+    """The cores this process may use; macOS and Windows cannot say."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-def _check_seed(seed: int, source: str):
-    """A master seed is a U64, as ``--help`` says."""
-    if seed < 0:
-        raise ConfigError(f"{source} must be >= 0")
-    if seed >= 2**64:
-        raise ConfigError(f"{source} must be <= 2^64 - 1")
+def _check(sec, key, value, model, name=None):
+    """Refuse a value of ``[sec] key`` outside the key's domain, naming the
+    key, or ``name`` where a flag or a variable gave the value."""
+    spec, name = _SCHEMA[sec][key], name or f"[{sec}] {key}"
+    if value is None:
+        raise ConfigError(f"{name} is required")
+    values = value if isinstance(value, tuple) else (value,)
+    # every float is finite, whatever the model type
+    if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+        raise ConfigError(f"{name} must be finite")
+    dom = spec.domain
+    if dom is str or spec.model_type not in (None, model["type"]):
+        return
+    if not isinstance(dom, _Interval):
+        if value not in dom:
+            raise ConfigError(f"{name} = {value!r} must be one of {dom}")
+        return
+    lo, hi = (_MODEL_ENDS[e](model) if isinstance(e, str) else e
+              for e in dom[:2])
+    left, right = dom.brackets
+    shown = f"{left}{lo!r}, {hi!r}{right}"
+    if (lo, hi) != dom[:2]:
+        shown = (f"{left}{dom.lo}, {dom.hi}{right} = {shown} at "
+                 f"d = {model['d']}, W = {model['W']}")
+    for v in values:
+        if not ((lo <= v if left == "[" else lo < v)
+                and (v <= hi if right == "]" else v < hi)):
+            raise ConfigError(f"{name} = {v!r} must lie in {shown}")
 
 
 def canonical_config(cfg: dict) -> dict:
@@ -222,11 +220,9 @@ def build_profile(cfg) -> prof.VarianceProfile:
     if kind == "mean_field":
         return prof.mean_field_profile(lat)
     if kind == "translation_invariant":
-        kernel = prof.KERNELS.get(model["kernel"])
-        if kernel is None:
-            raise ConfigError(f"unknown kernel {model['kernel']!r}")
-        return prof.build_translation_invariant(lat, kernel, model["cutoff"],
-                                                name=model["kernel"])
+        return prof.build_translation_invariant(
+            lat, prof.KERNELS[model["kernel"]], model["cutoff"],
+            name=model["kernel"])
     if kind == "block_flat":
         return prof.block_flat_profile(lat, model["neighbor_weight"])
     return prof.wegner_orbital_profile(lat, model["wegner_alpha"],
@@ -261,10 +257,12 @@ def cmd_validate(cfg, outdir):
 
 
 def _flow_m(cfg):
-    """Boundary m(E) at the configured energy (flow convention, |m| = 1)."""
-    E = cfg["spectral"]["E"]
-    if abs(E) > 2 - cfg["spectral"]["kappa"]:
-        raise ConfigError("E outside the bulk guard")
+    """Boundary m(E) at the configured energy (flow convention, |m| = 1);
+    flow, theta and kloop refuse an E outside the bulk guard."""
+    E, kappa = cfg["spectral"]["E"], cfg["spectral"]["kappa"]
+    if abs(E) > 2 - kappa:
+        raise ConfigError(f"[spectral] E = {E!r} lies outside the bulk guard "
+                          f"|E| <= 2 - kappa = {2 - kappa!r}")
     return spec.stieltjes_m(complex(E, 0.0))
 
 
@@ -397,6 +395,7 @@ def cmd_kloop(cfg, outdir):
 
 def cmd_flow(cfg, outdir):
     sp = cfg["spectral"]
+    _flow_m(cfg)  # the bulk guard
     z = complex(sp["E"], sp["eta"])
     params = spec.select_parameters(z, sp["epsilon0"], kappa=sp["kappa"])
     r1, r2 = params.identity_residuals()
@@ -727,15 +726,12 @@ def main(argv=None) -> int:
             cfg = _defaults()
         else:
             cfg = parse_config(args.config)
-        if args.seed is not None:
-            _check_seed(args.seed, "--seed")
-            cfg["mc"]["master_seed"] = args.seed
-        if args.replicas is not None:
-            if args.replicas < 1:
-                raise ConfigError("--replicas must be >= 1")
-            cfg["mc"]["replicas"] = args.replicas
-        if args.out is not None:
-            cfg["output"]["directory"] = args.out
+        for sec, key, flag in (("mc", "master_seed", "seed"),
+                               ("mc", "replicas", "replicas"),
+                               ("output", "directory", "out")):
+            if (value := getattr(args, flag)) is not None:
+                _check(sec, key, value, cfg["model"], f"--{flag}")
+                cfg[sec][key] = value
         outdir = cfg["output"]["directory"]
         if args.command != "report" and not os.path.isdir(outdir):
             os.makedirs(outdir)

@@ -25,6 +25,7 @@ __all__ = [
     "build_translation_invariant",
     "build_wegner_orbital",
     "wegner_orbital_profile",
+    "wegner_gamma_max",
     "block_flat_profile",
     "mean_field_profile",
     "validate",
@@ -248,6 +249,14 @@ def wegner_orbital_profile(lattice: BlockLattice, alpha: float,
     V = (1.0 - 2 * d * alpha) / wd * ripple
     A = _neighbor_blocks(lattice, np.full((wd, wd), alpha / wd))
     return build_wegner_orbital(lattice, V, A)
+
+
+def wegner_gamma_max(W: int) -> float:
+    """The largest gamma whose ripple factors 1 + gamma cos(pi k/W), |k| < W,
+    all round to >= 0 as numpy computes them: -1 over the least cosine,
+    about 1/cos(pi/W), and none at W <= 2, where no cosine is negative."""
+    c = np.cos(np.pi * np.arange(1 - W, W) / W).min()
+    return float(-1 / c) if c < 0 else math.inf
 
 
 def block_flat_profile(lattice: BlockLattice, neighbor_weight: float

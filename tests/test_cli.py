@@ -1,17 +1,21 @@
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bandlab.cli import _COMMANDS as _CLI_COMMANDS
-from bandlab.cli import (_SCHEMA, FLOW_TOL, ConfigError, build_profile,
-                         main, parse_config)
+from bandlab.cli import (_MODEL_ENDS, _SCHEMA, FLOW_TOL, ConfigError,
+                         _Interval, _Key, build_profile, main, parse_config)
+from bandlab.profiles import wegner_gamma_max
 
 
 def write_config(path, **overrides):
@@ -93,6 +97,29 @@ class TestConfigParsing:
         monkeypatch.delenv("BANDLAB_THREADS", raising=False)
         cfg = parse_config(str(p))
         assert cfg["mc"]["parallelism"] == len(os.sched_getaffinity(0))
+
+    @pytest.mark.parametrize("cores, threads", [(3, 3), (None, 1)])
+    def test_threads_default_without_sched_getaffinity(
+            self, cores, threads, tmp_path, monkeypatch):
+        # macOS and Windows have no os.sched_getaffinity: the default is
+        # the CPU count, or 1 where even that is unknown
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        monkeypatch.delenv("BANDLAB_THREADS", raising=False)
+        p = tmp_path / "c.ini"
+        p.write_text("[model]\ntype = mean_field\nW = 3\nn = 3\n")
+        assert parse_config(str(p))["mc"]["parallelism"] == threads
+        assert main(["flow", "--config", str(p),
+                     "--out", str(tmp_path / "out")]) == 0
+
+    def test_config_not_utf8_exits_2_naming_the_file(self, tmp_path, capsys):
+        p = tmp_path / "c.ini"
+        p.write_bytes(b"\xff\xfe[model]\ntype = mean_field\nW = 3\nn = 3\n")
+        out = tmp_path / "out"
+        assert main(["validate", "--config", str(p), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config {p} is not UTF-8")
+        assert not out.exists()
 
     def test_build_profile_types(self, tmp_path):
         for kind in ("translation_invariant", "mean_field", "block_flat",
@@ -180,7 +207,9 @@ class TestExitCodes:
         cfg = write_config(tmp_path / "c.ini", mc=seed)
         extra = ["--seed", "-3"] if route == "override" else []
         assert main(["locallaw", "--config", cfg, *extra]) == 2
-        assert "must be >= 0" in capsys.readouterr().err
+        name = "[mc] master_seed" if route == "config" else "--seed"
+        assert f"{name} = -3 must lie in [0, {2**64 - 1}]" \
+            in capsys.readouterr().err
         assert not (tmp_path / "out" / "locallaw.json").exists()
 
     @pytest.mark.parametrize("route", ["config", "override"])
@@ -194,7 +223,9 @@ class TestExitCodes:
         assert main(["locallaw", "--config", cfg, *extra]) == code
         out = tmp_path / "out" / "locallaw.json"
         if code == 2:
-            assert "must be <= 2^64 - 1" in capsys.readouterr().err
+            name = "[mc] master_seed" if route == "config" else "--seed"
+            assert f"{name} = {seed} must lie in [0, {2**64 - 1}]" \
+                in capsys.readouterr().err
             assert not out.exists()
         else:
             assert read_json(str(out.parent), out.name)["master_seed"] == seed
@@ -230,6 +261,24 @@ class TestExitCodes:
                            model={"type": "block_flat", "d": 2, "W": 3,
                                   "n": 5, "neighbor_weight": 0.1})
         assert main(["validate", "--config", cfg]) in (0, 1)
+
+    # the three commands that need a boundary value m(E); locallaw,
+    # diffusion and que take E as given
+    @pytest.mark.parametrize("command", ["flow", "theta", "kloop"])
+    @pytest.mark.parametrize("E", [2.5, -1.9500000000000002, 1.95])
+    def test_bulk_guard_names_E_and_its_bound(self, command, E, tmp_path,
+                                              capsys):
+        cfg = write_config(tmp_path / "c.ini", spectral={"E": E})
+        out = tmp_path / "out"
+        code = main([command, "--config", cfg, "--out", str(out)])
+        err = capsys.readouterr().err
+        if E == 1.95:  # |E| = 2 - kappa lies inside the guard
+            assert code in (0, 1) and "bulk guard" not in err
+            return
+        assert code == 2
+        assert f"config error: [spectral] E = {E!r} lies outside the bulk " \
+               "guard |E| <= 2 - kappa = 1.95" in err
+        assert not out.exists()
 
     def test_bad_boolean_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.ini", checks={"parity": "maybe"})
@@ -550,10 +599,11 @@ def test_readme_config_block_matches_the_schema(tmp_path):
     path.write_text(block, encoding="utf-8")
     cfg = parse_config(str(path))
     shown = {(sec, key): cfg[sec][key] for sec, keys in _SCHEMA.items()
-             for key, (_, default) in keys.items() if default is not None}
-    assert shown == {(sec, key): default for sec, keys in _SCHEMA.items()
-                     for key, (_, default) in keys.items()
-                     if default is not None}
+             for key, spec in keys.items() if spec.default is not None}
+    assert shown == {(sec, key): spec.default
+                     for sec, keys in _SCHEMA.items()
+                     for key, spec in keys.items()
+                     if spec.default is not None}
 
 
 def test_every_schema_key_is_read(tmp_path, monkeypatch):
@@ -1019,7 +1069,7 @@ _NAMES = st.text(alphabet="abcdefghijklmnopqrstuvwxyz_", min_size=1,
                  max_size=8)
 # keys whose value must parse as a number, a boolean or a number list
 _TYPED_KEYS = tuple((sec, key) for sec, keys in _SCHEMA.items()
-                    for key, (parser, _) in keys.items() if parser is not str)
+                    for key, spec in keys.items() if spec.parse is not str)
 
 
 def _ini(sections):
@@ -1070,12 +1120,11 @@ def _window_base():
 
 @st.composite
 def _malformed(draw):
-    """Tiny config text with exactly one schema violation."""
+    """Tiny config text with exactly one schema violation; the values
+    outside a key's domain come from the table, in TestSchemaDomains."""
     sections = _base()
-    kind = draw(st.sampled_from(["section", "key", "value", "size", "d",
-                                 "type", "header", "nonfinite",
-                                 "nonpositive", "flowtime",
-                                 "spectral_range", "wegner_range"]))
+    kind = draw(st.sampled_from(["section", "key", "value", "type",
+                                 "header"]))
     if kind == "section":
         sections[draw(_NAMES.filter(lambda s: s not in _SCHEMA))] = {"a": 1}
     elif kind == "key":
@@ -1086,38 +1135,8 @@ def _malformed(draw):
         sec, key = draw(st.sampled_from(_TYPED_KEYS))
         sections.setdefault(sec, {})[key] = draw(
             st.sampled_from(["", "x", "1..5", "0x1g", "one,two"]))
-    elif kind == "size":
-        sections["model"][draw(st.sampled_from(["W", "n", "cutoff"]))] = \
-            draw(st.integers(-3, 0))
-    elif kind == "d":
-        sections["model"]["d"] = draw(
-            st.integers(-2, 6).filter(lambda d: d not in (1, 2)))
     elif kind == "type":
         del sections["model"]["type"]
-    elif kind == "nonfinite":
-        sec, key = draw(st.sampled_from(
-            [("model", k) for k in ("neighbor_weight", "wegner_alpha",
-                                    "wegner_gamma")]
-            + [("spectral", k) for k in ("E", "eta", "kappa", "epsilon0",
-                                         "t_values")]
-            + [("checks", "deloc_window"), ("checks", "que_epsilon")]))
-        bad = draw(st.sampled_from(["nan", "inf", "-inf"]))
-        value = f"0.3, {bad}" if key == "t_values" else bad
-        sections.setdefault(sec, {})[key] = value
-    elif kind == "nonpositive":
-        sec, key = draw(st.sampled_from([("spectral", "eta"),
-                                         ("checks", "deloc_window")]))
-        sections[sec] = {key: draw(st.sampled_from(["0", "-0.0", "-0.2"]))}
-    elif kind == "flowtime":
-        sections["spectral"] = {"t_values": draw(st.sampled_from(
-            ["1.2", "1", "0", "-0.0", "-0.5", "0.5, 1.0", "0.3, -0.1"]))}
-    elif kind == "spectral_range":
-        key, value = draw(st.sampled_from(
-            [("kappa", v) for v in ("-1", "0", "2", "5")]
-            + [("epsilon0", v) for v in ("-0.2", "0", "1", "1.5")]))
-        sections["spectral"] = {key: value}
-    elif kind == "wegner_range":
-        sections["model"] = draw(st.sampled_from(_WEGNER_OUT_OF_RANGE))
     else:
         return _ini(sections).split("\n", 1)[1]
     return _ini(sections)
@@ -1237,3 +1256,181 @@ class TestExitCodeContract:
         code, rep = _run(_ini(sections), command)
         assert code in (0, 1)
         assert rep["pass"] is (code == 0)
+
+
+# ---- the schema's domains ----------------------------------------------------
+
+def _undeclared(schema) -> list:
+    """Keys whose domain is neither allowed values, an interval nor any
+    text: the CLI could not check them."""
+    return [f"[{sec}] {key}" for sec, keys in schema.items()
+            for key, spec in keys.items()
+            if spec.domain is not str
+            and not (isinstance(spec.domain, tuple) and spec.domain)]
+
+
+def _step(x, toward, parse):
+    """The value next to ``x`` toward ``toward``: one ulp for a float key,
+    one for an integer key."""
+    if parse is int:
+        return x + (1 if toward > x else -1)
+    return float(np.nextafter(float(x), toward))
+
+
+def _text(value, parse) -> str:
+    return str(value) if parse is int else repr(float(value))
+
+
+def _domain_values(spec, model) -> tuple:
+    """(refused, accepted) values of one key at [model] ``model``: each
+    open finite end and one step inside it, each closed end and one step
+    past it, nan and the infinities for a float, and for allowed values one
+    outside them and each of them."""
+    dom, parse = spec.domain, spec.parse
+    if dom is str:
+        return [], []
+    if not isinstance(dom, _Interval):
+        if parse is int:
+            return [min(dom) - 1, max(dom) + 1], list(dom)
+        if parse is str:
+            return ["not_" + "_".join(dom)], list(dom)
+        return ["maybe"], ["true", "false"]
+    refused = [] if parse is int else ["nan", "inf", "-inf"]
+    accepted = []
+    for end, closed, outward in ((dom.lo, dom.brackets[0] == "[", -np.inf),
+                                 (dom.hi, dom.brackets[1] == "]", np.inf)):
+        if isinstance(end, str):
+            end = _MODEL_ENDS[end](model)
+        if not math.isfinite(end):
+            continue
+        inside, outside = (end, _step(end, outward, parse)) if closed \
+            else (_step(end, -outward, parse), end)
+        refused.append(_text(outside, parse))
+        accepted.append(_text(inside, parse))
+    return refused, accepted
+
+
+# each key's domain at two models, so ends that read d or W move
+_DOMAIN_MODELS = ({"d": 1, "W": 3}, {"d": 2, "W": 4})
+
+
+def _domain_cases(schema, refused: bool) -> list:
+    cases = []
+    for model in _DOMAIN_MODELS:
+        for sec, keys in schema.items():
+            for key, spec in keys.items():
+                values = _domain_values(spec, model)[0 if refused else 1]
+                cases += [pytest.param(
+                    sec, key, value, model,
+                    id=f"{sec}.{key}={value}@d{model['d']}W{model['W']}")
+                    for value in values]
+    return cases
+
+
+def _domain_config(tmp_path, sec, key, value, model, model_type=None):
+    """A valid tiny config with ``[sec] key = value``, under the model type
+    that the key's domain holds for."""
+    sections = {"model": {"type": model_type or _SCHEMA[sec][key].model_type
+                          or "translation_invariant", **model, "n": 5,
+                          "neighbor_weight": 0.1},
+                "mc": {"replicas": 2, "parallelism": 1}}
+    if key == "t_values":
+        value = f"0.5, {value}"
+    sections.setdefault(sec, {})[key] = value
+    path = tmp_path / "c.ini"
+    path.write_text(_ini(sections), encoding="utf-8")
+    return str(path)
+
+
+class TestSchemaDomains:
+    def test_every_key_declares_a_domain(self):
+        assert _undeclared(_SCHEMA) == []
+
+    def test_a_key_without_a_domain_is_caught(self):
+        # failing control: a synthetic key that declares no domain
+        synthetic = _Key(float, 1.0, None)
+        schema = {**_SCHEMA,
+                  "checks": {**_SCHEMA["checks"], "synthetic": synthetic}}
+        assert _undeclared(schema) == ["[checks] synthetic"]
+
+    @pytest.mark.parametrize("sec,key,value,model",
+                             _domain_cases(_SCHEMA, refused=True))
+    def test_value_outside_its_domain_exits_2_naming_the_key(
+            self, sec, key, value, model, tmp_path, capsys):
+        cfg = _domain_config(tmp_path, sec, key, value, model)
+        out = tmp_path / "out"
+        assert main(["validate", "--config", cfg, "--out", str(out)]) == 2
+        assert f"[{sec}] {key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sec,key,value,model",
+                             _domain_cases(_SCHEMA, refused=False))
+    def test_value_at_its_domain_end_parses(self, sec, key, value, model,
+                                            tmp_path):
+        cfg = parse_config(_domain_config(tmp_path, sec, key, value, model))
+        parse = _SCHEMA[sec][key].parse
+        want = parse(f"0.5, {value}") if key == "t_values" else parse(value)
+        assert cfg[sec][key] == want
+
+    @pytest.mark.parametrize("sec,key,value,model", [
+        case for case in _domain_cases(_SCHEMA, refused=True)
+        if _SCHEMA[case.values[0]][case.values[1]].model_type
+        and case.values[2] not in ("nan", "inf", "-inf")])
+    def test_domain_holds_only_under_its_model_type(self, sec, key, value,
+                                                    model, tmp_path):
+        other = "mean_field"
+        cfg = parse_config(_domain_config(tmp_path, sec, key, value, model,
+                                          model_type=other))
+        assert cfg["model"]["type"] == other
+
+    @pytest.mark.parametrize("model_type", _SCHEMA["model"]["type"].domain)
+    @pytest.mark.parametrize("sec,key", [
+        (sec, key) for sec, keys in _SCHEMA.items()
+        for key, spec in keys.items()
+        if isinstance(spec.domain, _Interval) and spec.parse is not int])
+    def test_float_is_finite_under_every_model_type(self, sec, key,
+                                                    model_type, tmp_path):
+        for value in ("nan", "inf", "-inf"):
+            path = _domain_config(tmp_path, sec, key, value,
+                                  _DOMAIN_MODELS[0], model_type=model_type)
+            with pytest.raises(ConfigError, match=re.escape(
+                    f"[{sec}] {key} must be finite")):
+                parse_config(path)
+
+    @pytest.mark.parametrize("W", range(1, 65))
+    def test_wegner_gamma_end_is_the_ripple_predicate(self, W, tmp_path):
+        # gamma is accepted exactly when every ripple factor
+        # 1 + gamma cos(pi k/W), |k| < W, rounds to >= 0 and 1 + gamma > 0;
+        # 1/cos(pi/W) alone misses that verdict one ulp from the end
+        def ripple_ok(gamma):
+            factors = 1 + gamma * np.cos(np.pi * np.arange(1 - W, W) / W)
+            return not (factors.min() < 0 or 1 + gamma <= 0)
+
+        # (no cosine is negative at W <= 2, so there is no upper end)
+        ends = [-1.0, 1 / math.cos(math.pi / W),
+                wegner_gamma_max(W) if W > 2 else 1e300]
+        gammas = {float(np.nextafter(e, t)) for e in ends
+                  for t in (-np.inf, np.inf)} | set(ends)
+        path = tmp_path / "c.ini"
+        for gamma in sorted(gammas):
+            path.write_text(_ini({"model": {
+                "type": "wegner_orbital", "W": W, "n": 5,
+                "wegner_gamma": repr(gamma)}}), encoding="utf-8")
+            try:
+                parse_config(str(path))
+                accepted = True
+            except ConfigError as exc:
+                assert "[model] wegner_gamma" in str(exc)
+                accepted = False
+            assert accepted is ripple_ok(gamma), (W, gamma)
+
+    @pytest.mark.parametrize("command", sorted(set(_COMMANDS) - {"report"}))
+    def test_unknown_kernel_exits_2_for_every_command(self, command,
+                                                      tmp_path, capsys):
+        # flow builds no profile and ignored the kernel, exiting 0
+        cfg = write_config(tmp_path / "c.ini", model={"kernel": "bogus"})
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "config error: [model] kernel = 'bogus' must be one of" \
+            in capsys.readouterr().err
+        assert not out.exists()

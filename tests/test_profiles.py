@@ -10,7 +10,8 @@ from bandlab import (BlockLattice, VarianceProfile, block_flat_profile,
                      interaction_strength, mean_field_profile,
                      profile_to_text, validate)
 from bandlab.cli import build_profile
-from bandlab.profiles import KERNELS, P_SAMPLES, ProfileError, _affine_blocks
+from bandlab.profiles import (KERNELS, P_SAMPLES, ProfileError, _affine_blocks,
+                              wegner_gamma_max)
 from oracles import (block_sites, core_split, flow_profile, profile_from_text,
                      site_distance_matrix, translation_invariant_profile,
                      walk_irreducibility)
@@ -229,6 +230,16 @@ class TestBuilders:
         assert np.abs(prof.row_sums - 1.0).max() <= 1e-15
         for off, blk in {0: V, **A}.items():
             assert np.array_equal(prof.blocks[off], blk / 1.25)
+
+    def test_wegner_gamma_max_is_the_last_nonnegative_ripple(self):
+        # the ripple factors 1 + gamma cos(pi k/W), |k| < W, rounded as the
+        # builder rounds them: all >= 0 at the end, one < 0 an ulp past it
+        for W in range(3, 2049):
+            cos = np.cos(np.pi * np.arange(1 - W, W) / W)
+            top = wegner_gamma_max(W)
+            assert (1 + top * cos).min() >= 0
+            assert (1 + np.nextafter(top, np.inf) * cos).min() < 0
+        assert wegner_gamma_max(1) == wegner_gamma_max(2) == np.inf
 
     def test_block_flat_rows(self):
         lat = BlockLattice(d=1, W=3, n=5)
