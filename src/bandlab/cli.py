@@ -408,8 +408,8 @@ def cmd_flow(cfg, outdir):
     passed = all(r < FLOW_TOL for r in (r1, r2, invariance, ratio_dev))
     rep = _base_report(cfg, "flow")
     rep.update({
-        "z": {"re": z.real, "im": z.imag},
-        "t_i": params.t_i, "t_f": params.t_f, "E_target": params.E_target,
+        "z": z, "t_i": params.t_i, "t_f": params.t_f,
+        "E_target": params.E_target,
         "m_identity_residual": r1, "z_identity_residual": r2,
         "m_invariance_residual": float(invariance),
         "eta_ratio_deviation": ratio_dev,
@@ -418,16 +418,20 @@ def cmd_flow(cfg, outdir):
     return rep
 
 
-def _run_ensemble(cfg, rep, fn, reducers):
-    """Run the command's replicas and add their counts to ``rep``.
+def _ensemble(cfg, command, profile, replica_fn, head, arg):
+    """Run ``command``'s replicas, ``replica_fn(band, arg)`` on the band of
+    ``profile``; return its report, holding ``head`` and the replica counts,
+    and the ensemble's result.
 
-    Raises AllReplicasFailed with ``rep`` marked failing when no replica
+    Raises AllReplicasFailed with the report marked failing when no replica
     completed, since there is then no estimate to check.
     """
+    rep = _base_report(cfg, command, profile)
+    rep.update(head)
     config = mc.SampleConfig(master_seed=cfg["mc"]["master_seed"],
                              replicas=cfg["mc"]["replicas"],
                              parallelism=cfg["mc"]["parallelism"])
-    result = mc.run_ensemble(config, fn, reducers)
+    result = mc.run_ensemble(config, *replica_fn(mc.build_band(profile), arg))
     rep.update({"replicas": result.replicas, "completed": result.completed,
                 "failures": result.failures,
                 "master_seed": config.master_seed,
@@ -435,7 +439,15 @@ def _run_ensemble(cfg, rep, fn, reducers):
     if not result.completed:
         rep["pass"] = False
         raise AllReplicasFailed(rep)
-    return result
+    return rep, result
+
+
+def _verdict(rep, result, ok, fields):
+    """Add ``fields`` to the report and its verdict: ``ok``, and a failed
+    replica fails the command."""
+    rep.update(fields)
+    rep["pass"] = bool(ok and not result.failures)
+    return rep
 
 
 # per-replica Ward residual gate of locallaw and diffusion
@@ -464,42 +476,17 @@ LOCALLAW_TOL = 5.0
 def cmd_locallaw(cfg, outdir):
     profile = build_profile(cfg)
     lat = profile.lattice
-    band = mc.build_band(profile)
     sp = cfg["spectral"]
     z = complex(sp["E"], sp["eta"])
-    m = spec.stieltjes_m(z)
     lam = math.sqrt(prof.interaction_strength(profile))
-    ell = spec.ell_of_eta(lam, sp["eta"], lat.n)
     scale = 1.0 / mc.law_scale(lat, lam, sp["eta"])
-
-    rep = _base_report(cfg, "locallaw", profile)
-    rep.update({
-        "z": {"re": z.real, "im": z.imag},
-        "m": {"re": m.real, "im": m.imag},
-        "lambda": lam, "ell": ell, "scale": scale,
-        "tolerance": LOCALLAW_TOL, "ward_gate": WARD_GATE,
-    })
-    fn, reducers = mc.locallaw_replica_fn(band, z)
-    result = _run_ensemble(cfg, rep, fn, reducers)
+    rep, result = _ensemble(
+        cfg, "locallaw", profile, mc.locallaw_replica_fn,
+        {"z": z, "m": spec.stieltjes_m(z), "lambda": lam,
+         "ell": spec.ell_of_eta(lam, sp["eta"], lat.n), "scale": scale,
+         "tolerance": LOCALLAW_TOL, "ward_gate": WARD_GATE}, z)
     block_mean = result.mean("block_residual")
     block_stderr = result.stderr("block_residual")
-    entry_mean_max = float(result.mean("entry_sq").max())
-    block_max = float(block_mean.max())
-    ward = _ward_tally(result)
-
-    normalized_block = block_max / scale
-    normalized_entry = entry_mean_max / scale
-    passed = (normalized_block <= LOCALLAW_TOL
-              and normalized_entry <= LOCALLAW_TOL
-              and ward["ward_violations"] == 0 and not result.failures)
-    rep.update({
-        "block_residual_max_mean": block_max,
-        "block_residual_normalized": normalized_block,
-        "entry_sq_max_mean": entry_mean_max,
-        "entry_sq_normalized": normalized_entry,
-        **ward,
-        "pass": bool(passed),
-    })
     rows = [(a, block_mean[a], block_stderr[a], block_mean[a] / scale)
             for a in range(lat.block_count)]
     write_csv(os.path.join(outdir, "locallaw_blocks.csv"),
@@ -508,7 +495,19 @@ def cmd_locallaw(cfg, outdir):
                     ["block", "mean_residual", "stderr"],
                     [(r[0], r[1], r[2]) for r in rows],
                     script_title="local law block residuals")
-    return rep
+    block_max = float(block_mean.max())
+    entry_max = float(result.mean("entry_sq").max())
+    ward = _ward_tally(result)
+    ok = (block_max / scale <= LOCALLAW_TOL
+          and entry_max / scale <= LOCALLAW_TOL
+          and ward["ward_violations"] == 0)
+    return _verdict(rep, result, ok, {
+        "block_residual_max_mean": block_max,
+        "block_residual_normalized": block_max / scale,
+        "entry_sq_max_mean": entry_max,
+        "entry_sq_normalized": entry_max / scale,
+        **ward,
+    })
 
 
 # deloc's bound on the windowed sup-norms: (log N)^DELOC_LOG_POWER eta_*
@@ -518,33 +517,22 @@ DELOC_LOG_POWER = 3.0
 def cmd_deloc(cfg, outdir):
     profile = build_profile(cfg)
     lat = profile.lattice
-    band = mc.build_band(profile)
-    lam2 = prof.interaction_strength(profile)
+    lam = math.sqrt(prof.interaction_strength(profile))
     window = cfg["checks"]["deloc_window"]
-    estar = spec.eta_star(lat.W, math.sqrt(lam2), lat.N, lat.d)
+    estar = spec.eta_star(lat.W, lam, lat.N, lat.d)
     threshold = (math.log(lat.N) ** DELOC_LOG_POWER) * estar
     vacuous = not math.isfinite(threshold) or threshold >= 1.0
-
-    rep = _base_report(cfg, "deloc", profile)
-    rep.update({
-        "window": window,
-        "eta_star": estar if math.isfinite(estar) else "inf",
-        "threshold": threshold if math.isfinite(threshold) else "inf",
-        "vacuous_bound": bool(vacuous),
-    })
-    fn, reducers = mc.deloc_replica_fn(band, (-window, window))
-    result = _run_ensemble(cfg, rep, fn, reducers)
+    rep, result = _ensemble(
+        cfg, "deloc", profile, mc.deloc_replica_fn,
+        {"window": window, "eta_star": estar, "threshold": threshold,
+         "vacuous_bound": vacuous}, (-window, window))
     sup_max = float(result.values["sup_norm_sq"].max())
     mean_count, _, no_window = _window_tally(result)
     vacuous = vacuous or no_window
-    passed = (not vacuous) and sup_max <= threshold and not result.failures
-    rep.update({
-        "vacuous_bound": bool(vacuous),
-        "sup_norm_sq_max": sup_max,
+    return _verdict(rep, result, not vacuous and sup_max <= threshold, {
+        "vacuous_bound": vacuous, "sup_norm_sq_max": sup_max,
         "mean_window_count": mean_count,
-        "pass": bool(passed),
     })
-    return rep
 
 
 # diffusion's tolerance per block-pair cell:
@@ -556,24 +544,17 @@ DIFFUSION_REL = 0.1
 def cmd_diffusion(cfg, outdir):
     profile = build_profile(cfg)
     lat = profile.lattice
-    band = mc.build_band(profile)
     sp = cfg["spectral"]
     z = complex(sp["E"], sp["eta"])
     lam = math.sqrt(prof.interaction_strength(profile))
     scale = mc.law_scale(lat, lam, abs(z.imag)) ** (-2.0)
     mcount = lat.block_count
-
-    rep = _base_report(cfg, "diffusion", profile)
-    rep.update({
-        "z": {"re": z.real, "im": z.imag},
-        "cells": mcount * mcount,
-        "normalization_scale": scale,
-        "sigma": DIFFUSION_SIGMA, "rel": DIFFUSION_REL,
-        "ward_gate": WARD_GATE,
-    })
     pred_abs2, pred_gg = mc.diffusion_predictions(profile, z)
-    fn, reducers = mc.diffusion_replica_fn(band, z)
-    result = _run_ensemble(cfg, rep, fn, reducers)
+    rep, result = _ensemble(
+        cfg, "diffusion", profile, mc.diffusion_replica_fn,
+        {"z": z, "cells": mcount * mcount, "normalization_scale": scale,
+         "sigma": DIFFUSION_SIGMA, "rel": DIFFUSION_REL,
+         "ward_gate": WARD_GATE}, z)
     mean_abs2, se_abs2 = result.mean("abs2").real, result.stderr("abs2")
     mean_gg, se_gg = result.mean("gg"), result.stderr("gg")
     ward = _ward_tally(result)
@@ -591,8 +572,8 @@ def cmd_diffusion(cfg, outdir):
             tol2 = cell_tol(se_gg[a, b], pred_gg[a, b])
             ok = dev1 <= tol1 and dev2 <= tol2
             if not ok:
-                breaches.append({"a": a, "b": b,
-                                 "dev_abs2": float(dev1), "tol_abs2": float(tol1),
+                breaches.append({"a": a, "b": b, "dev_abs2": float(dev1),
+                                 "tol_abs2": float(tol1),
                                  "dev_gg": float(dev2), "tol_gg": float(tol2)})
             rows.append((a, b, mean_abs2[a, b], se_abs2[a, b],
                          pred_abs2[a, b], dev1, tol1,
@@ -600,15 +581,6 @@ def cmd_diffusion(cfg, outdir):
                          se_gg[a, b], pred_gg[a, b].real,
                          pred_gg[a, b].imag,
                          dev2, tol2, "pass" if ok else "FAIL"))
-    passed = not (breaches or ward["ward_violations"] or result.failures)
-    rep.update({
-        **ward,
-        "max_normalized_abs2": float((np.abs(mean_abs2 - pred_abs2)
-                                      / scale).max()),
-        "max_normalized_gg": float((np.abs(mean_gg - pred_gg) / scale).max()),
-        "breaches": breaches,
-        "pass": bool(passed),
-    })
     write_csv(os.path.join(outdir, "diffusion_pairs.csv"),
               ["a", "b", "mean_abs2", "stderr_abs2", "pred_abs2",
                "dev_abs2", "tol_abs2", "mean_gg_re", "mean_gg_im",
@@ -619,7 +591,13 @@ def cmd_diffusion(cfg, outdir):
     write_plot_data(os.path.join(outdir, "diffusion_profile.dat"),
                     ["block_distance", "mc_mean", "prediction"],
                     sorted(diag), script_title="quantum diffusion profile")
-    return rep
+    return _verdict(rep, result, not (breaches or ward["ward_violations"]), {
+        **ward,
+        "max_normalized_abs2": float((np.abs(mean_abs2 - pred_abs2)
+                                      / scale).max()),
+        "max_normalized_gg": float((np.abs(mean_gg - pred_gg) / scale).max()),
+        "breaches": breaches,
+    })
 
 
 # que's bound on the overlap deviations: W^(d - QUE_C) / N
@@ -642,27 +620,19 @@ def que_window(profile, E: float, epsilon: float) -> tuple:
 def cmd_que(cfg, outdir):
     profile = build_profile(cfg)
     lat = profile.lattice
-    band = mc.build_band(profile)
-    sp = cfg["spectral"]
-    window, eta0 = que_window(profile, sp["E"], cfg["checks"]["que_epsilon"])
+    window, eta0 = que_window(profile, cfg["spectral"]["E"],
+                              cfg["checks"]["que_epsilon"])
     threshold = lat.W ** (lat.d - QUE_C) / lat.N
-
-    rep = _base_report(cfg, "que", profile)
-    rep.update({"window": list(window), "eta0": eta0, "c": QUE_C,
-                "threshold": threshold})
-    fn, reducers = mc.que_replica_fn(band, window)
-    result = _run_ensemble(cfg, rep, fn, reducers)
+    rep, result = _ensemble(
+        cfg, "que", profile, mc.que_replica_fn,
+        {"window": window, "eta0": eta0, "c": QUE_C, "threshold": threshold},
+        window)
     dev_sq_max = float(result.values["overlap_dev_sq"].max())
     mean_count, empty, vacuous = _window_tally(result)
-    passed = (not vacuous) and dev_sq_max <= threshold and not result.failures
-    rep.update({
-        "overlap_dev_sq_max": dev_sq_max,
-        "mean_window_count": mean_count,
-        "empty_windows": empty,
-        "vacuous_bound": bool(vacuous),
-        "pass": bool(passed),
+    return _verdict(rep, result, not vacuous and dev_sq_max <= threshold, {
+        "overlap_dev_sq_max": dev_sq_max, "mean_window_count": mean_count,
+        "empty_windows": empty, "vacuous_bound": vacuous,
     })
-    return rep
 
 
 def cmd_report(cfg, outdir):

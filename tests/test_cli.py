@@ -716,6 +716,37 @@ class TestMonteCarloCommands:
                    for _, msg in rep["failures"])
         assert rep["pass"] is False
 
+    @pytest.mark.parametrize("command", ["locallaw", "diffusion", "deloc",
+                                         "que"])
+    def test_one_failed_replica_fails_the_command(self, command, tmp_path,
+                                                  monkeypatch):
+        # failing control: the config passes when every replica completes;
+        # deloc's bound is vacuous at W = 5, n = 5, so it runs at d = 2
+        import bandlab.montecarlo as mc
+
+        model = {"d": 2, "W": 3, "n": 5, "cutoff": 2} \
+            if command == "deloc" else {}
+        cfg = write_config(tmp_path / "c.ini", model=model,
+                           mc={"replicas": 4})
+        assert main([command, "--config", cfg]) == 0
+        original = getattr(mc, f"{command}_replica_fn")
+
+        def failing_factory(*args, **kwargs):
+            fn, reducers = original(*args, **kwargs)
+
+            def replica(index, rng):
+                if index == 0:
+                    raise mc.GreenSolveError("injected failure")
+                return fn(index, rng)
+            return replica, reducers
+
+        monkeypatch.setattr(mc, f"{command}_replica_fn", failing_factory)
+        assert main([command, "--config", cfg]) == 1
+        rep = read_json(str(tmp_path / "out"), f"{command}.json")
+        assert rep["completed"] == rep["replicas"] - 1 == 3
+        assert rep["failures"] == [[0, "GreenSolveError: injected failure"]]
+        assert rep["pass"] is False
+
     def test_locallaw_determinism_across_parallelism(self, tmp_path):
         out1 = tmp_path / "o1"
         out2 = tmp_path / "o2"
