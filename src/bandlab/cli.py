@@ -286,7 +286,8 @@ def cmd_theta(cfg, outdir):
             decay = det.theta_decay_report(lat, th, ell)
             fd = det.finite_difference_report(lat, th, lam, t) \
                 if pair == (1, -1) else None
-            name = f"{'pm' if pair == (1, -1) else 'pp'}_t{t:g}"
+            # repr(t) tells apart flow times that agree to 6 digits
+            name = f"{'pm' if pair == (1, -1) else 'pp'}_t{t!r}"
             write_csv(os.path.join(outdir, f"theta_decay_{name}.csv"),
                       ["distance", "value_re", "value_im", "abs",
                        "fit_prediction"], decay.to_csv_rows())

@@ -366,6 +366,18 @@ class TestDeterministicCommands:
         rep = read_json(out, "theta.json")
         assert rep["pass"] is True
 
+    def test_theta_writes_each_flow_time_apart(self, tmp_path):
+        # 0.3 and 0.3000001 agree to 6 significant digits, so a name with
+        # 6 digits gives the second flow time's curves the first one's files
+        cfg = write_config(tmp_path / "c.ini", model={"n": 9},
+                           spectral={"t_values": "0.3,0.3000001"})
+        assert main(["theta", "--config", cfg]) in (0, 1)
+        out = tmp_path / "out"
+        assert len(read_json(str(out), "theta.json")["results"]) == 4
+        assert sorted(p.name for p in out.glob("theta_decay_*.csv")) == [
+            f"theta_decay_{pair}_t{t}.csv" for pair in ("pm", "pp")
+            for t in ("0.3", "0.3000001")]
+
     def test_theta_solves_each_propagator_once(self, tmp_path, monkeypatch):
         import bandlab.deterministic as det
 
