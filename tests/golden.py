@@ -103,15 +103,12 @@ def digests(parallelism: int, root: Path) -> dict:
     return out
 
 
-def record(root: Path) -> dict:
-    return {"environment": environment(), "outputs": digests(1, root)}
-
-
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        manifest = record(Path(tmp))
+        manifest = {"environment": environment(),
+                    "outputs": digests(1, Path(tmp))}
     MANIFEST.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
                         encoding="utf-8")
     files = sum(len(c["files"]) for c in manifest["outputs"].values())
