@@ -85,7 +85,6 @@ __all__ = [
     "block_traces",
     "law_scale",
     "eigen_stats",
-    "EigenStats",
     "diffusion_predictions",
     "run_ensemble",
     "EnsembleResult",
@@ -546,6 +545,7 @@ class _OpenBLAS(NamedTuple):
 
     get_threads: object
     set_threads: object
+    config: str           # openblas_get_config(): the version and core
     zheevr: object        # LAPACKE_zheevr
     zhetrf: object        # LAPACKE_zhetrf, Bunch-Kaufman LDL^H
     zhetri: object        # LAPACKE_zhetri, the inverse from zhetrf's factors
@@ -556,22 +556,23 @@ class _OpenBLAS(NamedTuple):
 @cache
 def _openblas() -> _OpenBLAS | None:
     """numpy's bundled OpenBLAS, read through ctypes from the loaded library,
-    or None when there is none. The thread getter and setter and LAPACKE
-    come from one handle, named with the library's symbol prefix and
-    suffix; the suffix "64_" marks 64-bit LAPACK integers."""
+    or None when there is none. Every entry point comes from one handle,
+    named with the library's symbol prefix and suffix; the suffix "64_"
+    marks 64-bit LAPACK integers."""
     libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for path in sorted(glob.glob(str(libdir / "lib*openblas*.so*"))):
         lib = ctypes.CDLL(path)
         for prefix in ("scipy_", ""):
             for suffix in ("64_", ""):
-                get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}",
-                              None)
-                set_ = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}",
-                               None)
-                if get is None or set_ is None:
+                get, set_, config = (
+                    getattr(lib, f"{prefix}openblas_{name}{suffix}", None)
+                    for name in ("get_num_threads", "set_num_threads",
+                                 "get_config"))
+                if get is None or set_ is None or config is None:
                     continue
                 get.argtypes, get.restype = [], ctypes.c_int
                 set_.argtypes, set_.restype = [ctypes.c_int], None
+                config.argtypes, config.restype = [], ctypes.c_char_p
                 lapack_int = ctypes.c_int64 if suffix == "64_" \
                     else ctypes.c_int32
                 ptr, dbl = ctypes.c_void_p, ctypes.c_double
@@ -594,7 +595,8 @@ def _openblas() -> _OpenBLAS | None:
                         fn.argtypes, fn.restype = [ctypes.c_int] + args, \
                             lapack_int
                     routines[name] = fn
-                return _OpenBLAS(get, set_, lapack_int=lapack_int,
+                return _OpenBLAS(get, set_, config().decode(),
+                                 lapack_int=lapack_int,
                                  int_dtype=np.dtype(lapack_int), **routines)
     return None
 
@@ -789,40 +791,34 @@ def law_scale(lattice: BlockLattice, lam: float, eta: float) -> float:
     return lattice.block_volume * ell**lattice.d * eta
 
 
-@dataclass
-class EigenStats:
-    sup_norms: np.ndarray          # ||u_k||_inf^2 for windowed vectors
-    vectors: np.ndarray            # (N, windowed) eigenvectors in the window
-
-
-def _probed(band: Band, H: LayerRows, scale: float, evals: np.ndarray,
-            vectors: np.ndarray) -> EigenStats:
-    """The :class:`EigenStats` of the pairs (evals, vectors) once they pass
-    the probe max|H(Vc) - V(Lc)| / scale <= tolerance for c = (1, ..., 1),
-    where ``scale`` is max(1, ||H||_F); EigenSolveError otherwise."""
+def _probed(H: LayerRows, scale: float, evals: np.ndarray,
+            vectors: np.ndarray) -> np.ndarray:
+    """``vectors`` once the pairs (evals, vectors) pass the probe
+    max|H(Vc) - V(Lc)| / scale <= tolerance for c = (1, ..., 1), where
+    ``scale`` is max(1, ||H||_F); EigenSolveError otherwise."""
     x = vectors.sum(axis=1)
     resid = float(np.abs(H @ x - vectors @ evals).max() / scale)
     if not resid <= _RESIDUAL_TOL:
         raise EigenSolveError(f"eigenpair residual {resid:.3e} above "
                               f"{_RESIDUAL_TOL:.1e}")
-    return EigenStats(sup_norms=_sup_norms(band, vectors), vectors=vectors)
+    return vectors
 
 
-def _sup_norms(band: Band, vectors: np.ndarray) -> np.ndarray:
-    """max_x |u(x)|^2 of each column u of ``vectors``, taken over chunks of
-    columns in the thread's scratch buffer, viewed as floats. Squaring is
-    monotone, so the square of max|u| is max|u|^2 bit for bit."""
+def _sup_norm_sq(band: Band, vectors: np.ndarray) -> float:
+    """max |u(x)|^2 over the columns u of ``vectors``, 0.0 for none, over
+    chunks of columns in the thread's scratch buffer, viewed as floats.
+    Squaring is monotone, so max|u| squared is max|u|^2 bit for bit."""
     N, k = vectors.shape
     flat = _worker_scratch(band).reshape(-1)
     step = 2 * flat.size // N
     # an N x step Fortran-ordered view: a chunk's columns are contiguous
     mag = flat.view(float)[:N * step].reshape(step, N).T
-    sup = np.empty(k)
+    sup = 0.0
     for c in range(0, k, step):
-        part = mag[:, :min(step, k - c)]
-        np.abs(vectors[:, c:c + step], out=part)
-        part.max(axis=0, out=sup[c:c + step])
-    return np.square(sup, out=sup)
+        # the last chunk's slice of mag ends where its vectors' slice does
+        part = np.abs(vectors[:, c:c + step], out=mag[:, :k - c])
+        sup = max(sup, part.max())
+    return float(sup * sup)
 
 
 # A window of more than _ALL_PAIRS_SHARE N eigenvalues takes every pair
@@ -833,9 +829,9 @@ _ALL_PAIRS_SHARE = 1 / 64
 
 
 def eigen_stats(band: Band, H: LayerRows,
-                window: tuple[float, float]) -> EigenStats:
-    """The eigenpairs of H with eigenvalues in ``window`` (closed) and
-    their sup-norms.
+                window: tuple[float, float]) -> np.ndarray:
+    """The N x k eigenvectors of H with eigenvalues in ``window`` (closed),
+    one a column in ascending order of their eigenvalues.
 
     H is the band's :class:`LayerRows`, which the call leaves as it was.
     The window's count k comes from the inertia of
@@ -881,8 +877,7 @@ def eigen_stats(band: Band, H: LayerRows,
     k = (_RingLDL(band, H, hi, tol).negatives
          - _RingLDL(band, H, lo, tol).negatives)
     if k == 0:
-        return EigenStats(sup_norms=np.zeros(0),
-                          vectors=np.zeros((N, 0), dtype=complex))
+        return np.zeros((N, 0), dtype=complex)
     if k > _ALL_PAIRS_SHARE * N:
         lib, buffers = _openblas(), _eigen_buffers(N)
         a = buffers.a
@@ -901,7 +896,7 @@ def eigen_stats(band: Band, H: LayerRows,
                                   f"in the window, the inertia counts {k}")
         vectors = evecs[:, first:end]
         np.negative(vectors.imag, out=vectors.imag)
-        return _probed(band, H, scale, evals[first:end], vectors)
+        return _probed(H, scale, evals[first:end], vectors)
     centre = (lo + hi) / 2
     ring = _RingLDL(band, H, centre, tol)
     p = min(N, 2 * k + 4)
@@ -940,7 +935,7 @@ def eigen_stats(band: Band, H: LayerRows,
     if inside != k:
         raise EigenSolveError(f"{inside} Ritz values in the window, the "
                               f"inertia counts {k}")
-    return _probed(band, H, scale, theta, V)
+    return _probed(H, scale, theta, V)
 
 
 def diffusion_predictions(profile: VarianceProfile, z: complex):
@@ -1149,15 +1144,15 @@ def diffusion_replica_fn(band: Band, z: complex):
 
 
 def _eigen_replica_fn(band: Band, window: tuple[float, float], observe):
-    """fn(replica, rng) -> observe(stats) and the window count, for the
-    :func:`eigen_stats` of the replica's H in ``window``.
+    """fn(replica, rng) -> observe(vectors) and the window count, for the
+    eigenvectors of the replica's H in ``window`` (:func:`eigen_stats`).
 
     Each thread keeps H's :class:`LayerRows` among its buffers
     (:func:`_kept`), remade for another band."""
     def fn(replica, rng):
         H = _kept("H", band, lambda: LayerRows(band))
-        stats = eigen_stats(band, sample_H(band, rng, out=H), window)
-        return {**observe(stats), "window_count": stats.sup_norms.size}
+        vectors = eigen_stats(band, sample_H(band, rng, out=H), window)
+        return {**observe(vectors), "window_count": vectors.shape[1]}
 
     return fn
 
@@ -1165,8 +1160,8 @@ def _eigen_replica_fn(band: Band, window: tuple[float, float], observe):
 def deloc_replica_fn(band: Band, window: tuple[float, float]):
     """Delocalization observables: the largest windowed eigenvector
     sup-norm."""
-    def observe(stats):
-        return {"sup_norm_sq": float(stats.sup_norms.max(initial=0.0))}
+    def observe(vectors):
+        return {"sup_norm_sq": _sup_norm_sq(band, vectors)}
 
     return _eigen_replica_fn(band, window, observe), {
         "sup_norm_sq": "each", "window_count": "each"}
@@ -1178,12 +1173,12 @@ def que_replica_fn(band: Band, window: tuple[float, float]):
     lattice = band.lattice
     share = lattice.block_volume / lattice.N
 
-    def observe(stats):
-        k = stats.sup_norms.size
+    def observe(vectors):
+        k = vectors.shape[1]
         dev = 0.0
         if k:
             # overlap matrices sum_{x in [a]} conj(u_i) u_j of every block
-            U = stats.vectors.reshape(lattice.block_count, -1, k)
+            U = vectors.reshape(lattice.block_count, -1, k)
             overlaps = U.conj().transpose(0, 2, 1) @ U
             dev = float(np.abs(overlaps - share * np.eye(k)).max())
         return {"overlap_dev_sq": dev**2}

@@ -17,8 +17,6 @@ and names every moved file in its change notes.
 from __future__ import annotations
 
 import contextlib
-import ctypes
-import glob
 import hashlib
 import io
 import json
@@ -49,25 +47,9 @@ COMMANDS = ("validate", "theta", "kloop", "flow", "locallaw", "deloc",
             "diffusion", "que")
 
 
-def openblas_config() -> str | None:
-    """``openblas_get_config()`` of numpy's bundled OpenBLAS, read through
-    ctypes, or None when numpy bundles none."""
-    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(glob.glob(str(libdir / "lib*openblas*.so*"))):
-        lib = ctypes.CDLL(path)
-        for prefix in ("scipy_", ""):
-            for suffix in ("64_", ""):
-                get = getattr(lib, f"{prefix}openblas_get_config{suffix}",
-                              None)
-                if get is not None:
-                    get.argtypes, get.restype = [], ctypes.c_char_p
-                    return get().decode()
-    return None
-
-
 def environment() -> dict:
     return {"stream_version": mc.STREAM_VERSION, "numpy": np.__version__,
-            "openblas_config": openblas_config()}
+            "openblas_config": getattr(mc._openblas(), "config", None)}
 
 
 def _config_text(sections: dict, parallelism: int, outdir: Path) -> str:

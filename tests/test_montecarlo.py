@@ -34,10 +34,15 @@ def band_small(band_profile):
     return band_profile.lattice, build_band(band_profile)
 
 
-def block_overlap(stats, lattice, a):
+def block_overlap(vectors, lattice, a):
     """Oracle of que's batched overlaps: sum_{x in [a]} conj(u_i) u_j."""
-    U = stats.vectors[block_sites(lattice, a)]
+    U = vectors[block_sites(lattice, a)]
     return U.conj().T @ U
+
+
+def sup_norms(vectors):
+    """max_x |u(x)|^2 of each column u of ``vectors``."""
+    return (np.abs(vectors) ** 2).max(axis=0)
 
 
 def dense_band(N):
@@ -212,12 +217,12 @@ class TestSampleObservables:
     def test_eigen_stats_normalization(self, band_small):
         lat, band = band_small
         H = drawn_rows(band, stream_for(13, 0))
-        stats = eigen_stats(band, H, (-2.5, 2.5))
+        vectors = eigen_stats(band, H, (-2.5, 2.5))
         # every eigenvector is in the window, and each is a unit vector
-        assert stats.vectors.shape == (lat.N, lat.N)
-        sums = (np.abs(stats.vectors) ** 2).sum(axis=0)
+        assert vectors.shape == (lat.N, lat.N)
+        sums = (np.abs(vectors) ** 2).sum(axis=0)
         assert np.abs(sums - 1).max() < 1e-10
-        assert stats.sup_norms.max() <= 1.0
+        assert sup_norms(vectors).max() <= 1.0
 
     def test_eigen_stats_diagonal_localized(self):
         lat = BlockLattice(d=1, W=1, n=30)
@@ -225,32 +230,29 @@ class TestSampleObservables:
         assert np.array_equal(prof.assemble(), np.eye(30))
         band = build_band(prof)
         H = drawn_rows(band, stream_for(14, 0))
-        stats = eigen_stats(band, H, (-1.5, 1.5))
-        assert stats.sup_norms.size > 0
-        assert stats.sup_norms.min() == pytest.approx(1.0)
+        vectors = eigen_stats(band, H, (-1.5, 1.5))
+        assert vectors.shape[1] > 0
+        assert sup_norms(vectors).min() == pytest.approx(1.0)
 
     def test_eigen_window_filter(self, band_small):
         lat, band = band_small
         rows = drawn_rows(band, stream_for(15, 0))
-        stats = eigen_stats(band, rows, (-0.5, 0.5))
+        vectors = eigen_stats(band, rows, (-0.5, 0.5))
         H = dense_H(rows)
         # the kept vectors are eigenvectors with eigenvalues in the window
-        inside = np.einsum("xk,xy,yk->k", stats.vectors.conj(), H,
-                           stats.vectors).real
+        inside = np.einsum("xk,xy,yk->k", vectors.conj(), H, vectors).real
         assert np.all((inside >= -0.5) & (inside <= 0.5))
-        assert np.abs(H @ stats.vectors
-                      - stats.vectors * inside).max() < 1e-10
+        assert np.abs(H @ vectors - vectors * inside).max() < 1e-10
         evals = np.linalg.eigvalsh(H)
-        assert stats.vectors.shape[1] == ((evals >= -0.5)
-                                          & (evals <= 0.5)).sum()
+        assert vectors.shape[1] == ((evals >= -0.5) & (evals <= 0.5)).sum()
 
     def test_cross_overlap_identity_sum(self, band_small):
         # summing the QUE overlap matrices over all blocks gives I
         lat, band = band_small
         H = drawn_rows(band, stream_for(16, 0))
-        stats = eigen_stats(band, H, (-1.0, 1.0))
-        k = stats.sup_norms.size
-        total = sum(block_overlap(stats, lat, a) for a in range(lat.n))
+        vectors = eigen_stats(band, H, (-1.0, 1.0))
+        k = vectors.shape[1]
+        total = sum(block_overlap(vectors, lat, a) for a in range(lat.n))
         assert np.abs(total - np.eye(k)).max() < 1e-10
 
     @pytest.mark.parametrize("window", [(-1.0, 1.0), (-0.2, 0.2)])
@@ -259,11 +261,12 @@ class TestSampleObservables:
         # the batched product over every block gives the per-block bits
         lat, band = band_small
         fn, _ = que_replica_fn(band, window)
-        stats = eigen_stats(band, drawn_rows(band, stream_for(16, 0)), window)
-        k = stats.sup_norms.size
+        vectors = eigen_stats(band, drawn_rows(band, stream_for(16, 0)),
+                              window)
+        k = vectors.shape[1]
         assert k > 0
         target = lat.block_volume / lat.N * np.eye(k)
-        dev = max(float(np.abs(block_overlap(stats, lat, a) - target).max())
+        dev = max(float(np.abs(block_overlap(vectors, lat, a) - target).max())
                   for a in range(lat.block_count))
         assert fn(0, stream_for(16, 0))["overlap_dev_sq"] == dev**2
 
@@ -523,10 +526,10 @@ class TestTwoDimensional:
         for a in (0, 4, 8):
             direct = np.diagonal(gf.G)[block_sites(lat, a)].sum() / 9
             assert bt[a] == pytest.approx(direct)
-        stats = eigen_stats(band, rows, (-1.5, 1.5))
-        total = sum(block_overlap(stats, lat, a)
+        vectors = eigen_stats(band, rows, (-1.5, 1.5))
+        total = sum(block_overlap(vectors, lat, a)
                     for a in range(lat.block_count))
-        assert np.abs(total - np.eye(stats.sup_norms.size)).max() < 1e-10
+        assert np.abs(total - np.eye(vectors.shape[1])).max() < 1e-10
         pred_abs2, pred_gg = diffusion_predictions(prof, 0.1 + 0.4j)
         assert pred_abs2.shape == (9, 9)
         # per-pair block sums against a direct double loop
@@ -905,10 +908,10 @@ class TestLayerRows:
 # finalizer is counted. Each small call hands the GIL to the other worker
 # threads, so no change may add any: each cap is its replica's count plus
 # 3. locallaw's replica makes 285 calls, diffusion's 313, deloc's replica 1
-# 378, and que's replica 3, whose window holds one pair, 1142. A failure
+# 375, and que's replica 3, whose window holds one pair, 1134. A failure
 # names the five lines that made the most calls.
-_REPLICA_C_CALLS = {"locallaw": 288, "diffusion": 316, "deloc": 381,
-                    "que": 1145}
+_REPLICA_C_CALLS = {"locallaw": 288, "diffusion": 316, "deloc": 378,
+                    "que": 1137}
 
 
 @pytest.mark.parametrize("command", sorted(_REPLICA_C_CALLS))
@@ -1086,18 +1089,20 @@ class TestWorkerBuffers:
 
     @pytest.mark.parametrize("command", ["deloc", "que"])
     def test_eigen_worker_keeps_layer_rows(self, command):
-        # an eigen worker's first replica leaves H's layer rows and the
-        # scratch buffer allocated, and deloc's zheevr buffers besides:
-        # its N x N input a and eigenvectors z, N reals and 2 N integers.
-        # que's replica 3 holds one pair, so its window runs shift-invert,
-        # and that replica allocates no N x N complex array at all
+        # an eigen worker's first replica leaves H's layer rows allocated,
+        # and deloc's scratch buffer, in which it takes the sup-norm, and
+        # zheevr buffers besides: its N x N input a and eigenvectors z, N
+        # reals and 2 N integers. que's replica 3 holds one pair, so its
+        # window runs shift-invert, and that replica allocates no N x N
+        # complex array at all
         profile = _readme_profile()
         band = build_band(profile)
         N, wd = band.lattice.N, band.lattice.block_volume
-        kept = 16 * band.size + 16 * mc._CHUNK_BLOCKS * wd * N
+        kept = 16 * band.size
         if command == "deloc":
             fn, _ = deloc_replica_fn(band, (-1.5, 1.5))
-            replica, kept = 0, kept + 2 * 16 * N * N
+            replica = 0
+            kept += 16 * mc._CHUNK_BLOCKS * wd * N + 2 * 16 * N * N
         else:
             fn, _ = que_replica_fn(band, que_window(profile, 0.0, 0.1)[0])
             replica = 3
@@ -1238,16 +1243,14 @@ def _assert_matches_eigh(band, rows, window, all_pairs):
     evals, evecs = np.linalg.eigh(H)
     inside = (evals >= window[0]) & (evals <= window[1])
     ref = evecs[:, inside]
-    stats = _window_stats(band, rows, window, all_pairs)
+    vectors = _window_stats(band, rows, window, all_pairs)
     assert rows.data.tobytes() == drawn
-    assert stats.vectors.shape == ref.shape
-    assert stats.sup_norms.shape == (ref.shape[1],)
-    quotients = np.einsum("xk,xy,yk->k", stats.vectors.conj(), H,
-                          stats.vectors).real
+    assert vectors.shape == ref.shape
+    quotients = np.einsum("xk,xy,yk->k", vectors.conj(), H, vectors).real
     assert np.abs(quotients - evals[inside]).max(initial=0) < 1e-12
-    assert np.abs(stats.sup_norms
-                  - (np.abs(ref) ** 2).max(axis=0)).max(initial=0) < 1e-12
-    assert np.abs(_que_deviations(band, stats.vectors)
+    assert np.abs(sup_norms(vectors)
+                  - sup_norms(ref)).max(initial=0) < 1e-12
+    assert np.abs(_que_deviations(band, vectors)
                   - _que_deviations(band, ref)).max(initial=0) < 1e-12
     return ref.shape[1]
 
@@ -1301,6 +1304,31 @@ class TestEigenSolver:
             solves.append(1), solve(self, *args))[1])
         assert _assert_matches_eigh(band, H, (-half, half), None) == k
         assert bool(solves) == (solver == "shift-invert")
+
+    @pytest.mark.parametrize("k", [0, 1, 132, 133])
+    def test_sup_norm_sq_is_the_dense_maximum(self, k):
+        # deloc's pass over chunks of step = 4 W^d = 132 columns against
+        # the dense max|u|^2, bit for bit: no column, one, one whole chunk
+        # and one column past it
+        band = build_band(_readme_profile())
+        assert 2 * mc._CHUNK_BLOCKS * band.lattice.block_volume == 132
+        V = np.random.default_rng(k).standard_normal(
+            (band.lattice.N, 2 * k)).view(complex)
+        assert mc._sup_norm_sq(band, V) == float(
+            (np.abs(V) ** 2).max(initial=0.0))
+
+    def test_sup_norm_sq_of_the_readme_deloc_window(self):
+        # about 420 eigenvectors span 4 chunks; after the thread's first
+        # call the pass allocates no N x k temporary (1.5 kB measured)
+        band = build_band(_readme_profile())
+        H = drawn_rows(band, stream_for(20260809, 0))
+        V = eigen_stats(band, H, (-1.5, 1.5))
+        N, k = V.shape
+        assert 3 * 132 < k <= 4 * 132
+        assert mc._sup_norm_sq(band, V) == float(
+            (np.abs(V) ** 2).max(initial=0.0))
+        peak = _second_call_peak(mc._sup_norm_sq, [(band, V)] * 2)
+        assert peak < 8 * N * k / 100
 
     def test_an_empty_deloc_window_skips_zheevr(self, band_small,
                                                 monkeypatch):
@@ -1370,8 +1398,7 @@ class TestEigenSolver:
         monkeypatch.setattr(np.linalg, "eigh", counted)
         evals, evecs = eigh(dense_H(H))
         ref = evecs[:, (evals >= -1.0) & (evals <= 1.0)]
-        stats = eigen_stats(band, H, (-1.0, 1.0))
-        assert np.array_equal(stats.vectors, ref)
+        assert np.array_equal(eigen_stats(band, H, (-1.0, 1.0)), ref)
         # one N x N eigh; without any LAPACKE routine the inertia count's
         # W x W pivots take eigh too
         assert [c for c in calls if c != (lat.W, lat.W)] == [(lat.N, lat.N)]
@@ -1425,10 +1452,10 @@ class TestEigenSolver:
         _window_stats(band, H, (-1.5, 1.5), all_pairs)
         probe = mc._probed
 
-        def corrupted(band, H, norm, evals, vectors):
+        def corrupted(H, norm, evals, vectors):
             vectors = vectors.copy()
             vectors[5, vectors.shape[1] // 2] += 1e-6
-            return probe(band, H, norm, evals, vectors)
+            return probe(H, norm, evals, vectors)
 
         monkeypatch.setattr(mc, "_probed", corrupted)
         with pytest.raises(mc.EigenSolveError, match="eigenpair residual"):
@@ -1561,7 +1588,7 @@ class TestRingWindow:
                                                  monkeypatch):
         lat, band = band_small
         H = drawn_rows(band, stream_for(34, 0))
-        assert _window_stats(band, H, (-0.5, 0.5), False).vectors.shape[1]
+        assert _window_stats(band, H, (-0.5, 0.5), False).shape[1]
         monkeypatch.setattr(mc, "_MAX_ITERATIONS", 2)
         with pytest.raises(mc.EigenSolveError,
                            match="did not converge in 2 steps"):
@@ -1575,7 +1602,7 @@ class TestRingWindow:
         # value outside the window, one too low one Ritz value too many in it
         lat, band = band_small
         H = drawn_rows(band, stream_for(34, 0))
-        assert _window_stats(band, H, (-0.5, 0.5), False).vectors.shape[1] > 2
+        assert _window_stats(band, H, (-0.5, 0.5), False).shape[1] > 2
 
         class Miscounted(mc._RingLDL):
             def __init__(self, band, H, shift, tol):

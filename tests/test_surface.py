@@ -17,6 +17,10 @@ cannot drift back into the package.
 The package calls no ``np.ndarray(...)`` constructor: every view of H's
 layer rows and of G is a plain slice, whose strides numpy derives, never
 one built by hand over a buffer.
+
+numpy's OpenBLAS is loaded by one ``CDLL`` call of ctypes, in
+``montecarlo._openblas``; the package and its tests read every entry point
+they use from that binding.
 """
 
 import ast
@@ -24,7 +28,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "bandlab"
-ORACLES = ROOT / "tests" / "oracles.py"
+TESTS = ROOT / "tests"
+ORACLES = TESTS / "oracles.py"
+# the one file that loads numpy's OpenBLAS
+BINDING = "src/bandlab/montecarlo.py"
 
 KEPT = {
     "assemble": "bench/setup_probe.py calls it and bench/tracing.py times it",
@@ -214,3 +221,29 @@ def test_a_hand_built_array_is_reported():
     made = ast.parse("import numpy as np\n\n"
                      "v = np.ndarray((2,), complex, buf, 0, (32,))\n")
     assert _ndarray_calls({SRC / "strided.py": made}) == [("strided", 3)]
+
+
+def _library_loads(trees) -> tuple:
+    """The ``CDLL(...)`` calls in ``trees`` (path -> parsed module) as
+    (file, line), the file relative to the repository: those in
+    ``BINDING``, and those elsewhere."""
+    loads = [(p.relative_to(ROOT).as_posix(), node.lineno)
+             for p, t in trees.items() for node in ast.walk(t)
+             if isinstance(node, ast.Call) and _callee(node) == "CDLL"]
+    return ([load for load in loads if load[0] == BINDING],
+            [load for load in loads if load[0] != BINDING])
+
+
+def test_one_binding_loads_openblas():
+    binding, others = _library_loads(_parsed([*SRC.glob("*.py"),
+                                              *TESTS.rglob("*.py")]))
+    assert binding and others == [], (
+        f"CDLL calls outside {BINDING}: {others}; read the entry "
+        "point from montecarlo._openblas() instead")
+
+
+def test_a_second_library_load_is_reported():
+    # failing control: a test that loads a library of its own
+    loader = ast.parse("from ctypes import CDLL\n\nlib = CDLL(path)\n")
+    trees = {**_parsed([ROOT / BINDING]), TESTS / "scan.py": loader}
+    assert _library_loads(trees)[1] == [("tests/scan.py", 3)]
