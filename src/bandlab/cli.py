@@ -587,8 +587,7 @@ def cmd_diffusion(cfg, outdir):
                "dev_abs2", "tol_abs2", "mean_gg_re", "mean_gg_im",
                "stderr_gg", "pred_gg_re", "pred_gg_im", "dev_gg",
                "tol_gg", "status"], rows)
-    diag = [(lat.block_distance(0, b), mean_abs2[0, b], pred_abs2[0, b])
-            for b in range(mcount)]
+    diag = zip(lat.block_distance_matrix[0], mean_abs2[0], pred_abs2[0])
     write_plot_data(os.path.join(outdir, "diffusion_profile.dat"),
                     ["block_distance", "mc_mean", "prediction"],
                     sorted(diag), script_title="quantum diffusion profile")

@@ -3,9 +3,10 @@
 The lattice has side length L = n*W and is partitioned into n^d axis-aligned
 blocks of linear size W, numbered row-major. Site a W^d + i is the site at
 row-major offset i inside block a, so a site axis splits into (block,
-offset) axes by a reshape to (n^d, W^d). Sites and blocks are addressed by
-these integers or by coordinate tuples; every public function accepts both
-forms. Distances are periodic L^1 (graph) distances on the torus.
+offset) axes by a reshape to (n^d, W^d). Blocks are addressed by these
+integers alone: sums and negatives of block offsets are taken on integer
+index arrays, through the row-major coordinates of the torus Z_n^d.
+Distances are periodic L^1 (graph) distances on the torus.
 """
 
 from __future__ import annotations
@@ -19,26 +20,6 @@ __all__ = [
     "BlockLattice",
     "project_matrix",
 ]
-
-
-def _as_coords(idx, d, side):
-    """Normalize a site/block address to a coordinate tuple on a torus."""
-    if np.isscalar(idx):
-        x = int(idx)
-        if not 0 <= x < side**d:
-            raise ValueError(f"index {x} out of range for side {side}, d={d}")
-        return divmod(x, side) if d == 2 else (x,)
-    c = tuple(int(v) % side for v in idx)
-    if len(c) != d:
-        raise ValueError(f"coordinate {idx} has wrong arity for d={d}")
-    return c
-
-
-def _flatten(coords, side):
-    out = 0
-    for c in coords:
-        out = out * side + c
-    return out
 
 
 @dataclass(frozen=True)
@@ -78,41 +59,23 @@ class BlockLattice:
     def block_volume(self) -> int:
         return self.W**self.d
 
-    # ---- site/block addressing -------------------------------------------
+    # ---- block arithmetic ------------------------------------------------
 
-    def site_coords(self, x) -> tuple:
-        """Coordinates on Z_L^d of site x, decoded as (block, offset)."""
-        if not np.isscalar(x):
-            return _as_coords(x, self.d, self.L)
-        if not 0 <= int(x) < self.N:
-            raise ValueError(f"site {x} out of range for N={self.N}")
-        a, i = divmod(int(x), self.block_volume)
-        return tuple(u * self.W + v for u, v in zip(
-            self.block_coords(a), _as_coords(i, self.d, self.W)))
+    def block_shift(self, a, b) -> np.ndarray:
+        """Flat index of [a] + [b] on the block torus, for integer index
+        arrays ``a`` and ``b`` that broadcast together."""
+        grid = _grid(self.n, self.d)
+        return np.ravel_multi_index(tuple(c[a] + c[b] for c in grid),
+                                    (self.n,) * self.d, mode="wrap")
 
-    def block_index(self, a) -> int:
-        return _flatten(_as_coords(a, self.d, self.n), self.n)
-
-    def block_coords(self, a) -> tuple:
-        return _as_coords(a, self.d, self.n)
-
-    def block_negate(self, a) -> int:
-        """Representative of -[a] on the block torus."""
-        return self.block_index([-v for v in self.block_coords(a)])
-
-    def block_shift(self, a, b) -> int:
-        """Representative of [a] + [b] on the block torus."""
-        return self.block_index([u + v for u, v in zip(self.block_coords(a),
-                                                       self.block_coords(b))])
+    def block_negate(self, a) -> np.ndarray:
+        """Flat index of -[a] on the block torus, for an integer index
+        array ``a``."""
+        grid = _grid(self.n, self.d)
+        return np.ravel_multi_index(tuple(-c[a] for c in grid),
+                                    (self.n,) * self.d, mode="wrap")
 
     # ---- periodic distances ----------------------------------------------
-
-    def block_distance(self, a, b) -> int:
-        """Periodic L^1 distance ||[a] - [b]||_n on the block torus."""
-        ac = self.block_coords(a)
-        bc = self.block_coords(b)
-        return sum(min((u - v) % self.n, (v - u) % self.n)
-                   for u, v in zip(ac, bc))
 
     def block0_site_distances(self, blocks) -> np.ndarray:
         """(W^d, k W^d) periodic L^1 distances from the sites of block 0 to

@@ -205,8 +205,7 @@ def build_band(profile: VarianceProfile) -> Band:
     lat = profile.lattice
     m, wd, N = lat.block_count, lat.block_volume, lat.N
     offsets = sorted(profile.blocks)
-    shift = np.array([[lat.block_shift(a, off) for off in offsets]
-                      for a in range(m)], dtype=int)
+    shift = lat.block_shift(np.arange(m)[:, None], offsets)
     # seeded with empty arrays: an empty profile (S = 0) has no support
     empty = np.zeros(0, dtype=int)
     rows, cols, var = [empty], [empty], [empty.astype(float)]

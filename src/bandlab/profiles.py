@@ -11,6 +11,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -43,6 +44,16 @@ class ProfileError(ValueError):
     """Raised when a profile violates a construction precondition."""
 
 
+def _offset(lattice: BlockLattice, off) -> int:
+    """``off`` as a block offset; anything but an integer in [0, n^d) is
+    refused."""
+    if not (isinstance(off, numbers.Integral)
+            and 0 <= off < lattice.block_count):
+        raise ProfileError(f"block offset {off} is not an integer in "
+                           f"[0, {lattice.block_count})")
+    return int(off)
+
+
 @dataclass
 class VarianceProfile:
     """Block-translation-invariant variance profile.
@@ -61,16 +72,17 @@ class VarianceProfile:
         wd = self.lattice.block_volume
         clean = {}
         for off, blk in self.blocks.items():
+            off = _offset(self.lattice, off)
             arr = np.ascontiguousarray(blk, dtype=float)
             if arr.shape != (wd, wd):
                 raise ProfileError(f"block at offset {off} has shape {arr.shape}")
             if arr.min() < 0:
                 raise ProfileError(f"negative entry in block at offset {off}")
             arr.setflags(write=False)
-            clean[int(off)] = arr
+            clean[off] = arr
         object.__setattr__(self, "blocks", clean)
-        for off, blk in clean.items():
-            neg = self.lattice.block_negate(off)
+        negs = self.lattice.block_negate(list(clean)).tolist()
+        for (off, blk), neg in zip(clean.items(), negs):
             other = clean.get(neg)
             if other is None or not np.array_equal(blk.T, other):
                 raise ProfileError(
@@ -79,9 +91,9 @@ class VarianceProfile:
     # ---- assembly ----------------------------------------------------------
 
     def block_at(self, offset) -> np.ndarray:
-        off = self.lattice.block_index(offset)
         wd = self.lattice.block_volume
-        return self.blocks.get(off, np.zeros((wd, wd)))
+        return self.blocks.get(_offset(self.lattice, offset),
+                               np.zeros((wd, wd)))
 
     def assemble(self) -> np.ndarray:
         """Full N x N matrix, built afresh and returned read-only."""
@@ -89,9 +101,10 @@ class VarianceProfile:
         m, wd = lat.block_count, lat.block_volume
         S = np.zeros((m, wd, m, wd))
         rows = np.arange(m)
-        for off, blk in self.blocks.items():
-            # block (a, b) of S is the block of offset [b] - [a]
-            S[rows, :, [lat.block_shift(a, off) for a in rows]] = blk
+        # block (a, b) of S is the block of offset [b] - [a]
+        cols = lat.block_shift(rows[:, None], list(self.blocks))
+        for k, blk in enumerate(self.blocks.values()):
+            S[rows, :, cols[:, k]] = blk
         S = S.reshape(lat.N, lat.N)
         S.setflags(write=False)
         return S
@@ -183,7 +196,7 @@ def build_wegner_orbital(lattice: BlockLattice, V: np.ndarray,
         raise ProfileError("V must be symmetric")
     blocks = {0: V.copy()}
     for off, blk in A.items():
-        off = lat.block_index(off)
+        off = _offset(lat, off)
         if off == 0:
             raise ProfileError("offset 0 belongs to V, not A")
         blk = np.asarray(blk, dtype=float)
@@ -222,13 +235,18 @@ def build_wegner_orbital(lattice: BlockLattice, V: np.ndarray,
 
 def _neighbor_blocks(lattice: BlockLattice, blk: np.ndarray
                      ) -> dict[int, np.ndarray]:
-    """``blk`` at each nearest-neighbor block offset +-e_i, axis by axis."""
+    """``blk`` at each nearest-neighbor block offset +-e_i, axis by axis.
+    They are distinct only from n = 3 on: on Z_2, +e_i = -e_i, and on Z_1
+    both are 0."""
+    if lattice.n < 3:
+        raise ProfileError(f"nearest-neighbor blocks need n >= 3 to separate "
+                           f"the +-e_i offsets, got n = {lattice.n}")
+    steps = np.ravel_multi_index(np.eye(lattice.d, dtype=int),
+                                 (lattice.n,) * lattice.d)
     out = {}
-    for axis in range(lattice.d):
-        for sign in (1, -1):
-            coord = [0] * lattice.d
-            coord[axis] = sign % lattice.n
-            out[lattice.block_index(tuple(coord))] = blk
+    for pos, neg in zip(steps.tolist(), lattice.block_negate(steps).tolist()):
+        out[pos] = blk
+        out[neg] = blk
     return out
 
 
@@ -266,8 +284,6 @@ def block_flat_profile(lattice: BlockLattice, neighbor_weight: float
     Each nearest-neighbor block offset carries total per-row mass
     ``neighbor_weight``; the diagonal block takes the remainder.
     """
-    if lattice.n < 3:
-        raise ProfileError("block_flat needs n >= 3 to separate +-1 offsets")
     wd = lattice.block_volume
     w1 = float(neighbor_weight)
     if not 0 <= w1 * 2 * lattice.d < 1:

@@ -1,6 +1,8 @@
 """Oracles of the tests: the site-by-site and N x N forms that bandlab's
-block code is checked against, and the random-walk representation that
-acceptance criterion 8 checks ``theta`` against. ``tests/test_surface.py``
+block code is checked against, the scalar torus arithmetic on one site or
+block address at a time that its index arrays are checked against, and the
+random-walk representation that acceptance criterion 8 checks ``theta``
+against. ``tests/test_surface.py``
 fails if one of their names is defined in bandlab again."""
 
 import base64
@@ -14,9 +16,67 @@ from bandlab.montecarlo import LayerRows
 from bandlab.profiles import P_SAMPLES, ProfileError, _affine_blocks
 
 
+def _coords(idx, d: int, side: int) -> tuple:
+    """An address on Z_side^d, an integer or a coordinate sequence, as a
+    coordinate tuple: an integer decodes row-major, and coordinates are
+    reduced mod side."""
+    if np.isscalar(idx):
+        x = int(idx)
+        if not 0 <= x < side**d:
+            raise ValueError(f"index {x} out of range for side {side}, d={d}")
+        return divmod(x, side) if d == 2 else (x,)
+    c = tuple(int(v) % side for v in idx)
+    if len(c) != d:
+        raise ValueError(f"coordinate {idx} has wrong arity for d={d}")
+    return c
+
+
+def block_coords(lat: BlockLattice, a) -> tuple:
+    """Coordinates on Z_n^d of block a, an index or a coordinate tuple."""
+    return _coords(a, lat.d, lat.n)
+
+
+def block_index(lat: BlockLattice, a) -> int:
+    """Row-major index of block a, an index or a coordinate tuple."""
+    out = 0
+    for c in block_coords(lat, a):
+        out = out * lat.n + c
+    return out
+
+
+def block_plus(lat: BlockLattice, a, b) -> int:
+    """Index of [a] + [b] on the block torus, one coordinate at a time."""
+    return block_index(lat, [u + v for u, v in zip(block_coords(lat, a),
+                                                    block_coords(lat, b))])
+
+
+def block_minus(lat: BlockLattice, a) -> int:
+    """Index of -[a] on the block torus."""
+    return block_index(lat, [-v for v in block_coords(lat, a)])
+
+
+def block_distance(lat: BlockLattice, a, b) -> int:
+    """Periodic L^1 distance ||[a] - [b]||_n on the block torus."""
+    return sum(min((u - v) % lat.n, (v - u) % lat.n)
+               for u, v in zip(block_coords(lat, a), block_coords(lat, b)))
+
+
+def site_coords(lat: BlockLattice, x) -> tuple:
+    """Coordinates on Z_L^d of site x = a W^d + i: W times the block
+    coordinates of a, plus the row-major offset coordinates of i on Z_W^d.
+    A coordinate tuple is reduced mod L."""
+    if not np.isscalar(x):
+        return _coords(x, lat.d, lat.L)
+    if not 0 <= int(x) < lat.N:
+        raise ValueError(f"site {x} out of range for N={lat.N}")
+    a, i = divmod(int(x), lat.block_volume)
+    return tuple(u * lat.W + v for u, v in zip(block_coords(lat, a),
+                                               _coords(i, lat.d, lat.W)))
+
+
 def block_sites(lat: BlockLattice, a) -> np.ndarray:
     """The W^d sites of block a: the range [a W^d, (a+1) W^d)."""
-    first = lat.block_index(a) * lat.block_volume
+    first = block_index(lat, a) * lat.block_volume
     return np.arange(first, first + lat.block_volume)
 
 
@@ -58,12 +118,12 @@ def dense_draw(band, rng) -> np.ndarray:
 def periodic_distance(lat: BlockLattice, x, y) -> int:
     """Periodic L^1 graph distance ||x - y||_L between sites."""
     return sum(min((u - v) % lat.L, (v - u) % lat.L)
-               for u, v in zip(lat.site_coords(x), lat.site_coords(y)))
+               for u, v in zip(site_coords(lat, x), site_coords(lat, y)))
 
 
 def site_distance_matrix(lat: BlockLattice) -> np.ndarray:
     """(N, N) periodic L^1 site distances, from the site coordinates."""
-    coords = np.array([lat.site_coords(x) for x in range(lat.N)])
+    coords = np.array([site_coords(lat, x) for x in range(lat.N)])
     diff = np.abs(coords[:, None, :] - coords[None, :, :])
     return np.minimum(diff, lat.L - diff).sum(axis=2)
 
@@ -75,7 +135,7 @@ def translation_invariant_profile(lat: BlockLattice, kernel, cutoff: int,
     reach = cutoff * lat.W
     if reach >= lat.L / 2:
         raise ProfileError("cutoff*W overlaps its own periodic image")
-    coords = np.array([lat.site_coords(x) for x in range(lat.N)])
+    coords = np.array([site_coords(lat, x) for x in range(lat.N)])
     diff = np.abs(coords[:lat.block_volume, None, :] - coords[None, :, :])
     dist = np.minimum(diff, lat.L - diff).sum(axis=2)
     mask = dist <= reach
@@ -100,7 +160,7 @@ def walk_irreducibility(s: VarianceProfile):
     if lam2 == 0:
         return 0.0, [0.0, 0.0]
     steps = np.array([[v - lat.n if v > lat.n // 2 else v
-                       for v in lat.block_coords(off)] for off in s.blocks],
+                       for v in block_coords(lat, off)] for off in s.blocks],
                      dtype=float)
     probs = np.array([blk.sum() / lat.block_volume
                       for blk in s.blocks.values()])

@@ -1282,6 +1282,23 @@ class TestExitCodeContract:
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         assert not out.exists()
 
+    # on Z_2 the offsets +e_i and -e_i coincide, and on Z_1 both are 0:
+    # wegner_orbital read half its coupling at n = 2, and at n = 1 failed
+    # as "offset 0 belongs to V, not A"
+    @pytest.mark.parametrize("kind", ["wegner_orbital", "block_flat"])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_nearest_neighbor_models_refuse_n_below_3(self, kind, d, n,
+                                                      tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.ini",
+                           model={"type": kind, "d": d, "W": 3, "n": n,
+                                  "neighbor_weight": 0.1})
+        assert main(["validate", "--config", cfg, "--out", str(out)]) == 2
+        assert (f"need n >= 3 to separate the +-e_i offsets, got n = {n}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_refused_run_keeps_an_existing_out_directory(self, tmp_path):
         out = tmp_path / "out"
         out.mkdir()

@@ -16,8 +16,8 @@ from bandlab.deterministic import (PropagatorError, charge_m,
                                    loop_size_guard, parse_charges)
 from bandlab.profiles import KERNELS, _affine_blocks
 from bandlab.spectral import ell_t
-from oracles import (core_split, project_tensor, random_walk_kernel,
-                     random_walk_theta)
+from oracles import (block_distance, block_minus, block_plus, core_split,
+                     project_tensor, random_walk_kernel, random_walk_theta)
 
 
 @pytest.fixture(scope="module")
@@ -440,7 +440,7 @@ def _random_blocks(lat, seed):
     S(p) is Hermitian and no two momenta but p and -p share a spectrum."""
     rng = np.random.default_rng(seed)
     raw = rng.random((lat.block_count,) + (lat.block_volume,) * 2)
-    return {x: (raw[x] + raw[lat.block_negate(x)].T) / (2 * raw.size)
+    return {x: (raw[x] + raw[block_minus(lat, x)].T) / (2 * raw.size)
             for x in range(lat.block_count)}
 
 
@@ -808,19 +808,19 @@ def loop_finite_differences(lattice, th, lam, t, max_pairs=4096, seed=7):
                  rng.choice(len(pairs), size=max_pairs, replace=False)]
     r1 = 0.0
     for x, y in pairs:
-        dist = lattice.block_distance(x, y)
-        bx = (lattice.block_distance(0, x) + 1) ** (lattice.d - 1)
-        by = (lattice.block_distance(0, y) + 1) ** (lattice.d - 1)
+        dist = block_distance(lattice, x, y)
+        bx = (block_distance(lattice, 0, x) + 1) ** (lattice.d - 1)
+        by = (block_distance(lattice, 0, y) + 1) ** (lattice.d - 1)
         r1 = max(r1, abs(th[x] - th[y]) * denom * (bx + by) / dist)
     r2 = 0.0
     count2 = 0
     for x in range(m):
         for y in range(1, m):
-            xp = lattice.block_shift(x, y)
-            xm = lattice.block_shift(x, lattice.block_negate(y))
-            dy = lattice.block_distance(0, y)
+            xp = block_plus(lattice, x, y)
+            xm = block_plus(lattice, x, block_minus(lattice, y))
+            dy = block_distance(lattice, 0, y)
             val = abs(th[xp] + th[xm] - 2 * th[x])
-            r2 = max(r2, val * denom * (lattice.block_distance(0, x) + 1)
+            r2 = max(r2, val * denom * (block_distance(lattice, 0, x) + 1)
                      ** lattice.d / dy**2)
             count2 += 1
             if count2 >= max_pairs:
@@ -872,8 +872,8 @@ class TestKLoopBoundDiagnostics:
         worst = 0.0
         for a in range(lat.n):
             for b in range(lat.n):
-                sep = max(lat.block_distance(0, a), lat.block_distance(0, b),
-                          lat.block_distance(a, b))
+                sep = max(block_distance(lat, 0, a), block_distance(lat, 0, b),
+                          block_distance(lat, a, b))
                 if sep >= far:
                     worst = max(worst, abs(T[0, a, b]))
         assert worst < 1e-8 * center

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bandlab import BlockLattice, project_matrix
-from oracles import (block_sites, periodic_distance, project_tensor,
-                     site_distance_matrix)
+from oracles import (block_distance, block_index, block_minus, block_plus,
+                     block_sites, periodic_distance, project_tensor,
+                     site_coords, site_distance_matrix)
 
 
 def brute_periodic_distance(xc, yc, L):
@@ -48,14 +49,14 @@ class TestAddressing:
                 expected = b0 * 3 + b1
         assert expected == 5
         x = expected * lat.block_volume + 1 * lat.W + 2
-        assert lat.site_coords(x) == (4, 8)
+        assert site_coords(lat, x) == (4, 8)
         assert [a for a in range(lat.block_count)
                 if x in block_sites(lat, a)] == [expected]
         # every site decodes into its own block, and no two sites coincide
-        coords = [lat.site_coords(y) for y in range(lat.N)]
+        coords = [site_coords(lat, y) for y in range(lat.N)]
         assert len(set(coords)) == lat.N
         for y, (c0, c1) in enumerate(coords):
-            assert lat.block_index((c0 // lat.W, c1 // lat.W)) == \
+            assert block_index(lat, (c0 // lat.W, c1 // lat.W)) == \
                 y // lat.block_volume
 
     @pytest.mark.parametrize("d,W,n", [(1, 5, 3), (2, 3, 3), (2, 2, 5)])
@@ -68,7 +69,7 @@ class TestAddressing:
     def test_out_of_range(self):
         lat = BlockLattice(d=1, W=5, n=3)
         with pytest.raises(ValueError):
-            lat.site_coords(15)
+            site_coords(lat, 15)
         with pytest.raises(ValueError):
             block_sites(lat, 3)
 
@@ -99,13 +100,13 @@ class TestDistances:
 
     def test_block_wraparound(self):
         lat = BlockLattice(d=1, W=3, n=5)
-        assert lat.block_distance(0, 4) == 1
-        assert lat.block_distance(2, 2) == 0
+        assert block_distance(lat, 0, 4) == 1
+        assert block_distance(lat, 2, 2) == 0
 
     def test_block_2d(self):
         lat = BlockLattice(d=2, W=2, n=4)
-        assert lat.block_distance((0, 0), (2, 3)) == 3
-        assert lat.block_distance((0, 0), (2, 3)) == \
+        assert block_distance(lat, (0, 0), (2, 3)) == 3
+        assert block_distance(lat, (0, 0), (2, 3)) == \
             brute_periodic_distance((0, 0), (2, 3), 4)
 
     @settings(max_examples=60, deadline=None)
@@ -145,11 +146,40 @@ class TestDistances:
             assert c.shape == (d, lat.block_count)
             assert ((-n / 2 < c) & (c <= n / 2)).all()
             for b in range(lat.block_count):
-                assert lat.block_index(c[:, b]) == b
+                assert block_index(lat, c[:, b]) == b
 
     def test_brackets(self):
         lat = BlockLattice(d=1, W=5, n=3)
-        assert lat.block_distance(0, 1) + 1 == 2
+        assert block_distance(lat, 0, 1) + 1 == 2
+
+
+class TestBlockArithmetic:
+    """The index-array forms against the scalar oracles, over every pair."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_shift_and_negate_match_the_oracles(self, d, n):
+        lat = BlockLattice(d=d, W=2, n=n)
+        m = lat.block_count
+        blocks = np.arange(m)
+        shift = lat.block_shift(blocks[:, None], blocks)
+        assert shift.tolist() == [[block_plus(lat, a, b) for b in range(m)]
+                                  for a in range(m)]
+        assert lat.block_negate(blocks).tolist() == [block_minus(lat, a)
+                                                     for a in range(m)]
+        # a scalar pair gives the scalar sum
+        assert lat.block_shift(m - 1, m - 1) == block_plus(lat, m - 1, m - 1)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_block_tables_match_the_oracles(self, d, n):
+        lat = BlockLattice(d=d, W=2, n=n)
+        m = lat.block_count
+        assert lat.block_offset_matrix.tolist() == [
+            [block_plus(lat, b, block_minus(lat, a)) for b in range(m)]
+            for a in range(m)]
+        assert lat.block_distance_matrix.tolist() == [
+            [block_distance(lat, a, b) for b in range(m)] for a in range(m)]
 
 
 class TestProjection:

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -376,6 +377,48 @@ def test_builder_and_validate_form_no_distance_table():
         finally:
             tracemalloc.stop()
         assert peak < 25 * 2025 * 8
+
+
+def test_profile_path_forms_no_block_table():
+    # d = 2, W = 1, n = 60: 3600 blocks, where one m x m int64 table of
+    # block offsets or distances would hold 104 MB; the builder and
+    # validate read the profile's own offsets alone
+    lat = BlockLattice(d=2, W=1, n=60)
+    tracemalloc.start()
+    try:
+        validate(build_translation_invariant(lat, KERNELS["uniform"], 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+class TestOffsetBoundary:
+    """Every entrance of a block offset refuses, naming it, anything but an
+    integer in [0, n^d): a float is not truncated, and a negative offset
+    does not wrap around the torus."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("bad", ["-1", "n^d", "1.5"])
+    def test_bad_offset_is_named(self, d, bad):
+        lat = BlockLattice(d=d, W=2, n=4)
+        m = lat.block_count
+        off = {"-1": -1, "n^d": m, "1.5": 1.5}[bad]
+        flat = np.full((lat.block_volume,) * 2, 0.1)
+        message = f"block offset {off} is not an integer in [0, {m})"
+        with pytest.raises(ProfileError, match=re.escape(message)):
+            VarianceProfile(lat, {0: flat, off: flat})
+        with pytest.raises(ProfileError, match=re.escape(message)):
+            build_wegner_orbital(lat, flat, {off: flat})
+        with pytest.raises(ProfileError, match=re.escape(message)):
+            mean_field_profile(lat).block_at(off)
+
+    def test_numpy_integers_are_offsets(self):
+        lat = BlockLattice(d=2, W=2, n=4)
+        flat = np.full((4, 4), 0.1)
+        prof = VarianceProfile(lat, {np.int64(0): flat})
+        assert list(prof.blocks) == [0]
+        assert prof.block_at(np.int32(0)) is prof.blocks[0]
 
 
 def _family(prof, t_f, t):

@@ -7,8 +7,9 @@ import statements; a reader outside the package, the tests included, does
 not count. A method or field is read only through an attribute
 (``x.name``): a local variable that happens to share its name is not a
 reader. A dataclass whose instances are passed to ``dataclasses.asdict``
-has every field read. The two names kept without such a reader are listed
-in ``KEPT``, each with the reason it stays.
+has every field read. The names kept without such a reader are listed in
+``KEPT``, each with the repository paths that read it; each path must
+exist and mention the name, so a stale exemption fails.
 
 The tests' own oracles live in ``tests/oracles.py``; a name
 defined there may not also be defined in ``src/bandlab``, so an oracle
@@ -24,6 +25,7 @@ they use from that binding.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -33,10 +35,9 @@ ORACLES = TESTS / "oracles.py"
 # the one file that loads numpy's OpenBLAS
 BINDING = "src/bandlab/montecarlo.py"
 
+# name -> the repository paths that read it
 KEPT = {
-    "assemble": "bench/setup_probe.py calls it and bench/tracing.py times it",
-    "site_coords": "README, Site order, documents it as the decoder of the "
-                   "d=2 site numbering",
+    "assemble": ("bench/setup_probe.py", "bench/tracing.py"),
 }
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -186,6 +187,27 @@ def test_kept_names_are_public_and_unread():
     assert {name.split(".")[-1] for name in kept} == set(KEPT)
     assert [name for name in kept
             if _is_read(name, read, attrs, serialized)] == []
+
+
+def _stale_readers(kept) -> list:
+    """(name, path) for each reader path of ``kept`` (name -> paths) that
+    does not exist or does not mention the name."""
+    return [(name, path) for name, paths in kept.items() for path in paths
+            if not (ROOT / path).is_file() or not re.search(
+                rf"\b{name}\b", (ROOT / path).read_text(encoding="utf-8"))]
+
+
+def test_kept_names_name_their_readers():
+    assert _stale_readers(KEPT) == []
+
+
+def test_a_stale_reader_is_reported():
+    # failing controls: a path that does not mention the name, and one
+    # that does not exist
+    kept = {"assemble": ("bench/setup_probe.py", "src/bandlab/lattice.py",
+                         "bench/gone.py")}
+    assert _stale_readers(kept) == [("assemble", "src/bandlab/lattice.py"),
+                                    ("assemble", "bench/gone.py")]
 
 
 def test_oracles_stay_out_of_the_package():
