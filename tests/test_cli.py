@@ -1282,9 +1282,8 @@ class TestExitCodeContract:
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         assert not out.exists()
 
-    # on Z_2 the offsets +e_i and -e_i coincide, and on Z_1 both are 0:
-    # wegner_orbital read half its coupling at n = 2, and at n = 1 failed
-    # as "offset 0 belongs to V, not A"
+    # on Z_2 the offsets +e_i and -e_i coincide, and on Z_1 both are 0, so
+    # a nearest-neighbor model would lose half its coupling blocks
     @pytest.mark.parametrize("kind", ["wegner_orbital", "block_flat"])
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("n", [1, 2])
