@@ -23,7 +23,6 @@ from .profiles import (
 from .spectral import (
     FlowParams,
     stieltjes_m,
-    m_t,
     select_parameters,
     flow_point,
     ell_of_eta,

@@ -282,7 +282,8 @@ def cmd_theta(cfg, outdir):
     for t in cfg["spectral"]["t_values"]:
         ell = spec.ell_t(lam, t, lat.n)
         for pair in ((1, -1), (1, 1)):
-            th = det.theta(profile, t, pair, mE)
+            c = det.charge_m(mE, pair[0]) * det.charge_m(mE, pair[1])
+            th = det.theta(profile, t, c)
             decay = det.theta_decay_report(lat, th, ell)
             fd = det.finite_difference_report(lat, th, lam, t) \
                 if pair == (1, -1) else None
@@ -353,16 +354,13 @@ def cmd_kloop(cfg, outdir):
         check("ward", "".join("+" if c > 0 else "-" for c in charges),
               det.ward_residual(calc, eta_t, charges), WARD_TOL)
 
-    # K^(2): the loop recursion against the block-Fourier propagator. Theta
-    # depends on the pair only through its coupling, so pairs of equal
-    # couplings share one solve: the mixed pairs' m conj(m) and conj(m) m
-    # are the same double, and at E = 0 so are m^2 and conj(m)^2
+    # K^(2): the loop recursion against the block-Fourier propagator; equal
+    # couplings share one solve
     ktheta_dev, closed = 0.0, {}
     for pair in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
         mm = det.charge_m(mE, pair[0]) * det.charge_m(mE, pair[1])
         if mm not in closed:
-            closed[mm] = mm * det.theta(profile, t, pair, mE) \
-                / lat.block_volume
+            closed[mm] = mm * det.theta(profile, t, mm) / lat.block_volume
         dev = float(np.abs(calc.k_tensor(pair) - closed[mm]).max())
         ktheta_dev = max(ktheta_dev, dev)
     check("k2_theta_consistency", "all pairs", ktheta_dev, LOOP_IDENTITY_TOL)

@@ -1,11 +1,12 @@
 """Deterministic limit theory: Theta-propagators and primitive loops.
 
 Charges are +1 / -1 integers; for m in the upper half plane, m(+1) = m and
-m(-1) = conj(m). :func:`theta` takes a profile's blocks and a flow time t,
-the loop calculator the blocks of t S. Both solve one W^d x W^d system per
-block momentum and form nothing N x N. The same code serves the
-characteristic flow (|m| = 1, row sums t) and the original spectral
-parameter (|m| < 1, row sums 1).
+m(-1) = conj(m). A propagator reads a charge pair (s, s') only through its
+coupling c = m(s) m(s'), which it takes. :func:`theta` takes a profile's
+blocks and a flow time t, the loop calculator the blocks of t S. Both
+solve one W^d x W^d system per block momentum and form nothing N x N. The
+same code serves the characteristic flow (|m| = 1, row sums t) and the
+original spectral parameter (|m| < 1, row sums 1).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .profiles import VarianceProfile, _affine_blocks
 
 __all__ = [
     "PropagatorError",
-    "parse_charges",
     "charge_m",
     "theta_entrywise",
     "theta",
@@ -35,25 +35,22 @@ __all__ = [
 
 _RESIDUAL_TOL = 1e-10
 _STACK_CHUNK = 16        # matrices per solve in theta_entrywise
-_CHARGE_NAMES = {"+": 1, "-": -1, 1: 1, -1: -1, "+1": 1, "-1": -1}
 _PAIR_SEED = 7           # finite_difference_report's block-pair subsample
 _MAX_PAIRS = 4096        # and its cap on the pairs of each ratio
+_LOOP_BYTES = 1 << 30    # loop_size_guard's cap on a loop's block sums
 
 
 class PropagatorError(ValueError):
     """Raised when a resolvent factor is singular or ill-conditioned."""
 
 
-def parse_charges(spec) -> tuple[int, ...]:
-    """Normalize a charge vector ('+-', ['+','-'], (1,-1), ...) to +-1 ints."""
-    out = []
-    for s in spec:
-        if s not in _CHARGE_NAMES:
-            raise ValueError(f"unknown charge {s!r}")
-        out.append(_CHARGE_NAMES[s])
-    if not out:
-        raise ValueError("charge vector must be nonempty")
-    return tuple(out)
+def _charges(spec) -> tuple[int, ...]:
+    """A charge vector, checked: a nonempty tuple of +1 and -1."""
+    if not (isinstance(spec, tuple) and spec
+            and all(s in (1, -1) for s in spec)):
+        raise ValueError(
+            f"charges must be a nonempty tuple of +1 and -1, got {spec!r}")
+    return spec
 
 
 def charge_m(m: complex, sigma: int) -> complex:
@@ -63,9 +60,8 @@ def charge_m(m: complex, sigma: int) -> complex:
 
 # ---- Theta propagators --------------------------------------------------------
 
-def theta_entrywise(S: np.ndarray, m1: complex, m2: complex,
-                    momenta=None) -> np.ndarray:
-    """Entrywise propagator (1 - m1*m2*S)^(-1) by a residual-checked solve.
+def theta_entrywise(S: np.ndarray, c: complex, momenta=None) -> np.ndarray:
+    """Entrywise propagator (1 - c S)^(-1) by a residual-checked solve.
 
     ``S`` may be a stack (..., N, N); each matrix's residual is checked on
     its own, and the first one that fails is named by its flat index, or
@@ -79,7 +75,7 @@ def theta_entrywise(S: np.ndarray, m1: complex, m2: complex,
     stack = S.reshape(-1, N, N)
     X = np.empty(stack.shape, dtype=complex)
     for i in range(0, len(stack), _STACK_CHUNK):
-        A = eye - (m1 * m2) * stack[i:i + _STACK_CHUNK]
+        A = eye - c * stack[i:i + _STACK_CHUNK]
         try:
             x = np.linalg.solve(A, np.broadcast_to(eye, A.shape))
         except np.linalg.LinAlgError as exc:  # exactly singular
@@ -126,7 +122,7 @@ def _momentum_inverses(lattice: BlockLattice, blocks: dict,
     stack = np.reshape(list(blocks.values()), (len(blocks), wd * wd))
     # one small product per momentum, which BLAS runs on a single thread
     solved = theta_entrywise((phase[:, None] @ stack).reshape(-1, wd, wd),
-                             c, 1.0, picked)
+                             c, picked)
     if len(picked) == count:
         return solved
     out = np.empty((count, wd, wd), dtype=complex)
@@ -172,28 +168,24 @@ def _times_s(lattice: BlockLattice, blocks: dict, T: np.ndarray) -> np.ndarray:
     return out
 
 
-def theta(profile: VarianceProfile, t: float, sigma_pair,
-          m: complex) -> np.ndarray:
-    """Block propagator P((1 - m(s) m(s') t S)^(-1)) by block Fourier transform.
+def theta(profile: VarianceProfile, t: float, c: complex) -> np.ndarray:
+    """Block propagator P((1 - c t S)^(-1)) by block Fourier transform, for
+    the coupling c = m(s) m(s') of a charge pair.
 
     The profile is block-translation-invariant, so the entrywise propagator
     X is block-circulant: one W^d x W^d inverse X(p) per block momentum,
-    solved for one of each pair {p, -p} if m(s) m(s') is real
+    solved for one of each pair {p, -p} if c is real
     (:func:`_momentum_inverses`). The column sums v_b of block row X_(0, b)
     transform back from 1^T X(p), and Theta(0, b) = v_b . 1 / W^d. Equal to
-    ``project_matrix(lattice, theta_entrywise(t * S, m(s), m(s')))``.
+    ``project_matrix(lattice, theta_entrywise(t * S, c))``.
     """
-    pair = parse_charges(sigma_pair)
-    if len(pair) != 2:
-        raise ValueError("sigma_pair must have length 2")
     lat = profile.lattice
     wd = lat.block_volume
-    c = charge_m(m, pair[0]) * charge_m(m, pair[1])
     blocks = {off: t * blk for off, blk in profile.blocks.items()}
     inverses = _momentum_inverses(lat, blocks, c)
     rhs = np.zeros((lat.block_count, wd))
     rhs[0] = 1.0
-    # rows v_b of sum_k v_k (delta_kb - m1 m2 t S_(b-k)) = rhs_b
+    # rows v_b of sum_k v_k (delta_kb - c t S_(b-k)) = rhs_b
     v = _times_momenta(lat, rhs, inverses)[0]
     # The inverse transform is accurate to rounding of max|v| only, so tail
     # entries many orders below it carry large relative errors. One
@@ -212,15 +204,14 @@ def theta(profile: VarianceProfile, t: float, sigma_pair,
 
 # ---- primitive loops ------------------------------------------------------------
 
-def loop_size_guard(lattice: BlockLattice, order: int,
-                    max_bytes: int = 1 << 30) -> None:
+def loop_size_guard(lattice: BlockLattice, order: int) -> None:
     """Refuse a loop of this order whose block-summed form,
-    16 n^(d(order-2)) N bytes, exceeds ``max_bytes``."""
+    16 n^(d(order-2)) N bytes, exceeds ``_LOOP_BYTES``."""
     tensor_bytes = 16 * lattice.block_count ** (order - 2) * lattice.N
-    if tensor_bytes > max_bytes:
+    if tensor_bytes > _LOOP_BYTES:
         raise MemoryError(
             f"loop tensor would need {tensor_bytes:.3g} bytes "
-            f"(cap {max_bytes:.3g})")
+            f"(cap {_LOOP_BYTES:.3g})")
 
 
 def _index_grid(lattice: BlockLattice, arity: int) -> tuple:
@@ -245,9 +236,10 @@ class KLoopCalculator:
     its terms is a product of two factors over disjoint sites and its last
     step is one product with R on the last site.
 
-    R is built once per distinct m(s)m(s') value as the per-momentum
-    inverses that :func:`theta` uses, and applied as them, one W^d x W^d
-    product per block momentum; loops are memoized by charge vector.
+    R is built once per coupling c = m(s) m(s') as the per-momentum
+    inverses that :func:`theta` uses (:meth:`resolvent`), and applied as
+    them, one W^d x W^d product per block momentum; loops are memoized by
+    charge vector.
     """
 
     lattice: BlockLattice
@@ -256,14 +248,14 @@ class KLoopCalculator:
     _khat: dict = field(default_factory=dict, repr=False)
     _resolvents: dict = field(default_factory=dict, repr=False)
 
-    def resolvent(self, c: complex) -> dict:
-        """The blocks of R = (1 - c t S)^(-1) by offset, in the form of
-        ``blocks``: R[[a], [a] + [x]] is the block of offset x.
+    def resolvent(self, c: complex) -> np.ndarray:
+        """The per-momentum inverses of R = (1 - c t S)^(-1), as
+        :func:`_momentum_inverses` returns them; read-only and memoized.
 
-        They are R's per-momentum inverses, kept for the recursion, applied
-        to block row 0 of the identity. The residual max|R (1 - c t S) - I|
-        of block row 0 is taken in real space from the blocks; above the
-        solve tolerance, or NaN, it raises PropagatorError.
+        Before they are kept, block row 0 of R is formed from them and the
+        residual max|R (1 - c t S) - I| of that row is taken in real space
+        from the blocks; above the solve tolerance, or NaN, it raises
+        PropagatorError.
         """
         key = complex(c)
         if key not in self._resolvents:
@@ -279,11 +271,9 @@ class KLoopCalculator:
                 raise PropagatorError(
                     f"block resolvent residual {err:.3e} "
                     f"(max entry {scale:.3e})")
-            top.setflags(write=False)
             inverses.setflags(write=False)
-            self._resolvents[key] = (dict(enumerate(top.transpose(1, 0, 2))),
-                                     inverses)
-        return self._resolvents[key][0]
+            self._resolvents[key] = inverses
+        return self._resolvents[key]
 
     def khat_tensor(self, charges) -> np.ndarray:
         """Khat summed over blocks: A[a_2..a_(n-1), y] is the sum of
@@ -291,7 +281,7 @@ class KLoopCalculator:
         a_k, with the last site y kept; shape (n^d,) * (n - 2) + (N,).
         Order 1 has its last site only: m(s_1) at every site. Memoized.
         """
-        charges = parse_charges(charges)
+        charges = _charges(charges)
         if charges not in self._khat:
             out = self._recurse(charges)
             out.setflags(write=False)
@@ -328,9 +318,8 @@ class KLoopCalculator:
             term = X.reshape(C.shape[0], -1, N)
             term += C * self._free_first(charges[k - 1:])
         X[:, :wd] += self._free_first(charges[1:])[:, :wd]
-        c = complex(m1 * charge_m(self.m, charges[-1]))
-        self.resolvent(c)  # builds and checks R once per coupling
-        out = _times_momenta(lat, X, self._resolvents[c][1])
+        R = self.resolvent(m1 * charge_m(self.m, charges[-1]))
+        out = _times_momenta(lat, X, R)
         out *= m1
         return out.reshape((lat.block_count,) * (order - 2) + (N,))
 
@@ -338,7 +327,7 @@ class KLoopCalculator:
         """Block average of Khat with its first block at 0, axes [a_2..a_n]
         (order 1: m(s_1) per block): the block sums' last site summed per
         block, over W^(dn)."""
-        charges = parse_charges(charges)
+        charges = _charges(charges)
         lat = self.lattice
         A = self.khat_tensor(charges)
         sums = A.reshape(A.shape[:-1] + (lat.block_count, lat.block_volume))
@@ -351,7 +340,7 @@ class KLoopCalculator:
         For order 2 this is W^-d m(s) m(s') Theta, which ``bandlab kloop``
         checks against the block-Fourier :func:`theta`.
         """
-        charges = parse_charges(charges)
+        charges = _charges(charges)
         return self._average(charges)[_index_grid(self.lattice, len(charges))]
 
 
@@ -366,7 +355,7 @@ def ward_residual(calc: KLoopCalculator, eta_t: float, charges) -> float:
     sigma_1 = -sigma_n. The loops come from ``calc``, so calls that share it
     share its loop tensors.
     """
-    charges = parse_charges(charges)
+    charges = _charges(charges)
     order = len(charges)
     if order < 2:
         raise ValueError("Ward identity needs order >= 2")
@@ -414,7 +403,7 @@ def kloop_flow_derivative_residual(calc: KLoopCalculator, charges,
     ``calc``; returns max|lhs - rhs| / max|rhs|. Expected O(dt^2) for
     smooth profiles.
     """
-    charges = parse_charges(charges)
+    charges = _charges(charges)
     lat = calc.lattice
     plus, minus = (KLoopCalculator(lat, _affine_blocks(lat, calc.blocks,
                                                        1.0, h), calc.m)

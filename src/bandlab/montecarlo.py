@@ -947,8 +947,8 @@ def diffusion_predictions(profile: VarianceProfile, z: complex):
     """
     m = stieltjes_m(z)
     wd = profile.lattice.block_volume
-    pred_abs2 = (abs(m) ** 2) * theta(profile, 1.0, (1, -1), m).real / wd
-    pred_gg = (m**2) * theta(profile, 1.0, (1, 1), m) / wd
+    pred_abs2 = (abs(m) ** 2) * theta(profile, 1.0, m * np.conj(m)).real / wd
+    pred_gg = (m**2) * theta(profile, 1.0, m * m) / wd
     return pred_abs2, pred_gg
 
 

@@ -9,7 +9,6 @@ import numpy as np
 __all__ = [
     "FlowParams",
     "stieltjes_m",
-    "m_t",
     "select_parameters",
     "flow_point",
     "ell_of_eta",
@@ -20,47 +19,35 @@ __all__ = [
 _IDENTITY_TOL = 1e-10
 
 
-def m_t(z, t: float) -> complex:
-    """Unique root of 1 + z*m + t*m^2 = 0 with Im m > 0.
+def stieltjes_m(z) -> complex:
+    """Stieltjes transform of the semicircle law: the root of
+    1 + z m + m^2 = 0 with Im m > 0.
 
-    Solved with the numerically stable quadratic formula and explicit branch
-    selection (both candidate roots are tested; the one in the upper half
-    plane is returned), which is immune to square-root cut placement.
+    Accepts Im z > 0, solved by the numerically stable quadratic formula
+    with explicit branch selection (both candidate roots are tested; the
+    one in the upper half plane is returned), which is immune to
+    square-root cut placement. Accepts also a real bulk energy |E| < 2
+    (boundary value from above, where |m| = 1 exactly).
     """
     z = complex(z)
-    if t <= 0:
-        if t == 0:
-            return -1.0 / z
-        raise ValueError("t must be positive")
-    disc = np.sqrt(z * z - 4.0 * t + 0j)
+    if z.imag < 0:
+        raise ValueError("stieltjes_m requires Im z >= 0")
+    if z.imag == 0:
+        E = z.real
+        if abs(E) >= 2:
+            raise ValueError(f"boundary value needs |E| < 2, got E={E}")
+        return complex(-E / 2.0, np.sqrt(4.0 - E * E) / 2.0)
+    disc = np.sqrt(z * z - 4.0 + 0j)
     # avoid cancellation: pick the larger-magnitude numerator for q
     q = -(z + disc) / 2.0 if abs(z + disc) >= abs(z - disc) \
         else -(z - disc) / 2.0
-    roots = (q / t, 1.0 / q)
-    upper = [r for r in roots if r.imag > 0]
+    upper = [r for r in (q, 1.0 / q) if r.imag > 0]
     if not upper:
-        raise ValueError(f"no root with positive imaginary part at z={z}, t={t}")
+        raise ValueError(f"no root with positive imaginary part at z={z}")
     m = max(upper, key=lambda r: r.imag)
-    if abs(1 + z * m + t * m * m) > 1e-12 * max(1.0, abs(z) ** 2):
-        raise ValueError(f"root residual too large at z={z}, t={t}")
+    if abs(1 + z * m + m * m) > 1e-12 * max(1.0, abs(z) ** 2):
+        raise ValueError(f"root residual too large at z={z}")
     return m
-
-
-def stieltjes_m(z) -> complex:
-    """Stieltjes transform of the semicircle law, Im m > 0 branch.
-
-    Accepts Im z > 0, or a real bulk energy |E| < 2 (boundary value from
-    above, where |m| = 1 exactly).
-    """
-    z = complex(z)
-    if z.imag > 0:
-        return m_t(z, 1.0)
-    if z.imag < 0:
-        raise ValueError("stieltjes_m requires Im z >= 0")
-    E = z.real
-    if abs(E) >= 2:
-        raise ValueError(f"boundary value needs |E| < 2, got E={E}")
-    return complex(-E / 2.0, np.sqrt(4.0 - E * E) / 2.0)
 
 
 @dataclass(frozen=True)

@@ -210,7 +210,7 @@ def random_walk_kernel(s: VarianceProfile, t: float, c_ker: float
     the random-walk representation of Theta = P((1 - t S)^-1), with S_ker
     from :func:`core_split`; ``random_walk_theta`` rebuilds Theta from it."""
     ker, deficit = core_split(s, t, c_ker)
-    return deficit * theta(ker, 1.0, (1, 1), 1.0).real
+    return deficit * theta(ker, 1.0, 1.0).real
 
 
 def random_walk_theta(K: np.ndarray, t: float, c_ker: float) -> np.ndarray:

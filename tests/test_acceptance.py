@@ -190,7 +190,7 @@ def test_c08_random_walk_representation():
     worst_res, worst_row = 0.0, 0.0
     for t in (0.5, 0.9):
         c_ker = 0.5 * lat.W * (t * prof.block_at(0).min())
-        th = theta(prof, t, (1, 1), 1.0).real
+        th = theta(prof, t, 1.0).real
         K = random_walk_kernel(prof, t, c_ker)
         res = np.abs(th - random_walk_theta(K, t, c_ker)).max()
         worst_res = max(worst_res, float(res / np.abs(th).max()))
@@ -217,8 +217,8 @@ def test_c09_evolution_kernel_contraction():
         # the order-2 kernel U_{s,t} A = L A R^T, with L and R the factors
         # I + (t - s) m m' Theta of the charge pairs (+,-) and (-,+)
         eye = np.eye(lat.n)
-        L = eye + (t - s) * mE * np.conj(mE) * theta(St, 1.0, (1, -1), mE)
-        R = eye + (t - s) * np.conj(mE) * mE * theta(St, 1.0, (-1, 1), mE)
+        L = eye + (t - s) * mE * np.conj(mE) * theta(St, 1.0, mE * np.conj(mE))
+        R = eye + (t - s) * np.conj(mE) * mE * theta(St, 1.0, mE * np.conj(mE))
         bound = ((1 - s) / (1 - t)) ** 2
         for _ in range(100):
             A = rng.standard_normal((lat.n, lat.n))

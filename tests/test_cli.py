@@ -16,6 +16,7 @@ from bandlab.cli import _COMMANDS as _CLI_COMMANDS
 from bandlab.cli import (_MODEL_ENDS, _SCHEMA, FLOW_TOL, ConfigError,
                          _Interval, _Key, build_profile, main, parse_config)
 from bandlab.profiles import wegner_gamma_max
+from bandlab.spectral import stieltjes_m
 
 
 def write_config(path, **overrides):
@@ -542,14 +543,16 @@ class TestDeterministicCommands:
         from bandlab import deterministic as det
         theta, solved = det.theta, []
 
-        def counted(profile, t, pair, m):
-            solved.append(tuple(pair))
-            return theta(profile, t, pair, m)
+        def counted(profile, t, c):
+            solved.append(c)
+            return theta(profile, t, c)
 
         monkeypatch.setattr(det, "theta", counted)
         cfg = write_config(tmp_path / "c.ini", spectral={"E": E})
         assert main(["kloop", "--config", cfg]) == 0
-        assert solved == pairs
+        m = stieltjes_m(E)
+        assert solved == [det.charge_m(m, a) * det.charge_m(m, b)
+                          for a, b in pairs]
 
     def test_kloop_checks_cyclic_invariance(self, tmp_path, monkeypatch):
         # the +-+ loop, which no Ward row reads, off by 1e-9 relative must
@@ -559,7 +562,7 @@ class TestDeterministicCommands:
 
         def off(self, charges):
             out = khat(self, charges)
-            if det.parse_charges(charges) == (1, -1, 1):
+            if charges == (1, -1, 1):
                 out = out * (1 + 1e-9)
             return out
 

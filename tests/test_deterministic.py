@@ -12,8 +12,8 @@ from bandlab import (BlockLattice, KLoopCalculator,
                      theta_entrywise, ward_residual,
                      finite_difference_report, wegner_orbital_profile)
 from bandlab.cli import build_profile
-from bandlab.deterministic import (PropagatorError, charge_m,
-                                   loop_size_guard, parse_charges)
+from bandlab.deterministic import (PropagatorError, _charges, charge_m,
+                                   loop_size_guard)
 from bandlab.profiles import KERNELS, _affine_blocks
 from bandlab.spectral import ell_t
 from oracles import (block_distance, block_minus, block_plus, core_split,
@@ -30,6 +30,11 @@ def band55():
 M_FLOW = stieltjes_m(0.3)
 
 
+def coupling(m, pair):
+    """m(s) m(s') of the charge pair (s, s')."""
+    return charge_m(m, pair[0]) * charge_m(m, pair[1])
+
+
 def _blocks_of(prof, t):
     """The blocks of t S."""
     return _affine_blocks(prof.lattice, prof.blocks, t, 0.0)
@@ -44,7 +49,7 @@ class DenseLoops:
         self._khat = {}
 
     def khat_tensor(self, charges):
-        charges = parse_charges(charges)
+        charges = _charges(charges)
         if charges not in self._khat:
             self._khat[charges] = self._recurse(charges)
         return self._khat[charges]
@@ -55,7 +60,7 @@ class DenseLoops:
         m1 = charge_m(self.m, charges[0])
         if order == 1:
             return np.full(N, m1, dtype=complex)
-        R = theta_entrywise(self.S, m1 * charge_m(self.m, charges[-1]), 1.0)
+        R = theta_entrywise(self.S, m1 * charge_m(self.m, charges[-1]))
         # rotated lower tensor evaluated at (x2, ..., x_{order-1}, x1)
         T = np.moveaxis(self.khat_tensor(charges[1:]), -1, 0)
         rshape = (N,) + (1,) * (order - 2) + (N,)
@@ -101,7 +106,7 @@ def naive_khat(charges, S, m):
 class TestThetaEntrywise:
     def test_zero_weight_identity(self, band55):
         lat, prof = band55
-        th = theta_entrywise(prof.assemble(), 0.0, 0.5)
+        th = theta_entrywise(prof.assemble(), 0.0)
         assert np.abs(th - np.eye(lat.N)).max() == 0
 
     def test_mean_field_rank_one_inverse(self):
@@ -109,7 +114,8 @@ class TestThetaEntrywise:
         lat = BlockLattice(d=1, W=4, n=3)
         m = stieltjes_m(0.5 + 0.4j)
         c = abs(m) ** 2
-        th = theta_entrywise(mean_field_profile(lat).assemble(), m, np.conj(m))
+        th = theta_entrywise(mean_field_profile(lat).assemble(),
+                             m * np.conj(m))
         block = np.eye(4) + (c / 4) * np.ones((4, 4)) / (1 - c)
         for a in range(3):
             sl = slice(4 * a, 4 * a + 4)
@@ -123,7 +129,7 @@ class TestThetaEntrywise:
         S = prof.assemble()
         m = stieltjes_m(0.2 + 0.3j)
         c = abs(m) ** 2
-        th = theta_entrywise(S, m, np.conj(m))
+        th = theta_entrywise(S, m * np.conj(m))
         ones = np.ones(lat.N)
         independent = np.linalg.solve(np.eye(lat.N) - c * S, ones)
         assert np.abs(th.sum(axis=1) - independent).max() < 1e-10
@@ -133,7 +139,7 @@ class TestThetaEntrywise:
         lat, prof = band55
         # m(s)m(s') = 1 with row sums 1 makes 1 - S exactly singular
         with pytest.raises(PropagatorError):
-            theta_entrywise(prof.assemble(), 1.0, 1.0)
+            theta_entrywise(prof.assemble(), 1.0)
 
     def test_stack_checks_each_matrix_and_names_the_first_failure(self,
                                                                   band55):
@@ -141,15 +147,15 @@ class TestThetaEntrywise:
         lat, prof = band55
         S = prof.assemble()
         stack = np.stack([c * S for c in np.linspace(0.1, 0.6, 20)])
-        X = theta_entrywise(stack, 1.0, 1.0)
+        X = theta_entrywise(stack, 1.0)
         for s, x in zip(stack, X):
-            assert x.tobytes() == theta_entrywise(s, 1.0, 1.0).tobytes()
+            assert x.tobytes() == theta_entrywise(s, 1.0).tobytes()
         # 1 - S is singular; only the first failing matrix is named
         for first in (1, 17):
             bad = np.stack([0.5 * S] * first + [S, S])
             with pytest.raises(PropagatorError,
                                match=f"at momentum {first}:"):
-                theta_entrywise(bad, 1.0, 1.0)
+                theta_entrywise(bad, 1.0)
 
     def test_exactly_singular_raises_without_warning(self):
         # 1 - S with S = I is the zero matrix: the solve itself fails, and
@@ -157,38 +163,37 @@ class TestThetaEntrywise:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(PropagatorError, match="singular"):
-                theta_entrywise(np.eye(4), 1.0, 1.0)
+                theta_entrywise(np.eye(4), 1.0)
 
 
 class TestTheta:
     def test_mean_field_block_diagonal(self):
         lat = BlockLattice(d=1, W=4, n=3)
         m = stieltjes_m(0.1 + 0.7j)
-        th = theta(mean_field_profile(lat), 1.0, (1, -1), m)
+        th = theta(mean_field_profile(lat), 1.0, m * np.conj(m))
         expected = np.eye(3) / (1 - abs(m) ** 2)
         assert np.abs(th - expected).max() < 1e-12
 
     def test_transposition_swap(self, band55):
         lat, prof = band55
-        a = theta(prof, 0.7, (1, 1), M_FLOW)
-        b = theta(prof, 0.7, (1, 1), M_FLOW)
+        a = theta(prof, 0.7, M_FLOW * M_FLOW)
+        b = theta(prof, 0.7, M_FLOW * M_FLOW)
         assert np.array_equal(a, b)
-        pm = theta(prof, 0.7, (1, -1), M_FLOW)
-        assert np.array_equal(pm, theta(prof, 0.7, (-1, 1), M_FLOW))
+        pm = theta(prof, 0.7, M_FLOW * np.conj(M_FLOW))
         # (1 - c S)^-1 is symmetric because every profile is
         assert np.abs(pm - pm.T).max() < 1e-12
 
     def test_same_charge_fast_decay(self, band55):
         lat, prof = band55
-        row = np.abs(theta(prof, 0.9, (1, 1), M_FLOW)[0])
+        row = np.abs(theta(prof, 0.9, M_FLOW * M_FLOW)[0])
         assert row[2] < row[1] < row[0]
         assert row[2] < 5e-2 * row[0]
 
 
-def dense_theta(profile, t, pair, m):
+def dense_theta(profile, t, c):
     """Oracle: block projection of the dense N x N residual-checked solve."""
-    return project_matrix(profile.lattice, theta_entrywise(
-        t * profile.assemble(), charge_m(m, pair[0]), charge_m(m, pair[1])))
+    return project_matrix(profile.lattice,
+                          theta_entrywise(t * profile.assemble(), c))
 
 
 @pytest.fixture(scope="module", params=[
@@ -219,8 +224,9 @@ class TestThetaBlockFourier:
     @pytest.mark.parametrize("t", [0.3, 0.9])
     @pytest.mark.parametrize("pair", [(1, -1), (1, 1)])
     def test_matches_dense(self, model_profile, pair, t):
-        assert_entrywise_close(theta(model_profile, t, pair, M_FLOW),
-                               dense_theta(model_profile, t, pair, M_FLOW))
+        c = coupling(M_FLOW, pair)
+        assert_entrywise_close(theta(model_profile, t, c),
+                               dense_theta(model_profile, t, c))
 
     def test_diffusion_predictions_match_dense(self, model_profile):
         z = 0.2 + 0.4j
@@ -229,16 +235,16 @@ class TestThetaBlockFourier:
         wd = model_profile.lattice.block_volume
         pred_abs2, pred_gg = diffusion_predictions(model_profile, z)
         assert_entrywise_close(pred_abs2, abs(m) ** 2 * dense_theta(
-            model_profile, 1.0, (1, -1), m).real / wd)
+            model_profile, 1.0, m * np.conj(m)).real / wd)
         assert_entrywise_close(pred_gg, m**2 * dense_theta(
-            model_profile, 1.0, (1, 1), m) / wd)
+            model_profile, 1.0, m * m) / wd)
 
     def test_singular_on_both_paths(self, model_profile):
         # t = 1, (+,-), |m| = 1: the zero momentum of 1 - S is singular
         with pytest.raises(PropagatorError):
-            theta(model_profile, 1.0, (1, -1), M_FLOW)
+            theta(model_profile, 1.0, M_FLOW * np.conj(M_FLOW))
         with pytest.raises(PropagatorError):
-            dense_theta(model_profile, 1.0, (1, -1), M_FLOW)
+            dense_theta(model_profile, 1.0, M_FLOW * np.conj(M_FLOW))
 
 
 def block_sums(lattice, full):
@@ -264,8 +270,8 @@ class TestKhatLoop:
         lat, prof = band55
         calc = KLoopCalculator(lat, _blocks_of(prof, 0.7), M_FLOW)
         got = calc.khat_tensor((1, -1))
-        closed = theta_entrywise(0.7 * prof.assemble(), M_FLOW,
-                                 np.conj(M_FLOW))
+        closed = theta_entrywise(0.7 * prof.assemble(),
+                                 M_FLOW * np.conj(M_FLOW))
         want = abs(M_FLOW) ** 2 * closed[:lat.block_volume].sum(axis=0)
         assert got.shape == (lat.N,)
         assert np.abs(got - want).max() < 1e-12
@@ -300,22 +306,25 @@ class TestKhatLoop:
         third = calc.khat_tensor((1, -1, 1))
         second = calc.khat_tensor((1, -1))
         assert calc.khat_tensor((1, -1, 1)) is third
-        assert calc.khat_tensor("+-") is second
+        assert calc.khat_tensor((1, -1)) is second
         assert not third.flags.writeable and not second.flags.writeable
 
-    def test_size_guard(self):
+    def test_size_guard(self, monkeypatch):
         # 16 n^(d(order-2)) N bytes against 1 GiB: the d=2 reference
         # lattice (81 blocks, N = 2025) needs 2.6 MB at order 3, 213 MB at
         # order 4 and 17 GB at order 5
+        import bandlab.deterministic as det
         d2 = BlockLattice(d=2, W=5, n=9)
         loop_size_guard(d2, 3)
         loop_size_guard(d2, 4)
         with pytest.raises(MemoryError):
             loop_size_guard(d2, 5)
         readme = BlockLattice(d=1, W=33, n=15)
-        loop_size_guard(readme, 3, max_bytes=16 * 15 * 495)
+        monkeypatch.setattr(det, "_LOOP_BYTES", 16 * 15 * 495)
+        loop_size_guard(readme, 3)
+        monkeypatch.setattr(det, "_LOOP_BYTES", 16 * 15 * 495 - 1)
         with pytest.raises(MemoryError):
-            loop_size_guard(readme, 3, max_bytes=16 * 15 * 495 - 1)
+            loop_size_guard(readme, 3)
 
     def test_oversized_order_is_refused_before_any_work(self, monkeypatch):
         # the guard runs before the recursion asks for a lower order
@@ -330,10 +339,12 @@ class TestKhatLoop:
             calc.k_tensor((1, 1, -1, -1, 1))
 
     def test_charge_parsing(self):
-        assert parse_charges("+-") == (1, -1)
-        assert parse_charges([1, -1, 1]) == (1, -1, 1)
-        with pytest.raises(ValueError):
-            parse_charges("+x")
+        # a nonempty tuple of +1 and -1, and no other form
+        assert _charges((1, -1, 1)) == (1, -1, 1)
+        for spec in ("+-", ("+", "-"), "+x", 0, 2, (), (1, 0), (1, 2),
+                     [1, -1]):
+            with pytest.raises(ValueError):
+                _charges(spec)
 
 
 def _uniform(d, W, n):
@@ -387,20 +398,41 @@ class TestReducedAgainstDense:
                     < 1e-12 * np.abs(K).max()
 
 
+def resolvent_blocks(lat, inverses):
+    """The blocks of R by offset, in the form of ``blocks``, from its
+    per-momentum inverses: R applied to block row 0 of the identity."""
+    import bandlab.deterministic as det
+    top = det._times_momenta(lat, np.eye(lat.block_volume, lat.N), inverses)
+    return dict(enumerate(top.transpose(1, 0, 2)))
+
+
 class TestBlockResolvent:
     def test_matches_dense_inverse(self, model_profile):
         lat = model_profile.lattice
         calc = KLoopCalculator(lat, _blocks_of(model_profile, 0.7), M_FLOW)
         N, wd = lat.N, lat.block_volume
         for c in (abs(M_FLOW) ** 2, M_FLOW**2):
-            dense = theta_entrywise(0.7 * model_profile.assemble(), c, 1.0)
-            blocks = calc.resolvent(c)
+            dense = theta_entrywise(0.7 * model_profile.assemble(), c)
+            blocks = resolvent_blocks(lat, calc.resolvent(c))
             assert sorted(blocks) == list(range(lat.block_count))
             # R[[a], [b]] is the block of offset [b] - [a]
             row = np.array([blocks[off] for off in range(lat.block_count)])
             R = row[lat.block_offset_matrix].transpose(0, 2, 1, 3)
             assert np.abs(R.reshape(N, N) - dense).max() \
                 < 1e-12 * np.abs(dense).max()
+
+    def test_returns_the_kept_inverses(self, band55):
+        # the inverses the recursion applies, built once and read-only
+        import bandlab.deterministic as det
+        lat, prof = band55
+        blocks = _blocks_of(prof, 0.7)
+        calc = KLoopCalculator(lat, blocks, M_FLOW)
+        for c in (abs(M_FLOW) ** 2, M_FLOW**2):
+            inverses = calc.resolvent(c)
+            assert calc.resolvent(c) is inverses
+            assert not inverses.flags.writeable
+            assert inverses.tobytes() \
+                == det._momentum_inverses(lat, blocks, c).tobytes()
 
     @pytest.mark.parametrize("corrupt", [
         lambda X: X * (1 + 1e-6), lambda X: np.full_like(X, np.nan)],
@@ -503,7 +535,7 @@ class TestConjugatePairs:
         monkeypatch.setattr(det, "theta_entrywise", sized_solve)
         m = stieltjes_m(0.3)
         assert np.imag(m * m) != 0
-        theta(_uniform(2, 3, 5), 0.7, (1, 1), m)
+        theta(_uniform(2, 3, 5), 0.7, m * m)
         assert sizes == [25]
 
     def test_failure_names_the_full_momentum_index(self):
@@ -532,7 +564,7 @@ class TestMomentumProduct:
         calc = KLoopCalculator(lat, blocks, M_FLOW)
         rng = np.random.default_rng(5)
         for c in (abs(M_FLOW) ** 2, M_FLOW**2):
-            R = calc.resolvent(c)
+            R = resolvent_blocks(lat, calc.resolvent(c))
             inverses = det._momentum_inverses(lat, blocks, c)
             for order in orders:
                 X = rng.standard_normal((lat.block_count ** (order - 2),
@@ -549,8 +581,8 @@ class TestKLoop:
         lat, prof = band55
         calc = KLoopCalculator(lat, _blocks_of(prof, 0.7), M_FLOW)
         for pair in [(1, 1), (1, -1), (-1, 1), (-1, -1)]:
-            mm = charge_m(M_FLOW, pair[0]) * charge_m(M_FLOW, pair[1])
-            a = mm * theta(prof, 0.7, pair, M_FLOW) / lat.block_volume
+            mm = coupling(M_FLOW, pair)
+            a = mm * theta(prof, 0.7, mm) / lat.block_volume
             b = calc.k_tensor(pair)
             assert np.abs(a - b).max() < 1e-12
 
@@ -669,13 +701,13 @@ class TestEvolutionKernel:
     def test_contraction_bound(self):
         # the order-2 kernel U_{s,t} A = L A R^T, with L and R the factors
         # I + (t - s) m m' Theta of the pairs (+,-) and (-,+), contracts in
-        # sup norm at rate (eta_s/eta_t)^2 = ((1-s)/(1-t))^2
+        # sup norm at rate (eta_s/eta_t)^2 = ((1-s)/(1-t))^2. Both pairs
+        # have the coupling m conj(m), so L = R
         lat = BlockLattice(d=1, W=5, n=5)
         prof = build_translation_invariant(lat, KERNELS["uniform"], 1)
         s, t = 0.6, 0.8
         k = (t - s) * M_FLOW * np.conj(M_FLOW)
-        L = np.eye(5) + k * theta(prof, t, (1, -1), M_FLOW)
-        R = np.eye(5) + k * theta(prof, t, (-1, 1), M_FLOW)
+        L = R = np.eye(5) + k * theta(prof, t, M_FLOW * np.conj(M_FLOW))
         rng = np.random.default_rng(2)
         bound = ((1 - s) / (1 - t)) ** 2
         for _ in range(25):
@@ -687,7 +719,7 @@ def _random_walk(prof, t, c_ker):
     """The oracle's kernel K for t S, Theta = P((1 - t S)^-1) from theta,
     and the relative max-norm residual of Theta's random-walk form."""
     K = random_walk_kernel(prof, t, c_ker)
-    th = theta(prof, t, (1, 1), 1.0).real
+    th = theta(prof, t, 1.0).real
     residual = np.abs(th - random_walk_theta(K, t, c_ker)).max()
     return K, th, float(residual / np.abs(th).max())
 
@@ -744,7 +776,7 @@ class TestDecayReport:
     def test_mean_field_no_tail(self):
         lat = BlockLattice(d=1, W=3, n=7)
         m = stieltjes_m(0.4 + 0.5j)
-        p = theta(mean_field_profile(lat), 1.0, (1, -1), m)
+        p = theta(mean_field_profile(lat), 1.0, m * np.conj(m))
         rep = theta_decay_report(lat, p, ell=1.0)
         assert rep.decay_length == 0.0
 
@@ -754,7 +786,7 @@ class TestDecayReport:
         prof = build_translation_invariant(lat, KERNELS["uniform"], 1)
         lam = np.sqrt(interaction_strength(prof))
         ell = ell_t(lam, t, lat.n)
-        p = theta(prof, t, (1, -1), M_FLOW)
+        p = theta(prof, t, M_FLOW * np.conj(M_FLOW))
         rep = theta_decay_report(lat, p, ell)
         assert rep.monotone_ok
         assert 0 < rep.decay_length <= 3 * ell
@@ -762,13 +794,13 @@ class TestDecayReport:
     def test_same_charge_order_one(self):
         lat = BlockLattice(d=1, W=5, n=25)
         prof = build_translation_invariant(lat, KERNELS["uniform"], 1)
-        p = theta(prof, 0.9, (1, 1), M_FLOW)
+        p = theta(prof, 0.9, M_FLOW * M_FLOW)
         rep = theta_decay_report(lat, p, ell=1.0)
         assert rep.decay_length <= 3.0
 
     def test_csv_rows_shape(self, band55):
         lat, prof = band55
-        p = theta(prof, 0.5, (1, -1), M_FLOW)
+        p = theta(prof, 0.5, M_FLOW * np.conj(M_FLOW))
         rows = list(theta_decay_report(lat, p, 1.0).to_csv_rows())
         assert len(rows) == len(np.unique(lat.block_distance_matrix[0]))
         assert all(len(r) == 5 for r in rows)
@@ -778,7 +810,7 @@ class TestFiniteDifference:
     def test_parity_pairs_vanish(self):
         lat = BlockLattice(d=1, W=5, n=15)
         prof = build_translation_invariant(lat, KERNELS["uniform"], 1)
-        th = theta(prof, 0.5, (1, -1), M_FLOW)[0]
+        th = theta(prof, 0.5, M_FLOW * np.conj(M_FLOW))[0]
         # [y] = -[x]: first difference is zero by parity
         for x in range(1, lat.n // 2):
             assert abs(th[x] - th[(-x) % lat.n]) < 1e-13
@@ -788,7 +820,7 @@ class TestFiniteDifference:
         prof = build_translation_invariant(lat, KERNELS["uniform"], 1)
         t = 0.5
         lam = np.sqrt(interaction_strength(prof))
-        p = theta(prof, t, (1, -1), M_FLOW)
+        p = theta(prof, t, M_FLOW * np.conj(M_FLOW))
         rep = finite_difference_report(lat, p, lam, t)
         assert np.isfinite(rep.max_first_ratio)
         assert np.isfinite(rep.max_second_ratio)
@@ -843,7 +875,7 @@ class TestFiniteDifferenceVectorized:
         lat = BlockLattice(d=d, W=W, n=n)
         prof = build_translation_invariant(lat, KERNELS["uniform"], cutoff)
         lam = np.sqrt(interaction_strength(prof))
-        th = theta(prof, 0.5, pair, M_FLOW)
+        th = theta(prof, 0.5, coupling(M_FLOW, pair))
         monkeypatch.setattr("bandlab.deterministic._MAX_PAIRS", max_pairs)
         rep = finite_difference_report(lat, th, lam, 0.5)
         assert (rep.max_first_ratio, rep.max_second_ratio) == \

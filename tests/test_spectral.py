@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bandlab import (FlowParams, ell_of_eta, ell_t, eta_star,
-                     flow_point, m_t, select_parameters, stieltjes_m)
+                     flow_point, select_parameters, stieltjes_m)
 
 
 class TestStieltjes:
@@ -43,22 +43,6 @@ class TestStieltjes:
     def test_branch_consistency(self, E, eta):
         m = stieltjes_m(complex(E, eta))
         assert m.imag > 0
-
-
-class TestMt:
-    def test_t_one_matches(self):
-        z = 0.5 + 0.3j
-        assert m_t(z, 1.0) == pytest.approx(stieltjes_m(z))
-
-    def test_small_t_limit(self):
-        assert m_t(1j, 1e-12) == pytest.approx(1j, abs=1e-9)
-
-    def test_self_consistent(self):
-        for t in (0.1, 0.5, 0.9, 1.0):
-            for z in (1j, 0.8 + 0.05j, -1.2 + 2j):
-                m = m_t(z, t)
-                assert abs(1 + z * m + t * m * m) < 1e-13
-                assert m.imag > 0
 
 
 class TestSelectParameters:

@@ -11,6 +11,13 @@ has every field read. The names kept without such a reader are listed in
 ``KEPT``, each with the repository paths that read it; each path must
 exist and mention the name, so a stale exemption fails.
 
+Every defaulted parameter of a package function, a module-level function
+or a public method, and every defaulted public field of a class listed in
+``__all__``, is set by some call inside ``src/bandlab``: by position or by
+keyword, and by any call that passes ``*args`` or ``**kwargs``. A default
+that only the tests override is a test-only knob; the ones kept are listed
+in ``KNOBS``, each with its reason.
+
 The tests' own oracles live in ``tests/oracles.py``; a name
 defined there may not also be defined in ``src/bandlab``, so an oracle
 cannot drift back into the package.
@@ -38,6 +45,11 @@ BINDING = "src/bandlab/montecarlo.py"
 # name -> the repository paths that read it
 KEPT = {
     "assemble": ("bench/setup_probe.py", "bench/tracing.py"),
+}
+
+# defaulted parameters that no package call sets -> the reason to keep them
+KNOBS = {
+    "cli.main.argv": "the console script calls main()",
 }
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -76,15 +88,21 @@ def _is_dataclass(node) -> bool:
                for d in node.decorator_list)
 
 
-def _public_names(tree) -> list:
-    """``__all__`` of a module plus the public methods of its classes and
-    the public fields of its dataclasses."""
+def _exported(tree) -> list:
+    """A module's ``__all__``."""
     exported = []
     for stmt in tree.body:
         if isinstance(stmt, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__"
                 for t in stmt.targets):
             exported = ast.literal_eval(stmt.value)
+    return exported
+
+
+def _public_names(tree) -> list:
+    """``__all__`` of a module plus the public methods of its classes and
+    the public fields of its dataclasses."""
+    exported = _exported(tree)
     names = list(exported)
     for stmt in tree.body:
         if isinstance(stmt, ast.ClassDef) and stmt.name in exported:
@@ -269,3 +287,103 @@ def test_a_second_library_load_is_reported():
     loader = ast.parse("from ctypes import CDLL\n\nlib = CDLL(path)\n")
     trees = {**_parsed([ROOT / BINDING]), TESTS / "scan.py": loader}
     assert _library_loads(trees)[1] == [("tests/scan.py", 3)]
+
+
+def _defaulted(tree, mod) -> dict:
+    """Name -> [(qualified parameter, position)] for each defaulted
+    parameter of the module's functions, its classes' public methods and
+    the public fields of its classes in ``__all__``. The position counts
+    the call's own arguments (a method's self is not one); a keyword-only
+    parameter has none."""
+    exported = _exported(tree)
+    out = {}
+
+    def add(name, qual, params, skip=0):
+        positional = [a.arg for a in params.posonlyargs + params.args][skip:]
+        first = len(positional) - len(params.defaults)
+        found = [(f"{qual}.{a}", i) for i, a in enumerate(positional)
+                 if i >= first]
+        found += [(f"{qual}.{a.arg}", None) for a, d
+                  in zip(params.kwonlyargs, params.kw_defaults)
+                  if d is not None]
+        if found:
+            out.setdefault(name, []).extend(found)
+
+    for stmt in tree.body:
+        if isinstance(stmt, ast.FunctionDef):
+            add(stmt.name, f"{mod}.{stmt.name}", stmt.args)
+        elif isinstance(stmt, ast.ClassDef):
+            for f in stmt.body:
+                if isinstance(f, ast.FunctionDef) \
+                        and not f.name.startswith("_"):
+                    add(f.name, f"{mod}.{stmt.name}.{f.name}", f.args, skip=1)
+            if stmt.name in exported:
+                fields = [f for f in stmt.body if isinstance(f, ast.AnnAssign)
+                          and isinstance(f.target, ast.Name)]
+                out.setdefault(stmt.name, []).extend(
+                    (f"{mod}.{stmt.name}.{f.target.id}", i)
+                    for i, f in enumerate(fields)
+                    if f.value is not None
+                    and not f.target.id.startswith("_"))
+    return out
+
+
+def _set_by_calls(trees) -> set:
+    """(callee name, parameter name or position) for each argument that a
+    call passes; ``(name, None)`` for a call with ``*args`` or
+    ``**kwargs``, which may set any parameter."""
+    out = set()
+    for tree in trees:
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            name = _callee(call)
+            if any(isinstance(a, ast.Starred) for a in call.args) \
+                    or any(k.arg is None for k in call.keywords):
+                out.add((name, None))
+            out.update((name, i) for i in range(len(call.args)))
+            out.update((name, k.arg) for k in call.keywords)
+    return out
+
+
+def _unset_knobs(trees) -> list:
+    """The defaulted parameters and fields of the package's modules in
+    ``trees`` (path -> parsed module) that no call in the package sets."""
+    package = {p.stem: t for p, t in trees.items() if p.parent == SRC}
+    calls = _set_by_calls(package.values())
+    return sorted(
+        qual for mod, tree in package.items()
+        for name, params in _defaulted(tree, mod).items()
+        for qual, pos in params
+        if not {(name, None), (name, pos), (name, qual.rpartition(".")[2])}
+        & calls)
+
+
+def test_every_default_is_set_by_the_package():
+    unset = _unset_knobs(_parsed(SRC.glob("*.py")))
+    assert unset == sorted(KNOBS), (
+        f"defaulted parameters that only callers outside the package set: "
+        f"{sorted(set(unset) - set(KNOBS))}; make each a module constant, "
+        f"or add it to KNOBS with a reason; stale KNOBS: "
+        f"{sorted(set(KNOBS) - set(unset))}")
+
+
+# failing control: a synthetic function whose knob no package call sets
+_KNOB = ast.parse("def tuned(x, scale=1.0, *, cap=2):\n"
+                  "    return min(x * scale, cap)\n\n\n"
+                  "tuned(3)\n")
+
+
+def test_an_unset_knob_is_reported():
+    trees = {SRC / "knobbed.py": _KNOB}
+    assert _unset_knobs(trees) == ["knobbed.tuned.cap", "knobbed.tuned.scale"]
+    # a call outside the package does not count; one inside it does, by
+    # position, by keyword, or through **kwargs
+    outside = ast.parse("tuned(3, 0.5, cap=1)\n")
+    assert _unset_knobs({**trees, TESTS / "caller.py": outside}) \
+        == ["knobbed.tuned.cap", "knobbed.tuned.scale"]
+    for caller, unset in (("tuned(3, 0.5)\n", ["knobbed.tuned.cap"]),
+                          ("tuned(3, cap=1)\n", ["knobbed.tuned.scale"]),
+                          ("tuned(3, **opts)\n", [])):
+        got = _unset_knobs({**trees, SRC / "caller.py": ast.parse(caller)})
+        assert got == unset
